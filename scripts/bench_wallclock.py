@@ -30,7 +30,7 @@ Usage (from the repo root):
         --check-against BENCH_wallclock.json --max-regression 2.0
 
 ``--check-against`` compares this run's ``event_fig8`` ops/s with the most
-recent recorded entry of the same mode *and shard count* and exits non-zero
+recent recorded entry of the same mode and exits non-zero
 only on a gross (>``--max-regression``x) slowdown; CI uses it as a canary
 that tolerates runner noise.  ``--repeat N`` runs every benchmark N times
 and records the median-by-ops/s run, which CI uses to damp scheduler
@@ -43,12 +43,9 @@ Two scale-ceiling benchmarks are **opt-in** (they only run when named in
 write-behind client's ``create_many`` bulk path) and ``event_fig8_xl``
 (the fig8 contention run at 10x Table-3 client counts).
 
-``--shards N`` runs every engine-backed benchmark through the sharded
-simulation (:mod:`repro.sim.shard`, DESIGN §10); virtual-time results are
-bit-identical, wall-clock is recorded per shard count.  ``--profile-out
-FILE`` wraps the benchmark pass in :mod:`cProfile` and dumps pstats data
-(see EXPERIMENTS.md for how to read it); profiled runs are never recorded
-or gated — the profiler itself slows the simulator ~3x.
+``--profile-out FILE`` wraps the benchmark pass in :mod:`cProfile` and
+dumps pstats data (see EXPERIMENTS.md for how to read it); profiled runs
+are never recorded or gated — the profiler itself slows the simulator ~3x.
 """
 
 from __future__ import annotations
@@ -116,7 +113,7 @@ def bench_direct_mdtest(scale: dict) -> dict:
 
     n = scale["direct_items"]
     t0 = time.perf_counter()
-    rec = run_latency("locofs-c", 4, n_items=n, shards=scale.get("shards", 1))
+    rec = run_latency("locofs-c", 4, n_items=n)
     wall = time.perf_counter() - t0
     ops = sum(rec.count(op) for op in LATENCY_OPS)
     return {"ops": ops, "wall_s": wall, "ops_per_s": ops / wall}
@@ -132,7 +129,6 @@ def _bench_event(scale: dict, items: int, client_scale: float) -> dict:
         op="touch",
         items_per_client=items,
         client_scale=client_scale,
-        shards=scale.get("shards", 1),
     )
     wall = time.perf_counter() - t0
     return {
@@ -201,28 +197,16 @@ def bench_kv_micro(scale: dict) -> dict:
     return {"ops": ops, "wall_s": wall, "ops_per_s": ops / wall}
 
 
-def _build_batched_locofs(max_ops: int, max_bytes: int, shards: int):
+def _build_batched_locofs(max_ops: int, max_bytes: int):
     from repro.common.config import BatchConfig, ClusterConfig
     from repro.core.fs import LocoFS
-    from repro.sim.shard import shard_system
 
-    system = LocoFS(
+    return LocoFS(
         ClusterConfig(num_metadata_servers=4,
                       batch=BatchConfig(enabled=True, max_ops=max_ops,
                                         max_bytes=max_bytes)),
         engine_kind="direct",
     )
-    return shard_system(system, shards)
-
-
-def _count_files(system) -> int:
-    """Total file count; under sharding the live FMS tables are in the
-    workers, so sum via the shard group's control-plane call."""
-    group = getattr(system, "shard_group", None)
-    if group is not None:
-        return sum(group.call(name, "num_files_fast")
-                   for name in system.fms_names)
-    return system.total_files_fast()
 
 
 def bench_namespace_build(scale: dict) -> dict:
@@ -230,7 +214,7 @@ def bench_namespace_build(scale: dict) -> dict:
     # round trip across 64 creates (the LocoFS-B default of 8 targets
     # latency-sensitive interactive workloads, not namespace loads)
     dirs, files = scale["ns_dirs"], scale["ns_files_per_dir"]
-    system = _build_batched_locofs(64, 65536, scale.get("shards", 1))
+    system = _build_batched_locofs(64, 65536)
     client = system.client()
     t0 = time.perf_counter()
     for d in range(dirs):
@@ -239,7 +223,7 @@ def bench_namespace_build(scale: dict) -> dict:
             client.create(f"/d{d:05d}/f{f:06d}")
     client.flush()
     wall = time.perf_counter() - t0
-    assert _count_files(system) == dirs * files
+    assert system.total_files_fast() == dirs * files
     ops = dirs * (files + 1)
     close = getattr(system, "close", None)
     if close:
@@ -257,7 +241,7 @@ def bench_namespace_build_10m(scale: dict) -> dict:
     ``create()`` per file except for client cache-hit accounting.
     """
     dirs, files = scale["ns10m_dirs"], scale["ns10m_files_per_dir"]
-    system = _build_batched_locofs(256, 1 << 20, scale.get("shards", 1))
+    system = _build_batched_locofs(256, 1 << 20)
     client = system.client()
     names = [f"f{f:06d}" for f in range(files)]
     t0 = time.perf_counter()
@@ -267,7 +251,7 @@ def bench_namespace_build_10m(scale: dict) -> dict:
         client.create_many(parent, names)
     client.flush()
     wall = time.perf_counter() - t0
-    assert _count_files(system) == dirs * files
+    assert system.total_files_fast() == dirs * files
     ops = dirs * (files + 1)
     close = getattr(system, "close", None)
     if close:
@@ -300,7 +284,6 @@ def bench_obs_overhead(scale: dict) -> dict:
             items_per_client=scale["overhead_items"],
             client_scale=1.0,
             telemetry=telemetry,
-            shards=scale.get("shards", 1),
         )
         return r, time.perf_counter() - t0
 
@@ -363,7 +346,6 @@ def bench_openloop_sweep(scale: dict) -> dict:
         num_servers=scale["openloop_servers"],
         horizon_us=scale["openloop_horizon_us"],
         attribution=False,
-        shards=scale.get("shards", 1),
     )
     wall = time.perf_counter() - t0
     offered = sum(pt["offered"] for entry in report["systems"].values()
@@ -428,9 +410,8 @@ def git_commit() -> str:
 
 
 def run_benchmarks(mode: str, only: list[str] | None = None,
-                   repeat: int = 1, shards: int = 1) -> dict:
-    scale = dict(SCALES[mode])
-    scale["shards"] = shards
+                   repeat: int = 1) -> dict:
+    scale = SCALES[mode]
     results = {}
     for name, fn in BENCHMARKS.items():
         if only and name not in only:
@@ -463,10 +444,8 @@ def load_doc(path: Path) -> dict:
 def check_regression(doc: dict, entry: dict, max_regression: float) -> int:
     """Exit status: non-zero only on a gross event_fig8 slowdown."""
     ref = None
-    shards = entry.get("shards", 1)
     for prev in reversed(doc["entries"]):
         if (prev["mode"] == entry["mode"]
-                and prev.get("shards", 1) == shards
                 and "event_fig8" in prev["benchmarks"]):
             ref = prev
             break
@@ -525,9 +504,6 @@ def main() -> int:
     ap.add_argument("--attribution-out", default=None, metavar="FILE",
                     help="also run a traced fig8 pass and write the "
                          "repro.obs.analyze attribution report as JSON")
-    ap.add_argument("--shards", type=int, default=1, metavar="N",
-                    help="run engine-backed benchmarks through N sharded "
-                         "worker processes (bit-identical virtual time)")
     ap.add_argument("--profile-out", default=None, metavar="FILE",
                     help="cProfile the benchmark pass and dump pstats data "
                          "to FILE; implies --no-record and skips gates "
@@ -543,8 +519,7 @@ def main() -> int:
               "gated (cProfile distorts wall times ~3x)", flush=True)
         profiler = cProfile.Profile()
         profiler.enable()
-    benchmarks = run_benchmarks(mode, args.only, repeat=max(1, args.repeat),
-                                shards=max(1, args.shards))
+    benchmarks = run_benchmarks(mode, args.only, repeat=max(1, args.repeat))
     if profiler is not None:
         profiler.disable()
         profiler.dump_stats(args.profile_out)
@@ -558,8 +533,6 @@ def main() -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "benchmarks": benchmarks,
     }
-    if args.shards > 1:
-        entry["shards"] = args.shards
 
     if args.attribution_out:
         print(f"[bench] attribution ({mode}) ...", flush=True)

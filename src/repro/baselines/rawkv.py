@@ -12,7 +12,7 @@ from repro.kv import BTreeStore
 from repro.kv.meter import Meter
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import DirectEngine, EventEngine
+from repro.sim.engine import make_engine
 from repro.sim.rpc import Rpc
 
 
@@ -70,10 +70,7 @@ class RawKVSystem:
         self.cluster = Cluster(self.cost)
         self.server = RawKVServer()
         self.cluster.add("kv0", self.server)
-        if engine_kind == "direct":
-            self.engine = DirectEngine(self.cluster, self.cost)
-        else:
-            self.engine = EventEngine(self.cluster, self.cost)
+        self.engine = make_engine(engine_kind, self.cluster, self.cost)
 
     def client(self) -> RawKVClient:
         return RawKVClient(self.engine)

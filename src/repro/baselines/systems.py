@@ -26,7 +26,7 @@ from repro.common.types import Credentials, ROOT_CRED
 from repro.core.objectstore import BlockPlacement, ObjectStoreServer
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import DirectEngine, EventEngine
+from repro.sim.engine import make_engine
 
 from .placement import (
     GlusterPlacement,
@@ -96,12 +96,7 @@ class BaselineFS:
             self.object_servers.append(server)
             obj_names.append(f"obj{i}")
         self.block_placement = BlockPlacement(obj_names)
-        if engine_kind == "direct":
-            self.engine = DirectEngine(self.cluster, self.cost)
-        elif engine_kind == "event":
-            self.engine = EventEngine(self.cluster, self.cost)
-        else:
-            raise ValueError(f"unknown engine kind: {engine_kind!r}")
+        self.engine = make_engine(engine_kind, self.cluster, self.cost)
 
     def client(self, cred: Credentials = ROOT_CRED, engine=None) -> TreeFSClient:
         return self.client_cls(

@@ -216,28 +216,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _check_shards(args, registry) -> int | None:
-    """Sharded runs carry telemetry but not metrics (DESIGN §10)."""
-    if getattr(args, "shards", 1) > 1 and registry is not None:
-        print("error: --shards does not support --metrics/--metrics-out "
-              "(worker processes cannot feed a driver-side registry); "
-              "use --telemetry-out instead", file=sys.stderr)
-        return 2
-    return None
-
-
 def _cmd_latency(args) -> int:
     from repro.harness import run_latency
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
-    err = _check_shards(args, registry)
-    if err is not None:
-        return err
     rec = run_latency(system, args.num_servers, n_items=args.items,
                       depth=args.depth, metrics=registry, telemetry=sink,
-                      shards=args.shards, zipf_s=args.zipf_s)
+                      zipf_s=args.zipf_s)
     skew = f", zipf s={args.zipf_s}" if args.zipf_s else ""
     print(f"latency of {system} at {args.num_servers} server(s), "
           f"{args.items} items, depth {args.depth}{skew}:")
@@ -255,12 +242,9 @@ def _cmd_throughput(args) -> int:
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
-    err = _check_shards(args, registry)
-    if err is not None:
-        return err
     r = run_throughput(system, args.num_servers, op=args.op,
                        items_per_client=args.items, client_scale=args.client_scale,
-                       metrics=registry, telemetry=sink, shards=args.shards)
+                       metrics=registry, telemetry=sink)
     print(f"{system} {args.op} @ {args.num_servers} server(s): "
           f"{r.iops:,.0f} IOPS ({r.num_clients} clients, {r.total_ops} ops, "
           f"{r.elapsed_us/1e6:.3f} virtual s)")
@@ -572,8 +556,7 @@ def _cmd_capacity(args) -> int:
     report = sweep_capacity(
         systems=systems, pack=args.pack, loads=loads,
         num_servers=args.num_servers, horizon_us=args.horizon_us,
-        seed=args.seed, attribution=not args.no_attribution,
-        shards=args.shards)
+        seed=args.seed, attribution=not args.no_attribution)
     print(format_capacity(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
@@ -657,9 +640,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--zipf-s", type=float, default=None, metavar="S",
                    help="Zipf exponent for hot-entry skew in the read "
                         "phases (0/omitted = sequential)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the servers across N worker processes "
-                        "(bit-identical virtual time; see DESIGN §10)")
 
     p = sub.add_parser("throughput", help="closed-loop throughput of one system",
                        parents=[obs])
@@ -668,9 +648,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--op", default="touch")
     p.add_argument("--items", type=int, default=30)
     p.add_argument("--client-scale", type=float, default=0.5)
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition the servers across N worker processes "
-                        "(bit-identical virtual time; see DESIGN §10)")
 
     p = sub.add_parser(
         "availability", help="crash/recover one server mid-run, report goodput",
@@ -801,8 +778,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--horizon-us", type=float, default=200_000.0, metavar="US",
                    help="open-loop injection horizon per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="partition servers across N worker processes")
     p.add_argument("--no-attribution", action="store_true",
                    help="skip the traced pre-knee/at-knee re-runs")
     p.add_argument("--json", metavar="FILE", default=None,

@@ -22,7 +22,7 @@ from repro.common.config import ClusterConfig
 from repro.common.types import Credentials, ROOT_CRED
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import DirectEngine, EventEngine
+from repro.sim.engine import make_engine
 
 from .asyncclient import AsyncLocoClient
 from .client import BatchingLocoClient, LocoClient
@@ -101,12 +101,7 @@ class LocoFS:
             self.lookup_cache_name = "cache0"
             self.cluster.add(self.lookup_cache_name, self.lookup_cache)
 
-        if engine_kind == "direct":
-            self.engine = DirectEngine(self.cluster, self.cost)
-        elif engine_kind == "event":
-            self.engine = EventEngine(self.cluster, self.cost)
-        else:
-            raise ValueError(f"unknown engine kind: {engine_kind!r}")
+        self.engine = make_engine(engine_kind, self.cluster, self.cost)
         if self.lookup_cache_name is not None:
             self.engine.register_switch_node(self.lookup_cache_name,
                                              self.cost.switch_rtt_us)

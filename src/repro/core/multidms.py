@@ -35,7 +35,7 @@ from repro.metadata.chash import ConsistentHashRing
 from repro.metadata.layout import DIR_INODE
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import DirectEngine, EventEngine
+from repro.sim.engine import make_engine
 from repro.sim.rpc import Parallel, Rpc
 
 from .client import LocoClient
@@ -481,10 +481,7 @@ class MultiDMSLocoFS:
             self.object_servers.append(server)
             obj_names.append(f"obj{i}")
         self.placement = BlockPlacement(obj_names)
-        if engine_kind == "direct":
-            self.engine = DirectEngine(self.cluster, self.cost)
-        else:
-            self.engine = EventEngine(self.cluster, self.cost)
+        self.engine = make_engine(engine_kind, self.cluster, self.cost)
 
     def client(self, cred: Credentials = ROOT_CRED, engine=None) -> MultiDMSClient:
         return MultiDMSClient(

@@ -70,7 +70,7 @@ from repro.kv import BTreeStore, HashStore
 from repro.metadata.layout import DIR_INODE
 from repro.sim.cluster import Cluster
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import DirectEngine, EventEngine
+from repro.sim.engine import make_engine
 from repro.sim.replication import ReplicaSet, choose_candidate, election_timeout_us
 from repro.sim.rpc import Mark, Parallel, Quorum, Rpc, Sleep
 
@@ -751,10 +751,7 @@ class ReplicatedLocoFS:
             self.object_servers.append(server)
             obj_names.append(f"obj{i}")
         self.placement = BlockPlacement(obj_names)
-        if engine_kind == "direct":
-            self.engine = DirectEngine(self.cluster, self.cost)
-        else:
-            self.engine = EventEngine(self.cluster, self.cost)
+        self.engine = make_engine(engine_kind, self.cluster, self.cost)
         self._next_client_id = 0
 
     def client(self, cred: Credentials = ROOT_CRED, engine=None) -> ReplDirClient:

@@ -63,31 +63,8 @@ def _make(system_name: str, num_servers: int, cost: CostModel,
     write-ahead-logs its KV store — without it a crash honestly loses
     the namespace and the lost-acked check reports the damage.
     """
-    if system_name == "locofs-r":
-        # replicated partitioned DMS: not a plain LocoFS deployment —
-        # must precede the generic locofs* branch below
-        from repro.core.repldms import ReplicatedLocoFS
-
-        return ReplicatedLocoFS(
-            num_metadata_servers=num_servers, cost=cost,
-            engine_kind="event", data_dir=data_dir,
-        )
-    if system_name.startswith("locofs"):
-        from repro.common.config import BatchConfig, CacheConfig, ClusterConfig
-        from repro.core.fs import LocoFS
-
-        kwargs = {}
-        if system_name == "locofs-b":
-            kwargs["batch"] = BatchConfig(enabled=True)
-        elif system_name == "locofs-nc":
-            kwargs["cache"] = CacheConfig(enabled=False)
-        elif system_name == "locofs-cf":
-            kwargs["decoupled_file_metadata"] = False
-        return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers, **kwargs),
-            cost=cost, engine_kind="event", data_dir=data_dir,
-        )
-    return make_system(system_name, num_servers, cost=cost, engine_kind="event")
+    return make_system(system_name, num_servers, cost=cost,
+                       engine_kind="event", data_dir=data_dir)
 
 
 def _setup_gen(client, wl: Workload, cid: int):

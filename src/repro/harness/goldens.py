@@ -41,13 +41,11 @@ EVENT_ITEMS = 8
 EVENT_CLIENT_SCALE = 0.2
 
 
-def _direct_clock(name: str, shards: int = 1) -> float:
+def _direct_clock(name: str) -> float:
     """Final DirectEngine clock after a fixed mkdir/create/stat/unlink mix."""
     from repro.harness.registry import make_system
-    from repro.sim.shard import shard_system
 
     system = make_system(name, NUM_SERVERS, cost=CostModel(), engine_kind="direct")
-    system = shard_system(system, shards)
     client = system.client()
     wl = Workload(items_per_client=N_ITEMS, depth=2)
     for path in wl.dir_chain(0):
@@ -69,14 +67,9 @@ def _direct_clock(name: str, shards: int = 1) -> float:
     return now
 
 
-def fingerprint_system(name: str, shards: int = 1) -> dict:
-    """Exact virtual-time fingerprint of one system on the fixed workload.
-
-    ``shards > 1`` runs every phase through :mod:`repro.sim.shard`; the
-    fingerprint must stay bit-identical to the single-process one (the
-    sharded determinism golden asserts exactly that).
-    """
-    rec = run_latency(name, NUM_SERVERS, n_items=N_ITEMS, shards=shards)
+def fingerprint_system(name: str) -> dict:
+    """Exact virtual-time fingerprint of one system on the fixed workload."""
+    rec = run_latency(name, NUM_SERVERS, n_items=N_ITEMS)
     stats = {}
     for op in LATENCY_OPS:
         s = rec.summary(op)
@@ -87,10 +80,9 @@ def fingerprint_system(name: str, shards: int = 1) -> dict:
         op="touch",
         items_per_client=EVENT_ITEMS,
         client_scale=EVENT_CLIENT_SCALE,
-        shards=shards,
     )
     return {
-        "direct_now_us": _direct_clock(name, shards=shards),
+        "direct_now_us": _direct_clock(name),
         "latency_stats": stats,
         "event_elapsed_us": tp.elapsed_us,
         "event_total_ops": tp.total_ops,
@@ -98,7 +90,7 @@ def fingerprint_system(name: str, shards: int = 1) -> dict:
     }
 
 
-def determinism_fingerprint(systems=GOLDEN_SYSTEMS, shards: int = 1) -> dict:
+def determinism_fingerprint(systems=GOLDEN_SYSTEMS) -> dict:
     return {
         "schema": 1,
         "workload": {
@@ -107,8 +99,7 @@ def determinism_fingerprint(systems=GOLDEN_SYSTEMS, shards: int = 1) -> dict:
             "event_items": EVENT_ITEMS,
             "event_client_scale": EVENT_CLIENT_SCALE,
         },
-        "systems": {name: fingerprint_system(name, shards=shards)
-                    for name in systems},
+        "systems": {name: fingerprint_system(name) for name in systems},
     }
 
 

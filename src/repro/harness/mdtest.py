@@ -61,7 +61,6 @@ def run_latency(
     tracer=None,
     metrics=None,
     telemetry=None,
-    shards: int = 1,
     zipf_s: float | None = None,
     zipf_seed: int = 0,
 ) -> LatencyRecorder:
@@ -70,9 +69,7 @@ def run_latency(
     ``tracer``/``metrics``/``telemetry`` (see :mod:`repro.obs`) opt the
     run into span tracing, bounded metrics, and streaming windowed
     telemetry; with none (and no process-wide defaults set) nothing is
-    recorded beyond the exact samples.  ``shards > 1`` partitions the
-    servers across worker processes (:mod:`repro.sim.shard`) with
-    bit-identical virtual time.
+    recorded beyond the exact samples.
 
     ``zipf_s`` skews the *non-destructive* phases (dir-stat, file-stat and
     the Fig. 11 file-metadata ops): each of the ``n_items`` accesses picks
@@ -83,7 +80,6 @@ def run_latency(
     sequential so every path is created and removed exactly once.
     """
     from repro.obs import get_default_registry, get_default_telemetry
-    from repro.sim.shard import shard_system
 
     cost = cost or CostModel()
     if metrics is None:
@@ -91,7 +87,6 @@ def run_latency(
     if telemetry is None:
         telemetry = get_default_telemetry()
     system = make_system(system_name, num_servers, cost=cost, engine_kind="direct")
-    system = shard_system(system, shards)
     engine = system.engine
     if tracer is not None or metrics is not None or telemetry is not None:
         engine.attach_observability(tracer=tracer, metrics=metrics,

@@ -28,8 +28,7 @@ Three scenario packs (ISSUE 9 / ROADMAP item 3):
 Every pack precomputes its per-tenant job descriptor streams in arrival
 (seq) order from the seeded RNG before the source starts, so the offered
 sequence — times *and* ops — is a pure function of ``(pack, rate, seed)``,
-independent of scheduling interleave and shard count (pinned by the
-determinism test).
+independent of scheduling interleave (pinned by the determinism test).
 """
 
 from __future__ import annotations
@@ -330,7 +329,6 @@ def run_openloop(
     tracer=None,
     metrics=None,
     telemetry=None,
-    shards: int = 1,
     traced_jobs: bool = False,
 ) -> OpenLoopResult:
     """One open-loop cell: offer ``rate`` ops/s for ``horizon_us``.
@@ -342,7 +340,6 @@ def run_openloop(
     finish after it and are counted as completions but not goodput.
     """
     from repro.obs import get_default_registry, get_default_telemetry
-    from repro.sim.shard import shard_system
 
     cost = cost or CostModel()
     if metrics is None:
@@ -355,7 +352,6 @@ def run_openloop(
                         abandon_after_us=abandon_after_us)
     pack.traced = traced_jobs
     system = make_system(system_name, num_servers, cost=cost, engine_kind="event")
-    system = shard_system(system, shards)
     engine = system.engine
     if tracer is not None or metrics is not None or telemetry is not None:
         engine.attach_observability(tracer=tracer, metrics=metrics,

@@ -69,52 +69,50 @@ LABELS = {
 }
 
 
+#: ``ClusterConfig`` overrides of the rows that are plain :class:`LocoFS`
+#: deployments (callables: the config dataclasses are mutable, so every
+#: deployment gets fresh ones)
+_LOCOFS_CONFIGS = {
+    "locofs-c": dict,
+    "locofs-df": dict,
+    # write-behind batching on top of locofs-c (beyond-the-paper variant)
+    "locofs-b": lambda: {"batch": BatchConfig(enabled=True)},
+    # dependency-aware async updates + lookup-cache tier (Fig. 17)
+    "locofs-a": lambda: {
+        "batch": BatchConfig(enabled=True, all_ops=True),
+        "lookup_cache": LookupCacheConfig(enabled=True),
+    },
+    "locofs-nc": lambda: {"cache": CacheConfig(enabled=False)},
+    "locofs-cf": lambda: {"decoupled_file_metadata": False},
+}
+
+
 def make_system(
     name: str,
     num_servers: int = 1,
     cost: CostModel | None = None,
     engine_kind: str = "direct",
+    data_dir: str | None = None,
 ):
-    """Instantiate a deployment by legend name."""
+    """Instantiate a deployment by legend name.
+
+    ``data_dir`` makes every metadata server of a LocoFS variant
+    write-ahead-log its KV store there (crash recovery); the baselines
+    have no durable state to log and ignore it.
+    """
     cost = cost or CostModel()
-    if name in ("locofs-c", "locofs-df"):
+    overrides = _LOCOFS_CONFIGS.get(name)
+    if overrides is not None:
         return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers),
-            cost=cost, engine_kind=engine_kind,
-        )
-    if name == "locofs-b":
-        # write-behind batching on top of locofs-c (beyond-the-paper variant)
-        return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers,
-                          batch=BatchConfig(enabled=True)),
-            cost=cost, engine_kind=engine_kind,
-        )
-    if name == "locofs-a":
-        # dependency-aware async updates + lookup-cache tier (Fig. 17)
-        return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers,
-                          batch=BatchConfig(enabled=True, all_ops=True),
-                          lookup_cache=LookupCacheConfig(enabled=True)),
-            cost=cost, engine_kind=engine_kind,
+            ClusterConfig(num_metadata_servers=num_servers, **overrides()),
+            cost=cost, engine_kind=engine_kind, data_dir=data_dir,
         )
     if name == "locofs-r":
         # quorum-replicated partitioned DMS (beyond the paper; Fig. 19)
         from repro.core.repldms import ReplicatedLocoFS
 
         return ReplicatedLocoFS(num_metadata_servers=num_servers, cost=cost,
-                                engine_kind=engine_kind)
-    if name == "locofs-nc":
-        return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers,
-                          cache=CacheConfig(enabled=False)),
-            cost=cost, engine_kind=engine_kind,
-        )
-    if name == "locofs-cf":
-        return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers,
-                          decoupled_file_metadata=False),
-            cost=cost, engine_kind=engine_kind,
-        )
+                                engine_kind=engine_kind, data_dir=data_dir)
     if name == "cephfs":
         return CephFSSystem(num_metadata_servers=num_servers, cost=cost,
                             engine_kind=engine_kind)

@@ -141,7 +141,6 @@ def run_throughput(
     metrics=None,
     telemetry=None,
     system_factory=None,
-    shards: int = 1,
 ) -> ThroughputResult:
     """One throughput cell: (system, op, #servers) -> aggregate IOPS.
 
@@ -153,14 +152,8 @@ def run_throughput(
     ``system_factory`` overrides system construction (it must return an
     event-engine deployment); ``system_name`` then only labels the result
     — fig15 uses this to sweep non-default batch budgets.
-
-    ``shards > 1`` partitions the servers across forked worker processes
-    (:mod:`repro.sim.shard`); virtual-time results are bit-identical to
-    the single-process run (pinned by the sharded determinism golden).
-    Sharded runs support telemetry but not tracing/metrics/faults.
     """
     from repro.obs import get_default_registry, get_default_telemetry
-    from repro.sim.shard import shard_system
 
     cost = cost or CostModel()
     if metrics is None:
@@ -173,7 +166,6 @@ def run_throughput(
         system = system_factory()
     else:
         system = make_system(system_name, num_servers, cost=cost, engine_kind="event")
-    system = shard_system(system, shards)
     engine = system.engine
     if tracer is not None or metrics is not None or telemetry is not None:
         engine.attach_observability(tracer=tracer, metrics=metrics,

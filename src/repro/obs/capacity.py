@@ -194,7 +194,7 @@ def saturating_phase(pre: dict, at: dict) -> str | None:
 
 def _attribution_at(system: str, num_servers: int, pack: str, load: float,
                     horizon_us: float, seed: int, **pack_kw) -> dict:
-    """Traced single-shard re-run at one load -> six-phase breakdown."""
+    """Traced re-run at one load -> six-phase breakdown."""
     from repro.harness.openloop import run_openloop
     from repro.obs import Tracer
     from repro.obs.analyze import attribution_report
@@ -228,7 +228,6 @@ def sweep_capacity(
     horizon_us: float = 200_000.0,
     seed: int = 0,
     attribution: bool = True,
-    shards: int = 1,
     **pack_kw,
 ) -> dict:
     """Sweep offered load per system; detect knee + metastable region.
@@ -237,8 +236,8 @@ def sweep_capacity(
     are independent and the whole report is a deterministic function of
     the arguments (``json.dumps(report, sort_keys=True)`` is
     byte-identical across runs — the acceptance criterion).  With
-    ``attribution=True`` each system gets two extra traced single-shard
-    runs, at the last pre-knee load and at the knee load.
+    ``attribution=True`` each system gets two extra traced runs, at the
+    last pre-knee load and at the knee load.
     """
     from repro.harness.openloop import run_openloop
     from repro.obs.telemetry import TelemetrySink
@@ -259,8 +258,7 @@ def sweep_capacity(
             sink = TelemetrySink()
             res = run_openloop(system, num_servers, pack=pack, rate=load,
                                horizon_us=horizon_us, seed=seed,
-                               telemetry=sink,
-                               shards=shards, **pack_kw)
+                               telemetry=sink, **pack_kw)
             points.append(_point(load, res))
         knee = knee_point(points)
         entry: dict = {

@@ -711,51 +711,6 @@ class TelemetrySink:
             "heat": self.heat_timelines(),
         }
 
-    # -- cross-shard fold -------------------------------------------------------
-    def merge(self, other: "TelemetrySink") -> "TelemetrySink":
-        """Fold another sink into this one (per-shard telemetry merge).
-
-        Both rings are drained, the finer-resolution ring is coarsened by
-        adjacent-pair window merges — the same operation the ring already
-        uses to bound its own memory — until the window widths match, and
-        the windows then fold index-wise through the mergeable
-        sketch/cell machinery.  Window width in a ring is always
-        ``initial_window_us × 2^k``, so two sinks built with the same
-        initial width always align; widths with a non-power-of-two ratio
-        raise ``ValueError``.  Merging the per-shard sinks of a sharded
-        run into the driver's sink reproduces exactly the sink a
-        single-process run feeds (pinned by tests).  ``other`` is
-        consumed: it is drained and possibly coarsened in place.
-        """
-        self._drain()
-        other._drain()
-        while self.window_us < other.window_us:
-            self._halve()
-        while other.window_us < self.window_us:
-            other._halve()
-        if self.window_us != other.window_us:
-            raise ValueError(
-                f"unalignable window widths: {self.window_us} vs "
-                f"{other.window_us} (non power-of-two ratio)")
-        windows = self._windows
-        for i, w in enumerate(other._windows):
-            if i < len(windows):
-                windows[i].merge(w)
-            else:
-                windows.append(w)
-        while len(self._windows) > self.max_windows:
-            self._halve()
-        self._total_ops += other._total_ops
-        self._total_errors += other._total_errors
-        # adopted windows invalidate the addressing caches
-        self._c_lo = math.inf
-        self._c_hi = -math.inf
-        self._c_win = None
-        self._cs_win = None
-        self._cs_key = None
-        self._cs_sk = None
-        return self
-
     def clear(self) -> None:
         self._buf.clear()
         self._windows.clear()

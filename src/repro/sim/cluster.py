@@ -19,10 +19,6 @@ from .costmodel import CostModel, KVCostPolicy
 class ServerNode:
     """One simulated server process with FIFO service."""
 
-    #: overridden by :class:`repro.sim.shard.RemoteServerNode` — the
-    #: engines route whole batches (and per-request telemetry) on it
-    remote = False
-
     def __init__(self, name: str, handler: object, cost: CostModel):
         self.name = name
         self.handler = handler

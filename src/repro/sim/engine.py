@@ -88,6 +88,7 @@ __all__ = [
     "SpanBegin",
     "SpanCapture",
     "SpanEnd",
+    "make_engine",
 ]
 
 
@@ -263,10 +264,6 @@ class _ObservableEngine:
         child span on the server track, positioned by the meter's running
         total so the per-record KV breakdown nests under it.
         """
-        if node.remote:
-            # sharded run: the whole batch crosses to the owning worker in
-            # one exchange and runs under the worker's own group commit
-            return node.exec_batch_remote(batch)
         results = []
         first_err: FSError | None = None
         gc = node.group_commit
@@ -601,10 +598,7 @@ class DirectEngine(_ObservableEngine):
             self.now = start + service
             telemetry = self.telemetry
             if self.tracer is None and self.metrics is None:
-                # a remote node's worker records this request itself (it
-                # knows the same arrive/start/service); recording it here
-                # too would double-count after the shard merge
-                if telemetry is not None and not node.remote:
+                if telemetry is not None:
                     telemetry.rpc_complete(rpc.server, arrive, start, service)
             else:
                 self._record_service(rpc, rpc_span, arrive, start, service)
@@ -670,8 +664,7 @@ class DirectEngine(_ObservableEngine):
         self.now = start + service
         telemetry = self.telemetry
         if self.tracer is None and self.metrics is None:
-            # remote batches are recorded by the owning shard worker
-            if telemetry is not None and not node.remote:
+            if telemetry is not None:
                 telemetry.rpc_complete(batch.server, arrive, start, service,
                                        n_ops=len(batch.rpcs), batch=True)
         else:
@@ -1053,16 +1046,9 @@ class EventEngine(_ObservableEngine):
         if tracer is None and self.metrics is None:
             # telemetry-only fast path: one folded sink call per request
             if telemetry is not None:
-                if node.remote:
-                    # the shard worker records the service interval; only
-                    # the queue-depth sample is an engine-local derivative
-                    telemetry.queue_depth(
-                        rpc.server, arrive,
-                        self._arrival_depth(rpc.server, arrive, finish))
-                else:
-                    telemetry.rpc_complete(
-                        rpc.server, arrive, start, service,
-                        depth=self._arrival_depth(rpc.server, arrive, finish))
+                telemetry.rpc_complete(
+                    rpc.server, arrive, start, service,
+                    depth=self._arrival_depth(rpc.server, arrive, finish))
         else:
             self._record_service(rpc, rpc_span, arrive, start, service)
             if self.metrics is not None or telemetry is not None:
@@ -1182,15 +1168,10 @@ class EventEngine(_ObservableEngine):
         telemetry = self.telemetry
         if self.tracer is None and self.metrics is None:
             if telemetry is not None:
-                if node.remote:
-                    telemetry.queue_depth(
-                        batch.server, arrive,
-                        self._arrival_depth(batch.server, arrive, finish))
-                else:
-                    telemetry.rpc_complete(
-                        batch.server, arrive, start, service,
-                        n_ops=len(batch.rpcs), batch=True,
-                        depth=self._arrival_depth(batch.server, arrive, finish))
+                telemetry.rpc_complete(
+                    batch.server, arrive, start, service,
+                    n_ops=len(batch.rpcs), batch=True,
+                    depth=self._arrival_depth(batch.server, arrive, finish))
         else:
             self._record_batch(batch, span, arrive, start, service)
             if self.metrics is not None or telemetry is not None:
@@ -1358,3 +1339,12 @@ class EventEngine(_ObservableEngine):
                 proc.value = pending["results"]
                 proc.exc = None
             self._step(proc)
+
+
+def make_engine(kind: str, cluster: Cluster, cost: CostModel):
+    """The engine a deployment's ``engine_kind`` names."""
+    if kind == "direct":
+        return DirectEngine(cluster, cost)
+    if kind == "event":
+        return EventEngine(cluster, cost)
+    raise ValueError(f"unknown engine kind: {kind!r}")

@@ -145,28 +145,6 @@ class Simulator:
         if self.now < time:
             self.now = time
 
-    def run_gated(self, horizon: float) -> bool:
-        """Conservative-barrier drain (sharded pipelined exchange, DESIGN
-        §10): fire every event with ``time <= horizon`` — including all
-        same-instant ready continuations they spawn — but never advance
-        the clock past the horizon.
-
-        The caller loop alternates draining with folding cross-shard
-        responses::
-
-            while not sim.run_gated(group_horizon()):
-                fold_pending_responses()   # each lands > horizon
-
-        Safety: with ``horizon = min(pending arrive) + lookahead`` and
-        ``lookahead = rtt/2``, every pending response completes at
-        ``start + service + rtt/2 > arrive + lookahead >= horizon``, so a
-        fold after a blocked drain always schedules strictly in the
-        future.  Returns ``True`` when the schedule fully drained,
-        ``False`` when blocked at the barrier.
-        """
-        self.run(until=horizon)
-        return not self._heap and not self._ready
-
     @property
     def pending(self) -> int:
         return len(self._heap) + len(self._ready)

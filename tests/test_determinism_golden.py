@@ -113,30 +113,6 @@ def test_attached_telemetry_is_clock_invisible(golden):
     assert sink.count_ops("client.create") > 0
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_run_is_bit_identical(shards, golden):
-    """ISSUE-7 tentpole invariant: partitioning the servers across forked
-    worker processes (``repro.sim.shard``) must leave every virtual-time
-    result bit-identical to the single-process run.
-
-    Each remote proxy recomputes the same ``arrive``/``start`` floats the
-    in-process node would have used and folds back the worker's metered
-    ``total_us`` verbatim, so ``service = total_us - before + overhead``
-    is the identical float subtraction — the whole fingerprint document
-    must therefore equal the single-process golden byte-for-byte.
-    """
-    assert goldens.determinism_fingerprint(shards=shards) == golden
-
-
-@pytest.mark.parametrize("system", ["locofs-cf", "locofs-df", "locofs-b"])
-def test_sharded_non_golden_systems_bit_identical(system):
-    """The registry systems outside the golden seven (including the
-    write-behind LocoFS-B, which exercises the whole-batch remote
-    dispatch path) must also fingerprint identically under sharding."""
-    assert (goldens.fingerprint_system(system, shards=2)
-            == goldens.fingerprint_system(system))
-
-
 class TestLocoFSRGolden:
     """LocoFS-R determinism golden (its own file: the seven-system golden
     asserts ``len == 7`` and predates the replicated DMS).
@@ -170,15 +146,3 @@ class TestLocoFSRGolden:
         monkeypatch.setattr(mdtest, "make_system", with_empty_faults)
         assert goldens.fingerprint_system("locofs-r") == golden_r
 
-
-def test_sharded_rawkv_bit_identical():
-    """rawkv speaks put/get, not the mdtest ops, so compare a throughput
-    run directly instead of the fingerprint workload."""
-    from repro.harness import run_throughput
-
-    def run(shards):
-        r = run_throughput("rawkv", 2, op="put", items_per_client=8,
-                           client_scale=0.2, shards=shards)
-        return (r.elapsed_us, r.total_ops, r.num_clients)
-
-    assert run(1) == run(2)

@@ -14,6 +14,7 @@ from repro.common.errors import Exists, ServerDown
 from repro.common.types import ROOT_CRED
 from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
+from repro.harness import SYSTEM_NAMES, make_system
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import F_DELAY, F_DROP, F_OK, FaultSchedule, FaultState, RetryPolicy
 
@@ -346,7 +347,25 @@ class TestBatchedClientRequeue:
 
 
 class TestAvailabilityHarness:
-    @pytest.mark.parametrize("system", ["locofs-c", "locofs-b"])
+    @pytest.mark.parametrize(
+        "name", [n for n in SYSTEM_NAMES if n.startswith("locofs-")])
+    def test_builds_the_system_the_registry_builds(self, name, tmp_path):
+        """``repro availability <name>`` must measure ``<name>``: the
+        harness once kept a private copy of the registry with no locofs-a
+        arm and measured locofs-c under that label."""
+        from repro.harness.availability import _make
+
+        got = _make(name, 2, CostModel(), str(tmp_path / "wal"))
+        want = make_system(name, 2, engine_kind="event")
+        assert type(got) is type(want)
+        assert type(got.client()) is type(want.client())
+        for part in ("batch", "cache", "lookup_cache"):
+            assert getattr(got.config, part) == getattr(want.config, part)
+        assert got.data_dir == str(tmp_path / "wal")
+        got.close()
+        want.close()
+
+    @pytest.mark.parametrize("system", ["locofs-c", "locofs-b", "locofs-a"])
     def test_zero_lost_acked_across_fms_crash(self, system, tmp_path):
         from repro.harness import run_availability
 

@@ -2,7 +2,17 @@
 
 import pytest
 
+from repro.baselines import (
+    CephFSSystem,
+    GlusterSystem,
+    IndexFSSystem,
+    LustreSystem,
+    RawKVSystem,
+)
 from repro.common.stats import LatencyRecorder
+from repro.core.fs import LocoFS
+from repro.core.multidms import MultiDMSLocoFS
+from repro.core.repldms import ReplicatedLocoFS
 from repro.harness import (
     LABELS,
     SYSTEM_NAMES,
@@ -67,6 +77,16 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_system("zfs", 1)
+
+    @pytest.mark.parametrize("cls", [
+        LocoFS, MultiDMSLocoFS, ReplicatedLocoFS, IndexFSSystem, CephFSSystem,
+        LustreSystem, GlusterSystem, RawKVSystem,
+    ], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("kind", ["evnt", "Direct"])
+    def test_unknown_engine_kind_rejected(self, cls, kind):
+        # a typo must not silently select an engine
+        with pytest.raises(ValueError, match="unknown engine kind"):
+            cls(engine_kind=kind)
 
     def test_locofs_variants_differ(self):
         c = registry_make("locofs-c", 1)

@@ -161,30 +161,3 @@ def test_bounded_run_interleaves_heap_before_ready_at_same_instant():
     sim.run(max_events=1)
     assert order == ["timed-a", "timed-b", "ready-0"]
 
-
-def test_run_gated_blocks_at_horizon_then_drains():
-    sim = Simulator()
-    order = []
-    sim.at(10, order.append, "a")
-    sim.at(20, order.append, "b")
-    assert sim.run_gated(15) is False  # blocked: "b" is past the horizon
-    assert order == ["a"]
-    assert sim.now == 15
-    assert sim.run_gated(25) is True
-    assert order == ["a", "b"]
-
-
-def test_run_gated_fires_spawned_continuations_within_horizon():
-    sim = Simulator()
-    order = []
-
-    def spawner():
-        order.append("spawn")
-        sim.after(0.0, order.append, "child")
-        sim.after(100.0, order.append, "far")
-
-    sim.at(10, spawner)
-    assert sim.run_gated(10) is False  # "far" remains beyond the horizon
-    assert order == ["spawn", "child"]
-    assert sim.run_gated(200) is True
-    assert order == ["spawn", "child", "far"]
