@@ -213,7 +213,7 @@ class TreePartitionServer:
             self.store.put(_dkey(path), b"")
         parent, name = pathutil.split(path)
         buf = self.store.get(_dkey(parent)) or b""
-        if de.find_entry(buf, name) is None:
+        if not de.contains(buf, name):
             self.store.append(_dkey(parent), de.pack_entry(name, uuid, FileType.DIRECTORY))
 
     def op_delete_dir_inode(self, path: str) -> None:

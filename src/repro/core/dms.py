@@ -361,8 +361,7 @@ class DirectoryMetadataServer:
         pmeta = self._meta[parent]
         if not may_access(pmeta[0], pmeta[1], pmeta[2], cred, W_OK | X_OK):
             raise PermissionDenied(parent)
-        sub = self.store.get(_ekey(uuid)) or b""
-        if dirent.count_entries(sub) > 0:
+        if self.store.get(_ekey(uuid)):  # any bytes = at least one subdir entry
             raise NotEmpty(path)
         self.store.delete(_ikey(path))
         self.store.delete(_ekey(uuid))

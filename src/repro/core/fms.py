@@ -407,7 +407,7 @@ class FileMetadataServer:
         # torn tail can leave the inode without its dirent — repair it
         ekey = _E + dkey
         buf = self.store.get(ekey) or b""
-        if not any(e.name == name for e in dirent.iter_entries(buf)):
+        if not dirent.contains(buf, name):
             self.store.append(ekey, dirent.pack_entry(name, uuid, FileType.FILE))
         self.counters.inc("batch.deduped")
         return _APPLIED, uuid
@@ -602,8 +602,8 @@ class FileMetadataServer:
 
     def op_has_files(self, dir_uuid: int) -> bool:
         """rmdir support: does this FMS hold any file of the directory?"""
-        buf = self.store.get(_E + dir_uuid.to_bytes(8, "big")) or b""
-        return dirent.count_entries(buf) > 0
+        # a dirent list with any bytes in it holds at least one entry
+        return bool(self.store.get(_E + dir_uuid.to_bytes(8, "big")))
 
     # -- f-rename support (§3.4.2) -------------------------------------------------------
     def op_export_remove(self, dir_uuid: int, name: str, cred: Credentials) -> dict:

@@ -109,8 +109,7 @@ class DirectoryShardServer(DirectoryMetadataServer):
         if buf is None:
             raise NoEntry(path)
         uuid = DIR_INODE.read(buf, "uuid")
-        local = self.store.get(_ekey(uuid)) or b""
-        if de.count_entries(local) > 0:
+        if self.store.get(_ekey(uuid)):  # any bytes = at least one subdir entry
             raise NotEmpty(path)
         self.store.delete(_ikey(path))
         self.store.delete(_ekey(uuid))
@@ -317,10 +316,8 @@ class MultiDMSClient(LocoClient):
         answers = yield from self._g_dms_scatter(
             "shard_subdirs", (info["uuid"],),
             [Rpc(n, "has_files", (info["uuid"],)) for n in self.fms_names])
-        nshards = len(self.dms_names)
-        if any(de.count_entries(buf) > 0 for buf in answers[:nshards]):
-            raise NotEmpty(path)
-        if any(answers[nshards:]):
+        # a shard's subdir slice (bytes) or an FMS's has_files (bool)
+        if any(answers):
             raise NotEmpty(path)
         yield from self._g_dms_mutate(self._dms_for(path), "shard_rmdir",
                                       (path, pinfo["uuid"], self.cred))

@@ -5,7 +5,9 @@ import pytest
 from repro.common.config import CacheConfig, ClusterConfig
 from repro.common.errors import NoEntry
 from repro.common.types import Credentials
+from repro.core import fsck
 from repro.core.fs import LocoFS
+from repro.harness.registry import make_system
 from repro.sim.costmodel import CostModel
 
 from fs_semantics import FSSemantics
@@ -197,3 +199,37 @@ class TestLocoFSSpecific:
         assert a.stat_file("/shared/from-b").st_uid == 7
         assert a.cache_stats["entries"] >= 1
         assert b.cache_stats["entries"] >= 1
+
+    def test_big_directory_teardown_keeps_virtual_time(self):
+        """2 000 files + 2 subdirs in one directory, removed out of order.
+
+        Dirent removal is a byte splice whose output equals re-packing the
+        survivors, so every KV size and therefore the virtual clock must
+        stay exactly where the decode/re-encode implementation left it.
+        """
+        n = 2000
+        fs = make_system("locofs-nc", 4, engine_kind="direct")
+        c = fs.client()
+        c.mkdir("/big")
+        c.mkdir("/big/sub0")
+        c.mkdir("/big/sub1")
+        for i in range(n):
+            c.create(f"/big/f{i:04d}")
+        before = [e.name for e in c.readdir("/big")]
+        assert len(before) == n + 2
+        first_wave = {f"f{i:04d}" for i in range(0, n, 3)}
+        for name in sorted(first_wave):
+            c.unlink(f"/big/{name}")
+        assert [e.name for e in c.readdir("/big")] == [
+            name for name in before if name not in first_wave]
+        assert fsck.check(fs).clean
+        for i in range(n):
+            if i % 3:
+                c.unlink(f"/big/f{i:04d}")
+        c.rmdir("/big/sub1")
+        c.rmdir("/big/sub0")
+        assert c.readdir("/big") == []
+        c.rmdir("/big")
+        assert fsck.check(fs).clean
+        # measured at the commit before the byte-level dirent plane
+        assert fs.engine.now == 2091605.654871739

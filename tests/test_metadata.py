@@ -1,5 +1,8 @@
 """Tests for metadata structures: layouts, dirents, ACLs, ring, leases."""
 
+import cProfile
+import pstats
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +91,37 @@ class TestFixedLayout:
         assert FILE_ACCESS.read(buf, "ctime") == ctime
 
 
+def _entries(*triples):
+    return b"".join(dirent.pack_entry(n, u, t) for n, u, t in triples)
+
+
+def _names(buf):
+    return [e.name for e in dirent.iter_entries(buf)]
+
+
+def _repack_remove(buf, name):
+    """Reference oracle: the decode/re-encode removal that the byte-level
+    ``dirent.remove_entry`` replaced.  Splice output must equal this."""
+    out = bytearray()
+    removed = False
+    for e in dirent.iter_entries(buf):
+        if not removed and e.name == name:
+            removed = True
+            continue
+        out += dirent.pack_entry(e.name, e.uuid, e.ftype)
+    return bytes(out), removed
+
+
+def _assert_agrees_with_oracle(buf, name):
+    want_buf, want_removed = _repack_remove(buf, name)
+    got_buf, got_removed = dirent.remove_entry(buf, name)
+    assert (got_buf, got_removed) == (want_buf, want_removed)
+    assert dirent.contains(buf, name) == want_removed
+    n = len(_names(buf))
+    assert dirent.count_entries(buf) == n
+    assert dirent.count_entries(got_buf) == n - want_removed
+
+
 class TestDirent:
     def test_pack_iter_roundtrip(self):
         buf = dirent.pack_entry("file.txt", 42, FileType.FILE)
@@ -97,40 +131,148 @@ class TestDirent:
             DirEntry("file.txt", 42, FileType.FILE),
             DirEntry("subdir", 43, FileType.DIRECTORY),
         ]
+        assert all(type(e.ftype) is FileType for e in got)
 
-    def test_find_entry(self):
+    def test_contains(self):
         buf = b"".join(
             dirent.pack_entry(f"f{i}", i, FileType.FILE) for i in range(10)
         )
-        assert dirent.find_entry(buf, "f7") == DirEntry("f7", 7, FileType.FILE)
-        assert dirent.find_entry(buf, "missing") is None
+        assert dirent.contains(buf, "f7")
+        assert not dirent.contains(buf, "missing")
+        assert not dirent.contains(buf, "f")
+        assert not dirent.contains(b"", "f7")
 
     def test_remove_entry(self):
         buf = b"".join(dirent.pack_entry(f"f{i}", i, FileType.FILE) for i in range(3))
         buf2, removed = dirent.remove_entry(buf, "f1")
         assert removed
-        assert dirent.names(buf2) == ["f0", "f2"]
+        assert _names(buf2) == ["f0", "f2"]
         buf3, removed = dirent.remove_entry(buf2, "f1")
         assert not removed
-        assert buf3 == buf2
+        assert buf3 is buf2
 
     def test_count_and_empty(self):
         assert dirent.count_entries(b"") == 0
         buf = dirent.pack_entry("x", 1, FileType.FILE)
         assert dirent.count_entries(buf) == 1
+        assert len(buf) == 12  # the smallest entry: non-empty buf <=> >= 1 entry
 
     def test_unicode_names(self):
         buf = dirent.pack_entry("файл-数据", 9, FileType.FILE)
-        assert dirent.names(buf) == ["файл-数据"]
+        assert _names(buf) == ["файл-数据"]
+        assert dirent.contains(buf, "файл-数据")
+        assert dirent.remove_entry(buf, "файл-数据") == (b"", True)
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
             dirent.pack_entry("", 1, FileType.FILE)
 
+    def test_unstorable_names_are_absent(self):
+        buf = _entries(("a", 1, FileType.FILE), ("b" * 256, 0, FileType.FILE))
+        for name in ("", "x" * 65536):
+            assert not dirent.contains(buf, name)
+            assert dirent.remove_entry(buf, name) == (buf, False)
+
     @given(st.lists(st.text(alphabet="abcXYZ09_-.", min_size=1, max_size=20), unique=True, max_size=30))
     def test_roundtrip_property(self, names_list):
         buf = b"".join(dirent.pack_entry(n, i, FileType.FILE) for i, n in enumerate(names_list))
-        assert dirent.names(buf) == names_list
+        assert _names(buf) == names_list
+        assert dirent.count_entries(buf) == len(names_list)
+
+
+#: few symbols, so duplicates and prefix/suffix pairs are common; one-, two-
+#: and three-byte UTF-8; and the control bytes entry headers are made of, so
+#: ``[u16 len][name]`` needles turn up inside other names
+_NAME = st.text(alphabet="ab\x00\x01\x02\x0bé数", min_size=1, max_size=6)
+_UUID = st.one_of(
+    st.integers(0, 2**64 - 1),
+    # little-endian images that spell the header + name of a short entry
+    st.sampled_from([0x610001, 0x62610002, 0x0100, 0x01000161, 0x6100016100016100]),
+)
+_ENTRY = st.tuples(_NAME, _UUID, st.sampled_from(FileType))
+
+
+class TestDirentBytePlane:
+    """``remove_entry`` / ``contains`` / ``count_entries`` never decode; they
+    must agree byte-for-byte with the decode/re-encode oracle."""
+
+    @given(st.lists(_ENTRY, max_size=12), _NAME, st.data())
+    def test_differential_vs_repack_oracle(self, entries, stray, data):
+        buf = _entries(*entries)
+        present = [n for n, _, _ in entries]
+        candidates = [stray, stray + stray] + present + [n[:-1] for n in present if len(n) > 1]
+        name = data.draw(st.sampled_from(candidates))
+        _assert_agrees_with_oracle(buf, name)
+
+    @given(st.lists(_ENTRY, min_size=1, max_size=8))
+    def test_remove_everything_in_any_order(self, entries):
+        buf = ref = _entries(*entries)
+        for name, _, _ in reversed(entries):
+            _assert_agrees_with_oracle(buf, name)
+            buf, _ = dirent.remove_entry(buf, name)
+            ref, _ = _repack_remove(ref, name)
+        assert buf == ref == b""
+
+    def test_duplicate_names_remove_first_only(self):
+        buf = _entries(("d", 1, FileType.FILE), ("x", 2, FileType.FILE),
+                       ("d", 3, FileType.DIRECTORY))
+        out, removed = dirent.remove_entry(buf, "d")
+        assert removed
+        assert list(dirent.iter_entries(out)) == [
+            DirEntry("x", 2, FileType.FILE), DirEntry("d", 3, FileType.DIRECTORY)]
+        _assert_agrees_with_oracle(buf, "d")
+
+    @pytest.mark.parametrize("tail", [[], [("a", 7, FileType.FILE)]],
+                             ids=["absent", "present-later"])
+    @pytest.mark.parametrize("decoy", [
+        pytest.param(("zz\x01\x00a", 5, FileType.FILE), id="inside-longer-name"),
+        pytest.param(("b", 0x610001, FileType.FILE), id="inside-uuid"),
+        pytest.param(("x\x01", 0x6100, FileType.FILE), id="across-name-and-uuid"),
+    ])
+    def test_needle_off_boundary(self, decoy, tail):
+        buf = _entries(decoy, *tail)
+        # the decoy carries the needle of "a" (01 00 61) off any boundary
+        assert buf.find(b"\x01\x00a") > 0
+        _assert_agrees_with_oracle(buf, "a")
+        assert dirent.remove_entry(buf, "a") == (_entries(decoy), bool(tail))
+
+    def test_prefix_and_suffix_names_do_not_match(self):
+        others = [("ab", 1, FileType.FILE), ("ba", 2, FileType.FILE),
+                  ("aa", 3, FileType.DIRECTORY)]
+        buf = _entries(*others)
+        _assert_agrees_with_oracle(buf, "a")
+        assert not dirent.contains(buf, "a")
+        buf = _entries(*others, ("a", 4, FileType.FILE))
+        _assert_agrees_with_oracle(buf, "a")
+        assert dirent.remove_entry(buf, "a") == (_entries(*others), True)
+
+    def test_needle_across_type_byte_and_next_header(self):
+        # FILE's type byte 01, then the header of a 256-byte name (00 01):
+        # together the needle of the one-byte name "\x01"
+        buf = _entries(("p", 9, FileType.FILE), ("q" * 256, 9, FileType.FILE))
+        assert buf.find(b"\x01\x00\x01") == 11  # p's type byte
+        _assert_agrees_with_oracle(buf, "\x01")
+        assert not dirent.contains(buf, "\x01")
+        buf += dirent.pack_entry("\x01", 4, FileType.FILE)
+        _assert_agrees_with_oracle(buf, "\x01")
+        assert dirent.remove_entry(buf, "\x01") == (buf[:-12], True)
+
+    def test_removing_last_of_2000_decodes_nothing(self, monkeypatch):
+        def no_decode(*a, **k):
+            raise AssertionError("byte-level removal constructed a DirEntry")
+
+        n = 2000
+        buf = _entries(*((f"file.{i:05d}", i, FileType.FILE) for i in range(n)))
+        last = f"file.{n - 1:05d}"
+        want, _ = _repack_remove(buf, last)
+        monkeypatch.setattr(dirent, "DirEntry", no_decode)
+        prof = cProfile.Profile()
+        prof.enable()
+        got, removed = dirent.remove_entry(buf, last)
+        prof.disable()
+        assert removed and got == want
+        # exact and machine-independent: O(1) calls however long the list is
+        assert pstats.Stats(prof).total_calls <= 16
 
 
 class TestAcl:
