@@ -16,6 +16,26 @@ from repro.kv.meter import Meter
 from .costmodel import CostModel, KVCostPolicy
 
 
+class _OpTable(dict):
+    """A node's bound ``op_<name>`` methods by RPC method name — the
+    engines' dispatch is one subscript: one getattr per op per node
+    lifetime instead of one per request (~10 ns vs ~100 ns)."""
+
+    def __init__(self, server: str, handler: object):
+        super().__init__((n[3:], getattr(handler, n))
+                         for n in dir(handler) if n.startswith("op_"))
+        self.server = server
+        self.handler = handler
+
+    def __missing__(self, method: str):
+        # a handler may grow ops after registration (test doubles do)
+        fn = getattr(self.handler, "op_" + method, None)
+        if fn is None:
+            raise AttributeError(f"server {self.server!r} has no op {method!r}")
+        self[method] = fn
+        return fn
+
+
 class ServerNode:
     """One simulated server process with FIFO service."""
 
@@ -33,27 +53,11 @@ class ServerNode:
         #: occupied, just not serving)
         self.crashes = 0
         self.recovered_us = 0.0
-        #: bound-method dispatch table, one getattr per op per node lifetime
-        #: instead of one per request (a dispatch is ~10 ns vs ~100 ns)
-        self._ops: dict = {
-            n[3:]: getattr(handler, n) for n in dir(handler) if n.startswith("op_")
-        }
+        self._ops = _OpTable(name, handler)
         #: optional group-commit scope (context-manager factory): the
         #: engines wrap a whole batched RPC in it so one WAL fsync covers
         #: every sub-operation
         self.group_commit = getattr(handler, "group_commit", None)
-
-    def dispatch(self, method: str, args: tuple, kwargs: dict):
-        fn = self._ops.get(method)
-        if fn is None:
-            # a handler may grow ops after registration (test doubles do)
-            fn = getattr(self.handler, "op_" + method, None)
-            if fn is None:
-                raise AttributeError(f"server {self.name!r} has no op {method!r}")
-            self._ops[method] = fn
-        if kwargs:
-            return fn(*args, **kwargs)
-        return fn(*args)
 
     def utilization(self, elapsed_us: float) -> float:
         if elapsed_us <= 0:

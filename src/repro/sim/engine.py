@@ -1,10 +1,15 @@
 """Engines that drive file-system operation generators.
 
+The timing plane is one rule: a request costs wire time out, a FIFO wait
+at its server, the *metered* service time of the KV work the handler
+really did, and wire time back.  This module writes that rule down once.
+Two thin drivers feed it:
+
 ``DirectEngine``
     Executes each yielded command immediately against the in-process
-    servers, advancing a virtual clock by network latency plus metered
-    service time.  Single-threaded: use it for functional tests and for
-    the single-client latency experiments (Figs. 6, 7, 10, 12).
+    servers, advancing a virtual clock.  Single-threaded: use it for
+    functional tests and for the single-client latency experiments
+    (Figs. 6, 7, 10, 12).
 
 ``EventEngine``
     Schedules the same generators on the discrete-event simulator.  Each
@@ -12,11 +17,42 @@
     saturation and scalability emerge.  Used for the closed-loop
     throughput experiments (Figs. 1, 8, 9, 11, 13).
 
-Both engines implement the same tiny protocol: ``run(gen)`` drives a
-generator to completion and returns its value; ``now`` is the virtual
-clock in microseconds.
+Both implement the same tiny protocol: ``run(gen)`` drives a generator to
+completion and returns its value; ``now`` is the virtual clock in
+microseconds.  One attempt of an ``Rpc`` or ``Batch`` flows through three
+stages, and only the first is written per driver:
 
-Hot path: both engines dispatch on the integer ``tag`` class attribute of
+1. **Send half** (``DirectEngine._round_trip`` / ``EventEngine._issue``):
+   wire-fate draw, payload on the client uplink, switch-node or
+   connection-switch charge, ``rpcs_issued``, the rpc span (opened at the
+   issue instant, so the connection switch is ``network`` time in the
+   trace); the request arrives at ``issue + delay + half_rtt``, the same
+   sum in the same order on both.  It is written per driver because
+   Direct *advances* a clock and loops over retries where Event
+   *schedules* an arrival — sharing these ~20 lines costs a second
+   Python call per attempt, measured at 0.946× host throughput on
+   ``read_mostly``.
+2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
+   the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
+   or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch), meter
+   delta plus ``server_overhead_us``, node bookkeeping, the obs record,
+   and the response leg
+
+       respond_at = max(finish + half_rtt, downlink_free) + transfer_us(nbytes)
+
+   — the response reaches the client after the wire latency, then its
+   payload crosses the client's serialized downlink.  One formula for a
+   lone response and a fan-out branch alike.
+3. **Retry / join** (``_retry_at`` and ``_FanOut.add``, shared): one
+   timeout-and-backoff decision for every lost attempt, and one join for
+   ``Parallel`` and ``Quorum``.  The two fan-outs differ in a
+   ``need``/single-attempt pair, not in code: ``Parallel`` needs every
+   branch, lets each retry under the policy, and resumes after the
+   *slowest* one (raising the first error only then); ``Quorum`` needs
+   ``k``, gives each branch exactly one attempt, and resumes at the k-th
+   success — or at the failure that puts ``k`` out of reach.
+
+Hot path: both drivers dispatch on the integer ``tag`` class attribute of
 the yielded command (see :mod:`repro.sim.rpc`) instead of an
 ``isinstance`` chain, read the meter's ``total_us`` attribute directly
 instead of calling ``snapshot()``, and cache cost-model constants that are
@@ -92,14 +128,17 @@ __all__ = [
 ]
 
 
-def _response_bytes(rpc: Rpc, result) -> int:
-    """Wire size of a response: the declared size, or — for raw byte
-    payloads like dirent lists and data blocks — the actual size."""
-    if rpc.recv_bytes:
-        return rpc.recv_bytes
-    if isinstance(result, (bytes, bytearray)):
-        return len(result)
-    return 0
+#: ``err`` slot of a ``_serve`` outcome when no response will ever arrive
+#: (dead server, or a batch whose response was dropped); the time slot
+#: then holds the instant the client's timeout fires
+_LOST = object()
+
+#: result classes that are their own wire payload (dirent lists, data
+#: blocks): a response with no declared ``recv_bytes`` is sized by them.
+#: Tested with ``isinstance``: an identity test on ``type(value)`` or
+#: ``value.__class__`` spares the builtin call but measured 1.6-3.4 %
+#: slower end to end on ``read_mostly`` (CHANGES.md, PR 17)
+_RAW = (bytes, bytearray)
 
 
 class _ClientState:
@@ -117,8 +156,73 @@ class _ClientState:
         self.spans: list[tuple] = []
 
 
-class _ObservableEngine:
-    """Shared observability plumbing for both engines.
+class _FanOut:
+    """Join state of one ``Parallel`` or ``Quorum`` fan-out.
+
+    ``Parallel`` is the ``need = n`` case that waits for every branch and
+    raises the first error only after the slowest one; ``Quorum`` resolves
+    early, at the k-th success or at the failure that makes ``k``
+    unreachable, and its branches get a single attempt (no retry policy —
+    burning ``max_retries`` backoffs per dead replica would turn a
+    millisecond failover into tens of milliseconds).  A vote fails when
+    its response comes back with an application error (e.g. ``NotLeader``)
+    or, for a lost request or dead server, when the client's timeout fires.
+    """
+
+    __slots__ = ("cmd", "results", "need", "quorum", "ok", "left", "err",
+                 "resolved")
+
+    def __init__(self, cmd: Parallel | Quorum) -> None:
+        n = len(cmd.rpcs)
+        self.cmd = cmd
+        self.results: list = [None] * n
+        self.quorum = cmd.tag == TAG_QUORUM
+        self.need = cmd.k if self.quorum else n
+        self.ok = 0
+        #: branches that have not finished yet
+        self.left = n
+        self.err: FSError | None = None
+        self.resolved = False
+
+    def add(self, idx: int, value, err: FSError | None):
+        """Count one finished branch.  Returns the ``(value, exc)`` pair
+        to resume the client with once the fan-out resolves, else
+        ``None``.  Feed branches in completion-time order."""
+        if self.resolved:
+            # a late Quorum branch: its server effects already happened,
+            # the client has moved on
+            return None
+        self.left -= 1
+        if err is None:
+            self.results[idx] = value
+            self.ok += 1
+        elif self.err is None:
+            self.err = err
+        if not self.quorum:
+            if self.left:
+                return None
+            outcome = (None, self.err) if self.err is not None \
+                else (self.results, None)
+        elif self.ok >= self.need:
+            # snapshot: still-in-flight branches stay None for the client
+            # even though their effects land later
+            outcome = (list(self.results), None)
+        elif self.ok + self.left < self.need:
+            # quorum unreachable: the client learns it when the
+            # (n - k + 1)-th branch fails.  A lone branch re-raises its own
+            # error so callers can tell e.g. NotLeader from an unreachable
+            # server
+            outcome = (None, self.err if len(self.results) == 1 else QuorumFailed(
+                f"{self.cmd.rpcs[0].method}: {self.ok} of {self.need} votes"))
+        else:
+            return None
+        self.resolved = True
+        return outcome
+
+
+class _EngineCore:
+    """What both drivers share: the dispatch core (``_serve``,
+    ``_retry_at``; ``_FanOut`` is the join) and the observability plumbing.
 
     ``self.tracer`` / ``self.metrics`` stay ``None`` until a run opts in;
     every instrumentation site guards on that, so the default cost is one
@@ -141,6 +245,14 @@ class _ObservableEngine:
     #: unless a deployment registers one, so every existing system's
     #: virtual-time arithmetic is untouched (one extra ``is None`` test).
     switch_nodes: dict | None = None
+
+    def __init__(self, cluster: Cluster, cost: CostModel):
+        self.cluster = cluster
+        self.cost = cost
+        self._nodes = cluster._nodes
+        # one half-RTT per direction of every RPC; dividing once here gives
+        # bit-identical sums (same double, same additions)
+        self._half_rtt = cost.rtt_us / 2.0
 
     def register_switch_node(self, name: str, rtt_us: float) -> None:
         """Mark ``name`` as an on-path switch node with the given RTT."""
@@ -244,28 +356,37 @@ class _ObservableEngine:
         if self.telemetry is not None:
             self.telemetry.mark(cmd.name, self.now)
 
-    # -- server-side instrumentation ---------------------------------------------
-    def _rpc_span(self, state: _ClientState, rpc: Rpc):
-        """Open the client-side span of one RPC at the current time."""
+    # -- the shared core: one attempt from its issue span to respond_at -----------
+    def _open_span(self, state: _ClientState, cmd: Rpc | Batch, t: float):
+        """Open the client-side span of one round trip at its issue
+        instant ``t``; a batch's span is also the link target of every
+        captured deferred-op span (``batch.origins``)."""
         parent = state.spans[-1][0] if state.spans else None
-        return self.tracer.begin(f"rpc.{rpc.method}", "rpc", self.now,
-                                 state.track, parent, {"server": rpc.server})
+        batch = cmd.tag == TAG_BATCH
+        name = f"rpc.batch[{len(cmd.rpcs)}]" if batch else f"rpc.{cmd.method}"
+        span = self.tracer.begin(name, "rpc", t, state.track, parent,
+                                 {"server": cmd.server})
+        if batch and cmd.origins:
+            link = self.tracer.link
+            for origin in cmd.origins:
+                link(origin, span, "batch-flush")
+        return span
 
-    # -- batched RPC execution (shared by both engines) ---------------------------
-    def _exec_batch(self, node: ServerNode, batch: Batch, span=None,
-                    start: float = 0.0):
+    def _exec_batch(self, node: ServerNode, batch: Batch, span, start: float):
         """Dispatch every sub-op of a batch in order under one group-commit
-        scope.  Returns ``(results, first_err)`` — a failing sub-op yields
-        ``None`` in its slot and the first error is reported after the
-        whole batch ran (Parallel semantics).
+        scope.  Returns ``(results, first_err, recv_bytes)`` — a failing
+        sub-op yields ``None`` in its slot and the first error is reported
+        after the whole batch ran (Parallel semantics); ``recv_bytes`` is
+        the summed wire size of the responses.
 
-        With a tracer attached (the caller passes its batch ``span`` and
-        the service ``start`` time) every sub-op gets a ``batch.<method>``
-        child span on the server track, positioned by the meter's running
-        total so the per-record KV breakdown nests under it.
+        With a tracer attached every sub-op gets a ``batch.<method>``
+        child span of the batch ``span`` on the server track, positioned
+        from the service ``start`` by the meter's running total so the
+        per-record KV breakdown nests under it.
         """
         results = []
         first_err: FSError | None = None
+        recv_bytes = 0
         gc = node.group_commit
         ctx = gc() if gc is not None else None
         if ctx is not None:
@@ -286,83 +407,170 @@ class _ObservableEngine:
                         start + (meter.total_us - base), batch.server, span,
                         {"index": i})
                     sink.parent = rec_span
+                nbytes = rpc.recv_bytes
                 try:
-                    fn = ops.get(rpc.method)
-                    if fn is None:
-                        result = node.dispatch(rpc.method, rpc.args, rpc.kwargs)
-                    elif rpc.kwargs:
-                        result = fn(*rpc.args, **rpc.kwargs)
-                    else:
-                        result = fn(*rpc.args)
+                    fn = ops[rpc.method]
+                    result = fn(*rpc.args, **rpc.kwargs) if rpc.kwargs \
+                        else fn(*rpc.args)
+                    if not nbytes and isinstance(result, _RAW):
+                        nbytes = len(result)
                 except FSError as e:
                     result = None
                     if first_err is None:
                         first_err = e
                 results.append(result)
+                recv_bytes += nbytes
                 if trace_records:
                     self.tracer.end(rec_span, start + (meter.total_us - base))
                     sink.parent = span
         finally:
             if ctx is not None:
                 ctx.__exit__(None, None, None)
-        return results, first_err
+        return results, first_err, recv_bytes
 
-    def _batch_span(self, state: _ClientState, batch: Batch):
-        """Open the client-side span of one batched round trip, and link
-        every captured deferred-op span (``batch.origins``) to it."""
-        parent = state.spans[-1][0] if state.spans else None
-        span = self.tracer.begin(f"rpc.batch[{len(batch.rpcs)}]", "rpc", self.now,
-                                 state.track, parent, {"server": batch.server})
-        origins = batch.origins
-        if origins:
-            link = self.tracer.link
-            for origin in origins:
-                link(origin, span, "batch-flush")
-        return span
-
-    def _record_batch(self, batch: Batch, span, arrive: float, start: float,
-                      service: float) -> None:
-        """Server-side queue/serve phases and batch-shape metrics."""
-        n = len(batch.rpcs)
-        server = batch.server
+    def _record(self, cmd: Rpc | Batch, span, arrive: float, start: float,
+                service: float) -> None:
+        """Server-side queue/serve phases of one dispatch on the server
+        track, per-server request metrics (plus the batch shape), and the
+        telemetry service interval."""
+        server = cmd.server
+        batch = cmd.tag == TAG_BATCH
+        rpcs = cmd.rpcs if batch else (cmd,)
+        n = len(rpcs)
         if self.tracer is not None:
             if start > arrive:
                 self.tracer.complete("queue", "queue", arrive, start, server, span)
-            self.tracer.complete(f"serve.batch[{n}]", "serve", start,
+            label = f"batch[{n}]" if batch else cmd.method
+            self.tracer.complete(f"serve.{label}", "serve", start,
                                  start + service, server, span)
         if self.metrics is not None:
             m = self.metrics
             m.counter(f"{server}.requests").inc()
-            m.counter(f"{server}.batches").inc()
-            m.counter(f"{server}.batched_ops").inc(n)
-            m.histogram(f"{server}.batch_size").record(n)
-            for rpc in batch.rpcs:
+            if batch:
+                m.counter(f"{server}.batches").inc()
+                m.counter(f"{server}.batched_ops").inc(n)
+                m.histogram(f"{server}.batch_size").record(n)
+            for rpc in rpcs:
                 m.counter(f"{server}.op.{rpc.method}").inc()
             m.histogram(f"{server}.queue_wait_us").record(start - arrive)
             m.histogram(f"{server}.service_us").record(service)
         if self.telemetry is not None:
             self.telemetry.rpc_complete(server, arrive, start, service,
-                                        n_ops=n, batch=True)
+                                        n_ops=n, batch=batch)
 
-    def _record_service(self, rpc: Rpc, rpc_span, arrive: float, start: float,
-                        service: float) -> None:
-        """Record the queue/serve phases of a dispatch on the server track."""
-        if self.tracer is not None:
-            if start > arrive:
-                self.tracer.complete("queue", "queue", arrive, start,
-                                     rpc.server, rpc_span)
-            self.tracer.complete(f"serve.{rpc.method}", "serve", start,
-                                 start + service, rpc.server, rpc_span)
-        if self.metrics is not None:
-            self.metrics.counter(f"{rpc.server}.requests").inc()
-            self.metrics.counter(f"{rpc.server}.op.{rpc.method}").inc()
-            self.metrics.histogram(f"{rpc.server}.queue_wait_us").record(start - arrive)
-            self.metrics.histogram(f"{rpc.server}.service_us").record(service)
-        if self.telemetry is not None:
-            self.telemetry.rpc_complete(rpc.server, arrive, start, service)
+    def _arrival_depth(self, name: str, arrive: float, finish: float):
+        """Queue depth an arriving request finds, for the telemetry sink.
+        ``None`` here: only the event engine has queues worth sampling."""
+        return None
+
+    def _serve(self, state: _ClientState, cmd: Rpc | Batch, span,
+               arrive: float, half: float, lost_at: float | None = None):
+        """Server half and response leg of one attempt that reaches
+        ``cmd.server`` at ``arrive`` — the timing rule both drivers share.
+
+        Returns ``(value, err, respond_at)``: the handler's result (a
+        ``Batch``'s result list), the :class:`FSError` it raised (a
+        batch's first), and the instant the response has fully crossed
+        the client's downlink.  When no response will come — the server
+        is down at the arrival, or ``lost_at`` says this batch's response
+        was dropped on the wire at that send time — ``err`` is ``_LOST``
+        and the time is when the client's timeout fires.
+        """
+        cost = self.cost
+        server = cmd.server
+        tracer = self.tracer
+        faults = self.faults
+        if faults is not None:
+            faults.advance(arrive)
+            if faults.is_down(server, arrive):
+                # the request dies with the server; the client perceives a
+                # timeout measured from the arrival (DESIGN §8)
+                fail_at = arrive + cost.timeout_us
+                if span is not None:
+                    tracer.end(span, fail_at)
+                return None, _LOST, fail_at
+        node: ServerNode = self._nodes[server]
+        # FIFO service: requests hitting one server queue up
+        start = arrive if arrive > node.next_free else node.next_free
+        meter = node.meter
+        before = meter.total_us
+        if tracer is not None and meter.policy is not None:
+            meter.trace = KVTraceSink(tracer, server, span, start)
+        err: FSError | None = None
+        try:
+            if cmd.tag == TAG_BATCH:
+                # one queue entry, every sub-op served back-to-back; the
+                # single server_overhead_us below is the per-request
+                # parse/dispatch work that batching amortizes
+                value, err, nbytes = self._exec_batch(node, cmd, span, start)
+            else:
+                nbytes = cmd.recv_bytes
+                try:
+                    fn = node._ops[cmd.method]
+                    value = fn(*cmd.args, **cmd.kwargs) if cmd.kwargs \
+                        else fn(*cmd.args)
+                    if not nbytes and isinstance(value, _RAW):
+                        nbytes = len(value)
+                except FSError as e:
+                    value = None
+                    err = e
+        finally:
+            meter.trace = None
+        service = meter.total_us - before + cost.server_overhead_us
+        finish = start + service
+        node.next_free = finish
+        node.requests_served += 1
+        node.busy_us += service
+        if tracer is not None or self.metrics is not None:
+            self._record(cmd, span, arrive, start, service)
+        elif self.telemetry is not None:
+            # telemetry-only fast path: one folded sink call per request
+            batch = cmd.tag == TAG_BATCH
+            self.telemetry.rpc_complete(
+                server, arrive, start, service,
+                n_ops=len(cmd.rpcs) if batch else 1, batch=batch,
+                depth=self._arrival_depth(server, arrive, finish))
+        if lost_at is not None:
+            # the server applied the whole batch, but its response never
+            # reaches the client: time out from the send.  The retry is the
+            # at-least-once case the FMS's idempotent create_batch dedup
+            # turns into exactly-once
+            fail_at = lost_at + cost.timeout_us
+            if span is not None:
+                tracer.end(span, fail_at)
+            return None, _LOST, fail_at
+        # the response reaches the client after the wire latency, then its
+        # payload must cross the client's (serialized) downlink
+        respond_at = finish + half
+        if respond_at < state.downlink_free:
+            respond_at = state.downlink_free
+        if nbytes:
+            respond_at += cost.transfer_us(nbytes)
+        state.downlink_free = respond_at
+        if span is not None:
+            tracer.end(span, respond_at)
+        return value, err, respond_at
+
+    def _retry_at(self, state: _ClientState, server: str, attempt: int,
+                  fail_at: float, retries: bool) -> float | None:
+        """The retry decision for an attempt the client gave up waiting
+        for at ``fail_at``: the instant to re-issue it after the policy's
+        backoff, or ``None`` when the caller must surface
+        :class:`ServerDown` — the policy is spent, or the attempt was a
+        ``Quorum`` branch (``retries`` false), which simply is a failed
+        vote."""
+        if not retries:
+            return None
+        policy = self.retry
+        if attempt >= policy.max_retries:
+            self._fault_mark(state, "client.gaveup", server, fail_at)
+            return None
+        self._fault_mark(state, "client.retry", server, fail_at,
+                         counter="client.retries", attempt=attempt + 1)
+        return fail_at + policy.backoff_us(attempt, self.faults.rng)
 
 
-class DirectEngine(_ObservableEngine):
+class DirectEngine(_EngineCore):
     """Synchronous executor with a virtual clock.
 
     The clock models the latency a *single* client observes: every RPC
@@ -372,14 +580,9 @@ class DirectEngine(_ObservableEngine):
     """
 
     def __init__(self, cluster: Cluster, cost: CostModel):
-        self.cluster = cluster
-        self.cost = cost
+        super().__init__(cluster, cost)
         self.now = 0.0
         self._client = _ClientState()
-        self._nodes = cluster._nodes
-        # one half-RTT per direction of every RPC; dividing once here gives
-        # bit-identical sums (same double, same additions)
-        self._half_rtt = cost.rtt_us / 2.0
 
     # -- protocol -------------------------------------------------------------
     def run(self, gen: Generator):
@@ -398,46 +601,10 @@ class DirectEngine(_ObservableEngine):
                 tag = cmd.tag
             except AttributeError:
                 raise TypeError(f"unknown engine command: {cmd!r}") from None
-            if tag == TAG_RPC:
-                try:
-                    send_value = (self._do_rpc(cmd) if self.faults is None
-                                  else self._do_rpc_f(cmd))
-                except FSError as e:
-                    exc = e
-            elif tag == TAG_PARALLEL:
-                results = []
-                first_err: FSError | None = None
-                base = self.now
-                uplink = 0.0
-                downlink_free = base
-                slowest = base
-                transfer_us = self.cost.transfer_us
-                rpc_fn = self._do_rpc if self.faults is None else self._do_rpc_f
-                for rpc in cmd.rpcs:
-                    # the client's uplink serializes request payloads: each
-                    # branch departs once its payload (and all earlier ones)
-                    # is on the wire ...
-                    if rpc.send_bytes:
-                        uplink += transfer_us(rpc.send_bytes)
-                    self.now = base + uplink
-                    try:
-                        results.append(rpc_fn(rpc, single=False, transfers=False))
-                    except FSError as e:
-                        results.append(None)
-                        if first_err is None:
-                            first_err = e
-                    # ... and the downlink serializes response payloads
-                    arrive = max(self.now, downlink_free)
-                    nbytes = _response_bytes(rpc, results[-1])
-                    if nbytes:
-                        arrive += transfer_us(nbytes)
-                    downlink_free = arrive
-                    slowest = max(slowest, arrive)
-                self.now = slowest
-                if first_err is not None:
-                    exc = first_err
-                else:
-                    send_value = results
+            if tag == TAG_RPC or tag == TAG_BATCH:
+                send_value, exc, self.now = self._round_trip(cmd)
+            elif tag == TAG_PARALLEL or tag == TAG_QUORUM:
+                send_value, exc = self._fan_out(cmd)
             elif tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 self.now += cmd.us
             elif tag == TAG_SPAN_BEGIN:
@@ -449,313 +616,94 @@ class DirectEngine(_ObservableEngine):
             elif tag == TAG_SPAN_CAPTURE:
                 client = self._client
                 send_value = client.spans[-1][0] if client.spans else None
-            elif tag == TAG_BATCH:
-                try:
-                    send_value = (self._do_batch(cmd) if self.faults is None
-                                  else self._do_batch_f(cmd))
-                except FSError as e:
-                    exc = e
-            elif tag == TAG_QUORUM:
-                try:
-                    send_value = self._do_quorum(cmd)
-                except FSError as e:
-                    exc = e
             else:
                 raise TypeError(f"unknown engine command: {cmd!r}")
 
-    def _do_quorum(self, cmd: Quorum):
-        """Fan out the branches, resume at the k-th successful completion.
-
-        Each branch gets exactly one attempt (no retry policy — see
-        :class:`~repro.sim.rpc.Quorum`): a dropped request or down server
-        is a failed vote at ``send + timeout_us``.  All branches execute
-        against their servers (their queue/service effects happen), but
-        the clock resumes at the k-th success; slower successes are
-        reported as ``None``, matching "still in flight at resume".
+    def _round_trip(self, cmd: Rpc | Batch, join: _FanOut | None = None,
+                    uplink: float = 0.0):
+        """One ``Rpc`` or ``Batch`` issued at ``self.now``, every retry
+        included.  Returns ``(value, err, respond_at)`` and leaves the
+        clock alone: ``run`` resumes a lone request at ``respond_at``,
+        ``_fan_out`` decides from all its branches.  A branch of the
+        fan-out ``join`` pays no connection switch and first waits
+        ``uplink`` behind the earlier branches' request payloads.
         """
         cost = self.cost
-        base = self.now
-        uplink = 0.0
-        downlink_free = base
-        transfer_us = cost.transfer_us
+        state = self._client
         faults = self.faults
-        n = len(cmd.rpcs)
-        results: list = [None] * n
-        finishes: list[tuple[float, int, bool, FSError | None]] = []
-        for i, rpc in enumerate(cmd.rpcs):
-            # the client's uplink serializes request payloads, exactly as
-            # a Parallel fan-out does
-            if rpc.send_bytes:
-                uplink += transfer_us(rpc.send_bytes)
-            t0 = base + uplink
-            self.now = t0
-            ok = True
-            err: FSError | None = None
-            result = None
-            dropped = False
+        server = cmd.server
+        t = self.now
+        attempt = 0
+        while True:
+            # send half
+            delay = uplink
+            lost_at = None
             if faults is not None:
                 fate, extra = faults.wire_fate()
                 if fate == F_DROP:
-                    dropped = True
+                    lost_at = t
                 elif extra:
-                    self.now += extra
-            if dropped:
-                # request loss: the server never executes it, the vote
-                # fails when the client's timeout fires
-                ok = False
-                self.now = t0 + cost.timeout_us
+                    delay += extra
+            if cmd.send_bytes:
+                delay = cost.transfer_us(cmd.send_bytes) + delay
+            half = self._half_rtt
+            sw = self.switch_nodes
+            if sw is not None and server in sw:
+                # switch node: on the wire path already — near-zero latency,
+                # no connection churn, the established server stays connected
+                half = sw[server]
+            elif join is None:
+                if state.last_server is not None and state.last_server != server:
+                    delay += cost.conn_switch_us
+                state.last_server = server
+            state.rpcs_issued += 1
+            if lost_at is not None and cmd.tag == TAG_RPC:
+                # request loss: the server never executes it, so a retried
+                # non-idempotent op sees no ghost of itself (a dropped Batch
+                # loses its *response* instead — _serve times it out once
+                # the server has applied it)
+                at = t + cost.timeout_us
             else:
-                try:
-                    result = self._do_rpc(rpc, single=False, transfers=False)
-                except ServerDown as e:
-                    ok, err = False, e
-                    self.now = max(self.now, t0 + cost.timeout_us)
-                except FSError as e:
-                    # an application error (e.g. NotLeader) is a fast
-                    # failed vote: the response did come back
-                    ok, err = False, e
-            arrive = self.now
-            if ok:
-                arrive = arrive if arrive > downlink_free else downlink_free
-                nbytes = _response_bytes(rpc, result)
-                if nbytes:
-                    arrive += transfer_us(nbytes)
-                downlink_free = arrive
-                results[i] = result
-            finishes.append((arrive, i, ok, err))
-        succ = sorted(t for t, _, ok, _ in finishes if ok)
-        if len(succ) >= cmd.k:
-            resume = succ[cmd.k - 1]
-            self.now = resume
-            for t, i, ok, _ in finishes:
-                if not ok or t > resume:
-                    results[i] = None
-            return results
-        # quorum unreachable: the client learns it when the
-        # (n - k + 1)-th branch fails
-        fails = sorted(t for t, _, ok, _ in finishes if not ok)
-        self.now = fails[n - cmd.k]
-        if n == 1:
-            first = finishes[0][3]
-            if first is not None:
-                raise first
-        raise QuorumFailed(
-            f"{cmd.rpcs[0].method}: {len(succ)} of {cmd.k} votes")
-
-    def _do_rpc(self, rpc: Rpc, single: bool = True, transfers: bool = True):
-        cost = self.cost
-        node = self._nodes[rpc.server]
-        client = self._client
-        half = self._half_rtt
-        sw = self.switch_nodes
-        on_path = sw is not None and rpc.server in sw
-        if on_path:
-            # switch node: on the wire path already — near-zero latency, no
-            # connection churn, and the established server stays connected
-            half = sw[rpc.server]
-        elif single:
-            if client.last_server is not None and client.last_server != rpc.server:
-                self.now += cost.conn_switch_us
-            client.last_server = rpc.server
-        client.rpcs_issued += 1
-        rpc_span = None
-        if self.tracer is not None:
-            rpc_span = self._rpc_span(client, rpc)
-        # request wire time (unless the caller accounted it) + half RTT out
-        if transfers and rpc.send_bytes:
-            self.now += cost.transfer_us(rpc.send_bytes)
-        self.now += half
-        # FIFO service: parallel branches hitting one server queue up
-        arrive = self.now
-        faults = self.faults
-        if faults is not None:
-            faults.advance(arrive)
-            if faults.is_down(rpc.server, arrive):
-                # the request dies with the server; _do_rpc_f times out
-                if rpc_span is not None:
-                    self.tracer.end(rpc_span, arrive)
-                raise ServerDown(rpc.server)
-        start = arrive if arrive > node.next_free else node.next_free
-        meter = node.meter
-        before = meter.total_us
-        if self.tracer is not None and meter.policy is not None:
-            meter.trace = KVTraceSink(self.tracer, rpc.server, rpc_span, start)
-        result = None
-        try:
-            fn = node._ops.get(rpc.method)
-            if fn is None:
-                result = node.dispatch(rpc.method, rpc.args, rpc.kwargs)
-            elif rpc.kwargs:
-                result = fn(*rpc.args, **rpc.kwargs)
-            else:
-                result = fn(*rpc.args)
-        finally:
-            meter.trace = None
-            service = meter.total_us - before + cost.server_overhead_us
-            node.requests_served += 1
-            node.busy_us += service
-            node.next_free = start + service
-            self.now = start + service
-            telemetry = self.telemetry
-            if self.tracer is None and self.metrics is None:
-                if telemetry is not None:
-                    telemetry.rpc_complete(rpc.server, arrive, start, service)
-            else:
-                self._record_service(rpc, rpc_span, arrive, start, service)
-            # response wire time + half RTT back
-            if transfers:
-                nbytes = rpc.recv_bytes
-                if not nbytes and isinstance(result, (bytes, bytearray)):
-                    nbytes = len(result)
-                if nbytes:
-                    self.now += cost.transfer_us(nbytes)
-            self.now += half
-            if rpc_span is not None:
-                self.tracer.end(rpc_span, self.now)
-        return result
-
-    def _do_batch(self, batch: Batch):
-        """One round trip carrying every sub-op of the batch.
-
-        Wire model mirrors ``_do_rpc``: one optional connection switch, the
-        summed request payloads on the uplink, one half-RTT out, a single
-        FIFO queue entry at the server, then the summed response payloads
-        and one half-RTT back.  Service time is the metered cost of all
-        sub-ops plus a single ``server_overhead_us`` — the per-request
-        parse/dispatch work is what batching amortizes.
-        """
-        cost = self.cost
-        node = self._nodes[batch.server]
-        client = self._client
-        if client.last_server is not None and client.last_server != batch.server:
-            self.now += cost.conn_switch_us
-        client.last_server = batch.server
-        client.rpcs_issued += 1
-        span = None
-        if self.tracer is not None:
-            span = self._batch_span(client, batch)
-        send_bytes = 0
-        for rpc in batch.rpcs:
-            send_bytes += rpc.send_bytes
-        if send_bytes:
-            self.now += cost.transfer_us(send_bytes)
-        self.now += self._half_rtt
-        arrive = self.now
-        faults = self.faults
-        if faults is not None:
-            faults.advance(arrive)
-            if faults.is_down(batch.server, arrive):
-                if span is not None:
-                    self.tracer.end(span, arrive)
-                raise ServerDown(batch.server)
-        start = arrive if arrive > node.next_free else node.next_free
-        meter = node.meter
-        before = meter.total_us
-        if self.tracer is not None and meter.policy is not None:
-            meter.trace = KVTraceSink(self.tracer, batch.server, span, start)
-        try:
-            results, first_err = self._exec_batch(node, batch, span, start)
-        finally:
-            meter.trace = None
-        service = meter.total_us - before + cost.server_overhead_us
-        node.requests_served += 1
-        node.busy_us += service
-        node.next_free = start + service
-        self.now = start + service
-        telemetry = self.telemetry
-        if self.tracer is None and self.metrics is None:
-            if telemetry is not None:
-                telemetry.rpc_complete(batch.server, arrive, start, service,
-                                       n_ops=len(batch.rpcs), batch=True)
-        else:
-            self._record_batch(batch, span, arrive, start, service)
-        recv_bytes = 0
-        for rpc, result in zip(batch.rpcs, results):
-            recv_bytes += _response_bytes(rpc, result)
-        if recv_bytes:
-            self.now += cost.transfer_us(recv_bytes)
-        self.now += self._half_rtt
-        if span is not None:
-            self.tracer.end(span, self.now)
-        if first_err is not None:
-            raise first_err
-        return results
-
-    # -- fault-aware wrappers (installed only when faults are attached) -----------
-    def _do_rpc_f(self, rpc: Rpc, single: bool = True, transfers: bool = True):
-        """Fault-aware ``_do_rpc``: wire-fate draw + timeout/retry loop.
-
-        A dropped request is lost before the server sees it (no spurious
-        side effects on retried non-idempotent ops); a down server
-        swallows the request on arrival.  Either way the client burns
-        ``timeout_us`` from the send, then backs off and re-issues until
-        the retry policy is exhausted and :class:`ServerDown` surfaces.
-        """
-        cost = self.cost
-        faults = self.faults
-        policy = self.retry
-        attempt = 0
-        while True:
-            t0 = self.now
-            fate, extra = faults.wire_fate()
-            if fate != F_DROP:
-                if extra:
-                    self.now += extra
-                try:
-                    return self._do_rpc(rpc, single, transfers)
-                except ServerDown:
-                    self.now = max(self.now, t0 + cost.timeout_us)
-            else:
-                # request loss on the wire: the server never executes it
-                self.now = t0 + cost.timeout_us
-            if attempt >= policy.max_retries:
-                self._fault_mark(self._client, "client.gaveup", rpc.server,
-                                 self.now)
-                raise ServerDown(rpc.server)
-            self._fault_mark(self._client, "client.retry", rpc.server,
-                             self.now, counter="client.retries",
-                             attempt=attempt + 1)
-            self.now += policy.backoff_us(attempt, faults.rng)
+                span = None
+                if self.tracer is not None:
+                    span = self._open_span(state, cmd, t)
+                served = self._serve(state, cmd, span, t + delay + half,
+                                     half, lost_at)
+                if served[1] is not _LOST:
+                    return served
+                at = served[2]
+            t = self._retry_at(state, server, attempt, at,
+                               join is None or not join.quorum)
+            if t is None:
+                return None, ServerDown(server), at
             attempt += 1
+            uplink = 0.0  # a re-issue queues behind nobody's payload
 
-    def _do_batch_f(self, batch: Batch):
-        """Fault-aware ``_do_batch``.
-
-        A dropped batch loses the *response*: the server applies the
-        whole batch, the client times out and retries — the at-least-once
-        delivery case the FMS's idempotent ``create_batch`` dedup turns
-        into exactly-once.
-        """
-        cost = self.cost
-        faults = self.faults
-        policy = self.retry
-        attempt = 0
-        while True:
-            t0 = self.now
-            fate, extra = faults.wire_fate()
-            if extra:
-                self.now += extra
-            try:
-                results = self._do_batch(batch)
-                if fate != F_DROP:
-                    return results
-                # response lost: result (and any deferred error) discarded
-                self.now = max(self.now, t0 + cost.timeout_us)
-            except ServerDown:
-                self.now = max(self.now, t0 + cost.timeout_us)
-            except FSError:
-                if fate != F_DROP:
-                    raise
-                self.now = max(self.now, t0 + cost.timeout_us)
-            if attempt >= policy.max_retries:
-                self._fault_mark(self._client, "client.gaveup", batch.server,
-                                 self.now)
-                raise ServerDown(batch.server)
-            self._fault_mark(self._client, "client.retry", batch.server,
-                             self.now, counter="client.retries",
-                             attempt=attempt + 1)
-            self.now += policy.backoff_us(attempt, faults.rng)
-            attempt += 1
+    def _fan_out(self, cmd: Parallel | Quorum):
+        """Run every branch of a ``Parallel``/``Quorum`` from ``self.now``,
+        then replay their completions in time order through the shared
+        join; the clock resumes where the join resolves.  All branches
+        execute against their servers (their queue/service effects
+        happen) even when a ``Quorum`` resolves before the slowest."""
+        if not cmd.rpcs:
+            return [], None
+        join = _FanOut(cmd)
+        # the client's uplink serializes request payloads: each branch
+        # departs once its payload (and all earlier ones) is on the wire
+        uplink = 0.0
+        transfer_us = self.cost.transfer_us
+        done = []
+        for i, rpc in enumerate(cmd.rpcs):
+            value, err, at = self._round_trip(rpc, join, uplink)
+            done.append((at, i, value, err))
+            if rpc.send_bytes:
+                uplink += transfer_us(rpc.send_bytes)
+        done.sort()
+        for at, i, value, err in done:
+            outcome = join.add(i, value, err)
+            if outcome is not None:
+                self.now = at
+                return outcome
 
     def reset_clock(self) -> None:
         self.now = 0.0
@@ -787,12 +735,11 @@ class _Proc:
         self.slot = (self,)
 
 
-class EventEngine(_ObservableEngine):
+class EventEngine(_EngineCore):
     """Discrete-event executor for many concurrent client processes."""
 
     def __init__(self, cluster: Cluster, cost: CostModel):
-        self.cluster = cluster
-        self.cost = cost
+        super().__init__(cluster, cost)
         self.sim = Simulator()
         self._n_clients = 0
         # run() calls share one logical client, so consecutive synchronous
@@ -802,8 +749,6 @@ class EventEngine(_ObservableEngine):
         self._backlog: dict[str, deque] = {}
         #: per-server (last sample ts, busy_us at that ts) for busy-fraction
         self._util_mark: dict[str, tuple[float, float]] = {}
-        self._nodes = cluster._nodes
-        self._half_rtt = cost.rtt_us / 2.0
 
     @property
     def now(self) -> float:
@@ -869,8 +814,8 @@ class EventEngine(_ObservableEngine):
                 tag = cmd.tag
             except AttributeError:
                 raise TypeError(f"unknown engine command: {cmd!r}") from None
-            if tag == TAG_RPC:
-                self._issue(proc, cmd, single=True)
+            if tag == TAG_RPC or tag == TAG_BATCH:
+                self._issue(proc, cmd)
                 return
             if tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 sim = self.sim
@@ -892,44 +837,19 @@ class EventEngine(_ObservableEngine):
                 sim._seq = seq = sim._seq + 1
                 heappush(heap, (t, seq, self._step, proc.slot))
                 return
-            if tag == TAG_PARALLEL:
+            if tag == TAG_PARALLEL or tag == TAG_QUORUM:
                 rpcs = cmd.rpcs
-                n = len(rpcs)
-                if n == 0:
+                if not rpcs:
                     proc.value = []
                     self.sim._ready.append((self._step, proc.slot))
                     return
-                pending = {"n": n, "results": [None] * n, "err": None}
+                join = _FanOut(cmd)
                 # the client uplink serializes request payloads: branch i
                 # cannot dispatch before the preceding payloads are on the wire
                 uplink = 0.0
                 transfer_us = self.cost.transfer_us
                 for i, rpc in enumerate(rpcs):
-                    self._issue(proc, rpc, single=False,
-                                group=(pending, i), extra_delay=uplink)
-                    if rpc.send_bytes:
-                        uplink += transfer_us(rpc.send_bytes)
-                return
-            if tag == TAG_QUORUM:
-                rpcs = cmd.rpcs
-                pending = {
-                    "total": len(rpcs),
-                    "need": cmd.k,
-                    "ok": 0,
-                    "fail": 0,
-                    "results": [None] * len(rpcs),
-                    "first_err": None,
-                    "resolved": False,
-                    "method": rpcs[0].method,
-                    # routes branch completions to _join_quorum (and marks
-                    # the group single-attempt for _retry_rpc)
-                    "join": self._join_quorum,
-                }
-                uplink = 0.0
-                transfer_us = self.cost.transfer_us
-                for i, rpc in enumerate(rpcs):
-                    self._issue(proc, rpc, single=False,
-                                group=(pending, i), extra_delay=uplink)
+                    self._issue(proc, rpc, (join, i), uplink)
                     if rpc.send_bytes:
                         uplink += transfer_us(rpc.send_bytes)
                 return
@@ -943,328 +863,127 @@ class EventEngine(_ObservableEngine):
                 exc = None
                 send_value = state.spans[-1][0] if state.spans else None
                 continue
-            elif tag == TAG_BATCH:
-                self._issue_batch(proc, cmd)
-                return
             else:
                 raise TypeError(f"unknown engine command: {cmd!r}")
             exc = None
             send_value = None
 
-    def _issue(self, proc: _Proc, rpc: Rpc, single: bool, group=None,
-               extra_delay: float = 0.0, attempt: int = 0) -> None:
+    def _issue(self, proc: _Proc, cmd: Rpc | Batch, branch=None,
+               delay: float = 0.0, attempt: int = 0) -> None:
+        """Send half of one attempt: schedule its arrival at the server.
+        ``branch`` is the ``(join, index)`` of a fan-out branch, which
+        pays no connection switch and first waits ``delay`` behind the
+        earlier branches' request payloads."""
         cost = self.cost
         state = proc.state
+        sim = self.sim
+        now = sim.now
+        server = cmd.server
+        lost_at = None
         faults = self.faults
         if faults is not None:
             fate, extra = faults.wire_fate()
             if fate == F_DROP:
-                # request loss: never delivered, the client times out from
-                # the send and the retry machinery takes over
-                if single:
-                    state.last_server = rpc.server
-                state.rpcs_issued += 1
-                self._retry_rpc(proc, rpc, single, group, attempt,
-                                self.sim.now)
-                return
-            if extra:
-                extra_delay += extra
-        if rpc.send_bytes:
-            delay = cost.transfer_us(rpc.send_bytes) + extra_delay
-        else:
-            delay = extra_delay
+                lost_at = now
+            elif extra:
+                delay += extra
+        if cmd.send_bytes:
+            delay = cost.transfer_us(cmd.send_bytes) + delay
         half = self._half_rtt
         sw = self.switch_nodes
-        if sw is not None and rpc.server in sw:
+        if sw is not None and server in sw:
             # on-path switch node: no connection churn, near-zero latency
-            half = sw[rpc.server]
-        elif single:
-            if state.last_server is not None and state.last_server != rpc.server:
+            half = sw[server]
+        elif branch is None:
+            if state.last_server is not None and state.last_server != server:
                 delay += cost.conn_switch_us
-            state.last_server = rpc.server
+            state.last_server = server
         state.rpcs_issued += 1
-        rpc_span = None
+        if lost_at is not None and cmd.tag == TAG_RPC:
+            # request loss: never delivered, the client times out from the
+            # send (a dropped Batch loses its *response* instead — _serve
+            # times it out once the server has applied it, so the retry
+            # must be idempotent)
+            self._retry(proc, cmd, branch, attempt, now + cost.timeout_us)
+            return
+        span = None
         if self.tracer is not None:
-            rpc_span = self._rpc_span(state, rpc)
+            span = self._open_span(state, cmd, now)
         # inlined sim.at(): the deliver time is now + delay + half-RTT with
         # every term non-negative, so it is never in the past; == now (a
         # zero-RTT cost model) routes to the ready queue exactly as at()
-        sim = self.sim
-        now = sim.now
         deliver_at = now + delay + half
-        args = (proc, rpc, single, group, rpc_span, attempt)
+        args = (proc, cmd, branch, span, attempt, half, lost_at)
         if deliver_at > now:
             sim._seq = seq = sim._seq + 1
             heappush(sim._heap, (deliver_at, seq, self._deliver, args))
         else:
             sim._ready.append((self._deliver, args))
 
-    def _deliver(self, proc: _Proc, rpc: Rpc, single: bool, group,
-                 rpc_span, attempt: int = 0) -> None:
-        cost = self.cost
+    def _deliver(self, proc: _Proc, cmd: Rpc | Batch, branch, span,
+                 attempt: int, half: float, lost_at: float | None) -> None:
+        """The attempt arrives: serve it, then schedule the client's
+        resume (or the branch's join) at ``respond_at``."""
         sim = self.sim
-        state = proc.state
-        faults = self.faults
-        if faults is not None:
-            now = sim.now
-            faults.advance(now)
-            if faults.is_down(rpc.server, now):
-                # arrived at a dead server: the request is lost, the
-                # client perceives a timeout measured from the arrival
-                if rpc_span is not None:
-                    self.tracer.end(rpc_span, now + cost.timeout_us)
-                self._retry_rpc(proc, rpc, single, group, attempt, now)
-                return
-        node: ServerNode = self._nodes[rpc.server]
         arrive = sim.now
-        start = arrive if arrive > node.next_free else node.next_free
-        meter = node.meter
-        before = meter.total_us
-        tracer = self.tracer
-        if tracer is not None and meter.policy is not None:
-            meter.trace = KVTraceSink(tracer, rpc.server, rpc_span, start)
-        err: FSError | None = None
-        result = None
-        try:
-            fn = node._ops.get(rpc.method)
-            if fn is None:
-                result = node.dispatch(rpc.method, rpc.args, rpc.kwargs)
-            elif rpc.kwargs:
-                result = fn(*rpc.args, **rpc.kwargs)
-            else:
-                result = fn(*rpc.args)
-        except FSError as e:
-            err = e
-        finally:
-            meter.trace = None
-        service = meter.total_us - before + cost.server_overhead_us
-        finish = start + service
-        node.next_free = finish
-        node.requests_served += 1
-        node.busy_us += service
-        telemetry = self.telemetry
-        if tracer is None and self.metrics is None:
-            # telemetry-only fast path: one folded sink call per request
-            if telemetry is not None:
-                telemetry.rpc_complete(
-                    rpc.server, arrive, start, service,
-                    depth=self._arrival_depth(rpc.server, arrive, finish))
+        value, err, at = self._serve(proc.state, cmd, span, arrive, half,
+                                     lost_at)
+        if err is _LOST:
+            self._retry(proc, cmd, branch, attempt, at)
+            return
+        if branch is None:
+            proc.value = value
+            proc.exc = err
+            fn = self._step
+            args = proc.slot
         else:
-            self._record_service(rpc, rpc_span, arrive, start, service)
-            if self.metrics is not None or telemetry is not None:
-                self._sample_server(rpc.server, node, arrive, finish)
-        # the response reaches the client after the wire latency, then its
-        # payload must cross the client's (serialized) downlink
-        half = self._half_rtt
-        sw = self.switch_nodes
-        if sw is not None and rpc.server in sw:
-            half = sw[rpc.server]
-        reach_client = finish + half
-        nbytes = rpc.recv_bytes
-        if not nbytes and isinstance(result, (bytes, bytearray)):
-            nbytes = len(result)
-        respond_at = reach_client if reach_client > state.downlink_free \
-            else state.downlink_free
-        if nbytes:
-            respond_at += cost.transfer_us(nbytes)
-        state.downlink_free = respond_at
-        if rpc_span is not None:
-            self.tracer.end(rpc_span, respond_at)
+            fn = self._join
+            args = (proc, branch[0], branch[1], value, err)
         # inlined sim.at(): respond_at >= arrive + service + half-RTT, so
         # it can only equal `now` (== arrive) under a zero-cost model —
         # then the ready queue preserves at()'s ordering exactly
-        if single:
-            proc.value = result
-            proc.exc = err
-            if respond_at > arrive:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, (respond_at, seq, self._step, proc.slot))
-            else:
-                sim._ready.append((self._step, proc.slot))
+        if at > arrive:
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (at, seq, fn, args))
         else:
-            pending, idx = group
-            join = pending.get("join")
-            if join is None:
-                join = self._join
-            args = (proc, pending, idx, result, err)
-            if respond_at > arrive:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, (respond_at, seq, join, args))
-            else:
-                sim._ready.append((join, args))
+            sim._ready.append((fn, args))
 
-    def _issue_batch(self, proc: _Proc, batch: Batch,
-                     attempt: int = 0) -> None:
-        """Send one batched round trip: like ``_issue`` for a single RPC,
-        with the sub-ops' request payloads summed on the uplink."""
-        cost = self.cost
-        state = proc.state
-        faults = self.faults
-        lost = None
-        delay = 0.0
-        if faults is not None:
-            fate, extra = faults.wire_fate()
-            if fate == F_DROP:
-                # batches lose the *response*: the server executes the
-                # flush, the client times out — retry must be idempotent
-                lost = (attempt, self.sim.now)
-            elif extra:
-                delay = extra
-        send_bytes = 0
-        for rpc in batch.rpcs:
-            send_bytes += rpc.send_bytes
-        if send_bytes:
-            delay += cost.transfer_us(send_bytes)
-        if state.last_server is not None and state.last_server != batch.server:
-            delay += cost.conn_switch_us
-        state.last_server = batch.server
-        state.rpcs_issued += 1
-        span = None
-        if self.tracer is not None:
-            span = self._batch_span(state, batch)
+    def _retry(self, proc: _Proc, cmd: Rpc | Batch, branch, attempt: int,
+               fail_at: float) -> None:
+        """One lost attempt, noticed by the client at ``fail_at``: back
+        off and re-issue, or resume the client (join the branch) with
+        :class:`ServerDown`.  ``fail_at`` may already lie in the past —
+        a dropped batch is timed from its send but only known lost once
+        served — hence the clamps to the current instant."""
         sim = self.sim
         now = sim.now
-        deliver_at = now + delay + self._half_rtt
-        args = (proc, batch, span, attempt, lost)
-        if deliver_at > now:
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (deliver_at, seq, self._deliver_batch, args))
-        else:
-            sim._ready.append((self._deliver_batch, args))
-
-    def _deliver_batch(self, proc: _Proc, batch: Batch, span,
-                       attempt: int = 0, lost=None) -> None:
-        """Server-side half of a batched round trip: one FIFO queue entry,
-        every sub-op served back-to-back under one group-commit scope."""
-        cost = self.cost
-        sim = self.sim
-        state = proc.state
-        faults = self.faults
-        if faults is not None:
-            now = sim.now
-            faults.advance(now)
-            if faults.is_down(batch.server, now):
-                if span is not None:
-                    self.tracer.end(span, now + cost.timeout_us)
-                self._retry_batch(proc, batch, attempt, now)
-                return
-        node: ServerNode = self._nodes[batch.server]
-        arrive = sim.now
-        start = arrive if arrive > node.next_free else node.next_free
-        meter = node.meter
-        before = meter.total_us
-        tracer = self.tracer
-        if tracer is not None and meter.policy is not None:
-            meter.trace = KVTraceSink(tracer, batch.server, span, start)
-        try:
-            results, first_err = self._exec_batch(node, batch, span, start)
-        finally:
-            meter.trace = None
-        service = meter.total_us - before + cost.server_overhead_us
-        finish = start + service
-        node.next_free = finish
-        node.requests_served += 1
-        node.busy_us += service
-        telemetry = self.telemetry
-        if self.tracer is None and self.metrics is None:
-            if telemetry is not None:
-                telemetry.rpc_complete(
-                    batch.server, arrive, start, service,
-                    n_ops=len(batch.rpcs), batch=True,
-                    depth=self._arrival_depth(batch.server, arrive, finish))
-        else:
-            self._record_batch(batch, span, arrive, start, service)
-            if self.metrics is not None or telemetry is not None:
-                self._sample_server(batch.server, node, arrive, finish)
-        if lost is not None:
-            # the server served the batch, but its response never reaches
-            # the client: time out from the send and retry
-            l_attempt, t0 = lost
-            if span is not None:
-                self.tracer.end(span, t0 + cost.timeout_us)
-            self._retry_batch(proc, batch, l_attempt, t0)
+        t = self._retry_at(proc.state, cmd.server, attempt, fail_at,
+                           branch is None or not branch[0].quorum)
+        if t is not None:
+            sim.at(t if t > now else now, self._issue, proc, cmd, branch,
+                   0.0, attempt + 1)
             return
-        reach_client = finish + self._half_rtt
-        recv_bytes = 0
-        for rpc, result in zip(batch.rpcs, results):
-            recv_bytes += _response_bytes(rpc, result)
-        respond_at = reach_client if reach_client > state.downlink_free \
-            else state.downlink_free
-        if recv_bytes:
-            respond_at += cost.transfer_us(recv_bytes)
-        state.downlink_free = respond_at
-        if span is not None:
-            self.tracer.end(span, respond_at)
-        if first_err is not None:
-            proc.value = None
-            proc.exc = first_err
-        else:
-            proc.value = results
-        if respond_at > arrive:
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (respond_at, seq, self._step, proc.slot))
-        else:
-            sim._ready.append((self._step, proc.slot))
-
-    # -- timeout + retry scheduling (fault injection only) -------------------------
-    def _retry_rpc(self, proc: _Proc, rpc: Rpc, single: bool, group,
-                   attempt: int, base_t: float) -> None:
-        """One failed RPC attempt: the client perceives the loss
-        ``timeout_us`` after ``base_t``, then backs off and re-issues —
-        or gives up with :class:`ServerDown` once the policy is spent."""
-        sim = self.sim
-        state = proc.state
-        policy = self.retry
-        fail_at = base_t + self.cost.timeout_us
-        if group is not None and group[0].get("join") is not None:
-            # quorum branch: single attempt by design — a lost request or
-            # down server is a failed vote when the timeout fires, never a
-            # backoff+retry (which would turn millisecond failovers into
-            # tens of milliseconds per dead replica)
-            pending, idx = group
-            at = fail_at if fail_at > sim.now else sim.now
-            sim.at(at, pending["join"], proc, pending, idx, None,
-                   ServerDown(rpc.server))
-            return
-        if attempt >= policy.max_retries:
-            self._fault_mark(state, "client.gaveup", rpc.server, fail_at)
-            err = ServerDown(rpc.server)
-            at = fail_at if fail_at > sim.now else sim.now
-            if group is None:
-                proc.value = None
-                proc.exc = err
-                sim.at(at, self._step, proc)
-            else:
-                pending, idx = group
-                sim.at(at, self._join, proc, pending, idx, None, err)
-            return
-        self._fault_mark(state, "client.retry", rpc.server, fail_at,
-                         counter="client.retries", attempt=attempt + 1)
-        t = fail_at + policy.backoff_us(attempt, self.faults.rng)
-        at = t if t > sim.now else sim.now
-        sim.at(at, self._issue, proc, rpc, single, group, 0.0, attempt + 1)
-
-    def _retry_batch(self, proc: _Proc, batch: Batch, attempt: int,
-                     base_t: float) -> None:
-        """Batch flavor of :meth:`_retry_rpc` (batches are never inside a
-        Parallel group, so a give-up always resumes the generator)."""
-        sim = self.sim
-        state = proc.state
-        policy = self.retry
-        fail_at = base_t + self.cost.timeout_us
-        if attempt >= policy.max_retries:
-            self._fault_mark(state, "client.gaveup", batch.server, fail_at)
-            err = ServerDown(batch.server)
-            at = fail_at if fail_at > sim.now else sim.now
+        err = ServerDown(cmd.server)
+        at = fail_at if fail_at > now else now
+        if branch is None:
             proc.value = None
             proc.exc = err
             sim.at(at, self._step, proc)
-            return
-        self._fault_mark(state, "client.retry", batch.server, fail_at,
-                         counter="client.retries", attempt=attempt + 1)
-        t = fail_at + policy.backoff_us(attempt, self.faults.rng)
-        at = t if t > sim.now else sim.now
-        sim.at(at, self._issue_batch, proc, batch, attempt + 1)
+        else:
+            sim.at(at, self._join, proc, branch[0], branch[1], None, err)
+
+    def _join(self, proc: _Proc, join: _FanOut, idx: int, value, err) -> None:
+        outcome = join.add(idx, value, err)
+        if outcome is not None:
+            proc.value, proc.exc = outcome
+            self._step(proc)
+
+    # -- queue sampling (metrics/telemetry only) ---------------------------------
+    def _record(self, cmd: Rpc | Batch, span, arrive: float, start: float,
+                service: float) -> None:
+        super()._record(cmd, span, arrive, start, service)
+        if self.metrics is not None or self.telemetry is not None:
+            self._sample_server(cmd.server, arrive, start + service)
 
     def _arrival_depth(self, name: str, arrive: float, finish: float) -> int:
         """Queue depth on arrival (requests ahead still queued or in
@@ -1278,8 +997,7 @@ class EventEngine(_ObservableEngine):
         backlog.append(finish)
         return depth
 
-    def _sample_server(self, name: str, node: ServerNode, arrive: float,
-                       finish: float) -> None:
+    def _sample_server(self, name: str, arrive: float, finish: float) -> None:
         """Per-server queue depth and busy-fraction over the window since
         the previous sample."""
         depth = self._arrival_depth(name, arrive, finish)
@@ -1289,56 +1007,12 @@ class EventEngine(_ObservableEngine):
         if metrics is None:
             return
         metrics.timeseries(f"{name}.queue_depth").sample(arrive, depth)
+        node = self._nodes[name]
         last_ts, last_busy = self._util_mark.get(name, (0.0, 0.0))
         if finish > last_ts:
             frac = min(1.0, (node.busy_us - last_busy) / (finish - last_ts))
             metrics.timeseries(f"{name}.utilization").sample(finish, frac)
             self._util_mark[name] = (finish, node.busy_us)
-
-    def _join_quorum(self, proc: _Proc, pending, idx, result, err) -> None:
-        """One quorum branch completed.  Resume the client at the k-th
-        success; once resolved, late branches are ignored (their server
-        effects already happened, the client has moved on)."""
-        if pending["resolved"]:
-            return
-        if err is None:
-            pending["results"][idx] = result
-            pending["ok"] += 1
-            if pending["ok"] >= pending["need"]:
-                pending["resolved"] = True
-                # snapshot: still-in-flight branches stay None for the
-                # client even though their effects land later
-                proc.value = list(pending["results"])
-                proc.exc = None
-                self._step(proc)
-            return
-        pending["fail"] += 1
-        if pending["first_err"] is None:
-            pending["first_err"] = err
-        if pending["total"] - pending["fail"] < pending["need"]:
-            pending["resolved"] = True
-            proc.value = None
-            if pending["total"] == 1 and pending["first_err"] is not None:
-                proc.exc = pending["first_err"]
-            else:
-                proc.exc = QuorumFailed(
-                    f"{pending['method']}: {pending['ok']} of "
-                    f"{pending['need']} votes")
-            self._step(proc)
-
-    def _join(self, proc: _Proc, pending, idx, result, err) -> None:
-        pending["results"][idx] = result
-        if err is not None and pending["err"] is None:
-            pending["err"] = err
-        pending["n"] -= 1
-        if pending["n"] == 0:
-            if pending["err"] is not None:
-                proc.value = None
-                proc.exc = pending["err"]
-            else:
-                proc.value = pending["results"]
-                proc.exc = None
-            self._step(proc)
 
 
 def make_engine(kind: str, cluster: Cluster, cost: CostModel):

@@ -84,15 +84,23 @@ class Batch:
     records which round trip made every write-behind op durable.  It is
     ``None`` on untraced runs — the field costs nothing unless a tracer
     is attached.
+
+    ``send_bytes`` is the summed request payload of the sub-operations,
+    fixed at construction, so the engines put an ``Rpc`` and a ``Batch``
+    on the client uplink with the same code.
     """
 
-    __slots__ = ("server", "rpcs", "origins")
+    __slots__ = ("server", "rpcs", "origins", "send_bytes")
     tag = TAG_BATCH
 
     def __init__(self, server: str, rpcs: list[Rpc], origins: list | None = None):
         self.server = server
         self.rpcs = rpcs
         self.origins = origins
+        send_bytes = 0
+        for rpc in rpcs:
+            send_bytes += rpc.send_bytes
+        self.send_bytes = send_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Batch({self.server!r}, {self.rpcs!r})"
