@@ -8,13 +8,18 @@ a cross-shard shuffle.
 
 from conftest import once
 
-from repro.core.multidms import MultiDMSLocoFS
+from repro.common.config import ClusterConfig, DirectoryConfig
+from repro.core.fs import LocoFS
 from repro.sim.rpc import LocalCharge
 
 
+def partitioned(n_shards: int, **kw) -> LocoFS:
+    return LocoFS(ClusterConfig(num_metadata_servers=1,
+                                directory=DirectoryConfig(partitions=n_shards)), **kw)
+
+
 def mkdir_throughput(n_shards: int, clients: int = 40, items: int = 20) -> float:
-    fs = MultiDMSLocoFS(num_directory_servers=n_shards, num_metadata_servers=1,
-                        engine_kind="event")
+    fs = partitioned(n_shards, engine_kind="event")
     engine = fs.engine
     done = [0]
 
@@ -33,7 +38,7 @@ def mkdir_throughput(n_shards: int, clients: int = 40, items: int = 20) -> float
 
 
 def cold_stat_rpcs(n_shards: int, depth: int = 8) -> int:
-    fs = MultiDMSLocoFS(num_directory_servers=n_shards, num_metadata_servers=1)
+    fs = partitioned(n_shards)
     warm = fs.client()
     path = ""
     for i in range(depth):

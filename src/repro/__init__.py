@@ -18,11 +18,12 @@ Quickstart::
     assert client.read("/projects/readme.txt", 0, 5) == b"hello"
 """
 
-from .common import ClusterConfig, BatchConfig, CacheConfig, Credentials
+from .common import BatchConfig, CacheConfig, ClusterConfig, Credentials, DirectoryConfig
 
 __version__ = "1.0.0"
 
-__all__ = ["LocoFS", "ClusterConfig", "BatchConfig", "CacheConfig", "Credentials", "__version__"]
+__all__ = ["LocoFS", "ClusterConfig", "BatchConfig", "CacheConfig", "DirectoryConfig",
+           "Credentials", "__version__"]
 
 
 def __getattr__(name):

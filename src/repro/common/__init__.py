@@ -1,7 +1,7 @@
 """Shared primitives: errors, types, paths, uuids, stats, configuration."""
 
 from . import errors, pathutil
-from .config import BatchConfig, CacheConfig, ClusterConfig, LookupCacheConfig
+from .config import BatchConfig, CacheConfig, ClusterConfig, DirectoryConfig, LookupCacheConfig
 from .errors import (
     CrossDevice,
     Exists,
@@ -24,6 +24,7 @@ __all__ = [
     "BatchConfig",
     "CacheConfig",
     "ClusterConfig",
+    "DirectoryConfig",
     "LookupCacheConfig",
     "CrossDevice",
     "Exists",

@@ -73,12 +73,34 @@ class LookupCacheConfig:
 
 
 @dataclass
+class DirectoryConfig:
+    """Shape of the LocoFS directory tier (beyond the paper).
+
+    ``partitions == 0`` is the paper's single DMS with its server-side
+    ancestor ACL walk (§3.1) — *not* a one-partition special case: any
+    ``partitions >= 1`` hash-partitions the d-inodes by full path and
+    moves the walk to the client (:mod:`repro.core.multidms`).
+    ``replication > 1`` makes every partition a quorum-replicated group of
+    that many replicas (:mod:`repro.core.repldms`).
+    """
+
+    partitions: int = 0
+    replication: int = 1
+
+    def __post_init__(self) -> None:
+        if self.partitions < 0:
+            raise ValueError("directory.partitions must be >= 0")
+        if self.replication < 1:
+            raise ValueError("directory.replication must be >= 1")
+
+
+@dataclass
 class ClusterConfig:
     """Shape of the simulated deployment.
 
-    ``num_metadata_servers`` counts FMS servers for LocoFS (the DMS is a
-    separate, single server per paper §3.1) and generic MDS servers for
-    the baselines.
+    ``num_metadata_servers`` counts FMS servers for LocoFS (the directory
+    tier is separate: the paper's single DMS unless ``directory`` says
+    otherwise) and generic MDS servers for the baselines.
     """
 
     num_metadata_servers: int = 1
@@ -91,6 +113,8 @@ class ClusterConfig:
     batch: BatchConfig = field(default_factory=BatchConfig)
     #: shared hot-entry lookup-cache node (locofs-a); off by default
     lookup_cache: LookupCacheConfig = field(default_factory=LookupCacheConfig)
+    #: directory-tier shape: single DMS (paper) / partitioned / replicated
+    directory: DirectoryConfig = field(default_factory=DirectoryConfig)
     # LocoFS-specific toggles used by the ablation experiments:
     decoupled_file_metadata: bool = True  # Fig. 11: LocoFS-DF vs LocoFS-CF
     dms_backend: str = "btree"  # "btree" (paper default) or "hash" (Fig. 14)

@@ -1,6 +1,6 @@
 """LocoFS core: the paper's primary contribution.
 
-* :class:`~repro.core.fs.LocoFS` — deployment facade
+* :class:`~repro.core.fs.LocoFS` — the one deployment builder
 * :class:`~repro.core.client.LocoClient` — client library (``locolib``)
 * :class:`~repro.core.dms.DirectoryMetadataServer` — single DMS
 * :class:`~repro.core.fms.FileMetadataServer` — hashed FMS servers

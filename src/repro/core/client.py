@@ -260,36 +260,35 @@ class LocoClient(FSClientBase):
                  for name_ in self.placement.names]
             )
 
-    def _g_chmod(self, path: str, mode: int) -> Generator:
+    def _g_setattr(self, path: str, attrs: dict) -> Generator:
+        """chmod/chown body, written once for every synchronous client.
+
+        A path may name a file *and* a directory (split keyspaces, see
+        ``ClusterConfig.strict_collisions``); the kind order is fixed
+        here: the file first, the directory only on ``NoEntry``."""
         now = self.now_s
         path = pathutil.normalize(path)
-        parent, name = pathutil.split(path)
         if path == "/":
-            yield Rpc(DMS, "setattr", (path, self.cred, now), {"mode": mode})
+            yield from self._g_dir_setattr(path, now, attrs)
             return
+        parent, name = pathutil.split(path)
         info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         try:
-            yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now), {"mode": mode})
+            yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now), attrs)
         except NoEntry:
-            yield Rpc(DMS, "setattr", (path, self.cred, now), {"mode": mode})
+            yield from self._g_dir_setattr(path, now, attrs)
             self.dcache.invalidate(path)
 
+    def _g_dir_setattr(self, path: str, now: float, attrs: dict) -> Generator:
+        """The directory half of chmod/chown (rerouted by MultiDMSClient)."""
+        yield Rpc(DMS, "setattr", (path, self.cred, now), attrs)
+
+    def _g_chmod(self, path: str, mode: int) -> Generator:
+        return self._g_setattr(path, {"mode": mode})
+
     def _g_chown(self, path: str, uid: int, gid: int) -> Generator:
-        now = self.now_s
-        path = pathutil.normalize(path)
-        parent, name = pathutil.split(path)
-        if path == "/":
-            yield Rpc(DMS, "setattr", (path, self.cred, now), {"uid": uid, "gid": gid})
-            return
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
-        try:
-            yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now),
-                      {"uid": uid, "gid": gid})
-        except NoEntry:
-            yield Rpc(DMS, "setattr", (path, self.cred, now), {"uid": uid, "gid": gid})
-            self.dcache.invalidate(path)
+        return self._g_setattr(path, {"uid": uid, "gid": gid})
 
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
         path = pathutil.normalize(path)
@@ -825,13 +824,9 @@ class BatchingLocoClient(LocoClient):
         yield from self._g_file_barrier(path)
         return (yield from super()._g_unlink(path))
 
-    def _g_chmod(self, path: str, mode: int) -> Generator:
+    def _g_setattr(self, path: str, attrs: dict) -> Generator:
         yield from self._g_file_barrier(path)
-        return (yield from super()._g_chmod(path, mode))
-
-    def _g_chown(self, path: str, uid: int, gid: int) -> Generator:
-        yield from self._g_file_barrier(path)
-        return (yield from super()._g_chown(path, uid, gid))
+        return (yield from super()._g_setattr(path, attrs))
 
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
         yield from self._g_file_barrier(path)

@@ -44,8 +44,8 @@ from repro.common.types import (
     S_IFDIR,
 )
 from repro.common.uuidgen import FID_BITS, FID_MASK, ROOT_UUID, UuidAllocator
-from repro.kv import BTreeStore, HashStore
-from repro.kv.meter import Meter
+from repro.kv import make_store
+from repro.kv.meter import Meter, NullMeter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import W_OK, X_OK, may_access
@@ -68,6 +68,8 @@ class DirectoryMetadataServer:
 
     #: how many uuids are reserved per durable allocator checkpoint
     FID_RESERVE = 1024
+    #: whether ``/`` lives here (a directory shard other than 0 has none)
+    has_root = True
     _FID_KEY = b"M:fid_ceiling"
 
     def __init__(
@@ -77,26 +79,35 @@ class DirectoryMetadataServer:
         track_touches: bool = False,
         wal_path: str | None = None,
     ):
-        if backend == "btree":
-            self.store = BTreeStore(wal_path=wal_path)
-        elif backend == "hash":
-            self.store = HashStore(wal_path=wal_path)
-        else:
+        if backend not in ("btree", "hash"):
             raise ValueError(f"unsupported DMS backend: {backend!r}")
         self.backend = backend
-        self.meter = self.store.meter  # replaced when a cluster attaches its node meter
+        self.meter = NullMeter()  # replaced when a cluster attaches its node meter
         self.alloc = UuidAllocator(sid=sid)
-        # write-through mirror for ancestor ACL walks: path -> (mode, uid, gid, uuid)
-        self._meta: dict[str, tuple[int, int, int, int]] = {}
         self.track_touches = track_touches
         self.touches: dict[str, set[str]] = {}
         #: handler-level telemetry (ACL-walk depth, rename fan-out); mirrored
         #: into a metrics registry as ``dms.*`` when a run opts in
         self.counters = Counters()
-        if self.store.get(_ikey("/")) is None:
+        self._open(wal_path)
+        self._load()
+
+    def _open(self, wal_path: str | None) -> None:
+        """A store of this server's backend over ``wal_path`` (replayed when
+        the log exists), metered by this node, with an empty mirror."""
+        self.store = make_store(self.backend, wal_path=wal_path)
+        self.store.meter = self.meter
+        # write-through mirror for ancestor ACL walks: path -> (mode, uid, gid, uuid)
+        self._meta: dict[str, tuple[int, int, int, int]] = {}
+
+    def _load(self) -> None:
+        """Bring the volatile state up from whatever the store holds — the
+        one root-or-recover decision behind construction, restart and a
+        replica's log wipe: recover the mirror and the allocator, then
+        seed ``/`` iff this server owns it and the store has none."""
+        self._recover()
+        if self.has_root and "/" not in self._meta:
             self._mkroot()
-        else:
-            self._recover()
 
     def _mkroot(self) -> None:
         mode = S_IFDIR | DEFAULT_DIR_MODE
@@ -164,24 +175,15 @@ class DirectoryMetadataServer:
         store.close()
         if self._wal_path is not None and torn_tail_bytes:
             WriteAheadLog.tear_tail(self._wal_path, torn_tail_bytes)
-        cls = BTreeStore if self.backend == "btree" else HashStore
-        self.store = cls()
-        self.store.meter = self.meter
-        self._meta = {}
+        self._open(None)
 
     def restart(self) -> int:
         """Rebuild the store by WAL replay (then the mirror from the
         store); returns the replayed byte count for recovery latency."""
         path = getattr(self, "_wal_path", None)
         nbytes = os.path.getsize(path) if path and os.path.exists(path) else 0
-        cls = BTreeStore if self.backend == "btree" else HashStore
-        self.store = cls(wal_path=path)
-        self.store.meter = self.meter
-        self._meta = {}
-        if self.store.get(_ikey("/")) is None:
-            self._mkroot()
-        else:
-            self._recover()
+        self._open(path)
+        self._load()
         return nbytes
 
     def bind_metrics(self, registry, prefix: str) -> None:

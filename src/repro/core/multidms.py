@@ -19,6 +19,11 @@ The ablation benchmark (``benchmarks/test_ablation_multidms.py``) shows
 both sides: mkdir/rmdir throughput now scales with DMS count, while
 cold-cache deep-path operations pay per-level round trips — quantifying
 why the paper's trade-off favours one DMS at supercomputer scales.
+
+This module holds the shard server and the routing client only; a
+deployment is built by :class:`~repro.core.fs.LocoFS` from
+``ClusterConfig(directory=DirectoryConfig(partitions=N))``, which also
+composes :class:`MultiDMSClient` with the write-behind update policy.
 """
 
 from __future__ import annotations
@@ -26,22 +31,16 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.common import pathutil
-from repro.common.config import ClusterConfig
 from repro.common.errors import Exists, InvalidArgument, NoEntry, NotEmpty, PermissionDenied
-from repro.common.types import Credentials, FileType, ROOT_CRED, S_IFDIR
+from repro.common.types import Credentials, FileType, S_IFDIR
 from repro.metadata import dirent as de
 from repro.metadata.acl import X_OK, may_access
 from repro.metadata.chash import ConsistentHashRing
 from repro.metadata.layout import DIR_INODE
-from repro.sim.cluster import Cluster
-from repro.sim.costmodel import CostModel
-from repro.sim.engine import make_engine
 from repro.sim.rpc import Parallel, Rpc
 
 from .client import LocoClient
 from .dms import DirectoryMetadataServer, _ekey, _ikey
-from .fms import FileMetadataServer
-from .objectstore import BlockPlacement, ObjectStoreServer
 
 # ---------------------------------------------------------------------------
 # server side: shard-local operations added onto DirectoryMetadataServer
@@ -58,15 +57,10 @@ class DirectoryShardServer(DirectoryMetadataServer):
 
     def __init__(self, shard_id: int, backend: str = "btree", has_root: bool = False,
                  wal_path: str | None = None):
-        super().__init__(backend=backend, sid=shard_id, wal_path=wal_path)
+        # set first: the base constructor's _load() seeds ``/`` only on
+        # the shard that owns it (the one the client ring maps "/" to)
         self.has_root = has_root
-        if not has_root and self.store.get(_ikey("/")) is not None:
-            # the base class installs a root; only shard 0 keeps it
-            self.store.delete(_ikey("/"))
-            from repro.common.uuidgen import ROOT_UUID
-
-            self.store.delete(_ekey(ROOT_UUID))
-            self._meta.clear()
+        super().__init__(backend=backend, sid=shard_id, wal_path=wal_path)
 
     # -- shard-local ops ----------------------------------------------------------
     def op_shard_lookup(self, path: str) -> dict:
@@ -336,62 +330,28 @@ class MultiDMSClient(LocoClient):
         entries.sort(key=lambda e: e.name)
         return entries
 
-    def _g_chmod(self, path: str, mode: int) -> Generator:
-        now = self.now_s
-        path = pathutil.normalize(path)
-        parent, name = pathutil.split(path)
-        if path == "/":
-            yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
-                                          (path, self.cred, now, mode))
-            return
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
-        try:
-            yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now), {"mode": mode})
-        except NoEntry:
-            yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
-                                          (path, self.cred, now, mode))
-            self.dcache.invalidate(path)
-
-    def _g_chown(self, path: str, uid: int, gid: int) -> Generator:
-        now = self.now_s
-        path = pathutil.normalize(path)
-        parent, name = pathutil.split(path)
-        if path == "/":
-            yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
-                                          (path, self.cred, now, None, uid, gid))
-            return
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
-        try:
-            yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now),
-                      {"uid": uid, "gid": gid})
-        except NoEntry:
-            yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
-                                          (path, self.cred, now, None, uid, gid))
-            self.dcache.invalidate(path)
+    def _g_dir_setattr(self, path: str, now: float, attrs: dict) -> Generator:
+        # positional tail ``(mode)`` / ``(None, uid, gid)``, not a uniform
+        # 6-tuple: the replicated client ships the pickled argument tuple
+        # as ``send_bytes``, so its length is on the virtual plane
+        tail = ((attrs["mode"],) if "mode" in attrs
+                else (None, attrs["uid"], attrs["gid"]))
+        yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
+                                      (path, self.cred, now) + tail)
 
     def _g_rename(self, old: str, new: str) -> Generator:
         old = pathutil.normalize(old)
         new = pathutil.normalize(new)
         if old == new:
             return
-        try:
-            yield from self._g_dms_read(self._dms_for(old), "shard_lookup", (old,))
-            is_dir = True
-        except NoEntry:
-            is_dir = False
-        if not is_dir:
+        if not (yield from self._g_dir_exists(old)):
             yield from self._g_rename_file(old, new)
             return
         # d-rename across shards: export everywhere, re-hash, import
         if pathutil.is_ancestor(old, new):
             raise InvalidArgument(new, "cannot move a directory into itself")
-        try:
-            yield from self._g_dms_read(self._dms_for(new), "shard_lookup", (new,))
+        if (yield from self._g_dir_exists(new)):
             raise Exists(new)
-        except NoEntry:
-            pass
         old_parent, old_name = pathutil.split(old)
         new_parent, new_name = pathutil.split(new)
         sp = yield from self._g_dir(old_parent)
@@ -423,73 +383,3 @@ class MultiDMSClient(LocoClient):
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
 
     # generic stat falls back through _g_stat_dir -> _g_dir, already sharded
-
-
-# ---------------------------------------------------------------------------
-# facade
-# ---------------------------------------------------------------------------
-
-
-class MultiDMSLocoFS:
-    """LocoFS with a hash-partitioned directory metadata service."""
-
-    name = "locofs-mdms"
-
-    def __init__(
-        self,
-        num_directory_servers: int = 2,
-        num_metadata_servers: int = 4,
-        num_object_servers: int = 4,
-        cost: CostModel | None = None,
-        engine_kind: str = "direct",
-        cache_enabled: bool = True,
-        dms_backend: str = "btree",
-        strict_collisions: bool = False,
-    ):
-        if num_directory_servers < 1:
-            raise ValueError("need at least one directory server")
-        self.cost = cost or CostModel()
-        self.cluster = Cluster(self.cost)
-        self.config = ClusterConfig(num_metadata_servers=num_metadata_servers,
-                                    num_object_servers=num_object_servers)
-        self.dms_names = [f"dms{i}" for i in range(num_directory_servers)]
-        self.cache_enabled = cache_enabled
-        self.strict_collisions = strict_collisions
-        # root lives on the shard the client ring maps "/" to: shard 0
-        self.dms_servers: list[DirectoryShardServer] = []
-        for i, name in enumerate(self.dms_names):
-            server = DirectoryShardServer(shard_id=i, backend=dms_backend,
-                                          has_root=(i == 0))
-            self.cluster.add(name, server)
-            self.dms_servers.append(server)
-        self.fms: list[FileMetadataServer] = []
-        self.fms_names: list[str] = []
-        for i in range(num_metadata_servers):
-            server = FileMetadataServer(sid=100 + i, cost=self.cost)
-            name = f"fms{i}"
-            self.cluster.add(name, server)
-            self.fms.append(server)
-            self.fms_names.append(name)
-        obj_names = []
-        self.object_servers: list[ObjectStoreServer] = []
-        for i in range(num_object_servers):
-            server = ObjectStoreServer(sid=i)
-            self.cluster.add(f"obj{i}", server)
-            self.object_servers.append(server)
-            obj_names.append(f"obj{i}")
-        self.placement = BlockPlacement(obj_names)
-        self.engine = make_engine(engine_kind, self.cluster, self.cost)
-
-    def client(self, cred: Credentials = ROOT_CRED, engine=None) -> MultiDMSClient:
-        return MultiDMSClient(
-            engine if engine is not None else self.engine,
-            dms_names=self.dms_names,
-            fms_names=self.fms_names,
-            placement=self.placement,
-            cred=cred,
-            cache_enabled=self.cache_enabled,
-            strict_collisions=self.strict_collisions,
-        )
-
-    def total_directories(self) -> int:
-        return sum(s.num_directories() for s in self.dms_servers)

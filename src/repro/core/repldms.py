@@ -46,16 +46,20 @@ Semantics under faults: an op is *acknowledged* only after the quorum
 round completes, so a leader crash can lose at most unacknowledged
 work — the fig19 experiment checks "zero lost acked ops" while the
 unreplicated ``locofs-nc`` loses its whole in-flight window.
+
+This module holds the replica server and the routing client only; a
+deployment is built by :class:`~repro.core.fs.LocoFS` from
+``DirectoryConfig(partitions=P, replication=R)`` (``locofs-r`` is 2 x 3
+with the client cache off, so availability runs measure what
+replication provides, not what leases mask).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections.abc import Generator
 
 from repro.common import pathutil
-from repro.common.config import ClusterConfig
 from repro.common.errors import (
     Exists,
     FSError,
@@ -65,18 +69,14 @@ from repro.common.errors import (
     ServerDown,
     StaleHandle,
 )
-from repro.common.types import Credentials, ROOT_CRED
-from repro.kv import BTreeStore, HashStore
+from repro.common.types import Credentials, FileType, S_IFDIR
+from repro.metadata import dirent as de
 from repro.metadata.layout import DIR_INODE
-from repro.sim.cluster import Cluster
-from repro.sim.costmodel import CostModel
-from repro.sim.engine import make_engine
 from repro.sim.replication import ReplicaSet, choose_candidate, election_timeout_us
 from repro.sim.rpc import Mark, Parallel, Quorum, Rpc, Sleep
 
-from .fms import FileMetadataServer
+from .dms import _ekey, _ikey
 from .multidms import DirectoryShardServer, MultiDMSClient
-from .objectstore import BlockPlacement, ObjectStoreServer
 
 # replication-plane keys live beside the namespace in the same store so
 # one WAL fsync covers op + log record + session (single-store atomicity)
@@ -181,11 +181,6 @@ class ReplicatedDirShard(DirectoryShardServer):
         """``shard_mkdir`` with a leader-chosen uuid, so follower replay
         creates the identical inode.  Replaying the same uuid over an
         existing record reports success (idempotent re-apply)."""
-        from repro.common.types import FileType, S_IFDIR
-        from repro.metadata import dirent as de
-
-        from .dms import _ekey, _ikey
-
         path = pathutil.normalize(path)
         existing = self.store.get(_ikey(path))
         if existing is not None:
@@ -348,24 +343,15 @@ class ReplicatedDirShard(DirectoryShardServer):
     def _wipe_store(self) -> None:
         """Discard all replica state (divergent log): fresh store on a
         truncated WAL, root reseeded, term/vote re-persisted."""
-        from .dms import _ikey
-
         wal = getattr(self.store, "_wal", None)
         wal_path = wal.path if wal is not None else None
         self.store.close()
         if wal_path is not None:
             open(wal_path, "wb").close()
-        cls = BTreeStore if self.backend == "btree" else HashStore
-        self.store = cls(wal_path=wal_path)
-        self.store.meter = self.meter
-        self._meta = {}
+        self._open(wal_path)
+        self._load()
         self.last_index = 0
         self.last_term = 0
-        if self.has_root:
-            self._mkroot()
-        elif self.store.get(_ikey("/")) is not None:
-            # cls() seeds no root; nothing to delete — defensive only
-            self.store.delete(_ikey("/"))
         self.store.put(_R_TERM, self.term.to_bytes(8, "big"))
         if self.voted_term:
             self.store.put(_R_VOTE, self.voted_term.to_bytes(8, "big"))
@@ -394,18 +380,7 @@ class ReplicatedDirShard(DirectoryShardServer):
         """WAL replay, then replication state from the recovered store.
         A restarted replica always comes back as a *follower* with no
         leader hint — it rejoins via client appends or a repair pass."""
-        path = getattr(self, "_wal_path", None)
-        nbytes = os.path.getsize(path) if path and os.path.exists(path) else 0
-        cls = BTreeStore if self.backend == "btree" else HashStore
-        self.store = cls(wal_path=path)
-        self.store.meter = self.meter
-        self._meta = {}
-        from .dms import _ikey
-
-        if self.store.get(_ikey("/")) is not None:
-            self._recover()
-        elif self.has_root:
-            self._mkroot()
+        nbytes = super().restart()
         self._load_repl_state()
         self.role = "follower"
         self.leader_hint = ""
@@ -431,16 +406,17 @@ class ReplDirClient(MultiDMSClient):
     #: whole-round retries (propose → relay) before surfacing the error;
     #: each failed round runs one failover pass with a growing timeout
     MAX_ROUNDS = 12
+    #: seed of the hashed election timeouts (no deployment varies it)
+    ELECTION_SEED = 0
 
     def __init__(self, engine, dms_names, partitions: dict, fms_names,
-                 placement, client_id: int = 0, election_seed: int = 0, **kw):
+                 placement, client_id: int = 0, **kw):
         super().__init__(engine, dms_names=dms_names, fms_names=fms_names,
                          placement=placement, **kw)
         self.partitions = {p: ReplicaSet(p, names)
                            for p, names in partitions.items()}
         self.leaders = {p: names[0] for p, names in partitions.items()}
         self.client_id = int(client_id)
-        self.election_seed = election_seed
         self._rseq = 0
         self._fo_attempts = {p: 0 for p in partitions}
 
@@ -550,7 +526,7 @@ class ReplDirClient(MultiDMSClient):
         statuses = yield from self._g_probe(rs)
         if statuses is None:
             # no quorum reachable; back off before the caller retries
-            yield Sleep(election_timeout_us(self.election_seed,
+            yield Sleep(election_timeout_us(self.ELECTION_SEED,
                                             self.client_id, attempt))
             return
         if (yield from self._g_adopt(partition, statuses)):
@@ -558,7 +534,7 @@ class ReplDirClient(MultiDMSClient):
         # no live leader: back off a hashed election timeout so dueling
         # clients desynchronize, then re-probe — the first to wake wins
         # the election and everyone later adopts
-        yield Sleep(election_timeout_us(self.election_seed, self.client_id,
+        yield Sleep(election_timeout_us(self.ELECTION_SEED, self.client_id,
                                         attempt))
         statuses = yield from self._g_probe(rs)
         if statuses is None:
@@ -663,137 +639,3 @@ class ReplDirClient(MultiDMSClient):
     def _g_dms_import(self, regroup: dict) -> Generator:
         for p, recs in regroup.items():
             yield from self._g_rmut(p, "shard_import", (recs,))
-
-
-# ---------------------------------------------------------------------------
-# facade
-# ---------------------------------------------------------------------------
-
-
-class ReplicatedLocoFS:
-    """LocoFS with a replicated, partitioned directory metadata service.
-
-    ``num_partitions`` hash partitions × ``replication`` replicas each;
-    replica ``rdms{p}.0`` starts as its partition's term-1 leader.  The
-    client cache defaults *off* so availability experiments measure what
-    replication provides, not what leases mask (compare ``locofs-c``).
-    """
-
-    name = "locofs-r"
-
-    def __init__(
-        self,
-        num_partitions: int = 2,
-        replication: int = 3,
-        num_metadata_servers: int = 4,
-        num_object_servers: int = 4,
-        cost: CostModel | None = None,
-        engine_kind: str = "direct",
-        cache_enabled: bool = False,
-        dms_backend: str = "btree",
-        strict_collisions: bool = False,
-        data_dir: str | None = None,
-        election_seed: int = 0,
-    ):
-        if num_partitions < 1:
-            raise ValueError("need at least one directory partition")
-        if replication < 1:
-            raise ValueError("need at least one replica per partition")
-        self.cost = cost or CostModel()
-        self.cluster = Cluster(self.cost)
-        self.config = ClusterConfig(num_metadata_servers=num_metadata_servers,
-                                    num_object_servers=num_object_servers)
-        self.cache_enabled = cache_enabled
-        self.strict_collisions = strict_collisions
-        self.election_seed = election_seed
-        self.data_dir = data_dir
-        if data_dir is not None:
-            os.makedirs(data_dir, exist_ok=True)
-
-        def wal(name: str) -> str | None:
-            return None if data_dir is None else os.path.join(data_dir, f"{name}.wal")
-
-        #: partition name -> ordered replica names (replica 0 = first leader)
-        self.partitions = {
-            f"rdms{p}": [f"rdms{p}.{r}" for r in range(replication)]
-            for p in range(num_partitions)
-        }
-        self.dms_names = list(self.partitions)
-        self.dms_servers: list[ReplicatedDirShard] = []
-        self.replicas: dict[str, ReplicatedDirShard] = {}
-        for p, (part, names) in enumerate(self.partitions.items()):
-            for r, name in enumerate(names):
-                # globally-unique sid per replica (leaders allocate uuids
-                # from disjoint id spaces); stays below the FMS range (100+)
-                server = ReplicatedDirShard(
-                    shard_id=p * replication + r + 1, my_name=name,
-                    replica_names=names, backend=dms_backend,
-                    has_root=(p == 0), wal_path=wal(name),
-                    start_leader=(r == 0),
-                )
-                self.cluster.add(name, server)
-                self.dms_servers.append(server)
-                self.replicas[name] = server
-        self.fms: list[FileMetadataServer] = []
-        self.fms_names: list[str] = []
-        for i in range(num_metadata_servers):
-            server = FileMetadataServer(sid=100 + i, cost=self.cost,
-                                        wal_path=wal(f"fms{i}"))
-            name = f"fms{i}"
-            self.cluster.add(name, server)
-            self.fms.append(server)
-            self.fms_names.append(name)
-        obj_names = []
-        self.object_servers: list[ObjectStoreServer] = []
-        for i in range(num_object_servers):
-            server = ObjectStoreServer(sid=i)
-            self.cluster.add(f"obj{i}", server)
-            self.object_servers.append(server)
-            obj_names.append(f"obj{i}")
-        self.placement = BlockPlacement(obj_names)
-        self.engine = make_engine(engine_kind, self.cluster, self.cost)
-        self._next_client_id = 0
-
-    def client(self, cred: Credentials = ROOT_CRED, engine=None) -> ReplDirClient:
-        cid = self._next_client_id
-        self._next_client_id += 1
-        return ReplDirClient(
-            engine if engine is not None else self.engine,
-            dms_names=self.dms_names,
-            partitions=self.partitions,
-            fms_names=self.fms_names,
-            placement=self.placement,
-            client_id=cid,
-            election_seed=self.election_seed,
-            cred=cred,
-            cache_enabled=self.cache_enabled,
-            strict_collisions=self.strict_collisions,
-        )
-
-    # -- introspection ---------------------------------------------------------------
-    def partition_leader(self, partition: str) -> ReplicatedDirShard:
-        """The partition's current leader, else its freshest-log replica."""
-        names = self.partitions[partition]
-        servers = [self.replicas[n] for n in names]
-        for s in servers:
-            if s.role == "leader":
-                return s
-        return max(servers, key=lambda s: (s.last_term, s.last_index))
-
-    def total_directories(self) -> int:
-        return sum(self.partition_leader(p).num_directories()
-                   for p in self.partitions)
-
-    def total_files(self) -> int:
-        return sum(s.num_files() for s in self.fms)
-
-    def attach_observability(self, tracer=None, metrics=None) -> None:
-        self.engine.attach_observability(tracer=tracer, metrics=metrics)
-
-    def close(self) -> None:
-        for s in self.dms_servers:
-            s.store.close()
-        for s in self.fms:
-            s.store.close()
-        for s in self.object_servers:
-            s.store.close()

@@ -30,28 +30,14 @@ from repro.common.config import (
     BatchConfig,
     CacheConfig,
     ClusterConfig,
+    DirectoryConfig,
     LookupCacheConfig,
 )
 from repro.core.fs import LocoFS
 from repro.sim.costmodel import CostModel
 
-SYSTEM_NAMES = [
-    "locofs-c",
-    "locofs-nc",
-    "locofs-cf",
-    "locofs-df",
-    "locofs-b",
-    "locofs-a",
-    "locofs-r",
-    "cephfs",
-    "gluster",
-    "lustre-d1",
-    "lustre-d2",
-    "indexfs",
-    "rawkv",
-]
-
-#: display labels used by the report tables (paper legend spelling)
+#: every system, in report order: legend name -> display label used by
+#: the report tables (paper legend spelling)
 LABELS = {
     "locofs-c": "LocoFS-C",
     "locofs-nc": "LocoFS-NC",
@@ -68,9 +54,11 @@ LABELS = {
     "rawkv": "KyotoCabinet",
 }
 
+SYSTEM_NAMES = list(LABELS)
 
-#: ``ClusterConfig`` overrides of the rows that are plain :class:`LocoFS`
-#: deployments (callables: the config dataclasses are mutable, so every
+
+#: ``ClusterConfig`` overrides of every LocoFS row — a row is configuration,
+#: never a class (callables: the config dataclasses are mutable, so every
 #: deployment gets fresh ones)
 _LOCOFS_CONFIGS = {
     "locofs-c": dict,
@@ -84,6 +72,22 @@ _LOCOFS_CONFIGS = {
     },
     "locofs-nc": lambda: {"cache": CacheConfig(enabled=False)},
     "locofs-cf": lambda: {"decoupled_file_metadata": False},
+    # quorum-replicated partitioned DMS (beyond the paper; Fig. 19); the
+    # client cache is off so availability runs measure what replication
+    # provides, not what leases mask (compare locofs-c)
+    "locofs-r": lambda: {
+        "directory": DirectoryConfig(partitions=2, replication=3),
+        "cache": CacheConfig(enabled=False),
+    },
+}
+
+#: the baselines that scale with ``num_servers``: (class, extra arguments)
+_BASELINES = {
+    "cephfs": (CephFSSystem, {}),
+    "gluster": (GlusterSystem, {}),
+    "lustre-d1": (LustreSystem, {"dne": 1}),
+    "lustre-d2": (LustreSystem, {"dne": 2}),
+    "indexfs": (IndexFSSystem, {}),
 }
 
 
@@ -101,33 +105,15 @@ def make_system(
     have no durable state to log and ignore it.
     """
     cost = cost or CostModel()
-    overrides = _LOCOFS_CONFIGS.get(name)
-    if overrides is not None:
+    if name in _LOCOFS_CONFIGS:
         return LocoFS(
-            ClusterConfig(num_metadata_servers=num_servers, **overrides()),
+            ClusterConfig(num_metadata_servers=num_servers, **_LOCOFS_CONFIGS[name]()),
             cost=cost, engine_kind=engine_kind, data_dir=data_dir,
         )
-    if name == "locofs-r":
-        # quorum-replicated partitioned DMS (beyond the paper; Fig. 19)
-        from repro.core.repldms import ReplicatedLocoFS
-
-        return ReplicatedLocoFS(num_metadata_servers=num_servers, cost=cost,
-                                engine_kind=engine_kind, data_dir=data_dir)
-    if name == "cephfs":
-        return CephFSSystem(num_metadata_servers=num_servers, cost=cost,
-                            engine_kind=engine_kind)
-    if name == "gluster":
-        return GlusterSystem(num_metadata_servers=num_servers, cost=cost,
-                             engine_kind=engine_kind)
-    if name == "lustre-d1":
-        return LustreSystem(num_metadata_servers=num_servers, dne=1, cost=cost,
-                            engine_kind=engine_kind)
-    if name == "lustre-d2":
-        return LustreSystem(num_metadata_servers=num_servers, dne=2, cost=cost,
-                            engine_kind=engine_kind)
-    if name == "indexfs":
-        return IndexFSSystem(num_metadata_servers=num_servers, cost=cost,
-                             engine_kind=engine_kind)
-    if name == "rawkv":
+    if name in _BASELINES:
+        cls, extra = _BASELINES[name]
+        return cls(num_metadata_servers=num_servers, cost=cost,
+                   engine_kind=engine_kind, **extra)
+    if name == "rawkv":  # one node by definition: takes no server count
         return RawKVSystem(cost=cost, engine_kind=engine_kind)
     raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")

@@ -3,7 +3,7 @@
 A pure-Python in-memory tree defines the intended semantics.  Hypothesis
 generates random operation sequences; each sequence runs against the
 oracle and against every real implementation (LocoFS cached/uncached,
-multi-DMS, and the four baselines).  Outcomes (success or error *type*)
+partitioned and replicated directory tiers, and the four baselines).  Outcomes (success or error *type*)
 and the final namespace (paths, kinds, sizes, file contents) must match
 exactly.
 """
@@ -19,6 +19,7 @@ from repro.common.config import (
     BatchConfig,
     CacheConfig,
     ClusterConfig,
+    DirectoryConfig,
     LookupCacheConfig,
 )
 from repro.common.errors import (
@@ -31,7 +32,6 @@ from repro.common.errors import (
     NotEmpty,
 )
 from repro.core.fs import LocoFS
-from repro.core.multidms import MultiDMSLocoFS
 from repro.baselines import CephFSSystem, GlusterSystem, IndexFSSystem, LustreSystem
 
 
@@ -159,6 +159,10 @@ def snapshot_real(client, model: ModelFS) -> tuple:
     return frozenset(dirs), tuple(sorted(files))
 
 
+def _replicated():
+    return DirectoryConfig(partitions=2, replication=3)
+
+
 SYSTEMS = {
     # LocoFS variants run with strict_collisions: the differential oracle
     # is precisely what exposed the split-keyspace name-collision gap
@@ -167,8 +171,13 @@ SYSTEMS = {
     "locofs-nc": lambda: LocoFS(ClusterConfig(num_metadata_servers=2,
                                               cache=CacheConfig(enabled=False),
                                               strict_collisions=True)),
-    "multidms": lambda: MultiDMSLocoFS(num_directory_servers=2, num_metadata_servers=2,
-                                       strict_collisions=True),
+    "multidms": lambda: LocoFS(ClusterConfig(num_metadata_servers=2,
+                                             directory=DirectoryConfig(partitions=2),
+                                             strict_collisions=True)),
+    "locofs-r": lambda: LocoFS(ClusterConfig(num_metadata_servers=2,
+                                             cache=CacheConfig(enabled=False),
+                                             directory=_replicated(),
+                                             strict_collisions=True)),
     "cephfs": lambda: CephFSSystem(num_metadata_servers=2),
     "gluster": lambda: GlusterSystem(num_metadata_servers=3),
     "lustre-d2": lambda: LustreSystem(num_metadata_servers=3, dne=2),
@@ -229,6 +238,14 @@ DEFERRED_SYSTEMS = {
     "locofs-a-1fms": lambda: LocoFS(ClusterConfig(
         num_metadata_servers=1, batch=BatchConfig(enabled=True, all_ops=True),
         lookup_cache=LookupCacheConfig(enabled=True))),
+    # composed rows: write-behind over a partitioned / replicated directory
+    # tier — configuration only, no class exists for either
+    "locofs-b-partitioned": lambda: LocoFS(ClusterConfig(
+        num_metadata_servers=3, batch=BatchConfig(enabled=True),
+        directory=DirectoryConfig(partitions=2))),
+    "locofs-b-replicated": lambda: LocoFS(ClusterConfig(
+        num_metadata_servers=3, batch=BatchConfig(enabled=True),
+        directory=_replicated())),
 }
 
 _READ_OPS = ("stat", "access", "readdir")

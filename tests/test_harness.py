@@ -10,9 +10,8 @@ from repro.baselines import (
     RawKVSystem,
 )
 from repro.common.stats import LatencyRecorder
+from repro.common.config import ClusterConfig, DirectoryConfig
 from repro.core.fs import LocoFS
-from repro.core.multidms import MultiDMSLocoFS
-from repro.core.repldms import ReplicatedLocoFS
 from repro.harness import (
     LABELS,
     SYSTEM_NAMES,
@@ -62,6 +61,22 @@ class TestWorkloads:
         assert wl.work_dir(0) == "/c0000"
 
 
+def _locofs_over(**directory):
+    return lambda **kw: LocoFS(
+        ClusterConfig(directory=DirectoryConfig(**directory)), **kw)
+
+
+#: every deployment constructor: the one LocoFS builder over its three
+#: directory shapes, and the baselines
+_CONSTRUCTORS = {
+    "LocoFS": LocoFS,
+    "LocoFS-partitioned": _locofs_over(partitions=2),
+    "LocoFS-replicated": _locofs_over(partitions=2, replication=3),
+    **{cls.__name__: cls for cls in (IndexFSSystem, CephFSSystem, LustreSystem,
+                                     GlusterSystem, RawKVSystem)},
+}
+
+
 class TestRegistry:
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
     def test_every_system_builds(self, name):
@@ -78,15 +93,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_system("zfs", 1)
 
-    @pytest.mark.parametrize("cls", [
-        LocoFS, MultiDMSLocoFS, ReplicatedLocoFS, IndexFSSystem, CephFSSystem,
-        LustreSystem, GlusterSystem, RawKVSystem,
-    ], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS)
     @pytest.mark.parametrize("kind", ["evnt", "Direct"])
-    def test_unknown_engine_kind_rejected(self, cls, kind):
+    def test_unknown_engine_kind_rejected(self, build, kind):
         # a typo must not silently select an engine
         with pytest.raises(ValueError, match="unknown engine kind"):
-            cls(engine_kind=kind)
+            build(engine_kind=kind)
 
     def test_locofs_variants_differ(self):
         c = registry_make("locofs-c", 1)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.common.config import CacheConfig, ClusterConfig
+from repro.common.config import (
+    BatchConfig,
+    CacheConfig,
+    ClusterConfig,
+    DirectoryConfig,
+    LookupCacheConfig,
+)
 from repro.common.errors import NoEntry
 from repro.common.types import Credentials
 from repro.core import fsck
@@ -13,17 +19,59 @@ from repro.sim.costmodel import CostModel
 from fs_semantics import FSSemantics
 
 
-@pytest.fixture(params=["cached-4fms", "nocache-2fms", "coupled-2fms", "hashdms-2fms"])
+def _repl():
+    return DirectoryConfig(partitions=2, replication=3)
+
+
+def _wb():
+    return BatchConfig(enabled=True)
+
+
+#: every LocoFS shape the shared contract runs over — one line each, since
+#: a shape is configuration (directory routing x update policy)
+_SHAPES = {
+    "cached-4fms": lambda: ClusterConfig(num_metadata_servers=4),
+    "nocache-2fms": lambda: ClusterConfig(
+        num_metadata_servers=2, cache=CacheConfig(enabled=False)),
+    "coupled-2fms": lambda: ClusterConfig(
+        num_metadata_servers=2, decoupled_file_metadata=False),
+    "hashdms-2fms": lambda: ClusterConfig(num_metadata_servers=2, dms_backend="hash"),
+    "replicated-2x3": lambda: ClusterConfig(
+        num_metadata_servers=2, cache=CacheConfig(enabled=False), directory=_repl()),
+    "writebehind": lambda: ClusterConfig(num_metadata_servers=2, batch=_wb()),
+    "writebehind-partitioned": lambda: ClusterConfig(
+        num_metadata_servers=2, batch=_wb(), directory=DirectoryConfig(partitions=2)),
+    "writebehind-replicated": lambda: ClusterConfig(
+        num_metadata_servers=2, batch=_wb(), directory=_repl()),
+    "async": lambda: ClusterConfig(
+        num_metadata_servers=2, batch=BatchConfig(enabled=True, all_ops=True),
+        lookup_cache=LookupCacheConfig(enabled=True)),
+}
+
+_UNFLUSHED = ("a second client cannot see the first one's unflushed {} "
+              "(write-behind visibility is per client until flush)")
+_DEFERRED_ERR = ("the deferred {} is acknowledged at once; its NoEntry "
+                 "surfaces at the flush boundary, not at the call")
+
+#: contract cells a shape cannot meet, each with its reason — listed and
+#: strict, so a cell that starts passing is noticed
+_XFAIL = {
+    **{(shape, "test_non_owner_cannot_chmod"): _UNFLUSHED.format("create")
+       for shape in ("writebehind", "writebehind-partitioned",
+                     "writebehind-replicated", "async")},
+    ("async", "test_permission_denied_on_locked_dir"): _UNFLUSHED.format("mkdir"),
+    ("async", "test_other_user_can_use_open_dir"): _UNFLUSHED.format("mkdir"),
+    ("async", "test_unlink_missing_fails"): _DEFERRED_ERR.format("unlink"),
+    ("async", "test_rename_missing_fails"): _DEFERRED_ERR.format("rename"),
+}
+
+
+@pytest.fixture(params=list(_SHAPES))
 def fs_deployment(request):
-    cfgs = {
-        "cached-4fms": ClusterConfig(num_metadata_servers=4),
-        "nocache-2fms": ClusterConfig(
-            num_metadata_servers=2, cache=CacheConfig(enabled=False)
-        ),
-        "coupled-2fms": ClusterConfig(num_metadata_servers=2, decoupled_file_metadata=False),
-        "hashdms-2fms": ClusterConfig(num_metadata_servers=2, dms_backend="hash"),
-    }
-    return LocoFS(cfgs[request.param])
+    reason = _XFAIL.get((request.param, request.node.originalname))
+    if reason is not None:
+        request.applymarker(pytest.mark.xfail(strict=True, reason=reason))
+    return LocoFS(_SHAPES[request.param]())
 
 
 @pytest.fixture
@@ -40,7 +88,7 @@ def fs_factory(fs_deployment):
 
 
 class TestLocoFSSemantics(FSSemantics):
-    """Run the shared contract over four LocoFS configurations."""
+    """Run the shared contract over every LocoFS shape in ``_SHAPES``."""
 
 
 class TestLocoFSSpecific:
@@ -233,3 +281,60 @@ class TestLocoFSSpecific:
         assert fsck.check(fs).clean
         # measured at the commit before the byte-level dirent plane
         assert fs.engine.now == 2091605.654871739
+
+
+class TestDeploymentBuilder:
+    """One builder: what varies is configuration, and a configuration
+    that contradicts itself is refused instead of silently half-built."""
+
+    @pytest.mark.parametrize("overrides, fields", [
+        ({"lookup_cache": LookupCacheConfig(enabled=True)},
+         ("lookup_cache.enabled", "batch.all_ops")),
+        ({"batch": BatchConfig(all_ops=True)}, ("batch.all_ops", "batch.enabled")),
+        ({"batch": BatchConfig(enabled=True, all_ops=True),
+          "directory": DirectoryConfig(partitions=2)},
+         ("batch.all_ops", "directory.partitions")),
+        ({"directory": DirectoryConfig(replication=3)},
+         ("directory.replication", "directory.partitions")),
+    ], ids=["cache-without-async", "all_ops-without-batch",
+            "async-over-partitions", "replicated-single-dms"])
+    def test_contradictory_config_rejected(self, overrides, fields):
+        with pytest.raises(ValueError) as err:
+            LocoFS(ClusterConfig(**overrides))
+        for field in fields:
+            assert field in str(err.value)
+
+    #: every synchronous shape — the ones that share LocoClient._g_setattr
+    #: (locofs-a keeps its own order: the strict xfail in
+    #: test_differential.py::test_writebehind_kind_ambiguous_chmod)
+    @pytest.mark.parametrize("config", [
+        pytest.param(_SHAPES[name], id=name)
+        for name in ("cached-4fms", "nocache-2fms", "coupled-2fms", "replicated-2x3",
+                     "writebehind", "writebehind-replicated")
+    ] + [pytest.param(lambda: ClusterConfig(
+        num_metadata_servers=2, directory=DirectoryConfig(partitions=2)),
+        id="partitioned")])
+    def test_kind_ambiguous_setattr_resolves_file_first(self, config):
+        """ROADMAP 0b: with ``strict_collisions`` off ``/a`` can be a
+        directory *and* a file; chmod/chown must pick the file on every
+        shape, and only fall back to the directory on ``NoEntry``."""
+        fs = LocoFS(config())
+        assert not fs.config.strict_collisions
+        c = fs.client()
+        c.mkdir("/a")
+        c.create("/a")
+        c.chmod("/a", 0o600)
+        c.chown("/a", 1, 2)
+        c.mkdir("/d")
+        c.chmod("/d", 0o700)  # no such file: the directory takes it
+        c.chmod("/", 0o711)
+        with pytest.raises(NoEntry):
+            c.chmod("/missing", 0o600)
+        if hasattr(c, "flush"):
+            c.flush()
+        fresh = fs.client()  # no lease cache to answer for the servers
+        d, f = fresh.stat_dir("/a"), fresh.stat_file("/a")
+        assert (d.st_mode, d.st_uid, d.st_gid) == (0o40755, 0, 0)
+        assert (f.st_mode, f.st_uid, f.st_gid) == (0o100600, 1, 2)
+        assert fresh.stat_dir("/d").st_mode == 0o40700
+        assert fresh.stat_dir("/").st_mode == 0o40711

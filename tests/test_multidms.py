@@ -2,15 +2,21 @@
 
 import pytest
 
+from repro.common.config import ClusterConfig, DirectoryConfig
 from repro.common.types import Credentials
-from repro.core.multidms import MultiDMSLocoFS
+from repro.core.fs import LocoFS
 
 from fs_semantics import FSSemantics
 
 
+def _mdms(shards, num_metadata_servers, **kw):
+    return LocoFS(ClusterConfig(num_metadata_servers=num_metadata_servers,
+                                directory=DirectoryConfig(partitions=shards)), **kw)
+
+
 @pytest.fixture(params=[1, 2, 4])
 def fs_deployment(request):
-    return MultiDMSLocoFS(num_directory_servers=request.param, num_metadata_servers=3)
+    return _mdms(request.param, 3)
 
 
 @pytest.fixture
@@ -32,11 +38,11 @@ class TestMultiDMSSemantics(FSSemantics):
 
 class TestSharding:
     def test_directories_spread_across_shards(self):
-        fs = MultiDMSLocoFS(num_directory_servers=4, num_metadata_servers=2)
+        fs = _mdms(4, 2)
         c = fs.client()
         for i in range(40):
             c.mkdir(f"/d{i:02d}")
-        counts = [s.num_directories() for s in fs.dms_servers]
+        counts = [s.num_directories() for s in fs.dms_servers.values()]
         assert sum(counts) == 41  # root + 40
         assert sum(1 for n in counts if n > 0) >= 3
 
@@ -44,8 +50,7 @@ class TestSharding:
         from repro.sim.rpc import LocalCharge
 
         def run(n_shards):
-            fs = MultiDMSLocoFS(num_directory_servers=n_shards,
-                                num_metadata_servers=1, engine_kind="event")
+            fs = _mdms(n_shards, 1, engine_kind="event")
             engine = fs.engine
             done = [0]
 
@@ -67,7 +72,7 @@ class TestSharding:
     def test_cold_walk_pays_per_level_round_trips(self):
         # the cost the single-DMS design avoids: resolving /a/b/c with a
         # cold cache contacts a shard per level
-        fs = MultiDMSLocoFS(num_directory_servers=4, num_metadata_servers=1)
+        fs = _mdms(4, 1)
         warm = fs.client()
         warm.mkdir("/a")
         warm.mkdir("/a/b")
@@ -80,8 +85,7 @@ class TestSharding:
 
     def test_single_dms_walk_is_one_rpc(self):
         # contrast: the paper's single DMS resolves any depth in one RPC
-        from repro.common.config import CacheConfig, ClusterConfig
-        from repro.core.fs import LocoFS
+        from repro.common.config import CacheConfig
 
         fs = LocoFS(ClusterConfig(num_metadata_servers=1,
                                   cache=CacheConfig(enabled=False)))
@@ -94,7 +98,7 @@ class TestSharding:
         assert fs.cluster["dms"].requests_served == before + 1
 
     def test_rename_rehashes_directory_records(self):
-        fs = MultiDMSLocoFS(num_directory_servers=3, num_metadata_servers=2)
+        fs = _mdms(3, 2)
         c = fs.client()
         c.mkdir("/top")
         for i in range(12):
@@ -107,7 +111,7 @@ class TestSharding:
         assert fs.total_directories() == 14  # root + moved + 12
 
     def test_rmdir_checks_all_shards(self):
-        fs = MultiDMSLocoFS(num_directory_servers=3, num_metadata_servers=2)
+        fs = _mdms(3, 2)
         c = fs.client()
         c.mkdir("/p")
         c.mkdir("/p/child")
@@ -119,7 +123,7 @@ class TestSharding:
         c.rmdir("/p")
 
     def test_uuid_uniqueness_across_shards(self):
-        fs = MultiDMSLocoFS(num_directory_servers=4, num_metadata_servers=2)
+        fs = _mdms(4, 2)
         c = fs.client()
         uuids = set()
         for i in range(30):
@@ -128,7 +132,7 @@ class TestSharding:
         assert len(uuids) == 30
 
     def test_permissions_enforced_on_client_walk(self):
-        fs = MultiDMSLocoFS(num_directory_servers=2, num_metadata_servers=2)
+        fs = _mdms(2, 2)
         root = fs.client()
         root.mkdir("/locked", mode=0o700)
         root.mkdir("/locked/inner")

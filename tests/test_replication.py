@@ -10,13 +10,12 @@ differential against a fault-free run.
 
 import pytest
 
-from repro.common.config import ClusterConfig
+from repro.common.config import CacheConfig, ClusterConfig, DirectoryConfig
 from repro.common.errors import Exists, NoEntry, NotLeader, QuorumFailed
 from repro.common.types import ROOT_CRED
 from repro.core.fs import LocoFS
 from repro.core.fsck import check
 from repro.core.objectstore import BlockPlacement
-from repro.core.repldms import ReplicatedLocoFS
 from repro.metadata.chash import ConsistentHashRing
 from repro.sim import Cluster, CostModel, DirectEngine, EventEngine
 from repro.sim.faults import FaultSchedule
@@ -332,12 +331,14 @@ class TestReplicationPolicy:
 # -- the replicated, partitioned DMS (LocoFS-R) -------------------------------------
 
 
-def _rfs(tmp_path=None, subdir="rfs", **kw):
-    kw.setdefault("num_metadata_servers", 2)
-    kw.setdefault("num_object_servers", 2)
-    if tmp_path is not None:
-        kw.setdefault("data_dir", str(tmp_path / subdir))
-    return ReplicatedLocoFS(**kw)
+def _rfs(tmp_path=None, subdir="rfs", partitions=2, replication=3):
+    """The ``locofs-r`` shape (cache off) over 2 FMS + 2 object servers."""
+    return LocoFS(
+        ClusterConfig(num_metadata_servers=2, num_object_servers=2,
+                      cache=CacheConfig(enabled=False),
+                      directory=DirectoryConfig(partitions=partitions,
+                                                replication=replication)),
+        data_dir=None if tmp_path is None else str(tmp_path / subdir))
 
 
 class TestReplicatedDMS:
@@ -351,7 +352,7 @@ class TestReplicatedDMS:
         c.mkdir("/a/b/c")
         c.rmdir("/a/b/c")
         for part, names in fs.partitions.items():
-            reps = [fs.replicas[n] for n in names]
+            reps = [fs.dms_servers[n] for n in names]
             assert len({r.last_index for r in reps}) == 1, part
             assert len({r.last_term for r in reps}) == 1, part
             assert len({r.num_directories() for r in reps}) == 1, part
@@ -388,21 +389,100 @@ class TestReplicatedDMS:
                                ("/", ROOT_CRED, 0.0, 0o750, None, None), 7, 1)))
 
         r1 = fs.engine.run(propose())
-        idx = fs.replicas[leader].last_index
+        idx = fs.dms_servers[leader].last_index
         r2 = fs.engine.run(propose())
         assert r2["index"] == r1["index"]
         assert r2["entry"] == r1["entry"]
-        assert fs.replicas[leader].last_index == idx
+        assert fs.dms_servers[leader].last_index == idx
         fs.close()
 
     def test_deterministic_failures_are_not_logged(self):
         fs = _rfs()
         c = fs.client()
         c.mkdir("/dup")
-        before = sum(r.last_index for r in fs.replicas.values())
+        before = sum(r.last_index for r in fs.dms_servers.values())
         with pytest.raises(Exists):
             c.mkdir("/dup")
-        assert sum(r.last_index for r in fs.replicas.values()) == before
+        assert sum(r.last_index for r in fs.dms_servers.values()) == before
+        fs.close()
+
+
+class TestRootlessShardRestart:
+    """A shard that does not own ``/`` must come back from its WAL like
+    one that does: mirror rebuilt, uuid allocator past its durable ceiling."""
+
+    @pytest.mark.parametrize("shape", [
+        pytest.param({"partitions": 2, "replication": 3}, id="replicated-2x3"),
+        pytest.param({"partitions": 3, "replication": 1}, id="partitioned-3"),
+    ])
+    def test_reopen_from_data_dir_keeps_every_partition(self, tmp_path, shape):
+        fs = _rfs(tmp_path, **shape)
+        c = fs.client()
+        for i in range(8):
+            c.mkdir(f"/d{i}")
+        assert len({s.num_directories() > 0
+                    for s in fs.dms_servers.values()}) == 1, "every shard is used"
+        uuids = {c.stat_dir(f"/d{i}").st_uuid for i in range(8)}
+        total = fs.total_directories()
+        assert total == 9  # root + 8
+        fs.close()
+
+        fs = _rfs(tmp_path, **shape)
+        c = fs.client()
+        assert sorted(e.name for e in c.readdir("/")) == [f"d{i}" for i in range(8)]
+        assert fs.total_directories() == total
+        for i in range(8, 12):
+            c.mkdir(f"/d{i}")
+            uuids.add(c.stat_dir(f"/d{i}").st_uuid)
+        assert len(uuids) == 12  # no recovered uuid is handed out again
+        fs.close()
+
+    def test_restarted_replica_of_partition_1_rebuilds_its_mirror(self, tmp_path):
+        fs = _rfs(tmp_path)
+        c = fs.client()
+        for i in range(8):
+            c.mkdir(f"/d{i}")
+        leader = fs.partition_leader("rdms1")
+        assert leader.num_directories() > 0
+        follower = fs.dms_servers["rdms1.1"]
+        follower.crash()
+        follower.restart()
+        assert follower.num_directories() == leader.num_directories()
+        fs.close()
+
+
+    @pytest.mark.parametrize("partition", ["rdms0", "rdms1"])
+    def test_divergent_log_is_wiped_and_reinstalled(self, tmp_path, partition):
+        # the failover repair's last resort: a replica whose log is not a
+        # prefix of the leader's drops everything — root included, on the
+        # partition that owns it — and re-executes the leader's log
+        import pickle
+
+        fs = _rfs(tmp_path)
+        c = fs.client()
+        for i in range(8):
+            c.mkdir(f"/d{i}")
+        leader = fs.partition_leader(partition)
+        follower = fs.dms_servers[fs.partitions[partition][2]]
+        # an entry the leader never sealed (a deposed leader's unacked tail)
+        follower._apply_entry(follower.last_index + 1, pickle.dumps(
+            (leader.term, "shard_mkdir_at",
+             ("/ghost", 0o755, ROOT_CRED, 0.0, 1, 12345), 99, 1), 4))
+        assert follower.num_directories() == leader.num_directories() + 1
+        follower.op_rlog_install(leader.term, leader.my_name, leader.op_rlog_read(1))
+
+        def namespace(server):
+            return sorted(k for k, _ in server.store.items() if k[:2] in (b"I:", b"E:"))
+
+        assert namespace(follower) == namespace(leader)
+        assert follower.num_directories() == leader.num_directories()
+        assert (follower.last_index, follower.last_term) == (
+            leader.last_index, leader.last_term)
+        # the truncated WAL holds exactly the reinstalled state
+        follower.crash()
+        follower.restart()
+        assert namespace(follower) == namespace(leader)
+        assert follower.num_directories() == leader.num_directories()
         fs.close()
 
 
@@ -462,7 +542,7 @@ class TestLeaderFailover:
 
         fs.engine.run(advance())
         c.stat_dir("/r0")  # any RPC processes the due restart event
-        victim = fs.replicas["rdms0.0"]
+        victim = fs.dms_servers["rdms0.0"]
         assert victim.role == "follower"  # never a leader after restart
         leader = fs.partition_leader("rdms0")
         assert leader.my_name != "rdms0.0"
