@@ -115,9 +115,6 @@ class BaselineFS:
         for s in self.servers:
             s.close()
 
-    def total_inodes(self) -> int:
-        return sum(s.num_inodes() for s in self.servers)
-
 
 class IndexFSSystem(BaselineFS):
     """IndexFS-like: parent-hash partitioning over LSM stores, whole-inode

@@ -45,6 +45,16 @@ import sys
 _SYSTEM_ALIASES = {"locofs": "locofs-c"}
 
 
+def _refused(systems, rows) -> bool:
+    """One stderr line, and True, if a name is not among the accepted ``rows``."""
+    bad = [s for s in systems if s not in rows]
+    if bad:
+        print("rawkv has no namespace ops: only 'throughput' and 'analyze' accept it"
+              if bad == ["rawkv"] else
+              f"unknown system(s): {', '.join(bad)}; try 'list'", file=sys.stderr)
+    return bool(bad)
+
+
 def _obs_parent() -> argparse.ArgumentParser:
     """The shared observability flag group, declared exactly once.
 
@@ -217,9 +227,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    from repro.harness import run_latency
+    from repro.harness import FS_SYSTEM_NAMES, run_latency
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
+    if _refused([system], FS_SYSTEM_NAMES):
+        return 2
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
     rec = run_latency(system, args.num_servers, n_items=args.items,
@@ -256,10 +268,12 @@ def _cmd_throughput(args) -> int:
 
 
 def _cmd_availability(args) -> int:
-    from repro.harness import run_availability
+    from repro.harness import FS_SYSTEM_NAMES, run_availability
     from repro.obs import MetricsRegistry
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
+    if _refused([system], FS_SYSTEM_NAMES):
+        return 2
     registry = _metrics_registry(args) or MetricsRegistry()
     sink = _telemetry_sink(args)
     r = run_availability(
@@ -288,12 +302,11 @@ def _cmd_slo(args) -> int:
     """Run a crash or open-loop churn scenario under telemetry, judge SLOs."""
     import json
 
-    from repro.harness import SYSTEM_NAMES, run_availability
+    from repro.harness import FS_SYSTEM_NAMES, run_availability
     from repro.obs.slo import evaluate_slo, format_slo
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
-    if system not in SYSTEM_NAMES:
-        print(f"unknown system {args.system!r}; try 'list'", file=sys.stderr)
+    if _refused([system], FS_SYSTEM_NAMES):
         return 2
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args, force=True)
@@ -341,9 +354,9 @@ def _cmd_slo(args) -> int:
 def _cmd_dashboard(args) -> int:
     """Run a scenario under telemetry and render the self-contained HTML."""
     from repro.harness import (
+        FS_SYSTEM_NAMES,
         MIX_READ_MOSTLY,
         MIX_UPDATE_HEAVY,
-        SYSTEM_NAMES,
         run_availability,
         run_mixed_throughput,
         run_throughput,
@@ -352,8 +365,7 @@ def _cmd_dashboard(args) -> int:
     from repro.obs.slo import evaluate_slo
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
-    if system not in SYSTEM_NAMES:
-        print(f"unknown system {args.system!r}; try 'list'", file=sys.stderr)
+    if _refused([system], FS_SYSTEM_NAMES):
         return 2
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args, force=True)
@@ -407,13 +419,12 @@ def _cmd_dashboard(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.harness import SYSTEM_NAMES, run_latency, run_throughput
+    from repro.harness import FS_SYSTEM_NAMES, run_latency, run_throughput
     from repro.obs import MetricsRegistry, Tracer
     from repro.obs.export import write_chrome_trace
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
-    if system not in SYSTEM_NAMES:
-        print(f"unknown system {args.system!r}; try 'list'", file=sys.stderr)
+    if _refused([system], FS_SYSTEM_NAMES):
         return 2
     tracer = Tracer()
     registry = _metrics_registry(args) or MetricsRegistry()
@@ -452,10 +463,7 @@ def _cmd_analyze(args) -> int:
     from repro.obs.export import write_chrome_trace
 
     systems = [_SYSTEM_ALIASES.get(s, s) for s in args.systems]
-    unknown = [s for s in systems if s not in SYSTEM_NAMES]
-    if unknown:
-        print(f"unknown system(s): {', '.join(unknown)}; try 'list'",
-              file=sys.stderr)
+    if _refused(systems, SYSTEM_NAMES):
         return 2
     reports: dict[str, dict] = {}
     for system in systems:
@@ -538,7 +546,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_capacity(args) -> int:
     """Sweep offered load per system; report knees and phase attribution."""
-    from repro.harness import SYSTEM_NAMES
+    from repro.harness import FS_SYSTEM_NAMES
     from repro.obs.capacity import (
         capacity_json,
         format_capacity,
@@ -547,10 +555,7 @@ def _cmd_capacity(args) -> int:
     )
 
     systems = tuple(_SYSTEM_ALIASES.get(s, s) for s in args.systems)
-    unknown = [s for s in systems if s not in SYSTEM_NAMES]
-    if unknown:
-        print(f"unknown system(s): {', '.join(unknown)}; try 'list'",
-              file=sys.stderr)
+    if _refused(systems, FS_SYSTEM_NAMES):
         return 2
     loads = tuple(float(x) for x in args.loads.split(","))
     report = sweep_capacity(

@@ -101,10 +101,6 @@ def parent_of(path: str) -> str:
     return split(path)[0]
 
 
-def basename(path: str) -> str:
-    return split(path)[1]
-
-
 def join(parent: str, name: str) -> str:
     parent = normalize(parent)
     if not name:

@@ -31,10 +31,6 @@ class Summary:
     minimum: float
     maximum: float
 
-    @property
-    def mean_ms(self) -> float:
-        return self.mean / 1000.0
-
 
 def _percentile(sorted_vals: list[float], q: float) -> float:
     """Linear-interpolation percentile (numpy's default method).

@@ -520,15 +520,6 @@ class AsyncLocoClient(BatchingLocoClient):
         return uuid
 
     # -- deferred create -----------------------------------------------------------------
-    def create(self, path: str, mode: int = 0o644) -> None:
-        # the batching client's plain-attribute fast path enqueues untagged
-        # tuples; the tagged queues always take the generator path
-        return self._run(self.op_generator("create", path, mode))
-
-    def create_many(self, dir_path: str, names, mode: int = 0o644) -> None:
-        for name in names:
-            self.create(pathutil.join(dir_path, name), mode)
-
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
         yield from self._g_flush_stale()
         now = self.now_s

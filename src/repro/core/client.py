@@ -494,8 +494,8 @@ class BatchingLocoClient(LocoClient):
         #: (dir_uuid, name) -> FMS holding its deferred create
         self._dirty: dict[tuple[int, str], str] = {}
         #: min over queues of ``oldest_us`` (+inf when nothing is pending):
-        #: the create fast path tests "any stale queue?" against this one
-        #: float instead of scanning every queue per call.  Queues are
+        #: ``_g_flush_stale`` tests "any stale queue?" against this one
+        #: float instead of scanning every queue per op.  Queues are
         #: created at the current instant (never older than an existing
         #: one), so only flush/requeue recompute it.
         self._oldest_pending_us = float("inf")
@@ -628,136 +628,6 @@ class BatchingLocoClient(LocoClient):
         yield from self._g_flush_key(info["uuid"], name)
 
     # -- deferred create ----------------------------------------------------------------
-    def create(self, path: str, mode: int = 0o644) -> None:
-        """Deferred create, fast path.
-
-        A create that defers is a pure client-side enqueue — no virtual
-        time passes and no command reaches the engine — so driving it
-        through a generator is pure overhead.  This override handles the
-        warm case (cached parent, no flush trigger, no strict-collision
-        probe, no tracing) with plain attribute access and falls back to
-        the generator path for everything else.  Virtual time and flush
-        order are identical either way; only the Python-level cost
-        differs.
-        """
-        eng = self._engine
-        if (getattr(eng, "tracer", True) is not None
-                or eng.metrics is not None or self.strict_collisions):
-            return self._run(self.op_generator("create", path, mode))
-        now = eng.now
-        if now - self._oldest_pending_us >= self.batch_max_age_us:
-            return self._run(self.op_generator("create", path, mode))  # stale queue
-        # split_fast: the parent it returns is canonical in both branches,
-        # so it doubles as the dcache key with no normalize() call
-        parent, name = pathutil.split_fast(path)
-        if not name:
-            raise Exists(path)
-        info = self.dcache.get(parent, now) if self.cache_enabled else None
-        if info is None:  # parent resolution needs a DMS round trip
-            return self._run(self.op_generator("create", path, mode))
-        perm = (info["mode"], info["uid"], info["gid"])
-        if perm != self._perm_ok:  # memo: same parent ACL, same verdict
-            self._check_parent_write(info)
-            self._perm_ok = perm
-        dir_uuid = info["uuid"]
-        key = (dir_uuid, name)
-        if key in self._dirty:
-            raise Exists(path)
-        server = self._fms_for(dir_uuid, name)
-        pending = self._pending
-        pend = pending.get(server)
-        if pend is None:
-            pend = pending[server] = _PendingQueue(now)
-            if now < self._oldest_pending_us:
-                self._oldest_pending_us = now
-        pend.entries.append((dir_uuid, name, mode, self.cred,
-                             now / 1_000_000.0, self.block_size))
-        pend.dirs.add(dir_uuid)
-        pend.lease_paths.add(info["path"])
-        pend.nbytes += _CREATE_WIRE_BASE + len(name)
-        self._dirty[key] = server
-        if (len(pend.entries) >= self.batch_max_ops
-                or pend.nbytes >= self.batch_max_bytes):
-            self._run(self._g_flush_server(server, "full"))
-        return None
-
-    def create_many(self, dir_path: str, names, mode: int = 0o644) -> None:
-        """Bulk deferred create: every ``name`` under one directory.
-
-        Produces exactly the queue entries, flush instants, and virtual
-        time that ``create(dir_path + "/" + name)`` once per name would
-        (pinned by a test); the per-create Python shrinks to a tuple
-        append plus two dict stores, which is what lets the 10M-file
-        namespace build fit inside a bench run.  The only observable
-        difference is client-local cache *statistics*: the parent d-inode
-        is probed once per flush epoch instead of once per name.
-        """
-        eng = self._engine
-        if (getattr(eng, "tracer", True) is not None or eng.metrics is not None
-                or self.strict_collisions or not self.cache_enabled):
-            for name in names:
-                self.create(pathutil.join(dir_path, name), mode)
-            return
-        parent = pathutil.normalize(dir_path)
-        prefix = parent if parent != "/" else ""
-        dirty = self._dirty
-        pending = self._pending
-        lookup = self.ring.lookup_novel
-        cred = self.cred
-        bsz = self.block_size
-        max_ops = self.batch_max_ops
-        max_bytes = self.batch_max_bytes
-        max_age = self.batch_max_age_us
-        wire_base = _CREATE_WIRE_BASE
-        run = self._run
-        # flush-epoch state: valid until a flush advances the clock
-        now = -1.0
-        dir_uuid = 0
-        dkey = b""
-        ppath = ""
-        now_s = 0.0
-        for name in names:
-            if now != eng.now:
-                # first entry, or a flush advanced the virtual clock:
-                # re-evaluate exactly what the per-call fast path would
-                now = eng.now
-                if now - self._oldest_pending_us >= max_age:
-                    run(self._g_flush_stale())
-                    now = eng.now
-                info = self.dcache.get(parent, now)
-                if info is None:
-                    # lease expired over the flush: one generator-path
-                    # create re-resolves the parent and re-warms the cache
-                    self.create(f"{prefix}/{name}", mode)
-                    now = -1.0
-                    continue
-                perm = (info["mode"], info["uid"], info["gid"])
-                if perm != self._perm_ok:
-                    self._check_parent_write(info)
-                    self._perm_ok = perm
-                dir_uuid = info["uuid"]
-                dkey = dir_uuid.to_bytes(8, "big")
-                ppath = info["path"]
-                now_s = now / 1_000_000.0
-            key = (dir_uuid, name)
-            if key in dirty:
-                raise Exists(f"{prefix}/{name}")
-            server = lookup(dkey + name.encode("utf-8"))
-            pend = pending.get(server)
-            if pend is None:
-                pend = pending[server] = _PendingQueue(now)
-                if now < self._oldest_pending_us:
-                    self._oldest_pending_us = now
-            entries = pend.entries
-            entries.append((dir_uuid, name, mode, cred, now_s, bsz))
-            pend.dirs.add(dir_uuid)
-            pend.lease_paths.add(ppath)
-            pend.nbytes += wire_base + len(name)
-            dirty[key] = server
-            if len(entries) >= max_ops or pend.nbytes >= max_bytes:
-                run(self._g_flush_server(server, "full"))
-        return None
-
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
         yield from self._g_flush_stale()
         now = self.now_s

@@ -170,8 +170,8 @@ class FSClientBase:
         would travel through the engine just to be folded into one
         ``op_complete`` call at the close — so this wrapper makes that
         call directly and yields no span commands at all, which keeps the
-        attached-run overhead within the benchmarked budget (see
-        ``scripts/bench_wallclock.py`` obs_overhead).
+        attached-run overhead within its budget (pinned as a call count by
+        ``tests/test_telemetry.py::test_attached_sink_call_count_budget``).
         """
         name = _span_name(op)
         clock = self._clock

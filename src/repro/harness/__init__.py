@@ -3,7 +3,7 @@
 from .availability import AvailabilityResult, run_availability
 from .mdtest import FILE_META_OPS, LATENCY_OPS, run_latency
 from .openloop import PACK_NAMES, PACKS, OpenLoopResult, get_pack, run_openloop
-from .registry import LABELS, SYSTEM_NAMES, make_system
+from .registry import FS_SYSTEM_NAMES, LABELS, SYSTEM_NAMES, make_system
 from .report import format_metrics, format_series, format_table, normalize
 from .runner import (
     MIX_READ_MOSTLY,
@@ -27,6 +27,7 @@ __all__ = [
     "OpenLoopResult",
     "get_pack",
     "run_openloop",
+    "FS_SYSTEM_NAMES",
     "LABELS",
     "SYSTEM_NAMES",
     "make_system",

@@ -55,6 +55,9 @@ LABELS = {
 }
 
 SYSTEM_NAMES = list(LABELS)
+#: the rows that are file systems: ``rawkv`` is a bare KV store with no
+#: namespace operations, so the verbs that drive mkdir/create refuse it
+FS_SYSTEM_NAMES = [n for n in SYSTEM_NAMES if n != "rawkv"]
 
 
 #: ``ClusterConfig`` overrides of every LocoFS row — a row is configuration,

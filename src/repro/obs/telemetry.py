@@ -612,16 +612,6 @@ class TelemetrySink:
                     series[i] = count
         return dict(sorted(out.items()))
 
-    def throughput_series(self, op: str | None = None) -> list[float]:
-        """Per-window completion rate (ops per virtual second)."""
-        self._drain()
-        scale = 1e6 / self.window_us
-        out = []
-        for w in self._windows:
-            n = sum(w.ops.values()) if op is None else w.ops.get(op, 0)
-            out.append(n * scale)
-        return out
-
     def heat_timelines(self) -> dict:
         """Per-server windowed busy-fraction and queue-depth series.
 

@@ -303,84 +303,55 @@ class TestWALGroupCommit:
         assert recovered.get(b"z") == b"3"
 
 
-class TestCreateMany:
-    """Bulk create_many: virtual time identical to one create() per name."""
+class TestPinnedCreateClock:
+    """The one deferred-create path, pinned to the clock: values measured at
+    22f01cc through ``client.create()``, 4 FMS, DirectEngine."""
 
     @staticmethod
-    def _build(use_many, dirs=3, files=40, max_ops=8, **cfg_kw):
-        fs = batched_fs(max_ops=max_ops, **cfg_kw)
+    def _build(dir_fmt, name_fmt, dirs, files, **batch_kw):
+        fs = batched_fs(**batch_kw)
         c = fs.client()
-        names = [f"f{n:03d}" for n in range(files)]
+        flushes = []
+        flush_server = c._g_flush_server
+
+        def spy(server, reason):
+            flushes.append(f"{server} {reason}")
+            return flush_server(server, reason)
+
+        c._g_flush_server = spy
         for d in range(dirs):
-            parent = f"/d{d}"
+            parent = dir_fmt.format(d)
             c.mkdir(parent)
-            if use_many:
-                c.create_many(parent, names)
-            else:
-                for name in names:
-                    c.create(f"{parent}/{name}")
+            for n in range(files):
+                c.create(f"{parent}/{name_fmt.format(n)}")
+        return fs, c, flushes
+
+    def test_budget_flushes_3x40_at_8_ops(self):
+        fs, c, _ = self._build("/d{}", "f{:03d}", 3, 40, max_ops=8)
         c.flush()
-        return fs, c
+        assert fs.engine.now == 4921.797333333336
+        assert fs.total_files() == 120
+        served = {name: (fs.cluster[name].meter.total_us,
+                         fs.cluster[name].requests_served)
+                  for name in fs.fms_names}
+        assert served == {"fms0": (131.09200000000024, 4),
+                          "fms1": (106.54800000000019, 3),
+                          "fms2": (157.0960000000001, 5),
+                          "fms3": (138.95200000000023, 4)}
 
-    def test_virtual_time_and_state_identical_to_per_name_create(self):
-        # 40 names at an 8-op budget: each directory spans several flush
-        # epochs, so the epoch-state revalidation path is exercised
-        fast, _ = self._build(True)
-        slow, _ = self._build(False)
-        assert fast.engine.now == slow.engine.now
-        assert fast.total_files() == slow.total_files() == 120
-        for name in fast.fms_names:
-            a, b = fast.cluster[name], slow.cluster[name]
-            assert a.meter.total_us == b.meter.total_us
-            assert a.requests_served == b.requests_served
-
-    def test_flushed_duplicate_raises_exists_at_flush(self):
-        # same write-behind semantics as create(): a name already durable
-        # on the server enqueues fine and Exists surfaces at the flush
-        fs, c = self._build(True, dirs=1, files=5)
-        c.create_many("/d0", ["f003"])
-        with pytest.raises(Exists):
-            c.flush()
-
-    def test_pending_duplicate_detected_before_flush(self):
-        fs = batched_fs(max_ops=64)
-        c = fs.client()
-        c.mkdir("/d")
-        c.create_many("/d", ["a", "b"])
-        assert c.pending_ops == 2
-        with pytest.raises(Exists):
-            c.create_many("/d", ["b"])
-
-    def test_missing_parent_raises(self):
-        from repro.common.errors import NoEntry
-
-        fs = batched_fs(max_ops=8)
-        c = fs.client()
-        with pytest.raises(NoEntry):
-            c.create_many("/nope", ["f0"])
-
-    def test_cache_disabled_fallback_matches_per_name_create(self):
-        from repro.common.config import CacheConfig
-
-        def build(use_many):
-            cfg = ClusterConfig(
-                num_metadata_servers=4,
-                cache=CacheConfig(enabled=False),
-                batch=BatchConfig(enabled=True, max_ops=8),
-            )
-            fs = LocoFS(cfg, engine_kind="direct")
-            c = fs.client()
-            names = [f"f{n:03d}" for n in range(10)]
-            for d in range(2):
-                c.mkdir(f"/d{d}")
-                if use_many:
-                    c.create_many(f"/d{d}", names)
-                else:
-                    for name in names:
-                        c.create(f"/d{d}/{name}")
-            c.flush()
-            return fs
-
-        fast, slow = build(True), build(False)
-        assert fast.engine.now == slow.engine.now
-        assert fast.total_files() == slow.total_files() == 20
+    def test_age_flush_cascade_3x500_at_256_ops(self):
+        # an age flush advances the clock far enough to make the next queue
+        # stale, and every create re-checks, so the flushes cascade (a bulk
+        # entry point that re-checked once per flush epoch shipped 4 flushes
+        # here and read 5949.008205128139 after the drain)
+        fs, c, flushes = self._build("/d{:05d}", "f{:06d}", 3, 500,
+                                     max_ops=256, max_bytes=1 << 20)
+        assert fs.engine.now == 4364.143555555524
+        assert flushes == ["fms1 full", "fms2 full", "fms0 age", "fms3 age",
+                           "fms1 age", "fms2 age"]
+        c.flush()
+        assert fs.engine.now == 6435.00020512814
+        assert flushes[6:] == ["fms1 drain", "fms0 drain", "fms2 drain",
+                               "fms3 drain"]
+        assert [fs.cluster[name].requests_served for name in fs.fms_names] \
+            == [2, 3, 3, 2]

@@ -385,3 +385,32 @@ def test_slo_churn_scenario_pass_and_fail(capsys):
                  "--rate", "60000", "--horizon-us", "80000"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# rawkv is a registry row but not a file system
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["latency", "rawkv"],
+    ["trace", "rawkv", "--out", "unused.json"],
+    ["availability", "rawkv"],
+    ["slo", "rawkv"],
+    ["dashboard", "rawkv", "--out", "unused.html"],
+    ["capacity", "rawkv"],
+], ids=lambda argv: argv[0])
+def test_namespace_verbs_refuse_rawkv_in_one_line(capsys, argv):
+    assert main(argv) == 2  # used to die in an AttributeError traceback
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "rawkv" in err and "'throughput'" in err and "'analyze'" in err
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["throughput", "rawkv", "-n", "2", "--items", "5", "--client-scale", "0.1"],
+     "IOPS"),
+    (["analyze", "rawkv", "-n", "2", "--items", "4"], "latency attribution: rawkv"),
+], ids=["throughput", "analyze"])
+def test_put_driving_verbs_still_accept_rawkv(capsys, argv, expect):
+    assert main(argv) == 0
+    assert expect in capsys.readouterr().out
