@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
+from repro.common import errors as errmod
 from repro.common import pathutil
 from repro.common.errors import (
     Exists,
+    FSError,
     IsADirectory,
     NoEntry,
     NotEmpty,
@@ -444,24 +446,48 @@ class LocoClient(FSClientBase):
         }
 
 
-class _PendingQueue:
-    """Write-behind state for one FMS: the deferred create entries plus
-    the bookkeeping the flush rules need."""
+class _Queue:
+    """Write-behind state for one server: its deferred updates as tagged
+    entry tuples (the ``op_apply_batch`` wire form) in enqueue order, plus
+    the bookkeeping the flush and dependency rules need.  A cancelled
+    entry stays in place as ``None`` so indices remain stable."""
 
-    __slots__ = ("entries", "dirs", "lease_paths", "nbytes", "oldest_us", "origins")
+    __slots__ = ("entries", "paths", "sizes", "guards", "bykey", "dirs",
+                 "lease_paths", "nbytes", "live", "oldest_us", "origins")
 
     def __init__(self, now_us: float):
-        self.entries: list[tuple] = []  # op_create argument tuples, in order
-        self.dirs: set[int] = set()  # parent dir uuids with entries here
+        self.entries: list[tuple | None] = []
+        self.paths: list[str | None] = []  # path hint (DMS-fallback setattr)
+        self.sizes: list[int] = []  # modeled wire size of each entry
+        #: entry idx -> uuids of *later* deferred mkdirs of the hint path;
+        #: the flush-time DMS fallback must not resolve against those dirs
+        #: (the synchronous order would have failed before they existed)
+        self.guards: dict[int, set[int]] = {}
+        #: entry indices per key — ``(dir_uuid, name)`` on an FMS queue,
+        #: the directory path on the DMS queue
+        self.bykey: dict = {}
+        #: FMS queue: parent dir uuids with entries here; DMS queue: the
+        #: uuids its pending mkdirs will create.  An FMS queue depends on
+        #: the DMS queue exactly when the two sets intersect.
+        self.dirs: set[int] = set()
         self.lease_paths: set[str] = set()  # parent paths for lease piggybacking
-        self.nbytes = 0  # modeled request payload so far
+        self.nbytes = 0  # modeled request payload of the live entries
+        self.live = 0  # entries not cancelled
         self.oldest_us = now_us  # enqueue time of the oldest entry
-        self.origins: list = []  # captured op spans of the deferred creates
+        self.origins: list = []  # captured op spans of the deferred ops
 
 
 #: modeled wire size of one deferred create beyond its name (fixed header:
 #: dir uuid, mode, cred, timestamp, block size)
 _CREATE_WIRE_BASE = 48
+
+
+def _mkexc(name: str, arg) -> FSError:
+    """Rebuild a server-reported batched-apply error as an exception."""
+    cls = getattr(errmod, name, None)
+    if not (isinstance(cls, type) and issubclass(cls, FSError)):
+        cls = FSError
+    return cls(arg)
 
 
 class BatchingLocoClient(LocoClient):
@@ -479,6 +505,12 @@ class BatchingLocoClient(LocoClient):
     flush boundary; a duplicate within the pending window is detected
     client-side.  See DESIGN.md "Batching & group commit" for the full
     consistency-semantics table.
+
+    The queue machinery here — one :class:`_Queue` per server, one
+    enqueue, one flush speaking the whole ``apply_batch`` result protocol,
+    one requeue — is all there is: :class:`~repro.core.asyncclient.
+    AsyncLocoClient` only decides which further ops enqueue which entry
+    kinds (and adds the DMS as one more queued server).
     """
 
     def __init__(self, *args, batch=None, **kwargs):
@@ -489,9 +521,14 @@ class BatchingLocoClient(LocoClient):
         self.batch_max_ops = batch.max_ops
         self.batch_max_bytes = batch.max_bytes
         self.batch_max_age_us = batch.max_age_us
-        #: per-FMS write-behind queues
-        self._pending: dict[str, _PendingQueue] = {}
-        #: (dir_uuid, name) -> FMS holding its deferred create
+        #: directory-uuid pool refill size (deferred mkdir, LocoFS-A)
+        self.uuid_reserve = batch.uuid_reserve
+        #: per-server write-behind queues, the DMS's (LocoFS-A) included
+        self._pending: dict[str, _Queue] = {}
+        #: (dir_uuid, name) -> FMS holding deferred entries for the key.
+        #: File keys only — pending directory paths live in the DMS
+        #: queue's ``bykey`` — so an empty dict lets ``_g_file_barrier``
+        #: return without resolving the parent.
         self._dirty: dict[tuple[int, str], str] = {}
         #: min over queues of ``oldest_us`` (+inf when nothing is pending):
         #: ``_g_flush_stale`` tests "any stale queue?" against this one
@@ -499,41 +536,142 @@ class BatchingLocoClient(LocoClient):
         #: created at the current instant (never older than an existing
         #: one), so only flush/requeue recompute it.
         self._oldest_pending_us = float("inf")
+        #: lookup-cache node a flush invalidates touched keys on (LocoFS-A)
+        self._cache_node: str | None = None
         #: deferred flush errors beyond the first of each flush (satellite
         #: fix: every conflict is preserved, not just ``exists[0]``)
         self.deferred_errors: list[Exception] = []
         #: flushes re-queued after a ServerDown (write-behind retry path)
         self.flush_requeues = 0
+        #: shipped flushes by what triggered them
+        self.flush_causes = dict.fromkeys(("full", "age", "read", "dep", "drain"), 0)
 
     # -- write-behind plumbing ---------------------------------------------------------
     @property
     def pending_ops(self) -> int:
-        return sum(len(p.entries) for p in self._pending.values())
+        return sum(p.live for p in self._pending.values())
 
     def _set_queue_gauge(self) -> None:
         metrics = getattr(self._engine, "metrics", None)
         if metrics is not None:
             metrics.gauge("client.batch.queue_depth").set(self.pending_ops)
 
-    def _g_flush_server(self, server: str, reason: str) -> Generator:
-        """Ship one FMS queue as a single batched round trip."""
-        pend = self._pending.pop(server, None)
+    def _g_enq(self, server: str, entry: tuple, wire: int,
+               lease_path: str | None = None, path_hint: str | None = None,
+               capture: bool = True) -> Generator:
+        """Append one tagged entry; capture its span; flush when full.
+
+        ``capture=False`` suppresses the origin capture for follow-up
+        entries of an op that already captured its span once (a deferred
+        rename re-keys several entries — one link per op span).
+        """
+        pend = self._pending.get(server)
         if pend is None:
-            return None
+            now_us = self.now_us
+            pend = self._pending[server] = _Queue(now_us)
+            if now_us < self._oldest_pending_us:
+                self._oldest_pending_us = now_us
+        idx = len(pend.entries)
+        pend.entries.append(entry)
+        pend.paths.append(path_hint)
+        pend.sizes.append(wire)
+        pend.nbytes += wire
+        pend.live += 1
+        if server == DMS:
+            # keyed by path; ``dirs`` collects the uuids its mkdirs create
+            pend.bykey.setdefault(entry[1], []).append(idx)
+            if entry[0] == "mkdir":
+                pend.dirs.add(entry[5])
+        else:
+            # the file keys the entry touches (two for a local rename)
+            keys = [(entry[1], entry[2])]
+            if entry[0] == "rename_local":
+                keys.append((entry[3], entry[4]))
+            for key in keys:
+                pend.bykey.setdefault(key, []).append(idx)
+                self._dirty[key] = server
+                pend.dirs.add(key[0])
+            pend.lease_paths.add(lease_path)
+        if self._obs_detailed:
+            if capture:
+                yield from self._g_capture_into(pend)
+            self._set_queue_gauge()
+        if pend.live >= self.batch_max_ops or pend.nbytes >= self.batch_max_bytes:
+            yield from self._g_flush_server(server, "full")
+
+    def _g_capture_into(self, pend: _Queue) -> Generator:
+        """Link the current op span to the queue's next flush, the batch
+        round trip that eventually carries the op (also used when an op
+        *coalesces* into an already-queued entry instead of appending its
+        own: its durability still rides that entry's flush)."""
+        if self._obs_detailed:
+            origin = yield SpanCapture()
+            if origin is not None:
+                pend.origins.append(origin)
+
+    def _key_occupied(self, server: str, key) -> bool | None:
+        """Would this key name an existing file once the queue drains?
+        The key's last live entry says; ``None`` when nothing is pending
+        for it or the entry proves nothing (durable state decides)."""
+        pend = self._pending.get(server)
+        idxs = pend.bykey.get(key) if pend is not None else None
+        for i in reversed(idxs or ()):
+            e = pend.entries[i]
+            if e is None:
+                continue
+            kind = e[0]
+            if kind == "create":
+                return True
+            if kind == "setattr":
+                # proves nothing: a chmod of a nonexistent path also queues
+                # a setattr (it fails at flush) — let the durable probe decide
+                return None
+            if kind == "rename_local":
+                # destination side: exists only if the rename finds its
+                # source, which the client cannot know here — durable probe
+                # decides; source side: gone whether the rename succeeds or
+                # never had a source to move
+                return None if (e[3], e[4]) == key else False
+            return False  # unlink / unlink_opt
+        return None
+
+    def _g_flush_server(self, server: str, reason: str) -> Generator:
+        """Ship one server's queue as a single batched ``apply_batch``
+        round trip, then settle its positional results: deferred errors,
+        the data blocks of removed files, the directory fallback of a
+        setattr whose name turned out to be a directory, and the
+        lookup-cache invalidation."""
+        pending = self._pending
+        pend = pending.get(server)
+        if pend is None:
+            return
+        dq = pending.get(DMS)
+        if server != DMS and dq is not None and not dq.dirs.isdisjoint(pend.dirs):
+            # cross-queue dependency: creates under a still-pending mkdir
+            # must see the directory exist — flush the DMS queue first
+            yield from self._g_flush_server(DMS, "dep")
+        del pending[server]
         self._oldest_pending_us = min(
-            (p.oldest_us for p in self._pending.values()), default=float("inf"))
-        dirty = self._dirty
-        for e in pend.entries:
-            dirty.pop((e[0], e[1]), None)
+            (p.oldest_us for p in pending.values()), default=float("inf"))
+        if server != DMS:
+            dirty = self._dirty
+            for key in pend.bykey:
+                dirty.pop(key, None)
+        entries = pend.entries
+        live = [i for i, e in enumerate(entries) if e is not None]
         if self._obs_active:
             yield Mark("client.batch.flush",
-                       {"server": server, "n": len(pend.entries), "reason": reason})
+                       {"server": server, "n": len(live), "reason": reason})
             self._set_queue_gauge()
+        if not live:
+            return
+        self.flush_causes[reason] += 1
         try:
-            results = yield Batch(server, [Rpc(server, "create_batch",
-                                               (tuple(pend.entries),),
-                                               send_bytes=pend.nbytes)],
-                                  origins=pend.origins or None)
+            results = yield Batch(
+                server, [Rpc(server, "apply_batch",
+                             (tuple([entries[i] for i in live]),),
+                             send_bytes=pend.nbytes)],
+                origins=pend.origins or None)
         except ServerDown:
             # the retried attempts all timed out: re-queue the whole flush
             # (same entry tuples, so the eventual redelivery deduplicates
@@ -541,19 +679,74 @@ class BatchingLocoClient(LocoClient):
             self._requeue(server, pend)
             if self._obs_active:
                 yield Mark("client.flush.requeue",
-                           {"server": server, "n": len(pend.entries)})
+                           {"server": server, "n": len(live)})
             raise
         # writing under a cached parent piggybacks a lease renewal: the
         # server saw live traffic for the directory, no separate RPC needed
         now = self.now_us
         for path in pend.lease_paths:
             self.dcache.renew(path, now)
-        out = results[0]
-        if out["exists"]:
-            # deferred duplicate creates surface at the flush boundary:
-            # the first aborts the flushing op, the rest are preserved in
+        errs: list[Exception] = []
+        blocks: list[int] = []
+        fkeys: list[tuple] = []
+        dpaths: list[str] = []
+        for i, res in zip(live, results[0]):
+            e = entries[i]
+            kind = e[0]
+            err = res.get("err")
+            if err is not None:
+                hint = pend.paths[i]
+                if kind == "setattr" and err == "NoEntry" and hint is not None:
+                    # same fallback the synchronous chmod/chown path takes:
+                    # the name is a directory, so the DMS owns its attrs
+                    try:
+                        guard = pend.guards.get(i)
+                        if guard is not None:
+                            # guarded: the dir may only exist because of a
+                            # mkdir deferred *after* this setattr — resolve
+                            # its identity before touching it
+                            dinfo = yield Rpc(DMS, "lookup", (hint, e[3]))
+                            if dinfo["uuid"] in guard:
+                                raise NoEntry(hint)
+                        yield Rpc(DMS, "setattr", (hint, e[3], e[4]),
+                                  {"mode": e[5], "uid": e[6], "gid": e[7]})
+                        self.dcache.invalidate(hint)
+                        dpaths.append(hint)
+                    except FSError as ex:
+                        errs.append(ex)
+                else:
+                    if kind == "mkdir":
+                        # the optimistic d-cache entry was wrong: drop it
+                        self.dcache.invalidate(e[1])
+                    errs.append(_mkexc(err, res.get("arg")))
+            elif kind == "unlink" or kind == "unlink_opt":
+                removed = res["removed"]
+                if removed is not None and removed["size"] > 0:
+                    blocks.append(removed["uuid"])
+                fkeys.append((server, e[1], e[2]))
+            elif kind == "setattr":
+                fkeys.append((server, e[1], e[2]))
+            elif kind == "rename_local":
+                replaced = res["replaced"]
+                if replaced is not None and replaced["size"] > 0:
+                    blocks.append(replaced["uuid"])
+                fkeys.append((server, e[1], e[2]))
+                fkeys.append((server, e[3], e[4]))
+            elif kind == "dsetattr":
+                dpaths.append(e[1])
+        if blocks:
+            # data blocks are found by uuid prefix on every object server
+            yield Parallel([Rpc(n, "delete_file", (u,))
+                            for u in blocks for n in self.placement.names])
+        if self._cache_node is not None and (fkeys or dpaths):
+            # coherence: invalidate after the batch is durable, before the
+            # flush returns — no reader can observe the new state earlier
+            yield Rpc(self._cache_node, "invalidate",
+                      (tuple(fkeys), tuple(dpaths), self.now_us))
+        if errs:
+            # deferred errors surface at the flush boundary: the first
+            # aborts the flushing op, the rest are preserved in
             # ``deferred_errors`` instead of being silently dropped
-            errs = [Exists(name) for name in out["exists"]]
             rest = errs[1:]
             if rest:
                 self.deferred_errors.extend(rest)
@@ -564,24 +757,33 @@ class BatchingLocoClient(LocoClient):
                     yield Mark("client.flush.deferred_errors",
                                {"server": server, "n": len(rest)})
             raise errs[0]
-        return out
 
-    def _requeue(self, server: str, pend: "_PendingQueue") -> None:
-        """Put a failed flush back at the head of the server's queue."""
+    def _requeue(self, server: str, pend: _Queue) -> None:
+        """Put a failed flush back at the head of the server's queue,
+        ahead of anything queued since.  ``oldest_us`` stays the failed
+        flush's own: the age bound keeps counting from the oldest entry's
+        enqueue, so the next op retries an overdue queue."""
         cur = self._pending.get(server)
         if cur is not None:
-            # merge the failed flush *ahead* of anything queued since
+            off = len(pend.entries)
             pend.entries.extend(cur.entries)
+            pend.paths.extend(cur.paths)
+            pend.sizes.extend(cur.sizes)
+            for key, idxs in cur.bykey.items():
+                pend.bykey.setdefault(key, []).extend(i + off for i in idxs)
+            for i, g in cur.guards.items():
+                pend.guards.setdefault(i + off, set()).update(g)
             pend.dirs.update(cur.dirs)
             pend.lease_paths.update(cur.lease_paths)
             pend.nbytes += cur.nbytes
+            pend.live += cur.live
             pend.origins.extend(cur.origins)
         self._pending[server] = pend
         if pend.oldest_us < self._oldest_pending_us:
             self._oldest_pending_us = pend.oldest_us
-        dirty = self._dirty
-        for e in pend.entries:
-            dirty[(e[0], e[1])] = server
+        if server != DMS:
+            for key in pend.bykey:
+                self._dirty[key] = server
         self.flush_requeues += 1
 
     def _g_flush_stale(self) -> Generator:
@@ -592,12 +794,21 @@ class BatchingLocoClient(LocoClient):
         limit = self.batch_max_age_us
         if now - self._oldest_pending_us < limit:
             return  # the oldest queue is fresh, so every queue is
+        dq = self._pending.get(DMS)
+        if dq is not None and now - dq.oldest_us >= limit:
+            # directories first, and the clock re-read after that round
+            # trip: an FMS queue it made stale is flushed by this op
+            yield from self._g_flush_server(DMS, "age")
+            now = self.now_us
         stale = [s for s, p in self._pending.items() if now - p.oldest_us >= limit]
         for server in stale:
             yield from self._g_flush_server(server, "age")
 
     def _g_flush(self) -> Generator:
-        """Drain every queue (end of a run, or an explicit flush())."""
+        """Drain every queue (end of a run, or an explicit flush()),
+        the DMS queue first."""
+        if DMS in self._pending:
+            yield from self._g_flush_server(DMS, "drain")
         for server in list(self._pending):
             yield from self._g_flush_server(server, "drain")
 
@@ -644,32 +855,15 @@ class BatchingLocoClient(LocoClient):
             if dir_exists:
                 raise IsADirectory(path)
         dir_uuid = info["uuid"]
-        key = (dir_uuid, name)
-        if key in self._dirty:
-            # duplicate create inside the pending window fails client-side,
-            # exactly as the server-side probe would at flush time
-            raise Exists(path)
         server = self._fms_for(dir_uuid, name)
-        pend = self._pending.get(server)
-        if pend is None:
-            now_us = self.now_us
-            pend = self._pending[server] = _PendingQueue(now_us)
-            if now_us < self._oldest_pending_us:
-                self._oldest_pending_us = now_us
-        pend.entries.append((dir_uuid, name, mode, self.cred, now, self.block_size))
-        pend.dirs.add(dir_uuid)
-        pend.lease_paths.add(info["path"])
-        pend.nbytes += _CREATE_WIRE_BASE + len(name)
-        self._dirty[key] = server
-        if self._obs_detailed:
-            # remember this op's open span so the flush links it to the
-            # batch round trip that eventually carries the create
-            origin = yield SpanCapture()
-            if origin is not None:
-                pend.origins.append(origin)
-            self._set_queue_gauge()
-        if len(pend.entries) >= self.batch_max_ops or pend.nbytes >= self.batch_max_bytes:
-            yield from self._g_flush_server(server, "full")
+        if self._key_occupied(server, (dir_uuid, name)):
+            # the queue already ends with this file existing: a duplicate
+            # create inside the pending window fails client-side, exactly
+            # as the server-side probe would at flush time
+            raise Exists(path)
+        yield from self._g_enq(
+            server, ("create", dir_uuid, name, mode, self.cred, now, self.block_size),
+            _CREATE_WIRE_BASE + len(name), info["path"])
         # deferred: the uuid is not known until the batch is flushed
         return None
 

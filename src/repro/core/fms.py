@@ -268,7 +268,10 @@ class FileMetadataServer:
         return uuid
 
     def op_create_batch(self, entries: tuple) -> dict:
-        """Create many files in one request (the LocoFS-B flush path).
+        """Create many files in one request: the create-run routine
+        behind :meth:`op_apply_batch` (all of a LocoFS-B flush, every
+        contiguous create run of a LocoFS-A one).  No client sends it as a
+        wire method of its own.
 
         ``entries`` is a sequence of ``(dir_uuid, name, mode, cred, now_s,
         bsize)`` tuples — the same arguments as :meth:`op_create`.  The
@@ -662,7 +665,7 @@ class FileMetadataServer:
         self.op_import(ddir_uuid, dname, inode["access"], inode["content"])
         return {"replaced": replaced}
 
-    # -- mixed batched apply (LocoFS-A write-behind flush) -------------------------------
+    # -- batched apply (the write-behind flush, LocoFS-B and -A) --------------------------
     def op_apply_batch(self, entries: tuple) -> list:
         """Apply a mixed sequence of deferred metadata updates in order.
 

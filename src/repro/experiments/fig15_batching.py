@@ -6,7 +6,7 @@ Every cell is a closed-loop ``touch`` run on the event engine with 8
 file-metadata servers.  LocoFS-C is the unbatched baseline; each
 LocoFS-B row fixes ``BatchConfig.max_ops`` (the write-behind budget) so
 the table shows how coalescing create RPCs converts round trips into
-``create_batch`` fan-in and where the benefit saturates — ``b=1``
+``apply_batch`` fan-in and where the benefit saturates — ``b=1``
 degenerates to one op per Batch and should track the baseline.
 """
 

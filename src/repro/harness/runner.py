@@ -258,6 +258,18 @@ class MixedThroughputResult:
     errors: int
     cache_stats: dict[str, int] = field(default_factory=dict)
     cache_hit_rate: float | None = None
+    #: measured-wave write-behind flushes by trigger (``full`` / ``age`` /
+    #: ``read`` / ``dep`` / ``drain``), summed over clients; ``{}`` for a
+    #: system without write-behind clients
+    flush_causes: dict[str, int] = field(default_factory=dict)
+
+
+def _flush_causes(clients) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for client in clients:
+        for reason, n in getattr(client, "flush_causes", {}).items():
+            total[reason] = total.get(reason, 0) + n
+    return total
 
 
 def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
@@ -411,6 +423,7 @@ def run_mixed_throughput(
         cache.counters.clear()
 
     t0 = engine.sim.now
+    flushed = _flush_causes(clients)
     box = {"ops": 0, "errors": 0, "per_op": {}}
     for cid, client in enumerate(clients):
         engine.spawn(
@@ -442,4 +455,6 @@ def run_mixed_throughput(
         errors=box["errors"],
         cache_stats=cache_stats,
         cache_hit_rate=hit_rate,
+        flush_causes={reason: n - flushed[reason]
+                      for reason, n in _flush_causes(clients).items()},
     )

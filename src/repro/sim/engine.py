@@ -533,8 +533,8 @@ class _EngineCore:
         if lost_at is not None:
             # the server applied the whole batch, but its response never
             # reaches the client: time out from the send.  The retry is the
-            # at-least-once case the FMS's idempotent create_batch dedup
-            # turns into exactly-once
+            # at-least-once case the FMS's idempotent create-run dedup
+            # (behind apply_batch) turns into exactly-once
             fail_at = lost_at + cost.timeout_us
             if span is not None:
                 tracer.end(span, fail_at)

@@ -37,8 +37,8 @@ Failure semantics, briefly:
 * **Dropped RPC** — request loss on the wire: the server never executes
   it (no spurious ``Exists`` on a retried create).
 * **Dropped batch** — *response* loss: the server executes the batch,
-  the client times out and retries — the hard case that exercises the
-  FMS's idempotent ``create_batch`` dedup end-to-end.
+  the client times out and retries ``apply_batch`` — the hard case that
+  exercises the FMS's idempotent create-run dedup end-to-end.
 * **Delay** — the request is late by a jittered ``delay_us``; no loss.
 """
 

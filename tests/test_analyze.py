@@ -100,7 +100,7 @@ class TestBatchRecordSpans:
         records = [s for s in tracer.spans if s.cat == "record"]
         assert records, "batch execution produced no record spans"
         for rec in records:
-            assert rec.name == "batch.create_batch"
+            assert rec.name == "batch.apply_batch"
             assert rec.parent is not None and rec.parent.name.startswith("rpc.batch[")
             assert rec.end_us is not None and rec.duration_us > 0
         # the KV breakdown nests under the record, not the raw batch span

@@ -355,3 +355,49 @@ class TestPinnedCreateClock:
                                "fms3 drain"]
         assert [fs.cluster[name].requests_served for name in fs.fms_names] \
             == [2, 3, 3, 2]
+
+
+class TestOneWriteBehindQueue:
+    """One queue structure, one flush, one wire method for LocoFS-B and -A."""
+
+    @pytest.mark.parametrize("all_ops", [False, True], ids=["writebehind", "async"])
+    def test_every_flush_is_one_apply_batch(self, all_ops):
+        from repro.obs import MetricsRegistry
+
+        fs = batched_fs(num_servers=1, max_ops=4, all_ops=all_ops)
+        metrics = MetricsRegistry()
+        fs.attach_observability(metrics=metrics)
+        c = fs.client()
+        c.mkdir("/d")
+        for n in range(9):
+            c.create(f"/d/f{n}")
+        c.chmod("/d/f0", 0o600)
+        c.unlink("/d/f1")
+        c.flush()
+        counters = metrics.snapshot()["counters"]
+        assert "fms0.op.create_batch" not in counters
+        assert counters["fms0.op.apply_batch"] >= 2
+        # every shipped flush is one batched request, counted by its cause
+        batches = sum(n for name, n in counters.items() if name.endswith(".batches"))
+        assert sum(c.flush_causes.values()) == batches
+        assert c.flush_causes["full"] >= 2 and c.flush_causes["drain"] >= 1
+        assert [e.name for e in c.readdir("/d")] == \
+            ["f0"] + [f"f{n}" for n in range(2, 9)]
+
+    def test_async_client_overrides_none_of_the_queue_machinery(self):
+        from repro.core.asyncclient import AsyncLocoClient
+
+        for name in ("_g_flush_server", "_g_flush_stale", "_g_flush", "_g_create",
+                     "_requeue", "pending_ops"):
+            assert name not in AsyncLocoClient.__dict__, name
+
+    def test_mixed_throughput_reports_flush_causes(self):
+        from repro.harness import run_mixed_throughput
+
+        for system in ("locofs-a", "locofs-b"):
+            causes = run_mixed_throughput(system, 2, num_clients=2, items_per_client=20,
+                                          pool=4).flush_causes
+            assert set(causes) == {"full", "age", "read", "dep", "drain"}
+            assert sum(causes.values()) > 0
+        assert run_mixed_throughput("locofs-c", 2, num_clients=2, items_per_client=20,
+                                    pool=4).flush_causes == {}

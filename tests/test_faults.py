@@ -298,6 +298,38 @@ class TestIdempotentCreateBatch:
 
         assert sorted(e.name for e in dirent.iter_entries(buf)) == ["a", "b", "c", "d"]
 
+    @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
+    def test_apply_batch_create_run_is_op_create_batch(self, tmp_path, decoupled):
+        """The one wire method a write-behind client sends: a run of
+        tagged creates through ``op_apply_batch`` is ``op_create_batch``
+        — same store bytes, same metered cost, same exactly-once replay."""
+        entries = tuple((5 + n % 3, f"f{n:02d}", 0o640, ROOT_CRED, 1.0 + n, 4096)
+                        for n in range(12))
+        tagged = tuple(("create", *e) for e in entries)
+        direct = FileMetadataServer(sid=1, decoupled=decoupled,
+                                    wal_path=str(tmp_path / "d.wal"))
+        batched = FileMetadataServer(sid=1, decoupled=decoupled,
+                                     wal_path=str(tmp_path / "b.wal"))
+        out = direct.op_create_batch(entries)
+        res = batched.op_apply_batch(tagged)
+        assert [r["uuid"] for r in res] == out["uuids"]
+
+        def state(fms):
+            return (sorted(fms.store.items()), fms.meter.total_us,
+                    dict(fms.meter.op_counts),
+                    {k: fms.counters.get(k)
+                     for k in ("files.created", "batch.records", "batch.creates")})
+
+        assert state(batched) == state(direct)
+        assert batched.counters.get("batch.records") == 12
+        # the replayed flush (response lost): the first call's uuids, no Exists
+        again = direct.op_create_batch(entries)
+        assert again == {"uuids": out["uuids"], "exists": []}
+        assert batched.op_apply_batch(tagged) == res
+        assert state(batched) == state(direct)
+        assert batched.counters.get("batch.deduped") == 12
+        assert direct.counters.get("batch.deduped") == 12
+
 
 class TestBatchedClientRequeue:
     def test_flush_requeues_on_serverdown_and_drains_after_recovery(self, tmp_path):
@@ -326,6 +358,46 @@ class TestBatchedClientRequeue:
         assert fs.fms[0].counters.get("batch.deduped") == 0
         fs.close()
 
+    def test_requeued_dms_flush_keeps_its_age_clock(self, tmp_path):
+        """One requeue-age rule for every queue: a failed flush goes back
+        with its oldest entry's enqueue instant, so ``max_age_us`` keeps
+        bounding how long an acked mkdir stays volatile while the DMS is
+        failing — the next op retries the overdue flush instead of
+        deferring quietly behind it."""
+        cfg = ClusterConfig(num_metadata_servers=1,
+                            batch=BatchConfig(enabled=True, all_ops=True))
+        fs = LocoFS(cfg, data_dir=str(tmp_path / "fs"))
+        client = fs.client()
+        client.mkdir("/d")
+        client.flush()
+        fs.engine.attach_faults(
+            FaultSchedule().crash_restart("dms", fs.engine.now + 1.0, 60_000.0))
+        for n in range(3):
+            client.mkdir(f"/d/s{n}")  # acked into the DMS write-behind queue
+        enqueued_at = fs.engine.now
+        assert enqueued_at == 549.5277264957265
+        with pytest.raises(ServerDown):
+            client.flush()
+        assert fs.engine.now == 17603.743337623513
+        assert client.flush_requeues == 1
+        assert client.pending_ops == 3  # nothing was dropped
+        t = fs.engine.now
+        with pytest.raises(ServerDown):
+            client.create("/d/f")  # its staleness check retries the flush
+        assert fs.engine.now > t
+        assert client.flush_requeues == 2
+        # still the first mkdir's enqueue instant, not a failure instant:
+        # the queue is overdue, not 0 µs old
+        assert client._pending["dms"].oldest_us == enqueued_at
+        deadline = fs.engine.now + 120_000.0
+        while client.pending_ops:
+            try:
+                client.flush()
+            except ServerDown:
+                assert fs.engine.now < deadline, "flush never recovered"
+        assert [e.name for e in client.readdir("/d")] == ["s0", "s1", "s2"]
+        fs.close()
+
     def test_deferred_errors_all_surface(self, tmp_path):
         fs = _locofs(tmp_path, batch=True)
         seeder = fs.client()
@@ -340,6 +412,29 @@ class TestBatchedClientRequeue:
             client.flush()
         assert len(client.deferred_errors) == 1
         assert isinstance(client.deferred_errors[0], Exists)
+        fs.close()
+
+    def test_dms_flush_marks_its_deferred_errors_too(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        cfg = ClusterConfig(num_metadata_servers=1,
+                            batch=BatchConfig(enabled=True, all_ops=True))
+        fs = LocoFS(cfg, data_dir=str(tmp_path / "fs"))
+        metrics = MetricsRegistry()
+        fs.attach_observability(metrics=metrics)
+        seeder = fs.client()
+        for path in ("/d", "/d/a", "/d/b"):
+            seeder.mkdir(path)
+        seeder.flush()
+        client = fs.client()
+        client.mkdir("/d/a")  # both will conflict at the flush boundary
+        client.mkdir("/d/b")
+        with pytest.raises(Exists):
+            client.flush()
+        assert len(client.deferred_errors) == 1
+        counters = metrics.snapshot()["counters"]
+        assert counters["client.deferred_errors"] == 1
+        assert counters["client.flush.deferred_errors"] == 1  # the mark
         fs.close()
 
 
