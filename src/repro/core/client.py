@@ -27,7 +27,7 @@ from repro.common.types import Credentials, DirEntry, ROOT_CRED, StatResult
 from repro.fsbase import FSClientBase
 from repro.metadata import dirent as de
 from repro.metadata.acl import R_OK, W_OK, X_OK, may_access
-from repro.metadata.chash import ConsistentHashRing, file_placement_key
+from repro.metadata.chash import ConsistentHashRing
 from repro.metadata.lease import LeaseCache
 from repro.sim.rpc import Batch, Mark, Parallel, Rpc, SpanCapture
 
@@ -88,7 +88,7 @@ class LocoClient(FSClientBase):
         key = (dir_uuid, name)
         fms = cache.get(key)
         if fms is None:
-            fms = self.ring.lookup_novel(file_placement_key(dir_uuid, name))
+            fms = self.ring.lookup_file(dir_uuid, name)
             if len(cache) >= _PLACEMENT_CACHE_MAX:
                 cache.clear()
             cache[key] = fms
@@ -185,7 +185,9 @@ class LocoClient(FSClientBase):
 
     # -- file ops ------------------------------------------------------------------------
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
-        now = self.now_s
+        clock = self._clock
+        t = clock.now
+        now = t / 1_000_000.0  # == self.now_s
         parent, name = pathutil.split_fast(path)
         if not name:
             raise Exists(path)
@@ -193,9 +195,10 @@ class LocoClient(FSClientBase):
         # nothing) is attached no Marks flow, so a dcache probe + the
         # uncached lookup RPC are exactly ``_g_dir`` minus its frame — and
         # the single ``get`` keeps the hit/miss stats identical
-        if self._dir_inline and self.cache_enabled and not self._obs_detailed:
-            clock = self._clock
-            info = self.dcache.get(parent, clock.now)
+        engine = self._engine
+        if (self._dir_inline and self.cache_enabled
+                and engine.tracer is None and engine.metrics is None):
+            info = self.dcache.get(parent, t)
             if info is None:
                 info = yield Rpc(DMS, "lookup", (parent, self.cred))
                 self.dcache.put(parent, info, clock.now)
@@ -216,7 +219,9 @@ class LocoClient(FSClientBase):
 
     def _g_stat_file(self, path: str) -> Generator:
         parent, name = pathutil.split_fast(path)
-        if self._dir_inline and self.cache_enabled and not self._obs_detailed:
+        engine = self._engine
+        if (self._dir_inline and self.cache_enabled
+                and engine.tracer is None and engine.metrics is None):
             clock = self._clock
             info = self.dcache.get(parent, clock.now)
             if info is None:

@@ -12,36 +12,13 @@ from repro.sim.costmodel import CostModel
 from repro.sim.rpc import LocalCharge
 
 from .registry import make_system
-from .workloads import Workload, ZipfPicker
+from .workloads import _OP_CALLS, Workload, ZipfPicker
 
 #: phases in execution order; "touch" is mdtest's file-create
 LATENCY_OPS = ("mkdir", "touch", "dir-stat", "file-stat", "readdir", "rm", "rmdir")
 
 #: the Fig. 11 extension ops (modified mdtest, §4.2.5)
 FILE_META_OPS = ("chmod", "chown", "access", "truncate")
-
-
-#: op name -> call-tuple builder; a dispatch table so building one call
-#: costs one path computation instead of materializing all thirteen
-_OP_CALLS = {
-    "touch": lambda wl, cid, n: ("create", wl.file_path(cid, n), wl.file_mode),
-    "mkdir": lambda wl, cid, n: ("mkdir", wl.dir_path(cid, n), 0o755),
-    "file-stat": lambda wl, cid, n: ("stat_file", wl.file_path(cid, n)),
-    "dir-stat": lambda wl, cid, n: ("stat_dir", wl.dir_path(cid, n)),
-    "rm": lambda wl, cid, n: ("unlink", wl.file_path(cid, n)),
-    "rmdir": lambda wl, cid, n: ("rmdir", wl.dir_path(cid, n)),
-    "chmod": lambda wl, cid, n: ("chmod", wl.file_path(cid, n), 0o600),
-    "chown": lambda wl, cid, n: ("chown", wl.file_path(cid, n), 1000 + n % 7, 1000),
-    "access": lambda wl, cid, n: ("access", wl.file_path(cid, n), 4),
-    "truncate": lambda wl, cid, n: ("truncate", wl.file_path(cid, n), 4096),
-    "open": lambda wl, cid, n: ("open", wl.file_path(cid, n), 4),
-    "write": lambda wl, cid, n: ("write", wl.file_path(cid, n), 0, b"x" * 4096),
-    "read": lambda wl, cid, n: ("read", wl.file_path(cid, n), 0, 4096),
-}
-
-
-def _op_call(op: str, wl: Workload, cid: int, n: int):
-    return _OP_CALLS[op](wl, cid, n)
 
 
 def _measured(client, cost: CostModel, call):
@@ -97,8 +74,10 @@ def run_latency(
 
     for path in wl.dir_chain(0):
         client.mkdir(path)
+    wd = wl.work_dir(0)
 
-    def timed(op: str, call) -> None:
+    def timed(op: str, n: int) -> None:
+        call = _OP_CALLS[op](wl, wd, n)
         t0 = engine.now
         engine.run(_measured(client, cost, call))
         rec.record(op, engine.now - t0)
@@ -111,37 +90,37 @@ def run_latency(
 
     if "mkdir" in ops:
         for n in range(n_items):
-            timed("mkdir", _op_call("mkdir", wl, 0, n))
+            timed("mkdir", n)
     elif any(o in ops for o in ("dir-stat", "rmdir")):
         for n in range(n_items):
             client.mkdir(wl.dir_path(0, n))
     if "touch" in ops:
         for n in range(n_items):
-            timed("touch", _op_call("touch", wl, 0, n))
+            timed("touch", n)
     elif any(o in ops for o in ("file-stat", "rm", "readdir") + FILE_META_OPS):
         for n in range(n_items):
             client.create(wl.file_path(0, n))
     if "dir-stat" in ops:
         for n in range(n_items):
-            timed("dir-stat", _op_call("dir-stat", wl, 0, pick(n)))
+            timed("dir-stat", pick(n))
     if "file-stat" in ops:
         for n in range(n_items):
-            timed("file-stat", _op_call("file-stat", wl, 0, pick(n)))
+            timed("file-stat", pick(n))
     for op in FILE_META_OPS:
         if op in ops:
             for n in range(n_items):
-                timed(op, _op_call(op, wl, 0, pick(n)))
+                timed(op, pick(n))
     if "readdir" in ops:
         # the paper reads a directory holding 10 k entries; n_items stands in
         t0 = engine.now
-        engine.run(_measured(client, cost, ("readdir", wl.work_dir(0))))
+        engine.run(_measured(client, cost, ("readdir", wd)))
         rec.record("readdir", engine.now - t0)
     if "rm" in ops:
         for n in range(n_items):
-            timed("rm", _op_call("rm", wl, 0, n))
+            timed("rm", n)
     if "rmdir" in ops:
         for n in range(n_items):
-            timed("rmdir", _op_call("rmdir", wl, 0, n))
+            timed("rmdir", n)
     close = getattr(system, "close", None)
     if close:
         close()

@@ -20,9 +20,8 @@ from repro.common.stats import iops
 from repro.sim.costmodel import CostModel
 from repro.sim.rpc import LocalCharge
 
-from .mdtest import _op_call
 from .registry import make_system
-from .workloads import Workload, ZipfPicker, clients_for
+from .workloads import _OP_CALLS, Workload, ZipfPicker, clients_for
 
 
 @dataclass
@@ -66,6 +65,10 @@ def _setup_gen(client, wl: Workload, cid: int, op: str):
 def _measured_gen(client, wl: Workload, cid: int, op: str, cost: CostModel, box: dict):
     # one shared LocalCharge: commands are read-only to the engines
     overhead = LocalCharge(cost.client_overhead_us)
+    # the op's call builder and this client's work dir, resolved once: one
+    # builder frame per op on every branch below
+    build = _OP_CALLS[op]
+    wd = wl.work_dir(cid)
     bracket = getattr(client, "op_bracket", None)
     telemetry = clock = None
     if bracket is not None:
@@ -75,12 +78,12 @@ def _measured_gen(client, wl: Workload, cid: int, op: str, cost: CostModel, box:
         # the same op_complete feed, without a wrapper frame per op
         op_raw = client.op_raw
         op_complete = telemetry.op_complete
-        name = "client." + _op_call(op, wl, cid, 0)[0]
+        name = "client." + build(wl, wd, 0)[0]
         for n in range(wl.items_per_client):
             yield overhead
             t0 = clock.now
             try:
-                yield from op_raw(*_op_call(op, wl, cid, n))
+                yield from op_raw(*build(wl, wd, n))
             except GeneratorExit:
                 raise
             except BaseException as exc:
@@ -101,12 +104,13 @@ def _measured_gen(client, wl: Workload, cid: int, op: str, cost: CostModel, box:
             # generator after re-checking the sinks per op — skip that
             for n in range(wl.items_per_client):
                 yield overhead
-                yield from op_raw(*_op_call(op, wl, cid, n))
+                yield from op_raw(*build(wl, wd, n))
                 box["ops"] += 1
         else:
+            op_generator = client.op_generator
             for n in range(wl.items_per_client):
                 yield overhead
-                yield from client.op_generator(*_op_call(op, wl, cid, n))
+                yield from op_generator(*build(wl, wd, n))
                 box["ops"] += 1
     yield from _drain_writebehind(client)
 

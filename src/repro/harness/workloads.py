@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 #: Paper Table 3 — the optimal number of clients per metadata-server count.
 TABLE3_CLIENTS: dict[str, dict[int, int]] = {
@@ -93,10 +92,10 @@ class Workload:
         # subtree-partitioned baselines spread load across their MDSes
         return f"/c{cid:04d}"
 
-    @lru_cache(maxsize=1024)
     def work_dir(self, cid: int) -> str:
-        # memoized: file_path/dir_path rebuild it for every item (the
-        # Workload is a frozen dataclass, so self is hashable)
+        # not memoized: the drivers resolve it once per client (see
+        # ``_OP_CALLS``); an lru_cache keyed on this dataclass paid its
+        # generated ``__hash__`` (and ``__eq__``) on every item
         path = self.client_root(cid)
         for level in range(self.depth - 1):
             path += f"/d{level}"
@@ -116,3 +115,24 @@ class Workload:
 
     def dir_path(self, cid: int, n: int) -> str:
         return f"{self.work_dir(cid)}/m{n:06d}"
+
+
+#: mdtest op name -> call-tuple builder ``(wl, work_dir, n) -> (op, path,
+#: *args)``.  A driver looks its builder up and resolves its client's
+#: ``wl.work_dir(cid)`` once, so building one call is one frame; the paths
+#: are :meth:`Workload.file_path` / :meth:`Workload.dir_path` spelled inline
+_OP_CALLS = {
+    "touch": lambda wl, wd, n: ("create", f"{wd}/f{n:06d}", wl.file_mode),
+    "mkdir": lambda wl, wd, n: ("mkdir", f"{wd}/m{n:06d}", 0o755),
+    "file-stat": lambda wl, wd, n: ("stat_file", f"{wd}/f{n:06d}"),
+    "dir-stat": lambda wl, wd, n: ("stat_dir", f"{wd}/m{n:06d}"),
+    "rm": lambda wl, wd, n: ("unlink", f"{wd}/f{n:06d}"),
+    "rmdir": lambda wl, wd, n: ("rmdir", f"{wd}/m{n:06d}"),
+    "chmod": lambda wl, wd, n: ("chmod", f"{wd}/f{n:06d}", 0o600),
+    "chown": lambda wl, wd, n: ("chown", f"{wd}/f{n:06d}", 1000 + n % 7, 1000),
+    "access": lambda wl, wd, n: ("access", f"{wd}/f{n:06d}", 4),
+    "truncate": lambda wl, wd, n: ("truncate", f"{wd}/f{n:06d}", 4096),
+    "open": lambda wl, wd, n: ("open", f"{wd}/f{n:06d}", 4),
+    "write": lambda wl, wd, n: ("write", f"{wd}/f{n:06d}", 0, b"x" * 4096),
+    "read": lambda wl, wd, n: ("read", f"{wd}/f{n:06d}", 0, 4096),
+}

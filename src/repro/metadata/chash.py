@@ -120,24 +120,27 @@ class ConsistentHashRing:
             cache[key] = name
         return name
 
-    def lookup_novel(self, key: bytes) -> str:
-        """:meth:`lookup` minus the per-ring memo, for callers that memoize.
+    def lookup_file(self, dir_uuid: int, name: str) -> str:
+        """``lookup(file_placement_key(dir_uuid, name))`` in one frame,
+        minus the per-ring memo — for callers that memoize.
 
         ``LocoClient._fms_for`` keeps its own (dir_uuid, name) placement
         cache, so a key that reaches the ring is (almost) always novel:
         reading *and writing* ``_lookup_cache`` for it is pure overhead —
         under a unique-key storm (a namespace build) every entry is a
-        miss plus an eviction.  Same hash, same bisect, same answer as
-        :meth:`lookup`; just no memo traffic.
+        miss plus an eviction.  Same key, same hash, same bisect, same
+        answer as :meth:`lookup`; the key build and the hash are inlined.
         """
         ring = self._ring
         if not ring:
             raise RuntimeError("ring is empty")
-        points = self._points
-        idx = bisect.bisect_right(points, _hash64(key))
-        if idx == len(points):
-            idx = 0
-        return ring[idx][1]
+        point = int.from_bytes(hashlib.blake2b(
+            dir_uuid.to_bytes(8, "big") + name.encode("utf-8"), digest_size=8
+        ).digest(), "big")
+        try:
+            return ring[bisect.bisect_right(self._points, point)][1]
+        except IndexError:  # past the last point: wrap to the first
+            return ring[0][1]
 
     def lookup_n(self, key: bytes | str, n: int) -> list[str]:
         """The first ``n`` distinct nodes walking clockwise from the key —

@@ -25,31 +25,37 @@ from collections.abc import Iterator
 
 from repro.common.types import DirEntry, FileType
 
-_HEAD = struct.Struct("<H")
-_TAIL = struct.Struct("<QB")
+#: the parts of an entry around its name.  Public for a server that has
+#: already encoded and checked the name (``FileMetadataServer.op_create``):
+#: ``HEAD.pack(len(raw)) + raw + TAIL.pack(uuid, ftype)`` is ``pack_entry``
+#: minus a second encode and check
+HEAD = struct.Struct("<H")
+TAIL = struct.Struct("<QB")
+#: longest storable name, in UTF-8 bytes (the u16 length field)
+MAX_NAME_BYTES = 0xFFFF
 #: bytes of an entry besides its name: u16 length + u64 uuid + u8 type
-_FIXED = _HEAD.size + _TAIL.size
+_FIXED = HEAD.size + TAIL.size
 #: type byte -> FileType by index (an enum call per entry costs ~10x this)
 _FTYPES = (None, FileType.FILE, FileType.DIRECTORY)
 
 
 def pack_entry(name: str, uuid: int, ftype: FileType) -> bytes:
     raw = name.encode("utf-8")
-    if not raw or len(raw) > 65535:
+    if not raw or len(raw) > MAX_NAME_BYTES:
         raise ValueError(f"bad dirent name: {name!r}")
-    return _HEAD.pack(len(raw)) + raw + _TAIL.pack(uuid, int(ftype))
+    return HEAD.pack(len(raw)) + raw + TAIL.pack(uuid, int(ftype))
 
 
 def iter_entries(buf: bytes) -> Iterator[DirEntry]:
     off = 0
     n = len(buf)
     while off < n:
-        (nlen,) = _HEAD.unpack_from(buf, off)
-        off += _HEAD.size
+        (nlen,) = HEAD.unpack_from(buf, off)
+        off += HEAD.size
         name = buf[off : off + nlen].decode("utf-8")
         off += nlen
-        uuid, ftype = _TAIL.unpack_from(buf, off)
-        off += _TAIL.size
+        uuid, ftype = TAIL.unpack_from(buf, off)
+        off += TAIL.size
         yield DirEntry(name, uuid, _FTYPES[ftype])
 
 
@@ -63,7 +69,7 @@ def _locate(buf: bytes, name: str) -> int:
     """
     raw = name.encode("utf-8")
     nlen = len(raw)
-    if nlen > 0xFFFF:
+    if nlen > MAX_NAME_BYTES:
         return -1
     needle = bytes((nlen & 0xFF, nlen >> 8)) + raw
     off = 0  # always an entry boundary

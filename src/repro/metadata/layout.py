@@ -60,6 +60,10 @@ class FixedLayout:
         self._names = tuple(self._fields)
         self._whole = struct.Struct("<" + "".join(fmt for _, fmt in fields))
         self._tail_pad = bytes(self.total_size - self.packed_size)
+        if not self._tail_pad:
+            # nothing to append: the positional pack *is* the Struct's, so
+            # the create paths call straight into C with no Python frame
+            self.pack_values = self._whole.pack
 
     # -- whole-buffer ------------------------------------------------------------
     def pack(self, **values) -> bytes:
@@ -82,11 +86,9 @@ class FixedLayout:
     def pack_values(self, *values) -> bytes:
         """Positional :meth:`pack` of *every* field, in declaration order
         (see ``field_names``).  The hot creation paths use this to skip the
-        kwargs dict; output is byte-identical to ``pack``."""
-        if len(values) != len(self._names):
-            raise TypeError(
-                f"{self.name}: pack_values needs all {len(self._names)} fields"
-            )
+        kwargs dict; output is byte-identical to ``pack``.  A layout without
+        tail padding replaces this method with its bound ``Struct.pack``;
+        either way a wrong field count raises ``struct.error``."""
         return self._whole.pack(*values) + self._tail_pad
 
     def unpack(self, buf: bytes) -> dict:

@@ -269,6 +269,22 @@ class TestIdempotentCreateBatch:
         assert out["exists"] == ["a"]
         assert out["uuids"] == [None]
 
+    @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
+    def test_rejected_duplicate_is_not_counted_created(self, decoupled):
+        """``files.created`` counts creates on both paths: a duplicate the
+        existence probe rejects is none (``op_create`` once counted it
+        before probing, so a duplicate read 2 there and 1 batched)."""
+        single = FileMetadataServer(sid=1, decoupled=decoupled)
+        single.op_create(5, "a", 0o644, ROOT_CRED, 1.0)
+        with pytest.raises(Exists):
+            single.op_create(5, "a", 0o644, ROOT_CRED, 2.0)
+        batched = FileMetadataServer(sid=1, decoupled=decoupled)
+        batched.op_create_batch(_entries(["a"], now_s=1.0))
+        assert batched.op_create_batch(_entries(["a"], now_s=2.0))["exists"] == ["a"]
+        for fms in (single, batched):
+            assert fms.counters.get("files.created") == 1
+            assert fms.num_files_fast() == fms.num_files() == 1
+
     def test_coupled_mode_dedups_too(self, tmp_path):
         fms = FileMetadataServer(sid=1, decoupled=False,
                                  wal_path=str(tmp_path / "f.wal"))

@@ -60,6 +60,22 @@ class TestWorkloads:
         wl = Workload(depth=1)
         assert wl.work_dir(0) == "/c0000"
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_op_call_builders_spell_the_workload_paths(self, depth):
+        # the drivers' builders format paths inline from the resolved work
+        # dir; they must name exactly what file_path/dir_path name
+        from repro.harness.workloads import _OP_CALLS
+
+        wl = Workload(depth=depth)
+        for cid in (0, 7, 123):
+            wd = wl.work_dir(cid)
+            for n in (0, 5, 999_999):
+                for op, build in _OP_CALLS.items():
+                    path = build(wl, wd, n)[1]
+                    kind = "dir" if op in ("mkdir", "dir-stat", "rmdir") else "file"
+                    want = (wl.dir_path if kind == "dir" else wl.file_path)(cid, n)
+                    assert path == want, (op, cid, n)
+
 
 def _locofs_over(**directory):
     return lambda **kw: LocoFS(

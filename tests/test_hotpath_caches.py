@@ -137,6 +137,47 @@ class TestRingCaches:
         ring.remove_node("s0")
         assert ring.version > v2
 
+    @pytest.mark.parametrize("nodes", [1, 3, 8])
+    def test_lookup_file_is_lookup_of_the_placement_key(self, nodes):
+        # the client's one-frame placement must answer exactly what the
+        # keyed, memoized lookup does — before and after membership changes
+        import random
+
+        rng = random.Random(nodes)
+        ring = ConsistentHashRing()
+        for i in range(nodes):
+            ring.add_node(f"fms{i}")
+        names = ["a", "f000001", "é数🙂", "x" * 255] + [
+            "".join(rng.choice("abcé数_") for _ in range(rng.randint(1, 12)))
+            for _ in range(150)]
+
+        def check():
+            for name in names:
+                d = rng.randrange(2**64)
+                for dir_uuid in (0, 1, d):
+                    want = ring.lookup(file_placement_key(dir_uuid, name))
+                    assert ring.lookup_file(dir_uuid, name) == want
+                    assert want == _uncached_lookup(
+                        ring, file_placement_key(dir_uuid, name))
+
+        check()
+        # the wrap-around: a key hashing past the last point lands on the first
+        past = next(d for d in range(1 << 20)
+                    if chash._hash64(file_placement_key(d, "w")) > ring._points[-1])
+        assert ring.lookup_file(past, "w") == ring._ring[0][1]
+        assert ring.lookup(file_placement_key(past, "w")) == ring._ring[0][1]
+        ring.add_node("fms-extra")
+        check()
+        ring.remove_node("fms0")
+        check()
+        ring.remove_node("fms-extra")
+        if nodes > 1:
+            check()
+
+    def test_lookup_file_on_empty_ring_raises(self):
+        with pytest.raises(RuntimeError):
+            ConsistentHashRing().lookup_file(1, "f")
+
     def test_lookup_cache_invalidated_on_add_and_remove(self):
         ring = ConsistentHashRing(vnodes=64)
         ring.add_node("s0")

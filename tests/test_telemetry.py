@@ -339,15 +339,21 @@ def test_public_api_ops_all_reach_a_lone_sink(name, engine_kind):
 
 
 def test_attached_sink_call_count_budget():
-    """The sink's cost contract (attached <= 1.15x unattached, ROADMAP item 4)
-    as a work count: Python calls per op under cProfile repeat exactly, where
-    the wall-clock ratio of the same two runs reads 1.10-1.31 on one container
-    (``python3 -m bench --trace 1`` reports it as ``obs.telemetry_overhead_x``;
-    nothing gates on it).  CPython 3.11.7: 97.77 calls per op unattached,
-    112.72 attached, 1.153x.  The telemetry-only fast paths (``op_bracket``,
-    ``_g_telemetry``, the engines' folded ``rpc_complete``) exist to hold this;
-    the ceiling leaves room for interpreters that count builtins differently
-    and no more: three further calls per attached op read 1.184x.
+    """The sink's cost contract (ROADMAP item 4) as a work count: the Python
+    calls an attached sink adds per op, under cProfile, which repeat exactly
+    where the wall-clock ratio of the same two runs reads 1.10-1.31 on one
+    container (``python3 -m bench --trace 1`` reports it as
+    ``obs.telemetry_overhead_x``; nothing gates on it).
+
+    The budget is the difference, not the ratio: the sink's per-op cost is
+    what it is, so a leaner unattached path would shrink a ratio's
+    denominator and fail it with the sink unchanged.  CPython 3.11.7: 72.81
+    calls per op unattached, 87.68 attached, +14.87 (+14.95 when the
+    unattached path took 97.77).  The telemetry-only fast paths
+    (``op_bracket``, ``_g_telemetry``, the engines' folded
+    ``rpc_complete``) exist to hold this; the ceiling leaves room for
+    interpreters that count builtins differently and for no further call
+    per attached op.
     """
     import cProfile
 
@@ -358,11 +364,11 @@ def test_attached_sink_call_count_budget():
         return sum(e.callcount for e in prof.getstats()) / r.total_ops, r
 
     # same process state for both counts: the first run of a workload shape
-    # pays imports and memo fills, and every later one an lru_cache key
-    # ``__eq__`` per op (``Workload.work_dir``) that the first does not
+    # pays the imports and fills the process-wide memos (ring points, path
+    # splits), which neither counted run should see
     run_throughput("locofs-c", 8, op="touch", items_per_client=60)
     plain_calls, plain = calls_per_op(None)
     attached_calls, attached = calls_per_op(TelemetrySink())
     assert attached.total_ops == plain.total_ops == 7800
     assert attached.elapsed_us == plain.elapsed_us  # the sink only observes
-    assert attached_calls / plain_calls <= 1.18, (plain_calls, attached_calls)
+    assert attached_calls - plain_calls <= 15.5, (plain_calls, attached_calls)
