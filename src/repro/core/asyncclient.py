@@ -106,9 +106,9 @@ class AsyncLocoClient(BatchingLocoClient):
     # -- directory resolution (d-cache -> cache tier -> DMS) ----------------------------
     def _g_dir(self, path: str) -> Generator:
         path = pathutil.normalize(path)
-        observed = self._obs_detailed
+        observed = self._engine.obs_detailed
         if self.cache_enabled:
-            hit = self.dcache.get(path, self.now_us)
+            hit = self.dcache.get(path, self._clock.now)
             if hit is not None:
                 if observed:
                     yield Mark("client.cache.hit", {"path": path})
@@ -120,14 +120,14 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._cache_node is not None:
             info = yield Rpc(self._cache_node, "lookup", (path, self.cred))
             if info is None:
-                t_issue = self.now_us
+                t_issue = self._clock.now
                 info = yield Rpc(DMS, "lookup", (path, self.cred))
                 yield Rpc(self._cache_node, "fill_lookup",
                           (path, info, self.cred, t_issue))
         else:
             info = yield Rpc(DMS, "lookup", (path, self.cred))
         if self.cache_enabled:
-            self.dcache.put(path, info, self.now_us)
+            self.dcache.put(path, info, self._clock.now)
             if observed:
                 yield Mark("client.cache.miss", {"path": path})
         return info
@@ -146,7 +146,7 @@ class AsyncLocoClient(BatchingLocoClient):
             # the cross-keyspace probe needs synchronous semantics
             return (yield from super()._g_mkdir(path, mode))
         yield from self._g_flush_stale()
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
             raise Exists(path)
@@ -156,7 +156,7 @@ class AsyncLocoClient(BatchingLocoClient):
                           W_OK | X_OK):
             raise PermissionDenied(parent)
         if self._dir_pending(path) or (
-                self.cache_enabled and self.dcache.get(path, self.now_us) is not None):
+                self.cache_enabled and self.dcache.get(path, self._clock.now) is not None):
             raise Exists(path)
         uuid = yield from self._g_reserved_uuid()
         # dependency order for the flush-time DMS fallback: a setattr
@@ -202,15 +202,15 @@ class AsyncLocoClient(BatchingLocoClient):
         directory (cached d-inode or pending mkdir) is one; anything else
         is tried as a file, with the DMS fallback at flush time."""
         yield from self._g_flush_stale()
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
             yield Rpc(DMS, "setattr", (path, self.cred, now), attrs)
             if self._cache_node is not None:
-                yield Rpc(self._cache_node, "invalidate", ((), (path,), self.now_us))
+                yield Rpc(self._cache_node, "invalidate", ((), (path,), self._clock.now))
             return
         mode, uid, gid = attrs.get("mode"), attrs.get("uid"), attrs.get("gid")
-        dinfo = self.dcache.get(path, self.now_us) if self.cache_enabled else None
+        dinfo = self.dcache.get(path, self._clock.now) if self.cache_enabled else None
         if dinfo is not None or self._dir_pending(path):
             yield from self._g_dsetattr(path, dinfo, now, mode, uid, gid)
             return
@@ -283,7 +283,7 @@ class AsyncLocoClient(BatchingLocoClient):
         if old == new:
             return
         if self._dir_pending(old) or (
-                self.cache_enabled and self.dcache.get(old, self.now_us) is not None):
+                self.cache_enabled and self.dcache.get(old, self._clock.now) is not None):
             # a (possibly pending) directory: make it durable, t-rename it
             yield from self._g_flush_server(DMS, "dep")
             yield from self._g_rename_dir_sync(old, new)
@@ -339,23 +339,25 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._cache_node is not None:
             yield Rpc(self._cache_node, "invalidate",
                       (((src_fms, skey[0], src_name), (dst_fms, dkey[0], dst_name)),
-                       (), self.now_us))
+                       (), self._clock.now))
 
     def _g_rename_dir_sync(self, old: str, new: str) -> Generator:
         yield Rpc(DMS, "rename", (old, new, self.cred))
         self.dcache.invalidate(old)
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
         if self._cache_node is not None:
-            yield Rpc(self._cache_node, "invalidate_prefix", (old, self.now_us))
+            yield Rpc(self._cache_node, "invalidate_prefix", (old, self._clock.now))
 
     # -- cached reads (the lookup-cache tier) --------------------------------------------
     def _g_fill_file(self, fms: str, dir_uuid: int, name: str, attrs: dict,
                      issued_at: float) -> Generator:
-        a = FILE_ACCESS.pack(ctime=attrs["ctime"], mode=attrs["mode"],
-                             uid=attrs["uid"], gid=attrs["gid"])
-        c = FILE_CONTENT.pack(mtime=attrs["mtime"], atime=attrs["atime"],
-                              size=attrs["size"], bsize=attrs["bsize"],
-                              suuid=attrs["suuid"], sid=attrs["sid"])
+        # positional packs in Table 1 field order: byte-identical to the
+        # keyword ``pack``, one C call each on these pad-free layouts
+        a = FILE_ACCESS.pack_values(attrs["ctime"], attrs["mode"],
+                                    attrs["uid"], attrs["gid"])
+        c = FILE_CONTENT.pack_values(attrs["mtime"], attrs["atime"],
+                                     attrs["size"], attrs["bsize"],
+                                     attrs["suuid"], attrs["sid"])
         yield Rpc(self._cache_node, "fill_file",
                   (fms, dir_uuid, name, a, c, issued_at))
 
@@ -364,7 +366,7 @@ class AsyncLocoClient(BatchingLocoClient):
         attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name))
         if attrs is not None:
             return attrs
-        t_issue = self.now_us
+        t_issue = self._clock.now
         attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
         yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
         return attrs
@@ -393,7 +395,7 @@ class AsyncLocoClient(BatchingLocoClient):
         handle = yield Rpc(self._cache_node, "open",
                            (fms, info["uuid"], name, self.cred, want))
         if handle is None:
-            t_issue = self.now_us
+            t_issue = self._clock.now
             attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
             yield from self._g_fill_file(fms, info["uuid"], name, attrs, t_issue)
             if not may_access(attrs["mode"], attrs["uid"], attrs["gid"],
@@ -419,7 +421,7 @@ class AsyncLocoClient(BatchingLocoClient):
                            (fms, info["uuid"], name, self.cred, want))
         if answer is not None:
             return answer
-        t_issue = self.now_us
+        t_issue = self._clock.now
         try:
             attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
         except NoEntry:
@@ -434,13 +436,13 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._cache_node is None:
             return
         parent, name = pathutil.split_fast(path)
-        info = self.dcache.get(pathutil.normalize(parent), self.now_us) \
+        info = self.dcache.get(pathutil.normalize(parent), self._clock.now) \
             if self.cache_enabled else None
         if info is None:
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         yield Rpc(self._cache_node, "invalidate",
-                  (((fms, info["uuid"], name),), (), self.now_us))
+                  (((fms, info["uuid"], name),), (), self._clock.now))
 
     def _g_truncate(self, path: str, size: int) -> Generator:
         out = yield from super()._g_truncate(path, size)
@@ -468,5 +470,5 @@ class AsyncLocoClient(BatchingLocoClient):
         out = yield from super()._g_rmdir(path)
         if self._cache_node is not None:
             yield Rpc(self._cache_node, "invalidate",
-                      ((), (pathutil.normalize(path),), self.now_us))
+                      ((), (pathutil.normalize(path),), self._clock.now))
         return out

@@ -98,16 +98,16 @@ class LocoClient(FSClientBase):
     def _g_dir(self, path: str) -> Generator:
         """Resolve a directory's d-inode, via the lease cache when enabled."""
         path = pathutil.normalize(path)
-        observed = self._obs_detailed
+        observed = self._engine.obs_detailed
         if self.cache_enabled:
-            hit = self.dcache.get(path, self.now_us)
+            hit = self.dcache.get(path, self._clock.now)
             if hit is not None:
                 if observed:
                     yield Mark("client.cache.hit", {"path": path})
                 return hit
         info = yield Rpc(DMS, "lookup", (path, self.cred))
         if self.cache_enabled:
-            self.dcache.put(path, info, self.now_us)
+            self.dcache.put(path, info, self._clock.now)
             if observed:
                 yield Mark("client.cache.miss", {"path": path})
         return info
@@ -118,7 +118,7 @@ class LocoClient(FSClientBase):
 
     def _cache_dir(self, info: dict) -> None:
         if self.cache_enabled:
-            self.dcache.put(info["path"], info, self.now_us)
+            self.dcache.put(info["path"], info, self._clock.now)
 
     def _check_parent_write(self, info: dict) -> None:
         """Creating/removing an entry needs W+X on the parent directory.
@@ -131,7 +131,7 @@ class LocoClient(FSClientBase):
 
     # -- directory ops -----------------------------------------------------------------
     def _g_mkdir(self, path: str, mode: int = 0o755) -> Generator:
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if self.strict_collisions and path != "/":
             parent, name = pathutil.split(path)
@@ -195,9 +195,8 @@ class LocoClient(FSClientBase):
         # nothing) is attached no Marks flow, so a dcache probe + the
         # uncached lookup RPC are exactly ``_g_dir`` minus its frame — and
         # the single ``get`` keeps the hit/miss stats identical
-        engine = self._engine
         if (self._dir_inline and self.cache_enabled
-                and engine.tracer is None and engine.metrics is None):
+                and not self._engine.obs_detailed):
             info = self.dcache.get(parent, t)
             if info is None:
                 info = yield Rpc(DMS, "lookup", (parent, self.cred))
@@ -219,9 +218,8 @@ class LocoClient(FSClientBase):
 
     def _g_stat_file(self, path: str) -> Generator:
         parent, name = pathutil.split_fast(path)
-        engine = self._engine
         if (self._dir_inline and self.cache_enabled
-                and engine.tracer is None and engine.metrics is None):
+                and not self._engine.obs_detailed):
             clock = self._clock
             info = self.dcache.get(parent, clock.now)
             if info is None:
@@ -273,7 +271,7 @@ class LocoClient(FSClientBase):
         A path may name a file *and* a directory (split keyspaces, see
         ``ClusterConfig.strict_collisions``); the kind order is fixed
         here: the file first, the directory only on ``NoEntry``."""
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
             yield from self._g_dir_setattr(path, now, attrs)
@@ -312,7 +310,7 @@ class LocoClient(FSClientBase):
             return may_access(dinfo["mode"], dinfo["uid"], dinfo["gid"], self.cred, want)
 
     def _g_truncate(self, path: str, size: int) -> Generator:
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         parent, name = pathutil.split(path)
         info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
@@ -366,7 +364,7 @@ class LocoClient(FSClientBase):
     def _g_write(self, path: str, offset: int, data: bytes) -> Generator:
         if offset < 0:
             raise ValueError("negative offset")
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         parent, name = pathutil.split(path)
         info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
@@ -403,7 +401,7 @@ class LocoClient(FSClientBase):
         return len(data)
 
     def _g_read(self, path: str, offset: int, length: int) -> Generator:
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         parent, name = pathutil.split(path)
         info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
@@ -486,6 +484,9 @@ class _Queue:
 #: dir uuid, mode, cred, timestamp, block size)
 _CREATE_WIRE_BASE = 48
 
+#: ``_oldest_pending_us`` while no queue holds anything: never stale
+_NOTHING_PENDING = float("inf")
+
 
 def _mkexc(name: str, arg) -> FSError:
     """Rebuild a server-reported batched-apply error as an exception."""
@@ -540,7 +541,7 @@ class BatchingLocoClient(LocoClient):
         #: float instead of scanning every queue per op.  Queues are
         #: created at the current instant (never older than an existing
         #: one), so only flush/requeue recompute it.
-        self._oldest_pending_us = float("inf")
+        self._oldest_pending_us = _NOTHING_PENDING
         #: lookup-cache node a flush invalidates touched keys on (LocoFS-A)
         self._cache_node: str | None = None
         #: deferred flush errors beyond the first of each flush (satellite
@@ -572,7 +573,7 @@ class BatchingLocoClient(LocoClient):
         """
         pend = self._pending.get(server)
         if pend is None:
-            now_us = self.now_us
+            now_us = self._clock.now
             pend = self._pending[server] = _Queue(now_us)
             if now_us < self._oldest_pending_us:
                 self._oldest_pending_us = now_us
@@ -597,7 +598,7 @@ class BatchingLocoClient(LocoClient):
                 self._dirty[key] = server
                 pend.dirs.add(key[0])
             pend.lease_paths.add(lease_path)
-        if self._obs_detailed:
+        if self._engine.obs_detailed:
             if capture:
                 yield from self._g_capture_into(pend)
             self._set_queue_gauge()
@@ -609,7 +610,7 @@ class BatchingLocoClient(LocoClient):
         round trip that eventually carries the op (also used when an op
         *coalesces* into an already-queued entry instead of appending its
         own: its durability still rides that entry's flush)."""
-        if self._obs_detailed:
+        if self._engine.obs_detailed:
             origin = yield SpanCapture()
             if origin is not None:
                 pend.origins.append(origin)
@@ -656,8 +657,11 @@ class BatchingLocoClient(LocoClient):
             # must see the directory exist — flush the DMS queue first
             yield from self._g_flush_server(DMS, "dep")
         del pending[server]
-        self._oldest_pending_us = min(
-            (p.oldest_us for p in pending.values()), default=float("inf"))
+        oldest = _NOTHING_PENDING
+        for p in pending.values():
+            if p.oldest_us < oldest:
+                oldest = p.oldest_us
+        self._oldest_pending_us = oldest
         if server != DMS:
             dirty = self._dirty
             for key in pend.bykey:
@@ -688,7 +692,7 @@ class BatchingLocoClient(LocoClient):
             raise
         # writing under a cached parent piggybacks a lease renewal: the
         # server saw live traffic for the directory, no separate RPC needed
-        now = self.now_us
+        now = self._clock.now
         for path in pend.lease_paths:
             self.dcache.renew(path, now)
         errs: list[Exception] = []
@@ -747,7 +751,7 @@ class BatchingLocoClient(LocoClient):
             # coherence: invalidate after the batch is durable, before the
             # flush returns — no reader can observe the new state earlier
             yield Rpc(self._cache_node, "invalidate",
-                      (tuple(fkeys), tuple(dpaths), self.now_us))
+                      (tuple(fkeys), tuple(dpaths), self._clock.now))
         if errs:
             # deferred errors surface at the flush boundary: the first
             # aborts the flushing op, the rest are preserved in
@@ -795,7 +799,7 @@ class BatchingLocoClient(LocoClient):
         """Flush every queue whose oldest entry exceeds the age bound."""
         if not self._pending:
             return
-        now = self.now_us
+        now = self._clock.now
         limit = self.batch_max_age_us
         if now - self._oldest_pending_us < limit:
             return  # the oldest queue is fresh, so every queue is
@@ -804,7 +808,7 @@ class BatchingLocoClient(LocoClient):
             # directories first, and the clock re-read after that round
             # trip: an FMS queue it made stale is flushed by this op
             yield from self._g_flush_server(DMS, "age")
-            now = self.now_us
+            now = self._clock.now
         stale = [s for s, p in self._pending.items() if now - p.oldest_us >= limit]
         for server in stale:
             yield from self._g_flush_server(server, "age")
@@ -846,7 +850,7 @@ class BatchingLocoClient(LocoClient):
     # -- deferred create ----------------------------------------------------------------
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
         yield from self._g_flush_stale()
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         parent, name = pathutil.split_fast(path)
         if not name:
             raise Exists(path)

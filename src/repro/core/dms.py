@@ -24,7 +24,6 @@ of all descendant *directories* — a contiguous prefix move in the B+-tree
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 from repro.common import pathutil
@@ -45,6 +44,7 @@ from repro.common.types import (
 )
 from repro.common.uuidgen import FID_BITS, FID_MASK, ROOT_UUID, UuidAllocator
 from repro.kv import make_store
+from repro.kv.api import GroupCommit
 from repro.kv.meter import Meter, NullMeter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
@@ -122,12 +122,7 @@ class DirectoryMetadataServer:
             if not key.startswith(_I):
                 continue
             path = key[len(_I):].decode("utf-8")
-            self._meta[path] = (
-                DIR_INODE.read(buf, "mode"),
-                DIR_INODE.read(buf, "uid"),
-                DIR_INODE.read(buf, "gid"),
-                DIR_INODE.read(buf, "uuid"),
-            )
+            self._meta[path] = (*DIR_INODE.perm(buf), DIR_INODE.read(buf, "uuid"))
         ceiling = self.store.get(self._FID_KEY)
         if ceiling is not None:
             # skip the reserved range: ids up to the ceiling may be in use
@@ -144,21 +139,12 @@ class DirectoryMetadataServer:
             self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
         return uuid
 
-    @contextlib.contextmanager
-    def group_commit(self):
+    def group_commit(self) -> GroupCommit:
         """Group-commit scope for batched RPCs (one WAL fsync per batch) —
         same contract as :meth:`FileMetadataServer.group_commit`: counts
         every scope and the durable commit boundaries it produced, so the
         deferred-mkdir amortization claim is auditable from the metrics."""
-        self.counters.inc("wal.group_commit")
-        wal = getattr(self.store, "_wal", None)
-        before = wal.commits if wal is not None else 0
-        try:
-            with self.store.group():
-                yield
-        finally:
-            if wal is not None:
-                self.counters.inc("wal.fsync", wal.commits - before)
+        return GroupCommit(self.store, self.counters)
 
     # -- wiring ------------------------------------------------------------------
     def attach_meter(self, meter: Meter) -> None:
@@ -207,9 +193,7 @@ class DirectoryMetadataServer:
             buf = self.store.get(_ikey(anc))
             if buf is None:
                 raise NoEntry(anc)
-            mode = DIR_INODE.read(buf, "mode")
-            uid = DIR_INODE.read(buf, "uid")
-            gid = DIR_INODE.read(buf, "gid")
+            mode, uid, gid = DIR_INODE.perm(buf)
             if not may_access(mode, uid, gid, cred, X_OK):
                 raise PermissionDenied(anc)
 

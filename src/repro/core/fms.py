@@ -22,7 +22,6 @@ concatenated under ``E:<directory_uuid>`` (backward dirent organization).
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 from repro.common.errors import Exists, FSError, InvalidArgument, NoEntry, PermissionDenied
@@ -30,6 +29,7 @@ from repro.common.stats import Counters
 from repro.common.types import Credentials, FileType, S_IFREG
 from repro.common.uuidgen import FID_BITS, FID_MASK, UuidAllocator
 from repro.kv import HashStore
+from repro.kv.api import GroupCommit
 from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
@@ -117,8 +117,7 @@ class FileMetadataServer:
             self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
         return uuids
 
-    @contextlib.contextmanager
-    def group_commit(self):
+    def group_commit(self) -> GroupCommit:
         """Group-commit scope for batched RPCs (one WAL fsync per batch).
 
         Counts every scope (``wal.group_commit``) and, when a WAL is
@@ -127,15 +126,7 @@ class FileMetadataServer:
         mode), so the amortization claim is auditable from the metrics
         dump: batched creates show ``wal.fsync`` ≪ ``batch.records``.
         """
-        self.counters.inc("wal.group_commit")
-        wal = getattr(self.store, "_wal", None)
-        before = wal.commits if wal is not None else 0
-        try:
-            with self.store.group():
-                yield
-        finally:
-            if wal is not None:
-                self.counters.inc("wal.fsync", wal.commits - before)
+        return GroupCommit(self.store, self.counters)
 
     def attach_meter(self, meter: Meter) -> None:
         self.store.meter = meter
@@ -179,8 +170,9 @@ class FileMetadataServer:
         self.counters.bind(registry, prefix)
 
     def _touch(self, op: str, *parts: str) -> None:
-        if self.track_touches:
-            self.touches.setdefault(op, set()).update(parts)
+        """Record the inode parts ``op`` touched; callers test
+        ``track_touches`` first, so an untracked op pays no frame."""
+        self.touches.setdefault(op, set()).update(parts)
 
     # -- coupled-mode helpers (LocoFS-CF ablation) --------------------------------
     def _get_coupled(self, key: bytes) -> bytes | None:
@@ -234,7 +226,7 @@ class FileMetadataServer:
             self._put_coupled(key, FILE_COUPLED.pack(index_blob=b"", **af, **cf))
 
     def _check_owner(self, a: bytes, cred: Credentials, path_hint: str = "") -> None:
-        if not cred.is_root and cred.uid != FILE_ACCESS.read(a, "uid"):
+        if cred.uid != 0 and cred.uid != FILE_ACCESS.perm(a)[1]:
             raise PermissionDenied(path_hint)
 
     # -- operations (Table 1 rows) ---------------------------------------------------
@@ -442,7 +434,8 @@ class FileMetadataServer:
 
     def op_getattr(self, dir_uuid: int, name: str) -> dict:
         """stat on a file reads both parts (Table 1: getattr touches all)."""
-        self._touch("getattr", "access", "content")
+        if self.track_touches:
+            self._touch("getattr", "access", "content")
         a, c = self._load(fkey(dir_uuid, name))
         out = FILE_ACCESS.unpack(a)
         out.update(FILE_CONTENT.unpack(c))
@@ -450,19 +443,20 @@ class FileMetadataServer:
 
     def op_open(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> dict:
         """open checks the access part (content read is optional in Table 1)."""
-        self._touch("open", "access")
+        if self.track_touches:
+            self._touch("open", "access")
         key = fkey(dir_uuid, name)
         a, c = self._load(key)
-        mode = FILE_ACCESS.read(a, "mode")
-        if not may_access(mode, FILE_ACCESS.read(a, "uid"), FILE_ACCESS.read(a, "gid"),
-                          cred, want):
+        mode, uid, gid = FILE_ACCESS.perm(a)
+        if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
         return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
                 "size": FILE_CONTENT.read(c, "size")}
 
     def op_access(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> bool:
         """access(2): touches only the access part."""
-        self._touch("access", "access")
+        if self.track_touches:
+            self._touch("access", "access")
         key = fkey(dir_uuid, name)
         if self.decoupled:
             a = self.store.get(_A + key)
@@ -470,19 +464,14 @@ class FileMetadataServer:
                 raise NoEntry(name)
         else:
             a, _ = self._load(key)
-        return may_access(
-            FILE_ACCESS.read(a, "mode"),
-            FILE_ACCESS.read(a, "uid"),
-            FILE_ACCESS.read(a, "gid"),
-            cred,
-            want,
-        )
+        return may_access(*FILE_ACCESS.perm(a), cred, want)
 
     def op_setattr(self, dir_uuid: int, name: str, cred: Credentials, now_s: float,
                    mode: int | None = None, uid: int | None = None,
                    gid: int | None = None) -> None:
         """chmod/chown: touches only the access part (Table 1)."""
-        self._touch("chmod" if mode is not None else "chown", "access")
+        if self.track_touches:
+            self._touch("chmod" if mode is not None else "chown", "access")
         self.counters.inc("setattr.inplace" if self.decoupled else "setattr.rewrite")
         key = fkey(dir_uuid, name)
         if self.decoupled:
@@ -493,7 +482,7 @@ class FileMetadataServer:
             self._check_owner(a, cred, name)
             # in-place fixed-offset field writes — no (de)serialization
             if mode is not None:
-                old = FILE_ACCESS.read(a, "mode")
+                old = FILE_ACCESS.perm(a)[0]
                 new_mode = (old & ~0o7777) | (mode & 0o7777)
                 self.store.write_at(akey, FILE_ACCESS.offset("mode"),
                                     FILE_ACCESS.encode_field("mode", new_mode))
@@ -523,7 +512,8 @@ class FileMetadataServer:
 
     def op_truncate(self, dir_uuid: int, name: str, size: int, now_s: float) -> None:
         """truncate: touches only the content part (Table 1)."""
-        self._touch("truncate", "content")
+        if self.track_touches:
+            self._touch("truncate", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
             ckey = _C + key
@@ -549,7 +539,8 @@ class FileMetadataServer:
         (§3.3.2 — blocks are addressed by uuid + blk_num, there is no
         per-block index to update).
         """
-        self._touch("write", "content")
+        if self.track_touches:
+            self._touch("write", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
             ckey = _C + key
@@ -577,7 +568,8 @@ class FileMetadataServer:
 
     def op_read_meta(self, dir_uuid: int, name: str, now_s: float) -> dict:
         """Metadata side of a read: atime bump + size/uuid (content part)."""
-        self._touch("read", "content")
+        if self.track_touches:
+            self._touch("read", "content")
         key = fkey(dir_uuid, name)
         if self.decoupled:
             ckey = _C + key
@@ -600,7 +592,8 @@ class FileMetadataServer:
 
     def op_remove(self, dir_uuid: int, name: str, cred: Credentials) -> dict:
         """unlink: touches access + content + dirent (Table 1 'remove')."""
-        self._touch("remove", "access", "content", "dirent")
+        if self.track_touches:
+            self._touch("remove", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
         a, c = self._load(key)
         self._check_owner(a, cred, name)
@@ -625,7 +618,8 @@ class FileMetadataServer:
     # -- directory support ------------------------------------------------------------
     def op_readdir(self, dir_uuid: int) -> bytes:
         """The dirents of this directory's files that live on this FMS."""
-        self._touch("readdir", "dirent")
+        if self.track_touches:
+            self._touch("readdir", "dirent")
         return self.store.get(_E + dir_uuid.to_bytes(8, "big")) or b""
 
     def op_has_files(self, dir_uuid: int) -> bool:
@@ -639,7 +633,8 @@ class FileMetadataServer:
 
         The file's uuid is preserved, so its data blocks never move.
         """
-        self._touch("rename", "access", "content", "dirent")
+        if self.track_touches:
+            self._touch("rename", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
         a, c = self._load(key)
         self._check_owner(a, cred, name)
@@ -657,7 +652,8 @@ class FileMetadataServer:
 
     def op_import(self, dir_uuid: int, name: str, access: bytes, content: bytes) -> None:
         """Second half of a cross-FMS f-rename."""
-        self._touch("rename", "access", "content", "dirent")
+        if self.track_touches:
+            self._touch("rename", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
         if self.decoupled:
             if self.store.get(_A + key) is not None:
@@ -731,7 +727,7 @@ class FileMetadataServer:
                 j = i + 1
                 while j < n and entries[j][0] == "create":
                     j += 1
-                out = self.op_create_batch(tuple(en[1:] for en in entries[i:j]))
+                out = self.op_create_batch(tuple([en[1:] for en in entries[i:j]]))
                 for k, uuid in enumerate(out["uuids"]):
                     if uuid is None:
                         results[i + k] = {"err": "Exists", "arg": entries[i + k][2]}

@@ -179,9 +179,7 @@ def check(fs) -> FsckReport:
     else:
         for path, (mode, uid, gid, uuid) in mirror.items():
             buf = dms.store.get(_I + path.encode())
-            if (DIR_INODE.read(buf, "mode") != mode or DIR_INODE.read(buf, "uid") != uid
-                    or DIR_INODE.read(buf, "gid") != gid
-                    or DIR_INODE.read(buf, "uuid") != uuid):
+            if (*DIR_INODE.perm(buf), DIR_INODE.read(buf, "uuid")) != (mode, uid, gid, uuid):
                 report.add(f"I8: mirror disagrees with store for {path!r}")
 
     # I9: no leaked blocks

@@ -33,6 +33,9 @@ the virtual time at which the filling client *issued* the backing read;
 the cache rejects a fill whose issue time is at or before the key's last
 invalidation (``fills_rejected``) — a conservative rule that provably
 never re-installs a value read before a concurrent invalidated write.
+The per-key floors are bounded (4 × capacity) and trimmed least recently
+invalidated first; the largest floor a trim drops becomes a watermark
+every fill must postdate, so a trim coarsens a floor but never forgets it.
 
 The store is volatile (no WAL): a crash simply empties the cache, which
 is always safe — subsequent reads miss and fall through to the
@@ -54,10 +57,6 @@ _D = b"D:"  # directory-lookup entries
 _ACCESS_SIZE = FILE_ACCESS.total_size
 
 
-def file_cache_key(fms: str, dir_uuid: int, name: str) -> bytes:
-    return _F + fms.encode() + b":" + dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
-
-
 def dir_cache_key(path: str) -> bytes:
     return _D + path.encode("utf-8")
 
@@ -71,13 +70,20 @@ class LookupCacheServer:
         self.meter = self.store.meter
         self.counters = Counters()
         #: key -> virtual time of the most recent invalidation, used by the
-        #: anti-stale fill rejection rule; FIFO-bounded at 4x capacity
+        #: anti-stale fill rejection rule; bounded at 4x capacity, least
+        #: recently invalidated first (a re-invalidated key moves to the tail)
         self._invalidated_at: dict[bytes, float] = {}
+        #: the largest floor that bound has dropped: a fill issued at or
+        #: before it may be for a key whose own floor is gone, so it is
+        #: rejected (conservative, the shape of ``_dir_epoch``)
+        self._trimmed_floor: float | None = None
         #: coarse stale floor for *all* directory entries — a directory
         #: rename invalidates an unbounded set of descendant paths, so the
         #: per-key floors cannot cover it; any D: fill issued at or before
         #: this instant is rejected (rare op, conservative rule)
         self._dir_epoch = 0.0
+        #: ``F:<fms>:`` per FMS name, encoded once (a handful of names)
+        self._fms_prefix: dict[str, bytes] = {}
 
     def attach_meter(self, meter: Meter) -> None:
         self.store.meter = meter
@@ -98,9 +104,18 @@ class LookupCacheServer:
         return 0  # nothing to replay
 
     # -- internals ----------------------------------------------------------------
+    def _file_key(self, fms: str, dir_uuid: int, name: str) -> bytes:
+        """``F:<fms>:<dir uuid, 8 bytes big-endian><name, UTF-8>``."""
+        try:
+            prefix = self._fms_prefix[fms]
+        except KeyError:
+            prefix = self._fms_prefix[fms] = _F + fms.encode() + b":"
+        return prefix + dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
+
     def _evict_for(self, key: bytes) -> None:
         """FIFO eviction: cheapest policy that is still deterministic
-        (dict order is insertion order; re-fills re-insert at the tail)."""
+        (dict order is insertion order; a re-fill of a cached key
+        overwrites it in place and keeps its slot)."""
         store = self.store
         if key not in store._data and len(store._data) >= self.capacity:
             victim = next(iter(store._data))
@@ -109,6 +124,9 @@ class LookupCacheServer:
 
     def _admit(self, key: bytes, value: bytes, issued_at: float) -> bool:
         stale_floor = self._invalidated_at.get(key)
+        trimmed = self._trimmed_floor
+        if trimmed is not None and (stale_floor is None or trimmed > stale_floor):
+            stale_floor = trimmed
         if key.startswith(_D):
             epoch = self._dir_epoch
             if stale_floor is None or epoch > stale_floor:
@@ -135,7 +153,7 @@ class LookupCacheServer:
     # -- file-attribute entries -----------------------------------------------------
     def op_getattr(self, fms: str, dir_uuid: int, name: str) -> dict | None:
         """Cached stat: both decoupled parts, or ``None`` on a miss."""
-        value = self._lookup(file_cache_key(fms, dir_uuid, name))
+        value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
         out = FILE_ACCESS.unpack(value[:_ACCESS_SIZE])
@@ -144,28 +162,25 @@ class LookupCacheServer:
 
     def op_open(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> dict | None:
         """Cached open: same permission check the FMS performs."""
-        value = self._lookup(file_cache_key(fms, dir_uuid, name))
+        value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
         a, c = value[:_ACCESS_SIZE], value[_ACCESS_SIZE:]
-        mode = FILE_ACCESS.read(a, "mode")
-        if not may_access(mode, FILE_ACCESS.read(a, "uid"),
-                          FILE_ACCESS.read(a, "gid"), cred, want):
+        mode, uid, gid = FILE_ACCESS.perm(a)
+        if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
         return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
                 "size": FILE_CONTENT.read(c, "size")}
 
     def op_access(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> bool | None:
-        value = self._lookup(file_cache_key(fms, dir_uuid, name))
+        value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
-        a = value[:_ACCESS_SIZE]
-        return may_access(FILE_ACCESS.read(a, "mode"), FILE_ACCESS.read(a, "uid"),
-                          FILE_ACCESS.read(a, "gid"), cred, want)
+        return may_access(*FILE_ACCESS.perm(value[:_ACCESS_SIZE]), cred, want)
 
     def op_fill_file(self, fms: str, dir_uuid: int, name: str,
                      access: bytes, content: bytes, issued_at: float) -> bool:
-        return self._admit(file_cache_key(fms, dir_uuid, name),
+        return self._admit(self._file_key(fms, dir_uuid, name),
                            access + content, issued_at)
 
     # -- directory-lookup entries ---------------------------------------------------
@@ -206,17 +221,23 @@ class LookupCacheServer:
         inval = self._invalidated_at
         store = self.store
         for fms, dir_uuid, name in file_keys:
-            key = file_cache_key(fms, dir_uuid, name)
-            inval[key] = max(now, inval.get(key, 0.0))
+            key = self._file_key(fms, dir_uuid, name)
+            # pop, then store: the key moves to the tail, so the bound
+            # below trims the least recently invalidated floors first
+            inval[key] = max(now, inval.pop(key, 0.0))
             dropped += store.delete(key)
         for path in paths:
             key = dir_cache_key(path)
-            inval[key] = max(now, inval.get(key, 0.0))
+            inval[key] = max(now, inval.pop(key, 0.0))
             dropped += store.delete(key)
         n = len(inval) - 4 * self.capacity
         if n > 0:
+            trimmed = self._trimmed_floor
             for key in list(inval)[:n]:
-                del inval[key]
+                floor = inval.pop(key)
+                if trimmed is None or floor > trimmed:
+                    trimmed = floor
+            self._trimmed_floor = trimmed
         self.counters.inc("invalidations", len(file_keys) + len(paths))
         return dropped
 

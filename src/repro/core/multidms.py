@@ -68,12 +68,13 @@ class DirectoryShardServer(DirectoryMetadataServer):
         buf = self.store.get(_ikey(path))
         if buf is None:
             raise NoEntry(path)
+        mode, uid, gid = DIR_INODE.perm(buf)
         return {
             "path": path,
             "uuid": DIR_INODE.read(buf, "uuid"),
-            "mode": DIR_INODE.read(buf, "mode"),
-            "uid": DIR_INODE.read(buf, "uid"),
-            "gid": DIR_INODE.read(buf, "gid"),
+            "mode": mode,
+            "uid": uid,
+            "gid": gid,
             "ctime": DIR_INODE.read(buf, "ctime"),
         }
 
@@ -121,9 +122,7 @@ class DirectoryShardServer(DirectoryMetadataServer):
         buf = self.store.get(_ikey(path))
         if buf is None:
             raise NoEntry(path)
-        omode = DIR_INODE.read(buf, "mode")
-        ouid = DIR_INODE.read(buf, "uid")
-        ogid = DIR_INODE.read(buf, "gid")
+        omode, ouid, ogid = DIR_INODE.perm(buf)
         uuid = DIR_INODE.read(buf, "uuid")
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
@@ -177,10 +176,7 @@ class DirectoryShardServer(DirectoryMetadataServer):
                 self.store.append(_ekey(uuid), ebuf)
             elif self.store.get(_ekey(uuid)) is None:
                 self.store.put(_ekey(uuid), b"")
-            self._meta[path] = (
-                DIR_INODE.read(buf, "mode"), DIR_INODE.read(buf, "uid"),
-                DIR_INODE.read(buf, "gid"), uuid,
-            )
+            self._meta[path] = (*DIR_INODE.perm(buf), uuid)
 
     def op_shard_unlink_dirent(self, parent_uuid: int, name: str) -> None:
         buf = self.store.get(_ekey(parent_uuid)) or b""

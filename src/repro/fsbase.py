@@ -65,7 +65,8 @@ class FSClientBase:
         self._op_methods: dict = {}
         #: the object carrying the plain-attribute virtual clock ``now``:
         #: the event engine keeps it on its simulator, the direct engine on
-        #: itself — resolved once so per-op brackets skip the property
+        #: itself — resolved once so clock reads (``now_us``, ``now_s``, the
+        #: clients' hot paths) skip the engine's property
         self._clock = getattr(engine, "sim", engine)
 
     # -- engine plumbing ---------------------------------------------------------
@@ -74,11 +75,11 @@ class FSClientBase:
 
     @property
     def now_us(self) -> float:
-        return self._engine.now
+        return self._clock.now
 
     @property
     def now_s(self) -> float:
-        return self._engine.now / 1_000_000.0
+        return self._clock.now / 1_000_000.0
 
     @property
     def _obs_active(self) -> bool:
@@ -97,12 +98,13 @@ class FSClientBase:
         Hot-path niceties (cache hit/miss marks, span captures for batch
         links) are worth an engine round trip only for these sinks; a
         telemetry-only attachment keeps the hot path lean and still gets
-        its aggregates from the op/RPC completion hooks.
+        its aggregates from the op/RPC completion hooks.  This is the
+        engine's derived ``obs_detailed``, which the LocoFS clients' hot
+        paths read directly.
         """
-        engine = self._engine
         try:
-            return engine.tracer is not None or engine.metrics is not None
-        except AttributeError:
+            return self._engine.obs_detailed
+        except AttributeError:  # engines without observability hooks
             return False
 
     def op_generator(self, op: str, *args, **kwargs) -> Generator:

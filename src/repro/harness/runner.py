@@ -13,6 +13,7 @@ being assumed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.common.errors import FSError
@@ -295,12 +296,29 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
     for w in weights:
         acc += w
         cum.append(acc)
+    # each draw is ``rng.choices(ops, cum_weights=cum)[0]`` written as the
+    # expression ``random.choices`` evaluates — the same ``random()`` call
+    # and bisect, so the same stream — without its helper calls per op
+    draw = rng.random
+    total = cum[-1] + 0.0
+    hi = len(ops) - 1
     picker = ZipfPicker(max(pool, 1), zipf_s, seed=seed * 31 + cid) if zipf_s else None
     live = [f"f{n:06d}" for n in range(pool)]
     fresh = pool
     dfresh = 0
     workdir = wl.work_dir(cid)
     overhead = LocalCharge(cost.client_overhead_us)
+    per_op = box["per_op"]
+    eng = getattr(client, "_engine", None)
+    try:
+        bare = (eng.tracer is None and eng.metrics is None
+                and eng.telemetry is None)
+    except AttributeError:
+        bare = True
+    # nothing attached: op_generator would hand back the raw generator
+    # after re-checking the sinks per op (as in ``_measured_gen``)
+    op_raw = getattr(client, "op_raw", None)
+    run = op_raw if bare and op_raw is not None else client.op_generator
 
     def hot_index() -> int:
         if picker is not None:
@@ -309,7 +327,7 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
 
     for _ in range(wl.items_per_client):
         yield overhead
-        op = rng.choices(ops, cum_weights=cum)[0]
+        op = ops[bisect_right(cum, draw() * total, 0, hi)]
         if not live and op in ("stat", "access", "open", "chmod", "chown",
                                "unlink", "rename"):
             op = "create"
@@ -317,45 +335,45 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
             if op == "create":
                 name = f"f{fresh:06d}"
                 fresh += 1
-                yield from client.op_generator("create", f"{workdir}/{name}")
+                yield from run("create", f"{workdir}/{name}")
                 live.append(name)
             elif op == "mkdir":
-                yield from client.op_generator("mkdir", wl.dir_path(cid, dfresh))
+                yield from run("mkdir", f"{workdir}/m{dfresh:06d}")
                 dfresh += 1
             elif op == "unlink":
                 name = live.pop(rng.randrange(len(live)))
-                yield from client.op_generator("unlink", f"{workdir}/{name}")
+                yield from run("unlink", f"{workdir}/{name}")
             elif op == "rename":
                 i = rng.randrange(len(live))
                 src = live[i]
                 dst = f"f{fresh:06d}"
                 fresh += 1
-                yield from client.op_generator(
+                yield from run(
                     "rename", f"{workdir}/{src}", f"{workdir}/{dst}")
                 live[i] = dst
             elif op == "chmod":
                 name = live[hot_index()]
-                yield from client.op_generator(
+                yield from run(
                     "chmod", f"{workdir}/{name}", rng.choice((0o600, 0o640, 0o644)))
             elif op == "chown":
                 name = live[hot_index()]
-                yield from client.op_generator(
+                yield from run(
                     "chown", f"{workdir}/{name}", 1000 + fresh % 7, 1000)
             elif op == "stat":
                 name = live[hot_index()]
-                yield from client.op_generator("stat_file", f"{workdir}/{name}")
+                yield from run("stat_file", f"{workdir}/{name}")
             elif op == "access":
                 name = live[hot_index()]
-                yield from client.op_generator("access", f"{workdir}/{name}", 4)
+                yield from run("access", f"{workdir}/{name}", 4)
             elif op == "open":
                 name = live[hot_index()]
-                yield from client.op_generator("open", f"{workdir}/{name}", 4)
+                yield from run("open", f"{workdir}/{name}", 4)
             else:
                 raise ValueError(f"unknown mix op {op!r}")
         except FSError:
             box["errors"] += 1
         box["ops"] += 1
-        box["per_op"][op] = box["per_op"].get(op, 0) + 1
+        per_op[op] = per_op.get(op, 0) + 1
     yield from _drain_writebehind(client)
 
 

@@ -9,7 +9,6 @@ full-scan), which is exactly the contrast Fig. 14 of the paper measures.
 from __future__ import annotations
 
 import abc
-import contextlib
 from collections.abc import Iterator
 
 from .meter import Meter, NullMeter
@@ -30,6 +29,50 @@ def prefix_upper_bound(prefix: bytes) -> bytes | None:
             return bytes(p)
         p.pop()
     return None
+
+
+class GroupCommit:
+    """Group-commit scope: WAL appends inside it share one write+fsync.
+
+    ``KVStore.group()`` returns one; so do the metadata servers'
+    ``group_commit()``, which pass their handler counters so that every
+    scope is counted (``wal.group_commit``) and, with a WAL, so are the
+    durable commit boundaries it produced (``wal.fsync`` — one fsync each
+    when the log runs in sync mode).  Closing a scope that produced a
+    commit charges the zero-cost ``wal_commit`` marker: the durability
+    boundary shows in traces and op counts without touching virtual time.
+
+    Re-entrant — the engines wrap a whole batched RPC in one scope while a
+    handler may open its own inner group; only the outermost end writes.
+    A raising body still ends the group.  Without a WAL it only counts.
+    A slotted object, not a ``contextlib`` generator: a batched request
+    pays ``__enter__`` and ``__exit__``, not the generator machinery.
+    """
+
+    __slots__ = ("_store", "_counters", "_wal", "_commits")
+
+    def __init__(self, store: KVStore, counters=None):
+        self._store = store
+        self._counters = counters
+
+    def __enter__(self) -> None:
+        if self._counters is not None:
+            self._counters.inc("wal.group_commit")
+        wal = self._wal = getattr(self._store, "_wal", None)
+        if wal is not None:
+            self._commits = wal.commits
+            wal.begin_group()
+
+    def __exit__(self, *exc) -> None:
+        wal = self._wal
+        if wal is None:
+            return
+        before = wal.commits
+        wal.end_group()
+        if wal.commits != before:
+            self._store._meter.charge_us(0.0, "wal_commit")
+        if self._counters is not None:
+            self._counters.inc("wal.fsync", wal.commits - self._commits)
 
 
 class KVStore(abc.ABC):
@@ -99,28 +142,10 @@ class KVStore(abc.ABC):
         for k, v in pairs:
             self.put(k, v)
 
-    @contextlib.contextmanager
-    def group(self):
-        """Group-commit scope: WAL appends inside it share one write+fsync.
-
-        No-op for stores without a WAL.  Re-entrant — the engines wrap a
-        whole batched RPC in one scope while ``multi_put`` may open its
-        own inner group.
-        """
-        wal = getattr(self, "_wal", None)
-        if wal is None:
-            yield
-            return
-        wal.begin_group()
-        try:
-            yield
-        finally:
-            before = wal.commits
-            wal.end_group()
-            if wal.commits != before:
-                # zero-cost commit marker: shows the durability boundary in
-                # traces and op counts without touching virtual time
-                self._meter.charge_us(0.0, "wal_commit")
+    def group(self) -> GroupCommit:
+        """Group-commit scope over this store (see :class:`GroupCommit`);
+        a no-op for stores without a WAL."""
+        return GroupCommit(self)
 
     # -- in-place helpers ----------------------------------------------------
     def append(self, key: bytes, value: bytes) -> None:

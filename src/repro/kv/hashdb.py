@@ -93,6 +93,32 @@ class HashStore(KVStore):
             self._wal.append_put(key, new)
         data[key] = new
 
+    def write_at(self, key: bytes, offset: int, data: bytes) -> bool:
+        """In-place field write with the read-modify-write in one frame.
+
+        Same result, stored bytes and metering as the default ``get(key)``
+        + ``put(key, new)``: a hit charges ``get`` then ``put`` through
+        :meth:`Meter.charge_many` (as :meth:`append` does), a miss or an
+        out-of-range write only the ``get`` the default charges.
+        """
+        store = self._data
+        cur = store.get(key)
+        klen = len(key)
+        if cur is None:
+            self._charge("get", klen)
+            return False
+        n = len(cur)
+        end = offset + len(data)
+        if end > n:
+            self._charge("get", klen + n)
+            return False
+        new = cur[:offset] + data + cur[end:]
+        self._meter.charge_many((("get", klen + n), ("put", klen + len(new))))
+        if self._wal is not None:
+            self._wal.append_put(key, new)
+        store[key] = new
+        return True
+
     # -- batched point ops ---------------------------------------------------------
     def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
         data = self._data

@@ -39,12 +39,25 @@ class _Field:
     codec: struct.Struct
 
 
+class _Fields(dict):
+    """Field name -> :class:`_Field`.  An unknown name raises the layout's
+    descriptive ``KeyError`` from ``__missing__``, so a lookup is one
+    subscript with no wrapper frame."""
+
+    def __init__(self, layout: str):
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, name: str):
+        raise KeyError(f"layout {self.layout!r} has no field {name!r}")
+
+
 class FixedLayout:
     """A named tuple-of-fields with stable offsets inside a byte value."""
 
     def __init__(self, name: str, fields: list[tuple[str, str]], total_size: int | None = None):
         self.name = name
-        self._fields: dict[str, _Field] = {}
+        self._fields = _Fields(name)
         off = 0
         for fname, fmt in fields:
             codec = struct.Struct("<" + fmt)
@@ -64,6 +77,14 @@ class FixedLayout:
             # nothing to append: the positional pack *is* the Struct's, so
             # the create paths call straight into C with no Python frame
             self.pack_values = self._whole.pack
+        # the permission triple every ACL check reads, as one unpack where
+        # mode / uid / gid sit side by side (every inode layout here)
+        mode, uid, gid = (self._fields.get(n) for n in ("mode", "uid", "gid"))
+        self._perm = None
+        if (mode and uid and gid and uid.offset == mode.offset + mode.size
+                and gid.offset == uid.offset + uid.size):
+            self._perm = struct.Struct("<" + mode.fmt + uid.fmt + gid.fmt)
+            self._perm_at = mode.offset
 
     # -- whole-buffer ------------------------------------------------------------
     def pack(self, **values) -> bytes:
@@ -71,7 +92,7 @@ class FixedLayout:
             try:
                 packed = self._whole.pack(*[values[n] for n in self._names])
             except KeyError:
-                self._field(next(n for n in values if n not in self._fields))
+                self._fields[next(n for n in values if n not in self._fields)]
                 raise  # unreachable: the probe above raises
             return packed + self._tail_pad
         buf = bytearray(self.total_size)
@@ -79,7 +100,7 @@ class FixedLayout:
         for fname, value in values.items():
             f = fields.get(fname)
             if f is None:
-                f = self._field(fname)  # raise the descriptive KeyError
+                f = fields[fname]  # raise the descriptive KeyError
             f.codec.pack_into(buf, f.offset, value)
         return bytes(buf)
 
@@ -92,49 +113,56 @@ class FixedLayout:
         return self._whole.pack(*values) + self._tail_pad
 
     def unpack(self, buf: bytes) -> dict:
-        self._check(buf)
+        if len(buf) != self.total_size:
+            self._check(buf)
         return dict(zip(self._names, self._whole.unpack_from(buf)))
 
     # -- per-field (the no-deserialization access path) -----------------------------
     def read(self, buf: bytes, field: str):
-        self._check(buf)
-        f = self._field(field)
+        if len(buf) != self.total_size:
+            self._check(buf)
+        f = self._fields[field]
         (value,) = f.codec.unpack_from(buf, f.offset)
         return value
+
+    def perm(self, buf: bytes) -> tuple[int, int, int]:
+        """``(mode, uid, gid)`` of ``buf``: the values, and the errors, of
+        ``read(buf, "mode")``, ``read(buf, "uid")`` and ``read(buf,
+        "gid")``, in one length check and one ``unpack_from`` of the three
+        adjacent fields."""
+        if len(buf) != self.total_size:
+            self._check(buf)
+        if self._perm is None:
+            return self.read(buf, "mode"), self.read(buf, "uid"), self.read(buf, "gid")
+        return self._perm.unpack_from(buf, self._perm_at)
 
     def write(self, buf: bytes, field: str, value) -> bytes:
         """Return a copy of ``buf`` with ``field`` overwritten in place."""
         self._check(buf)
-        f = self._field(field)
+        f = self._fields[field]
         out = bytearray(buf)
         f.codec.pack_into(out, f.offset, value)
         return bytes(out)
 
     def encode_field(self, field: str, value) -> bytes:
         """The raw bytes of one field (for ``KVStore.write_at``)."""
-        return self._field(field).codec.pack(value)
+        return self._fields[field].codec.pack(value)
 
     def decode_field(self, field: str, raw: bytes):
-        (value,) = self._field(field).codec.unpack(raw)
+        (value,) = self._fields[field].codec.unpack(raw)
         return value
 
     def offset(self, field: str) -> int:
-        return self._field(field).offset
+        return self._fields[field].offset
 
     def size(self, field: str) -> int:
-        return self._field(field).size
+        return self._fields[field].size
 
     @property
     def field_names(self) -> list[str]:
         return list(self._fields)
 
     # -- internal ----------------------------------------------------------------
-    def _field(self, name: str) -> _Field:
-        try:
-            return self._fields[name]
-        except KeyError:
-            raise KeyError(f"layout {self.name!r} has no field {name!r}") from None
-
     def _check(self, buf: bytes) -> None:
         if len(buf) != self.total_size:
             raise ValueError(

@@ -245,6 +245,11 @@ class _EngineCore:
     #: unless a deployment registers one, so every existing system's
     #: virtual-time arithmetic is untouched (one extra ``is None`` test).
     switch_nodes: dict | None = None
+    #: a tracer or metrics registry is attached: the sinks that want
+    #: per-event detail (cache hit/miss marks, span captures for batch
+    #: links).  Derived by :meth:`attach_observability`, so the clients'
+    #: hot paths test one plain attribute
+    obs_detailed = False
 
     def __init__(self, cluster: Cluster, cost: CostModel):
         self.cluster = cluster
@@ -270,6 +275,7 @@ class _EngineCore:
             self.cluster.attach_metrics(metrics)
         if telemetry is not None:
             self.telemetry = telemetry
+        self.obs_detailed = self.tracer is not None or self.metrics is not None
 
     def attach_faults(self, schedule, retry: RetryPolicy | None = None) -> None:
         """Opt this engine into fault injection.

@@ -13,8 +13,10 @@ from repro.common.errors import Exists, FSError, NoEntry
 from repro.core.asyncclient import AsyncLocoClient
 from repro.core.client import BatchingLocoClient
 from repro.core.fs import LocoFS
+from repro.core.lookupcache import LookupCacheServer
 from repro.harness import make_system, run_mixed_throughput
 from repro.harness.workloads import ZipfPicker
+from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT
 
 
 def async_fs(engine_kind="direct", num_servers=4, cache=True, **batch_kw):
@@ -317,6 +319,26 @@ class TestLookupCacheTier:
         assert r.cache_hit_rate is not None and r.cache_hit_rate > 0.5
         assert r.cache_stats["hits"] > 0
 
+    def test_trimmed_floor_still_rejects_a_stale_fill(self):
+        """The bound on the stale floors must not forget a recent one: a
+        re-invalidated key moves to the tail of the table, and the largest
+        floor a trim drops becomes a watermark no admitted fill predates."""
+        cache = LookupCacheServer(capacity=2)  # at most 8 floors
+        key = ("fms0", 7, "k")
+        a = FILE_ACCESS.pack(ctime=0.0, mode=0o100644, uid=0, gid=0)
+        c = FILE_CONTENT.pack(mtime=0.0, atime=0.0, size=0, bsize=4096, suuid=9, sid=1)
+        cache.op_invalidate((key,), (), 10.0)
+        cache.op_invalidate(tuple(("fms0", 7, f"o{i}") for i in range(7)), (), 11.0)
+        cache.op_invalidate((key,), (), 50.0)  # the write a slow read races
+        cache.op_invalidate((("fms0", 7, "new"),), (), 51.0)  # 9 floors: trim one
+        # a read issued at t=40, before the t=50 write, must not be cached
+        assert cache.op_fill_file(*key, a, c, 40.0) is False
+        # o0's own floor (t=11) was the one trimmed: the watermark stands in
+        assert cache.op_fill_file("fms0", 7, "o0", a, c, 11.0) is False
+        assert cache.counters.get("fills_rejected") == 2
+        assert cache.op_fill_file(*key, a, c, 60.0) is True
+        assert cache.op_fill_file("fms0", 7, "o0", a, c, 12.0) is True
+
 
 class TestDeferredAnalyze:
     def test_every_deferred_kind_links_to_its_flush(self):
@@ -388,3 +410,34 @@ class TestZipfPicker:
         rec = run_latency("locofs-a", 2, n_items=10, zipf_s=1.1,
                           ops=("mkdir", "touch", "file-stat"))
         assert rec.count("file-stat") == 10
+
+
+#: the benchmark's ``async_mixed`` blend
+_BLEND = {"create": 0.20, "chmod": 0.15, "chown": 0.05, "unlink": 0.10,
+          "rename": 0.05, "mkdir": 0.05, "stat": 0.25, "access": 0.10, "open": 0.05}
+
+
+class TestAsyncWorkCount:
+    """The LocoFS-A path as an exact work count: Python calls per op of a
+    small mixed run under cProfile repeat bit-for-bit, so a call added to
+    the dependency queue, the batched flush or the lookup-cache tier is a
+    test failure, not only a CI number."""
+
+    def test_mixed_run_calls_per_op(self):
+        """CPython 3.11.7: 160.28 calls per op in a fresh process and 160.29
+        after other test modules (process-wide memos they filled cost a few
+        calls), set-up wave and deployment included; the same run took
+        197.22 before the group-commit scope, clock, sink-flag, write_at,
+        ``FixedLayout.perm`` and harness-draw trims."""
+        import cProfile
+
+        kwargs = dict(mix=_BLEND, num_clients=16, items_per_client=60, pool=20,
+                      zipf_s=1.0, seed=5)
+        # imports and the process-wide memos (ring points, path splits) are
+        # paid by this run, not by the counted one
+        run_mixed_throughput("locofs-a", 4, **kwargs)
+        prof = cProfile.Profile()
+        r = prof.runcall(run_mixed_throughput, "locofs-a", 4, **kwargs)
+        calls = sum(e.callcount for e in prof.getstats()) / r.total_ops
+        assert (r.total_ops, r.errors) == (960, 0)
+        assert calls <= 160.5, calls

@@ -2,19 +2,33 @@
 command on both engines, amortized multi-op metering, and WAL group
 commit."""
 
+import contextlib
+import hashlib
 import os
+import random
 
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig
 from repro.common.errors import Exists
 from repro.core.client import BatchingLocoClient
+from repro.core.dms import DirectoryMetadataServer
+from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
-from repro.harness import make_system, run_throughput
+from repro.harness import (
+    MIX_READ_MOSTLY,
+    MIX_UPDATE_HEAVY,
+    make_system,
+    run_mixed_throughput,
+    run_throughput,
+)
+from repro.harness.runner import _mixed_gen
+from repro.harness.workloads import Workload, ZipfPicker
 from repro.kv.btree import BTreeStore
 from repro.kv.hashdb import HashStore
 from repro.kv.meter import Meter
 from repro.kv.wal import OP_PUT, WriteAheadLog
+from repro.obs import MetricsRegistry
 from repro.sim.costmodel import CostModel, KVCostPolicy
 
 
@@ -401,3 +415,198 @@ class TestOneWriteBehindQueue:
             assert sum(causes.values()) > 0
         assert run_mixed_throughput("locofs-c", 2, num_clients=2, items_per_client=20,
                                     pool=4).flush_causes == {}
+
+
+# -- the group-commit scope and the mixed-op draw, exact --------------------------
+
+
+@contextlib.contextmanager
+def _generator_pair(server):
+    """The group-commit scope as two nested generators, the server's around
+    ``KVStore.group``'s: the reference the slotted ``GroupCommit`` replaced."""
+    server.counters.inc("wal.group_commit")
+    wal = getattr(server.store, "_wal", None)
+    before = wal.commits if wal is not None else 0
+    try:
+        if wal is None:
+            yield
+            return
+        wal.begin_group()
+        try:
+            yield
+        finally:
+            mid = wal.commits
+            wal.end_group()
+            if wal.commits != mid:
+                server.store._meter.charge_us(0.0, "wal_commit")
+    finally:
+        if wal is not None:
+            server.counters.inc("wal.fsync", wal.commits - before)
+
+
+def _walled_flushes(data_dir):
+    """Batched LocoFS-A flushes to 2 FMS and the DMS, every server on a WAL:
+    (group-commit counters, WAL digests)."""
+    fs = LocoFS(ClusterConfig(num_metadata_servers=2,
+                              batch=BatchConfig(enabled=True, all_ops=True,
+                                                max_ops=8)),
+                data_dir=str(data_dir))
+    registry = MetricsRegistry()
+    fs.engine.attach_observability(metrics=registry)
+    c = fs.client()
+    c.mkdir("/d")
+    c.mkdir("/d/e")
+    for n in range(12):
+        c.create(f"/d/f{n}")
+    c.chmod("/d/f0", 0o600)
+    c.unlink("/d/f1")
+    c.chown("/d/e", 5, 5)
+    c.flush()
+    fs.close()
+    counters = {k: v for k, v in registry.snapshot()["counters"].items()
+                if k.endswith(("wal.group_commit", "wal.fsync", "kv.wal_commit"))}
+    digests = {name: hashlib.sha256((data_dir / f"{name}.wal").read_bytes()).hexdigest()[:16]
+               for name in ("dms", "fms0", "fms1")}
+    return counters, digests
+
+
+class TestGroupCommitScope:
+    """``KVStore.group`` and the servers' ``group_commit`` are one slotted
+    scope object; it leaves what the two nested generators left."""
+
+    #: measured with the generator pair
+    COUNTERS = {
+        "dms.kv.wal_commit": 2, "dms.wal.fsync": 2, "dms.wal.group_commit": 2,
+        "fms0.kv.wal_commit": 1, "fms0.wal.fsync": 1, "fms0.wal.group_commit": 1,
+        "fms1.kv.wal_commit": 2, "fms1.wal.fsync": 2, "fms1.wal.group_commit": 2,
+    }
+    DIGESTS = {"dms": "6d3e33f72d2f7878", "fms0": "2cd142b4f3507022",
+               "fms1": "52be0573b0c38a9b"}
+
+    def test_batched_flushes_match_the_generator_pair(self, tmp_path, monkeypatch):
+        got = _walled_flushes(tmp_path / "scope")
+        assert got == (self.COUNTERS, self.DIGESTS)
+        monkeypatch.setattr(FileMetadataServer, "group_commit", _generator_pair)
+        monkeypatch.setattr(DirectoryMetadataServer, "group_commit", _generator_pair)
+        assert _walled_flushes(tmp_path / "pair") == got
+
+    def test_raising_body_still_ends_the_group(self, tmp_path):
+        fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
+        wal = fms.store._wal
+        with pytest.raises(RuntimeError):
+            with fms.group_commit():
+                fms.store.put(b"k", b"v")
+                raise RuntimeError("handler bug")
+        assert (wal._group, wal._group_depth, wal.commits) == (None, 0, 1)
+        assert fms.counters.get("wal.group_commit") == fms.counters.get("wal.fsync") == 1
+        assert fms.meter.count("wal_commit") == 1
+
+    def test_nested_multi_put_group_commits_once(self, tmp_path):
+        dms = DirectoryMetadataServer(wal_path=str(tmp_path / "d.wal"))
+        wal = dms.store._wal
+        before = wal.commits
+        with dms.group_commit():
+            with dms.store.group():
+                dms.store.multi_put([(b"a", b"1"), (b"b", b"2")])
+            dms.store.put(b"c", b"3")
+        assert wal.commits == before + 1
+        assert dms.counters.get("wal.fsync") == 1
+        assert dms.meter.count("wal_commit") == 1
+
+
+#: the benchmark's ``async_mixed`` blend
+_BLEND = {"create": 0.20, "chmod": 0.15, "chown": 0.05, "unlink": 0.10,
+          "rename": 0.05, "mkdir": 0.05, "stat": 0.25, "access": 0.10, "open": 0.05}
+#: unlink-heavy: the pool runs dry, so the "nothing live: create" rule fires
+_DRAIN = {"unlink": 0.6, "create": 0.1, "chmod": 0.1, "stat": 0.2}
+
+
+class _Recorder:
+    """A client that records the calls the harness issues and runs none."""
+
+    def __init__(self):
+        self.calls = []
+
+    def op_generator(self, op, *args):
+        self.calls.append((op, *args))
+        return iter(())
+
+
+def _choices_stream(mix, seed, cid, wl, pool, zipf_s):
+    """The calls ``_mixed_gen`` issues with each op drawn by
+    ``random.choices``: the reference for its inlined draw."""
+    rng = random.Random((cid * 2654435761 + seed) & 0xFFFFFFFF)
+    ops = sorted(mix)
+    cum, acc = [], 0.0
+    for o in ops:
+        acc += mix[o]
+        cum.append(acc)
+    picker = ZipfPicker(max(pool, 1), zipf_s, seed=seed * 31 + cid) if zipf_s else None
+    wd = wl.work_dir(cid)
+    live = [f"f{n:06d}" for n in range(pool)]
+    fresh, dfresh, calls = pool, 0, []
+
+    def hot():
+        return picker.pick() % len(live) if picker else rng.randrange(len(live))
+
+    for _ in range(wl.items_per_client):
+        op = rng.choices(ops, cum_weights=cum)[0]
+        if not live and op in ("stat", "access", "open", "chmod", "chown",
+                               "unlink", "rename"):
+            op = "create"
+        if op == "create":
+            calls.append(("create", f"{wd}/f{fresh:06d}"))
+            live.append(f"f{fresh:06d}")
+            fresh += 1
+        elif op == "mkdir":
+            calls.append(("mkdir", wl.dir_path(cid, dfresh)))
+            dfresh += 1
+        elif op == "unlink":
+            calls.append(("unlink", f"{wd}/{live.pop(rng.randrange(len(live)))}"))
+        elif op == "rename":
+            i = rng.randrange(len(live))
+            calls.append(("rename", f"{wd}/{live[i]}", f"{wd}/f{fresh:06d}"))
+            live[i] = f"f{fresh:06d}"
+            fresh += 1
+        elif op == "chmod":
+            name = live[hot()]
+            calls.append(("chmod", f"{wd}/{name}", rng.choice((0o600, 0o640, 0o644))))
+        elif op == "chown":
+            calls.append(("chown", f"{wd}/{live[hot()]}", 1000 + fresh % 7, 1000))
+        elif op == "stat":
+            calls.append(("stat_file", f"{wd}/{live[hot()]}"))
+        else:
+            calls.append((op, f"{wd}/{live[hot()]}", 4))
+    return calls
+
+
+class TestMixedDraw:
+    """``_mixed_gen`` draws each op with the expression ``random.choices``
+    evaluates: the op stream, and every RNG draw after it, is unchanged."""
+
+    @pytest.mark.parametrize("zipf_s", [None, 1.0], ids=["uniform", "zipf"])
+    @pytest.mark.parametrize("mix", [MIX_UPDATE_HEAVY, MIX_READ_MOSTLY, _BLEND, _DRAIN],
+                             ids=["update-heavy", "read-mostly", "blend", "drain"])
+    def test_op_stream_is_random_choices(self, mix, zipf_s):
+        wl = Workload(items_per_client=60)
+        for seed in range(24):
+            cid = seed % 5
+            client = _Recorder()
+            box = {"ops": 0, "errors": 0, "per_op": {}}
+            for _ in _mixed_gen(client, wl, cid, mix, CostModel(), box, seed,
+                                zipf_s, 6):
+                pass
+            assert client.calls == _choices_stream(mix, seed, cid, wl, 6, zipf_s)
+            assert box["ops"] == 60
+
+    @pytest.mark.parametrize("seed, want", [
+        (1, ({"access": 23, "chmod": 24, "chown": 6, "create": 39, "mkdir": 6,
+              "open": 11, "rename": 6, "stat": 59, "unlink": 26}, 0, 7403.137538461541)),
+        (2, ({"access": 19, "chmod": 28, "chown": 7, "create": 37, "mkdir": 12,
+              "open": 16, "rename": 12, "stat": 44, "unlink": 25}, 0, 9502.178871794873)),
+    ])
+    def test_pinned_op_counts(self, seed, want):
+        """Values measured with ``random.choices`` drawing the ops."""
+        r = run_mixed_throughput("locofs-a", 2, mix=_BLEND, num_clients=4,
+                                 items_per_client=50, pool=10, zipf_s=1.0, seed=seed)
+        assert (r.op_counts, r.errors, r.elapsed_us) == want

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.kv import BTreeStore, HashStore, LSMStore, make_store
+from repro.kv import BTreeStore, HashStore, KVStore, LSMStore, make_store
 from repro.kv.meter import Meter
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.tracer import KVTraceSink
+from repro.sim.costmodel import CostModel, KVCostPolicy
 
 
 @pytest.fixture(params=["lsm", "btree", "hash"])
@@ -329,3 +332,61 @@ def test_make_store_factory(tmp_path):
     s.close()
     with pytest.raises(ValueError):
         make_store("bogus")
+
+
+class _DefaultWriteAt(HashStore):
+    """The reference: a hash store running the ``KVStore.write_at`` default
+    (``get`` + ``put``) instead of its one-frame override."""
+
+    write_at = KVStore.write_at
+
+
+#: (key, offset, data) in order: hits at the start, in the middle and flush
+#: with the end, an empty write at the very end, a miss, a write one byte
+#: past the end, one longer than the whole value, then a hit again
+_WRITE_ATS = [
+    (b"rec", 0, b"AB"), (b"rec", 4, b"xyz"), (b"rec", 8, b"!!"),
+    (b"rec", 10, b""), (b"gone", 0, b"x"), (b"rec", 9, b"ab"),
+    (b"short", 1, b"toolong"), (b"short", 0, b"Z"),
+]
+
+
+def _after_write_ats(cls, hook, tmp_path):
+    """Everything a ``_WRITE_ATS`` run leaves on a fresh metered ``cls`` store."""
+    wal = tmp_path / f"{cls.__name__}.wal"
+    store = cls(meter=Meter(KVCostPolicy(CostModel())),
+                wal_path=str(wal) if hook == "wal" else None)
+    store.put(b"rec", b"0123456789")
+    store.put(b"short", b"abc")
+    tracer, registry = Tracer(), MetricsRegistry()
+    if hook == "trace":
+        store.meter.trace = KVTraceSink(tracer, "fms0", None, 0.0)
+    elif hook == "registry":
+        store.meter.bind_registry(registry, "fms0.kv.")
+    results = [store.write_at(key, off, data) for key, off, data in _WRITE_ATS]
+    store.close()
+    meter = store.meter
+    return {
+        "results": results,
+        "store": list(store._data.items()),
+        "wal": wal.read_bytes() if hook == "wal" else None,
+        "op_counts": meter.op_counts,
+        "byte_counts": meter.byte_counts,
+        "total_us": meter.total_us.hex(),
+        "spans": [(s.name, s.start_us, s.end_us, s.args) for s in tracer.spans],
+        "counters": registry.snapshot()["counters"],
+    }
+
+
+class TestLeanWriteAt:
+    """``HashStore.write_at`` does the read-modify-write in one frame; it
+    must leave exactly what the ``KVStore.write_at`` default leaves."""
+
+    @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
+    def test_same_as_the_default(self, hook, tmp_path):
+        assert HashStore.write_at is not KVStore.write_at
+        got = _after_write_ats(HashStore, hook, tmp_path)
+        assert got == _after_write_ats(_DefaultWriteAt, hook, tmp_path)
+        assert got["results"] == [True, True, True, True, False, False, False, True]
+        assert got["store"] == [(b"rec", b"AB23xyz7!!"), (b"short", b"Zbc")]
+        assert got["op_counts"] == {"put": 7, "get": 8}

@@ -2,6 +2,7 @@
 
 import cProfile
 import pstats
+import random
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,30 @@ class TestFixedLayout:
         assert FILE_ACCESS.read(buf, "uid") == uid
         assert FILE_ACCESS.read(buf, "gid") == gid
         assert FILE_ACCESS.read(buf, "ctime") == ctime
+
+    @pytest.mark.parametrize("layout", [DIR_INODE, FILE_ACCESS, FILE_CONTENT, FILE_COUPLED],
+                             ids=lambda layout: layout.name)
+    def test_perm_is_three_reads(self, layout):
+        """``perm`` gives what ``read`` gives field by field: the values, and
+        the same errors for a wrong-size buffer or a layout without the
+        fields (``FILE_CONTENT``)."""
+        rng = random.Random(layout.name)
+        for _ in range(64):
+            buf = rng.randbytes(layout.total_size)
+            try:
+                want = tuple(layout.read(buf, f) for f in ("mode", "uid", "gid"))
+            except KeyError as exc:
+                with pytest.raises(KeyError) as got:
+                    layout.perm(buf)
+                assert got.value.args == exc.args
+                continue
+            assert layout.perm(buf) == want
+        for size in (0, layout.total_size - 1, layout.total_size + 1):
+            with pytest.raises(ValueError) as want_err:
+                layout.read(bytes(size), "mode")
+            with pytest.raises(ValueError) as got_err:
+                layout.perm(bytes(size))
+            assert got_err.value.args == want_err.value.args
 
 
 def _entries(*triples):
