@@ -129,15 +129,20 @@ class DirectoryMetadataServer:
             self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
 
     def _allocate_uuid(self) -> int:
-        """Allocate a uuid, durably reserving id ranges in batches."""
-        from repro.common.uuidgen import uuid_fid
+        """Allocate a uuid, durably reserving id ranges in batches.
 
-        uuid = self.alloc.allocate()
-        fid = uuid_fid(uuid)
+        ``UuidAllocator.allocate`` inline, as ``FileMetadataServer.op_create``
+        does it (the sid was range-checked at construction): the same uuid
+        for one frame instead of four."""
+        alloc = self.alloc
+        fid = alloc._next_fid
+        if fid > FID_MASK:
+            raise ValueError(f"fid out of range: {fid}")
+        alloc._next_fid = fid + 1
         ceiling = self.store.get(self._FID_KEY)
         if ceiling is None or fid > int.from_bytes(ceiling, "big"):
             self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
-        return uuid
+        return alloc.sid << FID_BITS | fid
 
     def group_commit(self) -> GroupCommit:
         """Group-commit scope for batched RPCs (one WAL fsync per batch) —
@@ -176,8 +181,9 @@ class DirectoryMetadataServer:
         self.counters.bind(registry, prefix)
 
     def _touch(self, op: str, *parts: str) -> None:
-        if self.track_touches:
-            self.touches.setdefault(op, set()).update(parts)
+        """Record the inode parts ``op`` touched; callers test
+        ``track_touches`` first, so an untracked op pays no frame."""
+        self.touches.setdefault(op, set()).update(parts)
 
     # -- internals -----------------------------------------------------------------
     def _acl_walk(self, path: str, cred: Credentials) -> None:
@@ -186,23 +192,37 @@ class DirectoryMetadataServer:
         One *local* KV get per level: all ancestors live on this server, so
         the walk costs no network round trips (§3.1) — but it is real work,
         which is why deep trees reduce DMS capacity (Fig. 13).
+
+        ``path`` is normalized.  The ancestors of ``/a/b/c`` are the
+        prefixes ending before each ``/`` (``/``, ``/a``, ``/a/b``), found
+        in place with ``str.find`` — the same levels, store gets and
+        verdicts, in the same order, as walking ``pathutil.ancestors``.
+        The first level that is missing or denies search raises, naming
+        that ancestor; nothing below it is read.
         """
-        ancestors = pathutil.ancestors(path)
-        self.counters.inc("acl.walk_levels", len(ancestors))
-        for anc in ancestors:
-            buf = self.store.get(_ikey(anc))
+        levels = path.count("/") if path != "/" else 0
+        self.counters.inc("acl.walk_levels", levels)
+        if not levels:
+            return
+        get = self.store.get
+        perm = DIR_INODE.perm
+        # ``may_access`` grants root everything, so a root walk only needs
+        # each level to exist; anyone else has its permission triple checked
+        check = cred.uid != 0
+        anc = "/"
+        i = 0
+        while True:
+            buf = get(_I + anc.encode())
             if buf is None:
                 raise NoEntry(anc)
-            mode, uid, gid = DIR_INODE.perm(buf)
-            if not may_access(mode, uid, gid, cred, X_OK):
-                raise PermissionDenied(anc)
-
-    def _require_dir(self, path: str) -> tuple[bytes, tuple[int, int, int, int]]:
-        buf = self.store.get(_ikey(path))
-        if buf is None:
-            raise NoEntry(path)
-        meta = self._meta[path]
-        return buf, meta
+            if check:
+                mode, uid, gid = perm(buf)
+                if not may_access(mode, uid, gid, cred, X_OK):
+                    raise PermissionDenied(anc)
+            i = path.find("/", i + 1)
+            if i < 0:
+                return
+            anc = path[:i]
 
     # -- directory operations (Table 1 rows) --------------------------------------------
     def op_mkdir(self, path: str, mode: int, cred: Credentials, now_s: float) -> int:
@@ -213,7 +233,8 @@ class DirectoryMetadataServer:
                uuid: int | None = None, walked: set | None = None) -> int:
         """mkdir body; ``uuid`` supplies a client-reserved id (deferred
         mkdir, LocoFS-A), ``walked`` a batch-local ACL-walk memo."""
-        self._touch("mkdir", "dir", "dirent")
+        if self.track_touches:
+            self._touch("mkdir", "dir", "dirent")
         path = pathutil.normalize(path)
         if path == "/":
             raise Exists(path)
@@ -232,7 +253,9 @@ class DirectoryMetadataServer:
         pmode, puid, pgid, puuid = pmeta
         if not may_access(pmode, puid, pgid, cred, W_OK | X_OK):
             raise PermissionDenied(parent)
-        if self.store.get(_ikey(path)) is not None:
+        store = self.store
+        key = _I + path.encode()
+        if store.get(key) is not None:
             if uuid is not None and self._meta.get(path, (0, 0, 0, -1))[3] == uuid:
                 # replay of an already-applied deferred mkdir (a retried
                 # flush after a dropped response): same client-reserved
@@ -242,11 +265,12 @@ class DirectoryMetadataServer:
         if uuid is None:
             uuid = self._allocate_uuid()
         dmode = S_IFDIR | (mode & 0o7777)
-        buf = DIR_INODE.pack(ctime=now_s, mode=dmode, uid=cred.uid, gid=cred.gid, uuid=uuid)
-        self.store.put(_ikey(path), buf)
-        self.store.put(_ekey(uuid), b"")
+        # positional pack, field order per Table 1: ctime/mode/uid/gid/uuid
+        store.put(key, DIR_INODE.pack_values(now_s, dmode, cred.uid, cred.gid, uuid))
+        store.put(_E + uuid.to_bytes(8, "big"), b"")
         # backward dirent: this directory's entry joins the parent's subdir list
-        self.store.append(_ekey(puuid), dirent.pack_entry(name, uuid, FileType.DIRECTORY))
+        store.append(_E + puuid.to_bytes(8, "big"),
+                     dirent.pack_entry(name, uuid, FileType.DIRECTORY))
         self._meta[path] = (dmode, cred.uid, cred.gid, uuid)
         return uuid
 
@@ -295,6 +319,9 @@ class DirectoryMetadataServer:
                 elif kind == "dsetattr":
                     _, path, cred, now_s, mode, uid, gid = e
                     self.op_setattr(path, cred, now_s, mode, uid, gid)
+                    # the memo's verdicts predate this change: a later
+                    # mkdir must re-check ancestors it may have revoked
+                    walked.clear()
                     results.append({"ok": True})
                 else:
                     raise InvalidArgument(kind, "unknown deferred DMS op")
@@ -309,10 +336,14 @@ class DirectoryMetadataServer:
         Performs the full ancestor ACL walk server-side — the reason one
         DMS round trip suffices for any file operation (§3.1).
         """
-        self._touch("lookup", "dir")
+        if self.track_touches:
+            self._touch("lookup", "dir")
         path = pathutil.normalize(path)
         self._acl_walk(path, cred)
-        buf, (mode, uid, gid, uuid) = self._require_dir(path)
+        buf = self.store.get(_I + path.encode())
+        if buf is None:
+            raise NoEntry(path)
+        mode, uid, gid, uuid = self._meta[path]
         return {
             "path": path,
             "uuid": uuid,
@@ -323,50 +354,65 @@ class DirectoryMetadataServer:
         }
 
     def op_stat(self, path: str, cred: Credentials) -> dict:
-        self._touch("getattr_dir", "dir")
+        if self.track_touches:
+            self._touch("getattr_dir", "dir")
         return self.op_lookup(path, cred)
 
     def op_readdir(self, path: str, cred: Credentials) -> tuple[int, bytes]:
         """Return (uuid, concatenated subdir dirents)."""
-        self._touch("readdir", "dir", "dirent")
+        if self.track_touches:
+            self._touch("readdir", "dir", "dirent")
         path = pathutil.normalize(path)
         self._acl_walk(path, cred)
-        _, (_, _, _, uuid) = self._require_dir(path)
-        return uuid, self.store.get(_ekey(uuid)) or b""
+        store = self.store
+        if store.get(_I + path.encode()) is None:
+            raise NoEntry(path)
+        uuid = self._meta[path][3]
+        return uuid, store.get(_E + uuid.to_bytes(8, "big")) or b""
 
     def op_rmdir(self, path: str, cred: Credentials) -> int:
         """Remove an *empty* directory (no subdirs; the client has already
         confirmed no files exist on any FMS).  Returns the removed uuid."""
-        self._touch("rmdir", "dir", "dirent")
+        if self.track_touches:
+            self._touch("rmdir", "dir", "dirent")
         path = pathutil.normalize(path)
         if path == "/":
             raise InvalidArgument(path, "cannot remove root")
         self._acl_walk(path, cred)
-        _, (_, _, _, uuid) = self._require_dir(path)
+        store = self.store
+        key = _I + path.encode()
+        if store.get(key) is None:
+            raise NoEntry(path)
+        meta = self._meta
+        uuid = meta[path][3]
         parent, name = pathutil.split(path)
-        pmeta = self._meta[parent]
-        if not may_access(pmeta[0], pmeta[1], pmeta[2], cred, W_OK | X_OK):
+        pmode, puid, pgid, puuid = meta[parent]
+        if not may_access(pmode, puid, pgid, cred, W_OK | X_OK):
             raise PermissionDenied(parent)
-        if self.store.get(_ekey(uuid)):  # any bytes = at least one subdir entry
+        ekey = _E + uuid.to_bytes(8, "big")
+        if store.get(ekey):  # any bytes = at least one subdir entry
             raise NotEmpty(path)
-        self.store.delete(_ikey(path))
-        self.store.delete(_ekey(uuid))
-        pbuf = self.store.get(_ekey(pmeta[3])) or b""
-        newbuf, _ = dirent.remove_entry(pbuf, name)
-        self.store.put(_ekey(pmeta[3]), newbuf)
-        del self._meta[path]
+        store.delete(key)
+        store.delete(ekey)
+        pkey = _E + puuid.to_bytes(8, "big")
+        newbuf, _ = dirent.remove_entry(store.get(pkey) or b"", name)
+        store.put(pkey, newbuf)
+        del meta[path]
         return uuid
 
     def op_setattr(self, path: str, cred: Credentials, now_s: float, mode: int | None = None,
                    uid: int | None = None, gid: int | None = None) -> None:
         """chmod/chown on a directory: in-place field writes, no reserialization."""
-        self._touch("chmod_dir" if mode is not None else "chown_dir", "dir")
+        if self.track_touches:
+            self._touch("chmod_dir" if mode is not None else "chown_dir", "dir")
         path = pathutil.normalize(path)
         self._acl_walk(path, cred)
-        buf, (omode, ouid, ogid, uuid) = self._require_dir(path)
+        key = _ikey(path)
+        if self.store.get(key) is None:
+            raise NoEntry(path)
+        omode, ouid, ogid, uuid = self._meta[path]
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
-        key = _ikey(path)
         if mode is not None:
             omode = (omode & ~0o7777) | (mode & 0o7777)
             self.store.write_at(key, DIR_INODE.offset("mode"), DIR_INODE.encode_field("mode", omode))
@@ -386,7 +432,8 @@ class DirectoryMetadataServer:
         the number of descendant directory records relocated (excluding the
         renamed directory itself).
         """
-        self._touch("rename_dir", "dir", "dirent")
+        if self.track_touches:
+            self._touch("rename_dir", "dir", "dirent")
         old = pathutil.normalize(old)
         new = pathutil.normalize(new)
         if old == "/" or new == "/":
@@ -397,7 +444,10 @@ class DirectoryMetadataServer:
             raise InvalidArgument(new, "cannot move a directory into itself")
         self._acl_walk(old, cred)
         self._acl_walk(new, cred)
-        buf, (mode, uid, gid, uuid) = self._require_dir(old)
+        buf = self.store.get(_ikey(old))
+        if buf is None:
+            raise NoEntry(old)
+        uuid = self._meta[old][3]
         if self.store.get(_ikey(new)) is not None:
             raise Exists(new)
         old_parent, old_name = pathutil.split(old)

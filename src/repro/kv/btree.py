@@ -16,7 +16,7 @@ crash recovery like the LSM store.
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
 from .api import KVStore, prefix_upper_bound
@@ -65,109 +65,127 @@ class BTreeStore(KVStore):
             self._wal = WriteAheadLog(wal_path)
 
     # -- navigation ------------------------------------------------------------
-    @staticmethod
-    def _child_index(node: _Internal, key: bytes) -> int:
-        import bisect
-
-        return bisect.bisect_right(node.keys, key)
-
-    def _find_leaf(self, key: bytes) -> _Leaf:
+    def _find_leaf(self, key: bytes, path: list | None = None) -> _Leaf:
+        """The leaf that holds (or would hold) ``key`` — the one descent
+        every op but :meth:`get` (which inlines it) goes through.  With
+        ``path`` it also records each ``(internal node, child index)`` on
+        the way down, for an insert to propagate splits back up.  The empty
+        key descends leftmost: no separator is ``b""`` (a separator is the
+        first key of a right half, so some key sorts below it)."""
         node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[self._child_index(node, key)]
-        return node  # type: ignore[return-value]
-
-    def _leftmost_leaf(self) -> _Leaf:
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[0]
+        while node.__class__ is _Internal:
+            i = bisect_right(node.keys, key)
+            if path is not None:
+                path.append((node, i))
+            node = node.children[i]
         return node  # type: ignore[return-value]
 
     # -- core ops ---------------------------------------------------------------
+    # ``get`` / ``put`` / ``delete`` / ``append`` charge through the store's
+    # bound ``_charge`` alias (or one ``charge_many``), as ``HashStore``
+    # does: the same charges, in the same order, as through ``self.meter``.
     def get(self, key: bytes) -> bytes | None:
-        import bisect
-
-        leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            self.meter.charge("get", len(key) + len(leaf.values[i]))
-            return leaf.values[i]
-        self.meter.charge("get", len(key))
+        node = self._root
+        while node.__class__ is _Internal:
+            node = node.children[bisect_right(node.keys, key)]
+        keys = node.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            value = node.values[i]
+            self._charge("get", len(key) + len(value))
+            return value
+        self._charge("get", len(key))
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        self.meter.charge("put", len(key) + len(value))
+        self._charge("put", len(key) + len(value))
+        if self._wal is not None:
+            self._wal.append_put(key, value)
+        self._insert(key, value)
+
+    def append(self, key: bytes, value: bytes) -> None:
+        """Read-modify-write append in one store frame.
+
+        Metering, stored bytes and WAL records are bit-identical to the
+        ``KVStore.append`` default (``get(key)`` + ``put(key, cur +
+        value)``): both charges go through :meth:`Meter.charge_many`, as
+        in :meth:`HashStore.append`.  A present key is updated in place in
+        its leaf; a missing one is inserted.
+        """
+        leaf = self._find_leaf(key)
+        keys = leaf.keys
+        i = bisect_left(keys, key)
+        klen = len(key)
+        if i < len(keys) and keys[i] == key:
+            cur = leaf.values[i]
+            new = cur + value
+            self._meter.charge_many((("get", klen + len(cur)),
+                                     ("put", klen + len(new))))
+            if self._wal is not None:
+                self._wal.append_put(key, new)
+            leaf.values[i] = new
+            return
+        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
         if self._wal is not None:
             self._wal.append_put(key, value)
         self._insert(key, value)
 
     def _insert(self, key: bytes, value: bytes) -> None:
-        split = self._insert_rec(self._root, key, value)
-        if split is not None:
-            sep, right = split
-            new_root = _Internal()
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
-
-    def _insert_rec(
-        self, node: object, key: bytes, value: bytes
-    ) -> tuple[bytes, object] | None:
-        """Insert under ``node``; if it splits, return (separator, new right sibling)."""
-        import bisect
-
-        if isinstance(node, _Leaf):
-            i = bisect.bisect_left(node.keys, key)
-            if i < len(node.keys) and node.keys[i] == key:
-                node.values[i] = value
-                return None
-            node.keys.insert(i, key)
-            node.values.insert(i, value)
-            self._count += 1
-            if len(node.keys) <= BRANCH:
-                return None
-            mid = len(node.keys) // 2
-            right = _Leaf()
-            right.keys = node.keys[mid:]
-            right.values = node.values[mid:]
-            right.next = node.next
-            node.keys = node.keys[:mid]
-            node.values = node.values[:mid]
-            node.next = right
-            return right.keys[0], right
-
-        assert isinstance(node, _Internal)
-        idx = self._child_index(node, key)
-        split = self._insert_rec(node.children[idx], key, value)
-        if split is None:
-            return None
-        sep, right_child = split
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right_child)
-        if len(node.children) <= BRANCH:
-            return None
-        mid = len(node.children) // 2
-        right = _Internal()
-        right.keys = node.keys[mid:]
-        right.children = node.children[mid:]
-        up_sep = node.keys[mid - 1]
-        node.keys = node.keys[: mid - 1]
-        node.children = node.children[:mid]
-        return up_sep, right
+        """Insert or overwrite in the leaf, then split full nodes bottom-up
+        along the recorded descent, growing a new root if the old one split."""
+        path: list = []
+        leaf = self._find_leaf(key, path)
+        keys = leaf.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            leaf.values[i] = value
+            return
+        keys.insert(i, key)
+        leaf.values.insert(i, value)
+        self._count += 1
+        if len(keys) <= BRANCH:
+            return
+        mid = len(keys) // 2
+        right = _Leaf()
+        right.keys = keys[mid:]
+        right.values = leaf.values[mid:]
+        right.next = leaf.next
+        leaf.keys = keys[:mid]
+        leaf.values = leaf.values[:mid]
+        leaf.next = right
+        sep: bytes = right.keys[0]
+        new: object = right
+        while path:
+            node, idx = path.pop()
+            node.keys.insert(idx, sep)
+            node.children.insert(idx + 1, new)
+            if len(node.children) <= BRANCH:
+                return
+            mid = len(node.children) // 2
+            up = _Internal()
+            up.keys = node.keys[mid:]
+            up.children = node.children[mid:]
+            sep = node.keys[mid - 1]
+            node.keys = node.keys[: mid - 1]
+            node.children = node.children[:mid]
+            new = up
+        new_root = _Internal()
+        new_root.keys = [sep]
+        new_root.children = [self._root, new]
+        self._root = new_root
 
     def delete(self, key: bytes) -> bool:
-        self.meter.charge("delete", len(key))
+        self._charge("delete", len(key))
         if self._wal is not None:
             self._wal.append_delete(key)
         return self._remove(key)
 
     def _remove(self, key: bytes) -> bool:
-        import bisect
-
         leaf = self._find_leaf(key)
-        i = bisect.bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            del leaf.keys[i]
+        keys = leaf.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            del keys[i]
             del leaf.values[i]
             self._count -= 1
             return True
@@ -178,13 +196,11 @@ class BTreeStore(KVStore):
 
     # -- batched point ops --------------------------------------------------------
     def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        import bisect
-
         out: list[bytes | None] = []
         nbytes = 0
         for key in keys:
             leaf = self._find_leaf(key)
-            i = bisect.bisect_left(leaf.keys, key)
+            i = bisect_left(leaf.keys, key)
             if i < len(leaf.keys) and leaf.keys[i] == key:
                 value = leaf.values[i]
                 nbytes += len(key) + len(value)
@@ -208,28 +224,25 @@ class BTreeStore(KVStore):
 
     # -- iteration ---------------------------------------------------------------
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        leaf: _Leaf | None = self._leftmost_leaf()
+        leaf: _Leaf | None = self._find_leaf(b"")
         while leaf is not None:
             for k, v in zip(list(leaf.keys), list(leaf.values)):
-                self.meter.charge("scan_record", len(k) + len(v))
+                self._charge("scan_record", len(k) + len(v))
                 yield k, v
             leaf = leaf.next
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
-        import bisect
-
-        self.meter.charge("seek", len(start))
+        self._charge("seek", len(start))
         leaf: _Leaf | None = self._find_leaf(start)
-        assert leaf is not None
-        i = bisect.bisect_left(leaf.keys, start)
+        i = bisect_left(leaf.keys, start)
         while leaf is not None:
             keys = list(leaf.keys)
             values = list(leaf.values)
             while i < len(keys):
                 if end is not None and keys[i] >= end:
                     return
-                self.meter.charge("scan_record", len(keys[i]) + len(values[i]))
+                self._charge("scan_record", len(keys[i]) + len(values[i]))
                 yield keys[i], values[i]
                 i += 1
             leaf = leaf.next

@@ -9,7 +9,8 @@ stale reads across clients)."""
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig, LookupCacheConfig
-from repro.common.errors import Exists, FSError, NoEntry
+from repro.common.errors import Exists, FSError, NoEntry, PermissionDenied
+from repro.common.types import Credentials
 from repro.core.asyncclient import AsyncLocoClient
 from repro.core.client import BatchingLocoClient
 from repro.core.fs import LocoFS
@@ -213,6 +214,30 @@ class TestDependencyGraph:
         assert c.pending_ops == 0
         assert c.stat_file("/x").st_mode & 0o7777 == 0o644
         assert c.stat_file("/b").st_mode & 0o7777 == 0o644
+
+    @pytest.mark.parametrize("name", ["locofs-c", "locofs-a"])
+    def test_batched_mkdir_rechecks_ancestors_after_dsetattr(self, name):
+        # the DMS applies [mkdir x1, dsetattr /a, mkdir x2] as one batch;
+        # its ancestor-walk memo must not carry /a's search permission past
+        # the chmod that revoked it — the synchronous order denies x2
+        system = make_system(name, 2)
+        root = system.client()
+        root.mkdir("/a")
+        root.chown("/a", 1000, 1000)
+        getattr(root, "flush", lambda: None)()
+        user = system.client(cred=Credentials(1000, 1000))
+        user.mkdir("/a/b")
+        user.mkdir("/a/b/c")
+        flush = getattr(user, "flush", lambda: None)
+        flush()
+        user.mkdir("/a/b/x1")
+        user.chmod("/a", 0o600)
+        with pytest.raises(PermissionDenied, match="/a$"):
+            user.mkdir("/a/b/x2")  # locofs-a defers it: the verdict comes at flush
+            assert user.pending_ops == 3
+            flush()
+        assert getattr(user, "pending_ops", 0) == 0
+        assert sorted(e.name for e in root.readdir("/a/b")) == ["c", "x1"]
 
     def test_readdir_sees_all_pending_entries(self):
         fs = async_fs()

@@ -31,6 +31,7 @@ from repro.common.errors import (
     NotADirectory,
     NotEmpty,
 )
+from repro.common.types import Credentials
 from repro.core.fs import LocoFS
 from repro.baselines import CephFSSystem, GlusterSystem, IndexFSSystem, LustreSystem
 
@@ -329,11 +330,40 @@ def test_writebehind_kind_ambiguous_chmod(deferred_name):
                                        ("chmod", "/a", 0o600)])
 
 
-def _check_writebehind(deferred_name, ops):
+#: a user who owns /a (root made it and handed it over) revokes search on
+#: it between two mkdirs below it: the DMS applies the deferred [mkdir x1,
+#: dsetattr /a, mkdir x2] as one batch, and x2 must be denied as it is
+#: synchronously
+_USER = Credentials(1000, 1000)
+_OWNED_A = [("mkdir", "/a"), ("chown", "/a", 1000, 1000)]
+
+
+@pytest.mark.parametrize("deferred_name", sorted(DEFERRED_SYSTEMS))
+def test_writebehind_search_revoked_mid_batch(deferred_name):
+    _check_writebehind(deferred_name,
+                       [("mkdir", "/a/b"), ("mkdir", "/a/b/c"), ("mkdir", "/a/b/x1"),
+                        ("chmod", "/a", 0o600), ("mkdir", "/a/b/x2")],
+                       cred=_USER, setup=_OWNED_A)
+
+
+def _check_writebehind(deferred_name, ops, cred=None, setup=()):
+    """Run ``ops`` on a synchronous and a deferred system and compare.
+
+    With ``cred``, a root client first applies (and flushes) ``setup`` on
+    each system, a client of ``cred`` runs ``ops``, and the drained states
+    are compared through fresh root clients, which may read everywhere.
+    """
     sync_system = LocoFS(ClusterConfig(num_metadata_servers=3))
     deferred_system = DEFERRED_SYSTEMS[deferred_name]()
     sync_client = sync_system.client()
     deferred_client = deferred_system.client()
+    if cred is not None:
+        for op_tuple in setup:
+            _apply_mixed(sync_client, op_tuple)
+            _apply_mixed(deferred_client, op_tuple)
+        deferred_client.flush()
+        sync_client = sync_system.client(cred=cred)
+        deferred_client = deferred_system.client(cred=cred)
     for op_tuple in ops:
         try:
             want = _apply_mixed(sync_client, op_tuple)
@@ -367,6 +397,8 @@ def _check_writebehind(deferred_name, ops):
         except FSError:
             continue
     assert deferred_client.pending_ops == 0
+    if cred is not None:
+        sync_client, deferred_client = sync_system.client(), deferred_system.client()
     assert snapshot_attrs(deferred_client) == snapshot_attrs(sync_client)
     assert snapshot_real(deferred_client, None) == snapshot_real(sync_client, None)
 

@@ -1,8 +1,14 @@
 """Behavioural tests shared by all three KV stores, plus store-specific ones."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kv import BTreeStore, HashStore, KVStore, LSMStore, make_store
+from repro.kv.btree import BRANCH, _Internal
 from repro.kv.meter import Meter
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.tracer import KVTraceSink
@@ -390,3 +396,129 @@ class TestLeanWriteAt:
         assert got["results"] == [True, True, True, True, False, False, False, True]
         assert got["store"] == [(b"rec", b"AB23xyz7!!"), (b"short", b"Zbc")]
         assert got["op_counts"] == {"put": 7, "get": 8}
+
+
+# -- the lean B+-tree against the hash store and the KVStore defaults ---------------
+
+#: > BRANCH**2 keys, inserted in a scrambled order (5 003 is prime), so the
+#: base tree has split leaves *and* internal nodes: three levels deep
+_BASE_KEYS = [b"k%05d" % (i * 7919 % 5003) for i in range(4400)]
+
+_KEY = st.one_of(
+    st.sampled_from(_BASE_KEYS),  # present (until deleted)
+    st.binary(max_size=6).map(lambda b: b"k" + b),  # mostly missing, any leaf
+    st.sampled_from([b"", b"\x00", b"k", b"zz", b"\xff\xff"]),  # the edges
+)
+_VALUE = st.binary(max_size=24)
+_KV_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), _KEY),
+    st.tuples(st.just("put"), _KEY, _VALUE),
+    st.tuples(st.just("delete"), _KEY),
+    st.tuples(st.just("append"), _KEY, _VALUE),
+    st.tuples(st.just("multi_get"), st.lists(_KEY, max_size=6)),
+), max_size=60)
+
+
+def _depth(store: BTreeStore) -> int:
+    depth, node = 1, store._root
+    while node.__class__ is _Internal:
+        depth, node = depth + 1, node.children[0]
+    return depth
+
+
+def _after_ops(cls, hook, base, ops, wal_dir):
+    """Everything running ``base`` puts then ``ops`` leaves on a fresh
+    metered ``cls`` store: results, meter, hook output, WAL and contents
+    (items read after the meter is captured: a scan charges too)."""
+    wal = os.path.join(wal_dir, cls.__name__ + ".wal") if hook == "wal" else None
+    store = cls(meter=Meter(KVCostPolicy(CostModel())), wal_path=wal)
+    tracer, registry = Tracer(), MetricsRegistry()
+    if hook == "trace":
+        store.meter.trace = KVTraceSink(tracer, "dms", None, 0.0)
+    elif hook == "registry":
+        store.meter.bind_registry(registry, "dms.kv.")
+    for key in base:
+        store.put(key, key)
+    results = [getattr(store, op)(*args) for op, *args in ops]
+    meter = store.meter
+    out = {
+        "results": results,
+        "op_counts": dict(meter.op_counts),
+        "byte_counts": dict(meter.byte_counts),
+        "total_us": meter.total_us.hex(),
+        "spans": [(s.name, s.start_us, s.end_us, s.args) for s in tracer.spans],
+        "counters": registry.snapshot()["counters"],
+        "len": len(store),
+        "depth": _depth(store) if isinstance(store, BTreeStore) else None,
+        "items": list(store.items()),
+    }
+    store.close()
+    if wal is not None:
+        with open(wal, "rb") as f:
+            out["wal"] = f.read()
+        replayed = cls(wal_path=wal)
+        out["replayed"] = list(replayed.items())
+        replayed.close()
+    return out
+
+
+class TestLeanBTree:
+    """``BTreeStore`` descends inline, charges through ``_charge`` and has
+    a one-frame ``append``; the model must not see the difference: against
+    ``HashStore`` the same ops charge the same kinds and bytes in the same
+    order, so every result, count and the virtual time are bit-equal."""
+
+    @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
+    @settings(max_examples=15, deadline=None)
+    @given(ops=_KV_OPS)
+    def test_differential_vs_hash_store(self, hook, ops):
+        with tempfile.TemporaryDirectory() as wal_dir:
+            got = _after_ops(BTreeStore, hook, _BASE_KEYS, ops, wal_dir)
+            want = _after_ops(HashStore, hook, _BASE_KEYS, ops, wal_dir)
+        assert got.pop("depth") >= 3
+        want.pop("depth")
+        assert got.pop("items") == sorted(want.pop("items"))
+        if hook == "wal":
+            assert got.pop("replayed") == sorted(want.pop("replayed"))
+        assert got == want
+
+    def test_base_tree_splits_internal_nodes(self):
+        s = BTreeStore()
+        for key in _BASE_KEYS:
+            s.put(key, key)
+        assert len(_BASE_KEYS) > BRANCH * BRANCH
+        assert _depth(s) == 3
+        assert [k for k, _ in s.items()] == sorted(_BASE_KEYS)
+
+
+class _DefaultAppend(BTreeStore):
+    """The reference: a B+-tree running the ``KVStore.append`` default
+    (``get`` + ``put``) instead of its one-frame override."""
+
+    append = KVStore.append
+
+
+#: in order: a missing key appended onto a full leaf (the base fills one to
+#: BRANCH, so this insert splits it), a present key, an empty value onto
+#: it, the empty key, a key holding b"", then more new and present keys
+_APPENDS = ([("append", b"new", b"xy"), ("put", b"empty", b""),
+             ("append", b"b010", b"+"), ("append", b"b010", b""),
+             ("append", b"", b"root"), ("append", b"empty", b"e"),
+             ("get", b"empty")]
+            + [("append", b"b%03d+" % i, b"z") for i in range(0, BRANCH, 3)]
+            + [("append", b"b%03d" % i, b"!") for i in range(0, BRANCH, 5)])
+
+
+class TestLeanBTreeAppend:
+    @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
+    def test_same_as_the_default(self, hook, tmp_path):
+        assert BTreeStore.append is not KVStore.append
+        base = [b"b%03d" % i for i in range(BRANCH)]
+        got = _after_ops(BTreeStore, hook, base, _APPENDS, str(tmp_path))
+        want = _after_ops(_DefaultAppend, hook, base, _APPENDS, str(tmp_path))
+        assert got == want
+        assert got["depth"] == 2  # the first append split the full root leaf
+        assert got["results"][6] == b"e"
+        assert dict(got["items"])[b"b010"] == b"b010+!"
+        n = sum(op == "append" for op, *_ in _APPENDS)
+        assert got["op_counts"] == {"put": len(base) + 1 + n, "get": n + 1}
