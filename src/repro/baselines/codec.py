@@ -16,7 +16,12 @@ import struct
 
 from repro.common.types import FileType
 
-_HEADER = struct.Struct("<BIIIQdddQII")  # kind, mode, uid, gid, uuid, ctime, mtime, atime, size, bsize, index_len
+#: the fixed header: kind, mode, uid, gid, uuid, ctime, mtime, atime, size,
+#: bsize, index_len.  Public for a server that packs a fresh inode
+#: positionally (``TreePartitionServer``'s create / mkdir handlers): a new
+#: file has size 0, so ``HEADER.pack(..., 0, bsize, 0)`` alone is
+#: ``encode_inode`` of it, without the dict and its ``get`` calls
+HEADER = struct.Struct("<BIIIQdddQII")
 MAX_INDEX_BYTES = 2048
 BYTES_PER_BLOCK_PTR = 8
 
@@ -34,7 +39,7 @@ def encode_inode(fields: dict) -> bytes:
     index_len = 0
     if fields["kind"] == int(FileType.FILE):
         index_len = index_bytes_for(fields.get("size", 0), fields.get("bsize", 4096))
-    head = _HEADER.pack(
+    head = HEADER.pack(
         fields["kind"],
         fields["mode"],
         fields["uid"],
@@ -52,7 +57,7 @@ def encode_inode(fields: dict) -> bytes:
 
 def decode_inode(buf: bytes) -> dict:
     kind, mode, uid, gid, uuid, ctime, mtime, atime, size, bsize, index_len = (
-        _HEADER.unpack_from(buf, 0)
+        HEADER.unpack_from(buf, 0)
     )
     return {
         "kind": kind,

@@ -41,6 +41,12 @@ class PlacementBase:
     def dirent_server(self, parent: str, name: str) -> str:
         return self.inode_server(parent)
 
+    # ``(inode_server(path), dirent_server(parent, name))`` for the child
+    # ``path`` == ``parent`` + ``name``: the pair a create / mkdir / unlink
+    # needs.  Policies override it to hash once where the two coincide.
+    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
+        return self.inode_server(path), self.dirent_server(parent, name)
+
     # which servers a readdir of ``path`` must consult
     def readdir_servers(self, path: str) -> list[str]:
         return [self.dirent_home(path)]
@@ -63,6 +69,11 @@ class SubtreePlacement(PlacementBase):
         top = pathutil.components(path)[0]
         return self.servers[_h(top, self.n)]
 
+    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
+        # below the root, the child's top component is its parent's
+        server = self.inode_server(path)
+        return server, (server if parent != "/" else self.servers[0])
+
 
 class StripedPlacement(PlacementBase):
     """Lustre DNE2: full-path hash; dirents stripe with their child."""
@@ -76,6 +87,10 @@ class StripedPlacement(PlacementBase):
     def dirent_server(self, parent: str, name: str) -> str:
         # the child's dirent co-locates with the child's inode (stripe)
         return self.inode_server(pathutil.join(parent, name))
+
+    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
+        server = self.inode_server(path)
+        return server, server
 
     def readdir_servers(self, path: str) -> list[str]:
         # entries are striped: every server may hold a slice
@@ -93,6 +108,11 @@ class ParentHashPlacement(PlacementBase):
 
     def dirent_server(self, parent: str, name: str) -> str:
         return self.dirent_home(parent)
+
+    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
+        # a child's inode and its dirent both live on hash(parent)
+        server = self.dirent_home(parent)
+        return server, server
 
     def dirent_home(self, path: str) -> str:
         path = pathutil.normalize(path)
@@ -118,6 +138,10 @@ class GlusterPlacement(PlacementBase):
     def dirent_server(self, parent: str, name: str) -> str:
         # a file's dirent lives in the parent-copy of the brick holding the file
         return self.inode_server(pathutil.join(parent, name))
+
+    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
+        server = self.inode_server(path)
+        return server, server
 
     def readdir_servers(self, path: str) -> list[str]:
         return list(self.servers)

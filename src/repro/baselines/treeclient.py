@@ -34,6 +34,8 @@ from repro.sim.rpc import Parallel, Rpc
 from .codec import decode_inode, is_dir_inode
 from .placement import PlacementBase
 
+_DIR = int(FileType.DIRECTORY)
+
 
 class TreeFSClient(FSClientBase):
     """One logical client of a baseline deployment."""
@@ -72,22 +74,39 @@ class TreeFSClient(FSClientBase):
 
     # -- path resolution (component walk + lease cache) -----------------------------
     def _g_resolve_dir(self, path: str) -> Generator:
-        """Resolve a directory inode, walking (and caching) each component."""
+        """Resolve a directory inode, walking (and caching) each component.
+
+        The prefixes are stepped through with ``str.find`` (no ancestors
+        list); every level reads the clock once.  Each must be a directory
+        (else ``NotADirectory`` for that component); after the whole chain
+        resolved, ``PermissionDenied`` names the *first* ancestor without
+        search permission.
+        """
         path = pathutil.normalize(path)
-        chain = pathutil.ancestors(path) + [path]
-        infos: list[dict] = []
-        for p in chain:
-            info = self.dcache.get(p, self.now_us)
+        dcache = self.dcache
+        clock = self._clock
+        cred = self.cred
+        denied = None
+        p = "/"
+        end = -1 if path == "/" else 0
+        while True:
+            info = dcache.get(p, clock.now)
             if info is None:
                 info = yield Rpc(self.placement.inode_server(p), "lookup", (p,))
-                if not is_dir_inode(info):
+                if info["kind"] != _DIR:
                     raise NotADirectory(p)
-                self.dcache.put(p, info, self.now_us)
-            infos.append(info)
-        for p, info in zip(chain[:-1], infos[:-1]):
-            if not may_access(info["mode"], info["uid"], info["gid"], self.cred, X_OK):
-                raise PermissionDenied(p)
-        return infos[-1]
+                dcache.put(p, info, clock.now)
+            if end < 0:
+                break
+            # an ancestor of ``path``: remember the first one without X
+            if (denied is None and cred.uid != 0
+                    and not may_access(info["mode"], info["uid"], info["gid"], cred, X_OK)):
+                denied = p
+            end = path.find("/", end + 1)
+            p = path if end < 0 else path[:end]
+        if denied is not None:
+            raise PermissionDenied(denied)
+        return info
 
     def _check_write(self, info: dict, path: str) -> None:
         if not may_access(info["mode"], info["uid"], info["gid"], self.cred, W_OK | X_OK):
@@ -95,16 +114,16 @@ class TreeFSClient(FSClientBase):
 
     # -- directories -------------------------------------------------------------------
     def _g_mkdir(self, path: str, mode: int = 0o755) -> Generator:
-        now = self.now_s
+        now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
             raise Exists(path)
         parent, name = pathutil.split(path)
         pinfo = yield from self._g_resolve_dir(parent)
         self._check_write(pinfo, parent)
-        si = self.placement.inode_server(path)
-        sd = self.placement.dirent_server(parent, name)
-        yield from self._g_lock(si, path)
+        si, sd = self.placement.entry_servers(path, parent, name)
+        if self.lock_rpc:
+            yield Rpc(si, "lock", (path,))
         if si == sd:
             uuid = yield Rpc(si, "mkdir_local", (path, mode, self.cred, now))
         else:
@@ -164,28 +183,32 @@ class TreeFSClient(FSClientBase):
 
     # -- files --------------------------------------------------------------------------
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
-        now = self.now_s
+        clock = self._clock
+        now = clock.now / 1_000_000.0  # == self.now_s
         path = pathutil.normalize(path)
         parent, name = pathutil.split(path)
         if not name:
             raise Exists(path)
         pinfo = yield from self._g_resolve_dir(parent)
-        self._check_write(pinfo, parent)
-        si = self.placement.inode_server(path)
-        sd = self.placement.dirent_server(parent, name)
-        yield from self._g_lock(si, path)
+        cred = self.cred
+        if cred.uid != 0 and not may_access(pinfo["mode"], pinfo["uid"], pinfo["gid"],
+                                            cred, W_OK | X_OK):
+            raise PermissionDenied(parent)  # == _check_write
+        si, sd = self.placement.entry_servers(path, parent, name)
+        if self.lock_rpc:
+            yield Rpc(si, "lock", (path,))
         if si == sd:
-            uuid = yield Rpc(si, "create_local", (path, mode, self.cred, now, self.block_size))
+            uuid = yield Rpc(si, "create_local", (path, mode, cred, now, self.block_size))
         else:
-            uuid = yield Rpc(si, "put_file_inode", (path, mode, self.cred, now, self.block_size))
+            uuid = yield Rpc(si, "put_file_inode", (path, mode, cred, now, self.block_size))
             yield Rpc(sd, "link", (parent, name, int(FileType.FILE), uuid))
         if self.cache_file_attrs:
             self.fcache.put(path, {
                 "kind": int(FileType.FILE), "mode": 0o100000 | (mode & 0o7777),
-                "uid": self.cred.uid, "gid": self.cred.gid, "uuid": uuid,
+                "uid": cred.uid, "gid": cred.gid, "uuid": uuid,
                 "ctime": now, "mtime": now, "atime": now, "size": 0,
                 "bsize": self.block_size,
-            }, self.now_us)
+            }, clock.now)
         return uuid
 
     def _g_getattr_any(self, path: str) -> Generator:
@@ -251,9 +274,9 @@ class TreeFSClient(FSClientBase):
         parent, name = pathutil.split(path)
         pinfo = yield from self._g_resolve_dir(parent)
         self._check_write(pinfo, parent)
-        si = self.placement.inode_server(path)
-        sd = self.placement.dirent_server(parent, name)
-        yield from self._g_lock(si, path)
+        si, sd = self.placement.entry_servers(path, parent, name)
+        if self.lock_rpc:
+            yield Rpc(si, "lock", (path,))
         if si == sd:
             removed = yield Rpc(si, "remove_file", (path, self.cred, True))
         else:

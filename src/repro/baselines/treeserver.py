@@ -24,16 +24,18 @@ from repro.common.errors import (
     PermissionDenied,
 )
 from repro.common.types import Credentials, FileType, S_IFDIR, S_IFREG
-from repro.common.uuidgen import UuidAllocator
+from repro.common.uuidgen import FID_BITS, FID_MASK, UuidAllocator
 from repro.kv import make_store
 from repro.kv.meter import Meter
 from repro.metadata import dirent as de
 from repro.sim.costmodel import CostModel
 
-from .codec import decode_inode, encode_inode
+from .codec import HEADER, decode_inode, encode_inode
 
 _I = b"I:"
 _D = b"D:"
+_FILE = int(FileType.FILE)
+_DIR = int(FileType.DIRECTORY)
 
 
 def _ikey(path: str) -> bytes:
@@ -150,16 +152,10 @@ class TreePartitionServer:
     # -- mutations: directories -----------------------------------------------------------
     def op_put_dir_inode(self, path: str, mode: int, cred: Credentials, now_s: float) -> int:
         """Create a directory inode (and its empty dirent list) here."""
-        self._begin(True)
-        if self.store.get(_ikey(path)) is not None:
-            raise Exists(path)
-        uuid = self.alloc.allocate()
-        self._write_inode(path, {
-            "kind": int(FileType.DIRECTORY), "mode": S_IFDIR | (mode & 0o7777),
-            "uid": cred.uid, "gid": cred.gid, "uuid": uuid, "ctime": now_s,
-            "mtime": now_s, "atime": now_s, "size": 0, "bsize": 4096,
-        })
-        self.store.put(_dkey(path), b"")
+        raw = path.encode()
+        uuid = self._new_inode(path, _I + raw, _DIR, S_IFDIR | (mode & 0o7777), cred,
+                               now_s, 4096)
+        self.store.put(_D + raw, b"")
         return uuid
 
     def op_link(self, parent: str, name: str, ftype: int, uuid: int) -> None:
@@ -176,10 +172,15 @@ class TreePartitionServer:
         return removed
 
     def op_mkdir_local(self, path: str, mode: int, cred: Credentials, now_s: float) -> int:
-        """mkdir when the parent's dirents live on this server too (1 RPC)."""
-        uuid = self.op_put_dir_inode(path, mode, cred, now_s)
-        parent, name = pathutil.split(path)
-        self.store.append(_dkey(parent), de.pack_entry(name, uuid, FileType.DIRECTORY))
+        """mkdir when the parent's dirents live on this server too (1 RPC):
+        :meth:`op_put_dir_inode`, then the entry appended to the parent's
+        list — the same charges, in the same order."""
+        raw = path.encode()
+        uuid = self._new_inode(path, _I + raw, _DIR, S_IFDIR | (mode & 0o7777), cred,
+                               now_s, 4096)
+        store = self.store
+        store.put(_D + raw, b"")
+        store.append(*self._link_args(raw, uuid, _DIR))
         return uuid
 
     def op_rmdir_local(self, path: str) -> None:
@@ -227,32 +228,61 @@ class TreePartitionServer:
     def op_create_local(self, path: str, mode: int, cred: Credentials, now_s: float,
                         bsize: int) -> int:
         """create when inode and parent dirents are co-located (1 RPC)."""
-        self._begin(True)
-        if self.store.get(_ikey(path)) is not None:
-            raise Exists(path)
-        uuid = self.alloc.allocate()
-        self._write_inode(path, {
-            "kind": int(FileType.FILE), "mode": S_IFREG | (mode & 0o7777),
-            "uid": cred.uid, "gid": cred.gid, "uuid": uuid, "ctime": now_s,
-            "mtime": now_s, "atime": now_s, "size": 0, "bsize": bsize,
-        })
-        parent, name = pathutil.split(path)
-        self.store.append(_dkey(parent), de.pack_entry(name, uuid, FileType.FILE))
+        raw = path.encode()
+        uuid = self._new_inode(path, _I + raw, _FILE, S_IFREG | (mode & 0o7777), cred,
+                               now_s, bsize)
+        self.store.append(*self._link_args(raw, uuid, _FILE))
         return uuid
 
     def op_put_file_inode(self, path: str, mode: int, cred: Credentials, now_s: float,
                           bsize: int) -> int:
         """create (split form): inode only; the dirent goes elsewhere."""
-        self._begin(True)
-        if self.store.get(_ikey(path)) is not None:
+        return self._new_inode(path, _I + path.encode(), _FILE, S_IFREG | (mode & 0o7777),
+                               cred, now_s, bsize)
+
+    # The four create-side handlers (``op_put_dir_inode``, ``op_mkdir_local``,
+    # ``op_create_local``, ``op_put_file_inode``) encode the path once (its
+    # bytes give the inode key, the parent's list key and the entry name:
+    # paths arrive normalized, so the last "/" splits them) and store a
+    # fresh inode through ``_new_inode`` — the same charges with the same arguments in
+    # the same order, and the same bytes, as ``_begin`` + ``get`` +
+    # ``UuidAllocator.allocate`` + ``_write_inode`` + ``dirent.pack_entry``
+    # + ``append``.
+    def _new_inode(self, path: str, ikey: bytes, kind: int, mode: int,
+                   cred: Credentials, now_s: float, bsize: int) -> int:
+        """Charge the write overhead, probe ``ikey``, allocate a uuid and
+        store a fresh inode there."""
+        us = self.overhead_write_us
+        if us:  # == _begin(True)
+            self.meter.charge_us(us, "software_overhead")
+        store = self.store
+        if store.get(ikey) is not None:
             raise Exists(path)
-        uuid = self.alloc.allocate()
-        self._write_inode(path, {
-            "kind": int(FileType.FILE), "mode": S_IFREG | (mode & 0o7777),
-            "uid": cred.uid, "gid": cred.gid, "uuid": uuid, "ctime": now_s,
-            "mtime": now_s, "atime": now_s, "size": 0, "bsize": bsize,
-        })
+        alloc = self.alloc  # UuidAllocator.allocate; its sid is checked
+        fid = alloc._next_fid
+        if fid > FID_MASK:
+            raise ValueError(f"fid out of range: {fid}")
+        alloc._next_fid = fid + 1
+        uuid = alloc.sid << FID_BITS | fid
+        # == encode_inode: a fresh inode has size 0, so no index region
+        buf = HEADER.pack(kind, mode, cred.uid, cred.gid, uuid, now_s, now_s, now_s,
+                          0, bsize, 0)
+        cost = self.cost
+        self.meter.charge_us(
+            cost.serialize_fixed_us + HEADER.size * cost.serialize_per_byte_us,
+            "serialize")  # == cost.serialize_us(len(buf))
+        store.put(ikey, buf)
         return uuid
+
+    @staticmethod
+    def _link_args(raw: bytes, uuid: int, kind: int) -> tuple[bytes, bytes]:
+        """``(parent list key, packed entry)`` of the encoded path ``raw``."""
+        cut = raw.rfind(b"/")
+        name = raw[cut + 1:]
+        nlen = len(name)
+        if not nlen or nlen > de.MAX_NAME_BYTES:
+            raise ValueError(f"bad dirent name: {name.decode()!r}")
+        return _D + (raw[:cut] or b"/"), de.HEAD.pack(nlen) + name + de.TAIL.pack(uuid, kind)
 
     def op_remove_file(self, path: str, cred: Credentials, unlink_local_dirent: bool) -> dict:
         self._begin(True)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import heapq
 import os
+import shutil
 import tempfile
 from collections.abc import Iterator
 
 from .api import KVStore, prefix_upper_bound
-from .memtable import SkipListMemtable
+from .memtable import ABSENT, SkipListMemtable
 from .meter import Meter
 from .sstable import SSTable, SSTableBuilder
 from .wal import OP_DELETE, OP_PUT, WriteAheadLog
@@ -42,9 +43,13 @@ class LSMStore(KVStore):
         seed: int = 0x5EED,
     ):
         super().__init__(meter)
+        #: where the WAL and SSTables live.  A caller-given directory is
+        #: recovered from; without one the store makes a temporary
+        #: directory only when a file first needs it (the WAL, the first
+        #: flush) and :meth:`close` removes it, so a WAL-less store that
+        #: never flushes touches no filesystem at all
+        self.directory = directory
         self._own_dir = directory is None
-        self.directory = directory or tempfile.mkdtemp(prefix="lsm-")
-        os.makedirs(self.directory, exist_ok=True)
         self.memtable_limit = memtable_limit
         self.max_tables = max_tables
         self._seed = seed
@@ -52,10 +57,17 @@ class LSMStore(KVStore):
         self._tables: list[SSTable] = []  # newest first
         self._next_seq = 1
         self._wal: WriteAheadLog | None = None
-        self._wal_path = os.path.join(self.directory, "wal.log")
-        self._recover()
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            self._recover()
         if wal_enabled:
-            self._wal = WriteAheadLog(self._wal_path)
+            self._wal = WriteAheadLog(self._path("wal.log"))
+
+    def _path(self, name: str) -> str:
+        """``name`` inside the store's directory, made on first need."""
+        if self.directory is None:
+            self.directory = tempfile.mkdtemp(prefix="lsm-")
+        return os.path.join(self.directory, name)
 
     # -- recovery --------------------------------------------------------------
     def _recover(self) -> None:
@@ -63,65 +75,89 @@ class LSMStore(KVStore):
         seqs = []
         for name in os.listdir(self.directory):
             if name.endswith(".sst"):
-                table = SSTable(os.path.join(self.directory, name))
+                table = SSTable(self._path(name))
                 seqs.append(table.file_seq)
                 self._tables.append(table)
         self._tables.sort(key=lambda t: t.file_seq, reverse=True)
         if seqs:
             self._next_seq = max(seqs) + 1
-        for op, key, value in WriteAheadLog.replay(self._wal_path):
+        for op, key, value in WriteAheadLog.replay(self._path("wal.log")):
             if op == OP_PUT:
                 self._mem.put(key, value)
             elif op == OP_DELETE:
                 self._mem.put(key, None)
 
     # -- core ops ----------------------------------------------------------------
+    # Charges go through the bound ``_charge`` alias (``append``: one
+    # ``charge_many``), as in ``HashStore`` / ``BTreeStore``: the same
+    # charges, in the same order, as through ``self.meter``.  A point read
+    # is one memtable ``lookup`` (a hash probe, no skip-list descent); only
+    # a key the memtable does not hold falls through to the SSTables.
     def put(self, key: bytes, value: bytes) -> None:
-        self.meter.charge("put", len(key) + len(value))
+        self._charge("put", len(key) + len(value))
         if self._wal is not None:
             self._wal.append_put(key, value)
-        self._mem.put(key, value)
-        if self._mem.approx_bytes >= self.memtable_limit:
+        mem = self._mem
+        mem.put(key, value)
+        if mem._approx_bytes >= self.memtable_limit:
             self.flush()
 
     def get(self, key: bytes) -> bytes | None:
-        result = self._get_impl(key)
-        self.meter.charge("get", len(key) + (len(result) if result is not None else 0))
-        return result
+        value = self._mem.lookup(key)
+        if value is ABSENT:
+            value = self._table_get(key) if self._tables else None
+        self._charge("get", len(key) + (len(value) if value is not None else 0))
+        return value
 
     def _get_impl(self, key: bytes) -> bytes | None:
-        val = self._mem.get(key)
-        if val is not None:
-            return val
-        # memtable stores tombstones as None, but get() can't distinguish
-        # "absent" from "tombstone" — probe explicitly.
-        if self._mem_contains(key):
-            return self._mem_value(key)
+        """:meth:`get` without the charge."""
+        value = self._mem.lookup(key)
+        return self._table_get(key) if value is ABSENT else value
+
+    def _table_get(self, key: bytes) -> bytes | None:
+        """The newest SSTable version of ``key`` (``None``: absent or a
+        tombstone)."""
         for table in self._tables:
             found, value = table.get(key)
             if found:
                 return value
         return None
 
-    def _mem_contains(self, key: bytes) -> bool:
-        for k, _ in self._mem.scan(key, key + b"\x00"):
-            if k == key:
-                return True
-        return False
+    def append(self, key: bytes, value: bytes) -> None:
+        """Read-modify-write append in one store frame.
 
-    def _mem_value(self, key: bytes) -> bytes | None:
-        for k, v in self._mem.scan(key, key + b"\x00"):
-            if k == key:
-                return v
-        return None
+        Metering, stored bytes and WAL records are bit-identical to the
+        ``KVStore.append`` default (``get(key)`` + ``put(key, cur +
+        value)``): both charges go through :meth:`Meter.charge_many`, as in
+        :meth:`HashStore.append`.
+        """
+        mem = self._mem
+        cur = mem.lookup(key)
+        if cur is ABSENT:
+            cur = self._table_get(key) if self._tables else None
+        klen = len(key)
+        if cur is None:
+            new = value
+            self._meter.charge_many((("get", klen),
+                                     ("put", klen + len(value))))
+        else:
+            new = cur + value
+            self._meter.charge_many((("get", klen + len(cur)),
+                                     ("put", klen + len(new))))
+        if self._wal is not None:
+            self._wal.append_put(key, new)
+        mem.put(key, new)
+        if mem._approx_bytes >= self.memtable_limit:
+            self.flush()
 
     def delete(self, key: bytes) -> bool:
-        self.meter.charge("delete", len(key))
+        self._charge("delete", len(key))
         existed = self.get(key) is not None
         if self._wal is not None:
             self._wal.append_delete(key)
-        self._mem.put(key, None)
-        if self._mem.approx_bytes >= self.memtable_limit:
+        mem = self._mem
+        mem.put(key, None)
+        if mem._approx_bytes >= self.memtable_limit:
             self.flush()
         return existed
 
@@ -150,7 +186,7 @@ class LSMStore(KVStore):
             nbytes += len(k) + len(v)
             self._mem.put(k, v)
         self._charge_batch("multi_put", nbytes, len(pairs))
-        if self._mem.approx_bytes >= self.memtable_limit:
+        if self._mem._approx_bytes >= self.memtable_limit:
             self.flush()
 
     # -- iteration ------------------------------------------------------------------
@@ -191,12 +227,12 @@ class LSMStore(KVStore):
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         for k, v in self._merged(None, None):
             if v is not None:
-                self.meter.charge("scan_record", len(k) + len(v))
+                self._charge("scan_record", len(k) + len(v))
                 yield k, v
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
-        self.meter.charge("seek", len(start))
+        self._charge("seek", len(start))
         if end is None:
             # unbounded upper end: merge everything and fast-forward to start
             source = (kv for kv in self._merged(None, None) if kv[0] >= start)
@@ -204,7 +240,7 @@ class LSMStore(KVStore):
             source = self._merged(start, end)
         for k, v in source:
             if v is not None:
-                self.meter.charge("scan_record", len(k) + len(v))
+                self._charge("scan_record", len(k) + len(v))
                 yield k, v
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
@@ -215,7 +251,7 @@ class LSMStore(KVStore):
         """Flush the memtable to a new L0 SSTable and reset the WAL."""
         if len(self._mem) == 0:
             return
-        path = os.path.join(self.directory, f"{self._next_seq:08d}.sst")
+        path = self._path(f"{self._next_seq:08d}.sst")
         builder = SSTableBuilder(path, file_seq=self._next_seq)
         self._next_seq += 1
         for k, v in self._mem.items():
@@ -224,7 +260,7 @@ class LSMStore(KVStore):
         self._mem = SkipListMemtable(seed=self._seed)
         if self._wal is not None:
             self._wal.truncate()
-        self.meter.charge("flush")
+        self._charge("flush")
         if len(self._tables) > self.max_tables:
             self.compact()
 
@@ -258,7 +294,7 @@ class LSMStore(KVStore):
         old = self._tables
         self._tables = []
         if merged:
-            path = os.path.join(self.directory, f"{self._next_seq:08d}.sst")
+            path = self._path(f"{self._next_seq:08d}.sst")
             builder = SSTableBuilder(path, file_seq=self._next_seq)
             self._next_seq += 1
             for k, v in merged:
@@ -266,13 +302,21 @@ class LSMStore(KVStore):
             self._tables = [builder.finish()]
         for t in old:
             t.remove_file()
-        self.meter.charge("compaction")
+        self._charge("compaction")
 
     @property
     def num_tables(self) -> int:
         return len(self._tables)
 
     def close(self) -> None:
+        """Close the WAL; remove the directory if the store made it.
+
+        Every table is memory-resident, so reads still work afterwards;
+        a flush after ``close`` would make a fresh directory.
+        """
         if self._wal is not None:
             self._wal.close()
             self._wal = None
+        if self._own_dir and self.directory is not None:
+            shutil.rmtree(self.directory, ignore_errors=True)
+            self.directory = None

@@ -1,6 +1,11 @@
 """Baselines: the shared semantics suite across all four systems, plus
 system-specific structural behaviour."""
 
+import cProfile
+import os
+import pstats
+import tempfile
+
 import pytest
 
 from repro.baselines import (
@@ -10,7 +15,16 @@ from repro.baselines import (
     LustreSystem,
     RawKVSystem,
 )
+from repro.baselines.placement import (
+    GlusterPlacement,
+    ParentHashPlacement,
+    StripedPlacement,
+    SubtreePlacement,
+)
+from repro.common import pathutil
+from repro.common.errors import NotADirectory, PermissionDenied
 from repro.common.types import Credentials
+from repro.harness import run_throughput
 
 from fs_semantics import FSSemantics
 
@@ -223,3 +237,81 @@ class TestStructuralBehaviour:
             alice.create("/home/alice/secret")
             assert alice.stat_file("/home/alice/secret").st_uid == 100
             sys_.close()
+
+
+class TestLeanCreatePath:
+    """The baseline client's create path: one placement hash, an inline
+    component walk, the lock RPC only when the system takes locks."""
+
+    @pytest.mark.parametrize("cls", [ParentHashPlacement, SubtreePlacement,
+                                     StripedPlacement, GlusterPlacement])
+    def test_entry_servers_is_the_inode_and_dirent_pair(self, cls):
+        placement = cls([f"mds{i}" for i in range(7)])
+        for path in ("/", "/a", "/b", "/a/x", "/a/b/c", "/q/r/s/t", "/é/ü"):
+            parent, name = pathutil.split(path)
+            assert placement.entry_servers(path, parent, name) == (
+                placement.inode_server(path), placement.dirent_server(parent, name))
+
+    def test_walk_names_the_first_ancestor_without_search_permission(self):
+        sys_ = IndexFSSystem(num_metadata_servers=4)
+        root = sys_.client()
+        for path in ("/a", "/a/b", "/a/b/c"):
+            root.mkdir(path, mode=0o700)  # no X for anyone else, at any level
+        root.create("/a/f")
+        bob = sys_.client(cred=Credentials(500, 500))
+        served = lambda: sum(sys_.cluster[n].requests_served  # noqa: E731
+                             for n in sys_.server_names)
+        before = served()
+        with pytest.raises(PermissionDenied) as denied:
+            bob.create("/a/b/c/f")
+        assert denied.value.path == "/a"
+        # the whole chain resolved first: "/", "/a", "/a/b", "/a/b/c"
+        assert served() - before == 4
+        # a component that is a file fails as NotADirectory, even below a
+        # directory the caller may not search
+        with pytest.raises(NotADirectory) as notdir:
+            bob.create("/a/f/g")
+        assert notdir.value.path == "/a/f"
+        with pytest.raises(NotADirectory):
+            root.create("/a/f/g")
+        sys_.close()
+
+    @pytest.mark.parametrize("kind", ["indexfs", "lustre-d1"])
+    def test_lock_rpc_only_where_the_system_locks(self, kind):
+        sys_ = make_system(kind, n=2)
+        c = sys_.client()
+        c.mkdir("/a")
+        c.create("/a/f0")
+        served = lambda: sum(sys_.cluster[n].requests_served  # noqa: E731
+                             for n in sys_.server_names)
+        before = served()
+        c.create("/a/f1")
+        c.unlink("/a/f1")
+        c.mkdir("/a/d")
+        per_op = 2 if kind == "lustre-d1" else 1  # Lustre: LDLM enqueue first
+        assert served() - before == 3 * per_op
+        sys_.close()
+
+    def test_warm_direct_create_exact_call_count(self):
+        """One warm IndexFS ``create`` (16 partitions) driven by the
+        DirectEngine from a warm lease cache, under cProfile: exact and
+        machine-independent.  CPython 3.11.7 counts 72, the profiler's own
+        ``disable`` included — with two placement hashes, an ancestors
+        list, an empty lock generator and the generic server and LSM paths
+        it counted 118."""
+        sys_ = IndexFSSystem(num_metadata_servers=16)
+        c = sys_.client()
+        c.mkdir("/d")
+        c.create("/d/w0")
+        c.create("/d/w1")
+        prof = cProfile.Profile()
+        prof.runcall(c.create, "/d/f")
+        assert pstats.Stats(prof).total_calls <= 72
+        sys_.close()
+
+    def test_touch_wave_leaves_no_lsm_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = run_throughput("indexfs", 4, op="touch", items_per_client=20,
+                                num_clients=8)
+        assert result.total_ops == 160
+        assert os.listdir(tmp_path) == []

@@ -1,6 +1,11 @@
 """Unit tests for the skip-list memtable."""
 
-from repro.kv.memtable import SkipListMemtable
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kv.memtable import _MAX_LEVEL, _P, ABSENT, SkipListMemtable
 
 
 def test_put_get_roundtrip():
@@ -86,3 +91,58 @@ def test_large_population_sorted_iteration():
         mt.put(k, k)
     out = [k for k, _ in mt.items()]
     assert out == sorted(set(keys))
+
+
+def test_lookup_tells_value_tombstone_and_absent_apart():
+    mt = SkipListMemtable()
+    mt.put(b"v", b"1")
+    mt.put(b"t", b"x")
+    mt.put(b"t", None)  # overwritten by a tombstone
+    assert mt.lookup(b"v") == b"1"
+    assert mt.lookup(b"t") is None
+    assert mt.lookup(b"a") is ABSENT
+    assert mt.get(b"t") is None and mt.get(b"a") is None
+    mt.remove(b"v")
+    assert mt.lookup(b"v") is ABSENT
+    mt.put(b"v", b"")
+    assert mt.lookup(b"v") == b""
+
+
+_MT_KEY = st.binary(max_size=3)
+_MT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), _MT_KEY, st.binary(max_size=8)),
+    st.tuples(st.just("put"), _MT_KEY, st.none()),  # tombstone
+    st.tuples(st.just("remove"), _MT_KEY),
+), max_size=80)
+
+
+@given(_MT_OPS)
+@settings(max_examples=60, deadline=None)
+def test_index_and_skip_list_agree(ops):
+    """After any put / overwrite / tombstone / remove stream the hash index
+    and the ordered list hold the same entries, ``approx_bytes`` is the
+    per-entry sum, and each node's level is the seeded draw it would get
+    without the index (only a new key draws, in insertion order)."""
+    mt = SkipListMemtable(seed=11)
+    rng = random.Random(11)
+    model: dict[bytes, bytes | None] = {}
+    levels: dict[bytes, int] = {}
+    for op, key, *value in ops:
+        if op == "put":
+            if key not in model:
+                lvl = 1
+                while lvl < _MAX_LEVEL and rng.random() < _P:
+                    lvl += 1
+                levels[key] = lvl
+            model[key] = value[0]
+            mt.put(key, value[0])
+        else:
+            assert mt.remove(key) is (model.pop(key, ABSENT) is not ABSENT)
+            levels.pop(key, None)
+    assert list(mt.items()) == sorted(model.items())
+    assert sorted(mt._index) == sorted(model) and len(mt) == len(model)
+    assert {k: len(n.forward) for k, n in mt._index.items()} == levels
+    for key in list(model) + [b"\xff" * 4]:
+        assert mt.lookup(key) == model.get(key, ABSENT)
+    assert mt.approx_bytes == sum(len(k) + len(v or b"") + 32
+                                  for k, v in model.items())

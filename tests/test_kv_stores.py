@@ -522,3 +522,181 @@ class TestLeanBTreeAppend:
         assert dict(got["items"])[b"b010"] == b"b010+!"
         n = sum(op == "append" for op, *_ in _APPENDS)
         assert got["op_counts"] == {"put": len(base) + 1 + n, "get": n + 1}
+
+
+# -- the lean LSM store against the hash store and the KVStore defaults -------------
+
+#: a small memtable and table cap: the base puts alone flush several
+#: times and compact, so ops below meet SSTable values, tombstones in the
+#: memtable that shadow them, and flushes / compactions between two ops
+_LSM_LIMITS = {"memtable_limit": 256, "max_tables": 2}
+_LSM_BASE = [b"k%05d" % (i * 7919 % 5003) for i in range(60)]
+#: zero-cost maintenance charges only the LSM store makes
+_MAINTENANCE = ("flush", "compaction")
+
+_LSM_KEY = st.one_of(
+    st.sampled_from(_LSM_BASE),  # present (until deleted), most of them flushed
+    st.binary(max_size=4).map(lambda b: b"k" + b),  # mostly missing
+    st.sampled_from([b"", b"\x00", b"zz"]),
+)
+_LSM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("get"), _LSM_KEY),
+    st.tuples(st.just("put"), _LSM_KEY, _VALUE),
+    st.tuples(st.just("delete"), _LSM_KEY),
+    st.tuples(st.just("append"), _LSM_KEY, _VALUE),
+    st.tuples(st.just("multi_get"), st.lists(_LSM_KEY, max_size=6)),
+), max_size=60)
+
+
+class _LSMMetered(HashStore):
+    """The hash store metered as ``LSMStore`` is: a delete also charges
+    the ``get`` that tells whether the key existed."""
+
+    def delete(self, key: bytes) -> bool:
+        self._charge("delete", len(key))
+        existed = self.get(key) is not None
+        self._data.pop(key, None)
+        return existed
+
+
+class _DefaultAppendLSM(LSMStore):
+    """The reference: an LSM store running the ``KVStore.append`` default
+    (``get`` + ``put``) instead of its one-frame override."""
+
+    append = KVStore.append
+
+
+def _after_lsm_ops(cls, hook, ops, directory):
+    """Everything ``_LSM_BASE`` puts then ``ops`` leave on a fresh metered
+    ``cls`` store; an LSM store under the ``wal`` hook logs to (and is then
+    recovered from) ``directory``."""
+    meter = Meter(KVCostPolicy(CostModel()))
+    lsm = issubclass(cls, LSMStore)
+    if not lsm:
+        store = cls(meter=meter)
+    elif hook == "wal":
+        store = cls(directory=directory, meter=meter, **_LSM_LIMITS)
+    else:
+        store = cls(meter=meter, wal_enabled=False, **_LSM_LIMITS)
+    tracer, registry = Tracer(), MetricsRegistry()
+    if hook == "trace":
+        store.meter.trace = KVTraceSink(tracer, "mds0", None, 0.0)
+    elif hook == "registry":
+        store.meter.bind_registry(registry, "mds0.kv.")
+    for key in _LSM_BASE:
+        store.put(key, key)
+    results = [getattr(store, op)(*args) for op, *args in ops]
+    out = {
+        "results": results,
+        "op_counts": dict(meter.op_counts),
+        "byte_counts": dict(meter.byte_counts),
+        "total_us": meter.total_us.hex(),
+        "spans": [(s.name, s.start_us, s.end_us, s.args) for s in tracer.spans],
+        "counters": registry.snapshot()["counters"],
+        "len": len(store),
+        "items": sorted(store.items()),
+        "tables": store.num_tables if lsm else None,
+    }
+    store.close()
+    if lsm and hook == "wal":
+        out["files"] = {}
+        for name in sorted(os.listdir(directory)):
+            with open(os.path.join(directory, name), "rb") as f:
+                out["files"][name] = f.read()
+        recovered = LSMStore(directory=directory)
+        out["recovered"] = sorted(recovered.items())
+        recovered.close()
+    return out
+
+
+def _without_maintenance(out: dict) -> dict:
+    """``out`` minus the flush / compaction charges (each costs exactly
+    0.0 µs, so the virtual time they leave is the hash store's)."""
+    def keep(name: str) -> bool:
+        return name.rpartition(".")[2] not in _MAINTENANCE
+
+    out = dict(out)
+    for field in ("op_counts", "byte_counts", "counters"):
+        out[field] = {k: v for k, v in out[field].items() if keep(k)}
+    out["spans"] = [s for s in out["spans"] if keep(s[0])]
+    return out
+
+
+class TestLeanLSM:
+    """``LSMStore`` reads through one memtable ``lookup``, charges through
+    ``_charge`` and has a one-frame ``append``.  Against ``HashStore``
+    (metered as the LSM store meters a delete) every result, count, byte,
+    span and the virtual time are bit-equal, flushes and compactions aside;
+    against an LSM store running the ``KVStore.append`` default, everything
+    is, flush points, WAL and SSTable bytes included."""
+
+    @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
+    @settings(max_examples=15, deadline=None)
+    @given(ops=_LSM_OPS)
+    def test_differential_vs_hash_store(self, hook, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _after_lsm_ops(LSMStore, hook, ops, os.path.join(tmp, "a"))
+            default = _after_lsm_ops(_DefaultAppendLSM, hook, ops,
+                                     os.path.join(tmp, "b"))
+        want = _after_lsm_ops(_LSMMetered, hook, ops, None)
+        assert got == default
+        assert got["op_counts"]["flush"] >= 5  # the base alone flushes
+        assert got["op_counts"]["compaction"] >= 1
+        assert got["tables"] >= 1
+        if hook == "wal":
+            assert got.pop("recovered") == want["items"]
+            del got["files"]
+        got = _without_maintenance(got)
+        assert got.pop("tables") >= 1
+        want.pop("tables")
+        assert got == want
+
+    def test_tombstone_shadows_a_flushed_value(self):
+        store = LSMStore(wal_enabled=False, **_LSM_LIMITS)
+        store.put(b"gone", b"old")
+        store.flush()
+        assert store.num_tables == 1 and len(store._mem) == 0
+        assert store.delete(b"gone") is True
+        # the memtable's tombstone hides the table's value from every read
+        assert store.get(b"gone") is None
+        assert store.multi_get([b"gone"]) == [None]
+        store.append(b"gone", b"new")
+        assert store.get(b"gone") == b"new"
+        assert store.delete(b"missing") is False
+        store.close()
+
+
+class TestLSMDirectory:
+    def test_wal_less_store_makes_no_directory_until_it_flushes(self, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        store = LSMStore(wal_enabled=False, memtable_limit=256)
+        store.put(b"k", b"v")
+        assert store.directory is None and os.listdir(tmp_path) == []
+        for i in range(20):
+            store.put(b"k%02d" % i, b"v" * 16)
+        assert store.num_tables >= 1
+        (made,) = os.listdir(tmp_path)
+        assert made.startswith("lsm-") and store.directory == str(tmp_path / made)
+        store.close()
+        assert os.listdir(tmp_path) == []
+        assert store.get(b"k05") == b"v" * 16  # tables stay readable
+
+    def test_owned_wal_directory_removed_on_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        store = LSMStore()
+        store.put(b"k", b"v")
+        assert os.listdir(store.directory) == ["wal.log"]
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_caller_directory_kept_on_close(self, tmp_path):
+        d = str(tmp_path / "lsm")
+        store = LSMStore(directory=d, memtable_limit=64)
+        for i in range(10):
+            store.put(b"k%d" % i, b"v" * 8)
+        store.close()
+        assert "wal.log" in os.listdir(d)
+        recovered = LSMStore(directory=d)
+        assert recovered.get(b"k9") == b"v" * 8
+        recovered.close()
