@@ -74,8 +74,8 @@ class LocoClient(FSClientBase):
         #: create-path memo (the verdict depends only on these + cred,
         #: and cred is fixed per client)
         self._perm_ok: tuple | None = None
-        #: the create/stat hot paths may inline the dcache probe + DMS
-        #: lookup only when the subclass has not rerouted ``_g_dir``
+        #: the single-RPC file ops may inline ``_g_dir`` (the dcache probe
+        #: and the DMS lookup) only when the subclass has not rerouted it
         #: (MultiDMSClient resolves against a different server set)
         self._dir_inline = type(self)._g_dir is LocoClient._g_dir
 
@@ -149,7 +149,14 @@ class LocoClient(FSClientBase):
 
     def _g_rmdir(self, path: str) -> Generator:
         path = pathutil.normalize(path)
-        info = yield from self._g_dir(path)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(path, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (path, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(path, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(path)
         # the DMS cannot see file dirents; every FMS must confirm it holds
         # none (§4.2.1 observation 3 — the cost of the flattened tree)
         answers = yield Parallel(
@@ -176,7 +183,15 @@ class LocoClient(FSClientBase):
         return entries
 
     def _g_stat_dir(self, path: str) -> Generator:
-        info = yield from self._g_dir(path)
+        path = pathutil.normalize(path)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(path, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (path, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(path, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(path)
         return StatResult(
             st_mode=info["mode"], st_uid=info["uid"], st_gid=info["gid"],
             st_size=0, st_ctime=info["ctime"], st_mtime=info["ctime"],
@@ -191,16 +206,17 @@ class LocoClient(FSClientBase):
         parent, name = pathutil.split_fast(path)
         if not name:
             raise Exists(path)
-        # warm-path directory resolution, inlined: when only telemetry (or
-        # nothing) is attached no Marks flow, so a dcache probe + the
-        # uncached lookup RPC are exactly ``_g_dir`` minus its frame — and
-        # the single ``get`` keeps the hit/miss stats identical
-        if (self._dir_inline and self.cache_enabled
-                and not self._engine.obs_detailed):
-            info = self.dcache.get(parent, t)
+        # directory resolution, inlined here and in every single-RPC file
+        # op: unless Marks must flow (a lease cache under a tracer or
+        # metrics), the dcache probe and the lookup RPC are exactly
+        # ``_g_dir`` minus its frame — ``parent`` is already normalized,
+        # and the single ``get`` keeps the hit/miss stats identical
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, t) if self.cache_enabled else None
             if info is None:
                 info = yield Rpc(DMS, "lookup", (parent, self.cred))
-                self.dcache.put(parent, info, clock.now)
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, clock.now)
         else:
             info = yield from self._g_dir(parent)
         perm = (info["mode"], info["uid"], info["gid"])
@@ -218,13 +234,12 @@ class LocoClient(FSClientBase):
 
     def _g_stat_file(self, path: str) -> Generator:
         parent, name = pathutil.split_fast(path)
-        if (self._dir_inline and self.cache_enabled
-                and not self._engine.obs_detailed):
-            clock = self._clock
-            info = self.dcache.get(parent, clock.now)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
             if info is None:
                 info = yield Rpc(DMS, "lookup", (parent, self.cred))
-                self.dcache.put(parent, info, clock.now)
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
         else:
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
@@ -254,7 +269,14 @@ class LocoClient(FSClientBase):
 
     def _g_unlink(self, path: str) -> Generator:
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (parent, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(parent)
         self._check_parent_write(info)
         fms = self._fms_for(info["uuid"], name)
         removed = yield Rpc(fms, "remove", (info["uuid"], name, self.cred))
@@ -277,7 +299,14 @@ class LocoClient(FSClientBase):
             yield from self._g_dir_setattr(path, now, attrs)
             return
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (parent, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         try:
             yield Rpc(fms, "setattr", (info["uuid"], name, self.cred, now), attrs)
@@ -301,7 +330,14 @@ class LocoClient(FSClientBase):
         if path == "/":
             info = yield from self._g_dir(path)
             return may_access(info["mode"], info["uid"], info["gid"], self.cred, want)
-        info = yield from self._g_dir(parent)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (parent, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         try:
             return (yield Rpc(fms, "access", (info["uuid"], name, self.cred, want)))
@@ -312,7 +348,14 @@ class LocoClient(FSClientBase):
     def _g_truncate(self, path: str, size: int) -> Generator:
         now = self._clock.now / 1_000_000.0
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (parent, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         yield Rpc(fms, "truncate", (info["uuid"], name, size, now))
 

@@ -54,6 +54,11 @@ from repro.metadata.layout import DIR_INODE
 _I = b"I:"
 _E = b"E:"
 
+#: the d-inode fields written in place, or read alone on a hot path,
+#: resolved once (see ``FILE_ACCESS``'s twins in ``fms.py``)
+_D_CTIME, _D_MODE, _D_UID, _D_GID = map(DIR_INODE.field, ("ctime", "mode", "uid", "gid"))
+_D_LEN = DIR_INODE.total_size
+
 
 def _ikey(path: str) -> bytes:
     return _I + path.encode("utf-8")
@@ -344,13 +349,15 @@ class DirectoryMetadataServer:
         if buf is None:
             raise NoEntry(path)
         mode, uid, gid, uuid = self._meta[path]
+        if len(buf) != _D_LEN:
+            DIR_INODE.check(buf)
         return {
             "path": path,
             "uuid": uuid,
             "mode": mode,
             "uid": uid,
             "gid": gid,
-            "ctime": DIR_INODE.read(buf, "ctime"),
+            "ctime": _D_CTIME.unpack_from(buf, _D_CTIME.offset)[0],
         }
 
     def op_stat(self, path: str, cred: Credentials) -> dict:
@@ -413,16 +420,17 @@ class DirectoryMetadataServer:
         omode, ouid, ogid, uuid = self._meta[path]
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
+        write_at = self.store.write_at
         if mode is not None:
             omode = (omode & ~0o7777) | (mode & 0o7777)
-            self.store.write_at(key, DIR_INODE.offset("mode"), DIR_INODE.encode_field("mode", omode))
+            write_at(key, _D_MODE.offset, _D_MODE.pack(omode))
         if uid is not None:
             ouid = uid
-            self.store.write_at(key, DIR_INODE.offset("uid"), DIR_INODE.encode_field("uid", uid))
+            write_at(key, _D_UID.offset, _D_UID.pack(uid))
         if gid is not None:
             ogid = gid
-            self.store.write_at(key, DIR_INODE.offset("gid"), DIR_INODE.encode_field("gid", gid))
-        self.store.write_at(key, DIR_INODE.offset("ctime"), DIR_INODE.encode_field("ctime", now_s))
+            write_at(key, _D_GID.offset, _D_GID.pack(gid))
+        write_at(key, _D_CTIME.offset, _D_CTIME.pack(now_s))
         self._meta[path] = (omode, ouid, ogid, uuid)
 
     def op_rename(self, old: str, new: str, cred: Credentials) -> int:

@@ -45,6 +45,16 @@ _E = b"E:"
 #: a file dirent's type byte
 _FTYPE_FILE = int(FileType.FILE)
 
+#: the decoupled parts' fields written in place, or read alone on a hot
+#: path, resolved once: ``f.offset`` plus the bound ``f.pack`` /
+#: ``f.unpack_from`` (a read checks the record length first, as
+#: ``FixedLayout.read`` does)
+_A_CTIME, _A_MODE, _A_UID, _A_GID = map(FILE_ACCESS.field,
+                                        ("ctime", "mode", "uid", "gid"))
+_C_MTIME, _C_ATIME, _C_SIZE, _C_SUUID = map(FILE_CONTENT.field,
+                                            ("mtime", "atime", "size", "suuid"))
+_C_LEN = FILE_CONTENT.total_size
+
 #: verdicts for a create-batch probe hit (see ``_probe_verdict``)
 _APPLIED = 0   # replay of an already-durable create: return its uuid
 _REPAIR = 1    # torn WAL tail left a partial create: re-apply as fresh
@@ -450,8 +460,10 @@ class FileMetadataServer:
         mode, uid, gid = FILE_ACCESS.perm(a)
         if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
-        return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
-                "size": FILE_CONTENT.read(c, "size")}
+        if len(c) != _C_LEN:
+            FILE_CONTENT.check(c)
+        return {"uuid": _C_SUUID.unpack_from(c, _C_SUUID.offset)[0], "mode": mode,
+                "size": _C_SIZE.unpack_from(c, _C_SIZE.offset)[0]}
 
     def op_access(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> bool:
         """access(2): touches only the access part."""
@@ -481,19 +493,16 @@ class FileMetadataServer:
                 raise NoEntry(name)
             self._check_owner(a, cred, name)
             # in-place fixed-offset field writes — no (de)serialization
+            write_at = self.store.write_at
             if mode is not None:
                 old = FILE_ACCESS.perm(a)[0]
                 new_mode = (old & ~0o7777) | (mode & 0o7777)
-                self.store.write_at(akey, FILE_ACCESS.offset("mode"),
-                                    FILE_ACCESS.encode_field("mode", new_mode))
+                write_at(akey, _A_MODE.offset, _A_MODE.pack(new_mode))
             if uid is not None:
-                self.store.write_at(akey, FILE_ACCESS.offset("uid"),
-                                    FILE_ACCESS.encode_field("uid", uid))
+                write_at(akey, _A_UID.offset, _A_UID.pack(uid))
             if gid is not None:
-                self.store.write_at(akey, FILE_ACCESS.offset("gid"),
-                                    FILE_ACCESS.encode_field("gid", gid))
-            self.store.write_at(akey, FILE_ACCESS.offset("ctime"),
-                                FILE_ACCESS.encode_field("ctime", now_s))
+                write_at(akey, _A_GID.offset, _A_GID.pack(gid))
+            write_at(akey, _A_CTIME.offset, _A_CTIME.pack(now_s))
         else:
             buf = self._get_coupled(key)
             if buf is None:
@@ -520,10 +529,8 @@ class FileMetadataServer:
             c = self.store.get(ckey)
             if c is None:
                 raise NoEntry(name)
-            self.store.write_at(ckey, FILE_CONTENT.offset("size"),
-                                FILE_CONTENT.encode_field("size", size))
-            self.store.write_at(ckey, FILE_CONTENT.offset("mtime"),
-                                FILE_CONTENT.encode_field("mtime", now_s))
+            self.store.write_at(ckey, _C_SIZE.offset, _C_SIZE.pack(size))
+            self.store.write_at(ckey, _C_MTIME.offset, _C_MTIME.pack(now_s))
         else:
             buf = self._get_coupled(key)
             if buf is None:
@@ -549,11 +556,9 @@ class FileMetadataServer:
                 raise NoEntry(name)
             size = FILE_CONTENT.read(c, "size")
             if end_offset > size:
-                self.store.write_at(ckey, FILE_CONTENT.offset("size"),
-                                    FILE_CONTENT.encode_field("size", end_offset))
+                self.store.write_at(ckey, _C_SIZE.offset, _C_SIZE.pack(end_offset))
                 size = end_offset
-            self.store.write_at(ckey, FILE_CONTENT.offset("mtime"),
-                                FILE_CONTENT.encode_field("mtime", now_s))
+            self.store.write_at(ckey, _C_MTIME.offset, _C_MTIME.pack(now_s))
             return {"uuid": FILE_CONTENT.read(c, "suuid"),
                     "bsize": FILE_CONTENT.read(c, "bsize"), "size": size}
         buf = self._get_coupled(key)
@@ -576,8 +581,7 @@ class FileMetadataServer:
             c = self.store.get(ckey)
             if c is None:
                 raise NoEntry(name)
-            self.store.write_at(ckey, FILE_CONTENT.offset("atime"),
-                                FILE_CONTENT.encode_field("atime", now_s))
+            self.store.write_at(ckey, _C_ATIME.offset, _C_ATIME.pack(now_s))
             return {"uuid": FILE_CONTENT.read(c, "suuid"),
                     "bsize": FILE_CONTENT.read(c, "bsize"),
                     "size": FILE_CONTENT.read(c, "size")}
@@ -607,8 +611,10 @@ class FileMetadataServer:
         newbuf, _ = dirent.remove_entry(buf, name)
         self.store.put(ekey, newbuf)
         self._nfiles -= 1
-        return {"uuid": FILE_CONTENT.read(c, "suuid"),
-                "size": FILE_CONTENT.read(c, "size")}
+        if len(c) != _C_LEN:
+            FILE_CONTENT.check(c)
+        return {"uuid": _C_SUUID.unpack_from(c, _C_SUUID.offset)[0],
+                "size": _C_SIZE.unpack_from(c, _C_SIZE.offset)[0]}
 
     def op_exists(self, dir_uuid: int, name: str) -> bool:
         """Cheap existence probe (used by the client's rename path)."""

@@ -40,7 +40,7 @@ from repro.metadata.layout import DIR_INODE
 from repro.sim.rpc import Parallel, Rpc
 
 from .client import LocoClient
-from .dms import DirectoryMetadataServer, _ekey, _ikey
+from .dms import _D_CTIME, _D_GID, _D_MODE, _D_UID, DirectoryMetadataServer, _ekey, _ikey
 
 # ---------------------------------------------------------------------------
 # server side: shard-local operations added onto DirectoryMetadataServer
@@ -127,20 +127,17 @@ class DirectoryShardServer(DirectoryMetadataServer):
         if not cred.is_root and cred.uid != ouid:
             raise PermissionDenied(path)
         key = _ikey(path)
+        write_at = self.store.write_at
         if mode is not None:
             omode = (omode & ~0o7777) | (mode & 0o7777)
-            self.store.write_at(key, DIR_INODE.offset("mode"),
-                                DIR_INODE.encode_field("mode", omode))
+            write_at(key, _D_MODE.offset, _D_MODE.pack(omode))
         if uid is not None:
             ouid = uid
-            self.store.write_at(key, DIR_INODE.offset("uid"),
-                                DIR_INODE.encode_field("uid", uid))
+            write_at(key, _D_UID.offset, _D_UID.pack(uid))
         if gid is not None:
             ogid = gid
-            self.store.write_at(key, DIR_INODE.offset("gid"),
-                                DIR_INODE.encode_field("gid", gid))
-        self.store.write_at(key, DIR_INODE.offset("ctime"),
-                            DIR_INODE.encode_field("ctime", now_s))
+            write_at(key, _D_GID.offset, _D_GID.pack(gid))
+        write_at(key, _D_CTIME.offset, _D_CTIME.pack(now_s))
         self._meta[path] = (omode, ouid, ogid, uuid)
 
     # -- rename support ----------------------------------------------------------------

@@ -21,11 +21,11 @@ LATENCY_OPS = ("mkdir", "touch", "dir-stat", "file-stat", "readdir", "rm", "rmdi
 FILE_META_OPS = ("chmod", "chown", "access", "truncate")
 
 
-def _measured(client, cost: CostModel, call):
-    """One measured operation including the client-side software path."""
-    yield LocalCharge(cost.client_overhead_us)
-    result = yield from client.op_generator(*call)
-    return result
+def _measured(overhead: LocalCharge, op, call: tuple):
+    """One measured operation including the client-side software path:
+    the ``overhead`` charge, then ``op(*call)`` (the op's generator)."""
+    yield overhead
+    return (yield from op(*call))
 
 
 def run_latency(
@@ -75,52 +75,58 @@ def run_latency(
     for path in wl.dir_chain(0):
         client.mkdir(path)
     wd = wl.work_dir(0)
+    # resolved once for every measured op: one shared charge (commands are
+    # read-only to the engines), the bare op generator when no sink wants
+    # the op bracket, and the (possibly tapped) engine.run / rec.record
+    overhead = LocalCharge(cost.client_overhead_us)
+    bare = (engine.tracer is None and engine.metrics is None
+            and engine.telemetry is None)
+    op = client.op_raw if bare else client.op_generator
+    run = engine.run
+    record = rec.record
 
-    def timed(op: str, n: int) -> None:
-        call = _OP_CALLS[op](wl, wd, n)
-        t0 = engine.now
-        engine.run(_measured(client, cost, call))
-        rec.record(op, engine.now - t0)
+    def phase(name: str, items) -> None:
+        """One engine.run and one rec.record per measured op."""
+        build = _OP_CALLS[name]
+        for n in items:
+            t0 = engine.now
+            run(_measured(overhead, op, build(wl, wd, n)))
+            record(name, engine.now - t0)
 
-    if zipf_s:
-        picker = ZipfPicker(n_items, zipf_s, seed=zipf_seed)
-        pick = lambda _n: picker.pick()  # noqa: E731
-    else:
-        pick = lambda n: n  # noqa: E731
+    picker = ZipfPicker(n_items, zipf_s, seed=zipf_seed) if zipf_s else None
+
+    def picks():
+        """The targets of one non-destructive phase, in draw order."""
+        if picker is None:
+            return range(n_items)
+        return [picker.pick() for _ in range(n_items)]
 
     if "mkdir" in ops:
-        for n in range(n_items):
-            timed("mkdir", n)
+        phase("mkdir", range(n_items))
     elif any(o in ops for o in ("dir-stat", "rmdir")):
         for n in range(n_items):
             client.mkdir(wl.dir_path(0, n))
     if "touch" in ops:
-        for n in range(n_items):
-            timed("touch", n)
+        phase("touch", range(n_items))
     elif any(o in ops for o in ("file-stat", "rm", "readdir") + FILE_META_OPS):
         for n in range(n_items):
             client.create(wl.file_path(0, n))
     if "dir-stat" in ops:
-        for n in range(n_items):
-            timed("dir-stat", pick(n))
+        phase("dir-stat", picks())
     if "file-stat" in ops:
-        for n in range(n_items):
-            timed("file-stat", pick(n))
-    for op in FILE_META_OPS:
-        if op in ops:
-            for n in range(n_items):
-                timed(op, pick(n))
+        phase("file-stat", picks())
+    for name in FILE_META_OPS:
+        if name in ops:
+            phase(name, picks())
     if "readdir" in ops:
         # the paper reads a directory holding 10 k entries; n_items stands in
         t0 = engine.now
-        engine.run(_measured(client, cost, ("readdir", wd)))
-        rec.record("readdir", engine.now - t0)
+        run(_measured(overhead, op, ("readdir", wd)))
+        record("readdir", engine.now - t0)
     if "rm" in ops:
-        for n in range(n_items):
-            timed("rm", n)
+        phase("rm", range(n_items))
     if "rmdir" in ops:
-        for n in range(n_items):
-            timed("rmdir", n)
+        phase("rmdir", range(n_items))
     close = getattr(system, "close", None)
     if close:
         close()

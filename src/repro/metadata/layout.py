@@ -4,8 +4,9 @@ LocoFS removes (de)serialization by making every metadata field
 fixed-length: a field is read or written *in place* in the value string by
 offset arithmetic (§3.3.3).  :class:`FixedLayout` provides exactly that —
 ``offset``/``size`` expose where a field lives so servers can use the KV
-stores' ``read_at``/``write_at`` partial accessors, and ``pack``/``read``/
-``write`` operate on whole buffers.
+stores' ``read_at``/``write_at`` partial accessors (``field`` hands them
+the offset with the field's bound codec, resolved once at import), and
+``pack``/``read``/``write`` operate on whole buffers.
 
 The three layouts follow Table 1 of the paper:
 
@@ -25,6 +26,7 @@ content part and ``ctime`` in the access part.  We follow Table 1.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -37,6 +39,12 @@ class _Field:
     #: precompiled codec — ``struct.Struct`` caches the format parse, so
     #: the hot pack/unpack path skips re-parsing "<d"/"<Q" on every call
     codec: struct.Struct
+    #: the codec's bound ``pack`` / ``unpack_from``, for servers that
+    #: resolve a field once at import (:meth:`FixedLayout.field`):
+    #: ``pack(v)`` is ``encode_field``'s bytes and ``unpack_from(buf,
+    #: offset)[0]`` is ``read``'s value once ``check(buf)`` has passed
+    pack: Callable[..., bytes]
+    unpack_from: Callable[..., tuple]
 
 
 class _Fields(dict):
@@ -61,7 +69,8 @@ class FixedLayout:
         off = 0
         for fname, fmt in fields:
             codec = struct.Struct("<" + fmt)
-            self._fields[fname] = _Field(fname, fmt, off, codec.size, codec)
+            self._fields[fname] = _Field(fname, fmt, off, codec.size, codec,
+                                         codec.pack, codec.unpack_from)
             off += codec.size
         self.packed_size = off
         self.total_size = total_size if total_size is not None else off
@@ -114,13 +123,13 @@ class FixedLayout:
 
     def unpack(self, buf: bytes) -> dict:
         if len(buf) != self.total_size:
-            self._check(buf)
+            self.check(buf)
         return dict(zip(self._names, self._whole.unpack_from(buf)))
 
     # -- per-field (the no-deserialization access path) -----------------------------
     def read(self, buf: bytes, field: str):
         if len(buf) != self.total_size:
-            self._check(buf)
+            self.check(buf)
         f = self._fields[field]
         (value,) = f.codec.unpack_from(buf, f.offset)
         return value
@@ -131,14 +140,14 @@ class FixedLayout:
         "gid")``, in one length check and one ``unpack_from`` of the three
         adjacent fields."""
         if len(buf) != self.total_size:
-            self._check(buf)
+            self.check(buf)
         if self._perm is None:
             return self.read(buf, "mode"), self.read(buf, "uid"), self.read(buf, "gid")
         return self._perm.unpack_from(buf, self._perm_at)
 
     def write(self, buf: bytes, field: str, value) -> bytes:
         """Return a copy of ``buf`` with ``field`` overwritten in place."""
-        self._check(buf)
+        self.check(buf)
         f = self._fields[field]
         out = bytearray(buf)
         f.codec.pack_into(out, f.offset, value)
@@ -155,6 +164,13 @@ class FixedLayout:
     def offset(self, field: str) -> int:
         return self._fields[field].offset
 
+    def field(self, name: str) -> _Field:
+        """One field's descriptor: ``offset``, ``size`` and its codec's
+        bound ``pack`` / ``unpack_from``.  Servers resolve the fields they
+        write in place, or read alone on a hot path, once at import, so
+        each access costs one C call and no layout frame."""
+        return self._fields[name]
+
     def size(self, field: str) -> int:
         return self._fields[field].size
 
@@ -162,8 +178,8 @@ class FixedLayout:
     def field_names(self) -> list[str]:
         return list(self._fields)
 
-    # -- internal ----------------------------------------------------------------
-    def _check(self, buf: bytes) -> None:
+    def check(self, buf: bytes) -> None:
+        """Raise ``ValueError`` unless ``buf`` is one whole record."""
         if len(buf) != self.total_size:
             raise ValueError(
                 f"{self.name}: buffer is {len(buf)} bytes, expected {self.total_size}"

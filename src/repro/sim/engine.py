@@ -31,7 +31,11 @@ stages, and only the first is written per driver:
    Direct *advances* a clock and loops over retries where Event
    *schedules* an arrival — sharing these ~20 lines costs a second
    Python call per attempt, measured at 0.946× host throughput on
-   ``read_mostly``.
+   ``read_mostly``.  With no fault schedule attached no attempt can be
+   lost, so ``DirectEngine.run`` sends a lone request and each
+   ``Parallel`` branch itself, without the retry loop (the same sum, no
+   wire-fate draw); ``_round_trip`` serves every ``Quorum`` and every
+   command under a schedule.
 2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
    the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
    or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch), meter
@@ -592,6 +596,15 @@ class DirectEngine(_EngineCore):
 
     # -- protocol -------------------------------------------------------------
     def run(self, gen: Generator):
+        """Drive ``gen`` to completion.
+
+        With no fault schedule attached, a lone ``Rpc``/``Batch`` and a
+        ``Parallel`` are served from here: no attempt can be lost, so
+        ``_round_trip``'s retry loop and ``_fan_out``'s completion replay
+        have nothing to decide (DESIGN "Engine design" says why this is
+        exact).  Every ``Quorum``, and every command under a schedule, the
+        empty one included, still takes those two.
+        """
         send = gen.send
         throw = gen.throw
         send_value = None
@@ -608,11 +621,69 @@ class DirectEngine(_EngineCore):
             except AttributeError:
                 raise TypeError(f"unknown engine command: {cmd!r}") from None
             if tag == TAG_RPC or tag == TAG_BATCH:
-                send_value, exc, self.now = self._round_trip(cmd)
-            elif tag == TAG_PARALLEL or tag == TAG_QUORUM:
-                send_value, exc = self._fan_out(cmd)
+                if self.faults is not None:
+                    send_value, exc, self.now = self._round_trip(cmd)
+                    continue
+                # _round_trip's send half, for the one attempt there is
+                state = self._client
+                server = cmd.server
+                t = self.now
+                delay = 0.0
+                if cmd.send_bytes:
+                    delay = self.cost.transfer_us(cmd.send_bytes) + delay
+                half = self._half_rtt
+                sw = self.switch_nodes
+                if sw is not None and server in sw:
+                    half = sw[server]
+                else:
+                    if state.last_server is not None and state.last_server != server:
+                        delay += self.cost.conn_switch_us
+                    state.last_server = server
+                state.rpcs_issued += 1
+                span = None
+                if self.tracer is not None:
+                    span = self._open_span(state, cmd, t)
+                send_value, exc, self.now = self._serve(
+                    state, cmd, span, t + delay + half, half)
             elif tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 self.now += cmd.us
+            elif tag == TAG_PARALLEL and self.faults is None:
+                # each branch is a fan-out branch's send half, then _serve,
+                # in index order; the join is _FanOut.add's Parallel rule
+                # folded: values in branch order, the clock at the slowest
+                # branch, the error of the first by (respond_at, index)
+                state = self._client
+                t = end = self.now
+                uplink = err_at = 0.0
+                values = []
+                for rpc in cmd.rpcs:
+                    server = rpc.server
+                    delay = uplink
+                    if rpc.send_bytes:
+                        wire = self.cost.transfer_us(rpc.send_bytes)
+                        delay = wire + delay
+                        uplink += wire
+                    half = self._half_rtt
+                    sw = self.switch_nodes
+                    if sw is not None and server in sw:
+                        half = sw[server]
+                    state.rpcs_issued += 1
+                    span = None
+                    if self.tracer is not None:
+                        span = self._open_span(state, rpc, t)
+                    value, err, at = self._serve(state, rpc, span,
+                                                 t + delay + half, half)
+                    values.append(value)
+                    if at > end:
+                        end = at
+                    if err is not None and (exc is None or at < err_at):
+                        exc = err
+                        err_at = at
+                self.now = end
+                if exc is None:
+                    send_value = values
+            elif tag == TAG_PARALLEL or tag == TAG_QUORUM:
+                send_value, exc = self._fan_out(cmd)
             elif tag == TAG_SPAN_BEGIN:
                 self._span_begin(self._client, cmd)
             elif tag == TAG_SPAN_END:
@@ -627,10 +698,11 @@ class DirectEngine(_EngineCore):
 
     def _round_trip(self, cmd: Rpc | Batch, join: _FanOut | None = None,
                     uplink: float = 0.0):
-        """One ``Rpc`` or ``Batch`` issued at ``self.now``, every retry
-        included.  Returns ``(value, err, respond_at)`` and leaves the
-        clock alone: ``run`` resumes a lone request at ``respond_at``,
-        ``_fan_out`` decides from all its branches.  A branch of the
+        """One ``Rpc`` or ``Batch`` issued at ``self.now`` under a fault
+        schedule, or as a ``Quorum`` branch, every retry included.
+        Returns ``(value, err, respond_at)`` and leaves the clock alone:
+        ``run`` resumes a lone request at ``respond_at``, ``_fan_out``
+        decides from all its branches.  A branch of the
         fan-out ``join`` pays no connection switch and first waits
         ``uplink`` behind the earlier branches' request payloads.
         """
@@ -686,9 +758,10 @@ class DirectEngine(_EngineCore):
             uplink = 0.0  # a re-issue queues behind nobody's payload
 
     def _fan_out(self, cmd: Parallel | Quorum):
-        """Run every branch of a ``Parallel``/``Quorum`` from ``self.now``,
-        then replay their completions in time order through the shared
-        join; the clock resumes where the join resolves.  All branches
+        """Run every branch of a ``Quorum``, or of a ``Parallel`` under a
+        fault schedule, from ``self.now``, then replay their completions
+        in time order through the shared join; the clock resumes where the
+        join resolves.  All branches
         execute against their servers (their queue/service effects
         happen) even when a ``Quorum`` resolves before the slowest."""
         if not cmd.rpcs:

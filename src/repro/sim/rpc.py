@@ -168,12 +168,19 @@ class Quorum:
 
 
 class Sleep:
-    """Advance virtual time without doing work (think-time, backoff)."""
+    """Advance virtual time without doing work (think-time, backoff).
+
+    ``us`` must be ``>= 0``: a negative or NaN delay raises ``ValueError``
+    here, as ``Simulator.after`` does, so neither engine ever sees one
+    (the clock only moves forward on both).
+    """
 
     __slots__ = ("us",)
     tag = TAG_DELAY
 
     def __init__(self, us: float):
+        if not us >= 0.0:  # negative, or NaN
+            raise ValueError(f"negative or NaN delay: {us}")
         self.us = us
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -181,12 +188,17 @@ class Sleep:
 
 
 class LocalCharge:
-    """Charge client-side compute time (e.g. FUSE layer, checksums)."""
+    """Charge client-side compute time (e.g. FUSE layer, checksums).
+
+    ``us`` is checked like :class:`Sleep`'s.
+    """
 
     __slots__ = ("us",)
     tag = TAG_DELAY
 
     def __init__(self, us: float):
+        if not us >= 0.0:  # negative, or NaN
+            raise ValueError(f"negative or NaN delay: {us}")
         self.us = us
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness: workloads, registry, runners, report."""
 
+import cProfile
+import pstats
+
 import pytest
 
 from repro.baselines import (
@@ -18,6 +21,7 @@ from repro.harness import (
     TABLE3_CLIENTS,
     TraceGenerator,
     Workload,
+    ZipfPicker,
     clients_for,
     format_table,
     make_system,
@@ -25,7 +29,9 @@ from repro.harness import (
     run_latency,
     run_throughput,
 )
+from repro.harness import mdtest
 from repro.harness.registry import make_system as registry_make
+from repro.obs import Tracer
 from repro.sim.costmodel import CostModel
 
 
@@ -154,6 +160,44 @@ class TestLatencyRunner:
         shallow = run_latency("locofs-nc", 1, n_items=10, depth=1, ops=("touch",))
         deep = run_latency("locofs-nc", 1, n_items=10, depth=24, ops=("touch",))
         assert deep.summary("touch").mean > shallow.summary("touch").mean
+
+    def test_measured_op_exact_call_count(self, monkeypatch):
+        """One measured op — harness loop, client, engine and both servers
+        — under cProfile, from the record of the second sample to that of
+        the third: CPython 3.11.7 counts 74 for a ``locofs-nc`` file-stat,
+        the profiler's ``disable`` included.  It was 82: a ``timed`` frame,
+        the pick lambda and a fresh ``LocalCharge`` per op, ``_g_dir``'s
+        two frames, two ``_round_trip`` frames and the DMS's ``ctime``
+        read through ``FixedLayout.read``."""
+        prof = cProfile.Profile()
+
+        class OneOp(LatencyRecorder):
+            seen = 0
+
+            def record(self, op, latency_us):
+                super().record(op, latency_us)
+                OneOp.seen += 1
+                if OneOp.seen == 2:
+                    prof.enable()
+                elif OneOp.seen == 3:
+                    prof.disable()
+
+        monkeypatch.setattr(mdtest, "LatencyRecorder", OneOp)
+        run_latency("locofs-nc", 4, n_items=4, ops=("file-stat",))
+        assert OneOp.seen == 4
+        assert pstats.Stats(prof).total_calls <= 74
+
+    def test_zipf_phases_visit_the_picker_draws_in_order(self):
+        """Each skewed phase draws its targets before it runs; across
+        phases they are the picker's stream in order, one op per draw."""
+        tracer = Tracer()
+        run_latency("locofs-c", 2, n_items=12, ops=("file-stat", "chmod"),
+                    zipf_s=1.1, zipf_seed=3, tracer=tracer)
+        visited = [s.args["path"] for s in sorted(tracer.spans, key=lambda s: s.start_us)
+                   if s.name in ("client.stat_file", "client.chmod")]
+        picker = ZipfPicker(12, 1.1, seed=3)
+        assert visited == [f"/c0000/f{picker.pick():06d}" for _ in range(24)]
+        assert len(set(visited)) < 12  # skewed: the hot items repeat
 
 
 class TestThroughputRunner:

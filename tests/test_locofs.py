@@ -1,5 +1,8 @@
 """LocoFS: shared semantics suite + LocoFS-specific behaviour."""
 
+import cProfile
+import pstats
+
 import pytest
 
 from repro.common.config import (
@@ -9,12 +12,14 @@ from repro.common.config import (
     DirectoryConfig,
     LookupCacheConfig,
 )
-from repro.common.errors import NoEntry
+from repro.common.errors import FSError, NoEntry
 from repro.common.types import Credentials
 from repro.core import fsck
 from repro.core.fs import LocoFS
 from repro.harness.registry import make_system
+from repro.obs import Tracer
 from repro.sim.costmodel import CostModel
+from repro.sim.rpc import Parallel, Rpc
 
 from fs_semantics import FSSemantics
 
@@ -338,3 +343,90 @@ class TestDeploymentBuilder:
         assert (f.st_mode, f.st_uid, f.st_gid) == (0o100600, 1, 2)
         assert fresh.stat_dir("/d").st_mode == 0o40700
         assert fresh.stat_dir("/").st_mode == 0o40711
+
+
+def _describe(cmd):
+    """A yielded engine command as comparable data."""
+    if isinstance(cmd, Rpc):
+        return ("Rpc", cmd.server, cmd.method, cmd.args, cmd.kwargs)
+    if isinstance(cmd, Parallel):
+        return ("Parallel", [_describe(rpc) for rpc in cmd.rpcs])
+    return (type(cmd).__name__, getattr(cmd, "name", None), getattr(cmd, "args", None))
+
+
+def _taped(gen, tape: list):
+    """Drive ``gen`` for an engine, appending every command it yields."""
+    value = exc = None
+    while True:
+        try:
+            cmd = gen.throw(exc) if exc is not None else gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        tape.append(_describe(cmd))
+        value = exc = None
+        try:
+            value = yield cmd
+        except FSError as e:
+            exc = e
+
+
+#: every op whose directory resolution is inlined, on each path it takes:
+#: a hit and a miss, the directory fallbacks of chmod / access, lookup
+#: errors, and a path that only normalizes to its directory
+_INLINE_SCRIPT = [
+    ("mkdir", "/d"), ("mkdir", "/d/m"),
+    ("create", "/d/f"), ("create", "/d/g"), ("stat_file", "/d/f"),
+    ("stat_dir", "/d/m"), ("stat_dir", "/d/m/"), ("stat_dir", "/"),
+    ("chmod", "/d/f", 0o600), ("chown", "/d/f", 7, 8), ("chmod", "/d/m", 0o700),
+    ("access", "/d/f", 4), ("access", "/d/m", 2), ("truncate", "/d/f", 4096),
+    ("stat_file", "/d/missing"), ("unlink", "/nodir/f"), ("truncate", "/d/nope", 1),
+    ("stat_dir", "/d/nope"), ("rmdir", "/d/nope"),
+    ("unlink", "/d/f"), ("unlink", "/d/g"), ("rmdir", "/d/m"),
+]
+
+
+class TestInlineDirectoryResolution:
+    """The single-RPC file ops resolve their directory inline (no
+    ``_g_dir`` frame) unless Marks must flow; forced off, ``_g_dir`` runs.
+    Both must yield the same commands and leave the same state."""
+
+    @staticmethod
+    def _script(system: str, traced: bool, inline: bool):
+        fs = make_system(system, 2)
+        if traced:
+            fs.engine.attach_observability(tracer=Tracer())
+        client = fs.client()
+        assert client._dir_inline
+        client._dir_inline = inline
+        tape, outcomes = [], []
+        for op, *args in _INLINE_SCRIPT:
+            try:
+                outcomes.append(fs.engine.run(_taped(client.op_generator(op, *args), tape)))
+            except FSError as e:
+                outcomes.append(type(e).__name__)
+        return (tape, outcomes, fs.engine.now, fs.engine._client.rpcs_issued,
+                client.cache_stats)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
+    @pytest.mark.parametrize("system", ["locofs-nc", "locofs-c", "locofs-b"])
+    def test_same_commands_with_the_inline_path_forced_off(self, system, traced):
+        inline = self._script(system, traced, inline=True)
+        assert inline == self._script(system, traced, inline=False)
+        looked_up = {c[3][0] for c in inline[0] if c[:3] == ("Rpc", "dms", "lookup")}
+        assert looked_up and "/d/m/" not in looked_up  # always normalized
+
+    def test_uncached_stat_file_exact_call_count(self):
+        """One warm ``stat_file`` on ``locofs-nc`` (no lease cache, the
+        DirectEngine), under cProfile.  CPython 3.11.7 counts 67, the
+        profiler's own ``disable`` included.  It was 72: the parent
+        resolved through a ``_g_dir`` generator (two frames), each request
+        through a ``_round_trip`` frame and the DMS's ``ctime`` read
+        through ``FixedLayout.read``."""
+        fs = make_system("locofs-nc", 4)
+        client = fs.client()
+        client.mkdir("/d")
+        client.create("/d/f")
+        client.stat_file("/d/f")  # warm: memos, placement, meter keys
+        prof = cProfile.Profile()
+        prof.runcall(client.stat_file, "/d/f")
+        assert pstats.Stats(prof).total_calls <= 67

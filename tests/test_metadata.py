@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from repro.common.errors import Exists
 from repro.common.types import S_IFREG, Credentials, DirEntry, FileType
 from repro.common.uuidgen import UuidAllocator, uuid_fid
+from repro.core import dms as dms_mod
+from repro.core import fms as fms_mod
+from repro.core.dms import DirectoryMetadataServer
 from repro.core.fms import FileMetadataServer, fkey
 from repro.kv import HashStore, Meter
 from repro.metadata import acl, dirent
@@ -24,6 +27,97 @@ from repro.metadata.layout import (
 )
 from repro.metadata.lease import LeaseCache
 from repro.sim.costmodel import CostModel, KVCostPolicy
+
+
+#: sample values per struct code, edges included
+_FIELD_VALUES = {
+    "d": [0.0, -0.0, 1.5, -2.25e-300, 1e300, float("inf")],
+    "I": [0, 1, 0o100644, 0o107777, 2**32 - 1],
+    "Q": [0, 1, 4096, 2**40 + 7, 2**64 - 1],
+    "128s": [b"", b"x", b"y" * 128],
+}
+
+_ALL_LAYOUTS = [DIR_INODE, FILE_ACCESS, FILE_CONTENT, FILE_COUPLED]
+
+
+class TestPrecomputedFieldCodecs:
+    """``FixedLayout.field`` hands servers a field's offset and bound
+    codec once, at import; each must be byte-for-byte ``encode_field`` /
+    ``read``, and a read keeps ``read``'s length check."""
+
+    @pytest.mark.parametrize("layout", _ALL_LAYOUTS, ids=lambda lay: lay.name)
+    def test_every_field_is_encode_field_and_read(self, layout):
+        for name in layout.field_names:
+            f = layout.field(name)
+            assert (f.offset, f.size) == (layout.offset(name), layout.size(name))
+            for value in _FIELD_VALUES[f.fmt]:
+                raw = f.pack(value)
+                assert raw == layout.encode_field(name, value)
+                buf = layout.write(layout.pack(), name, value)
+                assert buf[f.offset:f.offset + f.size] == raw
+                assert f.unpack_from(buf, f.offset) == (layout.read(buf, name),)
+
+    @pytest.mark.parametrize("layout", _ALL_LAYOUTS, ids=lambda lay: lay.name)
+    def test_check_raises_reads_error(self, layout):
+        for bad in (b"", bytes(layout.total_size - 1), bytes(layout.total_size + 1)):
+            with pytest.raises(ValueError) as by_read:
+                layout.read(bad, layout.field_names[-1])
+            with pytest.raises(ValueError) as by_check:
+                layout.check(bad)
+            assert str(by_check.value) == str(by_read.value)
+        layout.check(layout.pack())
+
+    def test_server_constants_are_the_layout_fields(self):
+        for layout, names, prefix, module in (
+                (FILE_ACCESS, ("ctime", "mode", "uid", "gid"), "_A_", fms_mod),
+                (FILE_CONTENT, ("mtime", "atime", "size", "suuid"), "_C_", fms_mod),
+                (DIR_INODE, ("ctime", "mode", "uid", "gid"), "_D_", dms_mod)):
+            for name in names:
+                assert getattr(module, prefix + name.upper()) is layout.field(name)
+        assert fms_mod._C_LEN == FILE_CONTENT.total_size
+        assert dms_mod._D_LEN == DIR_INODE.total_size
+
+    def test_fms_in_place_writes_store_the_packed_record(self):
+        fms = FileMetadataServer(sid=1)
+        cred = Credentials(0, 0)
+        fms.op_create(9, "f", 0o100644, cred, 1.0)
+        fms.op_setattr(9, "f", cred, 2.5, mode=0o600, uid=7, gid=8)
+        fms.op_truncate(9, "f", 4096, 3.5)
+        fms.op_write_meta(9, "f", 8192, 4.5)
+        fms.op_read_meta(9, "f", 5.5)
+        a = fms.store.get(b"A:" + fkey(9, "f"))
+        c = fms.store.get(b"C:" + fkey(9, "f"))
+        assert a == FILE_ACCESS.pack(ctime=2.5, mode=0o100600, uid=7, gid=8)
+        assert FILE_CONTENT.unpack(c) == {"mtime": 4.5, "atime": 5.5, "size": 8192,
+                                          "bsize": 4096, "suuid": FILE_CONTENT.read(c, "suuid"),
+                                          "sid": 1}
+        assert fms.op_remove(9, "f", cred) == {"uuid": FILE_CONTENT.read(c, "suuid"),
+                                               "size": 8192}
+
+    def test_dms_in_place_writes_store_the_packed_record(self):
+        dms = DirectoryMetadataServer()
+        root = Credentials(0, 0)
+        uuid = dms.op_mkdir("/a", 0o755, root, 1.0)
+        dms.op_setattr("/a", root, 2.5, mode=0o700, uid=7, gid=8)
+        buf = dms.store.get(b"I:/a")
+        assert buf == DIR_INODE.pack(ctime=2.5, mode=0o040700, uid=7, gid=8, uuid=uuid)
+        assert dms.op_lookup("/a", root)["ctime"] == 2.5
+
+    def test_hot_reads_keep_the_length_check(self):
+        fms = FileMetadataServer(sid=1)
+        cred = Credentials(0, 0)
+        fms.op_create(9, "f", 0o100644, cred, 1.0)
+        ckey = b"C:" + fkey(9, "f")
+        fms.store.put(ckey, fms.store.get(ckey)[:-1])
+        with pytest.raises(ValueError, match="file_content: buffer is 39 bytes, expected 40"):
+            fms.op_open(9, "f", cred, 4)
+        with pytest.raises(ValueError, match="file_content: buffer is 39 bytes, expected 40"):
+            fms.op_remove(9, "f", cred)
+        dms = DirectoryMetadataServer()
+        dms.op_mkdir("/a", 0o755, cred, 1.0)
+        dms.store.put(b"I:/a", dms.store.get(b"I:/a") + b"\0")
+        with pytest.raises(ValueError, match="dir_inode: buffer is 257 bytes"):
+            dms.op_lookup("/a", cred)
 
 
 class TestFixedLayout:

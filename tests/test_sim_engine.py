@@ -1,8 +1,12 @@
 """Tests for the RPC engines: latency accounting, queueing, errors."""
 
+import cProfile
+import math
+import pstats
+
 import pytest
 
-from repro.common.errors import FSError, NoEntry
+from repro.common.errors import Exists, FSError, NoEntry
 from repro.kv import HashStore
 from repro.obs import Tracer
 from repro.sim import (
@@ -46,6 +50,10 @@ class EchoHandler:
     def op_charge(self, us):
         self.store.meter.charge_us(us)
         return "charged"
+
+    def op_fail(self, us, error):
+        self.store.meter.charge_us(us)
+        raise error(f"failed after {us} us")
 
 
 def make_cluster(n=2, **cost_kw):
@@ -168,6 +176,34 @@ class TestBothEngines:
         assert eng.now == pytest.approx(800.0)
 
 
+class TestDelayValidation:
+    """``Sleep`` / ``LocalCharge`` refuse a delay that would move a clock
+    backwards (or poison the event heap with NaN) when built, so both
+    engines only ever see delays ``>= 0``."""
+
+    @pytest.mark.parametrize("command", [Sleep, LocalCharge])
+    @pytest.mark.parametrize("us", [-4.0, -1e-300, -math.inf, math.nan])
+    def test_negative_or_nan_delay_is_refused(self, command, us):
+        with pytest.raises(ValueError, match="negative or NaN delay"):
+            command(us)
+
+    @pytest.mark.parametrize("command", [Sleep, LocalCharge])
+    def test_zero_and_positive_delays_are_kept(self, command):
+        assert [command(us).us for us in (0.0, -0.0, 2.5, math.inf)] == \
+            [0.0, 0.0, 2.5, math.inf]
+
+    def test_clock_never_moves_backwards(self, engine_factory):
+        eng, _ = engine_factory()
+
+        def g():
+            yield Sleep(10.0)
+            yield Sleep(-4.0)
+
+        with pytest.raises(ValueError, match="negative or NaN delay"):
+            eng.run(g())
+        assert eng.now == 10.0
+
+
 class TestEventEngineQueueing:
     def test_fifo_contention_serializes_service(self):
         cluster, cost, handlers = make_cluster(rtt_us=0.0, server_overhead_us=0.0)
@@ -237,6 +273,10 @@ def _charge(server="s0", us=3.7, send=0, recv=0):
     return Rpc(server, "charge", (us,), send_bytes=send, recv_bytes=recv)
 
 
+def _fail(server, us, error):
+    return Rpc(server, "fail", (us, error))
+
+
 def _votes(**payload):
     return [_charge(f"s{i}", us, **payload)
             for i, us in enumerate((15.3, 25.1, 90.7))]
@@ -264,6 +304,20 @@ _SINGLE_CLIENT_CASES = [
                            _charge("s1", 9.3, send=13, recv=20011),
                            _charge("s0", 0.9, send=777)])],
         id="parallel-payloads"),
+    pytest.param(
+        # two failing branches, branch 2's service done long before branch
+        # 0's: with no faults the serialized downlink makes both respond
+        # at one instant and the index breaks the tie; under a schedule
+        # Event sees branch 2 respond first
+        lambda: [Parallel([_fail("s0", 40.0, Exists), _charge("s1"),
+                           _fail("s2", 1.5, NoEntry)])],
+        id="parallel-errors-out-of-order"),
+    pytest.param(lambda: [_charge(), Parallel([])], id="parallel-empty"),
+    pytest.param(
+        lambda: [_charge("s2"),
+                 Parallel([_charge("sw", recv=64), _charge("s1", 2.0, send=300),
+                           _charge("s0", 1.0)])],
+        id="parallel-switch-node"),
     pytest.param(lambda: [Batch("s0", [_charge(), _charge(us=2.2)])],
                  id="batch"),
     pytest.param(
@@ -319,6 +373,26 @@ _DRIVERS_DIVERGE = {
     "parallel-payloads-delay-0.7":
         f"{_BRANCH_ORDER}: a delayed branch reaches s0 and the downlink "
         "out of index order (1616.22 vs 1551.54 us)",
+    "parallel-errors-out-of-order-crash-restart":
+        f"{_BRANCH_ORDER}: branch 0's retry takes the downlink before "
+        "branch 2 responds, so the first pass raises Exists vs NoEntry "
+        "(same final 2951.38 us)",
+    "parallel-errors-out-of-order-drop-1.0":
+        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
+        "(14752.61 vs 14738.13 us)",
+    "parallel-errors-out-of-order-drop-0.5":
+        f"{_BRANCH_ORDER}: wire fates drawn in another order "
+        "(9863.53 vs 12694.32 us, Exists vs NoEntry)",
+    "parallel-errors-out-of-order-delay-0.7":
+        f"{_BRANCH_ORDER}: a delayed branch 0 responds after branch 2 on "
+        "Event only, so the second pass raises Exists vs NoEntry "
+        "(same final 1330.06 us)",
+    "parallel-switch-node-drop-1.0":
+        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
+        "(29201.19 vs 29224.60 us)",
+    "parallel-switch-node-drop-0.5":
+        f"{_BRANCH_ORDER}: wire fates drawn in another order "
+        "(19927.64 vs 19937.86 us)",
     "quorum-delay-0.7":
         f"{_BRANCH_ORDER}: a delayed vote reserves the downlink out of "
         "index order (1211.74 vs 1184.65 us)",
@@ -397,6 +471,50 @@ class TestSingleClientEngineIdentity:
                                  for s in tracer.spans)
         assert spans["direct"] == spans["event"]
 
+    @pytest.mark.parametrize("commands", _SINGLE_CLIENT_CASES)
+    def test_direct_fast_path_is_the_path_it_bypasses(self, commands):
+        """With no schedule, ``DirectEngine.run`` serves a lone
+        ``Rpc``/``Batch`` and a ``Parallel`` itself; an attached *empty*
+        ``FaultSchedule`` sends the same commands through ``_round_trip``
+        / ``_fan_out`` / ``_FanOut``.  Same clock doubles, error classes,
+        ``rpcs_issued`` and span tree (ids, parents and args included)."""
+        runs = []
+        for faults in ("no-faults", "empty-schedule"):
+            tracer = Tracer()
+            probes, issued = self._run("direct", commands, faults, tracer=tracer)
+            spans = [(s.span_id, s.name, s.cat, s.start_us, s.end_us, s.track,
+                      s.parent_id, s.args) for s in tracer.spans]
+            runs.append((probes, issued, spans))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", ["direct", "event"])
+    def test_parallel_error_ties_go_to_the_lower_index(self, kind):
+        """Branch 2 fails first at its server, but the client downlink is
+        held by branch 0's response, so both respond at one instant: the
+        first error by ``(respond_at, index)`` is branch 0's."""
+
+        def commands():
+            return [Parallel([_fail("s0", 40.0, Exists), _charge("s1"),
+                              _fail("s2", 1.5, NoEntry)])]
+
+        probes, issued = self._run(kind, commands)
+        assert [error for _, error in probes] == ["Exists", "Exists"]
+        assert issued == 6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Direct serves a Parallel's branches in index order, Event in "
+        "arrival order: a switch-node branch behind a slower branch "
+        "arrives first and takes the client downlink first on Event only "
+        "(721.62 vs 720.53 us after two passes).  No Parallel in src/ "
+        "reaches a switch node (ROADMAP item 1)"))
+    def test_switch_branch_behind_a_slower_branch(self):
+        def commands():
+            return [_charge("s2"),
+                    Parallel([_charge("s1", 2.0, send=300), _charge("sw", recv=64),
+                              _charge("s0", 1.0)])]
+
+        assert self._run("direct", commands) == self._run("event", commands)
+
     @pytest.mark.xfail(strict=True, reason=(
         "the client downlink is reserved in request-*delivery* order, so "
         "the slow first vote holds it until 266.7 us and both engines "
@@ -418,6 +536,44 @@ class TestSingleClientEngineIdentity:
         # s2's vote, 201.1 us for s1's, 266.7 us for s0's
         assert resumed_at == pytest.approx(174.0 + 25.1 + 2.0)
         assert results == [None, "charged", "charged"]
+
+
+def _warm_call_count(commands):
+    """Calls one warm ``DirectEngine.run`` of ``commands`` makes under
+    cProfile, the profiler's own ``disable`` included."""
+    cluster, cost, _ = make_cluster(4)
+    eng = DirectEngine(cluster, cost)
+
+    def client():
+        for cmd in commands:
+            yield cmd
+
+    eng.run(client())  # warm: meter keys, the established connection
+    prof = cProfile.Profile()
+    prof.runcall(eng.run, client())
+    return pstats.Stats(prof).total_calls
+
+
+class TestLeanDirectDriver:
+    """The no-fault DirectEngine pays for ``_serve`` and nothing else per
+    request: exact, machine-independent call counts."""
+
+    def test_warm_lone_rpc_exact_call_count(self):
+        """CPython 3.11.7 counts 12: ``run``, two generator resumes and
+        their ``send`` calls, ``_serve`` with its ``isinstance``, the
+        handler's four calls and the profiler's ``disable``.  A
+        ``_round_trip`` frame per request made it 13."""
+        assert _warm_call_count([_charge()]) <= 12
+
+    def test_warm_four_branch_parallel_exact_call_count(self):
+        """CPython 3.11.7 counts 34: ``run``, two generator resumes,
+        their ``send`` calls and ``disable`` (six), then per branch
+        ``_serve``, ``isinstance``, the handler's four calls and one
+        ``append``.  ``_fan_out`` made it 46: a ``_FanOut`` (and its
+        ``len``), a ``_round_trip`` frame and an ``add`` per branch, and
+        the sort of a ``done`` list."""
+        assert _warm_call_count(
+            [Parallel([_charge(f"s{i}") for i in range(4)])]) <= 34
 
 
 class TestClusterRegistry:
