@@ -448,6 +448,7 @@ class TestAsyncWorkCount:
     the dependency queue, the batched flush or the lookup-cache tier is a
     test failure, not only a CI number."""
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_mixed_run_calls_per_op(self):
         """CPython 3.11.7: 160.28 calls per op in a fresh process and 160.29
         after other test modules (process-wide memos they filled cost a few

@@ -292,6 +292,7 @@ class TestLeanCreatePath:
         assert served() - before == 3 * per_op
         sys_.close()
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_warm_direct_create_exact_call_count(self):
         """One warm IndexFS ``create`` (16 partitions) driven by the
         DirectEngine from a warm lease cache, under cProfile: exact and

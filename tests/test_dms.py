@@ -8,6 +8,7 @@ count, and bound the Python calls one warm handler makes."""
 import cProfile
 import pstats
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,7 @@ class TestAclWalk:
 
 
 class TestLeanDirectoryHandlers:
+    @pytest.mark.usefixtures("quiet_gc")
     def test_warm_handler_exact_call_counts(self):
         """One warm ``op_lookup``, ``op_mkdir`` and ``op_rmdir`` at depth 3
         on a metered DMS, root cred, under cProfile: exact and

@@ -161,6 +161,7 @@ class TestLatencyRunner:
         deep = run_latency("locofs-nc", 1, n_items=10, depth=24, ops=("touch",))
         assert deep.summary("touch").mean > shallow.summary("touch").mean
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_measured_op_exact_call_count(self, monkeypatch):
         """One measured op — harness loop, client, engine and both servers
         — under cProfile, from the record of the second sample to that of

@@ -415,6 +415,7 @@ class TestInlineDirectoryResolution:
         looked_up = {c[3][0] for c in inline[0] if c[:3] == ("Rpc", "dms", "lookup")}
         assert looked_up and "/d/m/" not in looked_up  # always normalized
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_uncached_stat_file_exact_call_count(self):
         """One warm ``stat_file`` on ``locofs-nc`` (no lease cache, the
         DirectEngine), under cProfile.  CPython 3.11.7 counts 67, the

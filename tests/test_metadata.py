@@ -381,6 +381,7 @@ class TestDirentBytePlane:
         _assert_agrees_with_oracle(buf, "\x01")
         assert dirent.remove_entry(buf, "\x01") == (buf[:-12], True)
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_removing_last_of_2000_decodes_nothing(self, monkeypatch):
         def no_decode(*a, **k):
             raise AssertionError("byte-level removal constructed a DirEntry")
@@ -497,6 +498,7 @@ class TestLeanCreate:
         assert fms.meter.op_counts == {}
         assert fms.num_files() == 0
 
+    @pytest.mark.usefixtures("quiet_gc")
     @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
     def test_warm_create_exact_call_count(self, decoupled):
         """One warm create under cProfile: exact and machine-independent.

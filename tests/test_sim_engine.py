@@ -554,6 +554,7 @@ def _warm_call_count(commands):
     return pstats.Stats(prof).total_calls
 
 
+@pytest.mark.usefixtures("quiet_gc")
 class TestLeanDirectDriver:
     """The no-fault DirectEngine pays for ``_serve`` and nothing else per
     request: exact, machine-independent call counts."""

@@ -338,6 +338,7 @@ def test_public_api_ops_all_reach_a_lone_sink(name, engine_kind):
         "client.stat_file": 5, "client.unlink": 5}
 
 
+@pytest.mark.usefixtures("quiet_gc")
 def test_attached_sink_call_count_budget():
     """The sink's cost contract (ROADMAP item 4) as a work count: the Python
     calls an attached sink adds per op, under cProfile, which repeat exactly

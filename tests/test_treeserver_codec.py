@@ -256,6 +256,7 @@ class TestLeanCreateHandlers:
         assert server.store.get(b"D:/d") == de.pack_entry("f", fuuid, FileType.FILE)
         server.close()
 
+    @pytest.mark.usefixtures("quiet_gc")
     def test_warm_create_local_exact_call_count(self):
         """One warm ``op_create_local`` on a metered LSM partition under
         cProfile: exact and machine-independent.  CPython 3.11.7 counts 41,
