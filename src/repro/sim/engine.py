@@ -35,7 +35,12 @@ stages, and only the first is written per driver:
    lost, so ``DirectEngine.run`` sends a lone request and each
    ``Parallel`` branch itself, without the retry loop (the same sum, no
    wire-fate draw); ``_round_trip`` serves every ``Quorum`` and every
-   command under a schedule.
+   command under a schedule.  Likewise, with no schedule, tracer or
+   registry attached (a telemetry sink may be), ``EventEngine._step``
+   sends a lone request itself and ``_arrive`` serves it, stage 2 folded
+   in without the down-server and lost-response tests; ``_issue`` /
+   ``_deliver`` / ``_serve`` carry every fan-out and every command of an
+   engine with more attached.
 2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
    the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
    or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch), meter
@@ -802,7 +807,8 @@ class _Proc:
     cannot clobber an in-flight resume.
     """
 
-    __slots__ = ("gen", "state", "on_done", "value", "exc", "slot")
+    __slots__ = ("gen", "state", "on_done", "value", "exc", "slot", "cmd",
+                 "half")
 
     def __init__(self, gen, state, on_done):
         self.gen = gen
@@ -810,6 +816,9 @@ class _Proc:
         self.on_done = on_done
         self.value = None
         self.exc = None
+        #: the request in flight on the no-fault path and its half-RTT
+        self.cmd = None
+        self.half = 0.0
         #: the one (proc,) argument tuple every resume event reuses
         self.slot = (self,)
 
@@ -828,6 +837,10 @@ class EventEngine(_EngineCore):
         self._backlog: dict[str, deque] = {}
         #: per-server (last sample ts, busy_us at that ts) for busy-fraction
         self._util_mark: dict[str, tuple[float, float]] = {}
+        #: the resume and arrival callbacks, bound once: every scheduled
+        #: event reuses these two objects instead of binding a fresh one
+        self._step_cb = self._step
+        self._arrive_cb = self._arrive
 
     @property
     def now(self) -> float:
@@ -858,7 +871,7 @@ class EventEngine(_EngineCore):
         state = client if client is not None else self.new_client()
         proc = _Proc(gen, state, on_done)
         # after(0.0, ...) routes to the ready queue; append directly
-        self.sim._ready.append((self._step, proc.slot))
+        self.sim._ready.append((self._step_cb, proc.slot))
 
     def new_client(self) -> _ClientState:
         self._n_clients += 1
@@ -894,7 +907,34 @@ class EventEngine(_EngineCore):
             except AttributeError:
                 raise TypeError(f"unknown engine command: {cmd!r}") from None
             if tag == TAG_RPC or tag == TAG_BATCH:
-                self._issue(proc, cmd)
+                if self.faults is not None or self.obs_detailed:
+                    self._issue(proc, cmd)
+                    return
+                # _issue's send half for the one attempt there is: no wire
+                # fate to draw, no span to open (DESIGN "Engine design")
+                sim = self.sim
+                now = sim.now
+                server = cmd.server
+                delay = 0.0
+                if cmd.send_bytes:
+                    delay = self.cost.transfer_us(cmd.send_bytes) + delay
+                half = self._half_rtt
+                sw = self.switch_nodes
+                if sw is not None and server in sw:
+                    half = sw[server]
+                else:
+                    if state.last_server is not None and state.last_server != server:
+                        delay += self.cost.conn_switch_us
+                    state.last_server = server
+                state.rpcs_issued += 1
+                proc.cmd = cmd
+                proc.half = half
+                deliver_at = now + delay + half
+                if deliver_at > now:
+                    sim._seq = seq = sim._seq + 1
+                    heappush(sim._heap, (deliver_at, seq, self._arrive_cb, proc.slot))
+                else:
+                    sim._ready.append((self._arrive_cb, proc.slot))
                 return
             if tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 sim = self.sim
@@ -902,7 +942,7 @@ class EventEngine(_EngineCore):
                 t = now + cmd.us
                 if t <= now:
                     # zero-delay continuation: ready queue, scheduling order
-                    sim._ready.append((self._step, proc.slot))
+                    sim._ready.append((self._step_cb, proc.slot))
                     return
                 heap = sim._heap
                 if not sim._ready and (not heap or heap[0][0] > t):
@@ -914,13 +954,13 @@ class EventEngine(_EngineCore):
                     exc = None
                     continue
                 sim._seq = seq = sim._seq + 1
-                heappush(heap, (t, seq, self._step, proc.slot))
+                heappush(heap, (t, seq, self._step_cb, proc.slot))
                 return
             if tag == TAG_PARALLEL or tag == TAG_QUORUM:
                 rpcs = cmd.rpcs
                 if not rpcs:
                     proc.value = []
-                    self.sim._ready.append((self._step, proc.slot))
+                    self.sim._ready.append((self._step_cb, proc.slot))
                     return
                 join = _FanOut(cmd)
                 # the client uplink serializes request payloads: branch i
@@ -1013,7 +1053,7 @@ class EventEngine(_EngineCore):
         if branch is None:
             proc.value = value
             proc.exc = err
-            fn = self._step
+            fn = self._step_cb
             args = proc.slot
         else:
             fn = self._join
@@ -1026,6 +1066,61 @@ class EventEngine(_EngineCore):
             heappush(sim._heap, (at, seq, fn, args))
         else:
             sim._ready.append((fn, args))
+
+    def _arrive(self, proc: _Proc) -> None:
+        """A lone request sent by ``_step``'s no-fault path arrives:
+        ``_deliver`` and ``_serve`` folded, for an engine with nothing but
+        (at most) a telemetry sink attached.  No server can be down and no
+        response lost, so the client always resumes at ``respond_at``."""
+        cmd = proc.cmd
+        sim = self.sim
+        arrive = sim.now
+        server = cmd.server
+        node: ServerNode = self._nodes[server]
+        start = arrive if arrive > node.next_free else node.next_free
+        meter = node.meter
+        before = meter.total_us
+        err: FSError | None = None
+        if cmd.tag == TAG_BATCH:
+            value, err, nbytes = self._exec_batch(node, cmd, None, start)
+        else:
+            nbytes = cmd.recv_bytes
+            try:
+                fn = node._ops[cmd.method]
+                value = fn(*cmd.args, **cmd.kwargs) if cmd.kwargs \
+                    else fn(*cmd.args)
+                if not nbytes and isinstance(value, _RAW):
+                    nbytes = len(value)
+            except FSError as e:
+                value = None
+                err = e
+        cost = self.cost
+        service = meter.total_us - before + cost.server_overhead_us
+        finish = start + service
+        node.next_free = finish
+        node.requests_served += 1
+        node.busy_us += service
+        if self.telemetry is not None:
+            # _serve's telemetry-only branch
+            batch = cmd.tag == TAG_BATCH
+            self.telemetry.rpc_complete(
+                server, arrive, start, service,
+                n_ops=len(cmd.rpcs) if batch else 1, batch=batch,
+                depth=self._arrival_depth(server, arrive, finish))
+        state = proc.state
+        respond_at = finish + proc.half
+        if respond_at < state.downlink_free:
+            respond_at = state.downlink_free
+        if nbytes:
+            respond_at += cost.transfer_us(nbytes)
+        state.downlink_free = respond_at
+        proc.value = value
+        proc.exc = err
+        if respond_at > arrive:
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (respond_at, seq, self._step_cb, proc.slot))
+        else:
+            sim._ready.append((self._step_cb, proc.slot))
 
     def _retry(self, proc: _Proc, cmd: Rpc | Batch, branch, attempt: int,
                fail_at: float) -> None:
@@ -1047,7 +1142,7 @@ class EventEngine(_EngineCore):
         if branch is None:
             proc.value = None
             proc.exc = err
-            sim.at(at, self._step, proc)
+            sim.at(at, self._step_cb, proc)
         else:
             sim.at(at, self._join, proc, branch[0], branch[1], None, err)
 

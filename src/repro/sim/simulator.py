@@ -39,19 +39,26 @@ class Simulator:
         self._events_processed = 0
 
     def at(self, time: float, fn: Callable, *args) -> None:
-        """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
+        """Schedule ``fn(*args)`` at absolute virtual time ``time``.
+
+        A time in the past or NaN raises ``ValueError``: a NaN heap key
+        compares false both ways and would fire events out of
+        ``(time, seq)`` order."""
         if time <= self.now:
             if time < self.now:
                 raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
             self._ready.append((fn, args))
-        else:
+        elif time > self.now:
             self._seq += 1
             heapq.heappush(self._heap, (time, self._seq, fn, args))
+        else:
+            raise ValueError(f"cannot schedule at NaN: {time}")
 
     def after(self, delay: float, fn: Callable, *args) -> None:
-        """Schedule ``fn(*args)`` after ``delay`` microseconds."""
-        if delay < 0.0:
-            raise ValueError(f"negative delay: {delay}")
+        """Schedule ``fn(*args)`` after ``delay`` microseconds; a negative
+        or NaN delay raises ``ValueError``, as ``Sleep`` does."""
+        if not delay >= 0.0:  # negative, or NaN
+            raise ValueError(f"negative or NaN delay: {delay}")
         # the time comparison (not the delay) decides the queue, so a delay
         # small enough to vanish in float addition still lands in the ready
         # queue in scheduling order
@@ -64,7 +71,11 @@ class Simulator:
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events until the schedule drains, ``until`` is reached, or
-        ``max_events`` have fired (a runaway guard for tests)."""
+        ``max_events`` have fired (a runaway guard for tests).  A NaN
+        ``until`` raises ``ValueError``: no event time exceeds it, so it
+        would drain the whole schedule."""
+        if until is not None and until != until:
+            raise ValueError(f"cannot run until NaN: {until}")
         heap = self._heap
         ready = self._ready
         pop = heapq.heappop
@@ -137,10 +148,11 @@ class Simulator:
         never shares a window with measured traffic) need the clock moved
         regardless, which is what this does.  Scheduling at ``time`` after
         this call is legal: ``at`` treats ``time == now`` as a same-instant
-        ready entry.
+        ready entry.  A time in the past or NaN raises ``ValueError``.
         """
-        if time < self.now:
-            raise ValueError(f"cannot advance into the past: {time} < {self.now}")
+        if not time >= self.now:  # the past, or NaN
+            raise ValueError(f"cannot advance into the past or to NaN: "
+                             f"{time} (now {self.now})")
         self.run(until=time)
         if self.now < time:
             self.now = time

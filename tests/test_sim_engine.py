@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.errors import Exists, FSError, NoEntry
 from repro.kv import HashStore
-from repro.obs import Tracer
+from repro.obs import TelemetrySink, Tracer
 from repro.sim import (
     Cluster,
     CostModel,
@@ -487,6 +487,20 @@ class TestSingleClientEngineIdentity:
             runs.append((probes, issued, spans))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("commands", _SINGLE_CLIENT_CASES + [
+        # the late votes still hold the client downlink when the lone
+        # request's response comes back: its respond_at is the clamp
+        pytest.param(lambda: [Quorum(_votes(recv=20000), 1), _charge("s1")],
+                     id="rpc-behind-late-quorum-votes")])
+    def test_event_fast_path_is_the_path_it_bypasses(self, commands):
+        """With no schedule, tracer or registry, ``EventEngine._step``
+        sends a lone ``Rpc``/``Batch`` itself and ``_arrive`` serves it;
+        an attached *empty* ``FaultSchedule`` sends the same commands
+        through ``_issue`` / ``_deliver`` / ``_serve``.  Same clock
+        doubles, error classes and ``rpcs_issued``."""
+        assert self._run("event", commands) == \
+            self._run("event", commands, "empty-schedule")
+
     @pytest.mark.parametrize("kind", ["direct", "event"])
     def test_parallel_error_ties_go_to_the_lower_index(self, kind):
         """Branch 2 fails first at its server, but the client downlink is
@@ -575,6 +589,120 @@ class TestLeanDirectDriver:
         the sort of a ``done`` list."""
         assert _warm_call_count(
             [Parallel([_charge(f"s{i}") for i in range(4)])]) <= 34
+
+
+#: a blended LocoFS-A mix: deferred creates, coalescing setattrs,
+#: annihilating unlinks, renames and mkdirs, plus reads that force
+#: dependent flushes and hit the lookup-cache switch node
+_BLENDED = {"create": 0.20, "chmod": 0.15, "chown": 0.05, "unlink": 0.10,
+            "rename": 0.05, "mkdir": 0.05, "stat": 0.25, "access": 0.10,
+            "open": 0.05}
+
+
+def _contended_run(monkeypatch, workload, faults, sink):
+    """One closed-loop run on the event engine, optionally under an empty
+    ``FaultSchedule``: its clock, every node's load and meter, and the
+    sink's aggregates."""
+    from repro.harness import runner
+
+    build = runner.make_system
+    systems = []
+
+    def make_system(*args, **kwargs):
+        system = build(*args, **kwargs)
+        if faults:
+            system.engine.attach_faults(FaultSchedule())
+        systems.append(system)
+        return system
+
+    monkeypatch.setattr(runner, "make_system", make_system)
+    if workload == "touch":
+        result = runner.run_throughput("locofs-c", 8, op="touch",
+                                       items_per_client=12, client_scale=0.2,
+                                       telemetry=sink)
+    else:
+        result = runner.run_mixed_throughput(
+            "locofs-a", 4, mix=_BLENDED, num_clients=16, items_per_client=30,
+            pool=8, zipf_s=1.0, seed=5, telemetry=sink)
+    monkeypatch.setattr(runner, "make_system", build)
+    (system,) = systems
+    nodes = {name: (node.requests_served, node.busy_us,
+                    dict(node.meter.op_counts), node.meter.total_us)
+             for name, node in system.cluster._nodes.items()}
+    return (result.elapsed_us, result.total_ops, nodes,
+            sink.snapshot() if sink is not None else None)
+
+
+@pytest.mark.parametrize("telemetry", [False, True], ids=["bare", "sink"])
+@pytest.mark.parametrize("workload", ["touch", "blended"])
+def test_event_fast_path_under_contention_is_the_path_it_bypasses(
+        monkeypatch, workload, telemetry):
+    """Many clients queueing at shared servers: the no-fault event path
+    (a ``TelemetrySink`` may ride along) gives the same clock, per-node
+    ``requests_served`` / ``busy_us``, meter op counts and totals, and
+    sink aggregates as the general path an empty schedule selects.  The
+    ``locofs-a`` mix covers ``Batch`` flushes and the lookup-cache switch
+    node."""
+    runs = [_contended_run(monkeypatch, workload, faults,
+                           TelemetrySink() if telemetry else None)
+            for faults in (False, True)]
+    assert runs[0] == runs[1]
+    elapsed, ops, nodes, _ = runs[0]
+    assert elapsed > 0.0 and ops > 0
+    if workload == "blended":
+        assert nodes["cache0"][0] > 0
+        assert any(node[2].get("batch_record") for node in nodes.values())
+
+
+def _warm_event_stats(commands):
+    """cProfile stats of one warm ``EventEngine.run`` of ``commands``."""
+    cluster, cost, _ = make_cluster(4)
+    eng = EventEngine(cluster, cost)
+
+    def client():
+        for cmd in commands:
+            yield cmd
+
+    eng.run(client())  # warm: meter keys, the established connection
+    prof = cProfile.Profile()
+    prof.runcall(eng.run, client())
+    return pstats.Stats(prof)
+
+
+def _engine_calls(stats):
+    """Calls per ``sim/engine.py`` function name."""
+    return {key[2]: row[1] for key, row in stats.stats.items()
+            if key[0].replace("\\", "/").endswith("sim/engine.py")}
+
+
+@pytest.mark.usefixtures("quiet_gc")
+class TestLeanEventDriver:
+    """The no-fault EventEngine pays one ``_step`` resume and one
+    ``_arrive`` callback per request beyond the handler: exact,
+    machine-independent call counts."""
+
+    def test_lone_rpcs_and_a_batch_cost_one_resume_and_one_arrival_each(self):
+        commands = [_charge(), _charge("s1"), _charge("s2", send=300),
+                    Batch("s3", [_charge("s3"), _charge("s3", 2.2)])]
+        stats = _warm_event_stats(commands)
+        # the spawn's first resume, then one resume and one arrival per
+        # request: no _issue, _deliver or _serve frame (they made 16 more
+        # engine calls here, 82 calls in all)
+        assert _engine_calls(stats) == {
+            "run": 1, "done": 1, "spawn": 1, "__init__": 1,
+            "_step": 5, "_arrive": 4, "_exec_batch": 1}
+        assert stats.total_calls <= 74
+
+    def test_warm_lone_rpc_exact_call_count(self):
+        """CPython 3.11.7 counts 26: ``run``, its ``done`` and three
+        ``dict.get``, ``spawn`` with ``_Proc.__init__``, ``Simulator.run``
+        with two ``heappop`` and one ``popleft``, two ``_step`` resumes
+        with their ``send`` calls and generator resumes, two
+        ``heappush``, ``_arrive`` with its ``isinstance``, the handler's
+        three calls, one ``deque.append`` and the profiler's ``disable``.
+        An ``_issue`` and a ``_deliver`` → ``_serve`` pair per request
+        made it 28."""
+        assert _warm_event_stats([_charge()]).total_calls <= 26
 
 
 class TestClusterRegistry:

@@ -43,6 +43,30 @@ def test_cannot_schedule_in_past():
         sim.after(-1, lambda: None)
 
 
+def test_nan_times_are_refused():
+    """A NaN heap key compares false both ways, so it fired events out of
+    (time, seq) order: ``after(nan, x)``, ``at(nan, y)``, ``after(5, b)``,
+    ``after(1, a)`` ran x, a, y, b.  A NaN ``until`` drained the whole
+    schedule.  All four entry points refuse NaN, leaving the schedule and
+    the clock untouched."""
+    nan = float("nan")
+    sim = Simulator()
+    order = []
+    with pytest.raises(ValueError, match="negative or NaN delay"):
+        sim.after(nan, order.append, "x")
+    with pytest.raises(ValueError, match="NaN"):
+        sim.at(nan, order.append, "y")
+    sim.after(5.0, order.append, "b")
+    sim.after(1.0, order.append, "a")
+    with pytest.raises(ValueError, match="NaN"):
+        sim.run(until=nan)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.advance_to(nan)
+    assert (order, sim.now, sim.pending) == ([], 0.0, 2)
+    sim.run()
+    assert order == ["a", "b"]
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
     fired = []

@@ -348,8 +348,9 @@ def test_attached_sink_call_count_budget():
 
     The budget is the difference, not the ratio: the sink's per-op cost is
     what it is, so a leaner unattached path would shrink a ratio's
-    denominator and fail it with the sink unchanged.  CPython 3.11.7: 72.81
-    calls per op unattached, 87.68 attached, +14.87 (+14.95 when the
+    denominator and fail it with the sink unchanged.  CPython 3.11.7: 69.47
+    calls per op unattached, 84.34 attached, +14.87 (71.51 / 86.37 before
+    the no-fault event path, which a sink also takes; +14.95 when the
     unattached path took 97.77).  The telemetry-only fast paths
     (``op_bracket``, ``_g_telemetry``, the engines' folded
     ``rpc_complete``) exist to hold this; the ceiling leaves room for
