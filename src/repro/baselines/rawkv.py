@@ -74,3 +74,6 @@ class RawKVSystem:
 
     def client(self) -> RawKVClient:
         return RawKVClient(self.engine)
+
+    def close(self) -> None:
+        """Nothing to flush: the store keeps no durable state."""

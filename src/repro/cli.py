@@ -269,12 +269,11 @@ def _cmd_throughput(args) -> int:
 
 def _cmd_availability(args) -> int:
     from repro.harness import FS_SYSTEM_NAMES, run_availability
-    from repro.obs import MetricsRegistry
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     if _refused([system], FS_SYSTEM_NAMES):
         return 2
-    registry = _metrics_registry(args) or MetricsRegistry()
+    registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
     r = run_availability(
         system, num_servers=args.num_servers, crash_server=args.crash,

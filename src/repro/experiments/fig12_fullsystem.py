@@ -54,9 +54,7 @@ def run(
             for i in range(n_files):
                 engine.run(_session(client, cost, f"/data/f{size}_{i}", size, False))
             rrow[size] = (engine.now - t0) / n_files
-            close = getattr(system, "close", None)
-            if close:
-                close()
+            system.close()
         out["write"][LABELS[name]] = wrow
         out["read"][LABELS[name]] = rrow
     results = {}

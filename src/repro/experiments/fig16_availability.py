@@ -20,7 +20,6 @@ the (baseline-measured) wave and restarting it 20 % later:
 from __future__ import annotations
 
 from repro.harness import run_availability
-from repro.obs import MetricsRegistry
 from repro.sim.costmodel import CostModel
 
 from .common import ExperimentResult
@@ -49,12 +48,11 @@ def run(
     rows: dict[str, dict] = {}
     extras: dict = {"timelines": {}}
     for label, system, victim in SCENARIOS:
-        metrics = MetricsRegistry()
         r = run_availability(
             system, num_servers=num_servers, crash_server=victim,
             num_clients=num_clients, items_per_client=items_per_client,
             crash_at_frac=crash_at_frac, down_frac=down_frac, seed=seed,
-            cost=cost, metrics=metrics,
+            cost=cost,
         )
         rows[label] = {
             "goodput IOPS": r.goodput_iops,

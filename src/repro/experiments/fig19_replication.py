@@ -27,7 +27,7 @@ its baseline throughput to the outage.
 from __future__ import annotations
 
 from repro.harness import run_availability
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_default_registry
 from repro.sim.costmodel import CostModel
 
 from .common import ExperimentResult
@@ -42,6 +42,11 @@ COLUMNS = ["goodput IOPS", "baseline IOPS", "dip %", "unavail ms",
            "lost acked", "retries", "gaveups"]
 
 
+def _failovers(metrics: MetricsRegistry) -> int:
+    counter = metrics.counters.get("client.failover")
+    return counter.value if counter is not None else 0
+
+
 def run(
     num_servers: int = 4,
     num_clients: int = 8,
@@ -53,8 +58,13 @@ def run(
     cost = CostModel()
     rows: dict[str, dict] = {}
     extras: dict = {"timelines": {}}
-    for label, system, victim in SCENARIOS:
+    # the process-wide registry when one is set (``--metrics-out``), so a
+    # row's failovers are the counter's growth across its run
+    metrics = get_default_registry()
+    if metrics is None:
         metrics = MetricsRegistry()
+    for label, system, victim in SCENARIOS:
+        failovers = _failovers(metrics)
         r = run_availability(
             system, num_servers=num_servers, crash_server=victim,
             num_clients=num_clients, items_per_client=items_per_client,
@@ -73,9 +83,7 @@ def run(
             "gaveups": r.gaveups,
         }
         extras["timelines"][label] = r.timeline
-        extras[f"failovers:{label}"] = (
-            metrics.counters["client.failover"].value
-            if "client.failover" in metrics.counters else 0)
+        extras[f"failovers:{label}"] = _failovers(metrics) - failovers
     result = ExperimentResult(
         experiment="Fig. 19",
         title=f"directory-tier failure: single DMS vs quorum-replicated "

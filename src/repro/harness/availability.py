@@ -29,6 +29,7 @@ from repro.sim.faults import FaultSchedule
 from repro.sim.rpc import LocalCharge, Sleep
 
 from .registry import make_system
+from .runner import NO_SINKS, _setup_gen, build, resolve_sinks, run_wave
 from .workloads import Workload
 
 #: drain attempts before a write-behind client gives up re-flushing
@@ -53,23 +54,6 @@ class AvailabilityResult:
     crashes: int
     #: (window_end_us relative to wave start, IOPS within the window)
     timeline: list = field(default_factory=list)
-
-
-def _make(system_name: str, num_servers: int, cost: CostModel,
-          data_dir: str | None):
-    """Build a system for an availability run.
-
-    LocoFS variants get a ``data_dir`` so every metadata server
-    write-ahead-logs its KV store — without it a crash honestly loses
-    the namespace and the lost-acked check reports the damage.
-    """
-    return make_system(system_name, num_servers, cost=cost,
-                       engine_kind="event", data_dir=data_dir)
-
-
-def _setup_gen(client, wl: Workload, cid: int):
-    for path in wl.dir_chain(cid):
-        yield from client.op_generator("mkdir", path)
 
 
 def _create_gen(client, engine, wl: Workload, cid: int, cost: CostModel,
@@ -125,66 +109,34 @@ def _verify_gen(client, paths: list, rec: dict, wait: Sleep):
 
 
 def _wave(system, cost: CostModel, wl: Workload, num_clients: int,
-          schedule: FaultSchedule | None, crash_server: str,
-          tracer, metrics, telemetry=None):
+          schedule: FaultSchedule | None, crash_server: str):
     """Setup wave, (optionally faulted) measured wave, verify pass."""
     engine = system.engine
-    if tracer is not None or metrics is not None or telemetry is not None:
-        engine.attach_observability(tracer=tracer, metrics=metrics,
-                                    telemetry=telemetry)
-    errors: list[BaseException] = []
-
-    def on_done(value, exc):
-        if exc is not None:
-            errors.append(exc)
-
     clients = [system.client() for _ in range(num_clients)]
-    for cid, client in enumerate(clients):
-        engine.spawn(_setup_gen(client, wl, cid), on_done,
-                     client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (_setup_gen(c, wl, cid) for cid, c in enumerate(clients)))
     t0 = engine.sim.now
     if schedule is not None:
         # schedule times are relative to the measured wave; pin them now
         engine.attach_faults(schedule.shifted(t0))
     rec = {"acked": [], "failed": 0, "undrained": 0, "lost": 0,
            "unverified": 0, "retries": 0, "gaveups": 0}
-    for cid, client in enumerate(clients):
-        engine.spawn(_create_gen(client, engine, wl, cid, cost, rec), on_done,
-                     client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (_create_gen(c, engine, wl, cid, cost, rec)
+                      for cid, c in enumerate(clients)))
     elapsed = engine.sim.now - t0
     # retry accounting stops at the wave boundary: the verify pass below
-    # may itself retry against a still-recovering server.  A streaming
-    # telemetry sink is the preferred source (its marks carry timestamps,
-    # so the cut is the window holding the wave end); exact counters are
-    # the metrics-only fallback.
-    if telemetry is not None:
-        rec["retries"] = telemetry.mark_total("client.retry", None, t0 + elapsed)
-        rec["gaveups"] = telemetry.mark_total("client.gaveup", None, t0 + elapsed)
-    elif metrics is not None:
-        rec["retries"] = metrics.counter("client.retries").value
-        rec["gaveups"] = metrics.counter("client.gaveup").value
+    # may itself retry against a still-recovering server
+    if engine.faults is not None:
+        rec["retries"] = engine.faults.retries
+        rec["gaveups"] = engine.faults.gaveups
     # differential check: every acked create must still resolve
     wait = Sleep(cost.timeout_us * 4)
     paths = [p for _, p in rec["acked"]]
     per = max(1, (len(paths) + num_clients - 1) // num_clients)
-    for i, client in enumerate(clients):
-        chunk = paths[i * per:(i + 1) * per]
-        if chunk:
-            engine.spawn(_verify_gen(client, chunk, rec, wait), on_done,
-                         client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    chunks = [paths[i * per:(i + 1) * per] for i in range(num_clients)]
+    run_wave(engine, (_verify_gen(c, chunk, rec, wait)
+                      for c, chunk in zip(clients, chunks) if chunk))
     crashes = system.cluster[crash_server].crashes if crash_server in system.cluster else 0
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return t0, elapsed, rec, crashes
 
 
@@ -205,23 +157,6 @@ def _timeline(times: list[float], t0: float, elapsed: float,
         gap = max(gap, t - prev)
         prev = t
     return series, gap
-
-
-def _telemetry_timeline(sink, t0: float, elapsed: float,
-                        op: str = "client.create") -> list:
-    """Goodput timeline re-derived from streaming telemetry windows.
-
-    Same shape as :func:`_timeline`'s series — (window end relative to
-    the wave start, IOPS in the window) — but sourced from the sink's
-    windowed op counts, so no per-op timestamps need retaining.  The
-    bucket width is the sink's (possibly doubled) window width.
-    """
-    if elapsed <= 0.0:
-        return []
-    w = sink.window_us
-    i0, i1 = sink.window_range(t0, t0 + elapsed)
-    return [((i + 1) * w - t0, sink.count_ops(op, i * w, (i + 1) * w) / w * 1e6)
-            for i in range(i0, i1)]
 
 
 def run_availability(
@@ -253,41 +188,40 @@ def run_availability(
     """
     cost = cost or CostModel()
     wl = Workload(items_per_client=items_per_client, depth=depth)
+    sinks = resolve_sinks(tracer, metrics, telemetry)
     own_dir = data_dir is None
     if own_dir:
         data_dir = tempfile.mkdtemp(prefix="repro-avail-")
     try:
-        base_sys = _make(system_name, num_servers,
-                         cost, os.path.join(data_dir, "baseline"))
+        # ``data_dir`` makes every LocoFS metadata server write-ahead-log
+        # its KV store: without it a crash honestly loses the namespace
+        # and the lost-acked check reports the damage
+        base_sys = build(NO_SINKS, make_system, system_name, num_servers,
+                         cost=cost, engine_kind="event",
+                         data_dir=os.path.join(data_dir, "baseline"))
         _, base_elapsed, base_rec, _ = _wave(
-            base_sys, cost, wl, num_clients, None, crash_server,
-            None, None, None)
+            base_sys, cost, wl, num_clients, None, crash_server)
         baseline_iops = (len(base_rec["acked"]) / base_elapsed * 1e6
                          if base_elapsed > 0 else 0.0)
 
         schedule = FaultSchedule(seed=seed).crash_restart(
             crash_server, crash_at_frac * base_elapsed,
             down_frac * base_elapsed, torn_tail_bytes=torn_tail_bytes)
-        faulted_sys = _make(system_name, num_servers,
-                            cost, os.path.join(data_dir, "faulted"))
+        faulted_sys = build(sinks, make_system, system_name, num_servers,
+                            cost=cost, engine_kind="event",
+                            data_dir=os.path.join(data_dir, "faulted"))
         if crash_server not in faulted_sys.cluster:
             raise ValueError(
                 f"{system_name!r} has no server {crash_server!r}; "
                 f"servers: {faulted_sys.cluster.names()}")
         t0, elapsed, rec, crashes = _wave(
-            faulted_sys, cost, wl, num_clients, schedule, crash_server,
-            tracer, metrics, telemetry)
+            faulted_sys, cost, wl, num_clients, schedule, crash_server)
     finally:
         if own_dir:
             shutil.rmtree(data_dir, ignore_errors=True)
 
     times = [t for t, _ in rec["acked"]]
     series, gap = _timeline(times, t0, elapsed, timeline_buckets)
-    if telemetry is not None:
-        # telemetry-derived goodput timeline (per-op timestamps not needed);
-        # the gap above still comes from the exact acked times this small
-        # harness keeps anyway for the lost-op differential check
-        series = _telemetry_timeline(telemetry, t0, elapsed)
     return AvailabilityResult(
         system=system_name,
         crash_server=crash_server,

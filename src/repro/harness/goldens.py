@@ -61,9 +61,7 @@ def _direct_clock(name: str) -> float:
         client.unlink(wl.file_path(0, n))
         client.rmdir(wl.dir_path(0, n))
     now = system.engine.now
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return now
 
 

@@ -12,6 +12,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.rpc import LocalCharge
 
 from .registry import make_system
+from .runner import build, resolve_sinks
 from .workloads import _OP_CALLS, Workload, ZipfPicker
 
 #: phases in execution order; "touch" is mdtest's file-create
@@ -56,18 +57,11 @@ def run_latency(
     sequential (golden) behavior; create/remove phases always stay
     sequential so every path is created and removed exactly once.
     """
-    from repro.obs import get_default_registry, get_default_telemetry
-
     cost = cost or CostModel()
-    if metrics is None:
-        metrics = get_default_registry()
-    if telemetry is None:
-        telemetry = get_default_telemetry()
-    system = make_system(system_name, num_servers, cost=cost, engine_kind="direct")
+    sinks = tracer, metrics, telemetry = resolve_sinks(tracer, metrics, telemetry)
+    system = build(sinks, make_system, system_name, num_servers, cost=cost,
+                   engine_kind="direct")
     engine = system.engine
-    if tracer is not None or metrics is not None or telemetry is not None:
-        engine.attach_observability(tracer=tracer, metrics=metrics,
-                                    telemetry=telemetry)
     client = system.client()
     wl = Workload(items_per_client=n_items, depth=depth)
     rec = LatencyRecorder(registry=metrics, prefix=f"client.op.{system_name}.")
@@ -127,7 +121,5 @@ def run_latency(
         phase("rm", range(n_items))
     if "rmdir" in ops:
         phase("rmdir", range(n_items))
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return rec

@@ -42,7 +42,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.openloop import OpenLoopSource, TenantSpec
 
 from .registry import make_system
-from .runner import _drain_writebehind
+from .runner import _drain_writebehind, build, resolve_sinks, run_wave
 from .workloads import ZipfPicker
 
 PACK_NAMES = ("dl-pipeline", "container-churn", "checkpoint-stampede")
@@ -339,38 +339,21 @@ def run_openloop(
     simulator then drains completely — jobs admitted before the horizon
     finish after it and are counted as completions but not goodput.
     """
-    from repro.obs import get_default_registry, get_default_telemetry
-
     cost = cost or CostModel()
-    if metrics is None:
-        metrics = get_default_registry()
-    if telemetry is None:
-        telemetry = get_default_telemetry()
+    sinks = tracer, metrics, telemetry = resolve_sinks(tracer, metrics, telemetry)
     if isinstance(pack, str):
         pack = get_pack(pack, n_tenants=n_tenants, sessions=sessions,
                         queue_bound=queue_bound,
                         abandon_after_us=abandon_after_us)
     pack.traced = traced_jobs
-    system = make_system(system_name, num_servers, cost=cost, engine_kind="event")
+    system = build(sinks, make_system, system_name, num_servers, cost=cost,
+                   engine_kind="event")
     engine = system.engine
-    if tracer is not None or metrics is not None or telemetry is not None:
-        engine.attach_observability(tracer=tracer, metrics=metrics,
-                                    telemetry=telemetry)
-
-    errors: list[BaseException] = []
-
-    def on_done(value, exc):
-        if exc is not None:
-            errors.append(exc)
 
     # --- setup wave (unmeasured) ---------------------------------------------
     setup_sessions = [system.client() for _ in range(pack.n_tenants)]
-    for ti, session in enumerate(setup_sessions):
-        engine.spawn(pack.setup(session, ti), on_done,
-                     client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (pack.setup(session, ti)
+                      for ti, session in enumerate(setup_sessions)))
 
     # --- measured open-loop range ---------------------------------------------
     # align to a telemetry-window boundary so setup traffic never shares a
@@ -398,21 +381,15 @@ def run_openloop(
     engine.sim.run()
     if source.fatal:
         raise source.fatal[0]
-    if errors:
-        raise errors[0]
     t_drained = engine.sim.now
     t_end = source.t_end
 
     # post-drain: flush write-behind sessions (unmeasured bookkeeping so
     # deferred creates are durable before close; past the horizon, so it
     # cannot affect goodput)
-    for sess_list in sessions_by_tenant.values():
-        for session in sess_list:
-            engine.spawn(_drain_writebehind(session), on_done,
-                         client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (_drain_writebehind(session)
+                      for sess_list in sessions_by_tenant.values()
+                      for session in sess_list))
 
     tot = source.totals()
     latency: dict[str, dict] = {}
@@ -434,9 +411,7 @@ def run_openloop(
         metrics.counter(f"openloop.{system_name}.offered").inc(tot.offered)
         metrics.counter(f"openloop.{system_name}.goodput_ops").inc(
             tot.completed_in_horizon)
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return OpenLoopResult(
         system=system_name,
         pack=pack.name,

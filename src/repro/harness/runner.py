@@ -1,13 +1,28 @@
-"""Closed-loop throughput runner (paper §4.2.2, Figs. 1/8/9/11/13).
+"""Wave runner and closed-loop throughput (paper §4.2.2, Figs. 1/8/9/11/13).
 
-Spawns Table-3-many client processes on the event engine.  Each run has
-two waves: an unmeasured *setup* wave (working directories, pre-created
-files/dirs for stat/remove phases) and a *measured* wave in which every
-client performs ``items_per_client`` operations of one kind.  Aggregate
-IOPS = total measured ops / virtual elapsed time, with queueing at the
-servers and client-side overhead both included — so saturation (of a
-single DMS, of the client pool, of a journaling MDS) emerges instead of
-being assumed.
+Every harness entry point (``run_throughput``, ``run_mixed_throughput``,
+:func:`~repro.harness.mdtest.run_latency`,
+:func:`~repro.harness.openloop.run_openloop`,
+:func:`~repro.harness.availability.run_availability`) follows the
+paper's mdtest method through the three steps written once here:
+
+1. :func:`resolve_sinks` — the sinks passed in, else the process-wide
+   defaults of :mod:`repro.obs`;
+2. :func:`build` — build the deployment, then ``attach_observability``
+   only if a sink is set;
+3. :func:`run_wave` — spawn each generator on a fresh
+   ``engine.new_client()``, run the simulator dry, raise the first
+   failure.
+
+A runner keeps only its own generators and its result reducer.  The
+closed-loop throughput runners spawn Table-3-many client processes on the
+event engine in two waves: an unmeasured *setup* wave (working
+directories, pre-created files/dirs for stat/remove phases) and a
+*measured* wave in which every client performs ``items_per_client``
+operations.  Aggregate IOPS = total measured ops / virtual elapsed time,
+with queueing at the servers and client-side overhead both included — so
+saturation (of a single DMS, of the client pool, of a journaling MDS)
+emerges instead of being assumed.
 """
 
 from __future__ import annotations
@@ -37,6 +52,50 @@ class ThroughputResult:
     server_utilization: dict[str, float]
 
 
+#: (tracer, metrics, telemetry) of a run that observes nothing
+NO_SINKS = (None, None, None)
+
+
+def resolve_sinks(tracer=None, metrics=None, telemetry=None) -> tuple:
+    """Step 1: the sinks passed in, else the process-wide defaults (a
+    tracer has none), as ``(tracer, metrics, telemetry)``."""
+    from repro import obs
+
+    if metrics is None:
+        metrics = obs.get_default_registry()
+    if telemetry is None:
+        telemetry = obs.get_default_telemetry()
+    return tracer, metrics, telemetry
+
+
+def build(sinks: tuple, make, *args, **kwargs):
+    """Step 2: ``make(*args, **kwargs)``, then attach ``sinks`` to its
+    engine if any is set.  Callers pass the ``make_system`` global of
+    their own module, resolved when they run."""
+    system = make(*args, **kwargs)
+    tracer, metrics, telemetry = sinks
+    if tracer is not None or metrics is not None or telemetry is not None:
+        system.engine.attach_observability(tracer=tracer, metrics=metrics,
+                                           telemetry=telemetry)
+    return system
+
+
+def run_wave(engine, gens) -> None:
+    """Step 3: one wave — spawn each generator on a fresh engine client,
+    run the simulator dry, raise the first failure."""
+    errors: list[BaseException] = []
+
+    def on_done(value, exc):
+        if exc is not None:
+            errors.append(exc)
+
+    for gen in gens:
+        engine.spawn(gen, on_done, client=engine.new_client())
+    engine.sim.run()
+    if errors:
+        raise errors[0]
+
+
 def _drain_writebehind(client):
     """Flush a write-behind client's queues; no-op for everything else.
 
@@ -49,17 +108,22 @@ def _drain_writebehind(client):
         yield from gflush()
 
 
-def _setup_gen(client, wl: Workload, cid: int, op: str):
-    """Unmeasured preparation for one client."""
+#: measured ops that need the client's ``items_per_client`` files
+#: (directories) made in the setup wave
+_NEEDS_FILES = frozenset(("file-stat", "rm", "chmod", "chown", "access",
+                          "truncate", "open", "read", "write"))
+_NEEDS_DIRS = frozenset(("dir-stat", "rmdir"))
+
+
+def _setup_gen(client, wl: Workload, cid: int, files: int = 0, dirs: int = 0):
+    """Unmeasured preparation for one client: its working-directory chain,
+    then ``files`` files and ``dirs`` directories in it, made durable."""
     for path in wl.dir_chain(cid):
         yield from client.op_generator("mkdir", path)
-    if op in ("file-stat", "rm", "chmod", "chown", "access", "truncate", "open",
-              "read", "write"):
-        for n in range(wl.items_per_client):
-            yield from client.op_generator("create", wl.file_path(cid, n))
-    elif op in ("dir-stat", "rmdir"):
-        for n in range(wl.items_per_client):
-            yield from client.op_generator("mkdir", wl.dir_path(cid, n))
+    for n in range(files):
+        yield from client.op_generator("create", wl.file_path(cid, n))
+    for n in range(dirs):
+        yield from client.op_generator("mkdir", wl.dir_path(cid, n))
     yield from _drain_writebehind(client)
 
 
@@ -158,51 +222,31 @@ def run_throughput(
     event-engine deployment); ``system_name`` then only labels the result
     — fig15 uses this to sweep non-default batch budgets.
     """
-    from repro.obs import get_default_registry, get_default_telemetry
-
     cost = cost or CostModel()
-    if metrics is None:
-        metrics = get_default_registry()
-    if telemetry is None:
-        telemetry = get_default_telemetry()
+    sinks = tracer, metrics, telemetry = resolve_sinks(tracer, metrics, telemetry)
     if num_clients is None:
         num_clients = clients_for(system_name, num_servers, scale=client_scale)
     if system_factory is not None:
-        system = system_factory()
+        system = build(sinks, system_factory)
     else:
-        system = make_system(system_name, num_servers, cost=cost, engine_kind="event")
+        system = build(sinks, make_system, system_name, num_servers,
+                       cost=cost, engine_kind="event")
     engine = system.engine
-    if tracer is not None or metrics is not None or telemetry is not None:
-        engine.attach_observability(tracer=tracer, metrics=metrics,
-                                    telemetry=telemetry)
     wl = Workload(items_per_client=items_per_client, depth=depth)
-    rawkv = system_name == "rawkv"
-
-    errors: list[BaseException] = []
-
-    def on_done(value, exc):
-        if exc is not None:
-            errors.append(exc)
-
     clients = [system.client() for _ in range(num_clients)]
-    # --- setup wave (unmeasured) ---------------------------------------------
-    for cid, client in enumerate(clients):
-        gen = (_rawkv_setup if rawkv else _setup_gen)(client, wl, cid, op)
-        engine.spawn(gen, on_done, client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    if system_name == "rawkv":
+        setup = (_rawkv_setup(c, wl, cid, op) for cid, c in enumerate(clients))
+        measured = _rawkv_measured
+    else:
+        files = items_per_client if op in _NEEDS_FILES else 0
+        dirs = items_per_client if op in _NEEDS_DIRS else 0
+        setup = (_setup_gen(c, wl, cid, files, dirs) for cid, c in enumerate(clients))
+        measured = _measured_gen
+    run_wave(engine, setup)
     t0 = engine.sim.now
-    # --- measured wave ----------------------------------------------------------
     box = {"ops": 0}
-    for cid, client in enumerate(clients):
-        gen = (_rawkv_measured if rawkv else _measured_gen)(
-            client, wl, cid, op, cost, box
-        )
-        engine.spawn(gen, on_done, client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (measured(c, wl, cid, op, cost, box)
+                      for cid, c in enumerate(clients)))
     elapsed = engine.sim.now - t0
     util = {
         name: system.cluster[name].utilization(elapsed)
@@ -212,9 +256,7 @@ def run_throughput(
         metrics.counter(f"harness.{system_name}.measured_ops").inc(box["ops"])
         for name, u in util.items():
             metrics.gauge(f"{name}.utilization").set(u)
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return ThroughputResult(
         system=system_name,
         op=op,
@@ -377,14 +419,6 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
     yield from _drain_writebehind(client)
 
 
-def _mixed_setup(client, wl: Workload, cid: int, pool: int):
-    for path in wl.dir_chain(cid):
-        yield from client.op_generator("mkdir", path)
-    for n in range(pool):
-        yield from client.op_generator("create", wl.file_path(cid, n))
-    yield from _drain_writebehind(client)
-
-
 def run_mixed_throughput(
     system_name: str,
     num_servers: int,
@@ -411,33 +445,16 @@ def run_mixed_throughput(
     lookup-cache tier, its hit/miss/invalidation counters and hit rate
     are returned in the result.
     """
-    from repro.obs import get_default_registry, get_default_telemetry
-
     cost = cost or CostModel()
     mix = mix or MIX_UPDATE_HEAVY
-    if metrics is None:
-        metrics = get_default_registry()
-    if telemetry is None:
-        telemetry = get_default_telemetry()
-    system = make_system(system_name, num_servers, cost=cost, engine_kind="event")
+    sinks = _, metrics, telemetry = resolve_sinks(None, metrics, telemetry)
+    system = build(sinks, make_system, system_name, num_servers,
+                   cost=cost, engine_kind="event")
     engine = system.engine
-    if metrics is not None or telemetry is not None:
-        engine.attach_observability(metrics=metrics, telemetry=telemetry)
     wl = Workload(items_per_client=items_per_client, depth=depth)
-
-    errors: list[BaseException] = []
-
-    def on_done(value, exc):
-        if exc is not None:
-            errors.append(exc)
-
     clients = [system.client() for _ in range(num_clients)]
-    for cid, client in enumerate(clients):
-        engine.spawn(_mixed_setup(client, wl, cid, pool), on_done,
-                     client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (_setup_gen(c, wl, cid, files=pool)
+                      for cid, c in enumerate(clients)))
 
     cache = getattr(system, "lookup_cache", None)
     if cache is not None:
@@ -447,13 +464,8 @@ def run_mixed_throughput(
     t0 = engine.sim.now
     flushed = _flush_causes(clients)
     box = {"ops": 0, "errors": 0, "per_op": {}}
-    for cid, client in enumerate(clients):
-        engine.spawn(
-            _mixed_gen(client, wl, cid, mix, cost, box, seed, zipf_s, pool),
-            on_done, client=engine.new_client())
-    engine.sim.run()
-    if errors:
-        raise errors[0]
+    run_wave(engine, (_mixed_gen(c, wl, cid, mix, cost, box, seed, zipf_s, pool)
+                      for cid, c in enumerate(clients)))
     elapsed = engine.sim.now - t0
 
     cache_stats: dict[str, int] = {}
@@ -463,9 +475,7 @@ def run_mixed_throughput(
         hit_rate = cache.hit_rate()
     if metrics is not None:
         metrics.counter(f"harness.{system_name}.measured_ops").inc(box["ops"])
-    close = getattr(system, "close", None)
-    if close:
-        close()
+    system.close()
     return MixedThroughputResult(
         system=system_name,
         num_servers=num_servers,

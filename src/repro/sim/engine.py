@@ -577,12 +577,15 @@ class _EngineCore:
         if not retries:
             return None
         policy = self.retry
+        faults = self.faults
         if attempt >= policy.max_retries:
+            faults.gaveups += 1
             self._fault_mark(state, "client.gaveup", server, fail_at)
             return None
+        faults.retries += 1
         self._fault_mark(state, "client.retry", server, fail_at,
                          counter="client.retries", attempt=attempt + 1)
-        return fail_at + policy.backoff_us(attempt, self.faults.rng)
+        return fail_at + policy.backoff_us(attempt, faults.rng)
 
 
 class DirectEngine(_EngineCore):

@@ -161,8 +161,9 @@ class RetryPolicy:
 class FaultState:
     """Runtime fault bookkeeping for one engine.
 
-    Holds the pending event queue, the down-set, and the seeded RNG that
-    decides wire fates and retry jitter.  The engine calls
+    Holds the pending event queue, the down-set, the seeded RNG that
+    decides wire fates and retry jitter, and the engine's retry/gaveup
+    counts.  The engine calls
     :meth:`advance` (lazily processes due crash/restart events),
     :meth:`wire_fate` (per-attempt drop/delay draw) and :meth:`is_down`.
     """
@@ -182,6 +183,10 @@ class FaultState:
         #: skip every RNG draw when no wire faults are configured, so an
         #: event-only (or empty) schedule consumes no randomness
         self._wire = self._drop > 0.0 or self._delay > 0.0
+        #: attempts re-issued after backoff, and given up (policy spent) —
+        #: counted whether or not a sink is attached
+        self.retries = 0
+        self.gaveups = 0
 
     # -- wire fates ---------------------------------------------------------------
     def wire_fate(self) -> tuple[int, float]:

@@ -287,6 +287,23 @@ def test_obs_flags_on_run(capsys, tmp_path):
     assert doc["totals"]["ops"]["client.create"] > 0
 
 
+@pytest.mark.parametrize("fig", ["fig16", "fig19"])
+def test_obs_flags_on_run_availability_figures(capsys, tmp_path, fig):
+    """The availability harness honours the default sinks too, and its
+    table does not depend on them: retries and gaveups are the faulted
+    run's own counts, not totals of a sink every row shares."""
+    import json
+
+    mpath, tpath = tmp_path / "m.json", tmp_path / "t.json"
+    assert main(["run", fig, "--quick"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["run", fig, "--quick", "--metrics-out", str(mpath),
+                 "--telemetry-out", str(tpath)]) == 0
+    assert capsys.readouterr().out.startswith(bare)
+    assert len(json.loads(mpath.read_text())["counters"]) >= 1
+    assert len(_read_telemetry(tpath)["windows"]) >= 1
+
+
 # ---------------------------------------------------------------------------
 # slo and dashboard verbs
 # ---------------------------------------------------------------------------

@@ -464,9 +464,13 @@ class TestAvailabilityHarness:
         """``repro availability <name>`` must measure ``<name>``: the
         harness once kept a private copy of the registry with no locofs-a
         arm and measured locofs-c under that label."""
-        from repro.harness.availability import _make
+        from repro.harness import availability
+        from repro.harness.runner import NO_SINKS, build
 
-        got = _make(name, 2, CostModel(), str(tmp_path / "wal"))
+        # the shared build step, through the name run_availability uses
+        got = build(NO_SINKS, availability.make_system, name, 2,
+                    cost=CostModel(), engine_kind="event",
+                    data_dir=str(tmp_path / "wal"))
         want = make_system(name, 2, engine_kind="event")
         assert type(got) is type(want)
         assert type(got.client()) is type(want.client())

@@ -243,6 +243,59 @@ class TestThroughputRunner:
             assert r.total_ops == 24, (name, op)
 
 
+class TestBenchInterface:
+    """The harness names the repo benchmark patches at call time: a
+    ``make_system`` that takes exactly these arguments, the recorder class
+    of ``run_latency``, and two ``sim.run`` waves per event deployment."""
+
+    @staticmethod
+    def _tap(module, monkeypatch, events):
+        make = module.make_system
+
+        def make_system(name, num_servers=1, cost=None, engine_kind="direct"):
+            system = make(name, num_servers, cost=cost, engine_kind=engine_kind)
+            events.append(("build", name))
+            sim = getattr(system.engine, "sim", None)
+            if sim is not None:
+                drain = sim.run
+
+                def run(*args, **kwargs):
+                    events.append(("wave", name))
+                    return drain(*args, **kwargs)
+
+                sim.run = run
+            return system
+
+        monkeypatch.setattr(module, "make_system", make_system)
+
+    def test_throughput_runners_build_once_and_run_two_waves(self, monkeypatch):
+        from repro.harness import runner
+
+        events = []
+        self._tap(runner, monkeypatch, events)
+        runner.run_throughput("locofs-c", 2, op="touch", num_clients=3,
+                              items_per_client=4)
+        runner.run_mixed_throughput("locofs-a", 2, num_clients=3,
+                                    items_per_client=4, pool=2)
+        assert events == [("build", "locofs-c"), ("wave", "locofs-c"),
+                          ("wave", "locofs-c"), ("build", "locofs-a"),
+                          ("wave", "locofs-a"), ("wave", "locofs-a")]
+
+    def test_latency_builds_its_recorder_after_its_system(self, monkeypatch):
+        events = []
+        self._tap(mdtest, monkeypatch, events)
+
+        class Recorder(LatencyRecorder):
+            def __init__(self, *args, **kwargs):
+                events.append(("recorder", None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mdtest, "LatencyRecorder", Recorder)
+        rec = run_latency("locofs-c", 1, n_items=3, ops=("touch",))
+        assert isinstance(rec, Recorder)
+        assert events == [("build", "locofs-c"), ("recorder", None)]
+
+
 class TestReport:
     def test_format_table_renders_all_cells(self):
         rows = {"A": {1: 10.0, 2: 20.0}, "B": {1: 5.0}}
