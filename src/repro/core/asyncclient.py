@@ -106,13 +106,18 @@ class AsyncLocoClient(BatchingLocoClient):
     # -- directory resolution (d-cache -> cache tier -> DMS) ----------------------------
     def _g_dir(self, path: str) -> Generator:
         path = pathutil.normalize(path)
-        observed = self._engine.obs_detailed
         if self.cache_enabled:
             hit = self.dcache.get(path, self._clock.now)
             if hit is not None:
-                if observed:
+                if self._engine.obs_detailed:
                     yield Mark("client.cache.hit", {"path": path})
                 return hit
+        return (yield from self._g_dir_fetch(path))
+
+    def _g_dir_fetch(self, path: str) -> Generator:
+        """The d-cache miss half of :meth:`_g_dir` (``path`` normalized).
+        A hot path that probed the d-cache inline enters here on a miss,
+        so the miss is counted once."""
         if self._dir_pending(path):
             # the optimistic d-cache entry of a pending mkdir expired (or
             # the cache is off): make the directory durable, then resolve
@@ -128,7 +133,7 @@ class AsyncLocoClient(BatchingLocoClient):
             info = yield Rpc(DMS, "lookup", (path, self.cred))
         if self.cache_enabled:
             self.dcache.put(path, info, self._clock.now)
-            if observed:
+            if self._engine.obs_detailed:
                 yield Mark("client.cache.miss", {"path": path})
         return info
 
@@ -145,13 +150,19 @@ class AsyncLocoClient(BatchingLocoClient):
         if self.strict_collisions:
             # the cross-keyspace probe needs synchronous semantics
             return (yield from super()._g_mkdir(path, mode))
-        yield from self._g_flush_stale()
+        if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
         now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
             raise Exists(path)
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self.cache_enabled and not self._engine.obs_detailed:
+            info = self.dcache.get(parent, self._clock.now)
+            if info is None:
+                info = yield from self._g_dir_fetch(parent)
+        else:
+            info = yield from self._g_dir(parent)
         if not may_access(info["mode"], info["uid"], info["gid"], self.cred,
                           W_OK | X_OK):
             raise PermissionDenied(parent)
@@ -172,15 +183,23 @@ class AsyncLocoClient(BatchingLocoClient):
         self._cache_dir({"path": path, "uuid": uuid,
                          "mode": S_IFDIR | (mode & 0o7777),
                          "uid": self.cred.uid, "gid": self.cred.gid, "ctime": now})
-        yield from self._g_enq(DMS, ("mkdir", path, mode, self.cred, now, uuid),
-                               _DIR_WIRE_BASE + len(path))
+        pend = self._enq(DMS, ("mkdir", path, mode, self.cred, now, uuid),
+                         _DIR_WIRE_BASE + len(path))
+        if pend is not None:
+            yield from self._g_enq_tail(DMS, pend)
         return uuid
 
     # -- deferred unlink (with create annihilation) --------------------------------------
     def _g_unlink(self, path: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self.cache_enabled and not self._engine.obs_detailed:
+            info = self.dcache.get(parent, self._clock.now)
+            if info is None:
+                info = yield from self._g_dir_fetch(parent)
+        else:
+            info = yield from self._g_dir(parent)
         self._check_parent_write(info)
         dir_uuid = info["uuid"]
         key = (dir_uuid, name)
@@ -193,15 +212,18 @@ class AsyncLocoClient(BatchingLocoClient):
             self._tombstone(server, key)
             self.annihilations += 1
             kind = "unlink_opt"
-        yield from self._g_enq(server, (kind, dir_uuid, name, self.cred),
-                               _OP_WIRE_BASE + len(name), info["path"])
+        pend = self._enq(server, (kind, dir_uuid, name, self.cred),
+                         _OP_WIRE_BASE + len(name), info["path"])
+        if pend is not None:
+            yield from self._g_enq_tail(server, pend)
 
     # -- deferred setattr / chmod / chown (last-write coalescing) ------------------------
     def _g_setattr(self, path: str, attrs: dict) -> Generator:
         """Deferred chmod/chown.  Kind order: a path the client knows as a
         directory (cached d-inode or pending mkdir) is one; anything else
         is tried as a file, with the DMS fallback at flush time."""
-        yield from self._g_flush_stale()
+        if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
         now = self._clock.now / 1_000_000.0
         path = pathutil.normalize(path)
         if path == "/":
@@ -215,7 +237,12 @@ class AsyncLocoClient(BatchingLocoClient):
             yield from self._g_dsetattr(path, dinfo, now, mode, uid, gid)
             return
         parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
+        if self.cache_enabled and not self._engine.obs_detailed:
+            info = self.dcache.get(parent, self._clock.now)
+            if info is None:
+                info = yield from self._g_dir_fetch(parent)
+        else:
+            info = yield from self._g_dir(parent)
         dir_uuid = info["uuid"]
         key = (dir_uuid, name)
         server = self._fms_for(dir_uuid, name)
@@ -238,11 +265,14 @@ class AsyncLocoClient(BatchingLocoClient):
                 else:
                     break  # any other kind: order matters, append a fresh entry
                 self.coalesced += 1
-                yield from self._g_capture_into(pend)
+                if self._engine.obs_detailed:
+                    yield from self._g_capture_into(pend)
                 return
-        yield from self._g_enq(
+        pend = self._enq(
             server, ("setattr", dir_uuid, name, self.cred, now, mode, uid, gid),
             _OP_WIRE_BASE + len(name), info["path"], path_hint=path)
+        if pend is not None:
+            yield from self._g_enq_tail(server, pend)
 
     def _g_dsetattr(self, path: str, dinfo: dict | None, now: float,
                     mode: int | None, uid: int | None, gid: int | None) -> Generator:
@@ -270,14 +300,18 @@ class AsyncLocoClient(BatchingLocoClient):
             if merged is not None:
                 dq.entries[idxs[-1]] = merged
                 self.coalesced += 1
-                yield from self._g_capture_into(dq)
+                if self._engine.obs_detailed:
+                    yield from self._g_capture_into(dq)
                 return
-        yield from self._g_enq(DMS, ("dsetattr", path, self.cred, now, mode, uid, gid),
-                               _DIR_WIRE_BASE + len(path))
+        pend = self._enq(DMS, ("dsetattr", path, self.cred, now, mode, uid, gid),
+                         _DIR_WIRE_BASE + len(path))
+        if pend is not None:
+            yield from self._g_enq_tail(DMS, pend)
 
     # -- deferred rename -----------------------------------------------------------------
     def _g_rename(self, old: str, new: str) -> Generator:
-        yield from self._g_flush_stale()
+        if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
         old = pathutil.normalize(old)
         new = pathutil.normalize(new)
         if old == new:
@@ -289,7 +323,12 @@ class AsyncLocoClient(BatchingLocoClient):
             yield from self._g_rename_dir_sync(old, new)
             return
         src_parent, src_name = pathutil.split(old)
-        sinfo = yield from self._g_dir(src_parent)
+        if self.cache_enabled and not self._engine.obs_detailed:
+            sinfo = self.dcache.get(src_parent, self._clock.now)
+            if sinfo is None:
+                sinfo = yield from self._g_dir_fetch(src_parent)
+        else:
+            sinfo = yield from self._g_dir(src_parent)
         skey = (sinfo["uuid"], src_name)
         src_fms = self._fms_for(*skey)
         if skey not in self._dirty:
@@ -298,7 +337,12 @@ class AsyncLocoClient(BatchingLocoClient):
                 yield from self._g_rename_dir_sync(old, new)
                 return
         dst_parent, dst_name = pathutil.split(new)
-        dinfo = yield from self._g_dir(dst_parent)
+        if self.cache_enabled and not self._engine.obs_detailed:
+            dinfo = self.dcache.get(dst_parent, self._clock.now)
+            if dinfo is None:
+                dinfo = yield from self._g_dir_fetch(dst_parent)
+        else:
+            dinfo = yield from self._g_dir(dst_parent)
         self._check_parent_write(sinfo)
         self._check_parent_write(dinfo)
         dkey = (dinfo["uuid"], dst_name)
@@ -310,26 +354,29 @@ class AsyncLocoClient(BatchingLocoClient):
             # clears any durable destination (POSIX replace semantics)
             self._tombstone(src_fms, skey)
             self.deferred_renames += 1
-            yield from self._g_enq(
-                dst_fms, ("unlink_opt", dkey[0], dst_name, self.cred),
-                _OP_WIRE_BASE + len(dst_name), dinfo["path"])
+            pend = self._enq(dst_fms, ("unlink_opt", dkey[0], dst_name, self.cred),
+                             _OP_WIRE_BASE + len(dst_name), dinfo["path"])
+            if pend is not None:
+                yield from self._g_enq_tail(dst_fms, pend)
             for e in live:
                 moved = (e[0], dkey[0], dst_name) + e[3:]
                 wire = (_CREATE_WIRE_BASE if e[0] == "create" else _OP_WIRE_BASE)
-                yield from self._g_enq(dst_fms, moved, wire + len(dst_name),
-                                       dinfo["path"],
-                                       path_hint=new if e[0] == "setattr" else None,
-                                       capture=False)
+                pend = self._enq(dst_fms, moved, wire + len(dst_name), dinfo["path"],
+                                 path_hint=new if e[0] == "setattr" else None)
+                if pend is not None:
+                    yield from self._g_enq_tail(dst_fms, pend, capture=False)
             return
         if src_fms == dst_fms:
             # one server holds both keys, so a single deferred entry keeps
             # queue order — any pending entries for either key apply first,
             # exactly the synchronous sequence
             self.deferred_renames += 1
-            yield from self._g_enq(
+            pend = self._enq(
                 src_fms, ("rename_local", skey[0], src_name, dkey[0], dst_name,
                           self.cred),
                 _OP_WIRE_BASE + len(src_name) + len(dst_name), dinfo["path"])
+            if pend is not None:
+                yield from self._g_enq_tail(src_fms, pend)
             return
         # cross-server: flush the dependents, then take the synchronous
         # two-phase export/import path
@@ -361,24 +408,44 @@ class AsyncLocoClient(BatchingLocoClient):
         yield Rpc(self._cache_node, "fill_file",
                   (fms, dir_uuid, name, a, c, issued_at))
 
-    def _g_getattr_cached(self, fms: str, dir_uuid: int, name: str) -> Generator:
-        """Cache-first stat: probe, then authoritative read + fill."""
-        attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name))
-        if attrs is not None:
-            return attrs
-        t_issue = self._clock.now
-        attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
-        yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
-        return attrs
+    def _g_locate(self, path: str) -> Generator:
+        """A cached read's file: the staleness sweep, the read-your-writes
+        barrier (flush the one queue holding the key), then the parent's
+        d-inode.  Returns ``(parent info, name)``.  The d-cache is probed
+        inline — once for the barrier when a key is dirty, once for the
+        read, as the barrier and the read each resolve the parent — and a
+        miss enters :meth:`_g_dir_fetch`."""
+        if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
+        parent, name = pathutil.split_fast(path)
+        probe = self.cache_enabled and not self._engine.obs_detailed
+        dirty = self._dirty
+        if dirty:
+            info = self.dcache.get(parent, self._clock.now) if probe else None
+            if info is None:
+                info = yield from (self._g_dir_fetch(parent) if probe
+                                   else self._g_dir(parent))
+            server = dirty.get((info["uuid"], name))
+            if server is not None:
+                yield from self._g_flush_server(server, "read")
+        info = self.dcache.get(parent, self._clock.now) if probe else None
+        if info is None:
+            info = yield from (self._g_dir_fetch(parent) if probe
+                               else self._g_dir(parent))
+        return info, name
 
     def _g_stat_file(self, path: str) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_stat_file(path))
-        yield from self._g_file_barrier(path)
-        parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
-        attrs = yield from self._g_getattr_cached(fms, info["uuid"], name)
+        info, name = yield from self._g_locate(path)
+        dir_uuid = info["uuid"]
+        fms = self._fms_for(dir_uuid, name)
+        # cache-first: probe, then the authoritative read + fill
+        attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name))
+        if attrs is None:
+            t_issue = self._clock.now
+            attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
         return StatResult(
             st_mode=attrs["mode"], st_uid=attrs["uid"], st_gid=attrs["gid"],
             st_size=attrs["size"], st_ctime=attrs["ctime"], st_mtime=attrs["mtime"],
@@ -388,16 +455,15 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_open(path, want))
-        yield from self._g_file_barrier(path)
-        parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
+        info, name = yield from self._g_locate(path)
+        dir_uuid = info["uuid"]
+        fms = self._fms_for(dir_uuid, name)
         handle = yield Rpc(self._cache_node, "open",
-                           (fms, info["uuid"], name, self.cred, want))
+                           (fms, dir_uuid, name, self.cred, want))
         if handle is None:
             t_issue = self._clock.now
-            attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
-            yield from self._g_fill_file(fms, info["uuid"], name, attrs, t_issue)
+            attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
             if not may_access(attrs["mode"], attrs["uid"], attrs["gid"],
                               self.cred, want):
                 raise PermissionDenied(name)
@@ -409,26 +475,23 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_access(path, want))
-        yield from self._g_file_barrier(path)
-        path = pathutil.normalize(path)
-        if path == "/":
-            info = yield from self._g_dir(path)
+        info, name = yield from self._g_locate(path)
+        if not name:  # the root: its d-inode answers
             return may_access(info["mode"], info["uid"], info["gid"], self.cred, want)
-        parent, name = pathutil.split(path)
-        info = yield from self._g_dir(parent)
-        fms = self._fms_for(info["uuid"], name)
+        dir_uuid = info["uuid"]
+        fms = self._fms_for(dir_uuid, name)
         answer = yield Rpc(self._cache_node, "access",
-                           (fms, info["uuid"], name, self.cred, want))
+                           (fms, dir_uuid, name, self.cred, want))
         if answer is not None:
             return answer
         t_issue = self._clock.now
         try:
-            attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
+            attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
         except NoEntry:
             dinfo = yield from self._g_dir(path)
             return may_access(dinfo["mode"], dinfo["uid"], dinfo["gid"],
                               self.cred, want)
-        yield from self._g_fill_file(fms, info["uuid"], name, attrs, t_issue)
+        yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
         return may_access(attrs["mode"], attrs["uid"], attrs["gid"], self.cred, want)
 
     # -- synchronous mutators must invalidate the cache tier -----------------------------

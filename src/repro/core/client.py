@@ -605,15 +605,14 @@ class BatchingLocoClient(LocoClient):
         if metrics is not None:
             metrics.gauge("client.batch.queue_depth").set(self.pending_ops)
 
-    def _g_enq(self, server: str, entry: tuple, wire: int,
-               lease_path: str | None = None, path_hint: str | None = None,
-               capture: bool = True) -> Generator:
-        """Append one tagged entry; capture its span; flush when full.
-
-        ``capture=False`` suppresses the origin capture for follow-up
-        entries of an op that already captured its span once (a deferred
-        rename re-keys several entries — one link per op span).
-        """
+    def _enq(self, server: str, entry: tuple, wire: int,
+             lease_path: str | None = None,
+             path_hint: str | None = None) -> _Queue | None:
+        """Append one tagged entry to the server's queue: the bookkeeping
+        half of an enqueue, a plain call.  Returns the queue when the
+        generator half, :meth:`_g_enq_tail`, has work to do (a span
+        capture and a gauge update under a tracer or registry, or a full
+        queue), else ``None`` — the common case, which costs no frame."""
         pend = self._pending.get(server)
         if pend is None:
             now_us = self._clock.now
@@ -632,15 +631,29 @@ class BatchingLocoClient(LocoClient):
             if entry[0] == "mkdir":
                 pend.dirs.add(entry[5])
         else:
-            # the file keys the entry touches (two for a local rename)
-            keys = [(entry[1], entry[2])]
+            # the file key the entry touches (and a local rename's second)
+            key = (entry[1], entry[2])
+            pend.bykey.setdefault(key, []).append(idx)
+            self._dirty[key] = server
+            pend.dirs.add(entry[1])
             if entry[0] == "rename_local":
-                keys.append((entry[3], entry[4]))
-            for key in keys:
+                key = (entry[3], entry[4])
                 pend.bykey.setdefault(key, []).append(idx)
                 self._dirty[key] = server
-                pend.dirs.add(key[0])
+                pend.dirs.add(entry[3])
             pend.lease_paths.add(lease_path)
+        if (self._engine.obs_detailed or pend.live >= self.batch_max_ops
+                or pend.nbytes >= self.batch_max_bytes):
+            return pend
+        return None
+
+    def _g_enq_tail(self, server: str, pend: _Queue,
+                    capture: bool = True) -> Generator:
+        """The generator half of an enqueue (after :meth:`_enq` returned
+        the queue): capture the op span, set the queue gauge, flush when
+        full.  ``capture=False`` suppresses the capture for follow-up
+        entries of an op that already captured its span once (a deferred
+        rename re-keys several entries — one link per op span)."""
         if self._engine.obs_detailed:
             if capture:
                 yield from self._g_capture_into(pend)
@@ -710,43 +723,49 @@ class BatchingLocoClient(LocoClient):
             for key in pend.bykey:
                 dirty.pop(key, None)
         entries = pend.entries
-        live = [i for i, e in enumerate(entries) if e is not None]
-        if self._obs_active:
+        if pend.live == len(entries):
+            # nothing cancelled: the queue ships as it stands
+            live = None
+            ship = tuple(entries)
+        else:
+            live = [i for i, e in enumerate(entries) if e is not None]
+            ship = tuple([entries[i] for i in live])
+        eng = self._engine
+        observed = eng.obs_detailed or eng.telemetry is not None  # any sink
+        if observed:
             yield Mark("client.batch.flush",
-                       {"server": server, "n": len(live), "reason": reason})
+                       {"server": server, "n": len(ship), "reason": reason})
             self._set_queue_gauge()
-        if not live:
+        if not ship:
             return
         self.flush_causes[reason] += 1
         try:
             results = yield Batch(
-                server, [Rpc(server, "apply_batch",
-                             (tuple([entries[i] for i in live]),),
-                             send_bytes=pend.nbytes)],
+                server, [Rpc(server, "apply_batch", (ship,), send_bytes=pend.nbytes)],
                 origins=pend.origins or None)
         except ServerDown:
             # the retried attempts all timed out: re-queue the whole flush
             # (same entry tuples, so the eventual redelivery deduplicates
             # server-side) and let a later flush trigger try again
             self._requeue(server, pend)
-            if self._obs_active:
+            if observed:
                 yield Mark("client.flush.requeue",
-                           {"server": server, "n": len(live)})
+                           {"server": server, "n": len(ship)})
             raise
         # writing under a cached parent piggybacks a lease renewal: the
         # server saw live traffic for the directory, no separate RPC needed
         now = self._clock.now
+        renew = self.dcache.renew
         for path in pend.lease_paths:
-            self.dcache.renew(path, now)
+            renew(path, now)
         errs: list[Exception] = []
         blocks: list[int] = []
         fkeys: list[tuple] = []
         dpaths: list[str] = []
-        for i, res in zip(live, results[0]):
-            e = entries[i]
+        for i, e, res in zip(live or range(len(ship)), ship, results[0]):
             kind = e[0]
-            err = res.get("err")
-            if err is not None:
+            if "err" in res:
+                err = res["err"]
                 hint = pend.paths[i]
                 if kind == "setattr" and err == "NoEntry" and hint is not None:
                     # same fallback the synchronous chmod/chown path takes:
@@ -771,21 +790,23 @@ class BatchingLocoClient(LocoClient):
                         # the optimistic d-cache entry was wrong: drop it
                         self.dcache.invalidate(e[1])
                     errs.append(_mkexc(err, res.get("arg")))
-            elif kind == "unlink" or kind == "unlink_opt":
-                removed = res["removed"]
-                if removed is not None and removed["size"] > 0:
-                    blocks.append(removed["uuid"])
-                fkeys.append((server, e[1], e[2]))
+            elif kind == "create" or kind == "mkdir":
+                continue
             elif kind == "setattr":
                 fkeys.append((server, e[1], e[2]))
+            elif kind == "dsetattr":
+                dpaths.append(e[1])
             elif kind == "rename_local":
                 replaced = res["replaced"]
                 if replaced is not None and replaced["size"] > 0:
                     blocks.append(replaced["uuid"])
                 fkeys.append((server, e[1], e[2]))
                 fkeys.append((server, e[3], e[4]))
-            elif kind == "dsetattr":
-                dpaths.append(e[1])
+            else:  # unlink / unlink_opt
+                removed = res["removed"]
+                if removed is not None and removed["size"] > 0:
+                    blocks.append(removed["uuid"])
+                fkeys.append((server, e[1], e[2]))
         if blocks:
             # data blocks are found by uuid prefix on every object server
             yield Parallel([Rpc(n, "delete_file", (u,))
@@ -801,14 +822,19 @@ class BatchingLocoClient(LocoClient):
             # ``deferred_errors`` instead of being silently dropped
             rest = errs[1:]
             if rest:
-                self.deferred_errors.extend(rest)
-                metrics = getattr(self._engine, "metrics", None)
-                if metrics is not None:
-                    metrics.counter("client.deferred_errors").inc(len(rest))
-                if self._obs_active:
+                self._keep_deferred(rest)
+                if observed:
                     yield Mark("client.flush.deferred_errors",
                                {"server": server, "n": len(rest)})
             raise errs[0]
+
+    def _keep_deferred(self, errs: list[Exception]) -> None:
+        """Preserve deferred errors that no op raises."""
+        if errs:
+            self.deferred_errors.extend(errs)
+            metrics = getattr(self._engine, "metrics", None)
+            if metrics is not None:
+                metrics.counter("client.deferred_errors").inc(len(errs))
 
     def _requeue(self, server: str, pend: _Queue) -> None:
         """Put a failed flush back at the head of the server's queue,
@@ -852,17 +878,25 @@ class BatchingLocoClient(LocoClient):
             # trip: an FMS queue it made stale is flushed by this op
             yield from self._g_flush_server(DMS, "age")
             now = self._clock.now
-        stale = [s for s, p in self._pending.items() if now - p.oldest_us >= limit]
-        for server in stale:
-            yield from self._g_flush_server(server, "age")
+        for server, p in list(self._pending.items()):
+            if now - p.oldest_us >= limit:
+                yield from self._g_flush_server(server, "age")
 
     def _g_flush(self) -> Generator:
         """Drain every queue (end of a run, or an explicit flush()),
-        the DMS queue first."""
-        if DMS in self._pending:
-            yield from self._g_flush_server(DMS, "drain")
-        for server in list(self._pending):
-            yield from self._g_flush_server(server, "drain")
+        the DMS queue first.  Every queue ships even when an earlier one
+        reported a deferred error or was requeued after ``ServerDown``;
+        the first error is raised once all have been tried, the rest are
+        kept in ``deferred_errors``."""
+        errs: list[FSError] = []
+        for server in sorted(self._pending, key=lambda s: s != DMS):
+            try:
+                yield from self._g_flush_server(server, "drain")
+            except FSError as ex:
+                errs.append(ex)
+        if errs:
+            self._keep_deferred(errs[1:])
+            raise errs[0]
 
     def flush(self) -> None:
         """Synchronously drain the write-behind queue."""
@@ -892,8 +926,10 @@ class BatchingLocoClient(LocoClient):
 
     # -- deferred create ----------------------------------------------------------------
     def _g_create(self, path: str, mode: int = 0o644) -> Generator:
-        yield from self._g_flush_stale()
-        now = self._clock.now / 1_000_000.0
+        clock = self._clock
+        if clock.now - self._oldest_pending_us >= self.batch_max_age_us:
+            yield from self._g_flush_stale()
+        now = clock.now / 1_000_000.0
         parent, name = pathutil.split_fast(path)
         if not name:
             raise Exists(path)
@@ -913,9 +949,11 @@ class BatchingLocoClient(LocoClient):
             # create inside the pending window fails client-side, exactly
             # as the server-side probe would at flush time
             raise Exists(path)
-        yield from self._g_enq(
+        pend = self._enq(
             server, ("create", dir_uuid, name, mode, self.cred, now, self.block_size),
             _CREATE_WIRE_BASE + len(name), info["path"])
+        if pend is not None:
+            yield from self._g_enq_tail(server, pend)
         # deferred: the uuid is not known until the batch is flushed
         return None
 

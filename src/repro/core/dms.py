@@ -44,7 +44,7 @@ from repro.common.types import (
 )
 from repro.common.uuidgen import FID_BITS, FID_MASK, ROOT_UUID, UuidAllocator
 from repro.kv import make_store
-from repro.kv.api import GroupCommit
+from repro.kv.api import GroupCommit, NoGroup, group_scope
 from repro.kv.meter import Meter, NullMeter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
@@ -149,12 +149,12 @@ class DirectoryMetadataServer:
             self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
         return alloc.sid << FID_BITS | fid
 
-    def group_commit(self) -> GroupCommit:
+    def group_commit(self) -> GroupCommit | NoGroup:
         """Group-commit scope for batched RPCs (one WAL fsync per batch) —
         same contract as :meth:`FileMetadataServer.group_commit`: counts
         every scope and the durable commit boundaries it produced, so the
         deferred-mkdir amortization claim is auditable from the metrics."""
-        return GroupCommit(self.store, self.counters)
+        return group_scope(self.store, self.counters)
 
     # -- wiring ------------------------------------------------------------------
     def attach_meter(self, meter: Meter) -> None:
@@ -311,28 +311,27 @@ class DirectoryMetadataServer:
         the dispatch in :meth:`group_commit`, so the whole batch is one
         WAL fsync.
         """
-        results: list = []
+        n = len(entries)
+        results: list = [None] * n
         walked: set = set()
-        for e in entries:
+        for i, e in enumerate(entries):
             kind = e[0]
             try:
                 if kind == "mkdir":
-                    _, path, mode, cred, now_s, uuid = e
-                    results.append(
-                        {"uuid": self._mkdir(path, mode, cred, now_s,
-                                             uuid=uuid, walked=walked)})
+                    # ("mkdir", path, mode, cred, now_s, uuid)
+                    results[i] = {"uuid": self._mkdir(e[1], e[2], e[3], e[4], e[5], walked)}
                 elif kind == "dsetattr":
-                    _, path, cred, now_s, mode, uid, gid = e
-                    self.op_setattr(path, cred, now_s, mode, uid, gid)
+                    # ("dsetattr", path, cred, now_s, mode, uid, gid)
+                    self.op_setattr(e[1], e[2], e[3], e[4], e[5], e[6])
                     # the memo's verdicts predate this change: a later
                     # mkdir must re-check ancestors it may have revoked
                     walked.clear()
-                    results.append({"ok": True})
+                    results[i] = {"ok": True}
                 else:
                     raise InvalidArgument(kind, "unknown deferred DMS op")
             except FSError as err:
-                results.append({"err": type(err).__name__, "arg": str(err)})
-        self.counters.inc("batch.records", len(entries))
+                results[i] = {"err": type(err).__name__, "arg": str(err)}
+        self.counters.inc("batch.records", n)
         return results
 
     def op_lookup(self, path: str, cred: Credentials) -> dict:

@@ -29,7 +29,7 @@ from repro.common.stats import Counters
 from repro.common.types import Credentials, FileType, S_IFREG
 from repro.common.uuidgen import FID_BITS, FID_MASK, UuidAllocator
 from repro.kv import HashStore
-from repro.kv.api import GroupCommit
+from repro.kv.api import GroupCommit, NoGroup, group_scope
 from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
@@ -105,29 +105,7 @@ class FileMetadataServer:
         prefix = _A if self.decoupled else _F
         return sum(1 for k in self.store._data if k.startswith(prefix))
 
-    def _allocate_uuids(self, n: int) -> list[int]:
-        """Allocate ``n`` uuids, durably reserving id ranges in batches of
-        ``FID_RESERVE``, with one ceiling check (fids are monotonic, so
-        checking the last allocation covers the whole batch).
-
-        The sid part is fixed, so the batch is one range + shift-or per id
-        — same values :class:`UuidAllocator` hands out one at a time,
-        without ``n`` ``make_uuid`` range checks.
-        """
-        alloc = self.alloc
-        start = alloc._next_fid
-        fid = start + n - 1
-        if fid > FID_MASK:
-            raise ValueError(f"fid out of range: {fid}")
-        alloc._next_fid = fid + 1
-        sid_part = alloc.sid << FID_BITS
-        uuids = [sid_part | f for f in range(start, fid + 1)]
-        ceiling = self.store.get(self._FID_KEY)
-        if ceiling is None or fid > int.from_bytes(ceiling, "big"):
-            self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
-        return uuids
-
-    def group_commit(self) -> GroupCommit:
+    def group_commit(self) -> GroupCommit | NoGroup:
         """Group-commit scope for batched RPCs (one WAL fsync per batch).
 
         Counts every scope (``wal.group_commit``) and, when a WAL is
@@ -136,7 +114,7 @@ class FileMetadataServer:
         mode), so the amortization claim is auditable from the metrics
         dump: batched creates show ``wal.fsync`` ≪ ``batch.records``.
         """
-        return GroupCommit(self.store, self.counters)
+        return group_scope(self.store, self.counters)
 
     def attach_meter(self, meter: Meter) -> None:
         self.store.meter = meter
@@ -268,7 +246,7 @@ class FileMetadataServer:
         if store.get((_A if decoupled else _F) + key) is not None:
             raise Exists(name)
         # UuidAllocator.allocate (its sid was range-checked at construction),
-        # then the durable reservation check of _allocate_uuids
+        # then the durable reservation check of op_create_batch
         alloc = self.alloc
         fid = alloc._next_fid
         if fid > FID_MASK:
@@ -301,11 +279,15 @@ class FileMetadataServer:
         wire method of its own.
 
         ``entries`` is a sequence of ``(dir_uuid, name, mode, cred, now_s,
-        bsize)`` tuples — the same arguments as :meth:`op_create`.  The
+        bsize)`` tuples — the same arguments as :meth:`op_create` — or of
+        ``op_apply_batch``'s tagged ``("create", ...)`` form: the fields
+        are read from the end, so a run is handed over as it arrived.  The
         existence probes run as one ``multi_get``, the uuid ceiling is
         reserved once, the inode parts land in one ``multi_put``, and the
         backward dirents are coalesced into one append per directory — the
-        group-commit amortization that makes batched creates cheap.
+        group-commit amortization that makes batched creates cheap.  Each
+        name is encoded once (key, probe key and dirent share the bytes),
+        as in :meth:`op_create`.
 
         Name conflicts do not abort the batch: conflicting entries are
         skipped and reported in ``"exists"``; their ``"uuids"`` slot is
@@ -324,84 +306,96 @@ class FileMetadataServer:
         """
         if self.track_touches:
             self._touch("create", "access", "dirent")
-        self.counters.inc("batch.records", len(entries))
+        n = len(entries)
+        counters = self.counters
+        counters.inc("batch.records", n)
         store = self.store
-        prefix = _A if self.decoupled else _F
+        decoupled = self.decoupled
+        prefix = _A if decoupled else _F
         keys: list[bytes] = []
-        dkeys: list[bytes] = []
         probe_keys: list[bytes] = []
-        # a flush usually targets a handful of directories; memoize the
-        # dir-uuid encoding instead of re-packing it per entry
-        dkey_of: dict[int, bytes] = {}
         for e in entries:
-            du = e[0]
-            dkey = dkey_of.get(du)
-            if dkey is None:
-                dkey = dkey_of[du] = du.to_bytes(8, "big")
-            key = dkey + e[1].encode("utf-8")
-            dkeys.append(dkey)
-            keys.append(key)
-            probe_keys.append(prefix + key)
+            key = e[-6].to_bytes(8, "big") + e[-5].encode("utf-8")
+            keys += (key,)
+            probe_keys += (prefix + key,)
         probes = store.multi_get(probe_keys)
-        fresh: list[tuple[tuple, bytes, bytes, int]] = []  # (entry, key, dkey, slot)
-        uuids: list[int | None] = [None] * len(entries)
+        uuids: list[int | None] = [None] * n
         exists: list[str] = []
-        seen: set[bytes] = set()
+        fresh: list[int] = []  # slots to create, in order
+        # a key twice in one run: the later create is a conflict, so only
+        # then are the run's keys tracked
+        seen = set() if n > 1 and len(set(keys)) < n else None
         repairs = 0  # torn-tail redos: their access part is already counted
-        for i, (entry, probe) in enumerate(zip(entries, probes)):
-            key = keys[i]
+        for i, probe in enumerate(probes):
             if probe is not None:
-                verdict, uuid = self._probe_verdict(entry, key, dkeys[i], probe)
+                key = keys[i]
+                verdict, uuid = self._probe_verdict(entries[i], key, key[:8], probe)
                 if verdict == _APPLIED:
                     uuids[i] = uuid
-                elif verdict == _REPAIR:
-                    seen.add(key)
-                    fresh.append((entry, key, dkeys[i], i))
-                    repairs += 1
-                else:
-                    exists.append(entry[1])
-            elif key in seen:
-                exists.append(entry[1])
-            else:
-                seen.add(key)
-                fresh.append((entry, key, dkeys[i], i))
+                    continue
+                if verdict == _CONFLICT:
+                    exists += (entries[i][-5],)
+                    continue
+                repairs += 1
+            elif seen is not None and keys[i] in seen:
+                exists += (entries[i][-5],)
+                continue
+            if seen is not None:
+                seen.add(keys[i])
+            fresh += (i,)
         if not fresh:
             return {"uuids": uuids, "exists": exists}
-        new_uuids = self._allocate_uuids(len(fresh))
-        self.counters.inc("files.created", len(fresh))
-        self.counters.inc("batch.creates", len(fresh))
+        # uuids: UuidAllocator.allocate for the run, checked once (fids are
+        # monotonic), then the durable ceiling reservation
+        m = len(fresh)
+        alloc = self.alloc
+        fid = alloc._next_fid
+        last = fid + m - 1
+        if last > FID_MASK:
+            raise ValueError(f"fid out of range: {last}")
+        alloc._next_fid = last + 1
+        ceiling = store.get(self._FID_KEY)
+        if ceiling is None or last > int.from_bytes(ceiling, "big"):
+            store.put(self._FID_KEY, (last + self.FID_RESERVE).to_bytes(8, "big"))
+        counters.inc("files.created", m)
+        counters.inc("batch.creates", m)
+        sid = self.sid
+        uuid = alloc.sid << FID_BITS | fid
         pairs: list[tuple[bytes, bytes]] = []
-        dirents: dict[bytes, list[bytes]] = {}
+        dirents: dict[bytes, bytes] = {}
         pack_a = FILE_ACCESS.pack_values
         pack_c = FILE_CONTENT.pack_values
-        pack_entry = dirent.pack_entry
-        ftype_file = FileType.FILE
-        pairs_append = pairs.append
-        sid = self.sid
-        decoupled = self.decoupled
-        for (entry, key, dkey, slot), uuid in zip(fresh, new_uuids):
-            dir_uuid, name, mode, cred, now_s, bsize = entry
-            uuids[slot] = uuid
-            fmode = S_IFREG | (mode & 0o7777)
-            a = pack_a(now_s, fmode, cred.uid, cred.gid)
-            c = pack_c(now_s, now_s, 0, bsize, uuid, sid)
+        for i in fresh:
+            e = entries[i]
+            key = keys[i]
+            uuids[i] = uuid
+            cred = e[-3]
+            now_s = e[-2]
+            a = pack_a(now_s, S_IFREG | (e[-4] & 0o7777), cred.uid, cred.gid)
+            c = pack_c(now_s, now_s, 0, e[-1], uuid, sid)
             if decoupled:
-                pairs_append((_A + key, a))
-                pairs_append((_C + key, c))
+                pairs += ((_A + key, a), (_C + key, c))
             else:
                 af = FILE_ACCESS.unpack(a)
                 cf = FILE_CONTENT.unpack(c)
                 buf = FILE_COUPLED.pack(index_blob=b"", **af, **cf)
                 self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
-                pairs_append((_F + key, buf))
-            ents = dirents.get(dkey)
-            if ents is None:
-                dirents[dkey] = ents = []
-            ents.append(pack_entry(name, uuid, ftype_file))
+                pairs += ((_F + key, buf),)
+            raw = key[8:]
+            nlen = len(raw)
+            if not nlen or nlen > dirent.MAX_NAME_BYTES:
+                raise ValueError(f"bad dirent name: {e[-5]!r}")
+            packed = dirent.HEAD.pack(nlen) + raw + dirent.TAIL.pack(uuid, _FTYPE_FILE)
+            dkey = key[:8]
+            if dkey in dirents:
+                dirents[dkey] += packed
+            else:
+                dirents[dkey] = packed
+            uuid += 1
         store.multi_put(pairs)
-        for dkey, packed in dirents.items():
-            store.append(_E + dkey, b"".join(packed))
-        self._nfiles += len(fresh) - repairs
+        for dkey in dirents:
+            store.append(_E + dkey, dirents[dkey])
+        self._nfiles += m - repairs
         return {"uuids": uuids, "exists": exists}
 
     def _probe_verdict(self, entry: tuple, key: bytes, dkey: bytes,
@@ -415,7 +409,7 @@ class FileMetadataServer:
         lost.  A different fingerprint is a genuine name conflict (any
         other create carries a different virtual-time ctime).
         """
-        dir_uuid, name, mode, cred, now_s, bsize = entry
+        dir_uuid, name, mode, cred, now_s, bsize = entry[-6:]
         fmode = S_IFREG | (mode & 0o7777)
         if self.decoupled:
             if probe != FILE_ACCESS.pack_values(now_s, fmode, cred.uid, cred.gid):
@@ -733,12 +727,11 @@ class FileMetadataServer:
                 j = i + 1
                 while j < n and entries[j][0] == "create":
                     j += 1
-                out = self.op_create_batch(tuple([en[1:] for en in entries[i:j]]))
-                for k, uuid in enumerate(out["uuids"]):
-                    if uuid is None:
-                        results[i + k] = {"err": "Exists", "arg": entries[i + k][2]}
-                    else:
-                        results[i + k] = {"uuid": uuid}
+                # the tagged run as it arrived (op_create_batch reads the
+                # fields from the end)
+                for k, uuid in enumerate(self.op_create_batch(entries[i:j])["uuids"], i):
+                    results[k] = ({"uuid": uuid} if uuid is not None
+                                  else {"err": "Exists", "arg": entries[k][2]})
                 creates += j - i
                 i = j
                 continue
@@ -762,8 +755,8 @@ class FileMetadataServer:
             except FSError as err:
                 results[i] = {"err": type(err).__name__, "arg": str(err)}
             i += 1
-        # op_create_batch counted its own records
-        self.counters.inc("batch.records", n - creates)
+        if n > creates:  # op_create_batch counted its own records
+            self.counters.inc("batch.records", n - creates)
         return results
 
     # -- introspection --------------------------------------------------------------------

@@ -220,14 +220,20 @@ class LookupCacheServer:
         dropped = 0
         inval = self._invalidated_at
         store = self.store
+        prefixes = self._fms_prefix
         for fms, dir_uuid, name in file_keys:
-            key = self._file_key(fms, dir_uuid, name)
+            # _file_key, inline
+            try:
+                prefix = prefixes[fms]
+            except KeyError:
+                prefix = prefixes[fms] = _F + fms.encode() + b":"
+            key = prefix + dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
             # pop, then store: the key moves to the tail, so the bound
             # below trims the least recently invalidated floors first
             inval[key] = max(now, inval.pop(key, 0.0))
             dropped += store.delete(key)
         for path in paths:
-            key = dir_cache_key(path)
+            key = _D + path.encode("utf-8")  # dir_cache_key, inline
             inval[key] = max(now, inval.pop(key, 0.0))
             dropped += store.delete(key)
         n = len(inval) - 4 * self.capacity

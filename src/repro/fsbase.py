@@ -31,6 +31,25 @@ def _span_name(op: str) -> str:
     return name
 
 
+class _OpMethods(dict):
+    """op name -> the client's bound ``_g_<op>``, resolved on first use
+    (a ``getattr`` and a string concat per op saved on the harness hot
+    path); a name outside ``GENERATOR_OPS`` raises ``ValueError``."""
+
+    __slots__ = ("_client",)
+
+    def __init__(self, client: "FSClientBase"):
+        super().__init__()
+        self._client = client
+
+    def __missing__(self, op: str):
+        client = self._client
+        if op not in client._GENERATOR_OP_SET:
+            raise ValueError(f"unknown operation {op!r}")
+        fn = self[op] = getattr(client, "_g_" + op)
+        return fn
+
+
 class FSClientBase:
     """Engine-driven file-system client."""
 
@@ -60,9 +79,7 @@ class FSClientBase:
     def __init__(self, engine, cred: Credentials = ROOT_CRED):
         self._engine = engine
         self.cred = cred
-        #: op name -> bound ``_g_<op>`` method, filled lazily; saves a
-        #: getattr + string concat per operation on the harness hot path
-        self._op_methods: dict = {}
+        self._op_methods = _OpMethods(self)
         #: the object carrying the plain-attribute virtual clock ``now``:
         #: the event engine keeps it on its simulator, the direct engine on
         #: itself — resolved once so clock reads (``now_us``, ``now_s``, the
@@ -109,12 +126,7 @@ class FSClientBase:
 
     def op_generator(self, op: str, *args, **kwargs) -> Generator:
         """Raw operation generator for the throughput harness."""
-        fn = self._op_methods.get(op)
-        if fn is None:
-            if op not in self._GENERATOR_OP_SET:
-                raise ValueError(f"unknown operation {op!r}")
-            fn = self._op_methods[op] = getattr(self, "_g_" + op)
-        gen = fn(*args, **kwargs)
+        gen = self._op_methods[op](*args, **kwargs)
         engine = self._engine
         try:
             tracer = engine.tracer
@@ -135,12 +147,13 @@ class FSClientBase:
         per-op path (see :meth:`op_bracket`); everyone else wants
         :meth:`op_generator`.
         """
-        fn = self._op_methods.get(op)
-        if fn is None:
-            if op not in self._GENERATOR_OP_SET:
-                raise ValueError(f"unknown operation {op!r}")
-            fn = self._op_methods[op] = getattr(self, "_g_" + op)
-        return fn(*args, **kwargs)
+        return self._op_methods[op](*args, **kwargs)
+
+    def op_function(self, op: str):
+        """The generator function behind :meth:`op_raw`: the bound
+        ``_g_<op>``, for a harness loop that resolves its ops once and
+        issues them with nothing attached."""
+        return self._op_methods[op]
 
     def op_bracket(self):
         """``(telemetry, clock)`` when a hoisted bracket applies, else ``(None, None)``.

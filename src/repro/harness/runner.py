@@ -28,8 +28,9 @@ emerges instead of being assumed.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.common.errors import FSError
 from repro.common.stats import iops
@@ -319,6 +320,15 @@ def _flush_causes(clients) -> dict[str, int]:
     return total
 
 
+#: mix ops that act on one file of the client's live set, drawn from
+#: its hot end (Zipf) or uniformly
+_HOT_OPS = frozenset(("chmod", "chown", "stat", "access", "open"))
+#: mix op -> the client operation it issues
+_MIX_CALLS = {"create": "create", "mkdir": "mkdir", "unlink": "unlink",
+              "rename": "rename", "chmod": "chmod", "chown": "chown",
+              "stat": "stat_file", "access": "access", "open": "open"}
+
+
 def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
                seed: int, zipf_s: float | None, pool: int):
     """One client's mixed-op stream, driven by a per-client seeded RNG.
@@ -344,28 +354,34 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
     draw = rng.random
     total = cum[-1] + 0.0
     hi = len(ops) - 1
-    picker = ZipfPicker(max(pool, 1), zipf_s, seed=seed * 31 + cid) if zipf_s else None
+    # the hot-set draw: one Zipf pick (inlined ``ZipfPicker.pick``) or a
+    # uniform ``randrange`` on the op stream's RNG
+    zcdf = zdraw = None
+    if zipf_s:
+        picker = ZipfPicker(max(pool, 1), zipf_s, seed=seed * 31 + cid)
+        zcdf, zdraw = picker.cdf, picker.random
     live = [f"f{n:06d}" for n in range(pool)]
     fresh = pool
     dfresh = 0
     workdir = wl.work_dir(cid)
     overhead = LocalCharge(cost.client_overhead_us)
-    per_op = box["per_op"]
     eng = getattr(client, "_engine", None)
     try:
         bare = (eng.tracer is None and eng.metrics is None
                 and eng.telemetry is None)
     except AttributeError:
         bare = True
-    # nothing attached: op_generator would hand back the raw generator
-    # after re-checking the sinks per op (as in ``_measured_gen``)
-    op_raw = getattr(client, "op_raw", None)
-    run = op_raw if bare and op_raw is not None else client.op_generator
-
-    def hot_index() -> int:
-        if picker is not None:
-            return picker.pick() % len(live)
-        return rng.randrange(len(live))
+    # each mix op's call, resolved once: the client's generator function
+    # when nothing is attached, else ``op_generator`` with its bracket
+    op_function = getattr(client, "op_function", None)
+    if bare and op_function is not None:
+        resolve = op_function
+    else:
+        def resolve(name):
+            return partial(client.op_generator, name)
+    call = {op: resolve(_MIX_CALLS[op]) for op in (*ops, "create") if op in _MIX_CALLS}
+    done = dict.fromkeys(call, 0)  # ops issued, per mix op
+    errors = 0
 
     for _ in range(wl.items_per_client):
         yield overhead
@@ -373,49 +389,52 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
         if not live and op in ("stat", "access", "open", "chmod", "chown",
                                "unlink", "rename"):
             op = "create"
+        if op in _HOT_OPS:
+            n = len(live)
+            name = live[bisect_left(zcdf, zdraw()) % n if zcdf is not None
+                        else rng.randrange(n)]
         try:
             if op == "create":
                 name = f"f{fresh:06d}"
                 fresh += 1
-                yield from run("create", f"{workdir}/{name}")
+                yield from call["create"](f"{workdir}/{name}")
                 live.append(name)
             elif op == "mkdir":
-                yield from run("mkdir", f"{workdir}/m{dfresh:06d}")
+                yield from call["mkdir"](f"{workdir}/m{dfresh:06d}")
                 dfresh += 1
             elif op == "unlink":
                 name = live.pop(rng.randrange(len(live)))
-                yield from run("unlink", f"{workdir}/{name}")
+                yield from call["unlink"](f"{workdir}/{name}")
             elif op == "rename":
                 i = rng.randrange(len(live))
                 src = live[i]
                 dst = f"f{fresh:06d}"
                 fresh += 1
-                yield from run(
-                    "rename", f"{workdir}/{src}", f"{workdir}/{dst}")
+                yield from call["rename"](f"{workdir}/{src}", f"{workdir}/{dst}")
                 live[i] = dst
             elif op == "chmod":
-                name = live[hot_index()]
-                yield from run(
-                    "chmod", f"{workdir}/{name}", rng.choice((0o600, 0o640, 0o644)))
+                yield from call["chmod"](
+                    f"{workdir}/{name}", rng.choice((0o600, 0o640, 0o644)))
             elif op == "chown":
-                name = live[hot_index()]
-                yield from run(
-                    "chown", f"{workdir}/{name}", 1000 + fresh % 7, 1000)
+                yield from call["chown"](f"{workdir}/{name}", 1000 + fresh % 7, 1000)
             elif op == "stat":
-                name = live[hot_index()]
-                yield from run("stat_file", f"{workdir}/{name}")
+                yield from call["stat"](f"{workdir}/{name}")
             elif op == "access":
-                name = live[hot_index()]
-                yield from run("access", f"{workdir}/{name}", 4)
+                yield from call["access"](f"{workdir}/{name}", 4)
             elif op == "open":
-                name = live[hot_index()]
-                yield from run("open", f"{workdir}/{name}", 4)
+                yield from call["open"](f"{workdir}/{name}", 4)
             else:
                 raise ValueError(f"unknown mix op {op!r}")
         except FSError:
-            box["errors"] += 1
-        box["ops"] += 1
-        per_op[op] = per_op.get(op, 0) + 1
+            errors += 1
+        done[op] += 1
+    # this client's counts join the run's once, before the drain
+    box["ops"] += wl.items_per_client
+    box["errors"] += errors
+    per_op = box["per_op"]
+    for op, n in done.items():
+        if n:
+            per_op[op] = per_op.get(op, 0) + n
     yield from _drain_writebehind(client)
 
 

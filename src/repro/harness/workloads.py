@@ -60,7 +60,6 @@ class ZipfPicker:
             raise ValueError("zipf exponent must be >= 0")
         self.n = n
         self.s = s
-        self._rng = random.Random(seed)
         weights = [1.0 / (k + 1) ** s for k in range(n)]
         total = sum(weights)
         cdf = []
@@ -69,11 +68,14 @@ class ZipfPicker:
             acc += w / total
             cdf.append(acc)
         cdf[-1] = 1.0  # guard against float drift
-        self._cdf = cdf
+        #: the CDF and the seeded draw behind :meth:`pick`: a hot loop may
+        #: inline a pick as ``bisect_left(p.cdf, p.random())``
+        self.cdf = cdf
+        self.random = random.Random(seed).random
 
     def pick(self) -> int:
         """The next item index (0-based; 0 is the hottest)."""
-        return bisect.bisect_left(self._cdf, self._rng.random())
+        return bisect.bisect_left(self.cdf, self.random())
 
 
 @dataclass(frozen=True)

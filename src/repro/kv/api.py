@@ -34,19 +34,20 @@ def prefix_upper_bound(prefix: bytes) -> bytes | None:
 class GroupCommit:
     """Group-commit scope: WAL appends inside it share one write+fsync.
 
-    ``KVStore.group()`` returns one; so do the metadata servers'
-    ``group_commit()``, which pass their handler counters so that every
-    scope is counted (``wal.group_commit``) and, with a WAL, so are the
-    durable commit boundaries it produced (``wal.fsync`` — one fsync each
-    when the log runs in sync mode).  Closing a scope that produced a
-    commit charges the zero-cost ``wal_commit`` marker: the durability
-    boundary shows in traces and op counts without touching virtual time.
+    Open one with :func:`group_scope` (``KVStore.group()`` and the
+    metadata servers' ``group_commit()`` do), which counts every scope
+    (``wal.group_commit``, when handler counters are given) and, with a
+    WAL, builds this object, so the durable commit boundaries it produced
+    are counted too (``wal.fsync`` — one fsync each when the log runs in
+    sync mode).  Closing a scope that produced a commit charges the
+    zero-cost ``wal_commit`` marker: the durability boundary shows in
+    traces and op counts without touching virtual time.
 
     Re-entrant — the engines wrap a whole batched RPC in one scope while a
     handler may open its own inner group; only the outermost end writes.
-    A raising body still ends the group.  Without a WAL it only counts.
-    A slotted object, not a ``contextlib`` generator: a batched request
-    pays ``__enter__`` and ``__exit__``, not the generator machinery.
+    A raising body still ends the group.  A slotted object, not a
+    ``contextlib`` generator: a batched request pays ``__enter__`` and
+    ``__exit__``, not the generator machinery.
     """
 
     __slots__ = ("_store", "_counters", "_wal", "_commits")
@@ -54,19 +55,15 @@ class GroupCommit:
     def __init__(self, store: KVStore, counters=None):
         self._store = store
         self._counters = counters
+        self._wal = store._wal
 
     def __enter__(self) -> None:
-        if self._counters is not None:
-            self._counters.inc("wal.group_commit")
-        wal = self._wal = getattr(self._store, "_wal", None)
-        if wal is not None:
-            self._commits = wal.commits
-            wal.begin_group()
+        wal = self._wal
+        self._commits = wal.commits
+        wal.begin_group()
 
     def __exit__(self, *exc) -> None:
         wal = self._wal
-        if wal is None:
-            return
         before = wal.commits
         wal.end_group()
         if wal.commits != before:
@@ -75,11 +72,44 @@ class GroupCommit:
             self._counters.inc("wal.fsync", wal.commits - self._commits)
 
 
+class NoGroup:
+    """The scope of a store without a WAL: there is nothing to begin or
+    end, so one shared instance serves every such scope."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+#: what :func:`group_scope` returns for a store without a WAL; the
+#: engines test for it and skip ``__enter__`` / ``__exit__``
+NO_GROUP = NoGroup()
+
+
+def group_scope(store: KVStore, counters=None) -> GroupCommit | NoGroup:
+    """Open a group-commit scope over ``store``: count it (``wal.group_commit``
+    on ``counters``, if given), then a :class:`GroupCommit` when the store
+    logs to a WAL, else :data:`NO_GROUP` — a batch served by a store
+    without a WAL builds no scope object."""
+    if counters is not None:
+        counters.inc("wal.group_commit")
+    if store._wal is None:
+        return NO_GROUP
+    return GroupCommit(store, counters)
+
+
 class KVStore(abc.ABC):
     """Minimal KV contract: get/put/delete plus optional ordered scans."""
 
     #: whether ``scan``/``prefix_scan`` iterate in key order
     ordered: bool = False
+
+    #: the store's write-ahead log; stores that keep one set it per instance
+    _wal = None
 
     def __init__(self, meter: Meter | None = None):
         self.meter = meter if meter is not None else NullMeter()
@@ -142,10 +172,10 @@ class KVStore(abc.ABC):
         for k, v in pairs:
             self.put(k, v)
 
-    def group(self) -> GroupCommit:
-        """Group-commit scope over this store (see :class:`GroupCommit`);
+    def group(self) -> GroupCommit | NoGroup:
+        """Group-commit scope over this store (see :func:`group_scope`);
         a no-op for stores without a WAL."""
-        return GroupCommit(self)
+        return group_scope(self)
 
     # -- in-place helpers ----------------------------------------------------
     def append(self, key: bytes, value: bytes) -> None:

@@ -92,6 +92,7 @@ from collections.abc import Callable, Generator
 from heapq import heappush
 
 from repro.common.errors import FSError, QuorumFailed, ServerDown
+from repro.kv.api import NO_GROUP
 from repro.obs.tracer import KVTraceSink
 
 from .cluster import Cluster, ServerNode
@@ -402,9 +403,11 @@ class _EngineCore:
         results = []
         first_err: FSError | None = None
         recv_bytes = 0
+        # a store without a WAL gets a counted scope with nothing to begin
+        # or end (``NO_GROUP``): the common batch builds no scope object
         gc = node.group_commit
-        ctx = gc() if gc is not None else None
-        if ctx is not None:
+        ctx = gc() if gc is not None else NO_GROUP
+        if ctx is not NO_GROUP:
             ctx.__enter__()
         meter = node.meter
         # the per-dispatch KV sink the caller installed; its running meter
@@ -439,7 +442,7 @@ class _EngineCore:
                     self.tracer.end(rec_span, start + (meter.total_us - base))
                     sink.parent = span
         finally:
-            if ctx is not None:
+            if ctx is not NO_GROUP:
                 ctx.__exit__(None, None, None)
         return results, first_err, recv_bytes
 

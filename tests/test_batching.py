@@ -113,6 +113,30 @@ class TestWriteBehindQueue:
         with pytest.raises(Exists):
             c.flush()
 
+    def test_flush_drains_every_queue_past_a_deferred_error(self):
+        """``flush()`` ships every queue before it raises: a duplicate
+        create on one FMS used to stop the drain there, leaving the other
+        queues' acknowledged creates undrained."""
+        fs = batched_fs(max_ops=64)
+        a, b = fs.client(), fs.client()
+        a.mkdir("/d")
+        a.create("/d/x")
+        a.create("/d/z")
+        a.flush()
+        b.create("/d/x")  # both durable already: two deferred Exists
+        b.create("/d/z")
+        names = [f"y{n}" for n in range(12)]
+        for n in names:
+            b.create(f"/d/{n}")
+        assert len(b._pending) == 4  # the creates span every FMS queue
+        with pytest.raises(Exists):
+            b.flush()
+        assert b.pending_ops == 0
+        assert len(b.deferred_errors) == 1
+        assert isinstance(b.deferred_errors[0], Exists)
+        assert sorted(e.name for e in a.readdir("/d")) == sorted(["x", "z", *names])
+        assert fs.total_files() == 14
+
     def test_op_budget_triggers_flush(self):
         fs = batched_fs(num_servers=1, max_ops=3)
         c = fs.client()

@@ -13,6 +13,7 @@ from repro.common.config import CacheConfig, ClusterConfig
 from repro.common.errors import FSError
 from repro.core.fs import LocoFS
 from repro.core.fsck import check
+from repro.harness import make_system
 from repro.sim.rpc import LocalCharge
 
 
@@ -103,3 +104,49 @@ class TestConcurrentClients:
         fs2, o2 = run_concurrent(scripts)
         assert sorted(o1) == sorted(o2)
         assert fs1.engine.now == pytest.approx(fs2.engine.now)
+
+
+def _same_instant_creates(system):
+    """Two clients create ``/d/x`` at the same virtual instant, with the
+    same credentials and mode, each draining its write-behind queue (if
+    any) before it counts the create as done.  Returns the two outcomes
+    and the file count."""
+    fs = make_system(system, 4, engine_kind="event")
+    setup = fs.client()
+    setup.mkdir("/d")
+    if hasattr(setup, "flush"):
+        setup.flush()
+    engine = fs.engine
+    outcomes = []
+
+    def create(client):
+        try:
+            yield from client.op_generator("create", "/d/x")
+            if hasattr(client, "_g_flush"):
+                yield from client._g_flush()
+            outcomes.append("ok")
+        except FSError as e:
+            outcomes.append(type(e).__name__)
+
+    for _ in range(2):
+        engine.spawn(create(fs.client()), client=engine.new_client())
+    engine.sim.run()
+    return sorted(outcomes), fs.total_files()
+
+
+_REPLAY_GAP = pytest.mark.xfail(
+    strict=True,
+    reason="DESIGN gap 10: the second flush's probe hit matches the first "
+           "create's access-part fingerprint, so it is taken for a replay "
+           "of an applied create (ROADMAP 3(a)'s session record fixes it)")
+
+
+@pytest.mark.parametrize("system", [
+    "locofs-c",
+    pytest.param("locofs-b", marks=_REPLAY_GAP),
+    pytest.param("locofs-a", marks=_REPLAY_GAP),
+])
+def test_same_instant_duplicate_create_has_one_winner(system):
+    """Exactly one of two identical creates of one name succeeds, however
+    the create travels (one RPC, or a write-behind flush)."""
+    assert _same_instant_creates(system) == (["Exists", "ok"], 1)
