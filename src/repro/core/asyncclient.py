@@ -122,15 +122,23 @@ class AsyncLocoClient(BatchingLocoClient):
             # the optimistic d-cache entry of a pending mkdir expired (or
             # the cache is off): make the directory durable, then resolve
             yield from self._g_flush_server(DMS, "read")
-        if self._cache_node is not None:
-            info = yield Rpc(self._cache_node, "lookup", (path, self.cred))
-            if info is None:
-                t_issue = self._clock.now
+        try:
+            if self._cache_node is not None:
+                info = yield Rpc(self._cache_node, "lookup", (path, self.cred))
+                if info is None:
+                    t_issue = self._clock.now
+                    info = yield Rpc(DMS, "lookup", (path, self.cred))
+                    yield Rpc(self._cache_node, "fill_lookup",
+                              (path, info, self.cred, t_issue))
+            else:
                 info = yield Rpc(DMS, "lookup", (path, self.cred))
-                yield Rpc(self._cache_node, "fill_lookup",
-                          (path, info, self.cred, t_issue))
-        else:
-            info = yield Rpc(DMS, "lookup", (path, self.cred))
+        except NoEntry as err:
+            if err.path != path and self._dir_pending(err.path):
+                # the DMS's ACL walk stopped at an ancestor whose mkdir is
+                # still queued here: to this client that directory exists,
+                # and the missing name is the one it asked for
+                raise NoEntry(path) from None
+            raise
         if self.cache_enabled:
             self.dcache.put(path, info, self._clock.now)
             if self._engine.obs_detailed:
@@ -396,17 +404,14 @@ class AsyncLocoClient(BatchingLocoClient):
             yield Rpc(self._cache_node, "invalidate_prefix", (old, self._clock.now))
 
     # -- cached reads (the lookup-cache tier) --------------------------------------------
-    def _g_fill_file(self, fms: str, dir_uuid: int, name: str, attrs: dict,
+    def _g_fill_file(self, fms: str, dir_uuid: int, name: str, attrs: tuple,
                      issued_at: float) -> Generator:
-        # positional packs in Table 1 field order: byte-identical to the
-        # keyword ``pack``, one C call each on these pad-free layouts
-        a = FILE_ACCESS.pack_values(attrs["ctime"], attrs["mode"],
-                                    attrs["uid"], attrs["gid"])
-        c = FILE_CONTENT.pack_values(attrs["mtime"], attrs["atime"],
-                                     attrs["size"], attrs["bsize"],
-                                     attrs["suuid"], attrs["sid"])
+        # the getattr reply is in layout order, so each part re-packs from
+        # its slice: byte-identical to the stored parts, one C call each on
+        # these pad-free layouts
         yield Rpc(self._cache_node, "fill_file",
-                  (fms, dir_uuid, name, a, c, issued_at))
+                  (fms, dir_uuid, name, FILE_ACCESS.pack_values(*attrs[:4]),
+                   FILE_CONTENT.pack_values(*attrs[4:]), issued_at))
 
     def _g_locate(self, path: str) -> Generator:
         """A cached read's file: the staleness sweep, the read-your-writes
@@ -444,13 +449,14 @@ class AsyncLocoClient(BatchingLocoClient):
         attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name))
         if attrs is None:
             t_issue = self._clock.now
-            attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            try:
+                attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            except NoEntry:
+                raise NoEntry(pathutil.join(info["path"], name)) from None
             yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
-        return StatResult(
-            st_mode=attrs["mode"], st_uid=attrs["uid"], st_gid=attrs["gid"],
-            st_size=attrs["size"], st_ctime=attrs["ctime"], st_mtime=attrs["mtime"],
-            st_atime=attrs["atime"], st_blksize=attrs["bsize"], st_uuid=attrs["suuid"],
-        )
+        # the positional reply, in layout order (FileMetadataServer.op_getattr)
+        ctime, mode, uid, gid, mtime, atime, size, bsize, suuid, _ = attrs
+        return StatResult(mode, uid, gid, size, ctime, mtime, atime, bsize, suuid)
 
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
@@ -462,13 +468,15 @@ class AsyncLocoClient(BatchingLocoClient):
                            (fms, dir_uuid, name, self.cred, want))
         if handle is None:
             t_issue = self._clock.now
-            attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            try:
+                attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
+            except NoEntry:
+                raise NoEntry(pathutil.join(info["path"], name)) from None
             yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
-            if not may_access(attrs["mode"], attrs["uid"], attrs["gid"],
-                              self.cred, want):
+            _, mode, uid, gid, _, _, size, _, suuid, _ = attrs  # layout order
+            if not may_access(mode, uid, gid, self.cred, want):
                 raise PermissionDenied(name)
-            handle = {"uuid": attrs["suuid"], "mode": attrs["mode"],
-                      "size": attrs["size"]}
+            handle = {"uuid": suuid, "mode": mode, "size": size}
         handle["path"] = pathutil.normalize(path)
         return handle
 
@@ -492,7 +500,7 @@ class AsyncLocoClient(BatchingLocoClient):
             return may_access(dinfo["mode"], dinfo["uid"], dinfo["gid"],
                               self.cred, want)
         yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
-        return may_access(attrs["mode"], attrs["uid"], attrs["gid"], self.cred, want)
+        return may_access(*attrs[1:4], self.cred, want)  # mode, uid, gid
 
     # -- synchronous mutators must invalidate the cache tier -----------------------------
     def _g_inval_file(self, path: str) -> Generator:

@@ -243,12 +243,13 @@ class LocoClient(FSClientBase):
         else:
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
-        attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
-        return StatResult(
-            st_mode=attrs["mode"], st_uid=attrs["uid"], st_gid=attrs["gid"],
-            st_size=attrs["size"], st_ctime=attrs["ctime"], st_mtime=attrs["mtime"],
-            st_atime=attrs["atime"], st_blksize=attrs["bsize"], st_uuid=attrs["suuid"],
-        )
+        try:
+            attrs = yield Rpc(fms, "getattr", (info["uuid"], name))
+        except NoEntry:
+            raise NoEntry(pathutil.join(parent, name)) from None
+        # the positional reply, in layout order (FileMetadataServer.op_getattr)
+        ctime, mode, uid, gid, mtime, atime, size, bsize, suuid, _ = attrs
+        return StatResult(mode, uid, gid, size, ctime, mtime, atime, bsize, suuid)
 
     def _g_stat(self, path: str) -> Generator:
         path = pathutil.normalize(path)
@@ -261,9 +262,19 @@ class LocoClient(FSClientBase):
 
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
         parent, name = pathutil.split_fast(path)
-        info = yield from self._g_dir(parent)
+        if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
+            info = self.dcache.get(parent, self._clock.now) if self.cache_enabled else None
+            if info is None:
+                info = yield Rpc(DMS, "lookup", (parent, self.cred))
+                if self.cache_enabled:
+                    self.dcache.put(parent, info, self._clock.now)
+        else:
+            info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
-        handle = yield Rpc(fms, "open", (info["uuid"], name, self.cred, want))
+        try:
+            handle = yield Rpc(fms, "open", (info["uuid"], name, self.cred, want))
+        except NoEntry:
+            raise NoEntry(pathutil.join(parent, name)) from None
         handle["path"] = pathutil.normalize(path)
         return handle
 
@@ -279,7 +290,10 @@ class LocoClient(FSClientBase):
             info = yield from self._g_dir(parent)
         self._check_parent_write(info)
         fms = self._fms_for(info["uuid"], name)
-        removed = yield Rpc(fms, "remove", (info["uuid"], name, self.cred))
+        try:
+            removed = yield Rpc(fms, "remove", (info["uuid"], name, self.cred))
+        except NoEntry:
+            raise NoEntry(pathutil.join(parent, name)) from None
         if removed["size"] > 0:
             # data blocks are found by uuid prefix on every object server
             yield Parallel(
@@ -357,7 +371,10 @@ class LocoClient(FSClientBase):
         else:
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
-        yield Rpc(fms, "truncate", (info["uuid"], name, size, now))
+        try:
+            yield Rpc(fms, "truncate", (info["uuid"], name, size, now))
+        except NoEntry:
+            raise NoEntry(pathutil.join(parent, name)) from None
 
     # -- rename (§3.4) ---------------------------------------------------------------------
     def _g_rename(self, old: str, new: str) -> Generator:

@@ -34,7 +34,7 @@ from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import may_access
-from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT, FILE_COUPLED
+from repro.metadata.layout import FILE_ACCESS, FILE_ATTRS, FILE_CONTENT, FILE_COUPLED
 from repro.sim.costmodel import CostModel
 
 _A = b"A:"
@@ -53,7 +53,15 @@ _A_CTIME, _A_MODE, _A_UID, _A_GID = map(FILE_ACCESS.field,
                                         ("ctime", "mode", "uid", "gid"))
 _C_MTIME, _C_ATIME, _C_SIZE, _C_SUUID = map(FILE_CONTENT.field,
                                             ("mtime", "atime", "size", "suuid"))
+_A_LEN = FILE_ACCESS.total_size
 _C_LEN = FILE_CONTENT.total_size
+#: both parts, once each, into the positional getattr reply
+_ATTRS = FILE_ATTRS.unpack
+
+#: a getattr reply's length: the access part's fields, then the content
+#: part's — also the leading fields of the coupled record, which end with
+#: its index blob
+_NATTRS = len(FILE_ACCESS.field_names) + len(FILE_CONTENT.field_names)
 
 #: verdicts for a create-batch probe hit (see ``_probe_verdict``)
 _APPLIED = 0   # replay of an already-durable create: return its uuid
@@ -63,6 +71,11 @@ _CONFLICT = 2  # a different file of the same name exists
 
 def fkey(dir_uuid: int, name: str) -> bytes:
     return dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
+
+
+def _join_coupled(a: bytes, c: bytes) -> bytes:
+    """The coupled record of a file's two parts, with an empty index blob."""
+    return FILE_COUPLED.pack_values(*FILE_ACCESS.values(a), *FILE_CONTENT.values(c), b"")
 
 
 class FileMetadataServer:
@@ -191,27 +204,14 @@ class FileMetadataServer:
 
     @staticmethod
     def _split_coupled(buf: bytes) -> tuple[bytes, bytes]:
-        fields = FILE_COUPLED.unpack(buf)
-        a = FILE_ACCESS.pack(
-            ctime=fields["ctime"], mode=fields["mode"], uid=fields["uid"], gid=fields["gid"]
-        )
-        c = FILE_CONTENT.pack(
-            mtime=fields["mtime"],
-            atime=fields["atime"],
-            size=fields["size"],
-            bsize=fields["bsize"],
-            suuid=fields["suuid"],
-            sid=fields["sid"],
-        )
-        return a, c
+        values = FILE_COUPLED.values(buf)  # both parts' fields, then the blob
+        return FILE_ACCESS.pack_values(*values[:4]), FILE_CONTENT.pack_values(*values[4:_NATTRS])
 
     def _store_both(self, key: bytes, a: bytes, c: bytes) -> None:
         if self.decoupled:
             self.store.put_pair(_A + key, a, _C + key, c)
         else:
-            af = FILE_ACCESS.unpack(a)
-            cf = FILE_CONTENT.unpack(c)
-            self._put_coupled(key, FILE_COUPLED.pack(index_blob=b"", **af, **cf))
+            self._put_coupled(key, _join_coupled(a, c))
 
     def _check_owner(self, a: bytes, cred: Credentials, path_hint: str = "") -> None:
         if cred.uid != 0 and cred.uid != FILE_ACCESS.perm(a)[1]:
@@ -376,9 +376,7 @@ class FileMetadataServer:
             if decoupled:
                 pairs += ((_A + key, a), (_C + key, c))
             else:
-                af = FILE_ACCESS.unpack(a)
-                cf = FILE_CONTENT.unpack(c)
-                buf = FILE_COUPLED.pack(index_blob=b"", **af, **cf)
+                buf = _join_coupled(a, c)
                 self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
                 pairs += ((_F + key, buf),)
             raw = key[8:]
@@ -436,21 +434,48 @@ class FileMetadataServer:
         self.counters.inc("batch.deduped")
         return _APPLIED, uuid
 
-    def op_getattr(self, dir_uuid: int, name: str) -> dict:
-        """stat on a file reads both parts (Table 1: getattr touches all)."""
+    def op_getattr(self, dir_uuid: int, name: str) -> tuple:
+        """stat on a file reads both parts (Table 1: getattr touches all).
+
+        The reply is positional, in layout order: ``FILE_ACCESS.field_names
+        + FILE_CONTENT.field_names``, i.e. (ctime, mode, uid, gid, mtime,
+        atime, size, bsize, suuid, sid).  Each stored part is decoded once;
+        the coupled record is decoded once (after its deserialization
+        charge) and cut to the same ten fields."""
         if self.track_touches:
             self._touch("getattr", "access", "content")
-        a, c = self._load(fkey(dir_uuid, name))
-        out = FILE_ACCESS.unpack(a)
-        out.update(FILE_CONTENT.unpack(c))
-        return out
+        key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
+        if self.decoupled:
+            get = self.store.get
+            a = get(_A + key)
+            if a is None:
+                raise NoEntry()
+            c = get(_C + key)
+            assert c is not None, "access part exists without content part"
+            if len(a) != _A_LEN:
+                FILE_ACCESS.check(a)
+            if len(c) != _C_LEN:
+                FILE_CONTENT.check(c)
+            return _ATTRS(a + c)
+        buf = self._get_coupled(key)
+        if buf is None:
+            raise NoEntry()
+        return FILE_COUPLED.values(buf)[:_NATTRS]
 
     def op_open(self, dir_uuid: int, name: str, cred: Credentials, want: int) -> dict:
         """open checks the access part (content read is optional in Table 1)."""
         if self.track_touches:
             self._touch("open", "access")
-        key = fkey(dir_uuid, name)
-        a, c = self._load(key)
+        key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
+        if self.decoupled:  # _load's decoupled half, inline
+            get = self.store.get
+            a = get(_A + key)
+            if a is None:
+                raise NoEntry()
+            c = get(_C + key)
+            assert c is not None, "access part exists without content part"
+        else:
+            a, c = self._load(key)
         mode, uid, gid = FILE_ACCESS.perm(a)
         if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
@@ -463,7 +488,7 @@ class FileMetadataServer:
         """access(2): touches only the access part."""
         if self.track_touches:
             self._touch("access", "access")
-        key = fkey(dir_uuid, name)
+        key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
         if self.decoupled:
             a = self.store.get(_A + key)
             if a is None:
@@ -479,7 +504,7 @@ class FileMetadataServer:
         if self.track_touches:
             self._touch("chmod" if mode is not None else "chown", "access")
         self.counters.inc("setattr.inplace" if self.decoupled else "setattr.rewrite")
-        key = fkey(dir_uuid, name)
+        key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
         if self.decoupled:
             akey = _A + key
             a = self.store.get(akey)
@@ -517,7 +542,7 @@ class FileMetadataServer:
         """truncate: touches only the content part (Table 1)."""
         if self.track_touches:
             self._touch("truncate", "content")
-        key = fkey(dir_uuid, name)
+        key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
         if self.decoupled:
             ckey = _C + key
             c = self.store.get(ckey)

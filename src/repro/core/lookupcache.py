@@ -49,12 +49,29 @@ from repro.common.stats import Counters
 from repro.kv import HashStore
 from repro.kv.meter import Meter
 from repro.metadata.acl import may_access
-from repro.metadata.layout import DIR_INODE, FILE_ACCESS, FILE_CONTENT
+from repro.metadata.layout import DIR_INODE, FILE_ACCESS, FILE_ATTRS, FILE_CONTENT
 
 _F = b"F:"  # file-attribute entries
 _D = b"D:"  # directory-lookup entries
 
 _ACCESS_SIZE = FILE_ACCESS.total_size
+#: a file entry's value: the access part, then the content part
+_FILE_LEN = FILE_ATTRS.size
+#: both parts are pad-free, so one ``Struct`` decodes the whole value into
+#: the FMS's positional getattr reply
+_FILE_VALUES = FILE_ATTRS.unpack
+#: the content fields ``open`` reads, at their offsets in the whole value
+_SUUID, _SIZE = map(FILE_CONTENT.field, ("suuid", "size"))
+_SUUID_AT = _ACCESS_SIZE + _SUUID.offset
+_SIZE_AT = _ACCESS_SIZE + _SIZE.offset
+_DIR_LEN = DIR_INODE.total_size
+
+
+def _check_file(value: bytes) -> None:
+    """Raise what checking each part of a file entry's ``value`` raises:
+    the access part's length error first, then the content part's."""
+    FILE_ACCESS.check(value[:_ACCESS_SIZE])
+    FILE_CONTENT.check(value[_ACCESS_SIZE:])
 
 
 def dir_cache_key(path: str) -> bytes:
@@ -151,26 +168,28 @@ class LookupCacheServer:
         return value
 
     # -- file-attribute entries -----------------------------------------------------
-    def op_getattr(self, fms: str, dir_uuid: int, name: str) -> dict | None:
-        """Cached stat: both decoupled parts, or ``None`` on a miss."""
+    def op_getattr(self, fms: str, dir_uuid: int, name: str) -> tuple | None:
+        """Cached stat: the FMS's positional getattr reply, decoded from
+        both cached parts at once, or ``None`` on a miss."""
         value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
-        out = FILE_ACCESS.unpack(value[:_ACCESS_SIZE])
-        out.update(FILE_CONTENT.unpack(value[_ACCESS_SIZE:]))
-        return out
+        if len(value) != _FILE_LEN:
+            _check_file(value)
+        return _FILE_VALUES(value)
 
     def op_open(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> dict | None:
         """Cached open: same permission check the FMS performs."""
         value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
-        a, c = value[:_ACCESS_SIZE], value[_ACCESS_SIZE:]
-        mode, uid, gid = FILE_ACCESS.perm(a)
+        mode, uid, gid = FILE_ACCESS.perm(value[:_ACCESS_SIZE])
         if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
-        return {"uuid": FILE_CONTENT.read(c, "suuid"), "mode": mode,
-                "size": FILE_CONTENT.read(c, "size")}
+        if len(value) != _FILE_LEN:
+            _check_file(value)
+        return {"uuid": _SUUID.unpack_from(value, _SUUID_AT)[0], "mode": mode,
+                "size": _SIZE.unpack_from(value, _SIZE_AT)[0]}
 
     def op_access(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> bool | None:
         value = self._lookup(self._file_key(fms, dir_uuid, name))
@@ -190,17 +209,16 @@ class LookupCacheServer:
         value = self._lookup(dir_cache_key(path))
         if value is None:
             return None
-        tag = value[DIR_INODE.total_size:]
+        tag = value[_DIR_LEN:]
         if (int.from_bytes(tag[:4], "little") != cred.uid
                 or int.from_bytes(tag[4:8], "little") != cred.gid):
             # resolved for another principal: treat as a miss, the DMS
             # re-walks the ACLs for this one
             self.counters.inc("cred_mismatch")
             return None
-        fields = DIR_INODE.unpack(value[:DIR_INODE.total_size])
-        return {"path": path, "uuid": fields["uuid"], "mode": fields["mode"],
-                "uid": fields["uid"], "gid": fields["gid"],
-                "ctime": fields["ctime"]}
+        ctime, mode, uid, gid, uuid = DIR_INODE.values(value[:_DIR_LEN])
+        return {"path": path, "uuid": uuid, "mode": mode, "uid": uid,
+                "gid": gid, "ctime": ctime}
 
     def op_fill_lookup(self, path: str, info: dict, cred, issued_at: float) -> bool:
         buf = DIR_INODE.pack(ctime=info["ctime"], mode=info["mode"],

@@ -394,7 +394,19 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
             name = live[bisect_left(zcdf, zdraw()) % n if zcdf is not None
                         else rng.randrange(n)]
         try:
-            if op == "create":
+            # the read ops first: they are most of every read-heavy mix
+            if op == "stat":
+                yield from call["stat"](f"{workdir}/{name}")
+            elif op == "access":
+                yield from call["access"](f"{workdir}/{name}", 4)
+            elif op == "open":
+                yield from call["open"](f"{workdir}/{name}", 4)
+            elif op == "chmod":
+                yield from call["chmod"](
+                    f"{workdir}/{name}", rng.choice((0o600, 0o640, 0o644)))
+            elif op == "chown":
+                yield from call["chown"](f"{workdir}/{name}", 1000 + fresh % 7, 1000)
+            elif op == "create":
                 name = f"f{fresh:06d}"
                 fresh += 1
                 yield from call["create"](f"{workdir}/{name}")
@@ -412,17 +424,6 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
                 fresh += 1
                 yield from call["rename"](f"{workdir}/{src}", f"{workdir}/{dst}")
                 live[i] = dst
-            elif op == "chmod":
-                yield from call["chmod"](
-                    f"{workdir}/{name}", rng.choice((0o600, 0o640, 0o644)))
-            elif op == "chown":
-                yield from call["chown"](f"{workdir}/{name}", 1000 + fresh % 7, 1000)
-            elif op == "stat":
-                yield from call["stat"](f"{workdir}/{name}")
-            elif op == "access":
-                yield from call["access"](f"{workdir}/{name}", 4)
-            elif op == "open":
-                yield from call["open"](f"{workdir}/{name}", 4)
             else:
                 raise ValueError(f"unknown mix op {op!r}")
         except FSError:

@@ -122,9 +122,16 @@ class FixedLayout:
         return self._whole.pack(*values) + self._tail_pad
 
     def unpack(self, buf: bytes) -> dict:
+        return dict(zip(self._names, self.values(buf)))
+
+    def values(self, buf: bytes) -> tuple:
+        """Positional :meth:`unpack`: every field's value in declaration
+        order (see ``field_names``), decoded by one ``unpack_from`` of the
+        whole-record ``Struct``.  A buffer that is not one whole record
+        raises ``check``'s ``ValueError``, as ``unpack`` does."""
         if len(buf) != self.total_size:
             self.check(buf)
-        return dict(zip(self._names, self._whole.unpack_from(buf)))
+        return self._whole.unpack_from(buf)
 
     # -- per-field (the no-deserialization access path) -----------------------------
     def read(self, buf: bytes, field: str):
@@ -186,6 +193,16 @@ class FixedLayout:
             )
 
 
+def joined(*layouts: FixedLayout) -> struct.Struct:
+    """One ``Struct`` over records of pad-free layouts stored back to
+    back: its ``unpack`` of the concatenated buffers is each layout's
+    :meth:`~FixedLayout.values`, concatenated, in one C call."""
+    for layout in layouts:
+        if layout.total_size != layout.packed_size:
+            raise ValueError(f"{layout.name}: a padded record cannot be joined")
+    return struct.Struct("<" + "".join(layout._whole.format[1:] for layout in layouts))
+
+
 # struct codes: d = f64, I = u32, Q = u64
 DIR_INODE = FixedLayout(
     "dir_inode",
@@ -209,6 +226,10 @@ FILE_CONTENT = FixedLayout(
         ("sid", "I"),
     ],
 )
+
+#: a file's getattr reply codec: the access part's fields, then the content
+#: part's, decoded in one C call from the two parts stored back to back
+FILE_ATTRS = joined(FILE_ACCESS, FILE_CONTENT)
 
 #: the coupled (LocoFS-CF / IndexFS-style) whole-inode layout used by the
 #: Fig. 11 ablation: one value holding every field of both parts.

@@ -375,11 +375,12 @@ def _taped(gen, tape: list):
 #: errors, and a path that only normalizes to its directory
 _INLINE_SCRIPT = [
     ("mkdir", "/d"), ("mkdir", "/d/m"),
-    ("create", "/d/f"), ("create", "/d/g"), ("stat_file", "/d/f"),
+    ("create", "/d/f"), ("create", "/d/g"), ("stat_file", "/d/f"), ("open", "/d/g", 4),
     ("stat_dir", "/d/m"), ("stat_dir", "/d/m/"), ("stat_dir", "/"),
     ("chmod", "/d/f", 0o600), ("chown", "/d/f", 7, 8), ("chmod", "/d/m", 0o700),
     ("access", "/d/f", 4), ("access", "/d/m", 2), ("truncate", "/d/f", 4096),
     ("stat_file", "/d/missing"), ("unlink", "/nodir/f"), ("truncate", "/d/nope", 1),
+    ("open", "/d/nope", 4), ("open", "/nodir/f", 4),
     ("stat_dir", "/d/nope"), ("rmdir", "/d/nope"),
     ("unlink", "/d/f"), ("unlink", "/d/g"), ("rmdir", "/d/m"),
 ]
@@ -418,11 +419,13 @@ class TestInlineDirectoryResolution:
     @pytest.mark.usefixtures("quiet_gc")
     def test_uncached_stat_file_exact_call_count(self):
         """One warm ``stat_file`` on ``locofs-nc`` (no lease cache, the
-        DirectEngine), under cProfile.  CPython 3.11.7 counts 67, the
+        DirectEngine), under cProfile.  CPython 3.11.7 counts 60, the
         profiler's own ``disable`` included.  It was 72: the parent
         resolved through a ``_g_dir`` generator (two frames), each request
         through a ``_round_trip`` frame and the DMS's ``ctime`` read
-        through ``FixedLayout.read``."""
+        through ``FixedLayout.read``.  Then 66 (ceiling 67): ``op_getattr``
+        ran ``fkey`` and ``_load`` frames and unpacked each part into a
+        dict, merged the two, and the client read nine keys back out."""
         fs = make_system("locofs-nc", 4)
         client = fs.client()
         client.mkdir("/d")
@@ -430,4 +433,33 @@ class TestInlineDirectoryResolution:
         client.stat_file("/d/f")  # warm: memos, placement, meter keys
         prof = cProfile.Profile()
         prof.runcall(client.stat_file, "/d/f")
-        assert pstats.Stats(prof).total_calls <= 67
+        assert pstats.Stats(prof).total_calls <= 60
+
+
+#: (system, op, extra args) for every op that reads a file by path;
+#: LocoFS-A defers ``unlink``, so its ``NoEntry`` surfaces at a flush
+_MISSING_FILE_CASES = [
+    pytest.param(system, op, args, id=f"{system}-{op}")
+    for system in ("locofs-c", "locofs-nc", "locofs-b", "locofs-a")
+    for op, args in (("stat_file", ()), ("stat", ()), ("stat_dir", ()), ("access", (4,)),
+                     ("open", (4,)), ("unlink", ()), ("truncate", (5,)))
+    if (system, op) != ("locofs-a", "unlink")
+]
+
+
+class TestMissingFileErrors:
+    """A missing file's ``NoEntry`` names the caller's path, as IndexFS's
+    and the directory fallbacks' already did.  It used to carry the FMS's
+    empty message (``stat_file`` / ``open`` / ``unlink``) or the bare name
+    (``truncate``), and on LocoFS-A the still-queued parent: the DMS's
+    ACL walk stops at a directory whose ``mkdir`` this client has not
+    flushed, which exists for this client."""
+
+    @pytest.mark.parametrize("system, op, args", _MISSING_FILE_CASES)
+    def test_names_the_path(self, system, op, args):
+        fs = make_system(system, 2)
+        client = fs.client()
+        client.mkdir("/d")  # on LocoFS-A still queued when the read runs
+        with pytest.raises(NoEntry) as err:
+            getattr(client, op)("/d/x", *args)
+        assert err.value.path == "/d/x"

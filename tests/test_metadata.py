@@ -21,9 +21,11 @@ from repro.metadata.chash import ConsistentHashRing, file_placement_key
 from repro.metadata.layout import (
     DIR_INODE,
     FILE_ACCESS,
+    FILE_ATTRS,
     FILE_CONTENT,
     FILE_COUPLED,
     FixedLayout,
+    joined,
 )
 from repro.metadata.lease import LeaseCache
 from repro.sim.costmodel import CostModel, KVCostPolicy
@@ -189,6 +191,27 @@ class TestFixedLayout:
         assert FILE_ACCESS.read(buf, "uid") == uid
         assert FILE_ACCESS.read(buf, "gid") == gid
         assert FILE_ACCESS.read(buf, "ctime") == ctime
+
+    @pytest.mark.parametrize("layout", _ALL_LAYOUTS, ids=lambda layout: layout.name)
+    def test_values_is_positional_unpack(self, layout):
+        """``values`` is ``unpack``'s values in ``field_names`` order, and a
+        wrong-size buffer raises ``unpack``'s error."""
+        rng = random.Random(layout.name)
+        for _ in range(64):
+            buf = rng.randbytes(layout.total_size)
+            want = layout.unpack(buf)
+            assert layout.values(buf) == tuple(want[f] for f in layout.field_names)
+        for size in (0, layout.total_size - 1, layout.total_size + 1):
+            with pytest.raises(ValueError) as want_err:
+                layout.unpack(bytes(size))
+            with pytest.raises(ValueError) as got_err:
+                layout.values(bytes(size))
+            assert got_err.value.args == want_err.value.args
+
+    def test_joined_needs_pad_free_layouts(self):
+        assert joined(FILE_ACCESS, FILE_CONTENT).size == FILE_ATTRS.size == 60
+        with pytest.raises(ValueError, match="dir_inode"):
+            joined(FILE_ACCESS, DIR_INODE)
 
     @pytest.mark.parametrize("layout", [DIR_INODE, FILE_ACCESS, FILE_CONTENT, FILE_COUPLED],
                              ids=lambda layout: layout.name)

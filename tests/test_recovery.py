@@ -146,7 +146,8 @@ class TestServerLevelRecovery:
         fms.store.close()
         fms2 = FileMetadataServer(sid=1, wal_path=wal)
         attrs = fms2.op_getattr(7, "data.bin")
-        assert attrs["size"] == 4242
+        # positional reply: (ctime, mode, uid, gid, mtime, atime, size, ...)
+        assert attrs[6] == 4242
 
     def test_torn_wal_tail_recovers_prefix(self, tmp_path):
         wal = str(tmp_path / "dms.wal")
