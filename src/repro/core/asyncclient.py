@@ -183,7 +183,8 @@ class AsyncLocoClient(BatchingLocoClient):
         # not chmod the dir this mkdir creates
         for qpend in self._pending.values():
             for i, hint in enumerate(qpend.paths):
-                if hint == path and qpend.entries[i] is not None:
+                e = qpend.entries[i]
+                if hint == path and e is not None and e[0] == "setattr":
                     qpend.guards.setdefault(i, set()).add(uuid)
         # read-your-writes for free: the d-cache serves the new directory
         # immediately, so creates underneath defer without a DMS round trip
@@ -221,7 +222,7 @@ class AsyncLocoClient(BatchingLocoClient):
             self.annihilations += 1
             kind = "unlink_opt"
         pend = self._enq(server, (kind, dir_uuid, name, self.cred),
-                         _OP_WIRE_BASE + len(name), info["path"])
+                         _OP_WIRE_BASE + len(name), info["path"], path)
         if pend is not None:
             yield from self._g_enq_tail(server, pend)
 
@@ -363,14 +364,13 @@ class AsyncLocoClient(BatchingLocoClient):
             self._tombstone(src_fms, skey)
             self.deferred_renames += 1
             pend = self._enq(dst_fms, ("unlink_opt", dkey[0], dst_name, self.cred),
-                             _OP_WIRE_BASE + len(dst_name), dinfo["path"])
+                             _OP_WIRE_BASE + len(dst_name), dinfo["path"], new)
             if pend is not None:
                 yield from self._g_enq_tail(dst_fms, pend)
             for e in live:
                 moved = (e[0], dkey[0], dst_name) + e[3:]
                 wire = (_CREATE_WIRE_BASE if e[0] == "create" else _OP_WIRE_BASE)
-                pend = self._enq(dst_fms, moved, wire + len(dst_name), dinfo["path"],
-                                 path_hint=new if e[0] == "setattr" else None)
+                pend = self._enq(dst_fms, moved, wire + len(dst_name), dinfo["path"], new)
                 if pend is not None:
                     yield from self._g_enq_tail(dst_fms, pend, capture=False)
             return
@@ -382,7 +382,7 @@ class AsyncLocoClient(BatchingLocoClient):
             pend = self._enq(
                 src_fms, ("rename_local", skey[0], src_name, dkey[0], dst_name,
                           self.cred),
-                _OP_WIRE_BASE + len(src_name) + len(dst_name), dinfo["path"])
+                _OP_WIRE_BASE + len(src_name) + len(dst_name), dinfo["path"], old)
             if pend is not None:
                 yield from self._g_enq_tail(src_fms, pend)
             return

@@ -58,9 +58,7 @@ class LocoClient(FSClientBase):
         #: see ClusterConfig.strict_collisions — cross-keyspace name checks
         self.strict_collisions = strict_collisions
         self.fms_names = list(fms_names)
-        self.ring = ConsistentHashRing()
-        for name in self.fms_names:
-            self.ring.add_node(name)
+        self.ring = ConsistentHashRing(nodes=self.fms_names)
         self.placement = placement
         self.cache_enabled = cache_enabled
         self.dcache: LeaseCache[dict] = LeaseCache(lease_seconds, cache_capacity)
@@ -228,8 +226,11 @@ class LocoClient(FSClientBase):
             if dir_exists:
                 raise IsADirectory(path)
         fms = self._fms_for(info["uuid"], name)
-        uuid = yield Rpc(fms, "create", (info["uuid"], name, mode, self.cred, now,
-                                         self.block_size))
+        try:
+            uuid = yield Rpc(fms, "create", (info["uuid"], name, mode, self.cred, now,
+                                             self.block_size))
+        except Exists:  # the FMS names the file by its bare name
+            raise Exists(path) from None
         return uuid
 
     def _g_stat_file(self, path: str) -> Generator:
@@ -416,7 +417,11 @@ class LocoClient(FSClientBase):
                 yield Parallel(
                     [Rpc(n, "delete_file", (removed["uuid"],)) for n in self.placement.names]
                 )
-        payload = yield Rpc(src_fms, "export_remove", (sinfo["uuid"], src_name, self.cred))
+        try:
+            payload = yield Rpc(src_fms, "export_remove",
+                                (sinfo["uuid"], src_name, self.cred))
+        except NoEntry:  # the FMS's error carries no path
+            raise NoEntry(old) from None
         yield Rpc(dst_fms, "import", (dinfo["uuid"], dst_name, payload["access"],
                                       payload["content"]))
 
@@ -520,7 +525,9 @@ class _Queue:
 
     def __init__(self, now_us: float):
         self.entries: list[tuple | None] = []
-        self.paths: list[str | None] = []  # path hint (DMS-fallback setattr)
+        #: the op's path: a deferred error names it, and a setattr's
+        #: DMS fallback resolves it
+        self.paths: list[str | None] = []
         self.sizes: list[int] = []  # modeled wire size of each entry
         #: entry idx -> uuids of *later* deferred mkdirs of the hint path;
         #: the flush-time DMS fallback must not resolve against those dirs
@@ -806,7 +813,9 @@ class BatchingLocoClient(LocoClient):
                     if kind == "mkdir":
                         # the optimistic d-cache entry was wrong: drop it
                         self.dcache.invalidate(e[1])
-                    errs.append(_mkexc(err, res.get("arg")))
+                    # the caller's path where the op left one (a file
+                    # server knows only the bare name), else the server's
+                    errs.append(_mkexc(err, hint or res.get("arg")))
             elif kind == "create" or kind == "mkdir":
                 continue
             elif kind == "setattr":
@@ -968,7 +977,7 @@ class BatchingLocoClient(LocoClient):
             raise Exists(path)
         pend = self._enq(
             server, ("create", dir_uuid, name, mode, self.cred, now, self.block_size),
-            _CREATE_WIRE_BASE + len(name), info["path"])
+            _CREATE_WIRE_BASE + len(name), info["path"], path)
         if pend is not None:
             yield from self._g_enq_tail(server, pend)
         # deferred: the uuid is not known until the batch is flushed

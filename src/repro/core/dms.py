@@ -306,8 +306,8 @@ class DirectoryMetadataServer:
         now_s, uuid)`` with a client-reserved uuid, or ``("dsetattr",
         path, cred, now_s, mode, uid, gid)``.  Entries apply in order;
         per-entry failures are reported positionally (``{"err": name,
-        "arg": str}``) instead of failing the batch, because the issuing
-        ops were acknowledged long ago (write-behind).  The engine wraps
+        "arg": path}``, the error's path) instead of failing the batch,
+        because the issuing ops were acknowledged long ago (write-behind).  The engine wraps
         the dispatch in :meth:`group_commit`, so the whole batch is one
         WAL fsync.
         """
@@ -330,7 +330,7 @@ class DirectoryMetadataServer:
                 else:
                     raise InvalidArgument(kind, "unknown deferred DMS op")
             except FSError as err:
-                results[i] = {"err": type(err).__name__, "arg": str(err)}
+                results[i] = {"err": type(err).__name__, "arg": err.path}
         self.counters.inc("batch.records", n)
         return results
 

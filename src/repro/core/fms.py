@@ -729,9 +729,10 @@ class FileMetadataServer:
         Results are positional: ``{"uuid": n}`` or ``{"err": "Exists",
         "arg": name}`` for creates, ``{"ok": True}`` for setattr,
         ``{"removed": {...} | None}`` for the unlink forms,
-        ``{"replaced": ...}`` for renames, and ``{"err": type, "arg": msg}``
-        for any entry that failed.  A failing entry never aborts the batch
-        — the client sorts deferred errors out at the flush boundary.
+        ``{"replaced": ...}`` for renames, and ``{"err": type, "arg": path}``
+        (the error's own path, often a bare name) for any entry that
+        failed.  A failing entry never aborts the batch — the client
+        sorts deferred errors out at the flush boundary.
 
         The client queue preserves per-key dependency order, so entries
         must apply in sequence — except *contiguous* runs of creates,
@@ -778,7 +779,7 @@ class FileMetadataServer:
                 else:
                     raise InvalidArgument(f"unknown batched op {kind!r}")
             except FSError as err:
-                results[i] = {"err": type(err).__name__, "arg": str(err)}
+                results[i] = {"err": type(err).__name__, "arg": err.path}
             i += 1
         if n > creates:  # op_create_batch counted its own records
             self.counters.inc("batch.records", n - creates)

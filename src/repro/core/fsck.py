@@ -109,9 +109,7 @@ def check(fs) -> FsckReport:
                 report.add(f"I3: subdir dirent uuid mismatch for {child!r}")
 
     # -- per-FMS checks -----------------------------------------------------------
-    ring = ConsistentHashRing()
-    for name in fs.fms_names:
-        ring.add_node(name)
+    ring = ConsistentHashRing(nodes=fs.fms_names)
     live_file_uuids: set[int] = set()
     for fms_name, fms in zip(fs.fms_names, fs.fms):
         access_keys: set[bytes] = set()

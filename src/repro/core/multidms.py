@@ -195,9 +195,7 @@ class MultiDMSClient(LocoClient):
     def __init__(self, engine, dms_names: list[str], fms_names, placement, **kw):
         super().__init__(engine, fms_names=fms_names, placement=placement, **kw)
         self.dms_names = list(dms_names)
-        self.dms_ring = ConsistentHashRing()
-        for name in self.dms_names:
-            self.dms_ring.add_node(name)
+        self.dms_ring = ConsistentHashRing(nodes=self.dms_names)
 
     def _g_dir_exists(self, path: str) -> Generator:
         try:

@@ -74,9 +74,7 @@ class BlockPlacement:
     def __init__(self, server_names: list[str], replicas: int = 1):
         if replicas < 1:
             raise ValueError("need at least one replica")
-        self.ring = ConsistentHashRing()
-        for name in server_names:
-            self.ring.add_node(name)
+        self.ring = ConsistentHashRing(nodes=server_names)
         self.names = list(server_names)
         self.replicas = min(replicas, len(server_names))
 

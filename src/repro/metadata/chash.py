@@ -7,24 +7,34 @@ across clients.
 
 Because every client builds its *own* ring over the same server names,
 ring construction used to dominate client setup (``vnodes`` blake2b
-digests per server per client).  Two process-wide memos remove that:
+digests per server per client, then a copy and a sort of the whole ring
+per added server).  Two process-wide memos remove that:
 
 * node → virtual-node points (the blake2b digests), hashed once per
   ``(name, vnodes)`` ever;
 * node-set → sorted ring, shared as immutable tuples between rings with
-  the same membership.  ``sorted()`` over the combined points produces
-  exactly the list incremental ``bisect.insort`` did (the (point, name)
+  the same membership.  A membership change looks the new node set up
+  *before* it touches any point, so a hit costs no copy and no sort:
+  building a client's ring over its full server list
+  (``ConsistentHashRing(nodes=...)``) is one frozenset and one dict
+  probe, whatever the server count.  Only a miss builds the ring, from
+  the membership alone: ``sorted()`` over every member's points, exactly
+  the list incremental ``bisect.insort`` produced (the (point, name)
   tuples are distinct), so lookups are unchanged.
 
-Each ring also keeps a bounded per-instance lookup cache keyed by the raw
-key bytes; the ``version`` counter bumps on every membership change so
-external placement caches (see ``LocoClient._fms_for``) can invalidate.
+Each ring object keeps its own membership, ``version`` and lookup cache;
+only the immutable tuples are shared, so one client's membership change
+never touches another client's ring.  The bounded per-instance lookup
+cache is keyed by the raw key bytes; the ``version`` counter bumps once
+per membership change so external placement caches (see
+``LocoClient._fms_for``) can invalidate.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from collections.abc import Iterable
 
 
 def _hash64(data: bytes) -> int:
@@ -56,32 +66,35 @@ def _node_points(name: str, vnodes: int) -> tuple[int, ...]:
 class ConsistentHashRing:
     """Classic consistent-hash ring with virtual nodes."""
 
-    def __init__(self, vnodes: int = 128):
+    def __init__(self, vnodes: int = 128, nodes: Iterable[str] = ()):
         self.vnodes = vnodes
         self._ring: tuple[tuple[int, str], ...] = ()
         self._points: tuple[int, ...] = ()
         self._nodes: set[str] = set()
-        #: bumps on every add/remove; placement caches key on this
+        #: bumps on every membership change; placement caches key on this
         self.version = 0
         #: bytes key -> node (lookup) and (bytes key, n) -> node tuple
         #: (lookup_n); tuple keys can't collide with bytes keys
         self._lookup_cache: dict = {}
+        if nodes:
+            self.add_nodes(nodes)
 
-    def _rebuild(self, entries) -> None:
-        memo_key = (frozenset(self._nodes), self.vnodes)
-        cached = _RING_MEMO.get(memo_key)
+    def _rebuild(self) -> None:
+        vnodes = self.vnodes
+        memo_key = (frozenset(self._nodes), vnodes)
+        cached = _RING_MEMO.pop(memo_key, None)
         if cached is None:
-            ring = tuple(sorted(entries))
-            cached = (ring, tuple(p for p, _ in ring))
+            ring = tuple(sorted([(p, n) for n in self._nodes
+                                 for p in _node_points(n, vnodes)]))
+            cached = (ring, tuple([p for p, _ in ring]))
             while len(_RING_MEMO) >= _RING_MEMO_MAX:
                 # bounded LRU: evict only the coldest membership instead of
                 # wholesale-clearing — churny membership (replication and
                 # elasticity runs flip between a handful of node sets) keeps
                 # its hot entries and never re-sorts a ring it just built
                 _RING_MEMO.pop(next(iter(_RING_MEMO)))
-        else:
-            # refresh recency (dicts preserve insertion order)
-            del _RING_MEMO[memo_key]
+        # (re)insert at the tail: dicts keep insertion order, so a hit
+        # refreshes its recency
         _RING_MEMO[memo_key] = cached
         self._ring, self._points = cached
         self.version += 1
@@ -91,8 +104,23 @@ class ConsistentHashRing:
         if name in self._nodes:
             raise ValueError(f"node already on ring: {name!r}")
         self._nodes.add(name)
-        points = _node_points(name, self.vnodes)
-        self._rebuild(list(self._ring) + [(p, name) for p in points])
+        self._rebuild()
+
+    def add_nodes(self, names: Iterable[str]) -> None:
+        """Add every node in ``names`` as one membership change (one
+        ``version`` bump).  A name already on the ring, or repeated in
+        ``names``, raises ``ValueError`` and leaves the ring unchanged."""
+        names = list(names)
+        new = set(names)
+        if len(new) != len(names) or new & self._nodes:
+            seen = set(self._nodes)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"node already on ring: {name!r}")
+                seen.add(name)
+        if new:
+            self._nodes |= new
+            self._rebuild()
 
     def remove_node(self, name: str) -> None:
         if name not in self._nodes:
@@ -100,7 +128,7 @@ class ConsistentHashRing:
             # on either side surface as ValueError
             raise ValueError(f"node not on ring: {name!r}")
         self._nodes.discard(name)
-        self._rebuild([(p, n) for p, n in self._ring if n != name])
+        self._rebuild()
 
     def lookup(self, key: bytes | str) -> str:
         if not self._ring:

@@ -11,9 +11,23 @@ actually performed (plus explicit charges such as serialization).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.kv.meter import Meter
 
 from .costmodel import CostModel, KVCostPolicy
+
+
+#: handler class -> (RPC method names, ``op_<name>`` attribute names):
+#: ``dir()`` walks the whole MRO and sorts, so it runs once per class,
+#: not once per node
+_OP_NAMES: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _op_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    attrs = tuple(n for n in dir(cls) if n.startswith("op_"))
+    names = _OP_NAMES[cls] = (tuple(n[3:] for n in attrs), attrs)
+    return names
 
 
 class _OpTable(dict):
@@ -22,8 +36,14 @@ class _OpTable(dict):
     lifetime instead of one per request (~10 ns vs ~100 ns)."""
 
     def __init__(self, server: str, handler: object):
-        super().__init__((n[3:], getattr(handler, n))
-                         for n in dir(handler) if n.startswith("op_"))
+        cls = type(handler)
+        methods, attrs = _OP_NAMES.get(cls) or _op_names(cls)
+        try:
+            # bound per node, so a method patched onto the class is seen
+            super().__init__(zip(methods, map(getattr, repeat(handler), attrs)))
+        except AttributeError:  # an op deleted from the class since it was cached
+            methods, attrs = _op_names(cls)
+            super().__init__(zip(methods, map(getattr, repeat(handler), attrs)))
         self.server = server
         self.handler = handler
 

@@ -10,7 +10,7 @@ zero-lost-acked differential check.
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig
-from repro.common.errors import Exists, ServerDown
+from repro.common.errors import Exists, NoEntry, ServerDown
 from repro.common.types import ROOT_CRED
 from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
@@ -212,6 +212,40 @@ class TestWalReplayOnRestart:
         assert "sub" in names
         assert fs.cluster["dms"].recovered_us > 0.0
         fs.close()
+
+
+class TestRenameUnderFaults:
+    """A cross-FMS f-rename is two client-driven RPCs: ``export_remove``
+    on the source FMS, then ``import`` on the destination.  Between them
+    the inode's only copy is in the client's memory (ROADMAP item 13)."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 13(b): a destination crash between export_remove and "
+        "import loses the file; import-first or an intent record fixes it"))
+    def test_cross_fms_rename_keeps_the_file_when_the_destination_crashes(self):
+        fs = make_system("locofs-c", 4)  # no data_dir: no WAL
+        client = fs.client()
+        client.mkdir("/d")
+        client.create("/d/a")
+        uuid = client.stat_dir("/d").st_uuid
+        assert client.ring.lookup_file(uuid, "a") == "fms3"
+        assert client.ring.lookup_file(uuid, "b0") == "fms0"
+        # fms0 dies inside the export_remove -> import window, which a
+        # sweep in 5 us steps found open from 385 to 870 us after the
+        # rename is issued
+        fs.engine.attach_faults(FaultSchedule().crash("fms0", fs.engine.now + 600.0))
+        with pytest.raises(ServerDown):
+            client.rename("/d/a", "/d/b0")
+
+        def exists(path):
+            try:
+                client.stat_file(path)
+            except (NoEntry, ServerDown):  # a crashed, WAL-less FMS holds nothing
+                return False
+            return True
+
+        # the rename failed, so the file must survive under one name
+        assert [p for p in ("/d/a", "/d/b0") if exists(p)] in (["/d/a"], ["/d/b0"])
 
 
 class TestLeaseMasking:

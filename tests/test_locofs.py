@@ -1,6 +1,7 @@
 """LocoFS: shared semantics suite + LocoFS-specific behaviour."""
 
 import cProfile
+import itertools
 import pstats
 
 import pytest
@@ -12,7 +13,7 @@ from repro.common.config import (
     DirectoryConfig,
     LookupCacheConfig,
 )
-from repro.common.errors import FSError, NoEntry
+from repro.common.errors import Exists, FSError, NoEntry
 from repro.common.types import Credentials
 from repro.core import fsck
 from repro.core.fs import LocoFS
@@ -436,30 +437,66 @@ class TestInlineDirectoryResolution:
         assert pstats.Stats(prof).total_calls <= 60
 
 
-#: (system, op, extra args) for every op that reads a file by path;
-#: LocoFS-A defers ``unlink``, so its ``NoEntry`` surfaces at a flush
+#: (system, op, extra args) for every op that reads a file by path, plus
+#: a rename to a destination on the source's FMS (``rename-local``, which
+#: LocoFS-A defers) and on the other FMS (``rename-cross``, synchronous)
+_PATH_ERROR_SYSTEMS = ("locofs-c", "locofs-nc", "locofs-b", "locofs-a", "locofs-r")
 _MISSING_FILE_CASES = [
     pytest.param(system, op, args, id=f"{system}-{op}")
-    for system in ("locofs-c", "locofs-nc", "locofs-b", "locofs-a")
+    for system in _PATH_ERROR_SYSTEMS
     for op, args in (("stat_file", ()), ("stat", ()), ("stat_dir", ()), ("access", (4,)),
-                     ("open", (4,)), ("unlink", ()), ("truncate", (5,)))
-    if (system, op) != ("locofs-a", "unlink")
+                     ("open", (4,)), ("unlink", ()), ("truncate", (5,)),
+                     ("rename-local", ()), ("rename-cross", ()))
 ]
+
+
+def _flush(client) -> None:
+    """Drain a write-behind client's queues (a deferred op's error
+    surfaces here); a synchronous client has nothing to drain."""
+    flush = getattr(client, "flush", None)
+    if flush is not None:
+        flush()
+
+
+def _rename_target(client, same_fms: bool) -> str:
+    """A destination in ``/d`` whose FMS is (or is not) ``/d/x``'s."""
+    uuid = client.stat_dir("/d").st_uuid
+    src = client.ring.lookup_file(uuid, "x")
+    return next(f"/d/y{i}" for i in itertools.count()
+                if (client.ring.lookup_file(uuid, f"y{i}") == src) == same_fms)
 
 
 class TestMissingFileErrors:
     """A missing file's ``NoEntry`` names the caller's path, as IndexFS's
     and the directory fallbacks' already did.  It used to carry the FMS's
-    empty message (``stat_file`` / ``open`` / ``unlink``) or the bare name
-    (``truncate``), and on LocoFS-A the still-queued parent: the DMS's
-    ACL walk stops at a directory whose ``mkdir`` this client has not
-    flushed, which exists for this client."""
+    empty message (``stat_file`` / ``open`` / ``unlink`` / ``rename``),
+    the bare name (``truncate``), on LocoFS-A the still-queued parent
+    (the DMS's ACL walk stops at a directory whose ``mkdir`` this client
+    has not flushed, which exists for this client), and for LocoFS-A's
+    deferred ``unlink`` / local ``rename`` the server's rebuilt message
+    (``NoEntry("NoEntry: NoEntry: ")``) at the flush."""
 
     @pytest.mark.parametrize("system, op, args", _MISSING_FILE_CASES)
     def test_names_the_path(self, system, op, args):
         fs = make_system(system, 2)
         client = fs.client()
         client.mkdir("/d")  # on LocoFS-A still queued when the read runs
+        if op.startswith("rename"):
+            op, args = "rename", (_rename_target(client, op == "rename-local"),)
         with pytest.raises(NoEntry) as err:
             getattr(client, op)("/d/x", *args)
+            _flush(client)
         assert err.value.path == "/d/x"
+
+    @pytest.mark.parametrize("system", _PATH_ERROR_SYSTEMS)
+    def test_duplicate_create_names_the_path(self, system):
+        """The FMS names the file by its bare name (``Exists("f")``)."""
+        fs = make_system(system, 2)
+        client = fs.client()
+        client.mkdir("/d")
+        client.create("/d/f")
+        _flush(client)  # durable, so the duplicate is found server-side
+        with pytest.raises(Exists) as err:
+            client.create("/d/f")
+            _flush(client)
+        assert err.value.path == "/d/f"
