@@ -20,27 +20,23 @@ Two thin drivers feed it:
 Both implement the same tiny protocol: ``run(gen)`` drives a generator to
 completion and returns its value; ``now`` is the virtual clock in
 microseconds.  One attempt of an ``Rpc`` or ``Batch`` flows through three
-stages, and only the first is written per driver:
+stages:
 
-1. **Send half** (``DirectEngine._round_trip`` / ``EventEngine._issue``):
-   wire-fate draw, payload on the client uplink, switch-node or
-   connection-switch charge, ``rpcs_issued``, the rpc span (opened at the
-   issue instant, so the connection switch is ``network`` time in the
-   trace); the request arrives at ``issue + delay + half_rtt``, the same
-   sum in the same order on both.  It is written per driver because
-   Direct *advances* a clock and loops over retries where Event
-   *schedules* an arrival — sharing these ~20 lines costs a second
-   Python call per attempt, measured at 0.946× host throughput on
-   ``read_mostly``.  With no fault schedule attached no attempt can be
-   lost, so ``DirectEngine.run`` sends a lone request and each
-   ``Parallel`` branch itself, without the retry loop (the same sum, no
-   wire-fate draw); ``_round_trip`` serves every ``Quorum`` and every
-   command under a schedule.  Likewise, with no schedule, tracer or
-   registry attached (a telemetry sink may be), ``EventEngine._step``
-   sends a lone request itself and ``_arrive`` serves it, stage 2 folded
-   in without the down-server and lost-response tests; ``_issue`` /
-   ``_deliver`` / ``_serve`` carry every fan-out and every command of an
-   engine with more attached.
+1. **Send half** (``EventEngine._issue``): wire-fate draw, payload on the
+   client uplink, switch-node or connection-switch charge,
+   ``rpcs_issued``, the rpc span (opened at the issue instant, so the
+   connection switch is ``network`` time in the trace); the request
+   arrives at ``issue + delay + half_rtt``.  One rule splits the drivers:
+   ``DirectEngine`` runs inline only a lone request with no fault
+   schedule attached, and a ``Parallel`` with no schedule and no switch
+   node (its branches then arrive in index order).  No attempt can be
+   lost there, so ``_issue``'s sum in the same order, without the
+   wire-fate draw, is the whole send.  Every other command — anything
+   under a schedule, the empty one too, every ``Quorum``, a switch-node
+   ``Parallel`` — Direct hands, one at a time, to one ``EventEngine``
+   over the same cluster, clock, client and sinks.  With no schedule,
+   tracer or registry attached, ``EventEngine._step`` sends a lone
+   request itself and ``_arrive`` serves it, stage 2 folded in.
 2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
    the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
    or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch), meter
@@ -52,7 +48,7 @@ stages, and only the first is written per driver:
    — the response reaches the client after the wire latency, then its
    payload crosses the client's serialized downlink.  One formula for a
    lone response and a fan-out branch alike.
-3. **Retry / join** (``_retry_at`` and ``_FanOut.add``, shared): one
+3. **Retry / join** (``EventEngine._retry`` and ``_FanOut.add``): one
    timeout-and-backoff decision for every lost attempt, and one join for
    ``Parallel`` and ``Quorum``.  The two fan-outs differ in a
    ``need``/single-attempt pair, not in code: ``Parallel`` needs every
@@ -166,73 +162,9 @@ class _ClientState:
         self.spans: list[tuple] = []
 
 
-class _FanOut:
-    """Join state of one ``Parallel`` or ``Quorum`` fan-out.
-
-    ``Parallel`` is the ``need = n`` case that waits for every branch and
-    raises the first error only after the slowest one; ``Quorum`` resolves
-    early, at the k-th success or at the failure that makes ``k``
-    unreachable, and its branches get a single attempt (no retry policy —
-    burning ``max_retries`` backoffs per dead replica would turn a
-    millisecond failover into tens of milliseconds).  A vote fails when
-    its response comes back with an application error (e.g. ``NotLeader``)
-    or, for a lost request or dead server, when the client's timeout fires.
-    """
-
-    __slots__ = ("cmd", "results", "need", "quorum", "ok", "left", "err",
-                 "resolved")
-
-    def __init__(self, cmd: Parallel | Quorum) -> None:
-        n = len(cmd.rpcs)
-        self.cmd = cmd
-        self.results: list = [None] * n
-        self.quorum = cmd.tag == TAG_QUORUM
-        self.need = cmd.k if self.quorum else n
-        self.ok = 0
-        #: branches that have not finished yet
-        self.left = n
-        self.err: FSError | None = None
-        self.resolved = False
-
-    def add(self, idx: int, value, err: FSError | None):
-        """Count one finished branch.  Returns the ``(value, exc)`` pair
-        to resume the client with once the fan-out resolves, else
-        ``None``.  Feed branches in completion-time order."""
-        if self.resolved:
-            # a late Quorum branch: its server effects already happened,
-            # the client has moved on
-            return None
-        self.left -= 1
-        if err is None:
-            self.results[idx] = value
-            self.ok += 1
-        elif self.err is None:
-            self.err = err
-        if not self.quorum:
-            if self.left:
-                return None
-            outcome = (None, self.err) if self.err is not None \
-                else (self.results, None)
-        elif self.ok >= self.need:
-            # snapshot: still-in-flight branches stay None for the client
-            # even though their effects land later
-            outcome = (list(self.results), None)
-        elif self.ok + self.left < self.need:
-            # quorum unreachable: the client learns it when the
-            # (n - k + 1)-th branch fails.  A lone branch re-raises its own
-            # error so callers can tell e.g. NotLeader from an unreachable
-            # server
-            outcome = (None, self.err if len(self.results) == 1 else QuorumFailed(
-                f"{self.cmd.rpcs[0].method}: {self.ok} of {self.need} votes"))
-        else:
-            return None
-        self.resolved = True
-        return outcome
-
-
 class _EngineCore:
-    """What both drivers share: the dispatch core (``_serve``,
-    ``_retry_at``; ``_FanOut`` is the join) and the observability plumbing.
+    """What both drivers share: the dispatch core (``_serve``) and the
+    observability and fault plumbing.
 
     ``self.tracer`` / ``self.metrics`` stay ``None`` until a run opts in;
     every instrumentation site guards on that, so the default cost is one
@@ -569,27 +501,6 @@ class _EngineCore:
             tracer.end(span, respond_at)
         return value, err, respond_at
 
-    def _retry_at(self, state: _ClientState, server: str, attempt: int,
-                  fail_at: float, retries: bool) -> float | None:
-        """The retry decision for an attempt the client gave up waiting
-        for at ``fail_at``: the instant to re-issue it after the policy's
-        backoff, or ``None`` when the caller must surface
-        :class:`ServerDown` — the policy is spent, or the attempt was a
-        ``Quorum`` branch (``retries`` false), which simply is a failed
-        vote."""
-        if not retries:
-            return None
-        policy = self.retry
-        faults = self.faults
-        if attempt >= policy.max_retries:
-            faults.gaveups += 1
-            self._fault_mark(state, "client.gaveup", server, fail_at)
-            return None
-        faults.retries += 1
-        self._fault_mark(state, "client.retry", server, fail_at,
-                         counter="client.retries", attempt=attempt + 1)
-        return fail_at + policy.backoff_us(attempt, faults.rng)
-
 
 class DirectEngine(_EngineCore):
     """Synchronous executor with a virtual clock.
@@ -604,17 +515,21 @@ class DirectEngine(_EngineCore):
         super().__init__(cluster, cost)
         self.now = 0.0
         self._client = _ClientState()
+        #: the EventEngine that runs every command this driver does not
+        #: run inline; built on the first such command
+        self._events: _FaultDriver | None = None
 
     # -- protocol -------------------------------------------------------------
     def run(self, gen: Generator):
         """Drive ``gen`` to completion.
 
-        With no fault schedule attached, a lone ``Rpc``/``Batch`` and a
-        ``Parallel`` are served from here: no attempt can be lost, so
-        ``_round_trip``'s retry loop and ``_fan_out``'s completion replay
-        have nothing to decide (DESIGN "Engine design" says why this is
-        exact).  Every ``Quorum``, and every command under a schedule, the
-        empty one included, still takes those two.
+        With no fault schedule attached, a lone ``Rpc``/``Batch`` and,
+        on an engine with no switch node, a ``Parallel`` run inline: no
+        attempt can be lost and the branches arrive in index order, so the
+        one-attempt send half and ``_serve`` are the whole story (DESIGN
+        "Engine design").  Every other command — anything under a
+        schedule, the empty one included, every ``Quorum``, a switch-node
+        ``Parallel`` — goes to :meth:`_hand_over`.
         """
         send = gen.send
         throw = gen.throw
@@ -633,9 +548,9 @@ class DirectEngine(_EngineCore):
                 raise TypeError(f"unknown engine command: {cmd!r}") from None
             if tag == TAG_RPC or tag == TAG_BATCH:
                 if self.faults is not None:
-                    send_value, exc, self.now = self._round_trip(cmd)
+                    send_value, exc = self._hand_over(cmd)
                     continue
-                # _round_trip's send half, for the one attempt there is
+                # _issue's send half, for the one attempt there is
                 state = self._client
                 server = cmd.server
                 t = self.now
@@ -658,32 +573,33 @@ class DirectEngine(_EngineCore):
                     state, cmd, span, t + delay + half, half)
             elif tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 self.now += cmd.us
-            elif tag == TAG_PARALLEL and self.faults is None:
-                # each branch is a fan-out branch's send half, then _serve,
-                # in index order; the join is _FanOut.add's Parallel rule
-                # folded: values in branch order, the clock at the slowest
-                # branch, the error of the first by (respond_at, index)
+            elif tag == TAG_PARALLEL and self.faults is None \
+                    and self.switch_nodes is None:
+                # every branch's send half, then _serve in index order (the
+                # arrival order: each branch waits behind the earlier
+                # payloads); the join is _FanOut.add's Parallel rule folded:
+                # values in branch order, the clock at the slowest branch,
+                # the error of the first by (respond_at, index)
                 state = self._client
                 t = end = self.now
+                half = self._half_rtt
                 uplink = err_at = 0.0
+                spans = None
+                if self.tracer is not None:
+                    # opened at the issue instant before any branch is
+                    # served, as _issue does, so span ids match Event's
+                    spans = [self._open_span(state, rpc, t) for rpc in cmd.rpcs]
                 values = []
-                for rpc in cmd.rpcs:
-                    server = rpc.server
+                for i, rpc in enumerate(cmd.rpcs):
                     delay = uplink
                     if rpc.send_bytes:
                         wire = self.cost.transfer_us(rpc.send_bytes)
                         delay = wire + delay
                         uplink += wire
-                    half = self._half_rtt
-                    sw = self.switch_nodes
-                    if sw is not None and server in sw:
-                        half = sw[server]
                     state.rpcs_issued += 1
-                    span = None
-                    if self.tracer is not None:
-                        span = self._open_span(state, rpc, t)
-                    value, err, at = self._serve(state, rpc, span,
-                                                 t + delay + half, half)
+                    value, err, at = self._serve(
+                        state, rpc, spans[i] if spans is not None else None,
+                        t + delay + half, half)
                     values.append(value)
                     if at > end:
                         end = at
@@ -694,7 +610,7 @@ class DirectEngine(_EngineCore):
                 if exc is None:
                     send_value = values
             elif tag == TAG_PARALLEL or tag == TAG_QUORUM:
-                send_value, exc = self._fan_out(cmd)
+                send_value, exc = self._hand_over(cmd)
             elif tag == TAG_SPAN_BEGIN:
                 self._span_begin(self._client, cmd)
             elif tag == TAG_SPAN_END:
@@ -707,98 +623,41 @@ class DirectEngine(_EngineCore):
             else:
                 raise TypeError(f"unknown engine command: {cmd!r}")
 
-    def _round_trip(self, cmd: Rpc | Batch, join: _FanOut | None = None,
-                    uplink: float = 0.0):
-        """One ``Rpc`` or ``Batch`` issued at ``self.now`` under a fault
-        schedule, or as a ``Quorum`` branch, every retry included.
-        Returns ``(value, err, respond_at)`` and leaves the clock alone:
-        ``run`` resumes a lone request at ``respond_at``, ``_fan_out``
-        decides from all its branches.  A branch of the
-        fan-out ``join`` pays no connection switch and first waits
-        ``uplink`` behind the earlier branches' request payloads.
-        """
-        cost = self.cost
-        state = self._client
-        faults = self.faults
-        server = cmd.server
-        t = self.now
-        attempt = 0
-        while True:
-            # send half
-            delay = uplink
-            lost_at = None
-            if faults is not None:
-                fate, extra = faults.wire_fate()
-                if fate == F_DROP:
-                    lost_at = t
-                elif extra:
-                    delay += extra
-            if cmd.send_bytes:
-                delay = cost.transfer_us(cmd.send_bytes) + delay
-            half = self._half_rtt
-            sw = self.switch_nodes
-            if sw is not None and server in sw:
-                # switch node: on the wire path already — near-zero latency,
-                # no connection churn, the established server stays connected
-                half = sw[server]
-            elif join is None:
-                if state.last_server is not None and state.last_server != server:
-                    delay += cost.conn_switch_us
-                state.last_server = server
-            state.rpcs_issued += 1
-            if lost_at is not None and cmd.tag == TAG_RPC:
-                # request loss: the server never executes it, so a retried
-                # non-idempotent op sees no ghost of itself (a dropped Batch
-                # loses its *response* instead — _serve times it out once
-                # the server has applied it)
-                at = t + cost.timeout_us
-            else:
-                span = None
-                if self.tracer is not None:
-                    span = self._open_span(state, cmd, t)
-                served = self._serve(state, cmd, span, t + delay + half,
-                                     half, lost_at)
-                if served[1] is not _LOST:
-                    return served
-                at = served[2]
-            t = self._retry_at(state, server, attempt, at,
-                               join is None or not join.quorum)
-            if t is None:
-                return None, ServerDown(server), at
-            attempt += 1
-            uplink = 0.0  # a re-issue queues behind nobody's payload
-
-    def _fan_out(self, cmd: Parallel | Quorum):
-        """Run every branch of a ``Quorum``, or of a ``Parallel`` under a
-        fault schedule, from ``self.now``, then replay their completions
-        in time order through the shared join; the clock resumes where the
-        join resolves.  All branches
-        execute against their servers (their queue/service effects
-        happen) even when a ``Quorum`` resolves before the slowest."""
-        if not cmd.rpcs:
-            return [], None
-        join = _FanOut(cmd)
-        # the client's uplink serializes request payloads: each branch
-        # departs once its payload (and all earlier ones) is on the wire
-        uplink = 0.0
-        transfer_us = self.cost.transfer_us
-        done = []
-        for i, rpc in enumerate(cmd.rpcs):
-            value, err, at = self._round_trip(rpc, join, uplink)
-            done.append((at, i, value, err))
-            if rpc.send_bytes:
-                uplink += transfer_us(rpc.send_bytes)
-        done.sort()
-        for at, i, value, err in done:
-            outcome = join.add(i, value, err)
-            if outcome is not None:
-                self.now = at
-                return outcome
+    def _hand_over(self, cmd):
+        """Run one command on the event driver from ``self.now``, with this
+        engine's client, sinks, faults, retry policy and switch nodes.
+        Returns its ``(value, exc)``; the clock moves to the instant the
+        client resumes.  The simulator then drains what is left — a
+        ``Quorum``'s late branches — so its schedule is empty between
+        commands and the next one may start at an earlier clock."""
+        events = self._events
+        if events is None:
+            events = self._events = _FaultDriver(self.cluster, self.cost)
+        for name in _SHARED:
+            setattr(events, name, getattr(self, name))
+        sim = events.sim
+        sim.now = self.now
+        box = []
+        events.spawn(_one(cmd), lambda value, exc: box.append((value, exc, sim.now)),
+                     self._client)
+        sim.run()
+        value, exc, self.now = box[0]
+        return value, exc
 
     def reset_clock(self) -> None:
         self.now = 0.0
         self._client = _ClientState()
         self.cluster.reset_load()
+
+
+#: what a DirectEngine lends its event driver for one command
+_SHARED = ("tracer", "metrics", "telemetry", "obs_detailed", "faults", "retry",
+           "switch_nodes")
+
+
+def _one(cmd):
+    """A generator that yields one command and returns its result."""
+    return (yield cmd)
 
 
 class _Proc:
@@ -827,6 +686,70 @@ class _Proc:
         self.half = 0.0
         #: the one (proc,) argument tuple every resume event reuses
         self.slot = (self,)
+
+
+class _FanOut:
+    """Join state of one ``Parallel`` or ``Quorum`` fan-out.
+
+    ``Parallel`` is the ``need = n`` case that waits for every branch and
+    raises the first error only after the slowest one; ``Quorum`` resolves
+    early, at the k-th success or at the failure that makes ``k``
+    unreachable, and its branches get a single attempt (no retry policy —
+    burning ``max_retries`` backoffs per dead replica would turn a
+    millisecond failover into tens of milliseconds).  A vote fails when
+    its response comes back with an application error (e.g. ``NotLeader``)
+    or, for a lost request or dead server, when the client's timeout fires.
+    """
+
+    __slots__ = ("cmd", "results", "need", "quorum", "ok", "left", "err",
+                 "resolved")
+
+    def __init__(self, cmd: Parallel | Quorum) -> None:
+        n = len(cmd.rpcs)
+        self.cmd = cmd
+        self.results: list = [None] * n
+        self.quorum = cmd.tag == TAG_QUORUM
+        self.need = cmd.k if self.quorum else n
+        self.ok = 0
+        #: branches that have not finished yet
+        self.left = n
+        self.err: FSError | None = None
+        self.resolved = False
+
+    def add(self, idx: int, value, err: FSError | None):
+        """Count one finished branch.  Returns the ``(value, exc)`` pair
+        to resume the client with once the fan-out resolves, else
+        ``None``.  Feed branches in completion-time order."""
+        if self.resolved:
+            # a late Quorum branch: its server effects already happened,
+            # the client has moved on
+            return None
+        self.left -= 1
+        if err is None:
+            self.results[idx] = value
+            self.ok += 1
+        elif self.err is None:
+            self.err = err
+        if not self.quorum:
+            if self.left:
+                return None
+            outcome = (None, self.err) if self.err is not None \
+                else (self.results, None)
+        elif self.ok >= self.need:
+            # snapshot: still-in-flight branches stay None for the client
+            # even though their effects land later
+            outcome = (list(self.results), None)
+        elif self.ok + self.left < self.need:
+            # quorum unreachable: the client learns it when the
+            # (n - k + 1)-th branch fails.  A lone branch re-raises its own
+            # error so callers can tell e.g. NotLeader from an unreachable
+            # server
+            outcome = (None, self.err if len(self.results) == 1 else QuorumFailed(
+                f"{self.cmd.rpcs[0].method}: {self.ok} of {self.need} votes"))
+        else:
+            return None
+        self.resolved = True
+        return outcome
 
 
 class EventEngine(_EngineCore):
@@ -1132,18 +1055,27 @@ class EventEngine(_EngineCore):
                fail_at: float) -> None:
         """One lost attempt, noticed by the client at ``fail_at``: back
         off and re-issue, or resume the client (join the branch) with
-        :class:`ServerDown`.  ``fail_at`` may already lie in the past —
-        a dropped batch is timed from its send but only known lost once
-        served — hence the clamps to the current instant."""
+        :class:`ServerDown` once the policy is spent.  A ``Quorum`` branch
+        gets no retry: its lost attempt simply is a failed vote.
+        ``fail_at`` may already lie in the past — a dropped batch is timed
+        from its send but only known lost once served — hence the clamps
+        to the current instant."""
         sim = self.sim
         now = sim.now
-        t = self._retry_at(proc.state, cmd.server, attempt, fail_at,
-                           branch is None or not branch[0].quorum)
-        if t is not None:
-            sim.at(t if t > now else now, self._issue, proc, cmd, branch,
-                   0.0, attempt + 1)
-            return
-        err = ServerDown(cmd.server)
+        server = cmd.server
+        if branch is None or not branch[0].quorum:
+            faults = self.faults
+            if attempt < self.retry.max_retries:
+                faults.retries += 1
+                self._fault_mark(proc.state, "client.retry", server, fail_at,
+                                 counter="client.retries", attempt=attempt + 1)
+                t = fail_at + self.retry.backoff_us(attempt, faults.rng)
+                sim.at(t if t > now else now, self._issue, proc, cmd, branch,
+                       0.0, attempt + 1)
+                return
+            faults.gaveups += 1
+            self._fault_mark(proc.state, "client.gaveup", server, fail_at)
+        err = ServerDown(server)
         at = fail_at if fail_at > now else now
         if branch is None:
             proc.value = None
@@ -1193,6 +1125,14 @@ class EventEngine(_EngineCore):
             frac = min(1.0, (node.busy_us - last_busy) / (finish - last_ts))
             metrics.timeseries(f"{name}.utilization").sample(finish, frac)
             self._util_mark[name] = (finish, node.busy_us)
+
+
+class _FaultDriver(EventEngine):
+    """The EventEngine behind a DirectEngine's non-inline commands.  Direct
+    has no queues worth sampling, so its driver samples none either."""
+
+    _record = _EngineCore._record
+    _arrival_depth = _EngineCore._arrival_depth
 
 
 def make_engine(kind: str, cluster: Cluster, cost: CostModel):

@@ -10,8 +10,9 @@ zero-lost-acked differential check.
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig
-from repro.common.errors import Exists, NoEntry, ServerDown
+from repro.common.errors import Exists, FSError, NoEntry, ServerDown
 from repro.common.types import ROOT_CRED
+from repro.core import fsck
 from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
 from repro.harness import SYSTEM_NAMES, make_system
@@ -584,3 +585,110 @@ class TestFaultObservability:
         client.create("/d/a")
         assert "faults" not in attribution_report(tracer)
         fs.close()
+
+
+# -- one deployment, two drivers ----------------------------------------------------
+
+
+#: the four fault axes of the two-driver test, as factories of the crashed
+#: server's name (a schedule is consumed by its run); the crash lands
+#: mid-mix and the restart inside ``RetryPolicy(max_retries=3)``'s budget
+_DRIVER_SCHEDULES = {
+    "no-faults": None,
+    "empty-schedule": lambda server: FaultSchedule(),
+    "drop+delay": lambda server: FaultSchedule(seed=3, drop_prob=0.3,
+                                               delay_prob=0.3),
+    "delay+crash-restart": lambda server: FaultSchedule(
+        seed=3, delay_prob=0.3).crash_restart(server, 2000.0, 4000.0),
+}
+
+#: what one set of fault rules does not make identical, with the measured
+#: final (direct, event) clocks in us.  A Quorum resumes at its k-th vote;
+#: Direct drains the late votes before its next command, Event lets them
+#: interleave with it, so they reserve the client downlink, draw the RNG
+#: and find a restarted server at other instants
+_LATE_VOTES = "Direct drains a Quorum's late votes before its next command"
+_LATE_VOTES_DIVERGE = {
+    "locofs-r-drop+delay":
+        f"{_LATE_VOTES}: the second mkdir resumes 17492.21 vs 17081.81 us "
+        "(final 188195.14 vs 187651.82 us, 269 rpcs each)",
+    "locofs-r-delay+crash-restart":
+        f"{_LATE_VOTES}: the readdir resumes 31160.47 vs 30859.98 us "
+        "(final 33764.32 vs 33463.83 us, 121 rpcs each)",
+}
+
+
+def _fan_out_mix():
+    """Ops that reach every fan-out: quorum'd mkdirs (LocoFS-R), a
+    striped 20 KB write, a cross-FMS rename (``f4`` and ``g4`` hash to
+    different FMS on every LocoFS row), readdir / rmdir over every FMS."""
+    ops = [("mkdir", "/d"), ("mkdir", "/d/e"), ("mkdir", "/d/e/f")]
+    ops += [("create", f"/d/f{i}") for i in range(12)]
+    ops += [("write", "/d/f0", 0, b"x" * 20480)]
+    ops += [("unlink", f"/d/f{i}") for i in (1, 2, 3)]
+    ops += [("rename", "/d/f4", "/d/g4")]
+    ops += [("rmdir", "/d/e/f"), ("rmdir", "/d/e")]
+    ops += [("readdir", "/d"), ("stat", "/d/f5"), ("stat", "/d/g4")]
+    return ops
+
+
+def _two_driver_matrix():
+    for name in ("locofs-c", "locofs-nc", "locofs-b", "locofs-a", "locofs-r",
+                 "indexfs"):
+        for faults in _DRIVER_SCHEDULES:
+            why = _LATE_VOTES_DIVERGE.get(f"{name}-{faults}")
+            yield pytest.param(
+                name, faults, id=f"{name}-{faults}",
+                marks=[pytest.mark.xfail(strict=True, reason=why)] if why else [])
+
+
+class TestOneDeploymentTwoDrivers:
+    """The DirectEngine hands every faulted command to the event driver,
+    so one generator over one deployment must see the same clock doubles,
+    error classes, results and ``rpcs_issued`` on both engines, under any
+    schedule.  A cell that cannot hold ``==`` is a strict xfail carrying
+    the measured pair, never a tolerance."""
+
+    @staticmethod
+    def _run(name, kind, faults, tmp_path):
+        fs = make_system(name, 4, cost=FAST_RECOVERY, engine_kind=kind,
+                         data_dir=str(tmp_path / kind))
+        engine = fs.engine
+        schedule = _DRIVER_SCHEDULES[faults]
+        if schedule is not None:
+            engine.attach_faults(schedule("mds1" if name == "indexfs" else "fms1"),
+                                 RetryPolicy(max_retries=3))
+        client = fs.client()
+
+        def ops():
+            probes = []
+            for op, *args in _fan_out_mix():
+                result = error = None
+                try:
+                    result = yield from client.op_raw(op, *args)
+                except FSError as e:
+                    error = type(e).__name__
+                probes.append((op, engine.now, error, repr(result)))
+            if hasattr(client, "_g_flush"):  # write-behind: drain the queues
+                error = None
+                try:
+                    yield from client._g_flush()
+                except FSError as e:
+                    error = type(e).__name__
+                probes.append(("flush", engine.now, error))
+            return probes
+
+        probes = engine.run(ops())
+        state = engine._client if kind == "direct" else engine._default_client
+        # fsck walks a single DMS: every row but LocoFS-R and IndexFS
+        if getattr(fs, "dms", None) is not None:
+            report = fsck.check(fs)
+            assert report.clean, report.errors
+        fs.close()
+        return probes, state.rpcs_issued
+
+    @pytest.mark.parametrize("name,faults", _two_driver_matrix())
+    def test_same_clock_errors_and_rpcs(self, name, faults, tmp_path):
+        direct = self._run(name, "direct", faults, tmp_path)
+        event = self._run(name, "event", faults, tmp_path)
+        assert direct == event

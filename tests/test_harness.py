@@ -166,10 +166,9 @@ class TestLatencyRunner:
         """One measured op — harness loop, client, engine and both servers
         — under cProfile, from the record of the second sample to that of
         the third: CPython 3.11.7 counts 74 for a ``locofs-nc`` file-stat,
-        the profiler's ``disable`` included.  It was 82: a ``timed`` frame,
-        the pick lambda and a fresh ``LocalCharge`` per op, ``_g_dir``'s
-        two frames, two ``_round_trip`` frames and the DMS's ``ctime``
-        read through ``FixedLayout.read``."""
+        the profiler's ``disable`` included: one shared ``LocalCharge``,
+        one ``engine.run`` and one ``record`` per op, the directory resolved
+        inline and one ``_serve`` frame per request."""
         prof = cProfile.Profile()
 
         class OneOp(LatencyRecorder):

@@ -421,12 +421,10 @@ class TestInlineDirectoryResolution:
     def test_uncached_stat_file_exact_call_count(self):
         """One warm ``stat_file`` on ``locofs-nc`` (no lease cache, the
         DirectEngine), under cProfile.  CPython 3.11.7 counts 60, the
-        profiler's own ``disable`` included.  It was 72: the parent
-        resolved through a ``_g_dir`` generator (two frames), each request
-        through a ``_round_trip`` frame and the DMS's ``ctime`` read
-        through ``FixedLayout.read``.  Then 66 (ceiling 67): ``op_getattr``
-        ran ``fkey`` and ``_load`` frames and unpacked each part into a
-        dict, merged the two, and the client read nine keys back out."""
+        profiler's own ``disable`` included: the parent resolves inline
+        (no ``_g_dir`` frame), the engine serves each request in one
+        ``_serve`` frame, and ``op_getattr`` decodes both parts with one
+        ``unpack`` into the tuple the client reads positionally."""
         fs = make_system("locofs-nc", 4)
         client = fs.client()
         client.mkdir("/d")

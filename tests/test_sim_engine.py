@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.errors import Exists, FSError, NoEntry
 from repro.kv import HashStore
-from repro.obs import TelemetrySink, Tracer
+from repro.obs import MetricsRegistry, TelemetrySink, Tracer
 from repro.sim import (
     Cluster,
     CostModel,
@@ -346,71 +346,6 @@ _FAULT_SCHEDULES = {
     "delay-0.7": lambda: FaultSchedule(seed=7, delay_prob=0.7),
 }
 
-#: what the shared core does NOT make identical, by test id, with the
-#: measured final (direct, event) clocks in us.  DirectEngine runs a
-#: fan-out branch by branch — each to its last retry before the next
-#: starts — where EventEngine interleaves the attempts in time order, so
-#: under faults the branches draw the shared RNG, find a crashed server
-#: and reserve the client downlink / the server FIFO in a different order.
-_BRANCH_ORDER = "Direct runs fan-out branches one by one, Event attempt by attempt"
-_DRIVERS_DIVERGE = {
-    "parallel-payloads-crash-restart":
-        f"{_BRANCH_ORDER}: the retry of branch 0 sees s0 recovered before "
-        "branch 2's first attempt is tried (3341.48 vs 3170.44 us, "
-        "7 vs 8 rpcs_issued)",
-    "parallel-drop-1.0":
-        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
-        "(14752.61 vs 14738.13 us)",
-    "parallel-payloads-drop-1.0":
-        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
-        "(14752.61 vs 14738.13 us)",
-    "parallel-drop-0.5":
-        f"{_BRANCH_ORDER}: wire fates drawn in another order "
-        "(9862.03 vs 12655.42 us)",
-    "parallel-payloads-drop-0.5":
-        f"{_BRANCH_ORDER}: wire fates drawn in another order "
-        "(10040.28 vs 12700.82 us)",
-    "parallel-payloads-delay-0.7":
-        f"{_BRANCH_ORDER}: a delayed branch reaches s0 and the downlink "
-        "out of index order (1616.22 vs 1551.54 us)",
-    "parallel-errors-out-of-order-crash-restart":
-        f"{_BRANCH_ORDER}: branch 0's retry takes the downlink before "
-        "branch 2 responds, so the first pass raises Exists vs NoEntry "
-        "(same final 2951.38 us)",
-    "parallel-errors-out-of-order-drop-1.0":
-        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
-        "(14752.61 vs 14738.13 us)",
-    "parallel-errors-out-of-order-drop-0.5":
-        f"{_BRANCH_ORDER}: wire fates drawn in another order "
-        "(9863.53 vs 12694.32 us, Exists vs NoEntry)",
-    "parallel-errors-out-of-order-delay-0.7":
-        f"{_BRANCH_ORDER}: a delayed branch 0 responds after branch 2 on "
-        "Event only, so the second pass raises Exists vs NoEntry "
-        "(same final 1330.06 us)",
-    "parallel-switch-node-drop-1.0":
-        f"{_BRANCH_ORDER}: backoff jitter drawn in another order "
-        "(29201.19 vs 29224.60 us)",
-    "parallel-switch-node-drop-0.5":
-        f"{_BRANCH_ORDER}: wire fates drawn in another order "
-        "(19927.64 vs 19937.86 us)",
-    "quorum-delay-0.7":
-        f"{_BRANCH_ORDER}: a delayed vote reserves the downlink out of "
-        "index order (1211.74 vs 1184.65 us)",
-    "quorum-payloads-delay-0.7":
-        f"{_BRANCH_ORDER}: a delayed vote reserves the downlink out of "
-        "index order (1247.90 vs 1237.75 us)",
-}
-
-
-def _identity_matrix():
-    for case in _SINGLE_CLIENT_CASES:
-        for faults in _FAULT_SCHEDULES:
-            why = _DRIVERS_DIVERGE.get(f"{case.id}-{faults}")
-            yield pytest.param(
-                case.values[0], faults, id=f"{case.id}-{faults}",
-                marks=[pytest.mark.xfail(strict=True, reason=why)] if why else [])
-
-
 class TestSingleClientEngineIdentity:
     """One client never queues behind anyone, so the two drivers of the
     shared dispatch core must put the clock at the *same double* after
@@ -419,13 +354,17 @@ class TestSingleClientEngineIdentity:
     xfail carrying the measured pair, never a tolerance."""
 
     @staticmethod
-    def _run(kind, commands, faults="no-faults", tracer=None):
+    def _run(kind, commands, faults="no-faults", tracer=None, metrics=None):
         cluster, cost, _ = make_cluster(3, restart_fixed_us=500.0)
         cluster.add("sw", EchoHandler())
         eng = (DirectEngine if kind == "direct" else EventEngine)(cluster, cost)
-        eng.register_switch_node("sw", cost.switch_rtt_us)
-        if tracer is not None:
-            eng.attach_observability(tracer=tracer)
+        # only a case that reaches the switch node registers it: Direct
+        # hands any Parallel of an engine with one to the event driver
+        servers = {getattr(c, "server", None) for c in commands()}
+        servers.update(r.server for c in commands() for r in getattr(c, "rpcs", ()))
+        if "sw" in servers:
+            eng.register_switch_node("sw", cost.switch_rtt_us)
+        eng.attach_observability(tracer=tracer, metrics=metrics)
         schedule = _FAULT_SCHEDULES[faults]
         if schedule is not None:
             eng.attach_faults(schedule(), RetryPolicy(max_retries=2))
@@ -449,7 +388,8 @@ class TestSingleClientEngineIdentity:
 
         return eng.run(client()), state.rpcs_issued
 
-    @pytest.mark.parametrize("commands,faults", _identity_matrix())
+    @pytest.mark.parametrize("faults", _FAULT_SCHEDULES)
+    @pytest.mark.parametrize("commands", _SINGLE_CLIENT_CASES)
     def test_clock_is_bit_identical(self, commands, faults):
         direct = self._run("direct", commands, faults)
         event = self._run("event", commands, faults)
@@ -475,16 +415,19 @@ class TestSingleClientEngineIdentity:
     def test_direct_fast_path_is_the_path_it_bypasses(self, commands):
         """With no schedule, ``DirectEngine.run`` serves a lone
         ``Rpc``/``Batch`` and a ``Parallel`` itself; an attached *empty*
-        ``FaultSchedule`` sends the same commands through ``_round_trip``
-        / ``_fan_out`` / ``_FanOut``.  Same clock doubles, error classes,
-        ``rpcs_issued`` and span tree (ids, parents and args included)."""
+        ``FaultSchedule`` hands every command to the event driver
+        (``_issue`` / ``_deliver`` / ``_FanOut``).  Same clock doubles,
+        error classes, ``rpcs_issued``, span tree (ids, parents and args
+        included) and registry: the driver samples no queues Direct does
+        not."""
         runs = []
         for faults in ("no-faults", "empty-schedule"):
-            tracer = Tracer()
-            probes, issued = self._run("direct", commands, faults, tracer=tracer)
+            tracer, metrics = Tracer(), MetricsRegistry()
+            probes, issued = self._run("direct", commands, faults, tracer=tracer,
+                                       metrics=metrics)
             spans = [(s.span_id, s.name, s.cat, s.start_us, s.end_us, s.track,
                       s.parent_id, s.args) for s in tracer.spans]
-            runs.append((probes, issued, spans))
+            runs.append((probes, issued, spans, metrics.snapshot()))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("commands", _SINGLE_CLIENT_CASES + [
@@ -515,13 +458,11 @@ class TestSingleClientEngineIdentity:
         assert [error for _, error in probes] == ["Exists", "Exists"]
         assert issued == 6
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "Direct serves a Parallel's branches in index order, Event in "
-        "arrival order: a switch-node branch behind a slower branch "
-        "arrives first and takes the client downlink first on Event only "
-        "(721.62 vs 720.53 us after two passes).  No Parallel in src/ "
-        "reaches a switch node (ROADMAP item 1)"))
     def test_switch_branch_behind_a_slower_branch(self):
+        """A switch-node branch behind a slower branch arrives first and
+        takes the client downlink first: Direct hands a switch-node
+        ``Parallel`` to the event driver, which serves in arrival order."""
+
         def commands():
             return [_charge("s2"),
                     Parallel([_charge("s1", 2.0, send=300), _charge("sw", recv=64),
@@ -576,17 +517,14 @@ class TestLeanDirectDriver:
     def test_warm_lone_rpc_exact_call_count(self):
         """CPython 3.11.7 counts 12: ``run``, two generator resumes and
         their ``send`` calls, ``_serve`` with its ``isinstance``, the
-        handler's four calls and the profiler's ``disable``.  A
-        ``_round_trip`` frame per request made it 13."""
+        handler's four calls and the profiler's ``disable``."""
         assert _warm_call_count([_charge()]) <= 12
 
     def test_warm_four_branch_parallel_exact_call_count(self):
         """CPython 3.11.7 counts 34: ``run``, two generator resumes,
         their ``send`` calls and ``disable`` (six), then per branch
         ``_serve``, ``isinstance``, the handler's four calls and one
-        ``append``.  ``_fan_out`` made it 46: a ``_FanOut`` (and its
-        ``len``), a ``_round_trip`` frame and an ``add`` per branch, and
-        the sort of a ``done`` list."""
+        ``append``."""
         assert _warm_call_count(
             [Parallel([_charge(f"s{i}") for i in range(4)])]) <= 34
 
