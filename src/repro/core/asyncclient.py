@@ -121,7 +121,7 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._dir_pending(path):
             # the optimistic d-cache entry of a pending mkdir expired (or
             # the cache is off): make the directory durable, then resolve
-            yield from self._g_flush_server(DMS, "read")
+            yield from self._g_flush_server((DMS,), "read")
         try:
             if self._cache_node is not None:
                 info = yield Rpc(self._cache_node, "lookup", (path, self.cred))
@@ -328,7 +328,7 @@ class AsyncLocoClient(BatchingLocoClient):
         if self._dir_pending(old) or (
                 self.cache_enabled and self.dcache.get(old, self._clock.now) is not None):
             # a (possibly pending) directory: make it durable, t-rename it
-            yield from self._g_flush_server(DMS, "dep")
+            yield from self._g_flush_server((DMS,), "dep")
             yield from self._g_rename_dir_sync(old, new)
             return
         src_parent, src_name = pathutil.split(old)
@@ -386,10 +386,15 @@ class AsyncLocoClient(BatchingLocoClient):
             if pend is not None:
                 yield from self._g_enq_tail(src_fms, pend)
             return
-        # cross-server: flush the dependents, then take the synchronous
-        # two-phase export/import path
-        yield from self._g_flush_key(*skey)
-        yield from self._g_flush_key(*dkey)
+        # cross-server: one round over the queues holding either key, then
+        # the synchronous two-phase export/import path
+        owners = []
+        for key in (skey, dkey):
+            server = self._dirty.get(key)
+            if server is not None:
+                owners.append(server)
+        if owners:
+            yield from self._g_flush_server(owners, "read")
         yield from self._g_rename_file(old, new)
         if self._cache_node is not None:
             yield Rpc(self._cache_node, "invalidate",
@@ -432,7 +437,7 @@ class AsyncLocoClient(BatchingLocoClient):
                                    else self._g_dir(parent))
             server = dirty.get((info["uuid"], name))
             if server is not None:
-                yield from self._g_flush_server(server, "read")
+                yield from self._g_flush_server((server,), "read")
         info = self.dcache.get(parent, self._clock.now) if probe else None
         if info is None:
             info = yield from (self._g_dir_fetch(parent) if probe
@@ -531,13 +536,9 @@ class AsyncLocoClient(BatchingLocoClient):
         yield from self._g_inval_file(path)
         return out
 
-    def _g_readdir(self, path: str) -> Generator:
-        # pending subdirectory mkdirs are invisible to the DMS readdir
-        yield from self._g_flush_server(DMS, "read")
-        return (yield from super()._g_readdir(path))
-
     def _g_rmdir(self, path: str) -> Generator:
-        yield from self._g_flush_server(DMS, "read")
+        # the directory barrier's round carries the DMS queue too
+        # (BatchingLocoClient._g_flush_dir)
         out = yield from super()._g_rmdir(path)
         if self._cache_node is not None:
             yield Rpc(self._cache_node, "invalidate",

@@ -11,6 +11,7 @@ results.
 from __future__ import annotations
 
 from collections.abc import Generator
+from itertools import count
 
 from repro.common import errors as errmod
 from repro.common import pathutil
@@ -574,16 +575,18 @@ class BatchingLocoClient(LocoClient):
     byte budget, when its oldest entry exceeds the virtual age bound, or —
     read-your-writes — the moment any operation touches a file that is
     still pending (``readdir``/``rmdir`` flush every queue holding entries
-    of that directory).  Deferred errors (duplicate create) surface at the
-    flush boundary; a duplicate within the pending window is detected
-    client-side.  See DESIGN.md "Batching & group commit" for the full
-    consistency-semantics table.
+    of that directory).  Every queue a trigger finds due ships in one
+    flush round: one fan-out, one round trip.  Deferred errors (duplicate
+    create) surface at the flush boundary; a duplicate within the pending
+    window is detected client-side.  See DESIGN.md "Batching & group
+    commit" for the full consistency-semantics table.
 
     The queue machinery here — one :class:`_Queue` per server, one
-    enqueue, one flush speaking the whole ``apply_batch`` result protocol,
-    one requeue — is all there is: :class:`~repro.core.asyncclient.
-    AsyncLocoClient` only decides which further ops enqueue which entry
-    kinds (and adds the DMS as one more queued server).
+    enqueue, one flush round speaking the whole ``apply_batch`` result
+    protocol for every queue it ships, one requeue — is all there is:
+    :class:`~repro.core.asyncclient.AsyncLocoClient` only decides which
+    further ops enqueue which entry kinds (and adds the DMS as one more
+    queued server).
     """
 
     def __init__(self, *args, batch=None, **kwargs):
@@ -683,7 +686,7 @@ class BatchingLocoClient(LocoClient):
                 yield from self._g_capture_into(pend)
             self._set_queue_gauge()
         if pend.live >= self.batch_max_ops or pend.nbytes >= self.batch_max_bytes:
-            yield from self._g_flush_server(server, "full")
+            yield from self._g_flush_server((server,), "full")
 
     def _g_capture_into(self, pend: _Queue) -> Generator:
         """Link the current op span to the queue's next flush, the batch
@@ -721,137 +724,187 @@ class BatchingLocoClient(LocoClient):
             return False  # unlink / unlink_opt
         return None
 
-    def _g_flush_server(self, server: str, reason: str) -> Generator:
-        """Ship one server's queue as a single batched ``apply_batch``
-        round trip, then settle its positional results: deferred errors,
-        the data blocks of removed files, the directory fallback of a
-        setattr whose name turned out to be a directory, and the
-        lookup-cache invalidation."""
+    def _g_flush_server(self, servers, reason: str) -> Generator:
+        """The one flush round: pop the queues of ``servers``, ship one
+        batched ``apply_batch`` round trip per queue in a single fan-out —
+        a round of one is a lone :class:`~repro.sim.rpc.Batch` — then
+        settle each queue's positional results: deferred errors, the data
+        blocks of removed files, the directory fallback of a setattr whose
+        name turned out to be a directory.  One ``delete_file`` sweep and
+        one lookup-cache invalidation close the round.
+
+        Ordering: the DMS queue rides the round unless an FMS queue in it
+        holds entries under a still-pending mkdir; then the DMS queue ships
+        first, alone (under ``reason`` when it is named, as ``"dep"`` when
+        not), and a queue whose directories that ship left non-durable
+        stays queued.  Errors: a ``ServerDown`` branch re-queues its own
+        queue only; the round's first error is raised once every queue
+        has settled, the rest are kept in ``deferred_errors``."""
         pending = self._pending
-        pend = pending.get(server)
-        if pend is None:
-            return
+        errs: list[Exception] = []
+        #: a DMS queue re-queued by the ordering ship: dependents wait
+        held = None
         dq = pending.get(DMS)
-        if server != DMS and dq is not None and not dq.dirs.isdisjoint(pend.dirs):
-            # cross-queue dependency: creates under a still-pending mkdir
-            # must see the directory exist — flush the DMS queue first
-            yield from self._g_flush_server(DMS, "dep")
-        del pending[server]
-        oldest = _NOTHING_PENDING
-        for p in pending.values():
-            if p.oldest_us < oldest:
-                oldest = p.oldest_us
-        self._oldest_pending_us = oldest
-        if server != DMS:
-            dirty = self._dirty
-            for key in pend.bykey:
-                dirty.pop(key, None)
-        entries = pend.entries
-        if pend.live == len(entries):
-            # nothing cancelled: the queue ships as it stands
-            live = None
-            ship = tuple(entries)
-        else:
-            live = [i for i, e in enumerate(entries) if e is not None]
-            ship = tuple([entries[i] for i in live])
+        if dq is not None:
+            for server in servers:
+                if server == DMS:
+                    continue
+                pend = pending.get(server)
+                if pend is not None and not dq.dirs.isdisjoint(pend.dirs):
+                    # creates under a still-pending mkdir must see the
+                    # directory exist: the DMS queue ships first, alone
+                    try:
+                        yield from self._g_flush_server(
+                            (DMS,), reason if DMS in servers else "dep")
+                    except FSError as ex:
+                        errs.append(ex)
+                    held = pending.get(DMS)
+                    break
         eng = self._engine
         observed = eng.obs_detailed or eng.telemetry is not None  # any sink
-        if observed:
-            yield Mark("client.batch.flush",
-                       {"server": server, "n": len(ship), "reason": reason})
-            self._set_queue_gauge()
-        if not ship:
-            return
-        self.flush_causes[reason] += 1
-        try:
-            results = yield Batch(
-                server, [Rpc(server, "apply_batch", (ship,), send_bytes=pend.nbytes)],
-                origins=pend.origins or None)
-        except ServerDown:
-            # the retried attempts all timed out: re-queue the whole flush
-            # (same entry tuples, so the eventual redelivery deduplicates
-            # server-side) and let a later flush trigger try again
-            self._requeue(server, pend)
+        dirty = self._dirty
+        #: (server, queue, live indices or None, shipped entries, batch)
+        shipped = []
+        #: ``_oldest_pending_us`` is recomputed only when the queue that
+        #: set it leaves with the round
+        oldest = self._oldest_pending_us
+        recompute = False
+        for server in servers:
+            pend = pending.get(server)
+            if pend is None or held is not None and (
+                    server == DMS or not held.dirs.isdisjoint(pend.dirs)):
+                continue
+            del pending[server]
+            if pend.oldest_us <= oldest:
+                recompute = True
+            if server != DMS:
+                for key in pend.bykey:
+                    dirty.pop(key, None)
+            entries = pend.entries
+            if pend.live == len(entries):
+                # nothing cancelled: the queue ships as it stands
+                live = None
+                ship = tuple(entries)
+            else:
+                live = [i for i, e in enumerate(entries) if e is not None]
+                ship = tuple([entries[i] for i in live])
             if observed:
-                yield Mark("client.flush.requeue",
-                           {"server": server, "n": len(ship)})
-            raise
+                yield Mark("client.batch.flush",
+                           {"server": server, "n": len(ship), "reason": reason})
+            if ship:
+                self.flush_causes[reason] += 1
+                shipped.append((server, pend, live, ship, Batch(
+                    server, [Rpc(server, "apply_batch", (ship,), send_bytes=pend.nbytes)],
+                    origins=pend.origins or None)))
+        if recompute:
+            oldest = _NOTHING_PENDING
+            if pending:
+                for p in pending.values():
+                    if p.oldest_us < oldest:
+                        oldest = p.oldest_us
+            self._oldest_pending_us = oldest
+        if observed:
+            self._set_queue_gauge()
+        if not shipped:
+            outcomes = ()
+        elif shipped[0] is shipped[-1]:  # a round of one
+            try:
+                outcomes = (((yield shipped[0][4]), None),)
+            except FSError as ex:
+                outcomes = ((None, ex),)
+        else:
+            outcomes = yield Parallel([q[4] for q in shipped], settle=True)
         # writing under a cached parent piggybacks a lease renewal: the
         # server saw live traffic for the directory, no separate RPC needed
         now = self._clock.now
         renew = self.dcache.renew
-        for path in pend.lease_paths:
-            renew(path, now)
-        errs: list[Exception] = []
         blocks: list[int] = []
         fkeys: list[tuple] = []
         dpaths: list[str] = []
-        for i, e, res in zip(live or range(len(ship)), ship, results[0]):
-            kind = e[0]
-            if "err" in res:
-                err = res["err"]
-                hint = pend.paths[i]
-                if kind == "setattr" and err == "NoEntry" and hint is not None:
-                    # same fallback the synchronous chmod/chown path takes:
-                    # the name is a directory, so the DMS owns its attrs
-                    try:
-                        guard = pend.guards.get(i)
-                        if guard is not None:
-                            # guarded: the dir may only exist because of a
-                            # mkdir deferred *after* this setattr — resolve
-                            # its identity before touching it
-                            dinfo = yield Rpc(DMS, "lookup", (hint, e[3]))
-                            if dinfo["uuid"] in guard:
-                                raise NoEntry(hint)
-                        yield Rpc(DMS, "setattr", (hint, e[3], e[4]),
-                                  {"mode": e[5], "uid": e[6], "gid": e[7]})
-                        self.dcache.invalidate(hint)
-                        dpaths.append(hint)
-                    except FSError as ex:
-                        errs.append(ex)
-                else:
-                    if kind == "mkdir":
-                        # the optimistic d-cache entry was wrong: drop it
-                        self.dcache.invalidate(e[1])
-                    # the caller's path where the op left one (a file
-                    # server knows only the bare name), else the server's
-                    errs.append(_mkexc(err, hint or res.get("arg")))
-            elif kind == "create" or kind == "mkdir":
+        for (server, pend, live, ship, _), (results, err) in zip(shipped, outcomes):
+            if err is not None:
+                if isinstance(err, ServerDown):
+                    # the retried attempts all timed out: re-queue this
+                    # queue alone (same entry tuples, so the eventual
+                    # redelivery deduplicates server-side) and let a later
+                    # flush trigger try again; the round's other queues
+                    # are durable, and replaying them would re-apply
+                    # acknowledged unlinks and renames
+                    self._requeue(server, pend)
+                    if observed:
+                        yield Mark("client.flush.requeue",
+                                   {"server": server, "n": len(ship)})
+                errs.append(err)
                 continue
-            elif kind == "setattr":
-                fkeys.append((server, e[1], e[2]))
-            elif kind == "dsetattr":
-                dpaths.append(e[1])
-            elif kind == "rename_local":
-                replaced = res["replaced"]
-                if replaced is not None and replaced["size"] > 0:
-                    blocks.append(replaced["uuid"])
-                fkeys.append((server, e[1], e[2]))
-                fkeys.append((server, e[3], e[4]))
-            else:  # unlink / unlink_opt
-                removed = res["removed"]
-                if removed is not None and removed["size"] > 0:
-                    blocks.append(removed["uuid"])
-                fkeys.append((server, e[1], e[2]))
+            for path in pend.lease_paths:
+                renew(path, now)
+            for i, e, res in zip(count() if live is None else live, ship, results[0]):
+                kind = e[0]
+                if "err" in res:
+                    err = res["err"]
+                    hint = pend.paths[i]
+                    if kind == "setattr" and err == "NoEntry" and hint is not None:
+                        # same fallback the synchronous chmod/chown path takes:
+                        # the name is a directory, so the DMS owns its attrs
+                        try:
+                            guard = pend.guards.get(i)
+                            if guard is not None:
+                                # guarded: the dir may only exist because of a
+                                # mkdir deferred *after* this setattr — resolve
+                                # its identity before touching it
+                                dinfo = yield Rpc(DMS, "lookup", (hint, e[3]))
+                                if dinfo["uuid"] in guard:
+                                    raise NoEntry(hint)
+                            yield Rpc(DMS, "setattr", (hint, e[3], e[4]),
+                                      {"mode": e[5], "uid": e[6], "gid": e[7]})
+                            self.dcache.invalidate(hint)
+                            dpaths.append(hint)
+                        except FSError as ex:
+                            errs.append(ex)
+                    else:
+                        if kind == "mkdir":
+                            # the optimistic d-cache entry was wrong: drop it
+                            self.dcache.invalidate(e[1])
+                        # the caller's path where the op left one (a file
+                        # server knows only the bare name), else the server's
+                        errs.append(_mkexc(err, hint or res.get("arg")))
+                elif kind == "create" or kind == "mkdir":
+                    continue
+                elif kind == "setattr":
+                    fkeys.append((server, e[1], e[2]))
+                elif kind == "dsetattr":
+                    dpaths.append(e[1])
+                elif kind == "rename_local":
+                    replaced = res["replaced"]
+                    if replaced is not None and replaced["size"] > 0:
+                        blocks.append(replaced["uuid"])
+                    fkeys.append((server, e[1], e[2]))
+                    fkeys.append((server, e[3], e[4]))
+                else:  # unlink / unlink_opt
+                    removed = res["removed"]
+                    if removed is not None and removed["size"] > 0:
+                        blocks.append(removed["uuid"])
+                    fkeys.append((server, e[1], e[2]))
         if blocks:
             # data blocks are found by uuid prefix on every object server
             yield Parallel([Rpc(n, "delete_file", (u,))
                             for u in blocks for n in self.placement.names])
         if self._cache_node is not None and (fkeys or dpaths):
-            # coherence: invalidate after the batch is durable, before the
-            # flush returns — no reader can observe the new state earlier
+            # coherence: invalidate once every batch of the round is
+            # durable, before the round returns — no reader can observe
+            # the new state earlier
             yield Rpc(self._cache_node, "invalidate",
                       (tuple(fkeys), tuple(dpaths), self._clock.now))
         if errs:
-            # deferred errors surface at the flush boundary: the first
-            # aborts the flushing op, the rest are preserved in
+            # deferred errors surface at the round's end: the first aborts
+            # the flushing op, the rest are preserved in
             # ``deferred_errors`` instead of being silently dropped
             rest = errs[1:]
             if rest:
                 self._keep_deferred(rest)
                 if observed:
                     yield Mark("client.flush.deferred_errors",
-                               {"server": server, "n": len(rest)})
+                               {"n": len(rest), "reason": reason})
             raise errs[0]
 
     def _keep_deferred(self, errs: list[Exception]) -> None:
@@ -891,38 +944,29 @@ class BatchingLocoClient(LocoClient):
         self.flush_requeues += 1
 
     def _g_flush_stale(self) -> Generator:
-        """Flush every queue whose oldest entry exceeds the age bound."""
+        """One round over every queue whose oldest entry exceeds the age
+        bound."""
         if not self._pending:
             return
         now = self._clock.now
         limit = self.batch_max_age_us
         if now - self._oldest_pending_us < limit:
             return  # the oldest queue is fresh, so every queue is
-        dq = self._pending.get(DMS)
-        if dq is not None and now - dq.oldest_us >= limit:
-            # directories first, and the clock re-read after that round
-            # trip: an FMS queue it made stale is flushed by this op
-            yield from self._g_flush_server(DMS, "age")
-            now = self._clock.now
-        for server, p in list(self._pending.items()):
+        due = []
+        for server, p in self._pending.items():
             if now - p.oldest_us >= limit:
-                yield from self._g_flush_server(server, "age")
+                due.append(server)
+        yield from self._g_flush_server(due, "age")
 
     def _g_flush(self) -> Generator:
-        """Drain every queue (end of a run, or an explicit flush()),
-        the DMS queue first.  Every queue ships even when an earlier one
-        reported a deferred error or was requeued after ``ServerDown``;
-        the first error is raised once all have been tried, the rest are
-        kept in ``deferred_errors``."""
-        errs: list[FSError] = []
-        for server in sorted(self._pending, key=lambda s: s != DMS):
-            try:
-                yield from self._g_flush_server(server, "drain")
-            except FSError as ex:
-                errs.append(ex)
-        if errs:
-            self._keep_deferred(errs[1:])
-            raise errs[0]
+        """Drain every queue in one round (end of a run, or an explicit
+        flush()), the DMS queue named first.  Every queue ships even when
+        another reported a deferred error or was requeued after
+        ``ServerDown``; the first error is raised once all have settled,
+        the rest are kept in ``deferred_errors``."""
+        if self._pending:
+            yield from self._g_flush_server(
+                sorted(self._pending, key=lambda s: s != DMS), "drain")
 
     def flush(self) -> None:
         """Synchronously drain the write-behind queue."""
@@ -931,12 +975,18 @@ class BatchingLocoClient(LocoClient):
     def _g_flush_key(self, dir_uuid: int, name: str) -> Generator:
         server = self._dirty.get((dir_uuid, name))
         if server is not None:
-            yield from self._g_flush_server(server, "read")
+            yield from self._g_flush_server((server,), "read")
 
     def _g_flush_dir(self, dir_uuid: int) -> Generator:
-        tainted = [s for s, p in self._pending.items() if dir_uuid in p.dirs]
-        for server in tainted:
-            yield from self._g_flush_server(server, "read")
+        """The readdir/rmdir barrier: one round over every queue holding
+        entries of the directory, and the DMS queue (LocoFS-A), whose
+        pending mkdirs the DMS cannot list or count yet."""
+        tainted = []
+        for server, p in self._pending.items():
+            if server == DMS or dir_uuid in p.dirs:
+                tainted.append(server)
+        if tainted:
+            yield from self._g_flush_server(tainted, "read")
 
     def _g_file_barrier(self, path: str) -> Generator:
         """Read-your-writes: flush before any op touching a possibly-dirty
@@ -1025,8 +1075,18 @@ class BatchingLocoClient(LocoClient):
         return (yield from super()._g_read(path, offset, length))
 
     def _g_rename(self, old: str, new: str) -> Generator:
-        yield from self._g_file_barrier(old)
-        yield from self._g_file_barrier(new)
+        # both names' read-your-writes barriers, in one round
+        yield from self._g_flush_stale()
+        if self._dirty:
+            owners = []
+            for path in (old, new):
+                parent, name = pathutil.split_fast(path)
+                info = yield from self._g_dir(parent)
+                server = self._dirty.get((info["uuid"], name))
+                if server is not None:
+                    owners.append(server)
+            if owners:
+                yield from self._g_flush_server(owners, "read")
         return (yield from super()._g_rename(old, new))
 
     def _g_mkdir(self, path: str, mode: int = 0o755) -> Generator:

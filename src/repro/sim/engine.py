@@ -579,11 +579,13 @@ class DirectEngine(_EngineCore):
                 # arrival order: each branch waits behind the earlier
                 # payloads); the join is _FanOut.add's Parallel rule folded:
                 # values in branch order, the clock at the slowest branch,
-                # the error of the first by (respond_at, index)
+                # the error of the first by (respond_at, index) — or, when
+                # the fan-out settles, a (value, err) pair per branch
                 state = self._client
                 t = end = self.now
                 half = self._half_rtt
                 uplink = err_at = 0.0
+                settle = cmd.settle
                 spans = None
                 if self.tracer is not None:
                     # opened at the issue instant before any branch is
@@ -600,9 +602,12 @@ class DirectEngine(_EngineCore):
                     value, err, at = self._serve(
                         state, rpc, spans[i] if spans is not None else None,
                         t + delay + half, half)
-                    values.append(value)
                     if at > end:
                         end = at
+                    if settle:
+                        values.append((value, err))
+                        continue
+                    values.append(value)
                     if err is not None and (exc is None or at < err_at):
                         exc = err
                         err_at = at
@@ -692,7 +697,8 @@ class _FanOut:
     """Join state of one ``Parallel`` or ``Quorum`` fan-out.
 
     ``Parallel`` is the ``need = n`` case that waits for every branch and
-    raises the first error only after the slowest one; ``Quorum`` resolves
+    raises the first error only after the slowest one (or, settling,
+    resumes with every branch's ``(value, err)`` pair); ``Quorum`` resolves
     early, at the k-th success or at the failure that makes ``k``
     unreachable, and its branches get a single attempt (no retry policy —
     burning ``max_retries`` backoffs per dead replica would turn a
@@ -701,14 +707,15 @@ class _FanOut:
     or, for a lost request or dead server, when the client's timeout fires.
     """
 
-    __slots__ = ("cmd", "results", "need", "quorum", "ok", "left", "err",
-                 "resolved")
+    __slots__ = ("cmd", "results", "need", "quorum", "settle", "ok", "left",
+                 "err", "resolved")
 
     def __init__(self, cmd: Parallel | Quorum) -> None:
         n = len(cmd.rpcs)
         self.cmd = cmd
         self.results: list = [None] * n
         self.quorum = cmd.tag == TAG_QUORUM
+        self.settle = not self.quorum and cmd.settle
         self.need = cmd.k if self.quorum else n
         self.ok = 0
         #: branches that have not finished yet
@@ -725,7 +732,10 @@ class _FanOut:
             # the client has moved on
             return None
         self.left -= 1
-        if err is None:
+        if self.settle:
+            # every branch's outcome goes back to the client; none raises
+            self.results[idx] = (value, err)
+        elif err is None:
             self.results[idx] = value
             self.ok += 1
         elif self.err is None:

@@ -107,21 +107,30 @@ class Batch:
 
 
 class Parallel:
-    """Fan out several RPCs concurrently; resumes with the list of results.
+    """Fan out several RPCs (or Batches) concurrently; resumes with the
+    list of results.
 
     Latency is the slowest branch (each target server still queues its own
     request).  If any branch raised, the first error is re-raised in the
     issuing generator *after* all branches complete.
+
+    ``settle=True`` never raises: the fan-out resumes with one
+    ``(value, err)`` pair per branch, in branch order — ``err`` is ``None``
+    on success, else the branch's error (``ServerDown`` once its retries
+    are spent), and ``value`` is then ``None``.  Timing is a plain
+    ``Parallel``'s.  The write-behind flush round uses it to settle every
+    queue it shipped, re-queueing only the queues whose branch failed.
     """
 
-    __slots__ = ("rpcs",)
+    __slots__ = ("rpcs", "settle")
     tag = TAG_PARALLEL
 
-    def __init__(self, rpcs: list[Rpc]):
+    def __init__(self, rpcs: list, settle: bool = False):
         self.rpcs = rpcs
+        self.settle = settle
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Parallel({self.rpcs!r})"
+        return f"Parallel({self.rpcs!r}, settle={self.settle!r})"
 
 
 class Quorum:

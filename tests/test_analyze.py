@@ -20,6 +20,8 @@ from repro.obs.analyze import (
     link_summary,
 )
 from repro.obs.export import chrome_trace_events, metrics_dump, write_chrome_trace
+from repro.sim.costmodel import CostModel
+from repro.sim.rpc import LocalCharge
 
 
 def batched_fs(max_ops=4, servers=2, engine_kind="direct", **kw):
@@ -30,14 +32,22 @@ def batched_fs(max_ops=4, servers=2, engine_kind="direct", **kw):
     )
 
 
-def traced_batched_run(n_creates=8, max_ops=4):
-    """A locofs-b direct run with tracer+metrics attached; returns both."""
+def _charge(us):
+    yield LocalCharge(us)
+
+
+def traced_batched_run(n_creates=8, max_ops=4, spacing_us=0.0):
+    """A locofs-b direct run with tracer+metrics attached; returns both.
+    ``spacing_us`` of client compute precedes every create, as the
+    harness's per-op ``LocalCharge`` does."""
     fs = batched_fs(max_ops=max_ops)
     tracer, registry = Tracer(), MetricsRegistry()
     fs.engine.attach_observability(tracer=tracer, metrics=registry)
     client = fs.client()
     client.mkdir("/d")
     for i in range(n_creates):
+        if spacing_us:
+            fs.engine.run(_charge(spacing_us))
         client.create(f"/d/f{i}")
     client.flush()
     return tracer, registry
@@ -127,7 +137,11 @@ class TestBatchRecordSpans:
 
 class TestAttribution:
     def test_deferred_creates_report_nonzero_client_queue(self):
-        tracer, _ = traced_batched_run(n_creates=8, max_ops=4)
+        # spaced as the harness spaces ops: back to back at one instant,
+        # the creates would all ship in the drain's single round with no
+        # wait in the queue at all
+        tracer, _ = traced_batched_run(n_creates=8, max_ops=4,
+                                       spacing_us=CostModel().client_overhead_us)
         ops = analyze_ops(tracer)
         create = ops["client.create"]
         assert create["count"] == 8
