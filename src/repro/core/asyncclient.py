@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Generator
 
 from repro.common import pathutil
-from repro.common.errors import Exists, NoEntry, PermissionDenied
+from repro.common.errors import Exists, IsADirectory, NoEntry, PermissionDenied
 from repro.common.types import StatResult
 from repro.metadata.acl import R_OK, W_OK, X_OK, may_access
 from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT
@@ -325,36 +325,30 @@ class AsyncLocoClient(BatchingLocoClient):
         new = pathutil.normalize(new)
         if old == new:
             return
+        if new == "/":
+            raise IsADirectory(new)
         if self._dir_pending(old) or (
                 self.cache_enabled and self.dcache.get(old, self._clock.now) is not None):
-            # a (possibly pending) directory: make it durable, t-rename it
-            yield from self._g_flush_server((DMS,), "dep")
-            yield from self._g_rename_dir_sync(old, new)
+            # a directory this client knows of (cached or pending): no probe
+            yield from self._g_rename_dir(old, new)
             return
         src_parent, src_name = pathutil.split(old)
+        dst_parent, dst_name = pathutil.split(new)
         if self.cache_enabled and not self._engine.obs_detailed:
             sinfo = self.dcache.get(src_parent, self._clock.now)
             if sinfo is None:
                 sinfo = yield from self._g_dir_fetch(src_parent)
-        else:
-            sinfo = yield from self._g_dir(src_parent)
-        skey = (sinfo["uuid"], src_name)
-        src_fms = self._fms_for(*skey)
-        if skey not in self._dirty:
-            is_dir = yield Rpc(DMS, "exists", (old,))
-            if is_dir:
-                yield from self._g_rename_dir_sync(old, new)
-                return
-        dst_parent, dst_name = pathutil.split(new)
-        if self.cache_enabled and not self._engine.obs_detailed:
             dinfo = self.dcache.get(dst_parent, self._clock.now)
             if dinfo is None:
                 dinfo = yield from self._g_dir_fetch(dst_parent)
         else:
+            sinfo = yield from self._g_dir(src_parent)
             dinfo = yield from self._g_dir(dst_parent)
         self._check_parent_write(sinfo)
         self._check_parent_write(dinfo)
+        skey = (sinfo["uuid"], src_name)
         dkey = (dinfo["uuid"], dst_name)
+        src_fms = self._fms_for(*skey)
         dst_fms = self._fms_for(*dkey)
         live = self._queued_only(src_fms, skey)
         if live:
@@ -377,7 +371,11 @@ class AsyncLocoClient(BatchingLocoClient):
         if src_fms == dst_fms:
             # one server holds both keys, so a single deferred entry keeps
             # queue order — any pending entries for either key apply first,
-            # exactly the synchronous sequence
+            # exactly the synchronous sequence.  Deferring needs the kind
+            # now: one DMS probe, unless a queued entry makes it a file
+            if skey not in self._dirty and (yield Rpc(DMS, "exists", (old,))):
+                yield from self._g_rename_dir(old, new)
+                return
             self.deferred_renames += 1
             pend = self._enq(
                 src_fms, ("rename_local", skey[0], src_name, dkey[0], dst_name,
@@ -387,7 +385,7 @@ class AsyncLocoClient(BatchingLocoClient):
                 yield from self._g_enq_tail(src_fms, pend)
             return
         # cross-server: one round over the queues holding either key, then
-        # the synchronous two-phase export/import path
+        # the synchronous two-RPC export/import, file first
         owners = []
         for key in (skey, dkey):
             server = self._dirty.get(key)
@@ -395,13 +393,18 @@ class AsyncLocoClient(BatchingLocoClient):
                 owners.append(server)
         if owners:
             yield from self._g_flush_server(owners, "read")
-        yield from self._g_rename_file(old, new)
+        if not (yield from self._g_rename_file(old, new)):
+            yield from self._g_rename_dir(old, new)
+            return
         if self._cache_node is not None:
             yield Rpc(self._cache_node, "invalidate",
                       (((src_fms, skey[0], src_name), (dst_fms, dkey[0], dst_name)),
                        (), self._clock.now))
 
-    def _g_rename_dir_sync(self, old: str, new: str) -> Generator:
+    def _g_rename_dir(self, old: str, new: str) -> Generator:
+        # the directory and the destination's parent must be durable first
+        if DMS in self._pending:
+            yield from self._g_flush_server((DMS,), "dep")
         yield Rpc(DMS, "rename", (old, new, self.cred))
         self.dcache.invalidate(old)
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))

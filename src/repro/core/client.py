@@ -380,51 +380,65 @@ class LocoClient(FSClientBase):
 
     # -- rename (§3.4) ---------------------------------------------------------------------
     def _g_rename(self, old: str, new: str) -> Generator:
+        """rename body for every synchronous client.  Kind order: the
+        file first, the directory (``_g_rename_dir``) only when the
+        source FMS holds no such file — no kind probe on a file rename."""
         old = pathutil.normalize(old)
         new = pathutil.normalize(new)
         if old == new:
             return
-        is_dir = yield Rpc(DMS, "exists", (old,))
-        if is_dir:
-            yield Rpc(DMS, "rename", (old, new, self.cred))
-            self.dcache.invalidate(old)
-            self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
-            return
-        yield from self._g_rename_file(old, new)
+        if new == "/":  # not a name a file can take
+            raise IsADirectory(new)
+        if not (yield from self._g_rename_file(old, new)):
+            yield from self._g_rename_dir(old, new)
+
+    def _g_rename_dir(self, old: str, new: str) -> Generator:
+        """d-rename (rerouted by MultiDMSClient and AsyncLocoClient)."""
+        yield Rpc(DMS, "rename", (old, new, self.cred))
+        self.dcache.invalidate(old)
+        self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
 
     def _g_rename_file(self, old: str, new: str) -> Generator:
-        # f-rename: only the file metadata object relocates; data blocks are
-        # keyed by the unchanged uuid and stay put (§3.4.2)
+        """f-rename in two RPCs: ``export_remove`` detaches the inode from
+        the source FMS, then one ``import`` attaches it on the
+        destination's, replacing a durable destination there (owner
+        checked before anything mutates).  Only the file metadata object
+        relocates; data blocks are keyed by the unchanged uuid and stay
+        put (§3.4.2).  Returns False, having mutated nothing, when ``old``
+        names no file.  A failed import puts the inode back on its source
+        and re-raises, so a crash in the window leaves the file under two
+        names at worst, never under none."""
         src_parent, src_name = pathutil.split(old)
         dst_parent, dst_name = pathutil.split(new)
         sinfo = yield from self._g_dir(src_parent)
-        dinfo = yield from self._g_dir(dst_parent)
+        dinfo = sinfo if dst_parent == src_parent else (yield from self._g_dir(dst_parent))
         self._check_parent_write(sinfo)
         self._check_parent_write(dinfo)
-        src_fms = self._fms_for(sinfo["uuid"], src_name)
-        dst_fms = self._fms_for(dinfo["uuid"], dst_name)
+        suuid, duuid = sinfo["uuid"], dinfo["uuid"]
+        src_fms = self._fms_for(suuid, src_name)
+        dst_fms = self._fms_for(duuid, dst_name)
         if self.strict_collisions:
-            src_exists = yield Rpc(src_fms, "exists", (sinfo["uuid"], src_name))
-            if not src_exists:
-                raise NoEntry(old)
-            dst_is_dir = yield from self._g_dir_exists(new)
-            if dst_is_dir:
+            if not (yield Rpc(src_fms, "exists", (suuid, src_name))):
+                return False
+            if (yield from self._g_dir_exists(new)):
                 raise Exists(new)
-        dst_exists = yield Rpc(dst_fms, "exists", (dinfo["uuid"], dst_name))
-        if dst_exists:
-            # POSIX rename replaces the destination
-            removed = yield Rpc(dst_fms, "remove", (dinfo["uuid"], dst_name, self.cred))
-            if removed["size"] > 0:
-                yield Parallel(
-                    [Rpc(n, "delete_file", (removed["uuid"],)) for n in self.placement.names]
-                )
         try:
-            payload = yield Rpc(src_fms, "export_remove",
-                                (sinfo["uuid"], src_name, self.cred))
-        except NoEntry:  # the FMS's error carries no path
-            raise NoEntry(old) from None
-        yield Rpc(dst_fms, "import", (dinfo["uuid"], dst_name, payload["access"],
-                                      payload["content"]))
+            inode = yield Rpc(src_fms, "export_remove", (suuid, src_name, self.cred))
+        except NoEntry:
+            return False
+        access, content = inode["access"], inode["content"]
+        try:
+            replaced = yield Rpc(dst_fms, "import",
+                                 (duuid, dst_name, access, content, self.cred))
+        except FSError:
+            yield Rpc(src_fms, "import", (suuid, src_name, access, content))
+            raise
+        if replaced is not None and replaced["size"] > 0:
+            # data blocks are found by uuid prefix on every object server
+            yield Parallel(
+                [Rpc(n, "delete_file", (replaced["uuid"],)) for n in self.placement.names]
+            )
+        return True
 
     # -- data path ---------------------------------------------------------------------------
     def _g_write(self, path: str, offset: int, data: bytes) -> Generator:

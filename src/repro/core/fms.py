@@ -675,40 +675,68 @@ class FileMetadataServer:
         self._nfiles -= 1
         return {"access": a, "content": c}
 
-    def op_import(self, dir_uuid: int, name: str, access: bytes, content: bytes) -> None:
-        """Second half of a cross-FMS f-rename."""
+    def op_import(self, dir_uuid: int, name: str, access: bytes, content: bytes,
+                  cred: Credentials | None = None) -> dict | None:
+        """Second half of a cross-FMS f-rename: attach an exported inode.
+
+        With ``cred`` the import replaces a durable destination (POSIX
+        rename): the owner check runs before anything is mutated, and the
+        replaced file's ``{"uuid", "size"}`` comes back so the client can
+        delete its data blocks.  Without ``cred`` it never replaces
+        (``Exists``): the client's rollback, which puts an inode back on
+        its source.  Finding its own inode (the same uuid: a retry whose
+        first attempt applied) it changes nothing and replaces nothing.
+        """
         if self.track_touches:
             self._touch("rename", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
         if self.decoupled:
-            if self.store.get(_A + key) is not None:
-                raise Exists(name)
+            a = self.store.get(_A + key)
+            c = self.store.get(_C + key) if a is not None else None
         else:
-            if self.store.get(_F + key) is not None:
-                raise Exists(name)
-        self._store_both(key, access, content)
+            buf = self._get_coupled(key)
+            a, c = self._split_coupled(buf) if buf is not None else (None, None)
         uuid = FILE_CONTENT.read(content, "suuid")
-        self.store.append(_E + dir_uuid.to_bytes(8, "big"),
-                          dirent.pack_entry(name, uuid, FileType.FILE))
-        self._nfiles += 1
+        replaced = None
+        if a is not None:
+            old_uuid = FILE_CONTENT.read(c, "suuid")
+            if old_uuid == uuid:
+                return None
+            if cred is None:
+                raise Exists(name)
+            self._check_owner(a, cred, name)
+            replaced = {"uuid": old_uuid, "size": FILE_CONTENT.read(c, "size")}
+        self._store_both(key, access, content)
+        ekey = _E + dir_uuid.to_bytes(8, "big")
+        entry = dirent.pack_entry(name, uuid, FileType.FILE)
+        if replaced is None:
+            self.store.append(ekey, entry)
+            self._nfiles += 1
+        else:
+            # the dirent carries the uuid: the replaced file's entry goes
+            buf, _ = dirent.remove_entry(self.store.get(ekey) or b"", name)
+            self.store.put(ekey, buf + entry)
+        return replaced
 
     def op_rename_local(self, sdir_uuid: int, sname: str, ddir_uuid: int,
                         dname: str, cred: Credentials) -> dict:
         """Same-server f-rename in one request (the LocoFS-A flush path).
 
         Applies the exact sequence the synchronous client drives over the
-        wire — remove the destination if present, detach the source,
-        attach it under the new key — so a deferred rename leaves the
-        identical state.  Returns the replaced destination's
+        wire — detach the source, attach it under the new key, replacing
+        a durable destination, and put it back if that fails — so a
+        deferred rename leaves the identical state, and a missing source
+        leaves the destination alone.  Returns the replaced destination's
         ``{"uuid", "size"}`` (or ``None``) so the flushing client can
         delete its data blocks, just as the sync path does.
         """
-        try:
-            replaced = self.op_remove(ddir_uuid, dname, cred)
-        except NoEntry:
-            replaced = None
         inode = self.op_export_remove(sdir_uuid, sname, cred)
-        self.op_import(ddir_uuid, dname, inode["access"], inode["content"])
+        try:
+            replaced = self.op_import(ddir_uuid, dname, inode["access"],
+                                      inode["content"], cred)
+        except FSError:
+            self.op_import(sdir_uuid, sname, inode["access"], inode["content"])
+            raise
         return {"replaced": replaced}
 
     # -- batched apply (the write-behind flush, LocoFS-B and -A) --------------------------

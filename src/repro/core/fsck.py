@@ -15,7 +15,10 @@ I6. every file dirent points at an existing file record on the same FMS;
 I7. every file's FMS is the one consistent hashing prescribes
     (placement invariant — f-rename must move records correctly);
 I8. the DMS's in-memory ACL mirror agrees with the durable store;
-I9. every data block belongs to a live file uuid (no leaked blocks).
+I9. every data block belongs to a live file uuid (no leaked blocks);
+I10. every file uuid names one file (a rename interrupted after its
+     import can leave a second name, whose unlink deletes the blocks
+     both names share).
 
 Used by the failure-injection tests and exposed as
 ``repro.core.fsck.check(fs)``.
@@ -153,6 +156,8 @@ def check(fs) -> FsckReport:
                     from repro.metadata.layout import FILE_COUPLED
 
                     fuuid = FILE_COUPLED.read(cbuf, "suuid")
+                if fuuid in live_file_uuids:
+                    report.add(f"I10: uuid {fuuid} names a second file, {fname!r} on {fms_name}")
                 live_file_uuids.add(fuuid)
                 if names[fname] != fuuid:
                     report.add(f"I5: dirent uuid mismatch for {fname!r} on {fms_name}")

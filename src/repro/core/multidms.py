@@ -330,15 +330,10 @@ class MultiDMSClient(LocoClient):
         yield from self._g_dms_mutate(self._dms_for(path), "shard_setattr",
                                       (path, self.cred, now) + tail)
 
-    def _g_rename(self, old: str, new: str) -> Generator:
-        old = pathutil.normalize(old)
-        new = pathutil.normalize(new)
-        if old == new:
-            return
-        if not (yield from self._g_dir_exists(old)):
-            yield from self._g_rename_file(old, new)
-            return
+    def _g_rename_dir(self, old: str, new: str) -> Generator:
         # d-rename across shards: export everywhere, re-hash, import
+        if not (yield from self._g_dir_exists(old)):
+            raise NoEntry(old)
         if pathutil.is_ancestor(old, new):
             raise InvalidArgument(new, "cannot move a directory into itself")
         if (yield from self._g_dir_exists(new)):

@@ -18,6 +18,7 @@ from repro.core.fs import LocoFS
 from repro.harness import SYSTEM_NAMES, make_system
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import F_DELAY, F_DROP, F_OK, FaultSchedule, FaultState, RetryPolicy
+from repro.sim.rpc import Sleep
 
 #: recovery short enough that the default retry budget outlasts it
 FAST_RECOVERY = CostModel(restart_fixed_us=500.0, wal_replay_bpus=4000.0)
@@ -215,29 +216,28 @@ class TestWalReplayOnRestart:
         fs.close()
 
 
+def _sleep(us):
+    yield Sleep(us)
+
+
 class TestRenameUnderFaults:
     """A cross-FMS f-rename is two client-driven RPCs: ``export_remove``
-    on the source FMS, then ``import`` on the destination.  Between them
-    the inode's only copy is in the client's memory (ROADMAP item 13)."""
+    on the source FMS, then a replacing ``import`` on the destination.
+    Between them the inode's only copy is in the client's memory, so a
+    failed import puts it back on the source (ROADMAP item 13)."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP 13(b): a destination crash between export_remove and "
-        "import loses the file; import-first or an intent record fixes it"))
-    def test_cross_fms_rename_keeps_the_file_when_the_destination_crashes(self):
-        fs = make_system("locofs-c", 4)  # no data_dir: no WAL
+    @staticmethod
+    def _renaming(fs):
         client = fs.client()
         client.mkdir("/d")
         client.create("/d/a")
         uuid = client.stat_dir("/d").st_uuid
         assert client.ring.lookup_file(uuid, "a") == "fms3"
         assert client.ring.lookup_file(uuid, "b0") == "fms0"
-        # fms0 dies inside the export_remove -> import window, which a
-        # sweep in 5 us steps found open from 385 to 870 us after the
-        # rename is issued
-        fs.engine.attach_faults(FaultSchedule().crash("fms0", fs.engine.now + 600.0))
-        with pytest.raises(ServerDown):
-            client.rename("/d/a", "/d/b0")
+        return client
 
+    @staticmethod
+    def _names(client):
         def exists(path):
             try:
                 client.stat_file(path)
@@ -245,8 +245,40 @@ class TestRenameUnderFaults:
                 return False
             return True
 
-        # the rename failed, so the file must survive under one name
-        assert [p for p in ("/d/a", "/d/b0") if exists(p)] in (["/d/a"], ["/d/b0"])
+        return [p for p in ("/d/a", "/d/b0") if exists(p)]
+
+    def test_cross_fms_rename_keeps_the_file_when_the_destination_crashes(self):
+        fs = make_system("locofs-c", 4)  # no data_dir: no WAL
+        client = self._renaming(fs)
+        # fms0 dies inside the export_remove -> import window, which a
+        # sweep in 5 us steps found open from 90 to 335 us after the
+        # rename is issued (385 to 870 us with the old four-RPC protocol)
+        fs.engine.attach_faults(FaultSchedule().crash("fms0", fs.engine.now + 200.0))
+        with pytest.raises(ServerDown):
+            client.rename("/d/a", "/d/b0")
+        # the import failed, so the rollback put the file back on fms3
+        assert self._names(client) == ["/d/a"]
+
+    @pytest.mark.parametrize("crash_at_us", [100.0, 200.0, 300.0, 400.0, 600.0, 800.0])
+    def test_cross_fms_rename_survives_a_destination_restart(self, tmp_path, crash_at_us):
+        """Crash-restart fms0 across the whole rename (the old protocol's
+        loss window was 385 to 870 us): recovery outlasts the retry
+        budget, so a rename that has not finished gives up and the
+        source keeps the file; one that finished left it durable."""
+        fs = LocoFS(ClusterConfig(num_metadata_servers=4), cost=FAST_RECOVERY,
+                    data_dir=str(tmp_path / "fs"))
+        client = self._renaming(fs)
+        fs.engine.attach_faults(FaultSchedule().crash_restart(
+            "fms0", fs.engine.now + crash_at_us, 50_000.0))
+        try:
+            client.rename("/d/a", "/d/b0")
+            want = ["/d/b0"]
+        except ServerDown:
+            want = ["/d/a"]
+        fs.engine.run(_sleep(100_000.0))  # past the restart
+        assert self._names(client) == want
+        assert fsck.check(fs).clean
+        fs.close()
 
 
 class TestLeaseMasking:
@@ -612,9 +644,6 @@ _LATE_VOTES_DIVERGE = {
     "locofs-r-drop+delay":
         f"{_LATE_VOTES}: the second mkdir resumes 17492.21 vs 17081.81 us "
         "(final 188195.14 vs 187651.82 us, 269 rpcs each)",
-    "locofs-r-delay+crash-restart":
-        f"{_LATE_VOTES}: the readdir resumes 31160.47 vs 30859.98 us "
-        "(final 33764.32 vs 33463.83 us, 121 rpcs each)",
 }
 
 

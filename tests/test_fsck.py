@@ -136,6 +136,22 @@ class TestCorruptionDetection:
         report = check(fs)
         assert any("I9" in e for e in report.errors)
 
+    def test_detects_one_file_under_two_names(self):
+        """What a rename leaves if its import applies but the client never
+        hears so and restores the source: one uuid, two keys."""
+        fs = make_fs(4)
+        c = fs.client()
+        c.mkdir("/d")
+        c.create("/d/a")
+        uuid = c.stat_dir("/d").st_uuid
+        home = fs.cluster[c._fms_for(uuid, "a")].handler
+        inode = home.op_export_remove(uuid, "a", c.cred)
+        home.op_import(uuid, "a", inode["access"], inode["content"])
+        other = fs.cluster[c._fms_for(uuid, "b")].handler
+        other.op_import(uuid, "b", inode["access"], inode["content"])
+        report = check(fs)
+        assert any("I10" in e for e in report.errors)
+
     def test_detects_misplaced_file(self):
         fs = make_fs(4)
         c = fs.client()
