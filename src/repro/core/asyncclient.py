@@ -26,9 +26,11 @@ DESIGN §11 for the exact rules).
 The lookup-cache tier (when the deployment enables it) is a single
 Fletch-style node on the network path, reachable in
 ``CostModel.switch_rtt_us``.  Reads probe it first (getattr/open/access/
-lookup), fill it on a miss with the issue-time of the backing read, and
-writers invalidate touched keys as part of their flushes — before the
-flush generator returns, which together with the cache's anti-stale fill
+lookup); a miss reads the authoritative server and *holds* the fill,
+stamped with the issue-time of that read, until the client's next
+cache-node request carries it — no request of its own.  Writers
+invalidate touched keys as part of their flushes — before the flush
+generator returns, which together with the cache's anti-stale fill
 rejection guarantees zero stale reads (``repro.core.lookupcache``).
 """
 
@@ -40,10 +42,10 @@ from repro.common import pathutil
 from repro.common.errors import Exists, IsADirectory, NoEntry, PermissionDenied
 from repro.common.types import StatResult
 from repro.metadata.acl import R_OK, W_OK, X_OK, may_access
-from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT
+from repro.metadata.layout import FILE_ATTRS
 from repro.sim.rpc import Mark, Rpc
 
-from .client import DMS, BatchingLocoClient, _CREATE_WIRE_BASE
+from .client import DMS, BatchingLocoClient, _CREATE_WIRE_BASE, _write_dir_attrs
 
 #: modeled wire size of a deferred non-create FMS entry beyond its name
 _OP_WIRE_BASE = 40
@@ -51,6 +53,10 @@ _OP_WIRE_BASE = 40
 _DIR_WIRE_BASE = 56
 
 S_IFDIR = 0o040000
+
+#: a getattr reply, in layout order, re-packed as the cache stores it:
+#: both parts back to back, byte-identical to the FMS's (pad-free layouts)
+_PACK_FILE = FILE_ATTRS.pack
 
 
 class AsyncLocoClient(BatchingLocoClient):
@@ -124,12 +130,15 @@ class AsyncLocoClient(BatchingLocoClient):
             yield from self._g_flush_server((DMS,), "read")
         try:
             if self._cache_node is not None:
-                info = yield Rpc(self._cache_node, "lookup", (path, self.cred))
+                fill, self._fill = self._fill, None
+                info = yield Rpc(self._cache_node, "lookup", (path, self.cred, fill))
                 if info is None:
                     t_issue = self._clock.now
                     info = yield Rpc(DMS, "lookup", (path, self.cred))
-                    yield Rpc(self._cache_node, "fill_lookup",
-                              (path, info, self.cred, t_issue))
+                    # a snapshot: a deferred dsetattr edits ``info`` in place
+                    self._fill = ("lookup", path, (info["ctime"], info["mode"],
+                                  info["uid"], info["gid"], info["uuid"]),
+                                  self.cred, t_issue)
             else:
                 info = yield Rpc(DMS, "lookup", (path, self.cred))
         except NoEntry as err:
@@ -237,8 +246,11 @@ class AsyncLocoClient(BatchingLocoClient):
         path = pathutil.normalize(path)
         if path == "/":
             yield Rpc(DMS, "setattr", (path, self.cred, now), attrs)
+            self._wrote_root(now, attrs)
             if self._cache_node is not None:
-                yield Rpc(self._cache_node, "invalidate", ((), (path,), self._clock.now))
+                fill, self._fill = self._fill, None
+                yield Rpc(self._cache_node, "invalidate",
+                          ((), (path,), self._clock.now, fill))
             return
         mode, uid, gid = attrs.get("mode"), attrs.get("uid"), attrs.get("gid")
         dinfo = self.dcache.get(path, self._clock.now) if self.cache_enabled else None
@@ -288,12 +300,7 @@ class AsyncLocoClient(BatchingLocoClient):
         """Deferred directory setattr, coalescing into the DMS queue."""
         # read-your-writes: the cached d-inode reflects the pending change
         if dinfo is not None:
-            if mode is not None:
-                dinfo["mode"] = (dinfo["mode"] & ~0o7777) | (mode & 0o7777)
-            if uid is not None:
-                dinfo["uid"] = uid
-            if gid is not None:
-                dinfo["gid"] = gid
+            _write_dir_attrs(dinfo, mode, uid, gid)
         dq = self._pending.get(DMS)
         idxs = dq.bykey.get(path) if dq is not None else None
         if idxs:
@@ -397,9 +404,10 @@ class AsyncLocoClient(BatchingLocoClient):
             yield from self._g_rename_dir(old, new)
             return
         if self._cache_node is not None:
+            fill, self._fill = self._fill, None
             yield Rpc(self._cache_node, "invalidate",
                       (((src_fms, skey[0], src_name), (dst_fms, dkey[0], dst_name)),
-                       (), self._clock.now))
+                       (), self._clock.now, fill))
 
     def _g_rename_dir(self, old: str, new: str) -> Generator:
         # the directory and the destination's parent must be durable first
@@ -409,59 +417,64 @@ class AsyncLocoClient(BatchingLocoClient):
         self.dcache.invalidate(old)
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
         if self._cache_node is not None:
-            yield Rpc(self._cache_node, "invalidate_prefix", (old, self._clock.now))
+            fill, self._fill = self._fill, None
+            yield Rpc(self._cache_node, "invalidate_prefix",
+                      (old, self._clock.now, fill))
 
     # -- cached reads (the lookup-cache tier) --------------------------------------------
-    def _g_fill_file(self, fms: str, dir_uuid: int, name: str, attrs: tuple,
-                     issued_at: float) -> Generator:
-        # the getattr reply is in layout order, so each part re-packs from
-        # its slice: byte-identical to the stored parts, one C call each on
-        # these pad-free layouts
-        yield Rpc(self._cache_node, "fill_file",
-                  (fms, dir_uuid, name, FILE_ACCESS.pack_values(*attrs[:4]),
-                   FILE_CONTENT.pack_values(*attrs[4:]), issued_at))
-
     def _g_locate(self, path: str) -> Generator:
         """A cached read's file: the staleness sweep, the read-your-writes
         barrier (flush the one queue holding the key), then the parent's
-        d-inode.  Returns ``(parent info, name)``.  The d-cache is probed
-        inline — once for the barrier when a key is dirty, once for the
-        read, as the barrier and the read each resolve the parent — and a
-        miss enters :meth:`_g_dir_fetch`."""
+        d-inode.  Returns ``(parent info, name, probe)``.  The d-cache is
+        probed inline — once for the barrier when a key is dirty, once for
+        the read, as the barrier and the read each resolve the parent —
+        and a miss enters :meth:`_g_dir_fetch`.
+
+        ``probe`` is false when the barrier just flushed the key and no
+        fill is held: that flush invalidated or created the key, so the
+        cache could hit only on another client's fill in the moment since
+        — the read goes straight to the FMS.  (Skipping a probe is always
+        safe; at worst it gives up a hit.  A held fill needs a request to
+        ride, so the probe goes.)"""
         if self._clock.now - self._oldest_pending_us >= self.batch_max_age_us:
             yield from self._g_flush_stale()
         parent, name = pathutil.split_fast(path)
-        probe = self.cache_enabled and not self._engine.obs_detailed
+        inline = self.cache_enabled and not self._engine.obs_detailed
         dirty = self._dirty
+        flushed = False
         if dirty:
-            info = self.dcache.get(parent, self._clock.now) if probe else None
+            info = self.dcache.get(parent, self._clock.now) if inline else None
             if info is None:
-                info = yield from (self._g_dir_fetch(parent) if probe
+                info = yield from (self._g_dir_fetch(parent) if inline
                                    else self._g_dir(parent))
             server = dirty.get((info["uuid"], name))
             if server is not None:
                 yield from self._g_flush_server((server,), "read")
-        info = self.dcache.get(parent, self._clock.now) if probe else None
+                flushed = True
+        info = self.dcache.get(parent, self._clock.now) if inline else None
         if info is None:
-            info = yield from (self._g_dir_fetch(parent) if probe
+            info = yield from (self._g_dir_fetch(parent) if inline
                                else self._g_dir(parent))
-        return info, name
+        return info, name, not flushed or self._fill is not None
 
     def _g_stat_file(self, path: str) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_stat_file(path))
-        info, name = yield from self._g_locate(path)
+        info, name, probe = yield from self._g_locate(path)
         dir_uuid = info["uuid"]
         fms = self._fms_for(dir_uuid, name)
-        # cache-first: probe, then the authoritative read + fill
-        attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name))
+        # cache-first: probe, then the authoritative read, its fill held
+        attrs = None
+        if probe:
+            fill, self._fill = self._fill, None
+            attrs = yield Rpc(self._cache_node, "getattr", (fms, dir_uuid, name, fill))
         if attrs is None:
             t_issue = self._clock.now
             try:
                 attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
             except NoEntry:
                 raise NoEntry(pathutil.join(info["path"], name)) from None
-            yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
+            self._fill = ("file", fms, dir_uuid, name, _PACK_FILE(*attrs), t_issue)
         # the positional reply, in layout order (FileMetadataServer.op_getattr)
         ctime, mode, uid, gid, mtime, atime, size, bsize, suuid, _ = attrs
         return StatResult(mode, uid, gid, size, ctime, mtime, atime, bsize, suuid)
@@ -469,18 +482,21 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_open(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_open(path, want))
-        info, name = yield from self._g_locate(path)
+        info, name, probe = yield from self._g_locate(path)
         dir_uuid = info["uuid"]
         fms = self._fms_for(dir_uuid, name)
-        handle = yield Rpc(self._cache_node, "open",
-                           (fms, dir_uuid, name, self.cred, want))
+        handle = None
+        if probe:
+            fill, self._fill = self._fill, None
+            handle = yield Rpc(self._cache_node, "open",
+                               (fms, dir_uuid, name, self.cred, want, fill))
         if handle is None:
             t_issue = self._clock.now
             try:
                 attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
             except NoEntry:
                 raise NoEntry(pathutil.join(info["path"], name)) from None
-            yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
+            self._fill = ("file", fms, dir_uuid, name, _PACK_FILE(*attrs), t_issue)
             _, mode, uid, gid, _, _, size, _, suuid, _ = attrs  # layout order
             if not may_access(mode, uid, gid, self.cred, want):
                 raise PermissionDenied(name)
@@ -491,15 +507,17 @@ class AsyncLocoClient(BatchingLocoClient):
     def _g_access(self, path: str, want: int = R_OK) -> Generator:
         if self._cache_node is None:
             return (yield from super()._g_access(path, want))
-        info, name = yield from self._g_locate(path)
+        info, name, probe = yield from self._g_locate(path)
         if not name:  # the root: its d-inode answers
             return may_access(info["mode"], info["uid"], info["gid"], self.cred, want)
         dir_uuid = info["uuid"]
         fms = self._fms_for(dir_uuid, name)
-        answer = yield Rpc(self._cache_node, "access",
-                           (fms, dir_uuid, name, self.cred, want))
-        if answer is not None:
-            return answer
+        if probe:
+            fill, self._fill = self._fill, None
+            answer = yield Rpc(self._cache_node, "access",
+                               (fms, dir_uuid, name, self.cred, want, fill))
+            if answer is not None:
+                return answer
         t_issue = self._clock.now
         try:
             attrs = yield Rpc(fms, "getattr", (dir_uuid, name))
@@ -507,7 +525,7 @@ class AsyncLocoClient(BatchingLocoClient):
             dinfo = yield from self._g_dir(path)
             return may_access(dinfo["mode"], dinfo["uid"], dinfo["gid"],
                               self.cred, want)
-        yield from self._g_fill_file(fms, dir_uuid, name, attrs, t_issue)
+        self._fill = ("file", fms, dir_uuid, name, _PACK_FILE(*attrs), t_issue)
         return may_access(*attrs[1:4], self.cred, want)  # mode, uid, gid
 
     # -- synchronous mutators must invalidate the cache tier -----------------------------
@@ -520,8 +538,9 @@ class AsyncLocoClient(BatchingLocoClient):
         if info is None:
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
+        fill, self._fill = self._fill, None
         yield Rpc(self._cache_node, "invalidate",
-                  (((fms, info["uuid"], name),), (), self._clock.now))
+                  (((fms, info["uuid"], name),), (), self._clock.now, fill))
 
     def _g_truncate(self, path: str, size: int) -> Generator:
         out = yield from super()._g_truncate(path, size)
@@ -544,6 +563,7 @@ class AsyncLocoClient(BatchingLocoClient):
         # (BatchingLocoClient._g_flush_dir)
         out = yield from super()._g_rmdir(path)
         if self._cache_node is not None:
+            fill, self._fill = self._fill, None
             yield Rpc(self._cache_node, "invalidate",
-                      ((), (pathutil.normalize(path),), self._clock.now))
+                      ((), (pathutil.normalize(path),), self._clock.now, fill))
         return out

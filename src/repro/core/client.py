@@ -40,6 +40,18 @@ DMS = "dms"
 _PLACEMENT_CACHE_MAX = 65536
 
 
+def _write_dir_attrs(info: dict, mode: int | None, uid: int | None,
+                     gid: int | None) -> None:
+    """Write a directory setattr's fields into a cached d-inode as the DMS
+    writes them: the permission bits of ``mode``, the owner, the group."""
+    if mode is not None:
+        info["mode"] = (info["mode"] & ~0o7777) | (mode & 0o7777)
+    if uid is not None:
+        info["uid"] = uid
+    if gid is not None:
+        info["gid"] = gid
+
+
 class LocoClient(FSClientBase):
     """One logical client with its own directory-metadata cache."""
 
@@ -313,6 +325,7 @@ class LocoClient(FSClientBase):
         path = pathutil.normalize(path)
         if path == "/":
             yield from self._g_dir_setattr(path, now, attrs)
+            self._wrote_root(now, attrs)
             return
         parent, name = pathutil.split(path)
         if self._dir_inline and not (self.cache_enabled and self._engine.obs_detailed):
@@ -333,6 +346,15 @@ class LocoClient(FSClientBase):
     def _g_dir_setattr(self, path: str, now: float, attrs: dict) -> Generator:
         """The directory half of chmod/chown (rerouted by MultiDMSClient)."""
         yield Rpc(DMS, "setattr", (path, self.cred, now), attrs)
+
+    def _wrote_root(self, now: float, attrs: dict) -> None:
+        """Read-your-writes after a durable root setattr: the cached root
+        d-inode takes what the DMS wrote.  Dropping it instead would cost
+        every later resolution from this client a DMS round trip."""
+        root = self.dcache.get("/", self._clock.now) if self.cache_enabled else None
+        if root is not None:
+            _write_dir_attrs(root, attrs.get("mode"), attrs.get("uid"), attrs.get("gid"))
+            root["ctime"] = now
 
     def _g_chmod(self, path: str, mode: int) -> Generator:
         return self._g_setattr(path, {"mode": mode})
@@ -628,6 +650,11 @@ class BatchingLocoClient(LocoClient):
         self._oldest_pending_us = _NOTHING_PENDING
         #: lookup-cache node a flush invalidates touched keys on (LocoFS-A)
         self._cache_node: str | None = None
+        #: the fill of this client's last lookup-cache miss, carried by its
+        #: next request to the cache node (LocoFS-A).  One slot: every
+        #: path that makes a fill first sends a probe, which takes the held
+        #: one, or skips its probe only while the slot is empty
+        self._fill: tuple | None = None
         #: deferred flush errors beyond the first of each flush (satellite
         #: fix: every conflict is preserved, not just ``exists[0]``)
         self.deferred_errors: list[Exception] = []
@@ -906,9 +933,10 @@ class BatchingLocoClient(LocoClient):
         if self._cache_node is not None and (fkeys or dpaths):
             # coherence: invalidate once every batch of the round is
             # durable, before the round returns — no reader can observe
-            # the new state earlier
+            # the new state earlier.  A held fill rides along, applied first
+            fill, self._fill = self._fill, None
             yield Rpc(self._cache_node, "invalidate",
-                      (tuple(fkeys), tuple(dpaths), self._clock.now))
+                      (tuple(fkeys), tuple(dpaths), self._clock.now, fill))
         if errs:
             # deferred errors surface at the round's end: the first aborts
             # the flushing op, the rest are preserved in

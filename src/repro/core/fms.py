@@ -292,7 +292,10 @@ class FileMetadataServer:
         Name conflicts do not abort the batch: conflicting entries are
         skipped and reported in ``"exists"``; their ``"uuids"`` slot is
         ``None``.  (The write-behind client surfaces the first conflict as
-        :class:`Exists` at the flush boundary — see DESIGN.md.)
+        :class:`Exists` at the flush boundary — see DESIGN.md.)  A name
+        the dirent encoding cannot hold (empty, or over
+        ``dirent.MAX_NAME_BYTES`` encoded) raises :class:`InvalidArgument`
+        before the run changes anything.
 
         Retried flushes are exactly-once.  A probe hit whose stored access
         part is byte-identical to what this entry would write (same ctime/
@@ -307,17 +310,23 @@ class FileMetadataServer:
         if self.track_touches:
             self._touch("create", "access", "dirent")
         n = len(entries)
-        counters = self.counters
-        counters.inc("batch.records", n)
         store = self.store
         decoupled = self.decoupled
         prefix = _A if decoupled else _F
         keys: list[bytes] = []
         probe_keys: list[bytes] = []
+        nlens: list[int] = []  # each name's encoded length, checked here
         for e in entries:
-            key = e[-6].to_bytes(8, "big") + e[-5].encode("utf-8")
+            raw = e[-5].encode("utf-8")
+            nlen = len(raw)
+            if not nlen or nlen > dirent.MAX_NAME_BYTES:
+                raise InvalidArgument(e[-5], "bad dirent name")
+            key = e[-6].to_bytes(8, "big") + raw
             keys += (key,)
             probe_keys += (prefix + key,)
+            nlens += (nlen,)
+        counters = self.counters
+        counters.inc("batch.records", n)
         probes = store.multi_get(probe_keys)
         uuids: list[int | None] = [None] * n
         exists: list[str] = []
@@ -379,11 +388,8 @@ class FileMetadataServer:
                 buf = _join_coupled(a, c)
                 self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
                 pairs += ((_F + key, buf),)
-            raw = key[8:]
-            nlen = len(raw)
-            if not nlen or nlen > dirent.MAX_NAME_BYTES:
-                raise ValueError(f"bad dirent name: {e[-5]!r}")
-            packed = dirent.HEAD.pack(nlen) + raw + dirent.TAIL.pack(uuid, _FTYPE_FILE)
+            packed = (dirent.HEAD.pack(nlens[i]) + key[8:]
+                      + dirent.TAIL.pack(uuid, _FTYPE_FILE))
             dkey = key[:8]
             if dkey in dirents:
                 dirents[dkey] += packed
@@ -759,8 +765,9 @@ class FileMetadataServer:
         ``{"removed": {...} | None}`` for the unlink forms,
         ``{"replaced": ...}`` for renames, and ``{"err": type, "arg": path}``
         (the error's own path, often a bare name) for any entry that
-        failed.  A failing entry never aborts the batch — the client
-        sorts deferred errors out at the flush boundary.
+        failed — ``"InvalidArgument"`` for a create whose name the dirent
+        encoding cannot hold.  A failing entry never aborts the batch —
+        the client sorts deferred errors out at the flush boundary.
 
         The client queue preserves per-key dependency order, so entries
         must apply in sequence — except *contiguous* runs of creates,
@@ -783,9 +790,23 @@ class FileMetadataServer:
                     j += 1
                 # the tagged run as it arrived (op_create_batch reads the
                 # fields from the end)
-                for k, uuid in enumerate(self.op_create_batch(entries[i:j])["uuids"], i):
-                    results[k] = ({"uuid": uuid} if uuid is not None
-                                  else {"err": "Exists", "arg": entries[k][2]})
+                try:
+                    runs = ((i, self.op_create_batch(entries[i:j])["uuids"]),)
+                except InvalidArgument:
+                    # a bad name, refused before the run changed anything:
+                    # apply the run entry by entry (what a batch is, see
+                    # TestApplyBatchIsEntryByEntry), the bad ones refused
+                    runs = []
+                    for k in range(i, j):
+                        try:
+                            runs.append((k, self.op_create_batch(entries[k:k + 1])["uuids"]))
+                        except InvalidArgument as err:
+                            results[k] = {"err": "InvalidArgument", "arg": err.path}
+                            creates -= 1  # a record op_create_batch did not count
+                for start, uuids in runs:
+                    for k, uuid in enumerate(uuids, start):
+                        results[k] = ({"uuid": uuid} if uuid is not None
+                                      else {"err": "Exists", "arg": entries[k][2]})
                 creates += j - i
                 i = j
                 continue

@@ -28,11 +28,17 @@ Coherence protocol (DESIGN §11)
 Writers invalidate before their effects become externally claimable:
 every write-behind flush that touches a key sends ``invalidate`` for it
 *after* the batch is durable but *before* the flush generator returns, and
-synchronous mutating ops invalidate inline.  Fills are timestamped with
-the virtual time at which the filling client *issued* the backing read;
-the cache rejects a fill whose issue time is at or before the key's last
-invalidation (``fills_rejected``) — a conservative rule that provably
-never re-installs a value read before a concurrent invalidated write.
+synchronous mutating ops invalidate inline.  A fill is no request of its
+own: the client that missed holds it and it rides that client's next
+request to this node (a probe, an ``invalidate`` or an
+``invalidate_prefix``, each taking a trailing ``fill``), which applies it
+before its own work — see :meth:`LookupCacheServer.apply_fill` for the
+two wire forms.  Fills are timestamped with the virtual time at which
+the filling client *issued* the backing read; the cache rejects a fill
+whose issue time is at or before the key's last invalidation
+(``fills_rejected``) — a conservative rule that provably never
+re-installs a value read before a concurrent invalidated write, however
+late the fill arrives.
 The per-key floors are bounded (4 × capacity) and trimmed least recently
 invalidated first; the largest floor a trim drops becomes a watermark
 every fill must postdate, so a trim coarsens a floor but never forgets it.
@@ -139,15 +145,34 @@ class LookupCacheServer:
             store.delete(victim)
             self.counters.inc("evictions")
 
-    def _admit(self, key: bytes, value: bytes, issued_at: float) -> bool:
-        stale_floor = self._invalidated_at.get(key)
+    def apply_fill(self, fill: tuple) -> bool:
+        """Admit the fill a request carries, unless its backing read was
+        issued at or before the key's stale floor; ``True`` when it was
+        installed.  Two wire forms:
+
+        * ``("file", fms, dir_uuid, name, value, issued_at)`` — ``value``
+          is both inode parts back to back, as the FMS stores them;
+        * ``("lookup", path, values, cred, issued_at)`` — ``values`` is
+          the d-inode's fields in layout order, snapshotted when the DMS
+          replied (the client's own copy may take deferred changes since).
+        """
+        if fill[0] == "file":
+            _, fms, dir_uuid, name, value, issued_at = fill
+            key = self._file_key(fms, dir_uuid, name)
+            stale_floor = None
+        else:
+            _, path, values, cred, issued_at = fill
+            key = _D + path.encode("utf-8")  # dir_cache_key, inline
+            # the ACL walk's principal rides in the value (``op_lookup``)
+            value = (DIR_INODE.pack_values(*values) + cred.uid.to_bytes(4, "little")
+                     + cred.gid.to_bytes(4, "little"))
+            stale_floor = self._dir_epoch or None
+        floor = self._invalidated_at.get(key)
+        if floor is not None and (stale_floor is None or floor > stale_floor):
+            stale_floor = floor
         trimmed = self._trimmed_floor
         if trimmed is not None and (stale_floor is None or trimmed > stale_floor):
             stale_floor = trimmed
-        if key.startswith(_D):
-            epoch = self._dir_epoch
-            if stale_floor is None or epoch > stale_floor:
-                stale_floor = epoch if epoch else None
         if stale_floor is not None and issued_at <= stale_floor:
             # the backing read was issued before (or racing with) the last
             # invalidation of this key: it may carry a pre-write value
@@ -168,9 +193,12 @@ class LookupCacheServer:
         return value
 
     # -- file-attribute entries -----------------------------------------------------
-    def op_getattr(self, fms: str, dir_uuid: int, name: str) -> tuple | None:
+    def op_getattr(self, fms: str, dir_uuid: int, name: str,
+                   fill: tuple | None = None) -> tuple | None:
         """Cached stat: the FMS's positional getattr reply, decoded from
         both cached parts at once, or ``None`` on a miss."""
+        if fill is not None:
+            self.apply_fill(fill)
         value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
@@ -178,8 +206,11 @@ class LookupCacheServer:
             _check_file(value)
         return _FILE_VALUES(value)
 
-    def op_open(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> dict | None:
+    def op_open(self, fms: str, dir_uuid: int, name: str, cred, want: int,
+                fill: tuple | None = None) -> dict | None:
         """Cached open: same permission check the FMS performs."""
+        if fill is not None:
+            self.apply_fill(fill)
         value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
@@ -191,21 +222,21 @@ class LookupCacheServer:
         return {"uuid": _SUUID.unpack_from(value, _SUUID_AT)[0], "mode": mode,
                 "size": _SIZE.unpack_from(value, _SIZE_AT)[0]}
 
-    def op_access(self, fms: str, dir_uuid: int, name: str, cred, want: int) -> bool | None:
+    def op_access(self, fms: str, dir_uuid: int, name: str, cred, want: int,
+                  fill: tuple | None = None) -> bool | None:
+        if fill is not None:
+            self.apply_fill(fill)
         value = self._lookup(self._file_key(fms, dir_uuid, name))
         if value is None:
             return None
         return may_access(*FILE_ACCESS.perm(value[:_ACCESS_SIZE]), cred, want)
 
-    def op_fill_file(self, fms: str, dir_uuid: int, name: str,
-                     access: bytes, content: bytes, issued_at: float) -> bool:
-        return self._admit(self._file_key(fms, dir_uuid, name),
-                           access + content, issued_at)
-
     # -- directory-lookup entries ---------------------------------------------------
-    def op_lookup(self, path: str, cred) -> dict | None:
+    def op_lookup(self, path: str, cred, fill: tuple | None = None) -> dict | None:
         """Cached d-inode, or ``None`` when missing / resolved for another
         principal (the ACL walk belongs to the credentials that filled it)."""
+        if fill is not None:
+            self.apply_fill(fill)
         value = self._lookup(dir_cache_key(path))
         if value is None:
             return None
@@ -220,21 +251,18 @@ class LookupCacheServer:
         return {"path": path, "uuid": uuid, "mode": mode, "uid": uid,
                 "gid": gid, "ctime": ctime}
 
-    def op_fill_lookup(self, path: str, info: dict, cred, issued_at: float) -> bool:
-        buf = DIR_INODE.pack(ctime=info["ctime"], mode=info["mode"],
-                             uid=info["uid"], gid=info["gid"],
-                             uuid=info["uuid"])
-        tag = cred.uid.to_bytes(4, "little") + cred.gid.to_bytes(4, "little")
-        return self._admit(dir_cache_key(path), buf + tag, issued_at)
-
     # -- invalidation ----------------------------------------------------------------
-    def op_invalidate(self, file_keys, paths, now: float) -> int:
+    def op_invalidate(self, file_keys, paths, now: float,
+                      fill: tuple | None = None) -> int:
         """Drop entries for the given file keys / dir paths.
 
         ``file_keys`` is an iterable of ``(fms, dir_uuid, name)``; ``now``
         is the invalidating client's issue time, recorded as the stale
-        floor for the anti-stale fill rejection rule.
+        floor for the anti-stale fill rejection rule.  The carried
+        ``fill`` applies first, so an invalidation of its own key drops it.
         """
+        if fill is not None:
+            self.apply_fill(fill)
         dropped = 0
         inval = self._invalidated_at
         store = self.store
@@ -265,12 +293,15 @@ class LookupCacheServer:
         self.counters.inc("invalidations", len(file_keys) + len(paths))
         return dropped
 
-    def op_invalidate_prefix(self, prefix: str, now: float) -> int:
+    def op_invalidate_prefix(self, prefix: str, now: float,
+                             fill: tuple | None = None) -> int:
         """Drop every directory entry at or under ``prefix`` (t-rename).
 
         Raises the global directory-entry stale floor instead of recording
         per-key floors: the set of affected descendant paths is unbounded.
         """
+        if fill is not None:
+            self.apply_fill(fill)
         self._dir_epoch = max(now, self._dir_epoch)
         base = dir_cache_key(prefix)
         victims = [base] + [k for k, _ in self.store.prefix_scan(base + b"/")]

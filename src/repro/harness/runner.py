@@ -310,6 +310,10 @@ class MixedThroughputResult:
     #: ``read`` / ``dep`` / ``drain``), summed over clients; ``{}`` for a
     #: system without write-behind clients
     flush_causes: dict[str, int] = field(default_factory=dict)
+    #: the server with the most busy time over the measured wave, and that
+    #: busy time as a fraction of the wave (the utilization law's U_max)
+    busiest_server: str | None = None
+    busiest_util: float | None = None
 
 
 def _flush_causes(clients) -> dict[str, int]:
@@ -483,10 +487,13 @@ def run_mixed_throughput(
 
     t0 = engine.sim.now
     flushed = _flush_causes(clients)
+    busy0 = {n.name: n.busy_us for n in engine.cluster.nodes()}
     box = {"ops": 0, "errors": 0, "per_op": {}}
     run_wave(engine, (_mixed_gen(c, wl, cid, mix, cost, box, seed, zipf_s, pool)
                       for cid, c in enumerate(clients)))
     elapsed = engine.sim.now - t0
+    busy = {n.name: n.busy_us - busy0[n.name] for n in engine.cluster.nodes()}
+    busiest = max(busy, key=busy.get) if busy else None
 
     cache_stats: dict[str, int] = {}
     hit_rate = None
@@ -509,4 +516,7 @@ def run_mixed_throughput(
         cache_hit_rate=hit_rate,
         flush_causes={reason: n - flushed[reason]
                       for reason, n in _flush_causes(clients).items()},
+        busiest_server=busiest,
+        busiest_util=(busy[busiest] / elapsed
+                      if busiest is not None and elapsed > 0 else None),
     )

@@ -356,13 +356,207 @@ class TestLookupCacheTier:
         cache.op_invalidate(tuple(("fms0", 7, f"o{i}") for i in range(7)), (), 11.0)
         cache.op_invalidate((key,), (), 50.0)  # the write a slow read races
         cache.op_invalidate((("fms0", 7, "new"),), (), 51.0)  # 9 floors: trim one
+
+        def fill(fkey, issued_at):
+            return ("file", *fkey, a + c, issued_at)
+
         # a read issued at t=40, before the t=50 write, must not be cached
-        assert cache.op_fill_file(*key, a, c, 40.0) is False
+        assert cache.apply_fill(fill(key, 40.0)) is False
         # o0's own floor (t=11) was the one trimmed: the watermark stands in
-        assert cache.op_fill_file("fms0", 7, "o0", a, c, 11.0) is False
+        assert cache.apply_fill(fill(("fms0", 7, "o0"), 11.0)) is False
         assert cache.counters.get("fills_rejected") == 2
-        assert cache.op_fill_file(*key, a, c, 60.0) is True
-        assert cache.op_fill_file("fms0", 7, "o0", a, c, 12.0) is True
+        assert cache.apply_fill(fill(key, 60.0)) is True
+        assert cache.apply_fill(fill(("fms0", 7, "o0"), 12.0)) is True
+
+
+def _served(fs) -> dict:
+    return {n.name: n.requests_served for n in fs.cluster.nodes()}
+
+
+def _sent(fs, before: dict) -> dict:
+    """Requests each server served since ``before`` (servers that served
+    none left out)."""
+    return {k: v - before[k] for k, v in _served(fs).items() if v != before[k]}
+
+
+class _Watched(AsyncLocoClient):
+    """An async client that counts the fills it makes, and the held fills
+    a new one would replace (the one-slot bound says: none)."""
+
+    made = replaced = 0
+    _held = None
+
+    @property
+    def _fill(self):
+        return self._held
+
+    @_fill.setter
+    def _fill(self, fill):
+        if fill is not None:
+            self.made += 1
+            if self._held is not None:
+                self.replaced += 1
+        self._held = fill
+
+
+@pytest.mark.parametrize("engine_kind", ["direct", "event"])
+class TestCarriedFill:
+    """A lookup-cache miss holds its fill for the client's next cache-node
+    request instead of sending one of its own; a read whose barrier just
+    flushed its own key skips the probe when no fill is held."""
+
+    @staticmethod
+    def _fs(engine_kind):
+        """``/d/f`` and ``/d/g`` durable, no fill held, nothing queued."""
+        fs = make_system("locofs-a", 4, engine_kind=engine_kind)
+        c = fs.client()
+        c.mkdir("/d")
+        c.create("/d/f")
+        c.create("/d/g")
+        c.flush()
+        c.truncate("/d/g", 0)  # its invalidate carries the held "/" fill
+        assert c._fill is None and not c.pending_ops
+        return fs, c
+
+    def test_a_miss_is_one_probe_and_one_getattr(self, engine_kind):
+        fs, c = self._fs(engine_kind)
+        fms = c._fms_for(c.stat_dir("/d").st_uuid, "f")
+        ctr = fs.lookup_cache.counters
+        fills, misses, before = ctr.get("fills"), ctr.get("misses"), _served(fs)
+        c.stat_file("/d/f")
+        assert _sent(fs, before) == {"cache0": 1, fms: 1}  # no fill request
+        assert (ctr.get("misses"), ctr.get("fills")) == (misses + 1, fills)
+        assert c._fill[:4] == ("file", fms, c.stat_dir("/d").st_uuid, "f")
+
+    def test_the_next_request_carries_the_fill(self, engine_kind):
+        fs, c = self._fs(engine_kind)
+        ctr = fs.lookup_cache.counters
+        c.stat_file("/d/f")  # miss: f's fill held
+        fills, hits = ctr.get("fills"), ctr.get("hits")
+        c.access("/d/g", 4)  # its probe carries f's fill, then misses on g
+        assert ctr.get("fills") == fills + 1
+        before = _served(fs)
+        c.open("/d/f", 4)  # the probe after that hits (and carries g's fill)
+        assert _sent(fs, before) == {"cache0": 1}
+        assert (ctr.get("hits"), ctr.get("fills")) == (hits + 1, fills + 2)
+        assert c._fill is None
+
+    def test_a_flush_invalidate_carries_the_fill(self, engine_kind):
+        fs, c = self._fs(engine_kind)
+        ctr = fs.lookup_cache.counters
+        c.stat_file("/d/f")  # miss: f's fill held
+        fills = ctr.get("fills")
+        c.chmod("/d/g", 0o600)
+        c.flush()  # the round's invalidate of g carries f's fill
+        assert ctr.get("fills") == fills + 1 and c._fill is None
+        before = _served(fs)
+        assert c.stat_file("/d/f").st_mode == 0o100644
+        assert _sent(fs, before) == {"cache0": 1}  # a hit
+
+    def test_a_barrier_read_with_no_held_fill_sends_no_probe(self, engine_kind):
+        fs, c = self._fs(engine_kind)
+        ctr = fs.lookup_cache.counters
+        uuid = c.stat_dir("/d").st_uuid
+        counts = (ctr.get("hits"), ctr.get("misses"))
+        # a setattr barrier: the flush's invalidate is the only cache request
+        c.chmod("/d/f", 0o600)
+        before = _served(fs)
+        assert c.stat_file("/d/f").st_mode == 0o100600
+        assert _sent(fs, before) == {"cache0": 1, c._fms_for(uuid, "f"): 2}
+        # a create barrier sends no invalidate: no cache request at all
+        c.open("/d/f", 4)  # a hit on the fill just carried, so none is held
+        assert c._fill is None
+        c.create("/d/h")
+        before = _served(fs)
+        c.stat_file("/d/h")
+        assert _sent(fs, before) == {c._fms_for(uuid, "h"): 2}
+        # a skipped probe is neither a hit nor a miss
+        assert (ctr.get("hits"), ctr.get("misses")) == (counts[0] + 1, counts[1])
+
+    def test_a_barrier_read_holding_a_fill_probes(self, engine_kind):
+        fs, c = self._fs(engine_kind)
+        uuid = c.stat_dir("/d").st_uuid
+        c.stat_file("/d/f")  # miss: f's fill held
+        c.create("/d/h")
+        before = _served(fs)
+        c.access("/d/h", 4)  # the fill needs a request to ride
+        assert _sent(fs, before) == {"cache0": 1, c._fms_for(uuid, "h"): 2}
+
+    def test_a_fill_read_before_an_invalidation_is_rejected(self, engine_kind):
+        """The reader's fill is issued before the writer's invalidation and
+        carried by the reader's next probe, after it: rejected by issue
+        time, and that same probe misses instead of serving the old mode."""
+        fs, writer = self._fs(engine_kind)
+        reader = fs.client()
+        ctr = fs.lookup_cache.counters
+        assert reader.stat_file("/d/f").st_mode == 0o100644  # miss, fill held
+        writer.chmod("/d/f", 0o600)
+        writer.flush()
+        rejected = ctr.get("fills_rejected")
+        assert reader.stat_file("/d/f").st_mode == 0o100600
+        assert ctr.get("fills_rejected") == rejected + 1
+        assert reader.stat_file("/d/f").st_mode == 0o100600  # a hit, fresh
+
+    def test_a_lookup_fill_is_the_durable_d_inode(self, engine_kind):
+        """A deferred directory chmod edits the client's cached d-inode in
+        place; the lookup fill it holds was snapshotted when the DMS
+        replied, so other clients never see the queued mode."""
+        fs, maker = self._fs(engine_kind)
+        c = fs.client()
+        c.chmod("/d/x", 0o600)  # resolves /d: a lookup miss, its fill held
+        assert c._fill[:2] == ("lookup", "/d")
+        c.chmod("/d", 0o700)  # deferred: the cached d-inode now says 0o700
+        c.stat_file("/d/f")  # the probe carries the /d fill
+        assert fs.client().stat_dir("/d").st_mode == 0o40755  # a cache hit
+        with pytest.raises(NoEntry):
+            c.flush()  # /d/x never existed
+        assert fs.client().stat_dir("/d").st_mode == 0o40700
+
+    def test_at_most_one_fill_is_held(self, engine_kind):
+        """A seeded op mix over two clients: no fill ever replaces a held
+        one, and every fill made was applied or rejected at the cache
+        node, or is the one still held."""
+        import random
+
+        fs, c = self._fs(engine_kind)
+        other = fs.client()
+        c.__class__ = other.__class__ = _Watched
+        rng = random.Random(7)
+        names = [f"/d/n{i}" for i in range(6)]
+        for name in names:
+            c.create(name)
+        ctr = fs.lookup_cache.counters
+        applied = ctr.get("fills") + ctr.get("fills_rejected")
+        for _ in range(400):
+            op = rng.choice(("stat_file", "stat_file", "access", "open", "chmod",
+                             "create", "unlink", "rename", "mkdir", "stat_dir",
+                             "flush"))
+            path = rng.choice(names)
+            try:
+                if op == "chmod":
+                    c.chmod(path, rng.choice((0o600, 0o644)))
+                elif op in ("access", "open"):
+                    getattr(c, op)(path, 4)
+                elif op == "rename":
+                    c.rename(path, rng.choice(names))
+                elif op == "mkdir":
+                    c.mkdir(f"/d/m{rng.randrange(4)}")
+                elif op == "stat_dir":
+                    c.stat_dir(f"/d/m{rng.randrange(4)}")
+                elif op == "flush":
+                    c.flush()
+                else:
+                    getattr(c, op)(path)
+                if rng.random() < 0.2:
+                    other.chmod(rng.choice(names), 0o640)
+                    other.flush()
+            except FSError:
+                pass
+        assert c.made > 25
+        assert c.replaced == other.replaced == 0
+        made = c.made + other.made
+        held = (c._fill is not None) + (other._fill is not None)
+        assert ctr.get("fills") + ctr.get("fills_rejected") - applied == made - held
 
 
 class TestDeferredAnalyze:
@@ -541,10 +735,13 @@ class TestFlushRoundTripWorkCount:
         assert stats.total_calls <= 90
 
     def test_one_entry_setattr_flush(self):
-        """CPython 3.11.7 counts 104 calls in all (109 before the lean
-        round trip, 105 before ``op_setattr`` built its key inline), the
-        lookup-cache invalidation round trip included: a third
-        ``_g_flush_server`` resume, a second ``_step`` and ``_arrive``."""
+        """CPython 3.11.7 counts 117 calls in all, the lookup-cache
+        invalidation round trip included: a third ``_g_flush_server``
+        resume, a second ``_step`` and ``_arrive``.  That invalidation
+        also carries the fill the client has held since its set-up
+        ``mkdir`` missed on ``/`` (``apply_fill``, ``_evict_for`` and the
+        store put: 14 calls; 103 before fills rode other requests, when
+        the set-up paid a ``fill_lookup`` round trip of its own)."""
         stats = _flush_stats("setattr")
         assert _calls_in(stats, "core/client", "core/asyncclient", "sim/engine",
                          "core/fms", "kv/api", "core/lookupcache") == {
@@ -552,8 +749,9 @@ class TestFlushRoundTripWorkCount:
             "core/client:_g_flush": 3, "core/client:_g_flush_server": 3,
             "sim/engine:_step": 3, "sim/engine:_arrive": 2,
             "core/fms:op_setattr": 1,
-            "core/fms:_check_owner": 1, "core/lookupcache:op_invalidate": 1}
-        assert stats.total_calls <= 104
+            "core/fms:_check_owner": 1, "core/lookupcache:op_invalidate": 1,
+            "core/lookupcache:apply_fill": 1, "core/lookupcache:_evict_for": 1}
+        assert stats.total_calls <= 117
 
 
 def _warm_stat_stats(system):
@@ -674,3 +872,36 @@ class TestApplyBatchIsEntryByEntry:
             assert state(batched) == state(single), (case, entries)
             assert batched.num_files_fast() == single.num_files_fast() == \
                 batched.num_files()
+
+    @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
+    @pytest.mark.parametrize("bad", ["", "n" * 0x10000], ids=["empty", "too-long"])
+    def test_a_bad_name_fails_alone(self, decoupled, bad):
+        """A create whose name the dirent encoding cannot hold is refused
+        before anything changes (the fid allocator, the uuid ceiling, the
+        entries before it) and reported as ``InvalidArgument``, the error
+        a client raises for an over-long name; the rest of the batch
+        applies, a create run around the bad name included.  It used to
+        raise ``ValueError`` out of ``op_apply_batch`` after the earlier
+        entries had applied."""
+        from repro.core.fms import FileMetadataServer
+
+        def create(name, t):
+            return ("create", 5, name, 0o644, ROOT_CRED, t, 4096)
+
+        fms = FileMetadataServer(sid=1, decoupled=decoupled)
+        twin = FileMetadataServer(sid=1, decoupled=decoupled)
+        for f in (fms, twin):
+            f.op_apply_batch((create("x", 1.0),))
+        unlink = ("unlink", 5, "x", ROOT_CRED)
+        refused = {"err": "InvalidArgument", "arg": bad}
+        got = fms.op_apply_batch((unlink, create(bad, 2.0), create("ok", 3.0)))
+        want = twin.op_apply_batch((unlink, create("ok", 3.0)))
+        assert got == [want[0], refused, want[1]]
+        got = fms.op_apply_batch((create("a", 4.0), create(bad, 5.0), create("b", 6.0)))
+        want = twin.op_apply_batch((create("a", 4.0), create("b", 6.0)))
+        assert got == [want[0], refused, want[1]]
+        assert sorted(fms.store.items()) == sorted(twin.store.items())
+        assert fms.alloc._next_fid == twin.alloc._next_fid
+        assert fms.num_files_fast() == twin.num_files_fast() == fms.num_files() == 3
+        # every entry is a batch record, the refused ones too
+        assert fms.counters.get("batch.records") == twin.counters.get("batch.records") + 2

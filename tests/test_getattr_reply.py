@@ -121,7 +121,7 @@ class TestLookupCacheReply:
         a, c = _parts(values)
         cache = LookupCacheServer()
         assert cache.op_getattr("fms0", 7, "f") is None
-        assert cache.op_fill_file("fms0", 7, "f", a, c, 1.0)
+        assert cache.apply_fill(("file", "fms0", 7, "f", a + c, 1.0))
         assert cache.op_getattr("fms0", 7, "f") == _fms_with(True, values).op_getattr(7, "f")
         cred = Credentials(uid=values[2], gid=values[3])
         value = a + c
@@ -144,7 +144,7 @@ class TestLookupCacheReply:
     @pytest.mark.parametrize("a_len, c_len", [(20, 39), (20, 41), (19, 40), (3, 0), (0, 0)])
     def test_bad_length_raises_what_the_halves_raised(self, a_len, c_len):
         cache = LookupCacheServer()
-        cache.op_fill_file("fms0", 7, "f", bytes(a_len), bytes(c_len), 1.0)
+        cache.apply_fill(("file", "fms0", 7, "f", bytes(a_len + c_len), 1.0))
         value = bytes(a_len + c_len)
         assert _raised(lambda: cache.op_getattr("fms0", 7, "f")) == _raised(
             lambda: _cache_getattr_ref(value))

@@ -27,6 +27,7 @@ from repro.harness import (
     make_system,
     normalize,
     run_latency,
+    run_mixed_throughput,
     run_throughput,
 )
 from repro.harness import mdtest
@@ -240,6 +241,24 @@ class TestThroughputRunner:
         for op in ("touch", "mkdir", "file-stat", "rm"):
             r = run_throughput(name, 2, op=op, num_clients=4, items_per_client=6)
             assert r.total_ops == 24, (name, op)
+
+
+
+class TestMixedThroughputBottleneck:
+    """``MixedThroughputResult`` names the measured wave's busiest server
+    and its busy fraction, from each node's ``busy_us`` change over the
+    wave (the set-up wave's work left out).  Virtual time is exact, so
+    both are pinned."""
+
+    @pytest.mark.parametrize("system, busiest, util", [
+        ("locofs-a", "cache0", 0.1719204169017015),
+        ("locofs-c", "fms3", 0.0861821717961686),
+    ])
+    def test_names_the_busiest_server(self, system, busiest, util):
+        r = run_mixed_throughput(
+            system, 4, mix={"create": 0.3, "chmod": 0.2, "stat": 0.4, "open": 0.1},
+            num_clients=8, items_per_client=40, pool=10, zipf_s=1.0, seed=1)
+        assert (r.busiest_server, r.busiest_util) == (busiest, util)
 
 
 class TestBenchInterface:

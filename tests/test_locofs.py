@@ -498,3 +498,29 @@ class TestMissingFileErrors:
             client.create("/d/f")
             _flush(client)
         assert err.value.path == "/d/f"
+
+
+#: every LocoFS row of the registry
+_LOCOFS_ROWS = ("locofs-c", "locofs-nc", "locofs-cf", "locofs-df", "locofs-b",
+                "locofs-a", "locofs-r")
+
+
+@pytest.mark.parametrize("engine_kind", ["direct", "event"])
+@pytest.mark.parametrize("system", _LOCOFS_ROWS)
+def test_root_setattr_reaches_the_callers_cached_root(system, engine_kind):
+    """DESIGN gap 4: after ``chmod("/")`` / ``chown("/")`` the caller reads
+    what a fresh client reads.  The caller's cached root d-inode takes the
+    new fields, so the read after it sends no request at all on a row
+    with the lease cache."""
+    fs = make_system(system, 2, engine_kind=engine_kind)
+    client = fs.client()
+    client.stat_dir("/")  # the root in the lease cache, where there is one
+    client.chmod("/", 0o700)
+    client.chown("/", 5, 6)
+    _flush(client)
+    before = {n.name: n.requests_served for n in fs.cluster.nodes()}
+    mine = client.stat_dir("/")
+    sent = sum(n.requests_served - before[n.name] for n in fs.cluster.nodes())
+    assert (mine.st_mode, mine.st_uid, mine.st_gid) == (0o40700, 5, 6)
+    assert mine == fs.client().stat_dir("/")
+    assert sent == (0 if client.cache_enabled else 1)
