@@ -260,8 +260,7 @@ def _cmd_throughput(args) -> int:
     print(f"{system} {args.op} @ {args.num_servers} server(s): "
           f"{r.iops:,.0f} IOPS ({r.num_clients} clients, {r.total_ops} ops, "
           f"{r.elapsed_us/1e6:.3f} virtual s)")
-    busiest = max(r.server_utilization.items(), key=lambda kv: kv[1])
-    print(f"busiest server: {busiest[0]} at {busiest[1]:.0%} utilization")
+    print(f"busiest server: {r.busiest_server} at {r.busiest_util:.0%} utilization")
     _emit_metrics(args, registry)
     _emit_telemetry(args, sink)
     return 0

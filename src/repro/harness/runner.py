@@ -50,7 +50,13 @@ class ThroughputResult:
     total_ops: int
     elapsed_us: float
     iops: float
+    #: each server's busy time over the measured wave (the set-up wave's
+    #: work left out) as a fraction of the wave
     server_utilization: dict[str, float]
+    #: the server with the most busy time over the measured wave, and that
+    #: busy time as a fraction of the wave (the utilization law's U_max)
+    busiest_server: str | None = None
+    busiest_util: float | None = None
 
 
 #: (tracer, metrics, telemetry) of a run that observes nothing
@@ -95,6 +101,26 @@ def run_wave(engine, gens) -> None:
     engine.sim.run()
     if errors:
         raise errors[0]
+
+
+def run_measured_wave(engine, gens) -> tuple[float, dict[str, float]]:
+    """:func:`run_wave` for a measured wave: its virtual length, and each
+    node's busy time within it — the busy time earlier waves left on a
+    node (a set-up wave's creates) is not the measured wave's."""
+    nodes = list(engine.cluster.nodes())
+    busy0 = [n.busy_us for n in nodes]
+    t0 = engine.sim.now
+    run_wave(engine, gens)
+    return (engine.sim.now - t0,
+            {n.name: n.busy_us - b for n, b in zip(nodes, busy0)})
+
+
+def _busiest(busy: dict[str, float], elapsed: float) -> tuple[str | None, float | None]:
+    """The node with the most busy time, and that time over ``elapsed``."""
+    if not busy:
+        return None, None
+    name = max(busy, key=busy.get)
+    return name, busy[name] / elapsed if elapsed > 0 else None
 
 
 def _drain_writebehind(client):
@@ -244,15 +270,12 @@ def run_throughput(
         setup = (_setup_gen(c, wl, cid, files, dirs) for cid, c in enumerate(clients))
         measured = _measured_gen
     run_wave(engine, setup)
-    t0 = engine.sim.now
     box = {"ops": 0}
-    run_wave(engine, (measured(c, wl, cid, op, cost, box)
-                      for cid, c in enumerate(clients)))
-    elapsed = engine.sim.now - t0
-    util = {
-        name: system.cluster[name].utilization(elapsed)
-        for name in system.cluster.names()
-    }
+    elapsed, busy = run_measured_wave(
+        engine, (measured(c, wl, cid, op, cost, box) for cid, c in enumerate(clients)))
+    util = {name: min(1.0, b / elapsed) if elapsed > 0 else 0.0
+            for name, b in busy.items()}
+    busiest, busiest_util = _busiest(busy, elapsed)
     if metrics is not None:
         metrics.counter(f"harness.{system_name}.measured_ops").inc(box["ops"])
         for name, u in util.items():
@@ -267,6 +290,8 @@ def run_throughput(
         elapsed_us=elapsed,
         iops=iops(box["ops"], elapsed),
         server_utilization=util,
+        busiest_server=busiest,
+        busiest_util=busiest_util,
     )
 
 
@@ -485,15 +510,12 @@ def run_mixed_throughput(
         # measure hit rate over the measured wave only
         cache.counters.clear()
 
-    t0 = engine.sim.now
     flushed = _flush_causes(clients)
-    busy0 = {n.name: n.busy_us for n in engine.cluster.nodes()}
     box = {"ops": 0, "errors": 0, "per_op": {}}
-    run_wave(engine, (_mixed_gen(c, wl, cid, mix, cost, box, seed, zipf_s, pool)
-                      for cid, c in enumerate(clients)))
-    elapsed = engine.sim.now - t0
-    busy = {n.name: n.busy_us - busy0[n.name] for n in engine.cluster.nodes()}
-    busiest = max(busy, key=busy.get) if busy else None
+    elapsed, busy = run_measured_wave(
+        engine, (_mixed_gen(c, wl, cid, mix, cost, box, seed, zipf_s, pool)
+                 for cid, c in enumerate(clients)))
+    busiest, busiest_util = _busiest(busy, elapsed)
 
     cache_stats: dict[str, int] = {}
     hit_rate = None
@@ -517,6 +539,5 @@ def run_mixed_throughput(
         flush_causes={reason: n - flushed[reason]
                       for reason, n in _flush_causes(clients).items()},
         busiest_server=busiest,
-        busiest_util=(busy[busiest] / elapsed
-                      if busiest is not None and elapsed > 0 else None),
+        busiest_util=busiest_util,
     )

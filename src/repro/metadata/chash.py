@@ -5,6 +5,20 @@ hashing on ``directory_uuid + file_name``.  Virtual nodes smooth the load;
 the ring is deterministic (blake2b) so placement is stable across runs and
 across clients.
 
+How many virtual nodes is a rule, not a tuning: :data:`DEFAULT_VNODES` is
+the smallest power of two whose worst arc share, over every membership
+``fms0 .. fmsN-1`` with N = 2 .. 16, is at most :data:`ARC_SHARE_BOUND`
+times the mean share (``tests/test_metadata.py`` checks it).  Worst arc
+share over the mean, at N = 2 .. 16 / N = 8 / N = 16:
+
+    V = 128    1.174 / 1.132 / 1.158
+    V = 256    1.119 / 1.051 / 1.093
+    V = 512    1.072 / 1.050 / 1.059
+    V = 1024   1.076 / 1.037 / 1.053
+
+A server's share of the keys is its share of the ring's arcs: at 128 the
+busiest FMS of an 8-server create storm was 1.17x the mean busy time.
+
 Because every client builds its *own* ring over the same server names,
 ring construction used to dominate client setup (``vnodes`` blake2b
 digests per server per client, then a copy and a sort of the whole ring
@@ -20,7 +34,13 @@ per added server).  Two process-wide memos remove that:
   probe, whatever the server count.  Only a miss builds the ring, from
   the membership alone: ``sorted()`` over every member's points, exactly
   the list incremental ``bisect.insort`` produced (the (point, name)
-  tuples are distinct), so lookups are unchanged.
+  pairs are distinct), so lookups are unchanged.
+
+The ring is stored compactly: two parallel tuples, the sorted points and
+the owner of each, and no (point, name) tuple per virtual node.  A point's
+int is the one :data:`_NODE_POINTS` already holds and an owner is a
+reference to its node's name, so a ring costs two pointers per virtual
+node.
 
 Each ring object keeps its own membership, ``version`` and lookup cache;
 only the immutable tuples are shared, so one client's membership change
@@ -45,13 +65,18 @@ def _hash64(data: bytes) -> int:
 #: server name), never cleared
 _NODE_POINTS: dict[tuple[str, int], tuple[int, ...]] = {}
 
-#: (frozenset of names, vnodes) -> (ring tuple, points tuple), shared
+#: (frozenset of names, vnodes) -> (points tuple, owners tuple), shared
 #: between identically-membered rings; capped to keep churny tests bounded
 _RING_MEMO: dict[tuple[frozenset, int], tuple[tuple, tuple]] = {}
 _RING_MEMO_MAX = 256
 
 #: per-ring lookup cache bound
 _LOOKUP_CACHE_MAX = 8192
+
+#: virtual nodes per server: the smallest power of two that keeps every
+#: member's arc share within ARC_SHARE_BOUND of the mean (module docstring)
+DEFAULT_VNODES = 512
+ARC_SHARE_BOUND = 1.08
 
 
 def _node_points(name: str, vnodes: int) -> tuple[int, ...]:
@@ -66,10 +91,11 @@ def _node_points(name: str, vnodes: int) -> tuple[int, ...]:
 class ConsistentHashRing:
     """Classic consistent-hash ring with virtual nodes."""
 
-    def __init__(self, vnodes: int = 128, nodes: Iterable[str] = ()):
+    def __init__(self, vnodes: int = DEFAULT_VNODES, nodes: Iterable[str] = ()):
         self.vnodes = vnodes
-        self._ring: tuple[tuple[int, str], ...] = ()
+        #: sorted virtual-node points, and the node owning each
         self._points: tuple[int, ...] = ()
+        self._owners: tuple[str, ...] = ()
         self._nodes: set[str] = set()
         #: bumps on every membership change; placement caches key on this
         self.version = 0
@@ -84,9 +110,9 @@ class ConsistentHashRing:
         memo_key = (frozenset(self._nodes), vnodes)
         cached = _RING_MEMO.pop(memo_key, None)
         if cached is None:
-            ring = tuple(sorted([(p, n) for n in self._nodes
-                                 for p in _node_points(n, vnodes)]))
-            cached = (ring, tuple([p for p, _ in ring]))
+            ring = sorted([(p, n) for n in self._nodes
+                           for p in _node_points(n, vnodes)])
+            cached = (tuple([p for p, _ in ring]), tuple([n for _, n in ring]))
             while len(_RING_MEMO) >= _RING_MEMO_MAX:
                 # bounded LRU: evict only the coldest membership instead of
                 # wholesale-clearing — churny membership (replication and
@@ -96,7 +122,7 @@ class ConsistentHashRing:
         # (re)insert at the tail: dicts keep insertion order, so a hit
         # refreshes its recency
         _RING_MEMO[memo_key] = cached
-        self._ring, self._points = cached
+        self._points, self._owners = cached
         self.version += 1
         self._lookup_cache.clear()
 
@@ -131,7 +157,7 @@ class ConsistentHashRing:
         self._rebuild()
 
     def lookup(self, key: bytes | str) -> str:
-        if not self._ring:
+        if not self._owners:
             raise RuntimeError("ring is empty")
         if isinstance(key, str):
             key = key.encode()
@@ -142,7 +168,7 @@ class ConsistentHashRing:
             idx = bisect.bisect_right(self._points, point)
             if idx == len(self._points):
                 idx = 0
-            name = self._ring[idx][1]
+            name = self._owners[idx]
             if len(cache) >= _LOOKUP_CACHE_MAX:
                 cache.clear()
             cache[key] = name
@@ -159,16 +185,16 @@ class ConsistentHashRing:
         miss plus an eviction.  Same key, same hash, same bisect, same
         answer as :meth:`lookup`; the key build and the hash are inlined.
         """
-        ring = self._ring
-        if not ring:
+        owners = self._owners
+        if not owners:
             raise RuntimeError("ring is empty")
         point = int.from_bytes(hashlib.blake2b(
             dir_uuid.to_bytes(8, "big") + name.encode("utf-8"), digest_size=8
         ).digest(), "big")
         try:
-            return ring[bisect.bisect_right(self._points, point)][1]
+            return owners[bisect.bisect_right(self._points, point)]
         except IndexError:  # past the last point: wrap to the first
-            return ring[0][1]
+            return owners[0]
 
     def lookup_n(self, key: bytes | str, n: int) -> list[str]:
         """The first ``n`` distinct nodes walking clockwise from the key —
@@ -177,7 +203,8 @@ class ConsistentHashRing:
         Shares ``_lookup_cache`` with :meth:`lookup` under ``(key, n)``
         tuple keys (type-distinct from lookup's bare bytes keys), so the
         replication hot path skips the hash + ring walk on repeats."""
-        if not self._ring:
+        owners = self._owners
+        if not owners:
             raise RuntimeError("ring is empty")
         n = min(n, len(self._nodes))
         if isinstance(key, str):
@@ -190,8 +217,9 @@ class ConsistentHashRing:
         point = _hash64(key)
         idx = bisect.bisect_right(self._points, point)
         out: list[str] = []
-        for step in range(len(self._ring)):
-            name = self._ring[(idx + step) % len(self._ring)][1]
+        size = len(owners)
+        for step in range(size):
+            name = owners[(idx + step) % size]
             if name not in out:
                 out.append(name)
                 if len(out) == n:

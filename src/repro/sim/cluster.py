@@ -79,11 +79,6 @@ class ServerNode:
         #: every sub-operation
         self.group_commit = getattr(handler, "group_commit", None)
 
-    def utilization(self, elapsed_us: float) -> float:
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.busy_us / elapsed_us)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ServerNode({self.name!r}, served={self.requests_served})"
 

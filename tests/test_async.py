@@ -19,6 +19,8 @@ from repro.harness import make_system, run_mixed_throughput
 from repro.harness.workloads import ZipfPicker
 from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT
 
+from ring_names import dir_uuid, names_on_one_fms
+
 
 def async_fs(engine_kind="direct", num_servers=4, cache=True, **batch_kw):
     batch_kw.setdefault("max_ops", 64)
@@ -45,20 +47,25 @@ class TestDependencyGraph:
         fs = async_fs()
         c = fs.client()
         c.mkdir("/d")
-        c.create("/d/a")
+        # a rename defers only within one FMS: a cross-FMS one is two
+        # synchronous RPCs
+        uuid = dir_uuid(fs, c, "/d")
+        src, dst = names_on_one_fms(c.ring, uuid, 2, prefix="a")
+        assert c.ring.lookup_file(uuid, src) == c.ring.lookup_file(uuid, dst)
+        c.create(f"/d/{src}")
         c.create("/d/b")
         c.flush()
-        c.chmod("/d/a", 0o600)
+        c.chmod(f"/d/{src}", 0o600)
         c.chown("/d/b", 7, 7)
         c.unlink("/d/b")
-        c.rename("/d/a", "/d/a2")
+        c.rename(f"/d/{src}", f"/d/{dst}")
         assert c.pending_ops > 0
         # nothing applied server-side yet
         assert fs.total_files() == 2
         c.flush()
         assert c.pending_ops == 0
         assert fs.total_files() == 1
-        st = c.stat_file("/d/a2")
+        st = c.stat_file(f"/d/{dst}")
         assert st.st_mode & 0o7777 == 0o600
 
     def test_create_unlink_annihilation(self):

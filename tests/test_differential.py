@@ -316,7 +316,7 @@ def test_writebehind_differential(deferred_name, ops):
 #: _g_setattr_any resolves directory-first and writes 0o40600.  Both sides
 #: run with strict_collisions off, so /a is a directory *and* a file.
 _KIND_ORDER = ("kind-ambiguous chmod: sync resolves file-first, the async "
-               "client directory-first (ROADMAP 0b)")
+               "client directory-first (ROADMAP 1(a))")
 
 
 @pytest.mark.parametrize("deferred_name", [

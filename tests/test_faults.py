@@ -20,6 +20,8 @@ from repro.sim.costmodel import CostModel
 from repro.sim.faults import F_DELAY, F_DROP, F_OK, FaultSchedule, FaultState, RetryPolicy
 from repro.sim.rpc import Sleep
 
+from ring_names import name_placed
+
 #: recovery short enough that the default retry budget outlasts it
 FAST_RECOVERY = CostModel(restart_fixed_us=500.0, wal_replay_bpus=4000.0)
 
@@ -228,16 +230,19 @@ class TestRenameUnderFaults:
 
     @staticmethod
     def _renaming(fs):
+        """A client with ``/d/a``, and a name ``/d/b<i>`` on another FMS:
+        ``(client, destination path, destination FMS)``."""
         client = fs.client()
         client.mkdir("/d")
         client.create("/d/a")
         uuid = client.stat_dir("/d").st_uuid
-        assert client.ring.lookup_file(uuid, "a") == "fms3"
-        assert client.ring.lookup_file(uuid, "b0") == "fms0"
-        return client
+        dst = name_placed(client.ring, uuid, "a", same_fms=False, prefix="b")
+        dst_fms = client.ring.lookup_file(uuid, dst)
+        assert dst_fms != client.ring.lookup_file(uuid, "a")
+        return client, f"/d/{dst}", dst_fms
 
     @staticmethod
-    def _names(client):
+    def _names(client, dst):
         def exists(path):
             try:
                 client.stat_file(path)
@@ -245,38 +250,38 @@ class TestRenameUnderFaults:
                 return False
             return True
 
-        return [p for p in ("/d/a", "/d/b0") if exists(p)]
+        return [p for p in ("/d/a", dst) if exists(p)]
 
     def test_cross_fms_rename_keeps_the_file_when_the_destination_crashes(self):
         fs = make_system("locofs-c", 4)  # no data_dir: no WAL
-        client = self._renaming(fs)
-        # fms0 dies inside the export_remove -> import window, which a
-        # sweep in 5 us steps found open from 90 to 335 us after the
-        # rename is issued (385 to 870 us with the old four-RPC protocol)
-        fs.engine.attach_faults(FaultSchedule().crash("fms0", fs.engine.now + 200.0))
+        client, dst, dst_fms = self._renaming(fs)
+        # the destination dies before the import lands: a sweep in 5 us
+        # steps finds the rename rolled back for every crash up to 335 us
+        # after it is issued (385 to 870 us with the old four-RPC protocol)
+        fs.engine.attach_faults(FaultSchedule().crash(dst_fms, fs.engine.now + 200.0))
         with pytest.raises(ServerDown):
-            client.rename("/d/a", "/d/b0")
-        # the import failed, so the rollback put the file back on fms3
-        assert self._names(client) == ["/d/a"]
+            client.rename("/d/a", dst)
+        # the import failed, so the rollback put the file back on the source
+        assert self._names(client, dst) == ["/d/a"]
 
     @pytest.mark.parametrize("crash_at_us", [100.0, 200.0, 300.0, 400.0, 600.0, 800.0])
     def test_cross_fms_rename_survives_a_destination_restart(self, tmp_path, crash_at_us):
-        """Crash-restart fms0 across the whole rename (the old protocol's
-        loss window was 385 to 870 us): recovery outlasts the retry
-        budget, so a rename that has not finished gives up and the
-        source keeps the file; one that finished left it durable."""
+        """Crash-restart the destination FMS across the whole rename (the
+        old protocol's loss window was 385 to 870 us): recovery outlasts
+        the retry budget, so a rename that has not finished gives up and
+        the source keeps the file; one that finished left it durable."""
         fs = LocoFS(ClusterConfig(num_metadata_servers=4), cost=FAST_RECOVERY,
                     data_dir=str(tmp_path / "fs"))
-        client = self._renaming(fs)
+        client, dst, dst_fms = self._renaming(fs)
         fs.engine.attach_faults(FaultSchedule().crash_restart(
-            "fms0", fs.engine.now + crash_at_us, 50_000.0))
+            dst_fms, fs.engine.now + crash_at_us, 50_000.0))
         try:
-            client.rename("/d/a", "/d/b0")
-            want = ["/d/b0"]
+            client.rename("/d/a", dst)
+            want = [dst]
         except ServerDown:
             want = ["/d/a"]
         fs.engine.run(_sleep(100_000.0))  # past the restart
-        assert self._names(client) == want
+        assert self._names(client, dst) == want
         assert fsck.check(fs).clean
         fs.close()
 

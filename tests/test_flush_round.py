@@ -18,6 +18,8 @@ from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultSchedule
 from repro.sim.rpc import Batch, LocalCharge, Parallel, Rpc
 
+from ring_names import dir_uuid, names_by_fms
+
 FAST_RECOVERY = CostModel(restart_fixed_us=500.0, wal_replay_bpus=4000.0)
 
 
@@ -33,11 +35,8 @@ def _charge(us):
 
 def _names_by_server(fs, client, parent):
     """One file name per FMS under ``parent``: ``{server: name}``."""
-    uuid = fs.engine.run(client._g_dir(parent))["uuid"]
-    names = {}
-    for n in range(64):
-        names.setdefault(client._fms_for(uuid, f"f{n}"), f"f{n}")
-    return names
+    by_fms = names_by_fms(client.ring, dir_uuid(fs, client, parent))
+    return {server: names[0] for server, names in by_fms.items()}
 
 
 def _spy_rounds(client):
@@ -97,10 +96,14 @@ class TestOrderingRule:
         rounds = _spy_rounds(c)
         c.mkdir("/d/sub")  # deferred: the DMS queue
         parent = "/d/sub" if dependent else "/d"
-        paths = [f"{parent}/f{n}" for n in range(6)]
+        # two creates on each of three FMSes: three FMS queues beside the
+        # DMS queue, filled in FMS order
+        by_fms = names_by_fms(c.ring, dir_uuid(fs, c, parent), per_fms=2)
+        paths = [f"{parent}/{name}" for server in ("fms0", "fms1", "fms2")
+                 for name in by_fms[server]]
         for path in paths:
             c.create(path)
-        assert set(c._pending) == {"dms", "fms1", "fms2", "fms3"}
+        assert list(c._pending) == ["dms", "fms0", "fms1", "fms2"]
         took = _sweep(fs, c)
         assert c.pending_ops == 0
         other = fs.client()
@@ -111,15 +114,16 @@ class TestOrderingRule:
     def test_creates_under_a_pending_mkdir_ship_after_it(self):
         """The FMS queues depend on the DMS queue's mkdir: the DMS queue
         ships first, alone, then the FMS queues in one round — two round
-        trips where one batch per queue took 948.0980170940179 µs."""
+        trips.  With f0..f5, wherever the ring put them, this took
+        389.1393162393165 µs, and one batch per queue 948.0980170940179."""
         rounds, took = self._sweep_after_mkdir(dependent=True)
-        assert rounds == [(("dms", "fms3", "fms1", "fms2"), "age"), (("dms",), "age")]
-        assert took == 389.1393162393165
+        assert rounds == [(("dms", "fms0", "fms1", "fms2"), "age"), (("dms",), "age")]
+        assert took == 386.77111111111117
 
     def test_an_independent_dms_queue_rides_the_round(self):
         rounds, took = self._sweep_after_mkdir(dependent=False)
-        assert rounds == [(("dms", "fms1", "fms2", "fms3"), "age")]
-        assert took == 194.99066666666658
+        assert rounds == [(("dms", "fms0", "fms1", "fms2"), "age")]
+        assert took == 193.8151111111115  # 194.99066666666658 with f0..f5
 
 
 def _fan_out(kind, settle):
@@ -176,12 +180,8 @@ class TestRoundUnderFaults:
         fs = _fs(num_servers=2, cost=FAST_RECOVERY, data_dir=str(tmp_path / "fs"))
         c = fs.client()
         c.mkdir("/d")
-        uuid = fs.engine.run(c._g_dir("/d"))["uuid"]
-        by_server = {"fms0": [], "fms1": []}
-        for n in range(40):
-            paths = by_server[c._fms_for(uuid, f"f{n}")]
-            if len(paths) < 3:
-                paths.append(f"/d/f{n}")
+        by_server = {server: [f"/d/{name}" for name in names] for server, names
+                     in names_by_fms(c.ring, dir_uuid(fs, c, "/d"), per_fms=3).items()}
         acked = by_server["fms0"] + by_server["fms1"]
         fs.engine.attach_faults(
             FaultSchedule().crash_restart("fms0", fs.engine.now + 1.0, 60_000.0))

@@ -9,6 +9,7 @@ from repro.common.config import CacheConfig, ClusterConfig
 from repro.common.errors import FSError
 from repro.core.fs import LocoFS
 from repro.core.fsck import check
+from repro.metadata.chash import DEFAULT_VNODES, file_placement_key
 
 
 def make_fs(n=3, **kw):
@@ -151,6 +152,27 @@ class TestCorruptionDetection:
         other.op_import(uuid, "b", inode["access"], inode["content"])
         report = check(fs)
         assert any("I10" in e for e in report.errors)
+
+    def test_client_and_fsck_place_every_file_alike(self):
+        """One placement rule: every file sits on the FMS its creating
+        client's ring chose, and fsck's own ring (I7) says the same."""
+        fs = make_fs(4)
+        c = fs.client()
+        placed = {}
+        for d in range(3):
+            c.mkdir(f"/d{d}")
+            uuid = c.stat_dir(f"/d{d}").st_uuid
+            for i in range(40):
+                c.create(f"/d{d}/f{i}")
+                placed[file_placement_key(uuid, f"f{i}")] = c._fms_for(uuid, f"f{i}")
+        assert c.ring.vnodes == DEFAULT_VNODES
+        assert len(set(placed.values())) == 4
+        found = {key[2:]: name for name, fms in zip(fs.fms_names, fs.fms)
+                 for key in fms.store.keys() if key.startswith(b"A:")}
+        assert found == placed
+        report = check(fs)
+        assert report.clean, report.errors
+        assert report.files == 120
 
     def test_detects_misplaced_file(self):
         fs = make_fs(4)

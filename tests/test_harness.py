@@ -236,6 +236,19 @@ class TestThroughputRunner:
         b = run_throughput("locofs-c", 2, op="touch", num_clients=8, items_per_client=10)
         assert a.iops == pytest.approx(b.iops)
 
+    def test_utilization_leaves_the_setup_wave_out(self):
+        """The set-up wave creates the 240 files the measured stats read.
+        Its busy time used to count against the measured wave: fms0 read
+        0.332 where the stats alone keep it 0.087 busy, and the DMS, which
+        no stat reaches, 0.020."""
+        r = run_throughput("locofs-c", 2, op="file-stat", num_clients=8,
+                           items_per_client=30)
+        assert r.server_utilization["fms0"] == 0.08701641077072575
+        assert r.server_utilization["dms"] == 0.0  # stats never reach it
+        busiest = max(r.server_utilization, key=r.server_utilization.get)
+        assert (r.busiest_server, r.busiest_util) == (
+            busiest, r.server_utilization[busiest])
+
     @pytest.mark.parametrize("name", ["cephfs", "gluster", "lustre-d1", "lustre-d2", "indexfs"])
     def test_baselines_run_all_ops(self, name):
         for op in ("touch", "mkdir", "file-stat", "rm"):
@@ -251,9 +264,9 @@ class TestMixedThroughputBottleneck:
     both are pinned."""
 
     @pytest.mark.parametrize("system, busiest, util", [
-        ("locofs-a", "cache0", 0.1719204169017015),
-        ("locofs-c", "fms3", 0.0861821717961686),
-    ])
+        ("locofs-a", "cache0", 0.1677143538166047),
+        ("locofs-c", "fms3", 0.11657410081115462),
+    ], ids=["locofs-a", "locofs-c"])
     def test_names_the_busiest_server(self, system, busiest, util):
         r = run_mixed_throughput(
             system, 4, mix={"create": 0.3, "chmod": 0.2, "stat": 0.4, "open": 0.1},

@@ -91,7 +91,7 @@ def _uncached_lookup(ring: ConsistentHashRing, key: bytes) -> str:
     idx = bisect.bisect_right(ring._points, point)
     if idx == len(ring._points):
         idx = 0
-    return ring._ring[idx][1]
+    return ring._owners[idx]
 
 
 class TestRingCaches:
@@ -101,9 +101,10 @@ class TestRingCaches:
         ring = ConsistentHashRing(vnodes=16)
         for n in ("fms0", "fms1", "fms2"):
             ring.add_node(n)
-        assert list(ring._ring) == sorted(ring._ring)
-        assert len(ring._ring) == 3 * 16
-        assert {n for _, n in ring._ring} == {"fms0", "fms1", "fms2"}
+        pairs = list(zip(ring._points, ring._owners))
+        assert pairs == sorted(pairs)
+        assert len(pairs) == 3 * 16
+        assert set(ring._owners) == {"fms0", "fms1", "fms2"}
 
     def test_identical_membership_shares_construction(self):
         r1 = ConsistentHashRing(vnodes=16)
@@ -112,7 +113,7 @@ class TestRingCaches:
             r1.add_node(n)
         for n in ("b", "a"):  # different insertion order, same membership
             r2.add_node(n)
-        assert r1._ring == r2._ring
+        assert (r1._points, r1._owners) == (r2._points, r2._owners)
 
     def test_lookup_cache_consistent_and_bounded(self):
         ring = ConsistentHashRing(vnodes=8)
@@ -164,8 +165,8 @@ class TestRingCaches:
         # the wrap-around: a key hashing past the last point lands on the first
         past = next(d for d in range(1 << 20)
                     if chash._hash64(file_placement_key(d, "w")) > ring._points[-1])
-        assert ring.lookup_file(past, "w") == ring._ring[0][1]
-        assert ring.lookup(file_placement_key(past, "w")) == ring._ring[0][1]
+        assert ring.lookup_file(past, "w") == ring._owners[0]
+        assert ring.lookup(file_placement_key(past, "w")) == ring._owners[0]
         ring.add_node("fms-extra")
         check()
         ring.remove_node("fms0")

@@ -16,7 +16,7 @@ from repro.core import fms as fms_mod
 from repro.core.dms import DirectoryMetadataServer
 from repro.core.fms import FileMetadataServer, fkey
 from repro.kv import HashStore, Meter
-from repro.metadata import acl, dirent
+from repro.metadata import acl, chash, dirent
 from repro.metadata.chash import ConsistentHashRing, file_placement_key
 from repro.metadata.layout import (
     DIR_INODE,
@@ -575,6 +575,31 @@ class TestConsistentHash:
         keys = [f"key{i}".encode() for i in range(100)]
         assert [r1.lookup(k) for k in keys] == [r2.lookup(k) for k in keys]
 
+    @staticmethod
+    def _worst_arc_share(vnodes: int, members: int) -> float:
+        """The largest member's share of the ring's arcs over the mean share:
+        a key hashing into ``[points[i-1], points[i])`` goes to ``owners[i]``."""
+        ring = ConsistentHashRing(vnodes=vnodes, nodes=[f"fms{i}" for i in range(members)])
+        share = dict.fromkeys(ring.nodes, 0)
+        prev = ring._points[-1] - (1 << 64)  # the arc that wraps past zero
+        for point, owner in zip(ring._points, ring._owners):
+            share[owner] += point - prev
+            prev = point
+        return max(share.values()) * members / (1 << 64)
+
+    def test_default_vnodes_is_the_rule(self):
+        """The smallest power of two whose worst arc share over every
+        membership fms0..fmsN-1, N = 2..16, is within ARC_SHARE_BOUND of the
+        mean: the default meets the bound and every smaller power misses it."""
+        def worst(vnodes):
+            return max(self._worst_arc_share(vnodes, n) for n in range(2, 17))
+
+        v = chash.DEFAULT_VNODES
+        assert v & (v - 1) == 0
+        assert worst(v) <= chash.ARC_SHARE_BOUND
+        assert all(worst(1 << k) > chash.ARC_SHARE_BOUND for k in range(v.bit_length() - 1))
+        assert ConsistentHashRing().vnodes == v
+
     def test_balance_reasonable(self):
         ring = ConsistentHashRing(vnodes=128)
         for i in range(8):
@@ -671,8 +696,8 @@ class TestRingMemoLRU:
         for n in ("x", "y", "z"):
             a.add_node(n)
             b.add_node(n)
-        assert a._ring is b._ring  # memoized tuple, not a rebuilt copy
-        assert a._points is b._points
+        assert a._points is b._points  # memoized tuples, not rebuilt copies
+        assert a._owners is b._owners
 
 
 class TestLeaseCache:

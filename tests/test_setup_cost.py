@@ -11,6 +11,7 @@ and pin the call counts that make set-up cost flat in the server count.
 
 import bisect
 import cProfile
+import functools
 import hashlib
 import pstats
 
@@ -32,21 +33,27 @@ def _point(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
+@functools.cache
+def _ref_points(node: str, vnodes: int) -> tuple[int, ...]:
+    return tuple(_point(f"{node}#{v}".encode()) for v in range(vnodes))
+
+
 def _reference(nodes: set[str], vnodes: int) -> list[tuple[int, str]]:
     """The ring of ``nodes`` built from nothing: every virtual point,
-    hashed afresh, sorted."""
-    return sorted((_point(f"{n}#{v}".encode()), n) for n in nodes for v in range(vnodes))
+    hashed here (not by the ring's memo), sorted."""
+    return sorted((p, n) for n in nodes for p in _ref_points(n, vnodes))
 
 
-def _ref_lookup_n(ring: list[tuple[int, str]], key: bytes, n: int) -> list[str]:
-    points = [p for p, _ in ring]
+def _ref_lookup_n(points: list[int], owners: list[str], key: bytes, n: int) -> list[str]:
     idx = bisect.bisect_right(points, _point(key))
     out: list[str] = []
-    for step in range(len(ring)):
-        name = ring[(idx + step) % len(ring)][1]
+    for step in range(len(owners)):
+        name = owners[(idx + step) % len(owners)]
         if name not in out:
             out.append(name)
-    return out[:n]
+            if len(out) == n:
+                break
+    return out
 
 
 _KEYS = [f"key{i}".encode() for i in range(24)]
@@ -55,20 +62,21 @@ _FILES = [(d, f"f{i}") for d in (1, 7) for i in range(12)]
 
 def _assert_matches_reference(ring: ConsistentHashRing, nodes: set[str]) -> None:
     ref = _reference(nodes, ring.vnodes)
-    assert ring._ring == tuple(ref)
-    assert ring._points == tuple(p for p, _ in ref)
+    points, owners = [p for p, _ in ref], [n for _, n in ref]
+    assert ring._points == tuple(points)
+    assert ring._owners == tuple(owners)
     assert ring.nodes == nodes and len(ring) == len(nodes)
     if not nodes:
         with pytest.raises(RuntimeError):
             ring.lookup(b"k")
         return
     for key in _KEYS:
-        assert ring.lookup(key) == _ref_lookup_n(ref, key, 1)[0]
+        assert ring.lookup(key) == _ref_lookup_n(points, owners, key, 1)[0]
         for n in (1, 2, 3):
-            assert ring.lookup_n(key, n) == _ref_lookup_n(ref, key, n)
+            assert ring.lookup_n(key, n) == _ref_lookup_n(points, owners, key, n)
     for dir_uuid, name in _FILES:
         key = file_placement_key(dir_uuid, name)
-        assert ring.lookup_file(dir_uuid, name) == _ref_lookup_n(ref, key, 1)[0]
+        assert ring.lookup_file(dir_uuid, name) == _ref_lookup_n(points, owners, key, 1)[0]
 
 
 _NAMES = st.sampled_from(["fms0", "fms1", "fms2", "fms3", "fms4", "dms"])
@@ -81,13 +89,13 @@ _STEP = st.one_of(
 
 class TestRingBuild:
     """Add / remove / bulk-build sequences, checked after every step
-    against the ring built from scratch; a tiny memo bound makes the LRU
-    evict in nearly every example."""
+    against the ring built from scratch, at the default virtual-node count
+    too; a tiny memo bound makes the LRU evict in nearly every example."""
 
     @settings(max_examples=150, deadline=None)
     @given(initial=st.lists(_NAMES, max_size=4, unique=True),
            steps=st.lists(_STEP, max_size=12),
-           vnodes=st.sampled_from([1, 3, 16]))
+           vnodes=st.sampled_from([1, 3, 16, chash.DEFAULT_VNODES]))
     def test_sequence_matches_from_scratch_ring(self, initial, steps, vnodes):
         saved_max = chash._RING_MEMO_MAX
         chash._RING_MEMO_MAX = 3
@@ -97,7 +105,7 @@ class TestRingBuild:
             assert ring.version == (1 if initial else 0)
             _assert_matches_reference(ring, nodes)
             for kind, arg in steps:
-                before = (ring._ring, ring._points, ring.nodes, ring.version)
+                before = (ring._points, ring._owners, ring.nodes, ring.version)
                 if kind == "add":
                     ok = arg not in nodes
                     change = {arg}
@@ -115,7 +123,7 @@ class TestRingBuild:
                     # unknown remove: ValueError, and the ring as it was
                     with pytest.raises(ValueError):
                         call(arg)
-                    assert (ring._ring, ring._points, ring.nodes, ring.version) == before
+                    assert (ring._points, ring._owners, ring.nodes, ring.version) == before
                     continue
                 call(arg)
                 nodes = nodes - change if kind == "remove" else nodes | change
@@ -132,7 +140,7 @@ class TestRingBuild:
         for n in names:
             one_by_one.add_node(n)
         bulk = ConsistentHashRing(vnodes=8, nodes=reversed(names))
-        assert bulk._ring is one_by_one._ring  # one memo entry, shared
+        assert bulk._owners is one_by_one._owners  # one memo entry, shared
         assert bulk.version == 1
 
     def test_duplicate_in_bulk_list_raises(self):
@@ -146,7 +154,7 @@ class TestRingBuild:
     def test_one_clients_membership_change_leaves_others_alone(self):
         fs = make_system("locofs-c", 4)
         a, b = fs.client(), fs.client()
-        assert a.ring._ring is b.ring._ring  # shared immutable storage
+        assert a.ring._owners is b.ring._owners  # shared immutable storage
         want = {k: b.ring.lookup(k) for k in _KEYS}
         version = b.ring.version
         a.ring.remove_node("fms0")
