@@ -43,12 +43,19 @@ The per-key floors are bounded (4 × capacity) and trimmed least recently
 invalidated first; the largest floor a trim drops becomes a watermark
 every fill must postdate, so a trim coarsens a floor but never forgets it.
 
-The store is volatile (no WAL): a crash simply empties the cache, which
-is always safe — subsequent reads miss and fall through to the
-authoritative FMS/DMS.
+The node is volatile (no WAL): a crash loses the entries *and* the
+floors, as a real process would.  Losing entries is safe (reads miss and
+fall through to the authoritative FMS/DMS); losing floors is not, since a
+fill held across the outage may carry a read issued before an
+invalidation the node no longer remembers, or never received.  So a
+crashed node admits no fill until the fault runtime reports the instant
+it serves again (:meth:`LookupCacheServer.resume`), and that instant
+becomes the watermark: every fill read before it is rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.common.errors import PermissionDenied
 from repro.common.stats import Counters
@@ -96,10 +103,12 @@ class LookupCacheServer:
         #: anti-stale fill rejection rule; bounded at 4x capacity, least
         #: recently invalidated first (a re-invalidated key moves to the tail)
         self._invalidated_at: dict[bytes, float] = {}
-        #: the largest floor that bound has dropped: a fill issued at or
-        #: before it may be for a key whose own floor is gone, so it is
-        #: rejected (conservative, the shape of ``_dir_epoch``)
-        self._trimmed_floor: float | None = None
+        #: the floor of every key: the largest floor that bound has
+        #: dropped, or the instant the node last came back from a crash —
+        #: a fill issued at or before it may be for a key whose own floor
+        #: is gone, so it is rejected (conservative, the shape of
+        #: ``_dir_epoch``)
+        self._watermark: float | None = None
         #: coarse stale floor for *all* directory entries — a directory
         #: rename invalidates an unbounded set of descendant paths, so the
         #: per-key floors cannot cover it; any D: fill issued at or before
@@ -115,16 +124,24 @@ class LookupCacheServer:
     def bind_metrics(self, registry, prefix: str) -> None:
         self.counters.bind(registry, prefix)
 
-    # -- crash/recovery (volatile tier: losing it is always safe) ---------------
+    # -- crash/recovery (volatile tier: nothing survives) -----------------------
     def crash(self, torn_tail_bytes: int = 0) -> None:
-        # entries are lost (safe: reads fall through to the authoritative
-        # tier) but the stale floors survive — a fill arriving after the
-        # restart may still carry a read issued before an invalidation
         self.store = HashStore()
         self.store.meter = self.meter
+        self._invalidated_at = {}
+        self._dir_epoch = 0.0
+        self._watermark = math.inf  # until resume(): admit no fill
 
     def restart(self) -> int:
         return 0  # nothing to replay
+
+    def resume(self, at_us: float) -> None:
+        """The node serves again from ``at_us`` (the fault runtime's
+        restart instant plus recovery).  Invalidations sent while it was
+        down were refused, so a fill whose read was issued at or before
+        ``at_us`` may predate a write the node never heard of: one floor
+        at ``at_us`` rejects them all."""
+        self._watermark = at_us
 
     # -- internals ----------------------------------------------------------------
     def _file_key(self, fms: str, dir_uuid: int, name: str) -> bytes:
@@ -170,9 +187,9 @@ class LookupCacheServer:
         floor = self._invalidated_at.get(key)
         if floor is not None and (stale_floor is None or floor > stale_floor):
             stale_floor = floor
-        trimmed = self._trimmed_floor
-        if trimmed is not None and (stale_floor is None or trimmed > stale_floor):
-            stale_floor = trimmed
+        watermark = self._watermark
+        if watermark is not None and (stale_floor is None or watermark > stale_floor):
+            stale_floor = watermark
         if stale_floor is not None and issued_at <= stale_floor:
             # the backing read was issued before (or racing with) the last
             # invalidation of this key: it may carry a pre-write value
@@ -284,12 +301,12 @@ class LookupCacheServer:
             dropped += store.delete(key)
         n = len(inval) - 4 * self.capacity
         if n > 0:
-            trimmed = self._trimmed_floor
+            watermark = self._watermark
             for key in list(inval)[:n]:
                 floor = inval.pop(key)
-                if trimmed is None or floor > trimmed:
-                    trimmed = floor
-            self._trimmed_floor = trimmed
+                if watermark is None or floor > watermark:
+                    watermark = floor
+            self._watermark = watermark
         self.counters.inc("invalidations", len(file_keys) + len(paths))
         return dropped
 

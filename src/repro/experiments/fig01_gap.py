@@ -18,8 +18,8 @@ DEFAULT_SERVERS = (1, 2, 4, 8, 16, 32)
 def run(
     systems=DEFAULT_SYSTEMS,
     server_counts=DEFAULT_SERVERS,
-    items_per_client: int = 40,
-    client_scale: float = 0.4,
+    items_per_client: int = 35,
+    client_scale: float = 0.32,
 ) -> ExperimentResult:
     rows: dict[str, dict] = {}
     for name in systems:

@@ -19,7 +19,7 @@ def run(
     ops=OPS,
     server_counts=DEFAULT_SERVERS,
     systems=DEFAULT_SYSTEMS,
-    items_per_client: int = 30,
+    items_per_client: int = 35,
     client_scale: float = 0.3,
 ) -> dict[str, ExperimentResult]:
     results: dict[str, ExperimentResult] = {}

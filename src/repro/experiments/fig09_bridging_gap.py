@@ -19,7 +19,7 @@ DEFAULT_SERVERS = (1, 2, 4, 8, 16)
 def run(
     systems=DEFAULT_SYSTEMS,
     server_counts=DEFAULT_SERVERS,
-    items_per_client: int = 40,
+    items_per_client: int = 35,
     client_scale: float = 0.4,
 ) -> ExperimentResult:
     kv = run_throughput(

@@ -18,7 +18,7 @@ DEFAULT_SYSTEMS = ("locofs-c", "indexfs", "lustre-d1", "cephfs", "gluster")
 OPS = ("mkdir", "touch", "rm", "rmdir")
 
 
-def run(systems=DEFAULT_SYSTEMS, n_items: int = 60) -> ExperimentResult:
+def run(systems=DEFAULT_SYSTEMS, n_items: int = 80) -> ExperimentResult:
     cost = CostModel().colocated()
     rows: dict[str, dict] = {}
     for name in systems:

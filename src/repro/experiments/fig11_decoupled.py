@@ -19,7 +19,7 @@ DEFAULT_SYSTEMS = ("locofs-df", "locofs-cf", "lustre-d1", "cephfs", "gluster")
 def run(
     systems=DEFAULT_SYSTEMS,
     num_servers: int = 16,
-    items_per_client: int = 30,
+    items_per_client: int = 12,
     client_scale: float = 1.0,
 ) -> ExperimentResult:
     rows: dict[str, dict] = {}

@@ -34,7 +34,7 @@ def run(
     systems=DEFAULT_SYSTEMS,
     sizes=DEFAULT_SIZES,
     num_servers: int = 16,
-    n_files: int = 40,
+    n_files: int = 30,
 ) -> dict[str, ExperimentResult]:
     cost = CostModel()
     out: dict[str, dict[str, dict]] = {"write": {}, "read": {}}

@@ -19,7 +19,7 @@ DEFAULT_CONFIGS = (("locofs-c", 2), ("locofs-c", 4), ("locofs-nc", 2), ("locofs-
 def run(
     configs=DEFAULT_CONFIGS,
     depths=DEFAULT_DEPTHS,
-    items_per_client: int = 30,
+    items_per_client: int = 35,
     client_scale: float = 0.4,
 ) -> ExperimentResult:
     rows: dict[str, dict] = {}

@@ -38,7 +38,7 @@ class DeviceKVPolicy:
 
     def cost_us(self, op: str, nbytes: int) -> float:
         cpu = self.cost.kv_cost_us(op, nbytes)
-        if op in ("put", "delete", "append"):
+        if op in ("put", "delete"):
             return cpu + self.device.write_us(nbytes or 64)
         if op == "seek":
             return cpu + self.device.seek_us
@@ -64,7 +64,7 @@ def _build_dms(
 
 def run(
     group_sizes=DEFAULT_GROUP_SIZES,
-    base_dirs: int = 20000,
+    base_dirs: int = 25000,
     measure_wall: bool = False,
 ) -> ExperimentResult:
     """Measure d-rename time for each (backend, device) mode.

@@ -11,7 +11,11 @@ Inserts split nodes top-down; deletes remove from the leaf without
 rebalancing (the tree can become sparse under heavy deletion but stays
 correct and ordered — adequate for a metadata store where deletes are a
 minority, and it keeps the code auditable).  An optional WAL provides
-crash recovery like the LSM store.
+crash recovery like the LSM store.  A value grown by
+:meth:`BTreeStore.append` is held in its leaf as a ``bytearray`` the store
+owns, so an append copies only the appended bytes; a point read hands out
+(and keeps) an immutable ``bytes`` copy, a scan hands out one as it
+reaches the record.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections.abc import Iterator
 
 from .api import KVStore, prefix_upper_bound
 from .meter import Meter
-from .wal import OP_PUT, OP_DELETE, WriteAheadLog
+from .wal import OP_APPEND, OP_DELETE, OP_PUT, WriteAheadLog
 
 __all__ = ["BTreeStore", "prefix_upper_bound"]
 
@@ -60,6 +64,8 @@ class BTreeStore(KVStore):
             for op, key, value in WriteAheadLog.replay(wal_path):
                 if op == OP_PUT:
                     self._insert(key, value)
+                elif op == OP_APPEND:
+                    self._grow(key, value)
                 elif op == OP_DELETE:
                     self._remove(key)
             self._wal = WriteAheadLog(wal_path)
@@ -92,6 +98,8 @@ class BTreeStore(KVStore):
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
             value = node.values[i]
+            if value.__class__ is bytearray:
+                value = node.values[i] = bytes(value)
             self._charge("get", len(key) + len(value))
             return value
         self._charge("get", len(key))
@@ -104,31 +112,36 @@ class BTreeStore(KVStore):
         self._insert(key, value)
 
     def append(self, key: bytes, value: bytes) -> None:
-        """Read-modify-write append in one store frame.
+        """Kyoto Cabinet's append, priced and executed as one.
 
-        Metering, stored bytes and WAL records are bit-identical to the
-        ``KVStore.append`` default (``get(key)`` + ``put(key, cur +
-        value)``): both charges go through :meth:`Meter.charge_many`, as
-        in :meth:`HashStore.append`.  A present key is updated in place in
-        its leaf; a missing one is inserted.
+        Charges exactly what :meth:`HashStore.append` charges (``get`` of
+        the key, ``put`` of the key plus ``value``, in one
+        :meth:`Meter.charge_many`) and logs an append record; the value
+        grows in place in its leaf (:meth:`_grow`).
         """
+        klen = len(key)
+        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
+        if self._wal is not None:
+            self._wal.append_tail(key, value)
+        self._grow(key, value)
+
+    def _grow(self, key: bytes, tail: bytes) -> None:
+        """Uncharged, unlogged append: a present key's value grows in its
+        leaf (as :func:`~repro.kv.api.grown`, inline), a missing key is
+        inserted holding ``tail``."""
         leaf = self._find_leaf(key)
         keys = leaf.keys
         i = bisect_left(keys, key)
-        klen = len(key)
         if i < len(keys) and keys[i] == key:
             cur = leaf.values[i]
-            new = cur + value
-            self._meter.charge_many((("get", klen + len(cur)),
-                                     ("put", klen + len(new))))
-            if self._wal is not None:
-                self._wal.append_put(key, new)
-            leaf.values[i] = new
+            if cur.__class__ is bytearray:
+                cur += tail
+            else:
+                cur = bytearray(cur)
+                cur += tail
+                leaf.values[i] = cur
             return
-        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
-        if self._wal is not None:
-            self._wal.append_put(key, value)
-        self._insert(key, value)
+        self._insert(key, tail)
 
     def _insert(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite in the leaf, then split full nodes bottom-up
@@ -203,6 +216,8 @@ class BTreeStore(KVStore):
             i = bisect_left(leaf.keys, key)
             if i < len(leaf.keys) and leaf.keys[i] == key:
                 value = leaf.values[i]
+                if value.__class__ is bytearray:
+                    value = leaf.values[i] = bytes(value)
                 nbytes += len(key) + len(value)
                 out.append(value)
             else:
@@ -227,6 +242,8 @@ class BTreeStore(KVStore):
         leaf: _Leaf | None = self._find_leaf(b"")
         while leaf is not None:
             for k, v in zip(list(leaf.keys), list(leaf.values)):
+                if v.__class__ is bytearray:
+                    v = bytes(v)
                 self._charge("scan_record", len(k) + len(v))
                 yield k, v
             leaf = leaf.next
@@ -242,8 +259,11 @@ class BTreeStore(KVStore):
             while i < len(keys):
                 if end is not None and keys[i] >= end:
                     return
-                self._charge("scan_record", len(keys[i]) + len(values[i]))
-                yield keys[i], values[i]
+                value = values[i]
+                if value.__class__ is bytearray:
+                    value = bytes(value)
+                self._charge("scan_record", len(keys[i]) + len(value))
+                yield keys[i], value
                 i += 1
             leaf = leaf.next
             i = 0

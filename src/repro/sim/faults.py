@@ -27,7 +27,8 @@ bit-for-bit determinism the golden tests pin.  Three pieces:
     survives, optionally with a torn tail); a restart calls ``restart()``
     which replays the WAL and returns the replayed byte count — the
     server then stays unavailable for ``CostModel.recovery_us(bytes)``
-    of virtual time, modeling replay-before-serve.
+    of virtual time, modeling replay-before-serve.  A handler with a
+    ``resume(at_us)`` hook is then told the instant it serves again.
 
 Failure semantics, briefly:
 
@@ -253,6 +254,11 @@ class FaultState:
             node.next_free = avail
         node.busy_us += recovery
         node.recovered_us += recovery
+        # a node that lost volatile coherence state (the lookup-cache
+        # node's stale floors) learns when it serves again
+        resume = getattr(node.handler, "resume", None)
+        if resume is not None:
+            resume(avail)
         self.engine._fault_transition(
             "server.recover", server, avail, f"{server}.recovers", up=1,
             replayed_bytes=replayed, replay_us=recovery)

@@ -18,6 +18,7 @@ from repro.core.lookupcache import LookupCacheServer
 from repro.harness import make_system, run_mixed_throughput
 from repro.harness.workloads import ZipfPicker
 from repro.metadata.layout import FILE_ACCESS, FILE_CONTENT
+from repro.sim.faults import FaultSchedule, RetryPolicy
 
 from ring_names import dir_uuid, names_on_one_fms
 
@@ -374,6 +375,52 @@ class TestLookupCacheTier:
         assert cache.counters.get("fills_rejected") == 2
         assert cache.apply_fill(fill(key, 60.0)) is True
         assert cache.apply_fill(fill(("fms0", 7, "o0"), 12.0)) is True
+
+
+    @pytest.mark.parametrize("engine_kind", ["direct", "event"])
+    def test_cache_crash_between_read_and_carried_fill(self, engine_kind):
+        """A crash is amnesia: the node forgets its stale floors with its
+        entries.  The reader's fill, read before the writer's chmod and
+        held across the node's crash and restart, must still be refused
+        when it finally rides the reader's next request — the restart's
+        own floor refuses it — so that request reads the new mode."""
+        fs = async_fs(engine_kind)
+        writer, reader = fs.client(), fs.client()
+        writer.mkdir("/d")
+        writer.create("/d/f", 0o644)
+        writer.flush()
+        assert reader.stat_file("/d/f").st_mode & 0o7777 == 0o644
+        assert reader._fill is not None  # held: the miss sent no fill
+        writer.chmod("/d/f", 0o600)
+        writer.flush()  # invalidates /d/f: the floor a crash forgets
+        cache = fs.lookup_cache
+        now = fs.engine.now
+        fs.engine.attach_faults(
+            FaultSchedule().crash_restart("cache0", now + 1.0, 1.0),
+            # patient enough to outlast the restart's recovery
+            retry=RetryPolicy(max_retries=6, base_us=20_000.0, cap_us=25_000.0))
+        assert reader.stat_file("/d/f").st_mode & 0o7777 == 0o600
+        assert fs.cluster["cache0"].crashes == 1
+        assert fs.engine.faults.retries >= 1  # the fill waited out the outage
+        assert cache.counters.get("fills_rejected") == 1
+        assert cache._invalidated_at == {}  # the crash kept no floor
+        assert writer.stat_file("/d/f").st_mode & 0o7777 == 0o600
+
+    def test_crash_forgets_floors_and_resume_sets_one(self):
+        cache = LookupCacheServer()
+        a = FILE_ACCESS.pack(ctime=0.0, mode=0o100644, uid=0, gid=0)
+        c = FILE_CONTENT.pack(mtime=0.0, atime=0.0, size=0, bsize=4096, suuid=9, sid=1)
+        key = ("fms0", 7, "k")
+        cache.op_invalidate((key,), ("/d",), 10.0)
+        cache.op_invalidate_prefix("/d", 20.0)
+        cache.crash()
+        assert cache._invalidated_at == {} and cache._dir_epoch == 0.0
+        # down, not yet resumed: no fill is admitted, however recent
+        assert cache.apply_fill(("file", *key, a + c, 1e12)) is False
+        cache.restart()
+        cache.resume(500.0)
+        assert cache.apply_fill(("file", *key, a + c, 500.0)) is False
+        assert cache.apply_fill(("file", *key, a + c, 500.5)) is True
 
 
 def _served(fs) -> dict:

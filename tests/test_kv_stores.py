@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.kv import BTreeStore, HashStore, KVStore, LSMStore, make_store
 from repro.kv.btree import BRANCH, _Internal
 from repro.kv.meter import Meter
+from repro.kv.wal import OP_APPEND, WriteAheadLog
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.tracer import KVTraceSink
 from repro.sim.costmodel import CostModel, KVCostPolicy
@@ -493,9 +495,42 @@ class TestLeanBTree:
 
 class _DefaultAppend(BTreeStore):
     """The reference: a B+-tree running the ``KVStore.append`` default
-    (``get`` + ``put``) instead of its one-frame override."""
+    (the native price, then ``get`` + ``put`` unmetered) instead of its
+    one-frame override."""
 
     append = KVStore.append
+
+
+def _rmw_append(self, key: bytes, value: bytes) -> None:
+    """A read-modify-write append, metered as one (``get`` + ``put`` of
+    the whole new value): what ``LSMStore.append`` charges and does."""
+    cur = self.get(key)
+    self.put(key, value if cur is None else cur + value)
+
+
+class _RMWAppend(BTreeStore):
+    """A B+-tree priced as the LSM store prices an append."""
+
+    append = _rmw_append
+
+
+def _rmw_extra(base, ops) -> int:
+    """Bytes a read-modify-write append charges beyond Kyoto Cabinet's:
+    each append to a present key reads and rewrites the value it already
+    holds, so ``get`` and ``put`` each carry that value's length once
+    more.  Replays ``base`` puts (value = key) then ``ops`` on a dict."""
+    model = {key: key for key in base}
+    extra = 0
+    for op, *args in ops:
+        if op == "put":
+            model[args[0]] = args[1]
+        elif op == "delete":
+            model.pop(args[0], None)
+        elif op == "append":
+            cur = model.get(args[0], b"")
+            extra += len(cur)
+            model[args[0]] = cur + args[1]
+    return extra
 
 
 #: in order: a missing key appended onto a full leaf (the base fills one to
@@ -510,18 +545,63 @@ _APPENDS = ([("append", b"new", b"xy"), ("put", b"empty", b""),
 
 
 class TestLeanBTreeAppend:
+    """``BTreeStore.append`` is Kyoto Cabinet's: it leaves what the
+    ``KVStore.append`` default leaves (results, charges, contents) but
+    logs append records; against the LSM store's read-modify-write the
+    only difference is the bytes the existing values add to each ``get``
+    and ``put``."""
+
     @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
     def test_same_as_the_default(self, hook, tmp_path):
         assert BTreeStore.append is not KVStore.append
         base = [b"b%03d" % i for i in range(BRANCH)]
         got = _after_ops(BTreeStore, hook, base, _APPENDS, str(tmp_path))
         want = _after_ops(_DefaultAppend, hook, base, _APPENDS, str(tmp_path))
+        if hook == "wal":
+            # the override logs each append as its appended bytes alone;
+            # the default logs the whole new value as a put
+            records = list(WriteAheadLog.replay(str(tmp_path / "BTreeStore.wal")))
+            appends = [tuple(args) for op, *args in _APPENDS if op == "append"]
+            assert [(k, v) for op, k, v in records if op == OP_APPEND] == appends
+            assert len(got.pop("wal")) < len(want.pop("wal"))
         assert got == want
         assert got["depth"] == 2  # the first append split the full root leaf
         assert got["results"][6] == b"e"
         assert dict(got["items"])[b"b010"] == b"b010+!"
         n = sum(op == "append" for op, *_ in _APPENDS)
         assert got["op_counts"] == {"put": len(base) + 1 + n, "get": n + 1}
+        rmw = _after_ops(_RMWAppend, hook, base, _APPENDS, str(tmp_path))
+        extra = _rmw_extra(base, _APPENDS)
+        assert extra > 0
+        assert rmw["items"] == got["items"] and rmw["op_counts"] == got["op_counts"]
+        assert {op: rmw["byte_counts"][op] - got["byte_counts"][op]
+                for op in ("get", "put")} == {"get": extra, "put": extra}
+
+
+def _host_us_per_append(cls, entries: int) -> float:
+    """Host µs per append onto a key already holding ``entries`` 24-byte
+    entries: the best of 7 windows of 300 appends (the least disturbed)."""
+    store = cls()
+    entry = b"x" * 24
+    for _ in range(entries):
+        store.append(b"E:dir", entry)
+    best = float("inf")
+    for _ in range(7):
+        t0 = time.perf_counter()
+        for _ in range(300):
+            store.append(b"E:dir", entry)
+        best = min(best, time.perf_counter() - t0)
+    return best / 300 * 1e6
+
+
+@pytest.mark.parametrize("cls", [HashStore, BTreeStore])
+def test_append_host_cost_is_flat_in_the_value_size(cls):
+    """A Kyoto Cabinet append copies the appended bytes, not the list: an
+    append onto 40 K entries costs about what one onto 4 K does.  A
+    read-modify-write append copies the whole value and reads ~10-100x."""
+    small = _host_us_per_append(cls, 4_000)
+    big = _host_us_per_append(cls, 40_000)
+    assert big <= 3 * small, (small, big)
 
 
 # -- the lean LSM store against the hash store and the KVStore defaults -------------
@@ -548,9 +628,9 @@ _LSM_OPS = st.lists(st.one_of(
 ), max_size=60)
 
 
-class _LSMMetered(HashStore):
-    """The hash store metered as ``LSMStore`` is: a delete also charges
-    the ``get`` that tells whether the key existed."""
+class _KCMetered(HashStore):
+    """The hash store metered as ``LSMStore`` is but for the append: a
+    delete also charges the ``get`` that tells whether the key existed."""
 
     def delete(self, key: bytes) -> bool:
         self._charge("delete", len(key))
@@ -559,11 +639,17 @@ class _LSMMetered(HashStore):
         return existed
 
 
-class _DefaultAppendLSM(LSMStore):
-    """The reference: an LSM store running the ``KVStore.append`` default
-    (``get`` + ``put``) instead of its one-frame override."""
+class _LSMMetered(_KCMetered):
+    """... and an append is the LSM store's read-modify-write."""
 
-    append = KVStore.append
+    append = _rmw_append
+
+
+class _RMWAppendLSM(LSMStore):
+    """The reference: an LSM store running a plain ``get`` + ``put``
+    append instead of its one-frame override."""
+
+    append = _rmw_append
 
 
 def _after_lsm_ops(cls, hook, ops, directory):
@@ -624,11 +710,14 @@ def _without_maintenance(out: dict) -> dict:
 
 class TestLeanLSM:
     """``LSMStore`` reads through one memtable ``lookup``, charges through
-    ``_charge`` and has a one-frame ``append``.  Against ``HashStore``
-    (metered as the LSM store meters a delete) every result, count, byte,
-    span and the virtual time are bit-equal, flushes and compactions aside;
-    against an LSM store running the ``KVStore.append`` default, everything
-    is, flush points, WAL and SSTable bytes included."""
+    ``_charge`` and has a one-frame read-modify-write ``append`` (LevelDB
+    has no append).  Against ``HashStore`` metered as the LSM store meters
+    a delete and an append, every result, count, byte, span and the
+    virtual time are bit-equal, flushes and compactions aside; against an
+    LSM store running a plain ``get`` + ``put`` append, everything is,
+    flush points, WAL and SSTable bytes included.  Against the hash
+    store's own (Kyoto Cabinet) append, the only difference is the bytes
+    the existing values add to each ``get`` and ``put``."""
 
     @pytest.mark.parametrize("hook", ["none", "trace", "registry", "wal"])
     @settings(max_examples=15, deadline=None)
@@ -636,9 +725,10 @@ class TestLeanLSM:
     def test_differential_vs_hash_store(self, hook, ops):
         with tempfile.TemporaryDirectory() as tmp:
             got = _after_lsm_ops(LSMStore, hook, ops, os.path.join(tmp, "a"))
-            default = _after_lsm_ops(_DefaultAppendLSM, hook, ops,
+            default = _after_lsm_ops(_RMWAppendLSM, hook, ops,
                                      os.path.join(tmp, "b"))
         want = _after_lsm_ops(_LSMMetered, hook, ops, None)
+        kc = _after_lsm_ops(_KCMetered, hook, ops, None)
         assert got == default
         assert got["op_counts"]["flush"] >= 5  # the base alone flushes
         assert got["op_counts"]["compaction"] >= 1
@@ -650,6 +740,11 @@ class TestLeanLSM:
         assert got.pop("tables") >= 1
         want.pop("tables")
         assert got == want
+        extra = _rmw_extra(_LSM_BASE, ops)
+        assert kc["items"] == want["items"] and kc["op_counts"] == want["op_counts"]
+        assert kc["results"] == want["results"]
+        assert {op: want["byte_counts"].get(op, 0) - kc["byte_counts"].get(op, 0)
+                for op in ("get", "put")} == {"get": extra, "put": extra}
 
     def test_tombstone_shadows_a_flushed_value(self):
         store = LSMStore(wal_enabled=False, **_LSM_LIMITS)

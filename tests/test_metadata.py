@@ -15,7 +15,7 @@ from repro.core import dms as dms_mod
 from repro.core import fms as fms_mod
 from repro.core.dms import DirectoryMetadataServer
 from repro.core.fms import FileMetadataServer, fkey
-from repro.kv import HashStore, Meter
+from repro.kv import HashStore, KVStore, Meter
 from repro.metadata import acl, chash, dirent
 from repro.metadata.chash import ConsistentHashRing, file_placement_key
 from repro.metadata.layout import (
@@ -445,8 +445,8 @@ def _metered_fms(decoupled: bool, reserve: int):
 class _ReferenceCreate:
     """``op_create`` the long way: the store calls a create is charged for,
     issued one by one through public API — ``UuidAllocator.allocate``,
-    ``FixedLayout.pack`` by keyword, ``dirent.pack_entry`` and a plain
-    get + put for the dirent append."""
+    ``FixedLayout.pack`` by keyword, ``dirent.pack_entry`` and the
+    ``KVStore.append`` default for the dirent append."""
 
     def __init__(self, decoupled: bool, reserve: int):
         self.cost = CostModel()
@@ -477,9 +477,8 @@ class _ReferenceCreate:
                                     **FILE_CONTENT.unpack(c))
             store.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
             store.put(b"F:" + key, buf)
-        ekey = b"E:" + dir_uuid.to_bytes(8, "big")
-        cur = store.get(ekey)
-        store.put(ekey, (cur or b"") + dirent.pack_entry(name, uuid, FileType.FILE))
+        KVStore.append(store, b"E:" + dir_uuid.to_bytes(8, "big"),
+                       dirent.pack_entry(name, uuid, FileType.FILE))
         return uuid
 
 
@@ -525,8 +524,8 @@ class TestLeanCreate:
     @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
     def test_warm_create_exact_call_count(self, decoupled):
         """One warm create under cProfile: exact and machine-independent.
-        CPython 3.11.7 counts 32 decoupled and 49 coupled, the profiler's
-        own ``disable`` included; of the decoupled 31, all but the handler
+        CPython 3.11.7 counts 31 decoupled and 43 coupled, the profiler's
+        own ``disable`` included; of the decoupled 30, all but the handler
         frame, one encode and one ``len`` are the store and meter calls the
         model charges (coupled adds the serialization path).  The
         handler that went through ``pack_values`` frames, ``UuidAllocator``
@@ -536,7 +535,7 @@ class TestLeanCreate:
         fms.op_create(1, "warm", 0o644, cred, 0.0)  # meter keys, dirent list
         prof = cProfile.Profile()
         prof.runcall(fms.op_create, 1, "f000001", 0o644, cred, 0.5)
-        assert pstats.Stats(prof).total_calls <= (32 if decoupled else 49)
+        assert pstats.Stats(prof).total_calls <= (31 if decoupled else 43)
 
 
 class TestAcl:
