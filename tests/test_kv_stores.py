@@ -66,6 +66,30 @@ class TestCommonBehaviour:
         store.append(b"log", b"bb")
         assert store.get(b"log") == b"aabb"
 
+    def test_every_read_of_a_grown_value_is_bytes(self, store):
+        """A value grown by appends reads back as ``bytes`` through every
+        read path, each met while the value is still growing."""
+        reads = {
+            "get": lambda: store.get(b"log"),
+            "multi_get": lambda: store.multi_get([b"log"])[0],
+            "items": lambda: dict(store.items())[b"log"],
+            "read_at": lambda: store.read_at(b"log", 1, 3),
+        }
+        if store.ordered:
+            reads["scan"] = lambda: dict(store.scan(b"log", b"loh"))[b"log"]
+            reads["prefix_scan"] = lambda: dict(store.prefix_scan(b"lo"))[b"log"]
+        want = b""
+        for name, read in reads.items():
+            for part in (b"ab", b"cd"):
+                store.append(b"log", part)
+                want += part
+            got = read()
+            assert type(got) is bytes, name
+            assert got == (want[1:4] if name == "read_at" else want), name
+        store.append(b"log", b"ef")
+        assert store.write_at(b"log", 0, b"X") is True
+        assert store.get(b"log") == b"X" + (want + b"ef")[1:]
+
     def test_write_at_in_place(self, store):
         store.put(b"rec", b"0123456789")
         assert store.write_at(b"rec", 2, b"XY") is True
