@@ -29,23 +29,18 @@ def _h(path: str, n: int) -> int:
 
 
 class PlacementBase:
+    """A policy defines ``inode_server(path)``, where a path's inode record
+    lives, and ``entry_servers(path, parent, name)``, the ``(inode server,
+    dirent server)`` pair a create / mkdir / unlink of the child ``path`` ==
+    ``parent`` + ``name`` needs (hashed once where the two coincide)."""
+
     def __init__(self, servers: list[str]):
         self.servers = list(servers)
         self.n = len(servers)
 
-    # where a path's inode record lives
-    def inode_server(self, path: str) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
     # where the dirent of child ``name`` inside ``parent`` must be appended
     def dirent_server(self, parent: str, name: str) -> str:
         return self.inode_server(parent)
-
-    # ``(inode_server(path), dirent_server(parent, name))`` for the child
-    # ``path`` == ``parent`` + ``name``: the pair a create / mkdir / unlink
-    # needs.  Policies override it to hash once where the two coincide.
-    def entry_servers(self, path: str, parent: str, name: str) -> tuple[str, str]:
-        return self.inode_server(path), self.dirent_server(parent, name)
 
     # which servers a readdir of ``path`` must consult
     def readdir_servers(self, path: str) -> list[str]:

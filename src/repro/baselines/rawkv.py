@@ -33,9 +33,6 @@ class RawKVServer:
     def op_get(self, key: bytes) -> bytes | None:
         return self.store.get(key)
 
-    def op_delete(self, key: bytes) -> bool:
-        return self.store.delete(key)
-
 
 class RawKVClient:
     """Client issuing one RPC per KV op (used via the engines)."""

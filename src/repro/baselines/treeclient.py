@@ -457,11 +457,6 @@ class TreeFSClient(FSClientBase):
         self.dcache.invalidate_prefix(pathutil.dir_key_prefix(old))
         self.fcache.invalidate_prefix(pathutil.dir_key_prefix(old))
 
-    @property
-    def cache_stats(self) -> dict:
-        return {"dir_hits": self.dcache.hits, "dir_misses": self.dcache.misses,
-                "file_hits": self.fcache.hits, "file_misses": self.fcache.misses}
-
 
 class GlusterClient(TreeFSClient):
     """GlusterFS-like client: directories replicated on every brick."""

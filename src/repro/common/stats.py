@@ -6,10 +6,11 @@ path; numpy is only used when summarising.
 
 For long runs the exact sample lists here grow without bound; the
 bounded-memory path is :mod:`repro.obs.metrics`.  :class:`LatencyRecorder`
-and :class:`Counters` act as thin adapters onto it: ``bind`` a
-:class:`~repro.obs.metrics.MetricsRegistry` and every sample/increment is
-mirrored into the registry's namespaced histograms/counters while the
-exact-percentile API stays available for the short paper experiments.
+and :class:`Counters` act as thin adapters onto it: given a
+:class:`~repro.obs.metrics.MetricsRegistry` (the recorder at construction,
+the counters through ``bind``), every sample/increment is mirrored into
+the registry's namespaced histograms/counters while the exact-percentile
+API stays available for the short paper experiments.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ class LatencyRecorder:
         self._registry = registry
         self._prefix = prefix
 
-    def bind(self, registry, prefix: str = "client.op.") -> None:
-        """Mirror every sample into ``registry`` histograms (existing too)."""
-        self._registry = registry
-        self._prefix = prefix
-        for op, vals in self._samples.items():
-            hist = registry.histogram(prefix + op)
-            for v in vals:
-                hist.record(v)
-
     def record(self, op: str, latency_us: float) -> None:
         self._samples[op].append(latency_us)
         if self._registry is not None:
@@ -99,9 +91,6 @@ class LatencyRecorder:
                 hist = self._registry.histogram(self._prefix + op)
                 for v in vals:
                     hist.record(v)
-
-    def clear(self) -> None:
-        self._samples.clear()
 
 
 @dataclass

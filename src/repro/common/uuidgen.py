@@ -50,6 +50,3 @@ class UuidAllocator:
         fid = self._next_fid
         self._next_fid += 1
         return make_uuid(self.sid, fid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"UuidAllocator(sid={self.sid}, next_fid={self._next_fid})"

@@ -359,11 +359,6 @@ class DirectoryMetadataServer:
             "ctime": _D_CTIME.unpack_from(buf, _D_CTIME.offset)[0],
         }
 
-    def op_stat(self, path: str, cred: Credentials) -> dict:
-        if self.track_touches:
-            self._touch("getattr_dir", "dir")
-        return self.op_lookup(path, cred)
-
     def op_readdir(self, path: str, cred: Credentials) -> tuple[int, bytes]:
         """Return (uuid, concatenated subdir dirents)."""
         if self.track_touches:

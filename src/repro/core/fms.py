@@ -109,14 +109,8 @@ class FileMetadataServer:
             # restart: skip the durably reserved id range
             self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
         #: live file count, maintained by the mutating ops — serves
-        #: :meth:`num_files_fast` without the metered O(N) store scan
-        self._nfiles = self._count_files_unmetered()
-
-    def _count_files_unmetered(self) -> int:
-        """File count straight off the backing dict — no meter charges
-        (bench/recovery bookkeeping, not a simulated operation)."""
-        prefix = _A if self.decoupled else _F
-        return sum(1 for k in self.store._data if k.startswith(prefix))
+        #: :meth:`num_files_fast` without the O(N) store scan
+        self._nfiles = self.num_files()
 
     def group_commit(self) -> GroupCommit | NoGroup:
         """Group-commit scope for batched RPCs (one WAL fsync per batch).
@@ -164,7 +158,7 @@ class FileMetadataServer:
         if ceiling is not None:
             # never reuse ids from the durably reserved range
             self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
-        self._nfiles = self._count_files_unmetered()
+        self._nfiles = self.num_files()
         return nbytes
 
     def bind_metrics(self, registry, prefix: str) -> None:
@@ -836,15 +830,16 @@ class FileMetadataServer:
 
     # -- introspection --------------------------------------------------------------------
     def num_files(self) -> int:
+        """File count straight off the backing dict, charged to no meter:
+        introspection and recovery bookkeeping, not a simulated operation."""
         prefix = _A if self.decoupled else _F
-        return sum(1 for k, _ in self.store.items() if k.startswith(prefix))
+        return sum(1 for k in self.store._data if k.startswith(prefix))
 
     def num_files_fast(self) -> int:
         """O(1) file count from the maintained counter.
 
-        Charge-free and scan-free, so large-namespace benchmarks can
-        verify a build without a metered O(N) sweep; agrees with
-        :meth:`num_files` whenever the server is up (it is recomputed
-        from the store on restart).
+        Scan-free, so large-namespace benchmarks can verify a build
+        without an O(N) sweep; agrees with :meth:`num_files` whenever the
+        server is up (it is recomputed from the store on restart).
         """
         return self._nfiles

@@ -102,39 +102,15 @@ class FSClientBase:
     def _obs_active(self) -> bool:
         """True when the engine has any observability sink attached."""
         engine = self._engine
-        try:
-            return (engine.tracer is not None or engine.metrics is not None
-                    or engine.telemetry is not None)
-        except AttributeError:  # engines without observability hooks
-            return False
-
-    @property
-    def _obs_detailed(self) -> bool:
-        """True when a tracer or metrics registry wants per-event detail.
-
-        Hot-path niceties (cache hit/miss marks, span captures for batch
-        links) are worth an engine round trip only for these sinks; a
-        telemetry-only attachment keeps the hot path lean and still gets
-        its aggregates from the op/RPC completion hooks.  This is the
-        engine's derived ``obs_detailed``, which the LocoFS clients' hot
-        paths read directly.
-        """
-        try:
-            return self._engine.obs_detailed
-        except AttributeError:  # engines without observability hooks
-            return False
+        return (engine.tracer is not None or engine.metrics is not None
+                or engine.telemetry is not None)
 
     def op_generator(self, op: str, *args, **kwargs) -> Generator:
         """Raw operation generator for the throughput harness."""
         gen = self._op_methods[op](*args, **kwargs)
         engine = self._engine
-        try:
-            tracer = engine.tracer
-            metrics = engine.metrics
-            telemetry = engine.telemetry
-        except AttributeError:  # engines without observability hooks
-            return gen
-        if tracer is None and metrics is None:
+        telemetry = engine.telemetry
+        if engine.tracer is None and engine.metrics is None:
             if telemetry is None:
                 return gen
             return self._g_telemetry(op, telemetry, gen)
@@ -167,13 +143,8 @@ class FSClientBase:
         is attached (spans must flow) or when nothing is attached.
         """
         engine = self._engine
-        try:
-            tracer = engine.tracer
-            metrics = engine.metrics
-            telemetry = engine.telemetry
-        except AttributeError:  # engines without observability hooks
-            return None, None
-        if tracer is None and metrics is None and telemetry is not None:
+        telemetry = engine.telemetry
+        if engine.tracer is None and engine.metrics is None and telemetry is not None:
             return telemetry, self._clock
         return None, None
 
@@ -280,52 +251,3 @@ class FSClientBase:
     def read(self, path: str, offset: int, length: int) -> bytes:
         """Read file data."""
         return self._run(self.op_generator("read", path, offset, length))
-
-    # -- to be provided by each system ------------------------------------------------
-    def _g_mkdir(self, path, mode):  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-    def _g_rmdir(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_readdir(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_create(self, path, mode):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_unlink(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_stat(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_stat_dir(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_stat_file(self, path):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_open(self, path, want):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_chmod(self, path, mode):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_chown(self, path, uid, gid):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_access(self, path, want):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_truncate(self, path, size):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_rename(self, old, new):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_write(self, path, offset, data):  # pragma: no cover
-        raise NotImplementedError
-
-    def _g_read(self, path, offset, length):  # pragma: no cover
-        raise NotImplementedError

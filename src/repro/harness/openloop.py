@@ -96,9 +96,6 @@ class _PackBase:
         self._jobs = [self._descriptors(ti, counts[ti], seed)
                       for ti in range(self.n_tenants)]
 
-    def descriptors(self, ti: int) -> list[tuple]:
-        return self._jobs[ti]
-
     def _op(self, session, op: str, *args):
         if self.traced:
             return session.op_generator(op, *args)

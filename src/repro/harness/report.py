@@ -33,12 +33,6 @@ def format_table(
     return "\n".join(out)
 
 
-def format_series(title: str, points: Mapping, unit: str = "", fmt: str = "{:,.2f}") -> str:
-    out = [f"== {title}" + (f" ({unit})" if unit else "")]
-    for k, v in points.items():
-        out.append(f"  {k}: {fmt.format(v)}")
-    return "\n".join(out)
-
 
 def format_metrics(registry) -> str:
     """Plain-text dump of a :class:`~repro.obs.metrics.MetricsRegistry`.

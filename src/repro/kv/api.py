@@ -161,11 +161,11 @@ class KVStore(abc.ABC):
         return self.get(key) is not None
 
     # -- batched point ops -----------------------------------------------------
-    # The concrete stores override these with amortized metering (the first
-    # record pays the op-kind base cost, every further record only the
-    # ``batch_record`` marginal cost) and, where a WAL is attached, a group
-    # commit: one log write and at most one fsync for the whole batch.
-    # These defaults just preserve the contract for custom stores.
+    # Every store has ``multi_get``; the FMS's hash store and the B+-tree
+    # also have ``multi_put``.  Both meter amortized (the first record pays
+    # the op-kind base cost, every further record only the ``batch_record``
+    # marginal cost) and, where a WAL is attached, group-commit: one log
+    # write and at most one fsync for the whole batch.
     def _charge_batch(self, op: str, nbytes: int, count: int) -> None:
         """Amortized metering for one batched op: the batch pays the
         op-kind base cost once (plus all its bytes), then ``batch_record``
@@ -176,15 +176,6 @@ class KVStore(abc.ABC):
         self._charge(op, nbytes)
         if count > 1:
             self._meter.charge_repeat("batch_record", count - 1)
-
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Point-look-up every key; returns values aligned with ``keys``."""
-        return [self.get(k) for k in keys]
-
-    def multi_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        """Insert/overwrite every pair as one batch."""
-        for k, v in pairs:
-            self.put(k, v)
 
     def group(self) -> GroupCommit | NoGroup:
         """Group-commit scope over this store (see :func:`group_scope`);
@@ -235,6 +226,8 @@ class KVStore(abc.ABC):
         return cur[offset : offset + length]
 
     # -- iteration ------------------------------------------------------------
+    # Every store also has ``prefix_scan(prefix)``: a range scan on the
+    # ordered stores, a full scan charged per record on the hash store.
     @abc.abstractmethod
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate all live entries (ordered stores: in key order)."""
@@ -250,18 +243,6 @@ class KVStore(abc.ABC):
         (the :func:`prefix_upper_bound` "no upper bound" sentinel).
         """
         raise NotImplementedError(f"{type(self).__name__} does not support ordered scans")
-
-    def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Iterate entries whose key starts with ``prefix``.
-
-        Ordered stores do this as a cheap range scan; unordered stores must
-        examine every record (and are charged accordingly).
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support prefix scans")
-
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:  # pragma: no cover - default no-op
-        pass
 
     def __contains__(self, key: bytes) -> bool:
         return self.contains(key)

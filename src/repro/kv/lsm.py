@@ -176,19 +176,6 @@ class LSMStore(KVStore):
         self._charge_batch("multi_get", nbytes, len(keys))
         return out
 
-    def multi_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        if not pairs:
-            return
-        if self._wal is not None:
-            self._wal.append_many((OP_PUT, k, v) for k, v in pairs)
-        nbytes = 0
-        for k, v in pairs:
-            nbytes += len(k) + len(v)
-            self._mem.put(k, v)
-        self._charge_batch("multi_put", nbytes, len(pairs))
-        if self._mem._approx_bytes >= self.memtable_limit:
-            self.flush()
-
     # -- iteration ------------------------------------------------------------------
     def _merged(self, start: bytes | None, end: bytes | None) -> Iterator[tuple[bytes, bytes | None]]:
         """Merge memtable + all tables, newest version wins, keys ordered."""

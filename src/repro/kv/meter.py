@@ -27,8 +27,9 @@ class Meter:
     rate (the :class:`~repro.sim.costmodel.KVCostPolicy` fast-path
     contract), :meth:`charge` inlines the cost arithmetic — one dict
     lookup plus one multiply-add, no policy call frame.  The expression is
-    the same floats in the same order as ``policy.cost_us``, so virtual
-    time is bit-identical; any other policy falls back to calling it.
+    the same floats in the same order as
+    :meth:`~repro.sim.costmodel.CostModel.kv_cost_us`, so virtual time is
+    bit-identical; any other policy is called through ``cost_us``.
     """
 
     __slots__ = ("_policy", "total_us", "op_counts", "byte_counts", "trace",

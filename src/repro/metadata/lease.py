@@ -159,12 +159,6 @@ class LeaseCache(Generic[V]):
         del index[lo:hi]
         return hi - lo
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._heap.clear()
-        self._index.clear()
-        self._index_dirty = False
-
     def __len__(self) -> int:
         return len(self._entries)
 

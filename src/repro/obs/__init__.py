@@ -28,7 +28,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .slo import (Objective, SLOSpec, default_spec, evaluate_slo,
                   format_slo, openloop_spec, replicated_spec)
 from .telemetry import LogSketch, TelemetrySink
-from .tracer import Instant, KVTraceSink, NullTracer, Span, Tracer
+from .tracer import Instant, KVTraceSink, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -38,7 +38,6 @@ __all__ = [
     "TimeSeries",
     "Instant",
     "KVTraceSink",
-    "NullTracer",
     "Span",
     "Tracer",
     "LogSketch",

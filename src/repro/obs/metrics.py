@@ -5,13 +5,15 @@ reproduction.  Names are dot-namespaced by layer — ``client.*`` for the
 client library, ``dms.*`` / ``fms0.*`` for per-server metrics, ``*.kv.*``
 for store operations — so a dump from any run reads the same way.
 
-Histograms use fixed log-scale buckets instead of unbounded sample lists:
-memory is constant no matter how many operations a long run records, at
-the price of bucket-resolution percentiles (one bucket spans a factor of
-``10^(1/buckets_per_decade)``; quantiles interpolate linearly inside the
-bucket).  :class:`~repro.common.stats.LatencyRecorder` keeps exact samples
-for the short paper experiments and mirrors into these histograms when a
-registry is attached.
+Histograms are the telemetry layer's log-bucket sketch under a name
+(:class:`~repro.obs.telemetry.LogSketch`: 0.1 µs to 1e9 µs, 8 buckets per
+decade) instead of unbounded sample lists: memory is constant no matter
+how many operations a long run records, at the price of bucket-resolution
+percentiles (one bucket spans a factor of ``10^(1/8)``; quantiles
+interpolate linearly inside the bucket).
+:class:`~repro.common.stats.LatencyRecorder` keeps exact samples for the
+short paper experiments and mirrors into these histograms when a registry
+is attached.
 
 Time-series samplers record ``(virtual_ts, value)`` pairs — per-server
 queue depth and busy-fraction in the event engine — and decimate
@@ -22,38 +24,7 @@ from __future__ import annotations
 
 import math
 
-
-def bucketed_quantile(q: float, counts: list, count: int, minimum: float,
-                      maximum: float, bounds) -> float:
-    """Quantile over bucket ``counts`` with piecewise-linear interpolation.
-
-    Shared by :class:`Histogram` and the telemetry layer's mergeable
-    sketches (:class:`repro.obs.telemetry.LogSketch`).  ``bounds(idx)``
-    returns a bucket's ``[lower, upper)`` value range; the under/overflow
-    buckets (whose nominal bounds are ``0``/``inf``) and the buckets
-    holding the observed extremes are clamped to ``[minimum, maximum]``,
-    so the estimate never leaves the observed value range.
-    """
-    if count == 0:
-        return math.nan
-    if q <= 0.0:
-        return minimum
-    if q >= 1.0:
-        return maximum
-    target = q * count  # mass rank in (0, count)
-    seen = 0
-    for idx, c in enumerate(counts):
-        if c == 0:
-            continue
-        if seen + c >= target:
-            lo, hi = bounds(idx)
-            lo = max(lo, minimum)
-            hi = min(hi, maximum)
-            if hi <= lo:
-                return lo
-            return lo + (target - seen) / c * (hi - lo)
-        seen += c
-    return maximum
+from .telemetry import LogSketch
 
 
 class Counter:
@@ -82,87 +53,19 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Fixed log-scale-bucket histogram over positive values (microseconds).
+class Histogram(LogSketch):
+    """A :class:`~repro.obs.telemetry.LogSketch` under a registry name.
 
-    Bucket ``i`` covers ``[lo * g**i, lo * g**(i+1))`` with
-    ``g = 10 ** (1 / buckets_per_decade)``.  Values below ``lo`` land in an
-    underflow bucket, values at or above ``hi`` in an overflow bucket, so
-    ``record`` never fails and memory never grows.
+    Same buckets, record, quantile and snapshot as a telemetry window's
+    sketch of the same samples; memory is constant however many values a
+    long run records.
     """
 
-    __slots__ = ("name", "lo", "hi", "growth", "counts", "count", "total",
-                 "minimum", "maximum", "_log_g", "_log_lo")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, lo: float = 0.1, hi: float = 1e9,
-                 buckets_per_decade: int = 8):
+    def __init__(self, name: str):
+        super().__init__()
         self.name = name
-        self.lo = lo
-        self.hi = hi
-        self.growth = 10.0 ** (1.0 / buckets_per_decade)
-        self._log_g = math.log10(self.growth)
-        self._log_lo = math.log10(lo)
-        n = int(math.ceil((math.log10(hi) - self._log_lo) / self._log_g))
-        # [underflow] + n log-scale buckets + [overflow]
-        self.counts = [0] * (n + 2)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def _bucket(self, value: float) -> int:
-        if value < self.lo:
-            return 0
-        if value >= self.hi:
-            return len(self.counts) - 1
-        return 1 + int((math.log10(value) - self._log_lo) / self._log_g)
-
-    def bucket_bounds(self, idx: int) -> tuple[float, float]:
-        """The [lower, upper) value range of bucket ``idx``."""
-        if idx == 0:
-            return (0.0, self.lo)
-        if idx == len(self.counts) - 1:
-            return (self.hi, math.inf)
-        return (self.lo * self.growth ** (idx - 1), self.lo * self.growth ** idx)
-
-    def record(self, value: float) -> None:
-        self.counts[self._bucket(value)] += 1
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by linear interpolation in-bucket.
-
-        Treats the distribution's CDF as piecewise linear through the
-        bucket boundaries: the rank ``q * count`` falls inside exactly one
-        bucket and interpolates between that bucket's bounds.  The
-        underflow bucket spans ``[minimum, lo)`` and the overflow bucket
-        ``[hi, maximum]`` — they have no log-scale bounds of their own, so
-        the observed extremes stand in — and every bucket is clamped to
-        the observed min/max, which keeps ``quantile(0.0) == minimum`` and
-        ``quantile(1.0) == maximum`` exactly.
-        """
-        return bucketed_quantile(q, self.counts, self.count, self.minimum,
-                                 self.maximum, self.bucket_bounds)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum if self.count else math.nan,
-            "max": self.maximum if self.count else math.nan,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
 
 
 class TimeSeries:
@@ -240,10 +143,10 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str, **kwargs) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram(name, **kwargs)
+            h = self.histograms[name] = Histogram(name)
         return h
 
     def timeseries(self, name: str, maxlen: int = 4096) -> TimeSeries:
@@ -261,9 +164,3 @@ class MetricsRegistry:
             "histograms": {n: h.snapshot() for n, h in sorted(self.histograms.items())},
             "timeseries": {n: t.snapshot() for n, t in sorted(self.series.items())},
         }
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self.series.clear()

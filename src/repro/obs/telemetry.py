@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 
-from .metrics import bucketed_quantile
 
 #: shared sketch layout — every sketch uses the same buckets, which is the
 #: invariant that makes any two sketches mergeable
@@ -117,8 +116,36 @@ class LogSketch:
         return self
 
     def quantile(self, q: float) -> float:
-        return bucketed_quantile(q, self.counts, self.count, self.minimum,
-                                 self.maximum, self.bucket_bounds)
+        """Estimate the ``q``-quantile by linear interpolation in-bucket.
+
+        Treats the CDF as piecewise linear through the bucket bounds: the
+        rank ``q * count`` falls inside one bucket and interpolates between
+        its bounds.  The under/overflow buckets (nominal bounds ``0`` /
+        ``inf``) and the buckets holding the observed extremes are clamped
+        to ``[minimum, maximum]``, so ``quantile(0.0) == minimum``,
+        ``quantile(1.0) == maximum`` and no estimate leaves that range.
+        """
+        count = self.count
+        if count == 0:
+            return math.nan
+        if q <= 0.0:
+            return self.minimum
+        if q >= 1.0:
+            return self.maximum
+        target = q * count  # mass rank in (0, count)
+        seen = 0
+        for idx, c in enumerate(self.counts):
+            if c == 0:
+                continue
+            if seen + c >= target:
+                lo, hi = self.bucket_bounds(idx)
+                lo = max(lo, self.minimum)
+                hi = min(hi, self.maximum)
+                if hi <= lo:
+                    return lo
+                return lo + (target - seen) / c * (hi - lo)
+            seen += c
+        return self.maximum
 
     def count_above(self, threshold: float) -> float:
         """Estimated number of recorded values strictly above ``threshold``.

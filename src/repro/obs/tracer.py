@@ -125,14 +125,6 @@ class Tracer:
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent is span]
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self._next_id = 1
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
 
 class KVTraceSink:
     """Turns :class:`~repro.kv.meter.Meter` charges into child KV spans.
@@ -156,23 +148,3 @@ class KVTraceSink:
         self.tracer.complete(f"kv.{op}", "kv", self.t, self.t + cost_us,
                              self.track, self.parent, args)
         self.t += cost_us
-
-
-class NullTracer(Tracer):
-    """Accepts the full API but records nothing (for unconditional call sites)."""
-
-    def begin(self, name, cat, ts_us, track, parent=None, args=None) -> Span:
-        return Span(0, name, cat, ts_us, track, parent)
-
-    def end(self, span, ts_us) -> Span:
-        span.end_us = ts_us
-        return span
-
-    def complete(self, name, cat, start_us, end_us, track, parent=None, args=None) -> Span:
-        return Span(0, name, cat, start_us, track, parent, end_us=end_us)
-
-    def instant(self, name, ts_us, track, parent=None, args=None) -> Instant:
-        return Instant(name, ts_us, track, parent)
-
-    def link(self, src, dst, kind="link") -> None:
-        pass

@@ -79,9 +79,6 @@ class ServerNode:
         #: every sub-operation
         self.group_commit = getattr(handler, "group_commit", None)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ServerNode({self.name!r}, served={self.requests_served})"
-
 
 class Cluster:
     """Registry of server nodes addressed by name."""

@@ -222,11 +222,12 @@ class CostModel:
 class KVCostPolicy:
     """Adapter plugging a :class:`CostModel` into a KV store meter.
 
-    The base-cost table and per-byte rate are snapshot at construction —
-    one dict lookup plus one multiply-add per metered KV op, on what
-    profiling shows is the single hottest call site of a closed-loop run.
-    The arithmetic is identical to :meth:`CostModel.kv_cost_us` (same
-    floats, same order), so virtual time is unchanged.
+    The base-cost table and per-byte rate are snapshot at construction,
+    and :class:`~repro.kv.meter.Meter` reads them directly — one dict
+    lookup plus one multiply-add per metered KV op, on what profiling
+    shows is the single hottest call site of a closed-loop run.  The
+    arithmetic is identical to :meth:`CostModel.kv_cost_us` (same floats,
+    same order), so virtual time is unchanged.
     """
 
     __slots__ = ("model", "_base", "_per_byte")
@@ -235,13 +236,6 @@ class KVCostPolicy:
         self.model = model
         self._base = model._kv_base_us()
         self._per_byte = model.kv_per_byte_us
-
-    def cost_us(self, op: str, nbytes: int) -> float:
-        try:
-            base = self._base[op]
-        except KeyError:
-            base = 0.0
-        return base + nbytes * self._per_byte
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -60,12 +60,6 @@ class ReplicaSet:
     def followers(self, leader: str) -> list[str]:
         return [n for n in self.names if n != leader]
 
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ReplicaSet({self.partition!r}, {self.names!r})"
-
 
 def _hash_fraction(data: bytes) -> float:
     """Deterministic uniform-ish fraction in [0, 1) from a blake2b hash."""

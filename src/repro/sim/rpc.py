@@ -58,11 +58,6 @@ class Rpc:
         self.send_bytes = send_bytes
         self.recv_bytes = recv_bytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Rpc({self.server!r}, {self.method!r}, {self.args!r}, "
-                f"{self.kwargs!r}, send_bytes={self.send_bytes}, "
-                f"recv_bytes={self.recv_bytes})")
-
 
 class Batch:
     """N sub-operations to *one* server in a single round trip.
@@ -102,9 +97,6 @@ class Batch:
             send_bytes += rpc.send_bytes
         self.send_bytes = send_bytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Batch({self.server!r}, {self.rpcs!r})"
-
 
 class Parallel:
     """Fan out several RPCs (or Batches) concurrently; resumes with the
@@ -128,9 +120,6 @@ class Parallel:
     def __init__(self, rpcs: list, settle: bool = False):
         self.rpcs = rpcs
         self.settle = settle
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Parallel({self.rpcs!r}, settle={self.settle!r})"
 
 
 class Quorum:
@@ -172,9 +161,6 @@ class Quorum:
         self.rpcs = rpcs
         self.k = k
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Quorum({self.rpcs!r}, k={self.k})"
-
 
 class Sleep:
     """Advance virtual time without doing work (think-time, backoff).
@@ -192,9 +178,6 @@ class Sleep:
             raise ValueError(f"negative or NaN delay: {us}")
         self.us = us
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Sleep({self.us!r})"
-
 
 class LocalCharge:
     """Charge client-side compute time (e.g. FUSE layer, checksums).
@@ -209,9 +192,6 @@ class LocalCharge:
         if not us >= 0.0:  # negative, or NaN
             raise ValueError(f"negative or NaN delay: {us}")
         self.us = us
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"LocalCharge({self.us!r})"
 
 
 class SpanBegin:
@@ -230,9 +210,6 @@ class SpanBegin:
         self.cat = cat
         self.args = {} if args is None else args
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SpanBegin({self.name!r}, {self.cat!r}, {self.args!r})"
-
 
 class SpanEnd:
     """Close the innermost span opened by :class:`SpanBegin` (no time cost).
@@ -248,9 +225,6 @@ class SpanEnd:
 
     def __init__(self, error: str | None = None):
         self.error = error
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SpanEnd({self.error!r})" if self.error else "SpanEnd()"
 
 
 class Mark:
@@ -268,9 +242,6 @@ class Mark:
         self.name = name
         self.args = {} if args is None else args
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Mark({self.name!r}, {self.args!r})"
-
 
 class SpanCapture:
     """Resume with the innermost open :class:`~repro.obs.tracer.Span`.
@@ -285,6 +256,3 @@ class SpanCapture:
 
     __slots__ = ()
     tag = TAG_SPAN_CAPTURE
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "SpanCapture()"

@@ -8,7 +8,7 @@ import pytest
 from repro.common.config import BatchConfig, ClusterConfig
 from repro.core.fs import LocoFS
 from repro.harness import run_latency, run_throughput
-from repro.obs import MetricsRegistry, NullTracer, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.analyze import (
     LINK_BATCH_FLUSH,
     PHASES,
@@ -91,13 +91,6 @@ class TestSpanLinks:
         tracer = Tracer()
         run_latency("locofs-c", 2, n_items=4, tracer=tracer)
         assert link_summary(tracer)["count"] == 0
-
-    def test_null_tracer_link_is_noop(self):
-        nt = NullTracer()
-        a = nt.begin("a", "op", 0.0, "c")
-        b = nt.begin("b", "rpc", 0.0, "c")
-        nt.link(a, b, LINK_BATCH_FLUSH)
-        assert a.links == []
 
 
 # ---------------------------------------------------------------------------

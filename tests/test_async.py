@@ -309,6 +309,23 @@ class TestLookupCacheTier:
         assert ctr.get("hits") == 3
         assert fs.lookup_cache.hit_rate() == 0.6
 
+    def test_counters_mirror_into_an_attached_registry(self):
+        from repro.obs import MetricsRegistry
+
+        fs = async_fs()
+        c = fs.client()
+        c.mkdir("/d")
+        c.create("/d/f")
+        c.flush()
+        c.stat_file("/d/f")  # two misses before the registry exists
+        metrics = MetricsRegistry()
+        fs.attach_observability(metrics=metrics)
+        for _ in range(3):
+            c.stat_file("/d/f")
+        # binding flushes the counts so far, then mirrors every increment
+        assert metrics.counters["cache0.misses"].value == 2
+        assert metrics.counters["cache0.hits"].value == 3
+
     def test_flush_invalidates_written_entries(self):
         fs = async_fs()
         c = fs.client()

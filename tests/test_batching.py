@@ -373,10 +373,10 @@ class TestPinnedCreateClock:
         served = {name: (fs.cluster[name].meter.total_us,
                          fs.cluster[name].requests_served)
                   for name in fs.fms_names}
-        assert served == {"fms0": (114.97200000000018, 4),
-                          "fms1": (94.70800000000007, 3),
-                          "fms2": (157.11600000000007, 5),
-                          "fms3": (151.73600000000008, 5)}
+        assert served == {"fms0": (83.344, 4),
+                          "fms1": (70.86399999999995, 3),
+                          "fms2": (115.48000000000019, 5),
+                          "fms3": (108.98800000000013, 5)}
 
     def test_age_flush_cascade_3x500_at_256_ops(self):
         # the queues due at once ship in one round: no age flush waits

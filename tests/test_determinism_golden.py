@@ -29,8 +29,20 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def current():
-    return goldens.determinism_fingerprint()
+def captured(tmp_path_factory):
+    """A fresh capture, through the recapture script's own entry point."""
+    path = tmp_path_factory.mktemp("golden") / "determinism.json"
+    return goldens.capture(path), path
+
+
+@pytest.fixture(scope="module")
+def current(captured):
+    return captured[0]
+
+
+def test_capture_rewrites_the_committed_file_byte_for_byte(captured):
+    _, path = captured
+    assert path.read_text() == GOLDEN_PATH.read_text()
 
 
 def test_golden_covers_all_seven_systems(golden):

@@ -94,6 +94,31 @@ class TestReadWrite:
         fuse.close(fd)
         assert fuse.stat("/f").st_size == 0
 
+    def test_creat_is_open_creat_wronly_trunc(self, mount):
+        fuse, _ = mount
+        fd = fuse.creat("/f", 0o600)  # absent: created, write-only
+        assert fuse.write(fd, b"old contents") == 12
+        with pytest.raises(InvalidArgument):
+            fuse.read(fd, 1)
+        fuse.close(fd)
+        assert fuse.stat("/f").st_mode & 0o777 == 0o600
+        fd = fuse.creat("/f")  # present: truncated, not an error
+        assert fuse.stat("/f").st_size == 0
+        assert fuse.write(fd, b"new") == 3
+        fuse.close(fd)
+        assert fuse.stat("/f").st_size == 3
+
+    def test_truncate_by_path(self, mount):
+        fuse, _ = mount
+        fd = fuse.open("/f", O_CREAT | O_RDWR)
+        fuse.write(fd, b"0123456789")
+        fuse.truncate("/f", 4)
+        assert fuse.stat("/f").st_size == 4
+        fuse.truncate("/f", 0)
+        assert fuse.stat("/f").st_size == 0
+        with pytest.raises(NoEntry):
+            fuse.truncate("/missing", 0)
+
     def test_o_append_positions_at_eof(self, mount):
         fuse, _ = mount
         fd = fuse.open("/log", O_CREAT | O_WRONLY)

@@ -109,6 +109,27 @@ class TestLocoFSSpecific:
         assert sum(counts) == 200
         assert all(n > 0 for n in counts), "hashing should spread files over all FMS"
 
+    def test_file_counts_agree_and_charge_no_meter(self):
+        # introspection, not a simulated operation: after a mixed run the
+        # store scan and the maintained counters agree, and neither charges
+        # an FMS meter (the scan once charged a scan_record per record)
+        fs = LocoFS(ClusterConfig(num_metadata_servers=4))
+        c = fs.client()
+        c.mkdir("/d")
+        c.mkdir("/e")
+        for i in range(40):
+            c.create(f"/d/f{i}")
+        for i in range(0, 40, 3):
+            c.unlink(f"/d/f{i}")
+        for i in range(1, 40, 3):
+            c.rename(f"/d/f{i}", f"/e/g{i}")
+        c.rename("/e", "/e2")
+        meters = [fs.cluster[n].meter for n in fs.fms_names]
+        before = [(m.total_us, dict(m.op_counts)) for m in meters]
+        assert [s.num_files() for s in fs.fms] == [s.num_files_fast() for s in fs.fms]
+        assert fs.total_files() == fs.total_files_fast() == 26
+        assert [(m.total_us, dict(m.op_counts)) for m in meters] == before
+
     def test_create_with_warm_cache_is_single_rpc(self):
         fs = LocoFS(ClusterConfig(num_metadata_servers=1))
         c = fs.client()
