@@ -88,10 +88,11 @@ class AsyncLocoClient(BatchingLocoClient):
 
     def _queued_only(self, server: str, key) -> list:
         """The key's live entries when the file exists only in-queue — a
-        pending create plus its attr updates — else ``[]``."""
+        pending create plus its attr updates, none of them in doubt —
+        else ``[]``."""
         pend = self._pending.get(server)
         idxs = pend.bykey.get(key) if pend is not None else None
-        if not idxs:
+        if not idxs or idxs[0] < pend.in_doubt:
             return []
         live = [pend.entries[i] for i in idxs if pend.entries[i] is not None]
         if (any(e[0] == "create" for e in live)
@@ -274,6 +275,8 @@ class AsyncLocoClient(BatchingLocoClient):
                 e = pend.entries[i]
                 if e is None:
                     continue
+                if i < pend.in_doubt:
+                    break  # shipped already: append a fresh entry
                 if e[0] == "create" and uid is None and gid is None:
                     # chmod folds into the pending create itself
                     pend.entries[i] = e[:3] + (mode,) + e[4:]
@@ -303,7 +306,7 @@ class AsyncLocoClient(BatchingLocoClient):
             _write_dir_attrs(dinfo, mode, uid, gid)
         dq = self._pending.get(DMS)
         idxs = dq.bykey.get(path) if dq is not None else None
-        if idxs:
+        if idxs and idxs[-1] >= dq.in_doubt:
             e = dq.entries[idxs[-1]]
             merged = None
             if e[0] == "mkdir" and uid is None and gid is None:

@@ -66,8 +66,11 @@ class LocoClient(FSClientBase):
         cache_capacity: int = 65536,
         block_size: int = 4096,
         strict_collisions: bool = False,
+        client_id: int = 0,
     ):
         super().__init__(engine, cred)
+        #: unique per deployment: keys the servers' exactly-once sessions
+        self.client_id = client_id
         #: see ClusterConfig.strict_collisions — cross-keyspace name checks
         self.strict_collisions = strict_collisions
         self.fms_names = list(fms_names)
@@ -558,7 +561,8 @@ class _Queue:
     entry stays in place as ``None`` so indices remain stable."""
 
     __slots__ = ("entries", "paths", "sizes", "guards", "bykey", "dirs",
-                 "lease_paths", "nbytes", "live", "oldest_us", "origins")
+                 "lease_paths", "nbytes", "live", "oldest_us", "origins",
+                 "seq", "in_doubt")
 
     def __init__(self, now_us: float):
         self.entries: list[tuple | None] = []
@@ -582,6 +586,10 @@ class _Queue:
         self.live = 0  # entries not cancelled
         self.oldest_us = now_us  # enqueue time of the oldest entry
         self.origins: list = []  # captured op spans of the deferred ops
+        self.seq = 0  # the session seq the queue ships under (0: not yet)
+        #: ``entries[:in_doubt]`` shipped and may have applied (a flush
+        #: re-queued after ``ServerDown``): no later op cancels or rewrites one
+        self.in_doubt = 0
 
 
 #: modeled wire size of one deferred create beyond its name (fixed header:
@@ -660,6 +668,7 @@ class BatchingLocoClient(LocoClient):
         self.deferred_errors: list[Exception] = []
         #: flushes re-queued after a ServerDown (write-behind retry path)
         self.flush_requeues = 0
+        self._seq = 0  # the last session seq a queue took
         #: shipped flushes by what triggered them
         self.flush_causes = dict.fromkeys(("full", "age", "read", "dep", "drain"), 0)
 
@@ -834,8 +843,12 @@ class BatchingLocoClient(LocoClient):
                            {"server": server, "n": len(ship), "reason": reason})
             if ship:
                 self.flush_causes[reason] += 1
+                if not pend.seq:
+                    self._seq += 1
+                    pend.seq = self._seq
                 shipped.append((server, pend, live, ship, Batch(
-                    server, [Rpc(server, "apply_batch", (ship,), send_bytes=pend.nbytes)],
+                    server, [Rpc(server, "apply_batch", (ship, self.client_id, pend.seq),
+                                 send_bytes=pend.nbytes)],
                     origins=pend.origins or None)))
         if recompute:
             oldest = _NOTHING_PENDING
@@ -866,11 +879,10 @@ class BatchingLocoClient(LocoClient):
             if err is not None:
                 if isinstance(err, ServerDown):
                     # the retried attempts all timed out: re-queue this
-                    # queue alone (same entry tuples, so the eventual
-                    # redelivery deduplicates server-side) and let a later
-                    # flush trigger try again; the round's other queues
-                    # are durable, and replaying them would re-apply
-                    # acknowledged unlinks and renames
+                    # queue alone, in doubt (its seq gets the server's
+                    # cached reply if it applied), and let a later flush
+                    # trigger try again; the round's other queues are
+                    # durable and settled here
                     self._requeue(server, pend)
                     if observed:
                         yield Mark("client.flush.requeue",
@@ -958,10 +970,12 @@ class BatchingLocoClient(LocoClient):
                 metrics.counter("client.deferred_errors").inc(len(errs))
 
     def _requeue(self, server: str, pend: _Queue) -> None:
-        """Put a failed flush back at the head of the server's queue,
-        ahead of anything queued since.  ``oldest_us`` stays the failed
-        flush's own: the age bound keeps counting from the oldest entry's
-        enqueue, so the next op retries an overdue queue."""
+        """Put a failed flush back, in doubt, at the head of the server's
+        queue, ahead of anything queued since: the merged queue ships
+        under its seq.  ``oldest_us`` stays the failed flush's own: the
+        age bound keeps counting from the oldest entry's enqueue, so the
+        next op retries an overdue queue."""
+        pend.in_doubt = len(pend.entries)
         cur = self._pending.get(server)
         if cur is not None:
             off = len(pend.entries)

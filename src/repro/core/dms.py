@@ -24,8 +24,6 @@ of all descendant *directories* — a contiguous prefix move in the B+-tree
 
 from __future__ import annotations
 
-import os
-
 from repro.common import pathutil
 from repro.common.errors import (
     Exists,
@@ -44,12 +42,13 @@ from repro.common.types import (
 )
 from repro.common.uuidgen import FID_BITS, FID_MASK, ROOT_UUID, UuidAllocator
 from repro.kv import make_store
-from repro.kv.api import GroupCommit, NoGroup, group_scope
-from repro.kv.meter import Meter, NullMeter
+from repro.kv.meter import NullMeter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import W_OK, X_OK, may_access
 from repro.metadata.layout import DIR_INODE
+
+from .metaserver import MetadataServer
 
 _I = b"I:"
 _E = b"E:"
@@ -68,14 +67,11 @@ def _ekey(uuid: int) -> bytes:
     return _E + uuid.to_bytes(8, "big")
 
 
-class DirectoryMetadataServer:
+class DirectoryMetadataServer(MetadataServer):
     """Handler object for the single DMS node."""
 
-    #: how many uuids are reserved per durable allocator checkpoint
-    FID_RESERVE = 1024
     #: whether ``/`` lives here (a directory shard other than 0 has none)
     has_root = True
-    _FID_KEY = b"M:fid_ceiling"
 
     def __init__(
         self,
@@ -94,14 +90,14 @@ class DirectoryMetadataServer:
         #: handler-level telemetry (ACL-walk depth, rename fan-out); mirrored
         #: into a metrics registry as ``dms.*`` when a run opts in
         self.counters = Counters()
+        self._replies = WriteAheadLog.notes(wal_path) if wal_path else {}
         self._open(wal_path)
         self._load()
 
     def _open(self, wal_path: str | None) -> None:
         """A store of this server's backend over ``wal_path`` (replayed when
         the log exists), metered by this node, with an empty mirror."""
-        self.store = make_store(self.backend, wal_path=wal_path)
-        self.store.meter = self.meter
+        self.store = make_store(self.backend, self.meter, wal_path=wal_path)
         # write-through mirror for ancestor ACL walks: path -> (mode, uid, gid, uuid)
         self._meta: dict[str, tuple[int, int, int, int]] = {}
 
@@ -110,7 +106,11 @@ class DirectoryMetadataServer:
         one root-or-recover decision behind construction, restart and a
         replica's log wipe: recover the mirror and the allocator, then
         seed ``/`` iff this server owns it and the store has none."""
-        self._recover()
+        for key, buf in self.store.items():
+            if key.startswith(_I):
+                path = key[len(_I):].decode("utf-8")
+                self._meta[path] = (*DIR_INODE.perm(buf), DIR_INODE.read(buf, "uuid"))
+        super()._load()
         if self.has_root and "/" not in self._meta:
             self._mkroot()
 
@@ -120,18 +120,6 @@ class DirectoryMetadataServer:
         self.store.put(_ikey("/"), buf)
         self.store.put(_ekey(ROOT_UUID), b"")
         self._meta["/"] = (mode, 0, 0, ROOT_UUID)
-
-    def _recover(self) -> None:
-        """Rebuild the in-memory mirror and uuid allocator after a restart."""
-        for key, buf in self.store.items():
-            if not key.startswith(_I):
-                continue
-            path = key[len(_I):].decode("utf-8")
-            self._meta[path] = (*DIR_INODE.perm(buf), DIR_INODE.read(buf, "uuid"))
-        ceiling = self.store.get(self._FID_KEY)
-        if ceiling is not None:
-            # skip the reserved range: ids up to the ceiling may be in use
-            self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
 
     def _allocate_uuid(self) -> int:
         """Allocate a uuid, durably reserving id ranges in batches.
@@ -148,47 +136,6 @@ class DirectoryMetadataServer:
         if ceiling is None or fid > int.from_bytes(ceiling, "big"):
             self.store.put(self._FID_KEY, (fid + self.FID_RESERVE).to_bytes(8, "big"))
         return alloc.sid << FID_BITS | fid
-
-    def group_commit(self) -> GroupCommit | NoGroup:
-        """Group-commit scope for batched RPCs (one WAL fsync per batch) —
-        same contract as :meth:`FileMetadataServer.group_commit`: counts
-        every scope and the durable commit boundaries it produced, so the
-        deferred-mkdir amortization claim is auditable from the metrics."""
-        return group_scope(self.store, self.counters)
-
-    # -- wiring ------------------------------------------------------------------
-    def attach_meter(self, meter: Meter) -> None:
-        self.store.meter = meter
-        self.meter = meter
-
-    # -- crash/recovery (repro.sim.faults hooks) ----------------------------------
-    def crash(self, torn_tail_bytes: int = 0) -> None:
-        """The DMS process dies: the store and the path->meta mirror are
-        volatile; only the WAL survives, optionally with a torn tail."""
-        store = self.store
-        wal = getattr(store, "_wal", None)
-        self._wal_path = wal.path if wal is not None else None
-        store.close()
-        if self._wal_path is not None and torn_tail_bytes:
-            WriteAheadLog.tear_tail(self._wal_path, torn_tail_bytes)
-        self._open(None)
-
-    def restart(self) -> int:
-        """Rebuild the store by WAL replay (then the mirror from the
-        store); returns the replayed byte count for recovery latency."""
-        path = getattr(self, "_wal_path", None)
-        nbytes = os.path.getsize(path) if path and os.path.exists(path) else 0
-        self._open(path)
-        self._load()
-        return nbytes
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        self.counters.bind(registry, prefix)
-
-    def _touch(self, op: str, *parts: str) -> None:
-        """Record the inode parts ``op`` touched; callers test
-        ``track_touches`` first, so an untracked op pays no frame."""
-        self.touches.setdefault(op, set()).update(parts)
 
     # -- internals -----------------------------------------------------------------
     def _acl_walk(self, path: str, cred: Credentials) -> None:
@@ -261,11 +208,6 @@ class DirectoryMetadataServer:
         store = self.store
         key = _I + path.encode()
         if store.get(key) is not None:
-            if uuid is not None and self._meta.get(path, (0, 0, 0, -1))[3] == uuid:
-                # replay of an already-applied deferred mkdir (a retried
-                # flush after a dropped response): same client-reserved
-                # uuid means it is this very mkdir — report success
-                return uuid
             raise Exists(path)
         if uuid is None:
             uuid = self._allocate_uuid()
@@ -299,7 +241,7 @@ class DirectoryMetadataServer:
         self.counters.inc("uuids.reserved", n)
         return (alloc.sid << FID_BITS) | start, n
 
-    def op_apply_batch(self, entries: tuple) -> list:
+    def op_apply_batch(self, entries: tuple, client_id: int, seq: int) -> list:
         """Apply a write-behind batch of deferred directory updates.
 
         Each entry is a tagged tuple — ``("mkdir", path, mode, cred,
@@ -307,14 +249,25 @@ class DirectoryMetadataServer:
         path, cred, now_s, mode, uid, gid)``.  Entries apply in order;
         per-entry failures are reported positionally (``{"err": name,
         "arg": path}``, the error's path) instead of failing the batch,
-        because the issuing ops were acknowledged long ago (write-behind).  The engine wraps
-        the dispatch in :meth:`group_commit`, so the whole batch is one
-        WAL fsync.
+        because the issuing ops were acknowledged long ago (write-behind).
+        The engine wraps the dispatch in :meth:`group_commit`, so the
+        whole batch is one WAL fsync.  A retry is answered from the
+        per-client reply cache, as
+        :meth:`FileMetadataServer.op_apply_batch` answers one.
         """
         n = len(entries)
-        results: list = [None] * n
+        replies = self._replies
+        if client_id in replies and replies[client_id][0] == seq:
+            results = replies[client_id][1]
+            first = len(results)
+            if first == n:
+                return results
+            results = results + [None] * (n - first)
+        else:
+            results = [None] * n
+            first = 0
         walked: set = set()
-        for i, e in enumerate(entries):
+        for i, e in enumerate(entries[first:], first):
             kind = e[0]
             try:
                 if kind == "mkdir":
@@ -331,7 +284,11 @@ class DirectoryMetadataServer:
                     raise InvalidArgument(kind, "unknown deferred DMS op")
             except FSError as err:
                 results[i] = {"err": type(err).__name__, "arg": err.path}
-        self.counters.inc("batch.records", n)
+        self.counters.inc("batch.records", n - first)
+        replies[client_id] = (seq, results)
+        wal = self.store._wal
+        if wal is not None:
+            wal.append_note(client_id, (seq, results))
         return results
 
     def op_lookup(self, path: str, cred: Credentials) -> dict:

@@ -22,20 +22,18 @@ concatenated under ``E:<directory_uuid>`` (backward dirent organization).
 
 from __future__ import annotations
 
-import os
-
 from repro.common.errors import Exists, FSError, InvalidArgument, NoEntry, PermissionDenied
 from repro.common.stats import Counters
 from repro.common.types import Credentials, FileType, S_IFREG
 from repro.common.uuidgen import FID_BITS, FID_MASK, UuidAllocator
 from repro.kv import HashStore
-from repro.kv.api import GroupCommit, NoGroup, group_scope
-from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 from repro.metadata import dirent
 from repro.metadata.acl import may_access
 from repro.metadata.layout import FILE_ACCESS, FILE_ATTRS, FILE_CONTENT, FILE_COUPLED
 from repro.sim.costmodel import CostModel
+
+from .metaserver import MetadataServer
 
 _A = b"A:"
 _C = b"C:"
@@ -63,11 +61,6 @@ _ATTRS = FILE_ATTRS.unpack
 #: its index blob
 _NATTRS = len(FILE_ACCESS.field_names) + len(FILE_CONTENT.field_names)
 
-#: verdicts for a create-batch probe hit (see ``_probe_verdict``)
-_APPLIED = 0   # replay of an already-durable create: return its uuid
-_REPAIR = 1    # torn WAL tail left a partial create: re-apply as fresh
-_CONFLICT = 2  # a different file of the same name exists
-
 
 def fkey(dir_uuid: int, name: str) -> bytes:
     return dir_uuid.to_bytes(8, "big") + name.encode("utf-8")
@@ -78,12 +71,8 @@ def _join_coupled(a: bytes, c: bytes) -> bytes:
     return FILE_COUPLED.pack_values(*FILE_ACCESS.values(a), *FILE_CONTENT.values(c), b"")
 
 
-class FileMetadataServer:
+class FileMetadataServer(MetadataServer):
     """Handler object for one FMS node."""
-
-    #: how many uuids are reserved per durable allocator checkpoint
-    FID_RESERVE = 1024
-    _FID_KEY = b"M:fid_ceiling"
 
     def __init__(
         self,
@@ -93,6 +82,8 @@ class FileMetadataServer:
         track_touches: bool = False,
         wal_path: str | None = None,
     ):
+        # ``_open`` + ``_load`` inline: a deployment builds without their
+        # frames (``tests/test_setup_cost.py`` pins its calls)
         self.sid = sid
         self.decoupled = decoupled
         self.cost = cost or CostModel()
@@ -111,63 +102,15 @@ class FileMetadataServer:
         #: live file count, maintained by the mutating ops — serves
         #: :meth:`num_files_fast` without the O(N) store scan
         self._nfiles = self.num_files()
+        self._replies = WriteAheadLog.notes(wal_path) if wal_path else {}
 
-    def group_commit(self) -> GroupCommit | NoGroup:
-        """Group-commit scope for batched RPCs (one WAL fsync per batch).
-
-        Counts every scope (``wal.group_commit``) and, when a WAL is
-        attached, the durable commit boundaries it produced (``wal.fsync``
-        — each boundary is exactly one fsync when the log runs in sync
-        mode), so the amortization claim is auditable from the metrics
-        dump: batched creates show ``wal.fsync`` ≪ ``batch.records``.
-        """
-        return group_scope(self.store, self.counters)
-
-    def attach_meter(self, meter: Meter) -> None:
-        self.store.meter = meter
-        self.meter = meter
-
-    # -- crash/recovery (repro.sim.faults hooks) ----------------------------------
-    def crash(self, torn_tail_bytes: int = 0) -> None:
-        """The FMS process dies: volatile state is lost, only the WAL
-        survives — optionally with ``torn_tail_bytes`` chopped off, a
-        crash that interrupted the physical write-out of a group commit.
-        Without a WAL the namespace is honestly gone on restart.
-        """
-        store = self.store
-        wal = getattr(store, "_wal", None)
-        self._wal_path = wal.path if wal is not None else None
-        # closing flushes buffered log records: in this simulation a record
-        # handed to the OS counts as durable (the torn tail models the rest)
-        store.close()
-        if self._wal_path is not None and torn_tail_bytes:
-            WriteAheadLog.tear_tail(self._wal_path, torn_tail_bytes)
-        self.store = HashStore()
-        self.store.meter = self.meter
+    def _open(self, wal_path: str | None) -> None:
+        self.store = HashStore(wal_path=wal_path, meter=self.meter)
         self._nfiles = 0
 
-    def restart(self) -> int:
-        """Rebuild the store by WAL replay; returns the replayed byte
-        count, which the fault layer converts into recovery latency
-        (``CostModel.recovery_us``) before the server serves again."""
-        path = getattr(self, "_wal_path", None)
-        nbytes = os.path.getsize(path) if path and os.path.exists(path) else 0
-        self.store = HashStore(wal_path=path)
-        self.store.meter = self.meter
-        ceiling = self.store.get(self._FID_KEY)
-        if ceiling is not None:
-            # never reuse ids from the durably reserved range
-            self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
+    def _load(self) -> None:
+        super()._load()
         self._nfiles = self.num_files()
-        return nbytes
-
-    def bind_metrics(self, registry, prefix: str) -> None:
-        self.counters.bind(registry, prefix)
-
-    def _touch(self, op: str, *parts: str) -> None:
-        """Record the inode parts ``op`` touched; callers test
-        ``track_touches`` first, so an untracked op pays no frame."""
-        self.touches.setdefault(op, set()).update(parts)
 
     # -- coupled-mode helpers (LocoFS-CF ablation) --------------------------------
     def _get_coupled(self, key: bytes) -> bytes | None:
@@ -182,7 +125,7 @@ class FileMetadataServer:
         self.store.put(_F + key, buf)
 
     # -- lookup helpers ----------------------------------------------------------------
-    def _load(self, key: bytes) -> tuple[bytes, bytes]:
+    def _inode(self, key: bytes) -> tuple[bytes, bytes]:
         """Return (access_buf, content_buf) or raise NoEntry."""
         if self.decoupled:
             a = self.store.get(_A + key)
@@ -283,23 +226,14 @@ class FileMetadataServer:
         name is encoded once (key, probe key and dirent share the bytes),
         as in :meth:`op_create`.
 
-        Name conflicts do not abort the batch: conflicting entries are
-        skipped and reported in ``"exists"``; their ``"uuids"`` slot is
-        ``None``.  (The write-behind client surfaces the first conflict as
-        :class:`Exists` at the flush boundary — see DESIGN.md.)  A name
+        Name conflicts do not abort the batch: every probe hit is skipped
+        and reported in ``"exists"``; its ``"uuids"`` slot is ``None``.
+        (The write-behind client surfaces the first conflict as
+        :class:`Exists` at the flush boundary — see DESIGN.md; a retried
+        flush never gets here, :meth:`op_apply_batch` answers it.)  A name
         the dirent encoding cannot hold (empty, or over
         ``dirent.MAX_NAME_BYTES`` encoded) raises :class:`InvalidArgument`
         before the run changes anything.
-
-        Retried flushes are exactly-once.  A probe hit whose stored access
-        part is byte-identical to what this entry would write (same ctime/
-        mode/uid/gid — the content fingerprint of *this* create, since the
-        client reuses the original entry tuple on retry) is a replay of an
-        already-applied create, not a conflict: the entry is deduplicated,
-        its original uuid returned, and its dirent verified (and repaired
-        if a torn WAL tail lost it).  Genuine duplicates — a different
-        create of the same name — have a different fingerprint and still
-        report ``"exists"``.
         """
         if self.track_touches:
             self._touch("create", "access", "dirent")
@@ -328,19 +262,8 @@ class FileMetadataServer:
         # a key twice in one run: the later create is a conflict, so only
         # then are the run's keys tracked
         seen = set() if n > 1 and len(set(keys)) < n else None
-        repairs = 0  # torn-tail redos: their access part is already counted
         for i, probe in enumerate(probes):
-            if probe is not None:
-                key = keys[i]
-                verdict, uuid = self._probe_verdict(entries[i], key, key[:8], probe)
-                if verdict == _APPLIED:
-                    uuids[i] = uuid
-                    continue
-                if verdict == _CONFLICT:
-                    exists += (entries[i][-5],)
-                    continue
-                repairs += 1
-            elif seen is not None and keys[i] in seen:
+            if probe is not None or seen is not None and keys[i] in seen:
                 exists += (entries[i][-5],)
                 continue
             if seen is not None:
@@ -393,46 +316,8 @@ class FileMetadataServer:
         store.multi_put(pairs)
         for dkey in dirents:
             store.append(_E + dkey, dirents[dkey])
-        self._nfiles += m - repairs
+        self._nfiles += m
         return {"uuids": uuids, "exists": exists}
-
-    def _probe_verdict(self, entry: tuple, key: bytes, dkey: bytes,
-                       probe: bytes) -> tuple[int, int | None]:
-        """Classify a create-batch probe hit: replay, torn remnant, or conflict.
-
-        A retried flush re-sends the original entry tuples, so an entry's
-        access-part bytes (ctime/mode/uid/gid) are a content fingerprint:
-        if the stored access part matches exactly, the stored file *is*
-        this create, already applied by the attempt whose response was
-        lost.  A different fingerprint is a genuine name conflict (any
-        other create carries a different virtual-time ctime).
-        """
-        dir_uuid, name, mode, cred, now_s, bsize = entry[-6:]
-        fmode = S_IFREG | (mode & 0o7777)
-        if self.decoupled:
-            if probe != FILE_ACCESS.pack_values(now_s, fmode, cred.uid, cred.gid):
-                return _CONFLICT, None
-            c = self.store.get(_C + key)
-            if c is None:
-                # the crash tore the WAL between this entry's access and
-                # content parts: the create never fully applied — redo it
-                return _REPAIR, None
-            uuid = FILE_CONTENT.read(c, "suuid")
-        else:
-            if (FILE_COUPLED.read(probe, "ctime") != now_s
-                    or FILE_COUPLED.read(probe, "mode") != fmode
-                    or FILE_COUPLED.read(probe, "uid") != cred.uid
-                    or FILE_COUPLED.read(probe, "gid") != cred.gid):
-                return _CONFLICT, None
-            uuid = FILE_COUPLED.read(probe, "suuid")
-        # the dirent append lands after the inode parts in the WAL, so a
-        # torn tail can leave the inode without its dirent — repair it
-        ekey = _E + dkey
-        buf = self.store.get(ekey) or b""
-        if not dirent.contains(buf, name):
-            self.store.append(ekey, dirent.pack_entry(name, uuid, FileType.FILE))
-        self.counters.inc("batch.deduped")
-        return _APPLIED, uuid
 
     def op_getattr(self, dir_uuid: int, name: str) -> tuple:
         """stat on a file reads both parts (Table 1: getattr touches all).
@@ -475,7 +360,7 @@ class FileMetadataServer:
             c = get(_C + key)
             assert c is not None, "access part exists without content part"
         else:
-            a, c = self._load(key)
+            a, c = self._inode(key)
         mode, uid, gid = FILE_ACCESS.perm(a)
         if not may_access(mode, uid, gid, cred, want):
             raise PermissionDenied(name)
@@ -494,7 +379,7 @@ class FileMetadataServer:
             if a is None:
                 raise NoEntry(name)
         else:
-            a, _ = self._load(key)
+            a, _ = self._inode(key)
         return may_access(*FILE_ACCESS.perm(a), cred, want)
 
     def op_setattr(self, dir_uuid: int, name: str, cred: Credentials, now_s: float,
@@ -618,7 +503,7 @@ class FileMetadataServer:
         if self.track_touches:
             self._touch("remove", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
-        a, c = self._load(key)
+        a, c = self._inode(key)
         self._check_owner(a, cred, name)
         if self.decoupled:
             self.store.delete(_A + key)
@@ -661,7 +546,7 @@ class FileMetadataServer:
         if self.track_touches:
             self._touch("rename", "access", "content", "dirent")
         key = fkey(dir_uuid, name)
-        a, c = self._load(key)
+        a, c = self._inode(key)
         self._check_owner(a, cred, name)
         if self.decoupled:
             self.store.delete(_A + key)
@@ -684,8 +569,7 @@ class FileMetadataServer:
         replaced file's ``{"uuid", "size"}`` comes back so the client can
         delete its data blocks.  Without ``cred`` it never replaces
         (``Exists``): the client's rollback, which puts an inode back on
-        its source.  Finding its own inode (the same uuid: a retry whose
-        first attempt applied) it changes nothing and replaces nothing.
+        its source.
         """
         if self.track_touches:
             self._touch("rename", "access", "content", "dirent")
@@ -699,13 +583,11 @@ class FileMetadataServer:
         uuid = FILE_CONTENT.read(content, "suuid")
         replaced = None
         if a is not None:
-            old_uuid = FILE_CONTENT.read(c, "suuid")
-            if old_uuid == uuid:
-                return None
             if cred is None:
                 raise Exists(name)
             self._check_owner(a, cred, name)
-            replaced = {"uuid": old_uuid, "size": FILE_CONTENT.read(c, "size")}
+            replaced = {"uuid": FILE_CONTENT.read(c, "suuid"),
+                        "size": FILE_CONTENT.read(c, "size")}
         self._store_both(key, access, content)
         ekey = _E + dir_uuid.to_bytes(8, "big")
         entry = dirent.pack_entry(name, uuid, FileType.FILE)
@@ -740,7 +622,7 @@ class FileMetadataServer:
         return {"replaced": replaced}
 
     # -- batched apply (the write-behind flush, LocoFS-B and -A) --------------------------
-    def op_apply_batch(self, entries: tuple) -> list:
+    def op_apply_batch(self, entries: tuple, client_id: int, seq: int) -> list:
         """Apply a mixed sequence of deferred metadata updates in order.
 
         Each entry is a tagged tuple whose tail matches the corresponding
@@ -767,14 +649,30 @@ class FileMetadataServer:
         must apply in sequence — except *contiguous* runs of creates,
         which are safe to hand to :meth:`op_create_batch` for its full
         amortization (multi_get probes, one uuid ceiling, one multi_put,
-        coalesced dirent appends) and exactly-once replay handling.  The
-        engine runs the whole request under :meth:`group_commit`, so the
-        mixed batch is still one WAL fsync.
+        coalesced dirent appends).  The engine runs the whole request
+        under :meth:`group_commit`, so the mixed batch is still one WAL
+        fsync.
+
+        Exactly-once (DESIGN §8): per client, the ``seq`` and results of
+        the last batch applied are cached.  The same seq again is a retry
+        whose reply was lost: the cached entries are answered without
+        touching the store, and only entries past them (queued behind the
+        in-doubt batch the client re-ships) apply.  With a WAL the cache
+        entry is a note in the batch's own group commit.
         """
         n = len(entries)
-        results: list = [None] * n
+        replies = self._replies
+        if client_id in replies and replies[client_id][0] == seq:
+            results = replies[client_id][1]
+            first = len(results)
+            if first == n:
+                return results
+            results = results + [None] * (n - first)
+        else:
+            results = [None] * n
+            first = 0
         creates = 0
-        i = 0
+        i = first
         while i < n:
             e = entries[i]
             kind = e[0]
@@ -824,8 +722,12 @@ class FileMetadataServer:
             except FSError as err:
                 results[i] = {"err": type(err).__name__, "arg": err.path}
             i += 1
-        if n > creates:  # op_create_batch counted its own records
-            self.counters.inc("batch.records", n - creates)
+        if n - first > creates:  # op_create_batch counted its own records
+            self.counters.inc("batch.records", n - first - creates)
+        replies[client_id] = (seq, results)
+        wal = self.store._wal
+        if wal is not None:
+            wal.append_note(client_id, (seq, results))
         return results
 
     # -- introspection --------------------------------------------------------------------

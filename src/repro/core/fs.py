@@ -215,18 +215,21 @@ class LocoFS:
             strict_collisions=config.strict_collisions,
             **policy_kwargs, **routing_kwargs,
         )
-        self._next_client_id = 0
+        # a deployment reopened over its logs never reuses the id of a
+        # client some server still holds a session for
+        self._next_client_id = 0 if data_dir is None else 1 + max(
+            (c for s in (*self.dms_servers.values(), *self.fms) for c in s._replies),
+            default=-1)
 
     def client(self, cred: Credentials = ROOT_CRED, engine=None) -> LocoClient:
         """A new logical client (with its own directory cache) of the
         class the config composes — see the module docstring's tables."""
-        kwargs = self._client_kwargs
-        if self.partitions:
-            # replicated sessions are keyed by a per-deployment client id
-            kwargs = dict(kwargs, client_id=self._next_client_id)
-            self._next_client_id += 1
+        # the servers' exactly-once sessions are keyed by a per-deployment
+        # client id
+        self._next_client_id += 1
         return self._client_class(engine if engine is not None else self.engine,
-                                  cred=cred, **kwargs)
+                                  cred=cred, client_id=self._next_client_id - 1,
+                                  **self._client_kwargs)
 
     # -- observability --------------------------------------------------------------
     def attach_observability(self, tracer=None, metrics=None) -> None:

@@ -410,13 +410,12 @@ class ReplDirClient(MultiDMSClient):
     ELECTION_SEED = 0
 
     def __init__(self, engine, dms_names, partitions: dict, fms_names,
-                 placement, client_id: int = 0, **kw):
+                 placement, **kw):
         super().__init__(engine, dms_names=dms_names, fms_names=fms_names,
                          placement=placement, **kw)
         self.partitions = {p: ReplicaSet(p, names)
                            for p, names in partitions.items()}
         self.leaders = {p: names[0] for p, names in partitions.items()}
-        self.client_id = int(client_id)
         self._rseq = 0
         self._fo_attempts = {p: 0 for p in partitions}
 

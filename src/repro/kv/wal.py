@@ -4,14 +4,18 @@ Record framing: ``[length u32][crc32 u32][payload]`` where the payload is
 ``[op u8][klen u32][key][vlen u32][value]``.  ``op`` is PUT (1),
 DELETE (2) or APPEND (3): an append record carries only the appended
 bytes, so a directory's dirent list costs the log what its entries
-weigh, not a rewrite of the whole list per entry.  Replay stops at the
-first corrupt or truncated record, which models crash recovery:
-everything before the tear is recovered, the tail is discarded (and a
+weigh, not a rewrite of the whole list per entry.  NOTE (4) is handler
+state no store replays (a server's reply cache, :meth:`~WriteAheadLog.notes`).
+Every record of a group commit but its last has the op byte's high bit
+set, so a group replays whole or not at all.  Replay stops at the first
+corrupt or truncated record, which models crash recovery: the complete
+groups before the tear are recovered, the rest is discarded (and a
 reopened log cuts it off, so later records land where replay reaches).
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import struct
 import zlib
@@ -20,6 +24,10 @@ from collections.abc import Iterator
 OP_PUT = 1
 OP_DELETE = 2
 OP_APPEND = 3
+OP_NOTE = 4
+
+#: set in the op byte of every record of a group commit but its last
+_MORE = 0x80
 
 _FRAME = struct.Struct("<II")
 
@@ -37,19 +45,19 @@ def decode_payload(payload: bytes) -> tuple[int, bytes, bytes]:
     (vlen,) = struct.unpack_from("<I", payload, off)
     off += 4
     value = payload[off : off + vlen]
-    return op, key, value
+    return op & ~_MORE, key, value
 
 
 class WriteAheadLog:
-    """Append-only durable log with CRC-checked replay."""
+    """Append-only durable log with CRC-checked, group-atomic replay."""
 
     def __init__(self, path: str, sync: bool = False):
         self.path = path
         self.sync = sync
         self._fh = open(path, "ab")
         self._drop_torn_tail()
-        #: buffered records while a group commit is open (None = no group)
-        self._group: list[bytes] | None = None
+        #: ``(op, key, value)`` records of an open group commit (None = no group)
+        self._group: list[tuple[int, bytes, bytes]] | None = None
         self._group_depth = 0
         #: durable commit boundaries: physical write-outs of one or more
         #: records — each costs exactly one fsync when ``sync`` is on
@@ -58,27 +66,38 @@ class WriteAheadLog:
         self.syncs = 0
 
     def append_put(self, key: bytes, value: bytes) -> None:
-        self._append(encode_record(OP_PUT, key, value))
+        self._log(OP_PUT, key, value)
 
     def append_delete(self, key: bytes) -> None:
-        self._append(encode_record(OP_DELETE, key))
+        self._log(OP_DELETE, key, b"")
 
     def append_tail(self, key: bytes, tail: bytes) -> None:
         """Log that ``tail`` was appended to ``key``'s value."""
-        self._append(encode_record(OP_APPEND, key, tail))
+        self._log(OP_APPEND, key, tail)
+
+    def append_note(self, key: int, value) -> None:
+        """Journal builtin-typed handler state as integer ``key``'s note."""
+        self._log(OP_NOTE, key.to_bytes(8, "big"), marshal.dumps(value))
 
     def append_many(self, records) -> None:
-        """Group-commit a batch: one write (and at most one fsync) for all
-        of ``records``, an iterable of ``(op, key, value)`` tuples."""
+        """Log a batch, an iterable of ``(op, key, value)`` tuples: inside
+        a group commit it joins the group, else one write (and at most one
+        fsync) carries its records."""
+        if self._group is not None:
+            self._group.extend(records)
+            return
         buf = b"".join(encode_record(op, key, value) for op, key, value in records)
         if buf:
-            self._append(buf)
+            self._write(buf)
 
-    def _append(self, record: bytes) -> None:
+    def _log(self, op: int, key: bytes, value: bytes) -> None:
         if self._group is not None:
-            self._group.append(record)
-            return
-        self._fh.write(record)
+            self._group.append((op, key, value))
+        else:
+            self._write(encode_record(op, key, value))
+
+    def _write(self, buf: bytes) -> None:
+        self._fh.write(buf)
         self.commits += 1
         if self.sync:
             self._fh.flush()
@@ -86,17 +105,15 @@ class WriteAheadLog:
             self.syncs += 1
 
     def _drop_torn_tail(self) -> None:
-        """Cut the log back to its last intact record.  Replay stops at a
-        torn record, so a record appended behind one would be lost at the
-        next replay: a log reopened after a torn crash must end where
-        replay stopped."""
+        """Cut the log back to its last complete group: a record appended
+        behind a torn one would be lost at the next replay."""
         size = self._fh.tell()
         if not size:
             return
         with open(self.path, "rb") as fh:
             data = fh.read()
         intact = 0
-        for intact, _ in self._intact(data):
+        for intact, _ in self._groups(data):
             pass
         if intact < size:
             self._fh.truncate(intact)
@@ -104,9 +121,10 @@ class WriteAheadLog:
     # -- group commit ----------------------------------------------------------
     def begin_group(self) -> None:
         """Start buffering appends; the matching ``end_group`` writes them
-        as one unit.  One fsync then covers every record appended inside
-        the group — the durability amortization behind the batched RPC
-        path.  Groups nest: only the outermost ``end_group`` flushes.
+        as one unit that replays whole or not at all.  One fsync then
+        covers every record appended inside the group — the durability
+        amortization behind the batched RPC path.  Groups nest: only the
+        outermost ``end_group`` flushes.
         """
         if self._group is None:
             self._group = []
@@ -120,12 +138,9 @@ class WriteAheadLog:
         self._group_depth = 0
         if not group:
             return
-        self._fh.write(b"".join(group))
-        self.commits += 1
-        if self.sync:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self.syncs += 1
+        last = len(group) - 1
+        self._write(b"".join([encode_record(op | _MORE if i < last else op, key, value)
+                              for i, (op, key, value) in enumerate(group)]))
 
     def flush(self) -> None:
         self._fh.flush()
@@ -166,11 +181,12 @@ class WriteAheadLog:
             fh.truncate(max(0, size - nbytes))
 
     @staticmethod
-    def _intact(data: bytes) -> Iterator[tuple[int, bytes]]:
-        """``(end offset, payload)`` of every intact record of ``data``, in
-        order, stopping at the first truncated or corrupt one."""
+    def _groups(data: bytes) -> Iterator[tuple[int, list[bytes]]]:
+        """``(end offset, payloads)`` of every complete group of ``data``,
+        in order, stopping at the first truncated or corrupt record."""
         off = 0
         n = len(data)
+        group: list[bytes] = []
         while off + _FRAME.size <= n:
             length, crc = _FRAME.unpack_from(data, off)
             start = off + _FRAME.size
@@ -180,15 +196,28 @@ class WriteAheadLog:
             payload = data[start:end]
             if zlib.crc32(payload) != crc:
                 break  # torn/corrupt record: stop replay
-            yield end, payload
+            group.append(payload)
             off = end
+            if not payload[0] & _MORE:
+                yield end, group
+                group = []
 
     @staticmethod
     def replay(path: str) -> Iterator[tuple[int, bytes, bytes]]:
-        """Yield (op, key, value) for every intact record in the log."""
+        """Yield (op, key, value) for every record of a complete group."""
         if not os.path.exists(path):
             return
         with open(path, "rb") as fh:
             data = fh.read()
-        for _, payload in WriteAheadLog._intact(data):
-            yield decode_payload(payload)
+        for _, group in WriteAheadLog._groups(data):
+            for payload in group:
+                yield decode_payload(payload)
+
+    @staticmethod
+    def notes(path: str | None) -> dict:
+        """The last note of each key in the log at ``path``, by key."""
+        out: dict = {}
+        for op, key, value in WriteAheadLog.replay(path) if path else ():
+            if op == OP_NOTE:
+                out[int.from_bytes(key, "big")] = marshal.loads(value)
+        return out

@@ -146,6 +146,10 @@ class CostModel:
     lease_seconds: float = 30.0
 
     # --- failure handling (repro.sim.faults) -----------------------------------
+    # The reply cache behind exactly-once ``apply_batch`` is charged to no
+    # meter: it is handler state (the RPC layer's duplicate-request cache,
+    # keyed by a request id the unsized RPC header carries), and its WAL note
+    # rides the batch's own group commit, adding bytes to replay only.
     #: client-side RPC timeout: how long a request to a dead (or dropped)
     #: server occupies the client before it errors/retries.  ~11x the RTT,
     #: in line with aggressive datacenter RPC deadlines.

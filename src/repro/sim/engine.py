@@ -483,7 +483,7 @@ class _EngineCore:
         if lost_at is not None:
             # the server applied the whole batch, but its response never
             # reaches the client: time out from the send.  The retry is the
-            # at-least-once case the FMS's idempotent create-run dedup
+            # at-least-once case the servers' per-client reply cache
             # (behind apply_batch) turns into exactly-once
             fail_at = lost_at + cost.timeout_us
             if span is not None:

@@ -38,8 +38,9 @@ Failure semantics, briefly:
 * **Dropped RPC** — request loss on the wire: the server never executes
   it (no spurious ``Exists`` on a retried create).
 * **Dropped batch** — *response* loss: the server executes the batch,
-  the client times out and retries ``apply_batch`` — the hard case that
-  exercises the FMS's idempotent create-run dedup end-to-end.
+  the client times out and retries ``apply_batch`` under the same
+  ``(client_id, seq)`` — the hard case that exercises the servers'
+  per-client reply cache end-to-end.
 * **Delay** — the request is late by a jittered ``delay_us``; no loss.
 """
 

@@ -6,6 +6,8 @@ ordering, read-your-writes barriers, deferred renames) and the cache
 tier's coherence contract (hits after fill, invalidation on flush, zero
 stale reads across clients)."""
 
+import itertools
+
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig, LookupCacheConfig
@@ -785,7 +787,7 @@ class TestFlushRoundTripWorkCount:
         "core/client:flush": 1, "core/client:<lambda>": 1,
         "sim/engine:run": 1, "sim/engine:done": 1, "sim/engine:spawn": 1,
         "sim/engine:__init__": 1, "sim/engine:_exec_batch": 1,
-        "kv/api:group_scope": 1, "core/fms:group_commit": 1,
+        "kv/api:group_scope": 1, "core/metaserver:group_commit": 1,
         "core/fms:op_apply_batch": 1,
     }
 
@@ -798,7 +800,7 @@ class TestFlushRoundTripWorkCount:
         by 0."""
         stats = _flush_stats("create")
         assert _calls_in(stats, "core/client", "core/asyncclient", "sim/engine",
-                         "core/fms", "kv/api") == {
+                         "core/fms", "core/metaserver", "kv/api") == {
             **self.FRAME,
             "core/client:_g_flush": 2, "core/client:_g_flush_server": 2,
             "sim/engine:_step": 2, "sim/engine:_arrive": 1,
@@ -815,7 +817,8 @@ class TestFlushRoundTripWorkCount:
         the set-up paid a ``fill_lookup`` round trip of its own)."""
         stats = _flush_stats("setattr")
         assert _calls_in(stats, "core/client", "core/asyncclient", "sim/engine",
-                         "core/fms", "kv/api", "core/lookupcache") == {
+                         "core/fms", "core/metaserver", "kv/api",
+                         "core/lookupcache") == {
             **self.FRAME,
             "core/client:_g_flush": 3, "core/client:_g_flush_server": 3,
             "sim/engine:_step": 3, "sim/engine:_arrive": 2,
@@ -887,18 +890,22 @@ _PROP_NAMES = ("a", "b", "c", "d")
 _PROP_USER = Credentials(uid=1000, gid=1000)
 
 
-def _prop_entry(rng, clock):
-    """One random tagged ``apply_batch`` entry; creates get distinct
-    ctimes (a repeated one is DESIGN gap 10's replay case)."""
+#: the instants entries carry: few enough that two creates of one name
+#: often share ctime, mode and owner (DESIGN gap 10's case)
+_PROP_TIMES = (1.0, 2.0)
+
+
+def _prop_entry(rng):
+    """One random tagged ``apply_batch`` entry."""
     kind = rng.choice(("create", "create", "setattr", "unlink", "unlink_opt",
                        "rename_local"))
     cred = rng.choice((ROOT_CRED, ROOT_CRED, _PROP_USER))
     du, name = rng.choice(_PROP_DIRS), rng.choice(_PROP_NAMES)
+    now = rng.choice(_PROP_TIMES)
     if kind == "create":
-        clock[0] += 1.0
-        return ("create", du, name, rng.choice((0o600, 0o644)), cred, clock[0], 4096)
+        return ("create", du, name, rng.choice((0o600, 0o644)), cred, now, 4096)
     if kind == "setattr":
-        return ("setattr", du, name, cred, clock[0], rng.choice((None, 0o640)),
+        return ("setattr", du, name, cred, now, rng.choice((None, 0o640)),
                 rng.choice((None, 7)), rng.choice((None, 8)))
     if kind == "rename_local":
         return ("rename_local", du, name, rng.choice(_PROP_DIRS),
@@ -912,7 +919,8 @@ class TestApplyBatchIsEntryByEntry:
     positional results (uuids aside) and the same stored keys and bytes
     (the uuid-ceiling record aside: one reservation per create run
     instead of per create).  All five entry kinds, creates runs of every
-    length, conflicts, missing names and non-owner creds."""
+    length, conflicts (same-instant duplicates included), missing names
+    and non-owner creds."""
 
     @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
     def test_seeded_batches(self, decoupled):
@@ -930,15 +938,15 @@ class TestApplyBatchIsEntryByEntry:
 
         for case in range(1000):
             rng = random.Random(case)
-            clock = [0.0]
+            seq = itertools.count(1)
             batched = FileMetadataServer(sid=1, decoupled=decoupled)
             single = FileMetadataServer(sid=1, decoupled=decoupled)
-            pre = tuple(_prop_entry(rng, clock) for _ in range(rng.randrange(6)))
-            batched.op_apply_batch(pre)
-            single.op_apply_batch(pre)
-            entries = tuple(_prop_entry(rng, clock) for _ in range(rng.randrange(1, 10)))
-            got = batched.op_apply_batch(entries)
-            want = [single.op_apply_batch((e,))[0] for e in entries]
+            pre = tuple(_prop_entry(rng) for _ in range(rng.randrange(6)))
+            batched.op_apply_batch(pre, 0, next(seq))
+            single.op_apply_batch(pre, 0, next(seq))
+            entries = tuple(_prop_entry(rng) for _ in range(rng.randrange(1, 10)))
+            got = batched.op_apply_batch(entries, 0, next(seq))
+            want = [single.op_apply_batch((e,), 0, next(seq))[0] for e in entries]
             assert masked(got) == masked(want), (case, entries)
             assert state(batched) == state(single), (case, entries)
             assert batched.num_files_fast() == single.num_files_fast() == \
@@ -962,14 +970,14 @@ class TestApplyBatchIsEntryByEntry:
         fms = FileMetadataServer(sid=1, decoupled=decoupled)
         twin = FileMetadataServer(sid=1, decoupled=decoupled)
         for f in (fms, twin):
-            f.op_apply_batch((create("x", 1.0),))
+            f.op_apply_batch((create("x", 1.0),), 0, 1)
         unlink = ("unlink", 5, "x", ROOT_CRED)
         refused = {"err": "InvalidArgument", "arg": bad}
-        got = fms.op_apply_batch((unlink, create(bad, 2.0), create("ok", 3.0)))
-        want = twin.op_apply_batch((unlink, create("ok", 3.0)))
+        got = fms.op_apply_batch((unlink, create(bad, 2.0), create("ok", 3.0)), 0, 2)
+        want = twin.op_apply_batch((unlink, create("ok", 3.0)), 0, 2)
         assert got == [want[0], refused, want[1]]
-        got = fms.op_apply_batch((create("a", 4.0), create(bad, 5.0), create("b", 6.0)))
-        want = twin.op_apply_batch((create("a", 4.0), create("b", 6.0)))
+        got = fms.op_apply_batch((create("a", 4.0), create(bad, 5.0), create("b", 6.0)), 0, 3)
+        want = twin.op_apply_batch((create("a", 4.0), create("b", 6.0)), 0, 3)
         assert got == [want[0], refused, want[1]]
         assert sorted(fms.store.items()) == sorted(twin.store.items())
         assert fms.alloc._next_fid == twin.alloc._next_fid

@@ -502,8 +502,9 @@ class TestGroupCommitScope:
         "fms0.kv.wal_commit": 2, "fms0.wal.fsync": 2, "fms0.wal.group_commit": 2,
         "fms1.kv.wal_commit": 1, "fms1.wal.fsync": 1, "fms1.wal.group_commit": 1,
     }
-    DIGESTS = {"dms": "34fc0a268915ee30", "fms0": "ac51954d86f65230",
-               "fms1": "a70d2cac63e6dbae"}
+    #: the logs' bytes, group flags and reply-cache notes included
+    DIGESTS = {"dms": "5fb75426adc410db", "fms0": "05b3906668e59579",
+               "fms1": "504fce80b9007fa0"}
 
     def test_batched_flushes_match_the_generator_pair(self, tmp_path, monkeypatch):
         got = _walled_flushes(tmp_path / "scope")

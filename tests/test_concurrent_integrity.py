@@ -134,19 +134,9 @@ def _same_instant_creates(system):
     return sorted(outcomes), fs.total_files()
 
 
-_REPLAY_GAP = pytest.mark.xfail(
-    strict=True,
-    reason="DESIGN gap 10: the second flush's probe hit matches the first "
-           "create's access-part fingerprint, so it is taken for a replay "
-           "of an applied create (ROADMAP 3(a)'s session record fixes it)")
-
-
-@pytest.mark.parametrize("system", [
-    "locofs-c",
-    pytest.param("locofs-b", marks=_REPLAY_GAP),
-    pytest.param("locofs-a", marks=_REPLAY_GAP),
-])
+@pytest.mark.parametrize("system", ["locofs-c", "locofs-b", "locofs-a"])
 def test_same_instant_duplicate_create_has_one_winner(system):
     """Exactly one of two identical creates of one name succeeds, however
-    the create travels (one RPC, or a write-behind flush)."""
+    the create travels (one RPC, or a write-behind flush): a second
+    client's create is no replay of the first (DESIGN gap 10)."""
     assert _same_instant_creates(system) == (["Exists", "ok"], 1)

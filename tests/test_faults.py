@@ -7,6 +7,8 @@ deferred-error aggregation fix, and the availability harness's
 zero-lost-acked differential check.
 """
 
+import os
+
 import pytest
 
 from repro.common.config import BatchConfig, ClusterConfig
@@ -311,27 +313,34 @@ class TestLeaseMasking:
         fs.close()
 
 
-# -- exactly-once batched creates ---------------------------------------------------
+# -- exactly-once batches ------------------------------------------------------------
 
 
 def _entries(names, now_s=1.0):
     return tuple((5, name, 0o644, ROOT_CRED, now_s, 4096) for name in names)
 
 
+def _creates(names, now_s=1.0):
+    """The ``apply_batch`` form of :func:`_entries`."""
+    return tuple(("create", *e) for e in _entries(names, now_s))
+
+
+def _dirent_names(fms, dir_uuid=5):
+    from repro.metadata import dirent
+
+    buf = fms.store.get(b"E:" + dir_uuid.to_bytes(8, "big"))
+    return sorted(e.name for e in dirent.iter_entries(buf))
+
+
 class TestIdempotentCreateBatch:
     def test_retried_batch_is_exactly_once(self, tmp_path):
         fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
-        entries = _entries(["a", "b", "c"])
-        out1 = fms.op_create_batch(entries)
-        out2 = fms.op_create_batch(entries)  # replayed flush (response lost)
-        assert out2["exists"] == []
-        assert out2["uuids"] == out1["uuids"]
-        assert fms.counters.get("batch.deduped") == 3
-        # no duplicate dirents
-        buf = fms.store.get(b"E:" + (5).to_bytes(8, "big"))
-        from repro.metadata import dirent
-
-        assert sorted(e.name for e in dirent.iter_entries(buf)) == ["a", "b", "c"]
+        batch = _creates(["a", "b", "c"])
+        out1 = fms.op_apply_batch(batch, 7, 1)
+        out2 = fms.op_apply_batch(batch, 7, 1)  # replayed flush (reply lost)
+        assert out2 == out1 and all("uuid" in r for r in out1)
+        assert fms.counters.get("files.created") == 3
+        assert _dirent_names(fms) == ["a", "b", "c"]  # no duplicate dirents
 
     def test_genuine_conflict_still_reported(self, tmp_path):
         fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
@@ -360,37 +369,60 @@ class TestIdempotentCreateBatch:
     def test_coupled_mode_dedups_too(self, tmp_path):
         fms = FileMetadataServer(sid=1, decoupled=False,
                                  wal_path=str(tmp_path / "f.wal"))
-        entries = _entries(["x", "y"])
-        out1 = fms.op_create_batch(entries)
-        out2 = fms.op_create_batch(entries)
-        assert out2["exists"] == []
-        assert out2["uuids"] == out1["uuids"]
+        batch = _creates(["x", "y"])
+        out1 = fms.op_apply_batch(batch, 7, 1)
+        assert fms.op_apply_batch(batch, 7, 1) == out1
+        # the same entries under a new seq are new creates: both conflict
+        assert [r.get("err") for r in fms.op_apply_batch(batch, 7, 2)] == ["Exists"] * 2
 
     def test_torn_tail_repairs_partial_create(self, tmp_path):
-        wal_path = str(tmp_path / "f.wal")
-        fms = FileMetadataServer(sid=1, wal_path=wal_path)
-        entries = _entries(["a", "b", "c", "d"])
-        fms.op_create_batch(entries)
-        # crash mid-group-commit: the WAL loses its tail (some of the
-        # batch's records never hit the disk)
-        fms.crash(torn_tail_bytes=40)
-        replayed = fms.restart()
-        assert replayed > 0
-        # the retried flush must converge: every entry either deduped
-        # (fully applied) or re-applied (torn remnant) — never "exists"
-        out = fms.op_create_batch(entries)
-        assert out["exists"] == []
-        assert all(u is not None for u in out["uuids"])
-        buf = fms.store.get(b"E:" + (5).to_bytes(8, "big"))
-        from repro.metadata import dirent
+        """A crash that tears the batch's group commit, at any byte, leaves
+        none of it: the group replays whole or not at all, so there is no
+        partial create to repair, and the retry under the same seq applies
+        every entry exactly once — what a recovered twin that never saw
+        the batch leaves after applying it."""
+        wal = tmp_path / "f.wal"
+        fms = FileMetadataServer(sid=1, wal_path=str(wal))
+        with fms.group_commit():
+            fms.op_apply_batch(_creates(["a", "z"]), 7, 1)
+        fms.store._wal.flush()
+        durable = wal.stat().st_size
+        batch = (*_creates(["b", "c", "d"], now_s=2.0),
+                 ("setattr", 5, "a", ROOT_CRED, 2.0, 0o600, None, None),
+                 ("unlink", 5, "z", ROOT_CRED),
+                 ("rename_local", 5, "a", 5, "e", ROOT_CRED))
+        with fms.group_commit():
+            fms.op_apply_batch(batch, 7, 2)
+        fms.store.close()
+        data = wal.read_bytes()
 
-        assert sorted(e.name for e in dirent.iter_entries(buf)) == ["a", "b", "c", "d"]
+        def recovered(n):
+            path = tmp_path / f"cut{n}.wal"
+            path.write_bytes(data[:n])
+            return FileMetadataServer(sid=1, wal_path=str(path))
+
+        def state(f):
+            return sorted(f.store.items()), dict(f._replies), f.num_files_fast()
+
+        twin = recovered(durable)
+        before = state(twin)
+        with twin.group_commit():
+            want = twin.op_apply_batch(batch, 7, 2)
+        after = state(twin)
+        assert _dirent_names(twin) == ["b", "c", "d", "e"]
+        for n in range(durable, len(data)):
+            f = recovered(n)
+            assert state(f) == before, n
+            with f.group_commit():
+                assert f.op_apply_batch(batch, 7, 2) == want, n
+            assert state(f) == after, n
 
     @pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "coupled"])
     def test_apply_batch_create_run_is_op_create_batch(self, tmp_path, decoupled):
         """The one wire method a write-behind client sends: a run of
         tagged creates through ``op_apply_batch`` is ``op_create_batch``
-        — same store bytes, same metered cost, same exactly-once replay."""
+        — same store bytes, same metered cost — and the run again under
+        its seq is answered from the reply cache, changing neither."""
         entries = tuple((5 + n % 3, f"f{n:02d}", 0o640, ROOT_CRED, 1.0 + n, 4096)
                         for n in range(12))
         tagged = tuple(("create", *e) for e in entries)
@@ -399,7 +431,7 @@ class TestIdempotentCreateBatch:
         batched = FileMetadataServer(sid=1, decoupled=decoupled,
                                      wal_path=str(tmp_path / "b.wal"))
         out = direct.op_create_batch(entries)
-        res = batched.op_apply_batch(tagged)
+        res = batched.op_apply_batch(tagged, 7, 1)
         assert [r["uuid"] for r in res] == out["uuids"]
 
         def state(fms):
@@ -410,13 +442,169 @@ class TestIdempotentCreateBatch:
 
         assert state(batched) == state(direct)
         assert batched.counters.get("batch.records") == 12
-        # the replayed flush (response lost): the first call's uuids, no Exists
-        again = direct.op_create_batch(entries)
-        assert again == {"uuids": out["uuids"], "exists": []}
-        assert batched.op_apply_batch(tagged) == res
+        # the replayed flush (reply lost): the first call's results
+        assert batched.op_apply_batch(tagged, 7, 1) == res
         assert state(batched) == state(direct)
-        assert batched.counters.get("batch.deduped") == 12
-        assert direct.counters.get("batch.deduped") == 12
+
+
+#: one ``apply_batch`` entry of every FMS kind, over a durable ``/d/a``
+#: (dir uuid 5)
+_FMS_ENTRIES = {
+    "create": ("create", 5, "n", 0o644, ROOT_CRED, 2.0, 4096),
+    "setattr": ("setattr", 5, "a", ROOT_CRED, 2.0, 0o600, 7, None),
+    "unlink": ("unlink", 5, "a", ROOT_CRED),
+    "unlink_opt": ("unlink_opt", 5, "a", ROOT_CRED),
+    "rename_local": ("rename_local", 5, "a", 5, "b", ROOT_CRED),
+}
+
+
+def _meter(server):
+    return server.meter.total_us, dict(server.meter.op_counts)
+
+
+class TestReplyCache:
+    """A batch sent twice under one ``(client_id, seq)`` — a retry whose
+    reply was lost — gets the first answer back, and the second send
+    changes neither the store, the meter nor the log."""
+
+    def _twice(self, server, wal, batch):
+        first = server.op_apply_batch(batch, 3, 2)
+        server.store._wal.flush()
+        store, size = sorted(server.store.items()), os.path.getsize(wal)
+        meter = _meter(server)
+        assert server.op_apply_batch(batch, 3, 2) == first
+        assert _meter(server) == meter
+        server.store._wal.flush()
+        assert (sorted(server.store.items()), os.path.getsize(wal)) == (store, size)
+        return first
+
+    @pytest.mark.parametrize("kind", list(_FMS_ENTRIES))
+    def test_fms_entry_twice(self, tmp_path, kind):
+        wal = str(tmp_path / "f.wal")
+        fms = FileMetadataServer(sid=1, wal_path=wal)
+        fms.op_apply_batch((("create", 5, "a", 0o644, ROOT_CRED, 1.0, 4096),), 3, 1)
+        first = self._twice(fms, wal, (_FMS_ENTRIES[kind],))
+        assert "err" not in first[0]
+
+    @pytest.mark.parametrize("kind", ["mkdir", "dsetattr"])
+    def test_dms_entry_twice(self, tmp_path, kind):
+        from repro.core.dms import DirectoryMetadataServer
+
+        wal = str(tmp_path / "d.wal")
+        dms = DirectoryMetadataServer(wal_path=wal)
+        first_uuid, _ = dms.op_reserve_uuids(2)
+        dms.op_apply_batch((("mkdir", "/d", 0o755, ROOT_CRED, 1.0, first_uuid),), 3, 1)
+        entry = (("mkdir", "/e", 0o755, ROOT_CRED, 2.0, first_uuid + 1)
+                 if kind == "mkdir" else
+                 ("dsetattr", "/d", ROOT_CRED, 2.0, 0o700, None, None))
+        first = self._twice(dms, wal, (entry,))
+        assert "err" not in first[0]
+
+    def test_entries_behind_an_in_doubt_batch_apply_once(self):
+        """A client re-ships an in-doubt batch with what it queued since
+        behind it, under the old seq: the cached head is answered, only
+        the tail applies."""
+        fms = FileMetadataServer(sid=1)
+        head = _creates(["a", "b"])
+        first = fms.op_apply_batch(head, 3, 1)
+        tail = (("unlink", 5, "a", ROOT_CRED), *_creates(["c"]))
+        out = fms.op_apply_batch(head + tail, 3, 1)
+        assert out[:2] == first and out[2]["removed"] is not None and "uuid" in out[3]
+        assert fms.op_apply_batch(head + tail, 3, 1) == out
+        assert _dirent_names(fms) == ["b", "c"]
+        assert fms.counters.get("batch.records") == 4
+
+    def test_sessions_are_per_client(self):
+        """Another client's batch under the same seq is no retry."""
+        fms = FileMetadataServer(sid=1)
+        fms.op_apply_batch(_creates(["a"]), 3, 1)
+        assert fms.op_apply_batch(_creates(["a"]), 4, 1) == [{"err": "Exists", "arg": "a"}]
+
+    def test_a_reopened_deployment_never_reuses_a_session(self, tmp_path):
+        """A deployment reopened over its logs hands out client ids past
+        every session they hold: the new first client's first batch is no
+        retry of the old first client's."""
+        for round_, name in enumerate(("a", "b")):
+            fs = make_system("locofs-b", 1, data_dir=str(tmp_path / "fs"))
+            c = fs.client()
+            assert c.client_id == round_
+            if name == "a":
+                c.mkdir("/d")
+            c.create(f"/d/{name}")
+            c.flush()
+            names = sorted(e.name for e in c.readdir("/d"))
+            fs.close()
+        assert names == ["a", "b"]
+
+    @pytest.mark.parametrize("system", ["locofs-c", "locofs-b", "locofs-a"])
+    def test_restart_rebuilds_the_handler_a_fresh_one_would(self, tmp_path, system):
+        """Crash + restart of every WAL-backed FMS and DMS leaves the state
+        a fresh handler rebuilt from the same log has (counters and meter
+        aside), the reply cache included: a batch retried after the
+        restart is answered from it."""
+        from repro.core.dms import DirectoryMetadataServer
+
+        fs = make_system(system, 2, cost=FAST_RECOVERY, data_dir=str(tmp_path / "fs"))
+        c = fs.client()
+        c.mkdir("/d")
+        for n in range(6):
+            c.create(f"/d/f{n}")
+        c.chmod("/d/f0", 0o600)
+        c.unlink("/d/f1")
+        if hasattr(c, "flush"):
+            c.flush()
+        skip = {"counters", "meter", "store", "alloc", "cost", "_wal_path"}
+
+        def state(h):
+            return ({k: v for k, v in vars(h).items() if k not in skip},
+                    sorted(h.store.items()), h.alloc._next_fid)
+
+        for h in (fs.dms, *fs.fms):
+            if isinstance(h, DirectoryMetadataServer):
+                uuid, _ = h.op_reserve_uuids(1)
+                batch = (("mkdir", "/x", 0o755, ROOT_CRED, 9.0, uuid),)
+            else:
+                batch = _creates(["x"], now_s=9.0)
+            with h.group_commit():
+                want = h.op_apply_batch(batch, 99, 1)
+            path = h.store._wal.path
+            h.crash()
+            assert h.restart() > 0
+            fresh = type(h)(**({"backend": h.backend} if hasattr(h, "backend")
+                               else {"sid": h.sid}), wal_path=path)
+            assert state(h) == state(fresh)
+            assert 99 in h._replies
+            before = sorted(h.store.items())
+            assert h.op_apply_batch(batch, 99, 1) == want
+            assert sorted(h.store.items()) == before
+            fresh.store.close()
+        fs.close()
+
+
+def test_dropped_replies_leave_no_error_for_applied_unlinks():
+    """``locofs-a``, 2 FMS: four files flushed, then every reply dropped
+    with probability 0.5 while four deferred unlinks flush.  A retried
+    batch is answered from the reply cache, so for every seed the unlinks
+    report nothing: the flush raised ``NoEntry`` on 22 of these 40 seeds
+    when a retry re-ran the unlinks."""
+    for seed in range(40):
+        fs = make_system("locofs-a", 2)
+        c = fs.client()
+        c.mkdir("/d")
+        for n in range(4):
+            c.create(f"/d/f{n}")
+        c.flush()
+        fs.engine.attach_faults(FaultSchedule(seed=seed, drop_prob=0.5))
+        for n in range(4):
+            c.unlink(f"/d/f{n}")
+        errs = list(c.deferred_errors)
+        try:
+            c.flush()
+        except FSError as e:
+            errs.append(e)
+        assert not [e for e in errs if isinstance(e, (NoEntry, Exists))], (seed, errs)
+        if not errs:
+            assert fs.total_files() == 0 and c.pending_ops == 0
 
 
 class TestBatchedClientRequeue:
@@ -443,8 +631,47 @@ class TestBatchedClientRequeue:
                 assert fs.engine.now < deadline, "flush never recovered"
         for n in range(3):
             assert client.stat_file(f"/d/f{n}")
-        assert fs.fms[0].counters.get("batch.deduped") == 0
+        assert fs.fms[0].counters.get("files.created") == 3
         fs.close()
+
+    @pytest.mark.parametrize("engine_kind", ["direct", "event"])
+    @pytest.mark.parametrize("op", ["chmod", "rename", "unlink"])
+    def test_ops_after_an_in_doubt_flush_queue_behind_it(self, engine_kind, op):
+        """Every reply of a flush lost: the batch applied, the client saw
+        ``ServerDown``, so its queue is in doubt.  A later op on the
+        queued create appends an entry behind it instead of rewriting or
+        cancelling it, and the re-ship under the old seq is answered
+        from the reply cache.  Folding the chmod into the create made
+        the re-ship a conflicting create (``Exists``, mode lost); moving
+        the create to the rename's destination left both names."""
+        # an age bound the retries do not outlast: the op finds the queue
+        fs = LocoFS(ClusterConfig(num_metadata_servers=2,
+                                  batch=BatchConfig(enabled=True, all_ops=True,
+                                                    max_age_us=1e7)),
+                    cost=FAST_RECOVERY, engine_kind=engine_kind)
+        c = fs.client()
+        c.mkdir("/d")
+        c.flush()
+        c.create("/d/x")
+        fs.engine.attach_faults(FaultSchedule(drop_prob=1.0))
+        with pytest.raises(ServerDown):
+            c.flush()
+        assert c.flush_requeues == 1 and fs.total_files() == 1  # it applied
+        fs.engine.attach_faults(FaultSchedule())
+        assert c.pending_ops == 1
+        if op == "chmod":
+            c.chmod("/d/x", 0o600)
+        elif op == "rename":
+            c.rename("/d/x", "/d/y")
+        else:
+            c.unlink("/d/x")
+        c.flush()
+        assert c.deferred_errors == [] and c.pending_ops == 0
+        names = sorted(e.name for e in c.readdir("/d"))
+        assert names == {"chmod": ["x"], "rename": ["y"], "unlink": []}[op]
+        if op == "chmod":
+            assert c.stat("/d/x").st_mode & 0o7777 == 0o600
+        assert fsck.check(fs).clean
 
     def test_requeued_dms_flush_keeps_its_age_clock(self, tmp_path):
         """One requeue-age rule for every queue: a failed flush goes back

@@ -63,25 +63,29 @@ class TestWAL:
 
     def test_torn_mid_group_commit_recovers_prefix(self, tmp_path):
         # a group commit is one write() but not atomic on disk: a crash can
-        # tear it anywhere — replay must keep the intact record prefix
+        # tear it anywhere — replay keeps the complete groups before it and
+        # none of the torn group, wherever the tear falls
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path)
-        wal.begin_group()
-        for i in range(6):
-            wal.append_put(f"k{i}".encode(), f"v{i}".encode())
-        wal.end_group()
+        for group in (range(3), range(3, 6)):
+            wal.begin_group()
+            for i in group:
+                wal.append_put(f"k{i}".encode(), f"v{i}".encode())
+            wal.end_group()
         wal.flush()
         wal.close()
         one = len(encode_record(OP_PUT, b"k0", b"v0"))
         with open(path, "rb") as fh:
             data = fh.read()
-        assert len(data) == 6 * one
-        # cut inside the 4th record
+        assert len(data) == 6 * one  # the group flag costs no byte
+        first = [(OP_PUT, f"k{i}".encode(), f"v{i}".encode()) for i in range(3)]
+        for cut in range(3 * one, 6 * one):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            assert list(WriteAheadLog.replay(path)) == first, cut
         with open(path, "wb") as fh:
-            fh.write(data[: 3 * one + one // 2])
-        records = list(WriteAheadLog.replay(path))
-        assert records == [(OP_PUT, f"k{i}".encode(), f"v{i}".encode())
-                           for i in range(3)]
+            fh.write(data)
+        assert len(list(WriteAheadLog.replay(path))) == 6
 
     def test_torn_append_many_tail_recovers_prefix(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -107,6 +111,7 @@ class TestWAL:
 
         path = str(tmp_path / "wal.log")
         store = HashStore(wal_path=path)
+        store.put(b"w", b"0")
         with store.group():
             store.multi_put([(b"x", b"1"), (b"y", b"2"), (b"z", b"3")])
         store._wal.flush()
@@ -115,9 +120,14 @@ class TestWAL:
         with open(path, "wb") as fh:
             fh.write(data[:-1])  # lose the last byte of the group
         recovered = HashStore(wal_path=path)
-        assert recovered.get(b"x") == b"1"
-        assert recovered.get(b"y") == b"2"
-        assert recovered.get(b"z") is None  # torn record dropped
+        assert recovered.get(b"w") == b"0"
+        # the torn group is dropped whole, its intact records too
+        assert [recovered.get(k) for k in (b"x", b"y", b"z")] == [None] * 3
+        recovered.put(b"v", b"4")
+        recovered.close()
+        again = HashStore(wal_path=path)
+        assert (again.get(b"w"), again.get(b"v"), again.get(b"x")) == (b"0", b"4", None)
+        again.close()
 
     def test_truncate_inside_group_drops_buffered_records(self, tmp_path):
         # regression: truncate() used to leave records buffered by an open

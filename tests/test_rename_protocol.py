@@ -293,13 +293,3 @@ class TestImport:
         assert fms.op_import(self.DIR, "src", inode["access"], inode["content"]) is None
         assert fms.num_files_fast() == fms.num_files() == 2
 
-    def test_finding_its_own_inode_changes_nothing(self, decoupled):
-        """A repeated import (a retry whose first attempt applied) must not
-        report the file as replaced by itself: the client would delete its
-        data blocks."""
-        fms, _, inode = self._fms(decoupled)
-        fms.op_import(self.DIR, "new", inode["access"], inode["content"], _USER_A)
-        before = self._state(fms)
-        assert fms.op_import(self.DIR, "new", inode["access"], inode["content"],
-                             _USER_A) is None
-        assert self._state(fms) == before
