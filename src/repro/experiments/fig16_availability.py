@@ -9,7 +9,7 @@ the (baseline-measured) wave and restarting it 20 % later:
 * **FMS crash** — ``fms0`` dies under LocoFS-C (per-op RPCs) and
   LocoFS-B (write-behind batching).  Both must report *zero lost acked
   creates*: the FMS replays its WAL before serving and LocoFS-B's
-  re-queued flush deduplicates server-side (exactly-once retry).
+  re-queued flush is answered from its reply cache (exactly-once retry).
 * **DMS crash** — the single directory server dies under LocoFS-C and
   LocoFS-NC.  The client directory cache's leases mask the outage for
   already-resolved paths, so LocoFS-C keeps creating while LocoFS-NC
