@@ -250,8 +250,8 @@ class DirectoryMetadataServer(MetadataServer):
         per-entry failures are reported positionally (``{"err": name,
         "arg": path}``, the error's path) instead of failing the batch,
         because the issuing ops were acknowledged long ago (write-behind).
-        The engine wraps the dispatch in :meth:`group_commit`, so the
-        whole batch is one WAL fsync.  A retry is answered from the
+        The engine serves the request in one WAL group commit, so the
+        whole batch is one fsync.  A retry is answered from the
         per-client reply cache, as
         :meth:`FileMetadataServer.op_apply_batch` answers one.
         """

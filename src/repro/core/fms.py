@@ -649,9 +649,8 @@ class FileMetadataServer(MetadataServer):
         must apply in sequence — except *contiguous* runs of creates,
         which are safe to hand to :meth:`op_create_batch` for its full
         amortization (multi_get probes, one uuid ceiling, one multi_put,
-        coalesced dirent appends).  The engine runs the whole request
-        under :meth:`group_commit`, so the mixed batch is still one WAL
-        fsync.
+        coalesced dirent appends).  The engine serves the whole request in
+        one WAL group commit, so the mixed batch is still one fsync.
 
         Exactly-once (DESIGN §8): per client, the ``seq`` and results of
         the last batch applied are cached.  The same seq again is a retry

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import os
 
-from repro.kv.api import GroupCommit, NoGroup, group_scope
 from repro.kv.meter import Meter
 from repro.kv.wal import WriteAheadLog
 
@@ -30,17 +29,6 @@ class MetadataServer:
         ceiling = self.store.get(self._FID_KEY)
         if ceiling is not None:
             self.alloc._next_fid = int.from_bytes(ceiling, "big") + 1
-
-    def group_commit(self) -> GroupCommit | NoGroup:
-        """Group-commit scope for batched RPCs (one WAL fsync per batch).
-
-        Counts every scope (``wal.group_commit``) and, when a WAL is
-        attached, the durable commit boundaries it produced (``wal.fsync``
-        — each boundary is exactly one fsync when the log runs in sync
-        mode), so the amortization claim is auditable from the metrics
-        dump: batched creates show ``wal.fsync`` ≪ ``batch.records``.
-        """
-        return group_scope(self.store, self.counters)
 
     def attach_meter(self, meter: Meter) -> None:
         self.store.meter = meter

@@ -231,8 +231,7 @@ class ReplicatedDirShard(DirectoryShardServer):
         prev_term = self.last_term
         entry = pickle.dumps((self.term, method, args, client_id, seq),
                              _PICKLE_PROTO)
-        with self.group_commit():
-            result = self._apply_entry(index, entry)
+        result = self._apply_entry(index, entry)
         self.counters.inc("repl.proposed")
         return {"index": index, "term": self.term, "prev_term": prev_term,
                 "entry": entry, "result": result, "leader": self.my_name}
@@ -265,8 +264,7 @@ class ReplicatedDirShard(DirectoryShardServer):
             raise StaleHandle(self.my_name, "log gap")
         if prev_term != self.last_term:
             raise StaleHandle(self.my_name, "prev-term mismatch")
-        with self.group_commit():
-            self._apply_entry(index, entry)
+        self._apply_entry(index, entry)
         self.counters.inc("repl.appended")
         return {"ok": True, "last_index": self.last_index}
 
@@ -331,9 +329,8 @@ class ReplicatedDirShard(DirectoryShardServer):
                 prefix_ok = False
         if not prefix_ok:
             self._wipe_store()
-        with self.group_commit():
-            for idx, entry in entries[self.last_index:]:
-                self._apply_entry(idx, entry)
+        for idx, entry in entries[self.last_index:]:
+            self._apply_entry(idx, entry)
         self._set_term(term)
         self.role = "follower"
         self.leader_hint = leader
@@ -341,14 +338,16 @@ class ReplicatedDirShard(DirectoryShardServer):
         return {"ok": True, "last_index": self.last_index}
 
     def _wipe_store(self) -> None:
-        """Discard all replica state (divergent log): fresh store on a
-        truncated WAL, root reseeded, term/vote re-persisted."""
-        wal = getattr(self.store, "_wal", None)
-        wal_path = wal.path if wal is not None else None
+        """Discard all replica state (divergent log): a fresh store on the
+        same WAL truncated in place, root reseeded, term/vote re-persisted.
+        The log stays open, so what the request logs after the wipe stays
+        in its one group commit."""
+        wal, self.store._wal = self.store._wal, None
         self.store.close()
-        if wal_path is not None:
-            open(wal_path, "wb").close()
-        self._open(wal_path)
+        self._open(None)
+        if wal is not None:
+            wal.truncate()
+            self.store._wal = wal
         self._load()
         self.last_index = 0
         self.last_term = 0

@@ -46,25 +46,23 @@ def grown(cur: bytes | None, tail: bytes) -> bytes:
 
 
 class GroupCommit:
-    """Group-commit scope: WAL appends inside it share one write+fsync.
+    """Group-commit scope: WAL appends inside it share one write+fsync and
+    replay whole or not at all.
 
-    Open one with :func:`group_scope` (``KVStore.group()`` and the
-    metadata servers' ``group_commit()`` do), which counts every scope
-    (``wal.group_commit``, when handler counters are given) and, with a
-    WAL, builds this object, so the durable commit boundaries it produced
-    are counted too (``wal.fsync`` — one fsync each when the log runs in
-    sync mode).  Closing a scope that produced a commit charges the
-    zero-cost ``wal_commit`` marker: the durability boundary shows in
-    traces and op counts without touching virtual time.
+    The engines open one around every request a WAL-backed server serves
+    (DESIGN §8), so one request is one durable unit; nothing else opens
+    one.  Each durable commit boundary it produced is counted
+    (``wal.fsync`` on ``counters``, when given — one fsync each when the
+    log runs in sync mode) and charges the zero-cost ``wal_commit``
+    marker: the durability boundary shows in traces and op counts
+    without touching virtual time.
 
-    Re-entrant — the engines wrap a whole batched RPC in one scope while a
-    handler may open its own inner group; only the outermost end writes.
     A raising body still ends the group.  A slotted object, not a
-    ``contextlib`` generator: a batched request pays ``__enter__`` and
+    ``contextlib`` generator: a request pays ``__enter__`` and
     ``__exit__``, not the generator machinery.
     """
 
-    __slots__ = ("_store", "_counters", "_wal", "_commits")
+    __slots__ = ("_store", "_counters", "_wal")
 
     def __init__(self, store: KVStore, counters=None):
         self._store = store
@@ -72,9 +70,7 @@ class GroupCommit:
         self._wal = store._wal
 
     def __enter__(self) -> None:
-        wal = self._wal
-        self._commits = wal.commits
-        wal.begin_group()
+        self._wal.begin_group()
 
     def __exit__(self, *exc) -> None:
         wal = self._wal
@@ -82,38 +78,8 @@ class GroupCommit:
         wal.end_group()
         if wal.commits != before:
             self._store._meter.charge_us(0.0, "wal_commit")
-        if self._counters is not None:
-            self._counters.inc("wal.fsync", wal.commits - self._commits)
-
-
-class NoGroup:
-    """The scope of a store without a WAL: there is nothing to begin or
-    end, so one shared instance serves every such scope."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-#: what :func:`group_scope` returns for a store without a WAL; the
-#: engines test for it and skip ``__enter__`` / ``__exit__``
-NO_GROUP = NoGroup()
-
-
-def group_scope(store: KVStore, counters=None) -> GroupCommit | NoGroup:
-    """Open a group-commit scope over ``store``: count it (``wal.group_commit``
-    on ``counters``, if given), then a :class:`GroupCommit` when the store
-    logs to a WAL, else :data:`NO_GROUP` — a batch served by a store
-    without a WAL builds no scope object."""
-    if counters is not None:
-        counters.inc("wal.group_commit")
-    if store._wal is None:
-        return NO_GROUP
-    return GroupCommit(store, counters)
+            if self._counters is not None:
+                self._counters.inc("wal.fsync")
 
 
 class KVStore(abc.ABC):
@@ -176,11 +142,6 @@ class KVStore(abc.ABC):
         self._charge(op, nbytes)
         if count > 1:
             self._meter.charge_repeat("batch_record", count - 1)
-
-    def group(self) -> GroupCommit | NoGroup:
-        """Group-commit scope over this store (see :func:`group_scope`);
-        a no-op for stores without a WAL."""
-        return group_scope(self)
 
     # -- in-place helpers ----------------------------------------------------
     def append(self, key: bytes, value: bytes) -> None:

@@ -80,15 +80,11 @@ class WriteAheadLog:
         self._log(OP_NOTE, key.to_bytes(8, "big"), marshal.dumps(value))
 
     def append_many(self, records) -> None:
-        """Log a batch, an iterable of ``(op, key, value)`` tuples: inside
-        a group commit it joins the group, else one write (and at most one
-        fsync) carries its records."""
-        if self._group is not None:
-            self._group.extend(records)
-            return
-        buf = b"".join(encode_record(op, key, value) for op, key, value in records)
-        if buf:
-            self._write(buf)
+        """Log a batch, an iterable of ``(op, key, value)`` tuples, as one
+        group: it joins an open group commit, else is one of its own."""
+        self.begin_group()
+        self._group.extend(records)
+        self.end_group()
 
     def _log(self, op: int, key: bytes, value: bytes) -> None:
         if self._group is not None:
@@ -122,9 +118,10 @@ class WriteAheadLog:
     def begin_group(self) -> None:
         """Start buffering appends; the matching ``end_group`` writes them
         as one unit that replays whole or not at all.  One fsync then
-        covers every record appended inside the group — the durability
-        amortization behind the batched RPC path.  Groups nest: only the
-        outermost ``end_group`` flushes.
+        covers every record appended inside the group: the engines open
+        one per request a WAL-backed server serves.  Groups nest (a
+        ``multi_put`` inside a request): only the outermost ``end_group``
+        flushes.
         """
         if self._group is None:
             self._group = []

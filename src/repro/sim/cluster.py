@@ -74,10 +74,11 @@ class ServerNode:
         self.crashes = 0
         self.recovered_us = 0.0
         self._ops = _OpTable(name, handler)
-        #: optional group-commit scope (context-manager factory): the
-        #: engines wrap a whole batched RPC in it so one WAL fsync covers
-        #: every sub-operation
-        self.group_commit = getattr(handler, "group_commit", None)
+        #: the handler, when its KV store logs to a write-ahead log: the
+        #: engines serve each of its requests in one group commit over
+        #: ``handler.store``, read per request (a crash reopens it)
+        store = getattr(handler, "store", None)
+        self.logged = handler if store is not None and store._wal is not None else None
 
 
 class Cluster:

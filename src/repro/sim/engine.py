@@ -39,7 +39,8 @@ stages:
    request itself and ``_arrive`` serves it, stage 2 folded in.
 2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
    the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
-   or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch), meter
+   or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch) — in
+   one WAL group commit when the server logs to a WAL — meter
    delta plus ``server_overhead_us``, node bookkeeping, the obs record,
    and the response leg
 
@@ -88,7 +89,7 @@ from collections.abc import Callable, Generator
 from heapq import heappush
 
 from repro.common.errors import FSError, QuorumFailed, ServerDown
-from repro.kv.api import NO_GROUP
+from repro.kv.api import GroupCommit
 from repro.obs.tracer import KVTraceSink
 
 from .cluster import Cluster, ServerNode
@@ -321,11 +322,11 @@ class _EngineCore:
         return span
 
     def _exec_batch(self, node: ServerNode, batch: Batch, span, start: float):
-        """Dispatch every sub-op of a batch in order under one group-commit
-        scope.  Returns ``(results, first_err, recv_bytes)`` — a failing
-        sub-op yields ``None`` in its slot and the first error is reported
-        after the whole batch ran (Parallel semantics); ``recv_bytes`` is
-        the summed wire size of the responses.
+        """Dispatch every sub-op of a batch in order.  Returns ``(results,
+        first_err, recv_bytes)`` — a failing sub-op yields ``None`` in its
+        slot and the first error is reported after the whole batch ran
+        (Parallel semantics); ``recv_bytes`` is the summed wire size of the
+        responses.
 
         With a tracer attached every sub-op gets a ``batch.<method>``
         child span of the batch ``span`` on the server track, positioned
@@ -335,12 +336,6 @@ class _EngineCore:
         results = []
         first_err: FSError | None = None
         recv_bytes = 0
-        # a store without a WAL gets a counted scope with nothing to begin
-        # or end (``NO_GROUP``): the common batch builds no scope object
-        gc = node.group_commit
-        ctx = gc() if gc is not None else NO_GROUP
-        if ctx is not NO_GROUP:
-            ctx.__enter__()
         meter = node.meter
         # the per-dispatch KV sink the caller installed; its running meter
         # total is the only clock inside a service period
@@ -348,34 +343,30 @@ class _EngineCore:
         trace_records = span is not None and sink is not None
         base = meter.total_us if trace_records else 0.0
         rec_span = None
-        try:
-            ops = node._ops
-            for i, rpc in enumerate(batch.rpcs):
-                if trace_records:
-                    rec_span = self.tracer.begin(
-                        f"batch.{rpc.method}", "record",
-                        start + (meter.total_us - base), batch.server, span,
-                        {"index": i})
-                    sink.parent = rec_span
-                nbytes = rpc.recv_bytes
-                try:
-                    fn = ops[rpc.method]
-                    result = fn(*rpc.args, **rpc.kwargs) if rpc.kwargs \
-                        else fn(*rpc.args)
-                    if not nbytes and isinstance(result, _RAW):
-                        nbytes = len(result)
-                except FSError as e:
-                    result = None
-                    if first_err is None:
-                        first_err = e
-                results.append(result)
-                recv_bytes += nbytes
-                if trace_records:
-                    self.tracer.end(rec_span, start + (meter.total_us - base))
-                    sink.parent = span
-        finally:
-            if ctx is not NO_GROUP:
-                ctx.__exit__(None, None, None)
+        ops = node._ops
+        for i, rpc in enumerate(batch.rpcs):
+            if trace_records:
+                rec_span = self.tracer.begin(
+                    f"batch.{rpc.method}", "record",
+                    start + (meter.total_us - base), batch.server, span,
+                    {"index": i})
+                sink.parent = rec_span
+            nbytes = rpc.recv_bytes
+            try:
+                fn = ops[rpc.method]
+                result = fn(*rpc.args, **rpc.kwargs) if rpc.kwargs \
+                    else fn(*rpc.args)
+                if not nbytes and isinstance(result, _RAW):
+                    nbytes = len(result)
+            except FSError as e:
+                result = None
+                if first_err is None:
+                    first_err = e
+            results.append(result)
+            recv_bytes += nbytes
+            if trace_records:
+                self.tracer.end(rec_span, start + (meter.total_us - base))
+                sink.parent = span
         return results, first_err, recv_bytes
 
     def _record(self, cmd: Rpc | Batch, span, arrive: float, start: float,
@@ -446,6 +437,13 @@ class _EngineCore:
         before = meter.total_us
         if tracer is not None and meter.policy is not None:
             meter.trace = KVTraceSink(tracer, server, span, start)
+        # one request of a WAL-backed server is one group commit: its
+        # records replay whole or not at all (DESIGN §8)
+        group = None
+        logged = node.logged
+        if logged is not None and logged.store._wal is not None:
+            group = GroupCommit(logged.store, logged.counters)
+            group.__enter__()
         err: FSError | None = None
         try:
             if cmd.tag == TAG_BATCH:
@@ -465,6 +463,8 @@ class _EngineCore:
                     value = None
                     err = e
         finally:
+            if group is not None:
+                group.__exit__(None, None, None)
             meter.trace = None
         service = meter.total_us - before + cost.server_overhead_us
         finish = start + service
@@ -1019,20 +1019,30 @@ class EventEngine(_EngineCore):
         start = arrive if arrive > node.next_free else node.next_free
         meter = node.meter
         before = meter.total_us
+        # _serve's group commit
+        group = None
+        logged = node.logged
+        if logged is not None and logged.store._wal is not None:
+            group = GroupCommit(logged.store, logged.counters)
+            group.__enter__()
         err: FSError | None = None
-        if cmd.tag == TAG_BATCH:
-            value, err, nbytes = self._exec_batch(node, cmd, None, start)
-        else:
-            nbytes = cmd.recv_bytes
-            try:
-                fn = node._ops[cmd.method]
-                value = fn(*cmd.args, **cmd.kwargs) if cmd.kwargs \
-                    else fn(*cmd.args)
-                if not nbytes and isinstance(value, _RAW):
-                    nbytes = len(value)
-            except FSError as e:
-                value = None
-                err = e
+        try:
+            if cmd.tag == TAG_BATCH:
+                value, err, nbytes = self._exec_batch(node, cmd, None, start)
+            else:
+                nbytes = cmd.recv_bytes
+                try:
+                    fn = node._ops[cmd.method]
+                    value = fn(*cmd.args, **cmd.kwargs) if cmd.kwargs \
+                        else fn(*cmd.args)
+                    if not nbytes and isinstance(value, _RAW):
+                        nbytes = len(value)
+                except FSError as e:
+                    value = None
+                    err = e
+        finally:
+            if group is not None:
+                group.__exit__(None, None, None)
         cost = self.cost
         service = meter.total_us - before + cost.server_overhead_us
         finish = start + service

@@ -67,7 +67,7 @@ class Batch:
     one RTT, and one queue entry at the server, while service time is the
     sum of the sub-operations' metered KV costs (amortized via the store's
     ``multi_*``/group-commit paths) plus a single per-request overhead.
-    Sub-operations execute in order under the server's group-commit scope;
+    Sub-operations execute in order in the request's one WAL group commit;
     a failing sub-op does not abort the rest — the first error is raised
     in the issuing generator after the whole batch completes, mirroring
     :class:`Parallel` semantics.  Resumes with the list of per-op results

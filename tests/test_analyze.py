@@ -268,7 +268,6 @@ class TestExportersOnBatchedRun:
         _, registry = traced_batched_run(n_creates=8, max_ops=4)
         doc = json.loads(json.dumps(metrics_dump(registry, include_samples=True)))
         assert doc["counters"]["client.batch.flush"] >= 2
-        assert any(k.endswith("wal.group_commit") for k in doc["counters"])
         assert any(k.endswith("batch.records") for k in doc["counters"])
 
     def test_trace_of_empty_tracer_exports(self, tmp_path):
@@ -298,9 +297,8 @@ class TestBatchCounters:
         client.flush()
         counters = registry.snapshot()["counters"]
         assert counters["fms0.batch.records"] == 16
-        # 16 records flushed in 2 batches -> 2 group commits, 2 durable
-        # commit boundaries (one fsync each in sync mode): the amortization
-        assert counters["fms0.wal.group_commit"] == 2
+        # 16 records flushed in 2 batches -> 2 durable commit boundaries
+        # (one fsync each in sync mode): the amortization
         assert counters["fms0.wal.fsync"] == 2
         assert counters["fms0.kv.wal_commit"] == 2
 
@@ -334,9 +332,8 @@ class TestBatchCounters:
     def test_no_wal_no_fsync_counters(self):
         _, registry = traced_batched_run(n_creates=8, max_ops=4)
         counters = registry.snapshot()["counters"]
-        group = [v for k, v in counters.items() if k.endswith("wal.group_commit")]
-        assert group and sum(group) >= 1
-        assert not any(k.endswith("wal.fsync") for k in counters)
+        assert counters["fms0.batches"] >= 1
+        assert not any(k.endswith(("wal.fsync", "kv.wal_commit")) for k in counters)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ from repro.harness import (
 )
 from repro.harness.runner import _mixed_gen
 from repro.harness.workloads import Workload, ZipfPicker
+from repro.kv.api import GroupCommit
 from repro.kv.btree import BTreeStore
 from repro.kv.hashdb import HashStore
 from repro.kv.meter import Meter
 from repro.kv.wal import OP_PUT, WriteAheadLog
 from repro.obs import MetricsRegistry
+from repro.sim import engine
 from repro.sim.costmodel import CostModel, KVCostPolicy
 
 
@@ -316,14 +318,17 @@ class TestWALGroupCommit:
         assert [k for _, k, _ in WriteAheadLog.replay(p)] == [b"a", b"b", b"c"]
 
     def test_append_many_matches_individual_appends(self, tmp_path):
+        # ... made in one group: a batch outside a group is one of its own
         p1, p2 = str(tmp_path / "m1.wal"), str(tmp_path / "m2.wal")
         records = [(OP_PUT, f"k{i}".encode(), b"v") for i in range(5)]
         w1 = WriteAheadLog(p1)
         w1.append_many(records)
         w1.close()
         w2 = WriteAheadLog(p2)
+        w2.begin_group()
         for _, k, v in records:
             w2.append_put(k, v)
+        w2.end_group()
         w2.close()
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
@@ -331,7 +336,7 @@ class TestWALGroupCommit:
     def test_store_group_scope_survives_crash_replay(self, tmp_path):
         p = str(tmp_path / "s.wal")
         store = HashStore(wal_path=p)
-        with store.group():
+        with GroupCommit(store):
             store.multi_put([(b"x", b"1"), (b"y", b"2")])
             store.put(b"z", b"3")
         # crash: no close(); reopen from the log alone
@@ -443,27 +448,19 @@ class TestOneWriteBehindQueue:
 
 
 @contextlib.contextmanager
-def _generator_pair(server):
-    """The group-commit scope as two nested generators, the server's around
-    ``KVStore.group``'s: the reference the slotted ``GroupCommit`` replaced."""
-    server.counters.inc("wal.group_commit")
-    wal = getattr(server.store, "_wal", None)
-    before = wal.commits if wal is not None else 0
+def _generator_scope(store, counters=None):
+    """The group-commit scope as a generator: the reference the slotted
+    ``GroupCommit`` replaced."""
+    wal = store._wal
+    wal.begin_group()
     try:
-        if wal is None:
-            yield
-            return
-        wal.begin_group()
-        try:
-            yield
-        finally:
-            mid = wal.commits
-            wal.end_group()
-            if wal.commits != mid:
-                server.store._meter.charge_us(0.0, "wal_commit")
+        yield
     finally:
-        if wal is not None:
-            server.counters.inc("wal.fsync", wal.commits - before)
+        before = wal.commits
+        wal.end_group()
+        if wal.commits != before:
+            store._meter.charge_us(0.0, "wal_commit")
+            counters.inc("wal.fsync")
 
 
 def _walled_flushes(data_dir):
@@ -486,51 +483,51 @@ def _walled_flushes(data_dir):
     c.flush()
     fs.close()
     counters = {k: v for k, v in registry.snapshot()["counters"].items()
-                if k.endswith(("wal.group_commit", "wal.fsync", "kv.wal_commit"))}
+                if k.endswith(("wal.fsync", "kv.wal_commit"))}
     digests = {name: hashlib.sha256((data_dir / f"{name}.wal").read_bytes()).hexdigest()[:16]
                for name in ("dms", "fms0", "fms1")}
     return counters, digests
 
 
 class TestGroupCommitScope:
-    """``KVStore.group`` and the servers' ``group_commit`` are one slotted
-    scope object; it leaves what the two nested generators left."""
+    """The engines serve each request of a WAL-backed server in one slotted
+    scope object; it leaves what a generator scope leaves."""
 
-    #: measured with the generator pair
+    #: measured with the generator scope; the DMS's third commit is the
+    #: plain ``reserve_uuids`` request's allocator checkpoint
     COUNTERS = {
-        "dms.kv.wal_commit": 2, "dms.wal.fsync": 2, "dms.wal.group_commit": 2,
-        "fms0.kv.wal_commit": 2, "fms0.wal.fsync": 2, "fms0.wal.group_commit": 2,
-        "fms1.kv.wal_commit": 1, "fms1.wal.fsync": 1, "fms1.wal.group_commit": 1,
+        "dms.kv.wal_commit": 3, "dms.wal.fsync": 3,
+        "fms0.kv.wal_commit": 2, "fms0.wal.fsync": 2,
+        "fms1.kv.wal_commit": 1, "fms1.wal.fsync": 1,
     }
-    #: the logs' bytes, group flags and reply-cache notes included
+    #: the logs' bytes, group flags and reply-cache notes included (no
+    #: plain request here logs more than one record, so none is flagged)
     DIGESTS = {"dms": "5fb75426adc410db", "fms0": "05b3906668e59579",
                "fms1": "504fce80b9007fa0"}
 
     def test_batched_flushes_match_the_generator_pair(self, tmp_path, monkeypatch):
         got = _walled_flushes(tmp_path / "scope")
         assert got == (self.COUNTERS, self.DIGESTS)
-        monkeypatch.setattr(FileMetadataServer, "group_commit", _generator_pair)
-        monkeypatch.setattr(DirectoryMetadataServer, "group_commit", _generator_pair)
+        monkeypatch.setattr(engine, "GroupCommit", _generator_scope)
         assert _walled_flushes(tmp_path / "pair") == got
 
     def test_raising_body_still_ends_the_group(self, tmp_path):
         fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
         wal = fms.store._wal
         with pytest.raises(RuntimeError):
-            with fms.group_commit():
+            with GroupCommit(fms.store, fms.counters):
                 fms.store.put(b"k", b"v")
                 raise RuntimeError("handler bug")
         assert (wal._group, wal._group_depth, wal.commits) == (None, 0, 1)
-        assert fms.counters.get("wal.group_commit") == fms.counters.get("wal.fsync") == 1
+        assert fms.counters.get("wal.fsync") == 1
         assert fms.meter.count("wal_commit") == 1
 
     def test_nested_multi_put_group_commits_once(self, tmp_path):
         dms = DirectoryMetadataServer(wal_path=str(tmp_path / "d.wal"))
         wal = dms.store._wal
         before = wal.commits
-        with dms.group_commit():
-            with dms.store.group():
-                dms.store.multi_put([(b"a", b"1"), (b"b", b"2")])
+        with GroupCommit(dms.store, dms.counters):
+            dms.store.multi_put([(b"a", b"1"), (b"b", b"2")])
             dms.store.put(b"c", b"3")
         assert wal.commits == before + 1
         assert dms.counters.get("wal.fsync") == 1

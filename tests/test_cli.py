@@ -135,7 +135,7 @@ def test_trace_locofs_b_composes_with_metrics(capsys, tmp_path):
     counters = json.loads(mpath.read_text())["counters"]
     assert counters["client.batch.flush"] >= 1
     assert any(k.endswith("batch.records") for k in counters)
-    assert any(k.endswith("wal.group_commit") for k in counters)
+    assert any(k.endswith(".batches") for k in counters)
 
 
 def test_analyze_command_table(capsys):

@@ -8,21 +8,27 @@ zero-lost-acked differential check.
 """
 
 import os
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+from repro.common import pathutil
 from repro.common.config import BatchConfig, ClusterConfig
 from repro.common.errors import Exists, FSError, NoEntry, ServerDown
 from repro.common.types import ROOT_CRED
 from repro.core import fsck
+from repro.core.dms import DirectoryMetadataServer
 from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
+from repro.core.repldms import ReplicatedDirShard
 from repro.harness import SYSTEM_NAMES, make_system
+from repro.kv.api import GroupCommit
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import F_DELAY, F_DROP, F_OK, FaultSchedule, FaultState, RetryPolicy
-from repro.sim.rpc import Sleep
+from repro.sim.rpc import Rpc, Sleep
 
-from ring_names import name_placed
+from ring_names import dir_uuid, name_placed
 
 #: recovery short enough that the default retry budget outlasts it
 FAST_RECOVERY = CostModel(restart_fixed_us=500.0, wal_replay_bpus=4000.0)
@@ -39,6 +45,31 @@ def _locofs(tmp_path, engine_kind="direct", cost=None, batch=False, cache=True,
     )
     return LocoFS(cfg, cost=cost or FAST_RECOVERY, engine_kind=engine_kind,
                   data_dir=str(tmp_path / subdir))
+
+
+#: handler attributes a restart need not rebuild as a fresh handler over the
+#: same log has them: counters and meter, construction-time config, the store
+#: and allocator objects (compared by their items and next id), and a
+#: replica's role and leader hint, which a restart resets by design
+_NOT_STATE = {"counters", "meter", "store", "alloc", "cost", "_wal_path",
+              "role", "leader_hint"}
+
+
+def _handler_state(h):
+    return ({k: v for k, v in vars(h).items() if k not in _NOT_STATE},
+            sorted(h.store.items()), h.alloc._next_fid)
+
+
+def _fresh(h, wal_path: str):
+    """A handler of ``h``'s kind and identity built over ``wal_path``."""
+    if isinstance(h, ReplicatedDirShard):
+        return ReplicatedDirShard(h.alloc.sid, h.my_name, h.replica_names,
+                                  backend=h.backend, has_root=h.has_root,
+                                  wal_path=wal_path)
+    if isinstance(h, DirectoryMetadataServer):
+        return DirectoryMetadataServer(backend=h.backend, sid=h.alloc.sid,
+                                       wal_path=wal_path)
+    return FileMetadataServer(sid=h.sid, decoupled=h.decoupled, wal_path=wal_path)
 
 
 # -- FaultSchedule / FaultState units ----------------------------------------------
@@ -383,7 +414,7 @@ class TestIdempotentCreateBatch:
         the batch leaves after applying it."""
         wal = tmp_path / "f.wal"
         fms = FileMetadataServer(sid=1, wal_path=str(wal))
-        with fms.group_commit():
+        with GroupCommit(fms.store):
             fms.op_apply_batch(_creates(["a", "z"]), 7, 1)
         fms.store._wal.flush()
         durable = wal.stat().st_size
@@ -391,7 +422,7 @@ class TestIdempotentCreateBatch:
                  ("setattr", 5, "a", ROOT_CRED, 2.0, 0o600, None, None),
                  ("unlink", 5, "z", ROOT_CRED),
                  ("rename_local", 5, "a", 5, "e", ROOT_CRED))
-        with fms.group_commit():
+        with GroupCommit(fms.store):
             fms.op_apply_batch(batch, 7, 2)
         fms.store.close()
         data = wal.read_bytes()
@@ -406,14 +437,14 @@ class TestIdempotentCreateBatch:
 
         twin = recovered(durable)
         before = state(twin)
-        with twin.group_commit():
+        with GroupCommit(twin.store):
             want = twin.op_apply_batch(batch, 7, 2)
         after = state(twin)
         assert _dirent_names(twin) == ["b", "c", "d", "e"]
         for n in range(durable, len(data)):
             f = recovered(n)
             assert state(f) == before, n
-            with f.group_commit():
+            with GroupCommit(f.store):
                 assert f.op_apply_batch(batch, 7, 2) == want, n
             assert state(f) == after, n
 
@@ -542,8 +573,6 @@ class TestReplyCache:
         a fresh handler rebuilt from the same log has (counters and meter
         aside), the reply cache included: a batch retried after the
         restart is answered from it."""
-        from repro.core.dms import DirectoryMetadataServer
-
         fs = make_system(system, 2, cost=FAST_RECOVERY, data_dir=str(tmp_path / "fs"))
         c = fs.client()
         c.mkdir("/d")
@@ -553,32 +582,156 @@ class TestReplyCache:
         c.unlink("/d/f1")
         if hasattr(c, "flush"):
             c.flush()
-        skip = {"counters", "meter", "store", "alloc", "cost", "_wal_path"}
-
-        def state(h):
-            return ({k: v for k, v in vars(h).items() if k not in skip},
-                    sorted(h.store.items()), h.alloc._next_fid)
-
         for h in (fs.dms, *fs.fms):
             if isinstance(h, DirectoryMetadataServer):
                 uuid, _ = h.op_reserve_uuids(1)
                 batch = (("mkdir", "/x", 0o755, ROOT_CRED, 9.0, uuid),)
             else:
                 batch = _creates(["x"], now_s=9.0)
-            with h.group_commit():
+            with GroupCommit(h.store):
                 want = h.op_apply_batch(batch, 99, 1)
             path = h.store._wal.path
             h.crash()
             assert h.restart() > 0
-            fresh = type(h)(**({"backend": h.backend} if hasattr(h, "backend")
-                               else {"sid": h.sid}), wal_path=path)
-            assert state(h) == state(fresh)
+            fresh = _fresh(h, path)
+            assert _handler_state(h) == _handler_state(fresh)
             assert 99 in h._replies
             before = sorted(h.store.items())
             assert h.op_apply_batch(batch, 99, 1) == want
             assert sorted(h.store.items()) == before
             fresh.store.close()
         fs.close()
+
+
+def _request(fs, server: str, method: str, *args):
+    """One plain request through the deployment's engine."""
+    def gen():
+        return (yield Rpc(server, method, args))
+    return fs.engine.run(gen())
+
+
+def _named(c, path: str) -> tuple[bool, bool]:
+    """Whether ``stat`` finds ``path`` and whether ``readdir`` of its
+    parent lists it."""
+    parent, name = pathutil.split(path)
+    try:
+        listed = name in {e.name for e in c.readdir(parent)}
+    except NoEntry:
+        listed = False
+    try:
+        c.stat(path)
+    except NoEntry:
+        return False, listed
+    return True, listed
+
+
+class TestTornRequest:
+    """A crash that tears any number of bytes off a server's log, up to
+    the whole of its last request's records, restarts the server as that
+    request found it: the engines serve each request of a WAL-backed
+    server in one group commit, which replays whole or not at all.  For
+    the last plain request of every mutating kind, crash + restart at each
+    tear equals a fresh handler over the log before the request (and with
+    no tear, one over the log after it), ``stat`` and ``readdir`` agree on
+    the names the request touched, and ``fsck`` is clean.  One request
+    logging each KV write as its own commit left a create's access part
+    without its content part and a mkdir's inode missing from ``/``."""
+
+    @staticmethod
+    def _tear_every_byte(fs, h, request, paths):
+        """Run ``request()``, which must end in one mutating request to
+        ``h``; then tear 0..all of that request's bytes off ``h``'s log,
+        and close the deployment."""
+        wal = h.store._wal
+        log = Path(wal.path)
+        wal.flush()
+        pre, commits = log.read_bytes(), wal.commits
+        request()
+        assert wal.commits == commits + 1  # one request, one commit
+        wal.flush()
+        post = log.read_bytes()
+        assert post[:len(pre)] == pre and len(post) > len(pre)
+
+        def fresh_state(data):
+            copy = log.with_name("fresh.wal")
+            copy.write_bytes(data)
+            f = _fresh(h, str(copy))
+            state = _handler_state(f)
+            f.store.close()
+            return state
+
+        before, after = fresh_state(pre), fresh_state(post)
+        assert before != after
+        for tear in range(len(post) - len(pre) + 1):
+            log.write_bytes(post)
+            h.crash(torn_tail_bytes=tear)
+            h.restart()
+            assert _handler_state(h) == (before if tear else after), tear
+            c = fs.client()
+            for path in paths:
+                found, listed = _named(c, path)
+                assert found == listed, (tear, path)
+            if fs.dms is not None:
+                assert fsck.check(fs).clean, tear
+        fs.close()
+
+    @staticmethod
+    def _locofs_c(tmp_path):
+        fs = make_system("locofs-c", 2, data_dir=str(tmp_path / "fs"))
+        c = fs.client()
+        c.mkdir("/d")
+        c.create("/d/f")
+        c.mkdir("/b")
+        return fs, c
+
+    @pytest.mark.parametrize("kind", ["create", "setattr", "truncate", "remove"])
+    def test_fms_request(self, tmp_path, kind):
+        fs, c = self._locofs_c(tmp_path)
+        request = {"create": partial(c.create, "/d/g"),
+                   "setattr": partial(c.chmod, "/d/f", 0o600),
+                   "truncate": partial(c.truncate, "/d/f", 4096),
+                   "remove": partial(c.unlink, "/d/f")}[kind]
+        name = "g" if kind == "create" else "f"
+        fms = c.ring.lookup_file(dir_uuid(fs, c, "/d"), name)
+        self._tear_every_byte(fs, fs.fms[fs.fms_names.index(fms)], request,
+                              [f"/d/{name}"])
+
+    @pytest.mark.parametrize("half", ["export_remove", "import"])
+    def test_cross_fms_rename(self, tmp_path, half):
+        """Each half of an f-rename across two FMSes, torn on its own
+        server: the export as a rename's last request, the import as the
+        request that completes it."""
+        fs, c = self._locofs_c(tmp_path)
+        uuid = dir_uuid(fs, c, "/d")
+        dst = name_placed(c.ring, uuid, "f", same_fms=False, prefix="g")
+        src_fms, dst_fms = (c.ring.lookup_file(uuid, n) for n in ("f", dst))
+        if half == "export_remove":
+            fms, request = src_fms, partial(_request, fs, src_fms, "export_remove",
+                                            uuid, "f", ROOT_CRED)
+        else:
+            fms, request = dst_fms, partial(c.rename, "/d/f", f"/d/{dst}")
+        self._tear_every_byte(fs, fs.fms[fs.fms_names.index(fms)], request,
+                              ["/d/f", f"/d/{dst}"])
+
+    @pytest.mark.parametrize("kind", ["mkdir", "rmdir", "setattr", "rename"])
+    def test_dms_request(self, tmp_path, kind):
+        fs, c = self._locofs_c(tmp_path)
+        request = {"mkdir": partial(c.mkdir, "/b/x"),
+                   "rmdir": partial(c.rmdir, "/b"),
+                   "setattr": partial(c.chmod, "/b", 0o700),
+                   "rename": partial(c.rename, "/b", "/e")}[kind]
+        self._tear_every_byte(fs, fs.dms, request, ["/b", "/b/x", "/e"])
+
+    def test_replica_vote(self, tmp_path):
+        """A LocoFS-R replica's ``rlog_vote`` logs ``R:vote`` then
+        ``R:term``: a torn vote loses both, never the vote alone."""
+        fs = make_system("locofs-r", 2, data_dir=str(tmp_path / "fs"))
+        c = fs.client()
+        c.mkdir("/b")
+        h = fs.dms_servers["rdms0.1"]
+        request = partial(_request, fs, "rdms0.1", "rlog_vote", h.term + 1,
+                          "rdms0.2", h.last_term, h.last_index)
+        self._tear_every_byte(fs, h, request, ["/b"])
 
 
 def test_dropped_replies_leave_no_error_for_applied_unlinks():

@@ -88,32 +88,38 @@ class TestWAL:
         assert len(list(WriteAheadLog.replay(path))) == 6
 
     def test_torn_append_many_tail_recovers_prefix(self, tmp_path):
+        # outside a group commit, append_many is a group of its own: a tear
+        # anywhere in it replays none of its records, only what came before
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(path)
+        wal.append_put(b"w", b"0")
         wal.append_many([(OP_PUT, b"a", b"1"), (OP_PUT, b"b", b"2"),
                          (OP_DELETE, b"a", b""), (OP_PUT, b"c", b"3")])
+        assert wal.commits == 2
         wal.flush()
         wal.close()
         with open(path, "rb") as fh:
             data = fh.read()
+        head = len(encode_record(OP_PUT, b"w", b"0"))
+        for cut in range(head, len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            assert list(WriteAheadLog.replay(path)) == [(OP_PUT, b"w", b"0")], cut
         with open(path, "wb") as fh:
-            fh.write(data[:-5])  # tear inside the last record
-        records = list(WriteAheadLog.replay(path))
-        assert records == [(OP_PUT, b"a", b"1"), (OP_PUT, b"b", b"2"),
-                           (OP_DELETE, b"a", b"")]
+            fh.write(data)
+        assert len(list(WriteAheadLog.replay(path))) == 5
 
     def test_torn_tail_then_new_appends_replay_cleanly(self, tmp_path):
-        # recovery truncates nothing on disk; replay simply stops at the
-        # tear — verify a store reopened over a torn log recovers the
-        # prefix and keeps working (mirrors tests/test_recovery.py at the
-        # store level)
+        # replay stops at the tear and a reopened log cuts it off — verify
+        # a store reopened over a torn log recovers the prefix and keeps
+        # working (mirrors tests/test_recovery.py at the store level); a
+        # multi_put outside a group commit is a group of its own
         from repro.kv.hashdb import HashStore
 
         path = str(tmp_path / "wal.log")
         store = HashStore(wal_path=path)
         store.put(b"w", b"0")
-        with store.group():
-            store.multi_put([(b"x", b"1"), (b"y", b"2"), (b"z", b"3")])
+        store.multi_put([(b"x", b"1"), (b"y", b"2"), (b"z", b"3")])
         store._wal.flush()
         with open(path, "rb") as fh:
             data = fh.read()

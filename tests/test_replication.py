@@ -485,6 +485,38 @@ class TestRootlessShardRestart:
         assert follower.num_directories() == leader.num_directories()
         fs.close()
 
+    def test_wipe_and_reinstall_is_one_group_commit(self, tmp_path):
+        """Served by the engine, the wipe truncates the open log in place,
+        so what the install logs after it (root, term, every entry) is the
+        request's one group: a torn install leaves the wiped replica
+        empty, never a prefix of the leader's log."""
+        import pickle
+
+        fs = _rfs(tmp_path)
+        c = fs.client()
+        for i in range(4):
+            c.mkdir(f"/d{i}")
+        leader = fs.partition_leader("rdms0")
+        name = fs.partitions["rdms0"][2]
+        follower = fs.dms_servers[name]
+        follower._apply_entry(follower.last_index + 1, pickle.dumps(
+            (leader.term, "shard_mkdir_at",
+             ("/ghost", 0o755, ROOT_CRED, 0.0, 1, 12345), 99, 1), 4))
+        wal = follower.store._wal
+        commits = wal.commits
+
+        def install():
+            return (yield Rpc(name, "rlog_install",
+                              (leader.term, leader.my_name, leader.op_rlog_read(1))))
+
+        fs.engine.run(install())
+        assert follower.last_index == leader.last_index > 0
+        assert follower.store._wal is wal and wal.commits == commits + 1
+        follower.crash(torn_tail_bytes=1)
+        follower.restart()
+        assert follower.last_index == 0
+        fs.close()
+
 
 class TestLeaderFailover:
     """Crash partition 0's initial leader mid-run: a quorum survives,
