@@ -14,9 +14,8 @@ Run from the repository root (about 3 minutes; stdlib only):
     python scripts/reach.py              # print the list
     python scripts/reach.py --check 0    # and exit 1 if it holds more than 0
 
-A function whose only callers are in ``bench/``, ``benchmarks/``,
-``scripts/`` or a subprocess shows up too, so grep those before
-deleting one.
+A function whose only callers are in ``bench/``, ``scripts/`` or a
+subprocess shows up too, so grep those before deleting one.
 """
 
 import argparse

@@ -7,7 +7,7 @@ al. [45] and deliberately abandons FUSE for the benchmarks.  This adapter
 reproduces both halves: a faithful file-descriptor/syscall surface
 (open/read/write/lseek/close with flags and per-fd offsets) and the
 modeled per-crossing FUSE overhead, so the FUSE-vs-locolib ablation can be
-measured (``benchmarks/test_ablation_fuse.py``).
+measured (the ``ablation-fuse`` rows of ``tests/claims.py``).
 """
 
 from __future__ import annotations

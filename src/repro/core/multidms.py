@@ -15,7 +15,7 @@ would cost.  This module answers it by implementing one:
 * readdir/rmdir must consult every DMS shard (as they already consult
   every FMS); d-rename becomes a cross-server export/import.
 
-The ablation benchmark (``benchmarks/test_ablation_multidms.py``) shows
+The ablation (the ``ablation-multidms`` rows of ``tests/claims.py``) shows
 both sides: mkdir/rmdir throughput now scales with DMS count, while
 cold-cache deep-path operations pay per-level round trips — quantifying
 why the paper's trade-off favours one DMS at supercomputer scales.

@@ -4,8 +4,8 @@ Each module exposes ``run(**params)`` returning one or more
 :class:`~repro.experiments.common.ExperimentResult` whose ``report()``
 prints the same rows/series the paper plots.  Each ``run``'s defaults are
 the reference scale: ``python -m repro run all`` prints every number
-EXPERIMENTS.md quotes (``results/reference_run.txt``).  The
-``benchmarks/`` tree wires each module into pytest-benchmark.
+EXPERIMENTS.md quotes (``results/reference_run.txt``).  The claims
+table (``tests/claims.py``) bounds their shape at a smaller scale.
 """
 
 from . import (

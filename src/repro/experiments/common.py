@@ -2,7 +2,7 @@
 
 Every experiment module exposes ``run(**params) -> ExperimentResult`` and
 the result renders the same rows/series the paper's figure plots.  The
-benchmarks call ``run`` with scaled-down parameters and print the report;
+claims table (``tests/claims.py``) bounds the rows of scaled-down runs;
 EXPERIMENTS.md records paper-vs-measured for the full-scale runs.
 """
 

@@ -1,28 +1,18 @@
-"""Smoke tests for the experiment modules (tiny scales; shape only).
+"""The experiment registry and result objects.
 
-The full-size shape assertions live in benchmarks/; here we verify each
-experiment runs end-to-end, produces well-formed results, and preserves
-its most load-bearing property at miniature scale.
+Each experiment's shape claims, at benchmark and at miniature scale, are
+rows of the claims table (``claims.py``, evaluated by
+``test_claims.py``); the row-id prefix names the figure, e.g. ``fig09``
+and ``fig09-tiny``.
 """
 
 import pytest
 
-from repro.experiments import (
-    REGISTRY,
-    fig01_gap,
-    fig06_latency,
-    fig07_latency_ops,
-    fig08_throughput,
-    fig09_bridging_gap,
-    fig10_flattened,
-    fig11_decoupled,
-    fig12_fullsystem,
-    fig13_depth,
-    fig14_rename,
-    fig15_batching,
-    table1_access_matrix,
-)
+from claims import point
+from repro.common.types import ROOT_CRED
+from repro.experiments import REGISTRY, fig14_rename, table1_access_matrix
 from repro.experiments.common import ExperimentResult
+from repro.sim.costmodel import SSD
 
 
 def test_registry_covers_every_figure_and_table():
@@ -46,108 +36,91 @@ def test_experiment_result_report_and_normalize():
     assert res.series("a")[2] == 4.0
 
 
-def test_fig01_smoke():
-    res = fig01_gap.run(systems=("lustre-d1",), server_counts=(1, 2),
-                        items_per_client=8, client_scale=0.1)
-    assert res.rows["Lustre D1"][2] > 0
-    assert res.extras["kv_iops"] > res.rows["Lustre D1"][1]
-
-
-def test_fig06_smoke():
-    res = fig06_latency.run(systems=("locofs-c", "cephfs"), server_counts=(1,),
-                            n_items=8)
-    assert res["touch"].rows["LocoFS-C"][1] < res["touch"].rows["CephFS"][1]
-
-
-def test_fig07_smoke():
-    res = fig07_latency_ops.run(systems=("locofs-c", "gluster"), num_servers=2,
-                                n_items=8)
-    assert res.rows["LocoFS-C"]["rm"] == pytest.approx(1.0)
-    assert res.rows["Gluster"]["rm"] > 1.0
-
-
-def test_fig08_smoke():
-    res = fig08_throughput.run(ops=("touch",), server_counts=(1,),
-                               systems=("locofs-c", "cephfs"),
-                               items_per_client=8, client_scale=0.1)
-    rows = res["touch"].rows
-    assert rows["LocoFS-C"][1] > rows["CephFS"][1]
-
-
-def test_fig09_smoke():
-    res = fig09_bridging_gap.run(systems=("locofs-c",), server_counts=(1,),
-                                 items_per_client=10, client_scale=0.2)
-    assert 0 < res.rows["LocoFS-C"][1] <= 120
-
-
-def test_fig10_smoke():
-    res = fig10_flattened.run(systems=("locofs-c", "indexfs"), n_items=10)
-    assert res.rows["LocoFS-C"]["touch"] < res.rows["IndexFS"]["touch"]
-
-
-def test_fig11_smoke():
-    res = fig11_decoupled.run(systems=("locofs-df", "locofs-cf"), num_servers=2,
-                              items_per_client=8, client_scale=0.2)
-    for op in ("chmod", "truncate"):
-        assert res.rows["LocoFS-DF"][op] > 0
-        assert res.rows["LocoFS-CF"][op] > 0
-
-
-def test_fig12_smoke():
-    res = fig12_fullsystem.run(systems=("locofs-c",), sizes=(512, 65536),
-                               num_servers=2, n_files=4)
-    w = res["write"].rows["LocoFS-C"]
-    assert w[65536] > w[512]  # bigger I/O costs more wire time
-
-
-def test_fig13_smoke():
-    res = fig13_depth.run(configs=(("locofs-nc", 2),), depths=(1, 16),
-                          items_per_client=10, client_scale=0.2)
-    row = res.rows["LocoFS-NC (2 srv)"]
-    assert row[16] < row[1]  # depth hurts the no-cache config
-
-
-def test_fig14_smoke():
-    res = fig14_rename.run(group_sizes=(100, 300), base_dirs=1500)
-    assert res.rows["btree-ssd"][300] > res.rows["btree-ssd"][100]
-    # virtual-time rows are the primary series; wall clock is opt-in only
-    assert "wall_seconds" not in res.extras
-
-
 def test_fig14_deterministic_and_wall_optin():
     a = fig14_rename.run(group_sizes=(100,), base_dirs=800)
     b = fig14_rename.run(group_sizes=(100,), base_dirs=800)
     assert a.rows == b.rows  # modeled seconds are bit-identical run to run
+    # virtual-time rows are the primary series; wall clock is opt-in only
+    assert "wall_seconds" not in a.extras
     c = fig14_rename.run(group_sizes=(100,), base_dirs=800, measure_wall=True)
     assert c.extras["wall_seconds"]["hash-hdd"][100] >= 0
 
 
+def test_fig14_renames_preserve_contents():
+    """The timing numbers are only meaningful if the rename really executed."""
+    dms = fig14_rename._build_dms("btree", SSD, (300,), base_dirs=100)
+    assert dms.op_rename("/grp300", "/x", ROOT_CRED) == 300
+    assert dms.op_exists("/x/d0000150")
+    assert not dms.op_exists("/grp300/d0000150")
+
+
+# -- the miniature runs' result form (their shape claims are claims-table rows) --
+
+
+def _form(table: dict) -> dict:
+    """Each row label of ``table`` and its column keys, in order."""
+    return {label: list(cols) for label, cols in table.items()}
+
+
+def test_fig01_smoke():
+    cells = point("fig01-tiny")
+    assert _form({k: v for k, v in cells.items() if k != "kv"}) == {
+        "Lustre D1": [1, 2], "KyotoCabinet (1 node)": [1, 2]}
+
+
+def test_fig06_smoke():
+    assert {op: _form(t) for op, t in point("fig06-tiny").items()} == {
+        op: {"LocoFS-C": [1], "CephFS": [1]} for op in ("touch", "mkdir")}
+
+
+def test_fig07_smoke():
+    ops = ["readdir", "rmdir", "rm", "dir-stat", "file-stat"]
+    assert _form(point("fig07-tiny")) == {"LocoFS-C": ops, "Gluster": ops}
+
+
+def test_fig08_smoke():
+    assert {op: _form(t) for op, t in point("fig08-tiny").items()} == {
+        "touch": {"LocoFS-C": [1], "CephFS": [1]}}
+
+
+def test_fig09_smoke():
+    assert _form(point("fig09-tiny")) == {"LocoFS-C": [1]}
+
+
+def test_fig10_smoke():
+    ops = ["mkdir", "touch", "rm", "rmdir"]
+    assert _form(point("fig10-tiny")) == {"LocoFS-C": ops, "IndexFS": ops}
+
+
+def test_fig11_smoke():
+    ops = ["chmod", "chown", "access", "truncate"]
+    assert _form(point("fig11-tiny")) == {"LocoFS-DF": ops, "LocoFS-CF": ops}
+
+
+def test_fig12_smoke():
+    assert {io: _form(t) for io, t in point("fig12-tiny").items()} == {
+        io: {"LocoFS-C": [512, 65536]} for io in ("write", "read")}
+
+
+def test_fig13_smoke():
+    assert _form(point("fig13-tiny")) == {"LocoFS-NC (2 srv)": [1, 16]}
+
+
+def test_fig14_smoke():
+    assert _form(point("fig14-tiny")) == {
+        f"{b}-{d}": [100, 300] for b in ("btree", "hash") for d in ("hdd", "ssd")}
+
+
 def test_fig15_smoke():
-    res = fig15_batching.run(batch_sizes=(8,), client_counts=(32,),
-                             num_servers=2, items_per_client=8,
-                             client_scale=0.25)
-    assert res.rows["LocoFS-B (b=8)"][32] > res.rows["LocoFS-C"][32]
+    assert _form(point("fig15-tiny")) == {"LocoFS-C": [32], "LocoFS-B (b=8)": [32]}
 
 
 def test_table1_full_match():
-    res = table1_access_matrix.run()
-    assert "12/12 rows match" in res.notes[0]
+    assert list(point("table1")) == list(table1_access_matrix.PAPER_MATRIX)
 
 
 def test_fig18_smoke():
-    from repro.experiments import fig18_openloop
-
-    res = fig18_openloop.run(systems=("locofs-c", "locofs-nc"),
-                             packs=("dl-pipeline",),
-                             loads=(20_000.0, 80_000.0), num_servers=2,
-                             horizon_us=20_000.0, seed=0)
-    r = res["dl-pipeline"]
-    assert set(r.rows) == {"LocoFS-C", "LocoFS-NC"}
-    # goodput at the low load tracks offered for both systems
-    assert r.rows["LocoFS-C"][20_000.0] > 15_000
-    # the headline ordering: the no-cache baseline saturates first
-    knees = r.extras["knees"]
-    c = knees["locofs-c"] if knees["locofs-c"] is not None else float("inf")
-    nc = knees["locofs-nc"] if knees["locofs-nc"] is not None else float("inf")
-    assert nc < c
-    assert r.extras["saturating_phase"]["locofs-nc"] is not None
+    cells = point("fig18-tiny")
+    assert _form(cells["goodput"]) == {
+        s: [20_000.0, 80_000.0] for s in ("LocoFS-C", "LocoFS-NC")}
+    assert cells["saturating_phase"]["locofs-nc"] is not None

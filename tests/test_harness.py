@@ -355,6 +355,11 @@ class TestTrace:
         hist = TraceGenerator(num_ops=30000).op_histogram()
         assert hist["stat"] > hist["write"]
 
+    def test_same_seed_same_trace(self):
+        a = TraceGenerator(num_ops=5000, seed=7)
+        b = TraceGenerator(num_ops=5000, seed=7)
+        assert list(a.generate()) == list(b.generate())
+
     def test_paths_well_formed(self):
         gen = TraceGenerator(num_ops=500)
         from repro.common import pathutil
