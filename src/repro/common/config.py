@@ -36,9 +36,6 @@ class BatchConfig:
     #: rename-file), not just creates, with dependency tracking between
     #: queued entries (the LocoFS-A variant; DESIGN §11)
     all_ops: bool = False
-    #: client-side directory-uuid pool refill size for deferred mkdir
-    #: (one ``reserve_uuids`` RPC to the DMS buys this many mkdirs)
-    uuid_reserve: int = 64
 
     def __post_init__(self) -> None:
         if self.max_ops < 1:
@@ -47,8 +44,6 @@ class BatchConfig:
             raise ValueError("batch needs max_bytes >= 1")
         if self.max_age_us <= 0:
             raise ValueError("batch needs a positive max_age_us")
-        if self.uuid_reserve < 1:
-            raise ValueError("batch needs uuid_reserve >= 1")
 
 
 @dataclass

@@ -11,7 +11,7 @@ backed by a per-key dependency graph over the pending queues:
 * repeated setattr/chmod/chown on one key coalesce to the last write
   (field merge; a chmod on a pending create rewrites the create's mode);
 * a deferred mkdir assigns a client-reserved uuid (one ``reserve_uuids``
-  RPC buys :attr:`~repro.common.config.BatchConfig.uuid_reserve` of them)
+  RPC buys ``_UUID_RESERVE`` = 64 of them)
   and warms the d-cache immediately, so creates under it defer too; when
   an FMS queue holding such creates flushes, the DMS queue flushes first
   (cross-queue ordering);
@@ -51,6 +51,9 @@ from .client import DMS, BatchingLocoClient, _CREATE_WIRE_BASE, _write_dir_attrs
 _OP_WIRE_BASE = 40
 #: modeled wire size of a deferred DMS entry beyond its path
 _DIR_WIRE_BASE = 56
+#: directory uuids one ``reserve_uuids`` RPC to the DMS buys: the
+#: client-side pool refill size for deferred mkdir
+_UUID_RESERVE = 64
 
 S_IFDIR = 0o040000
 
@@ -158,7 +161,7 @@ class AsyncLocoClient(BatchingLocoClient):
     # -- deferred mkdir ------------------------------------------------------------------
     def _g_reserved_uuid(self) -> Generator:
         if self._uuid_next >= self._uuid_end:
-            start, n = yield Rpc(DMS, "reserve_uuids", (self.uuid_reserve,))
+            start, n = yield Rpc(DMS, "reserve_uuids", (_UUID_RESERVE,))
             self._uuid_next, self._uuid_end = start, start + n
         uuid = self._uuid_next
         self._uuid_next += 1

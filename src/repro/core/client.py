@@ -641,8 +641,6 @@ class BatchingLocoClient(LocoClient):
         self.batch_max_ops = batch.max_ops
         self.batch_max_bytes = batch.max_bytes
         self.batch_max_age_us = batch.max_age_us
-        #: directory-uuid pool refill size (deferred mkdir, LocoFS-A)
-        self.uuid_reserve = batch.uuid_reserve
         #: per-server write-behind queues, the DMS's (LocoFS-A) included
         self._pending: dict[str, _Queue] = {}
         #: (dir_uuid, name) -> FMS holding deferred entries for the key.

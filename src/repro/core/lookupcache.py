@@ -130,6 +130,7 @@ class LookupCacheServer:
         self.store.meter = self.meter
         self._invalidated_at = {}
         self._dir_epoch = 0.0
+        self._fms_prefix = {}
         self._watermark = math.inf  # until resume(): admit no fill
 
     def restart(self) -> int:

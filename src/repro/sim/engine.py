@@ -36,8 +36,10 @@ stages:
    ``Parallel`` — Direct hands, one at a time, to one ``EventEngine``
    over the same cluster, clock, client and sinks.  With no schedule,
    tracer or registry attached, ``EventEngine._step`` sends a lone
-   request itself and ``_arrive`` serves it, stage 2 folded in.
-2. **Arrival → serve → reply** (``_serve``, shared): down-server check at
+   request itself, with no wire-fate draw and no span.
+2. **Arrival → serve → reply** (``_serve``, shared: Direct calls it
+   inline, and it is the event driver's one arrival callback, which
+   also schedules the client's resume): down-server check at
    the *arrival* (DESIGN §8), FIFO queue start, ``KVTraceSink``, op-table
    or ``_exec_batch`` dispatch (the only ``Rpc``/``Batch`` branch) — in
    one WAL group commit when the server logs to a WAL — meter
@@ -134,11 +136,6 @@ __all__ = [
     "make_engine",
 ]
 
-
-#: ``err`` slot of a ``_serve`` outcome when no response will ever arrive
-#: (dead server, or a batch whose response was dropped); the time slot
-#: then holds the instant the client's timeout fires
-_LOST = object()
 
 #: result classes that are their own wire payload (dirent lists, data
 #: blocks): a response with no declared ``recv_bytes`` is sized by them.
@@ -405,17 +402,25 @@ class _EngineCore:
         return None
 
     def _serve(self, state: _ClientState, cmd: Rpc | Batch, span,
-               arrive: float, half: float, lost_at: float | None = None):
+               arrive: float, half: float, lost_at: float | None = None,
+               proc: _Proc | None = None, branch=None, attempt: int = 0):
         """Server half and response leg of one attempt that reaches
         ``cmd.server`` at ``arrive`` — the timing rule both drivers share.
 
-        Returns ``(value, err, respond_at)``: the handler's result (a
-        ``Batch``'s result list), the :class:`FSError` it raised (a
-        batch's first), and the instant the response has fully crossed
-        the client's downlink.  When no response will come — the server
+        With no ``proc`` (``DirectEngine``'s inline paths) it returns
+        ``(value, err, respond_at)``: the handler's result (a ``Batch``'s
+        result list), the :class:`FSError` it raised (a batch's first),
+        and the instant the response has fully crossed the client's
+        downlink.
+
+        With a ``proc`` it is ``EventEngine``'s arrival callback (``sim.now
+        == arrive``): it schedules the client's resume, or the ``branch``'s
+        join, at ``respond_at``.  When no response will come — the server
         is down at the arrival, or ``lost_at`` says this batch's response
-        was dropped on the wire at that send time — ``err`` is ``_LOST``
-        and the time is when the client's timeout fires.
+        was dropped on the wire at that send time — it hands the lost
+        ``attempt`` to ``_retry`` with the instant the client's timeout
+        fires.  Only a fault schedule loses an attempt, and under one
+        every attempt is served with a ``proc``.
         """
         cost = self.cost
         server = cmd.server
@@ -429,7 +434,8 @@ class _EngineCore:
                 fail_at = arrive + cost.timeout_us
                 if span is not None:
                     tracer.end(span, fail_at)
-                return None, _LOST, fail_at
+                self._retry(proc, cmd, branch, attempt, fail_at)
+                return None
         node: ServerNode = self._nodes[server]
         # FIFO service: requests hitting one server queue up
         start = arrive if arrive > node.next_free else node.next_free
@@ -488,7 +494,8 @@ class _EngineCore:
             fail_at = lost_at + cost.timeout_us
             if span is not None:
                 tracer.end(span, fail_at)
-            return None, _LOST, fail_at
+            self._retry(proc, cmd, branch, attempt, fail_at)
+            return None
         # the response reaches the client after the wire latency, then its
         # payload must cross the client's (serialized) downlink
         respond_at = finish + half
@@ -499,7 +506,26 @@ class _EngineCore:
         state.downlink_free = respond_at
         if span is not None:
             tracer.end(span, respond_at)
-        return value, err, respond_at
+        if proc is None:
+            return value, err, respond_at
+        if branch is None:
+            proc.value = value
+            proc.exc = err
+            fn = self._step_cb
+            args = proc.slot
+        else:
+            fn = self._join
+            args = (proc, branch[0], branch[1], value, err)
+        # inlined sim.at(): respond_at >= arrive + service + half-RTT, so
+        # it can only equal `now` (== arrive) under a zero-cost model —
+        # then the ready queue preserves at()'s ordering exactly
+        sim = self.sim
+        if respond_at > arrive:
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (respond_at, seq, fn, args))
+        else:
+            sim._ready.append((fn, args))
+        return None
 
 
 class DirectEngine(_EngineCore):
@@ -677,8 +703,7 @@ class _Proc:
     cannot clobber an in-flight resume.
     """
 
-    __slots__ = ("gen", "state", "on_done", "value", "exc", "slot", "cmd",
-                 "half")
+    __slots__ = ("gen", "state", "on_done", "value", "exc", "slot")
 
     def __init__(self, gen, state, on_done):
         self.gen = gen
@@ -686,9 +711,6 @@ class _Proc:
         self.on_done = on_done
         self.value = None
         self.exc = None
-        #: the request in flight on the no-fault path and its half-RTT
-        self.cmd = None
-        self.half = 0.0
         #: the one (proc,) argument tuple every resume event reuses
         self.slot = (self,)
 
@@ -779,7 +801,7 @@ class EventEngine(_EngineCore):
         #: the resume and arrival callbacks, bound once: every scheduled
         #: event reuses these two objects instead of binding a fresh one
         self._step_cb = self._step
-        self._arrive_cb = self._arrive
+        self._serve_cb = self._serve
 
     @property
     def now(self) -> float:
@@ -866,14 +888,13 @@ class EventEngine(_EngineCore):
                         delay += self.cost.conn_switch_us
                     state.last_server = server
                 state.rpcs_issued += 1
-                proc.cmd = cmd
-                proc.half = half
                 deliver_at = now + delay + half
+                args = (state, cmd, None, deliver_at, half, None, proc)
                 if deliver_at > now:
                     sim._seq = seq = sim._seq + 1
-                    heappush(sim._heap, (deliver_at, seq, self._arrive_cb, proc.slot))
+                    heappush(sim._heap, (deliver_at, seq, self._serve_cb, args))
                 else:
-                    sim._ready.append((self._arrive_cb, proc.slot))
+                    sim._ready.append((self._serve_cb, args))
                 return
             if tag == TAG_DELAY:  # Sleep and LocalCharge advance time alike
                 sim = self.sim
@@ -971,105 +992,13 @@ class EventEngine(_EngineCore):
         # every term non-negative, so it is never in the past; == now (a
         # zero-RTT cost model) routes to the ready queue exactly as at()
         deliver_at = now + delay + half
-        args = (proc, cmd, branch, span, attempt, half, lost_at)
+        args = (state, cmd, span, deliver_at, half, lost_at, proc, branch,
+                attempt)
         if deliver_at > now:
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (deliver_at, seq, self._deliver, args))
+            heappush(sim._heap, (deliver_at, seq, self._serve_cb, args))
         else:
-            sim._ready.append((self._deliver, args))
-
-    def _deliver(self, proc: _Proc, cmd: Rpc | Batch, branch, span,
-                 attempt: int, half: float, lost_at: float | None) -> None:
-        """The attempt arrives: serve it, then schedule the client's
-        resume (or the branch's join) at ``respond_at``."""
-        sim = self.sim
-        arrive = sim.now
-        value, err, at = self._serve(proc.state, cmd, span, arrive, half,
-                                     lost_at)
-        if err is _LOST:
-            self._retry(proc, cmd, branch, attempt, at)
-            return
-        if branch is None:
-            proc.value = value
-            proc.exc = err
-            fn = self._step_cb
-            args = proc.slot
-        else:
-            fn = self._join
-            args = (proc, branch[0], branch[1], value, err)
-        # inlined sim.at(): respond_at >= arrive + service + half-RTT, so
-        # it can only equal `now` (== arrive) under a zero-cost model —
-        # then the ready queue preserves at()'s ordering exactly
-        if at > arrive:
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (at, seq, fn, args))
-        else:
-            sim._ready.append((fn, args))
-
-    def _arrive(self, proc: _Proc) -> None:
-        """A lone request sent by ``_step``'s no-fault path arrives:
-        ``_deliver`` and ``_serve`` folded, for an engine with nothing but
-        (at most) a telemetry sink attached.  No server can be down and no
-        response lost, so the client always resumes at ``respond_at``."""
-        cmd = proc.cmd
-        sim = self.sim
-        arrive = sim.now
-        server = cmd.server
-        node: ServerNode = self._nodes[server]
-        start = arrive if arrive > node.next_free else node.next_free
-        meter = node.meter
-        before = meter.total_us
-        # _serve's group commit
-        group = None
-        logged = node.logged
-        if logged is not None and logged.store._wal is not None:
-            group = GroupCommit(logged.store, logged.counters)
-            group.__enter__()
-        err: FSError | None = None
-        try:
-            if cmd.tag == TAG_BATCH:
-                value, err, nbytes = self._exec_batch(node, cmd, None, start)
-            else:
-                nbytes = cmd.recv_bytes
-                try:
-                    fn = node._ops[cmd.method]
-                    value = fn(*cmd.args, **cmd.kwargs) if cmd.kwargs \
-                        else fn(*cmd.args)
-                    if not nbytes and isinstance(value, _RAW):
-                        nbytes = len(value)
-                except FSError as e:
-                    value = None
-                    err = e
-        finally:
-            if group is not None:
-                group.__exit__(None, None, None)
-        cost = self.cost
-        service = meter.total_us - before + cost.server_overhead_us
-        finish = start + service
-        node.next_free = finish
-        node.requests_served += 1
-        node.busy_us += service
-        if self.telemetry is not None:
-            # _serve's telemetry-only branch
-            batch = cmd.tag == TAG_BATCH
-            self.telemetry.rpc_complete(
-                server, arrive, start, service,
-                n_ops=len(cmd.rpcs) if batch else 1, batch=batch,
-                depth=self._arrival_depth(server, arrive, finish))
-        state = proc.state
-        respond_at = finish + proc.half
-        if respond_at < state.downlink_free:
-            respond_at = state.downlink_free
-        if nbytes:
-            respond_at += cost.transfer_us(nbytes)
-        state.downlink_free = respond_at
-        proc.value = value
-        proc.exc = err
-        if respond_at > arrive:
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (respond_at, seq, self._step_cb, proc.slot))
-        else:
-            sim._ready.append((self._step_cb, proc.slot))
+            sim._ready.append((self._serve_cb, args))
 
     def _retry(self, proc: _Proc, cmd: Rpc | Batch, branch, attempt: int,
                fail_at: float) -> None:

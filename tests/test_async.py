@@ -803,7 +803,7 @@ class TestFlushRoundTripWorkCount:
                          "core/fms", "core/metaserver", "kv/api") == {
             **self.FRAME,
             "core/client:_g_flush": 2, "core/client:_g_flush_server": 2,
-            "sim/engine:_step": 2, "sim/engine:_arrive": 1,
+            "sim/engine:_step": 2, "sim/engine:_serve": 1,
             "core/fms:op_create_batch": 1, "kv/api:_charge_batch": 2}
         assert stats.total_calls <= 85
 
@@ -811,7 +811,7 @@ class TestFlushRoundTripWorkCount:
         """CPython 3.11.7 counts 114 calls in all (117 with the batch's own
         counted scope, as above), the lookup-cache invalidation round trip
         included: a third ``_g_flush_server``
-        resume, a second ``_step`` and ``_arrive``.  That invalidation
+        resume, a second ``_step`` and ``_serve``.  That invalidation
         also carries the fill the client has held since its set-up
         ``mkdir`` missed on ``/`` (``apply_fill``, ``_evict_for`` and the
         store put: 14 calls; 103 before fills rode other requests, when
@@ -822,7 +822,7 @@ class TestFlushRoundTripWorkCount:
                          "core/lookupcache") == {
             **self.FRAME,
             "core/client:_g_flush": 3, "core/client:_g_flush_server": 3,
-            "sim/engine:_step": 3, "sim/engine:_arrive": 2,
+            "sim/engine:_step": 3, "sim/engine:_serve": 2,
             "core/fms:op_setattr": 1,
             "core/fms:_check_owner": 1, "core/lookupcache:op_invalidate": 1,
             "core/lookupcache:apply_fill": 1, "core/lookupcache:_evict_for": 1}

@@ -605,9 +605,6 @@ class TestReplyCache:
             fresh.store.close()
         fs.close()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "LookupCacheServer.crash keeps _fms_prefix, its memo of encoded "
-        "F:<fms>: key prefixes, which a fresh node starts empty"))
     def test_restart_rebuilds_the_lookup_cache_a_fresh_one_would(self, tmp_path):
         """The volatile lookup-cache node, crashed, restarted and resumed at
         an instant, is a fresh node of its capacity resumed at that instant."""

@@ -416,7 +416,7 @@ class TestSingleClientEngineIdentity:
         """With no schedule, ``DirectEngine.run`` serves a lone
         ``Rpc``/``Batch`` and a ``Parallel`` itself; an attached *empty*
         ``FaultSchedule`` hands every command to the event driver
-        (``_issue`` / ``_deliver`` / ``_FanOut``).  Same clock doubles,
+        (``_issue`` / ``_serve`` / ``_FanOut``).  Same clock doubles,
         error classes, ``rpcs_issued``, span tree (ids, parents and args
         included) and registry: the driver samples no queues Direct does
         not."""
@@ -437,10 +437,10 @@ class TestSingleClientEngineIdentity:
                      id="rpc-behind-late-quorum-votes")])
     def test_event_fast_path_is_the_path_it_bypasses(self, commands):
         """With no schedule, tracer or registry, ``EventEngine._step``
-        sends a lone ``Rpc``/``Batch`` itself and ``_arrive`` serves it;
-        an attached *empty* ``FaultSchedule`` sends the same commands
-        through ``_issue`` / ``_deliver`` / ``_serve``.  Same clock
-        doubles, error classes and ``rpcs_issued``."""
+        sends a lone ``Rpc``/``Batch`` itself; an attached *empty*
+        ``FaultSchedule`` sends the same commands through ``_issue``.
+        Both arrive at ``_serve``.  Same clock doubles, error classes and
+        ``rpcs_issued``."""
         assert self._run("event", commands) == \
             self._run("event", commands, "empty-schedule")
 
@@ -592,10 +592,13 @@ def test_event_fast_path_under_contention_is_the_path_it_bypasses(
         assert any(node[2].get("batch_record") for node in nodes.values())
 
 
-def _warm_event_stats(commands):
-    """cProfile stats of one warm ``EventEngine.run`` of ``commands``."""
+def _warm_event_stats(commands, schedule=None):
+    """cProfile stats of one warm ``EventEngine.run`` of ``commands``,
+    under ``schedule`` when one is given."""
     cluster, cost, _ = make_cluster(4)
     eng = EventEngine(cluster, cost)
+    if schedule is not None:
+        eng.attach_faults(schedule)
 
     def client():
         for cmd in commands:
@@ -616,7 +619,7 @@ def _engine_calls(stats):
 @pytest.mark.usefixtures("quiet_gc")
 class TestLeanEventDriver:
     """The no-fault EventEngine pays one ``_step`` resume and one
-    ``_arrive`` callback per request beyond the handler: exact,
+    ``_serve`` arrival callback per request beyond the handler: exact,
     machine-independent call counts."""
 
     def test_lone_rpcs_and_a_batch_cost_one_resume_and_one_arrival_each(self):
@@ -624,11 +627,12 @@ class TestLeanEventDriver:
                     Batch("s3", [_charge("s3"), _charge("s3", 2.2)])]
         stats = _warm_event_stats(commands)
         # the spawn's first resume, then one resume and one arrival per
-        # request: no _issue, _deliver or _serve frame (they made 16 more
-        # engine calls here, 82 calls in all)
+        # request: no _issue frame, and _serve schedules the resume itself
+        # (an _issue → _deliver → _serve chain made 16 more engine calls
+        # here, 82 calls in all)
         assert _engine_calls(stats) == {
             "run": 1, "done": 1, "spawn": 1, "__init__": 1,
-            "_step": 5, "_arrive": 4, "_exec_batch": 1}
+            "_step": 5, "_serve": 4, "_exec_batch": 1}
         assert stats.total_calls <= 74
 
     def test_warm_lone_rpc_exact_call_count(self):
@@ -636,11 +640,23 @@ class TestLeanEventDriver:
         ``dict.get``, ``spawn`` with ``_Proc.__init__``, ``Simulator.run``
         with two ``heappop`` and one ``popleft``, two ``_step`` resumes
         with their ``send`` calls and generator resumes, two
-        ``heappush``, ``_arrive`` with its ``isinstance``, the handler's
+        ``heappush``, ``_serve`` with its ``isinstance``, the handler's
         three calls, one ``deque.append`` and the profiler's ``disable``.
         An ``_issue`` and a ``_deliver`` → ``_serve`` pair per request
         made it 28."""
         assert _warm_event_stats([_charge()]).total_calls <= 26
+
+    def test_warm_lone_rpc_under_an_empty_schedule(self):
+        """An attached schedule sends the request through ``_issue``, and
+        ``_serve`` is still its one arrival callback: one ``_issue``, one
+        ``_serve`` and the two ``_step`` resumes.  CPython 3.11.7 counts
+        31 calls; a ``_deliver`` hop between arrival and ``_serve`` made
+        it 32."""
+        stats = _warm_event_stats([_charge()], FaultSchedule())
+        calls = _engine_calls(stats)
+        assert {name: calls.get(name) for name in ("_issue", "_serve", "_step")} \
+            == {"_issue": 1, "_serve": 1, "_step": 2}
+        assert stats.total_calls <= 31
 
 
 class TestClusterRegistry:
