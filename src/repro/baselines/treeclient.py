@@ -284,8 +284,7 @@ class TreeFSClient(FSClientBase):
             yield Rpc(sd, "unlink_dirent", (parent, name))
         self.fcache.invalidate(path)
         if removed["size"] > 0:
-            yield Parallel([Rpc(n, "delete_file", (removed["uuid"],))
-                            for n in self.block_placement.names])
+            yield self.block_placement.cut(((removed, 0),))
 
     def _g_chmod(self, path: str, mode: int) -> Generator:
         yield from self._g_setattr(path, mode=mode)
@@ -311,8 +310,10 @@ class TreeFSClient(FSClientBase):
         parent, _ = pathutil.split(path)
         yield from self._g_resolve_dir(parent)
         yield from self._g_lock(self.placement.inode_server(path), path)
-        yield Rpc(self.placement.inode_server(path), "truncate", (path, size, now))
+        old = yield Rpc(self.placement.inode_server(path), "truncate", (path, size, now))
         self.fcache.invalidate(path)
+        if size < old["size"]:
+            yield self.block_placement.cut(((old, size),))
 
     # -- data path -----------------------------------------------------------------------
     def _g_write(self, path: str, offset: int, data: bytes) -> Generator:

@@ -298,7 +298,7 @@ class TreePartitionServer:
             if buf is not None:
                 newbuf, _ = de.remove_entry(buf, name)
                 self.store.put(_dkey(parent), newbuf)
-        return {"uuid": ino["uuid"], "size": ino["size"]}
+        return {"uuid": ino["uuid"], "bsize": ino["bsize"], "size": ino["size"]}
 
     # -- attribute mutations (whole-value rewrite each time) ---------------------------------------
     def op_setattr(self, path: str, cred: Credentials, now_s: float,
@@ -317,14 +317,18 @@ class TreePartitionServer:
         ino["ctime"] = now_s
         self._write_inode(path, ino)
 
-    def op_truncate(self, path: str, size: int, now_s: float) -> None:
+    def op_truncate(self, path: str, size: int, now_s: float) -> dict:
+        """Set the size; returns ``{"uuid", "bsize", "size"}`` as they
+        were before, so a shrinking client can cut the file's blocks."""
         self._begin(True)
         ino = self._read_inode(path)
         if ino["kind"] != int(FileType.FILE):
             raise IsADirectory(path)
+        old = {"uuid": ino["uuid"], "bsize": ino["bsize"], "size": ino["size"]}
         ino["size"] = size
         ino["mtime"] = now_s
         self._write_inode(path, ino)
+        return old
 
     def op_write_meta(self, path: str, end_offset: int, now_s: float) -> dict:
         self._begin(True)

@@ -312,11 +312,8 @@ class LocoClient(FSClientBase):
         except NoEntry:
             raise NoEntry(pathutil.join(parent, name)) from None
         if removed["size"] > 0:
-            # data blocks are found by uuid prefix on every object server
-            yield Parallel(
-                [Rpc(name_, "delete_file", (removed["uuid"],))
-                 for name_ in self.placement.names]
-            )
+            # the file's blocks are computed from its size, not searched for
+            yield self.placement.cut(((removed, 0),))
 
     def _g_setattr(self, path: str, attrs: dict) -> Generator:
         """chmod/chown body, written once for every synchronous client.
@@ -399,9 +396,13 @@ class LocoClient(FSClientBase):
             info = yield from self._g_dir(parent)
         fms = self._fms_for(info["uuid"], name)
         try:
-            yield Rpc(fms, "truncate", (info["uuid"], name, size, now))
+            old = yield Rpc(fms, "truncate", (info["uuid"], name, size, now))
         except NoEntry:
             raise NoEntry(pathutil.join(parent, name)) from None
+        if size < old["size"]:
+            # no block may lie past the size: a shrink cuts the tail off
+            # (a grow needs nothing, the new range reads as a hole)
+            yield self.placement.cut(((old, size),))
 
     # -- rename (§3.4) ---------------------------------------------------------------------
     def _g_rename(self, old: str, new: str) -> Generator:
@@ -459,10 +460,7 @@ class LocoClient(FSClientBase):
             yield Rpc(src_fms, "import", (suuid, src_name, access, content))
             raise
         if replaced is not None and replaced["size"] > 0:
-            # data blocks are found by uuid prefix on every object server
-            yield Parallel(
-                [Rpc(n, "delete_file", (replaced["uuid"],)) for n in self.placement.names]
-            )
+            yield self.placement.cut(((replaced, 0),))
         return True
 
     # -- data path ---------------------------------------------------------------------------
@@ -778,8 +776,9 @@ class BatchingLocoClient(LocoClient):
         a round of one is a lone :class:`~repro.sim.rpc.Batch` — then
         settle each queue's positional results: deferred errors, the data
         blocks of removed files, the directory fallback of a setattr whose
-        name turned out to be a directory.  One ``delete_file`` sweep and
-        one lookup-cache invalidation close the round.
+        name turned out to be a directory.  One block cut (a request per
+        owning object server, for every removed file with data) and one
+        lookup-cache invalidation close the round.
 
         Ordering: the DMS queue rides the round unless an FMS queue in it
         holds entries under a still-pending mkdir; then the DMS queue ships
@@ -870,7 +869,8 @@ class BatchingLocoClient(LocoClient):
         # server saw live traffic for the directory, no separate RPC needed
         now = self._clock.now
         renew = self.dcache.renew
-        blocks: list[int] = []
+        #: (removal reply, 0) of every removed file with data
+        cuts: list[tuple] = []
         fkeys: list[tuple] = []
         dpaths: list[str] = []
         for (server, pend, live, ship, _), (results, err) in zip(shipped, outcomes):
@@ -928,18 +928,16 @@ class BatchingLocoClient(LocoClient):
                 elif kind == "rename_local":
                     replaced = res["replaced"]
                     if replaced is not None and replaced["size"] > 0:
-                        blocks.append(replaced["uuid"])
+                        cuts.append((replaced, 0))
                     fkeys.append((server, e[1], e[2]))
                     fkeys.append((server, e[3], e[4]))
                 else:  # unlink / unlink_opt
                     removed = res["removed"]
                     if removed is not None and removed["size"] > 0:
-                        blocks.append(removed["uuid"])
+                        cuts.append((removed, 0))
                     fkeys.append((server, e[1], e[2]))
-        if blocks:
-            # data blocks are found by uuid prefix on every object server
-            yield Parallel([Rpc(n, "delete_file", (u,))
-                            for u in blocks for n in self.placement.names])
+        if cuts:
+            yield self.placement.cut(cuts)
         if self._cache_node is not None and (fkeys or dpaths):
             # coherence: invalidate once every batch of the round is
             # durable, before the round returns — no reader can observe

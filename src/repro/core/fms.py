@@ -22,6 +22,8 @@ concatenated under ``E:<directory_uuid>`` (backward dirent organization).
 
 from __future__ import annotations
 
+import struct
+
 from repro.common.errors import Exists, FSError, InvalidArgument, NoEntry, PermissionDenied
 from repro.common.stats import Counters
 from repro.common.types import Credentials, FileType, S_IFREG
@@ -51,6 +53,13 @@ _A_CTIME, _A_MODE, _A_UID, _A_GID = map(FILE_ACCESS.field,
                                         ("ctime", "mode", "uid", "gid"))
 _C_MTIME, _C_ATIME, _C_SIZE, _C_SUUID = map(FILE_CONTENT.field,
                                             ("mtime", "atime", "size", "suuid"))
+#: a content part's data fields, side by side: ``_C_DATA.unpack_from(c,
+#: _C_DATA_AT)`` is ``(size, bsize, suuid)`` in one C call — what a removal
+#: or truncate reply needs to name the file's blocks
+_C_DATA = struct.Struct("<" + "".join(FILE_CONTENT.field(n).fmt
+                                      for n in ("size", "bsize", "suuid")))
+_C_DATA_AT = _C_SIZE.offset
+assert FILE_CONTENT.offset("suuid") == _C_DATA_AT + _C_DATA.size - _C_SUUID.size
 _A_LEN = FILE_ACCESS.total_size
 _C_LEN = FILE_CONTENT.total_size
 #: both parts, once each, into the positional getattr reply
@@ -423,8 +432,12 @@ class FileMetadataServer(MetadataServer):
             buf = FILE_COUPLED.write(buf, "ctime", now_s)
             self._put_coupled(key, buf)
 
-    def op_truncate(self, dir_uuid: int, name: str, size: int, now_s: float) -> None:
-        """truncate: touches only the content part (Table 1)."""
+    def op_truncate(self, dir_uuid: int, name: str, size: int, now_s: float) -> dict:
+        """truncate: touches only the content part (Table 1).
+
+        Returns the file's ``{"uuid", "bsize", "size"}`` as they were
+        *before* the call, read from the record it fetches anyway: a
+        client whose truncate shrank the file names the blocks to cut."""
         if self.track_touches:
             self._touch("truncate", "content")
         key = dir_uuid.to_bytes(8, "big") + name.encode("utf-8")  # == fkey
@@ -433,15 +446,18 @@ class FileMetadataServer(MetadataServer):
             c = self.store.get(ckey)
             if c is None:
                 raise NoEntry(name)
+            old, bsize, uuid = _C_DATA.unpack_from(c, _C_DATA_AT)
             self.store.write_at(ckey, _C_SIZE.offset, _C_SIZE.pack(size))
             self.store.write_at(ckey, _C_MTIME.offset, _C_MTIME.pack(now_s))
         else:
             buf = self._get_coupled(key)
             if buf is None:
                 raise NoEntry(name)
+            old, bsize, uuid = _C_DATA.unpack_from(buf, FILE_COUPLED.offset("size"))
             buf = FILE_COUPLED.write(buf, "size", size)
             buf = FILE_COUPLED.write(buf, "mtime", now_s)
             self._put_coupled(key, buf)
+        return {"uuid": uuid, "bsize": bsize, "size": old}
 
     def op_write_meta(self, dir_uuid: int, name: str, end_offset: int, now_s: float) -> dict:
         """Metadata side of a write: extend size, bump mtime (content part).
@@ -517,8 +533,8 @@ class FileMetadataServer(MetadataServer):
         self._nfiles -= 1
         if len(c) != _C_LEN:
             FILE_CONTENT.check(c)
-        return {"uuid": _C_SUUID.unpack_from(c, _C_SUUID.offset)[0],
-                "size": _C_SIZE.unpack_from(c, _C_SIZE.offset)[0]}
+        size, bsize, uuid = _C_DATA.unpack_from(c, _C_DATA_AT)
+        return {"uuid": uuid, "bsize": bsize, "size": size}
 
     def op_exists(self, dir_uuid: int, name: str) -> bool:
         """Cheap existence probe (used by the client's rename path)."""
@@ -566,8 +582,8 @@ class FileMetadataServer(MetadataServer):
 
         With ``cred`` the import replaces a durable destination (POSIX
         rename): the owner check runs before anything is mutated, and the
-        replaced file's ``{"uuid", "size"}`` comes back so the client can
-        delete its data blocks.  Without ``cred`` it never replaces
+        replaced file's ``{"uuid", "bsize", "size"}`` comes back so the
+        client can delete its data blocks.  Without ``cred`` it never replaces
         (``Exists``): the client's rollback, which puts an inode back on
         its source.
         """
@@ -586,8 +602,10 @@ class FileMetadataServer(MetadataServer):
             if cred is None:
                 raise Exists(name)
             self._check_owner(a, cred, name)
-            replaced = {"uuid": FILE_CONTENT.read(c, "suuid"),
-                        "size": FILE_CONTENT.read(c, "size")}
+            if len(c) != _C_LEN:
+                FILE_CONTENT.check(c)
+            size, bsize, ruuid = _C_DATA.unpack_from(c, _C_DATA_AT)
+            replaced = {"uuid": ruuid, "bsize": bsize, "size": size}
         self._store_both(key, access, content)
         ekey = _E + dir_uuid.to_bytes(8, "big")
         entry = dirent.pack_entry(name, uuid, FileType.FILE)
@@ -609,7 +627,7 @@ class FileMetadataServer(MetadataServer):
         a durable destination, and put it back if that fails — so a
         deferred rename leaves the identical state, and a missing source
         leaves the destination alone.  Returns the replaced destination's
-        ``{"uuid", "size"}`` (or ``None``) so the flushing client can
+        ``{"uuid", "bsize", "size"}`` (or ``None``) so the flushing client can
         delete its data blocks, just as the sync path does.
         """
         inode = self.op_export_remove(sdir_uuid, sname, cred)

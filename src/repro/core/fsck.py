@@ -18,7 +18,10 @@ I8. the DMS's in-memory ACL mirror agrees with the durable store;
 I9. every data block belongs to a live file uuid (no leaked blocks);
 I10. every file uuid names one file (a rename interrupted after its
      import can leave a second name, whose unlink deletes the blocks
-     both names share).
+     both names share);
+I11. no data block lies at or past its file's size, and none runs past
+     it (unlink and truncate name a file's blocks from its size, so a
+     block outside it would never be deleted, and a hole would read it).
 
 Used by the failure-injection tests and exposed as
 ``repro.core.fsck.check(fs)``.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.common import pathutil
 from repro.metadata import dirent as de
 from repro.metadata.chash import ConsistentHashRing, file_placement_key
-from repro.metadata.layout import DIR_INODE, FILE_CONTENT
+from repro.metadata.layout import DIR_INODE, FILE_CONTENT, FILE_COUPLED
 
 _I = b"I:"
 _E = b"E:"
@@ -113,7 +116,8 @@ def check(fs) -> FsckReport:
 
     # -- per-FMS checks -----------------------------------------------------------
     ring = ConsistentHashRing(nodes=fs.fms_names)
-    live_file_uuids: set[int] = set()
+    #: live file uuid -> (size, bsize)
+    live_files: dict[int, tuple[int, int]] = {}
     for fms_name, fms in zip(fs.fms_names, fs.fms):
         access_keys: set[bytes] = set()
         content_keys: set[bytes] = set()
@@ -150,15 +154,11 @@ def check(fs) -> FsckReport:
                 report.add(f"I5: file {fname!r} (dir {dir_uuid}) missing dirent on {fms_name}")
             else:
                 cbuf = fms.store.get((_C if fms.decoupled else _F) + fkey_)
-                if fms.decoupled:
-                    fuuid = FILE_CONTENT.read(cbuf, "suuid")
-                else:
-                    from repro.metadata.layout import FILE_COUPLED
-
-                    fuuid = FILE_COUPLED.read(cbuf, "suuid")
-                if fuuid in live_file_uuids:
+                layout = FILE_CONTENT if fms.decoupled else FILE_COUPLED
+                fuuid = layout.read(cbuf, "suuid")
+                if fuuid in live_files:
                     report.add(f"I10: uuid {fuuid} names a second file, {fname!r} on {fms_name}")
-                live_file_uuids.add(fuuid)
+                live_files[fuuid] = (layout.read(cbuf, "size"), layout.read(cbuf, "bsize"))
                 if names[fname] != fuuid:
                     report.add(f"I5: dirent uuid mismatch for {fname!r} on {fms_name}")
             # I7: placement
@@ -185,12 +185,20 @@ def check(fs) -> FsckReport:
             if (*DIR_INODE.perm(buf), DIR_INODE.read(buf, "uuid")) != (mode, uid, gid, uuid):
                 report.add(f"I8: mirror disagrees with store for {path!r}")
 
-    # I9: no leaked blocks
+    # I9 + I11: every block belongs to a live file and lies inside its size
     for obj in fs.object_servers:
-        for key, _ in obj.store.items():
+        for key, value in obj.store.items():
             report.blocks += 1
             uuid = int.from_bytes(key[:8], "big")
-            if uuid not in live_file_uuids:
+            if uuid not in live_files:
                 report.add(f"I9: leaked block for dead uuid {uuid} on obj{obj.sid}")
+                continue
+            size, bsize = live_files[uuid]
+            blk = int.from_bytes(key[8:], "big")
+            start = blk * bsize
+            if start >= size or start + len(value) > size:
+                report.add(f"I11: block {blk} of uuid {uuid} on obj{obj.sid} holds "
+                           f"bytes {start}..{start + len(value)}, "
+                           f"past the file's size {size}")
 
     return report

@@ -225,6 +225,31 @@ class FSSemantics:
         with pytest.raises(NoEntry):
             fs_client.read("/missing", 0, 1)
 
+    def test_truncate_leaves_a_hole_of_zeros(self, fs_client):
+        """A shrink forgets the bytes past the new size: a later write past
+        the old end leaves a hole that reads zeros, not the old data."""
+        fs_client.create("/f")
+        fs_client.write("/f", 0, b"A" * 8192)
+        fs_client.truncate("/f", 0)
+        fs_client.write("/f", 8192, b"B" * 10)
+        assert fs_client.read("/f", 0, 16) == bytes(16)
+        assert fs_client.read("/f", 8188, 8) == bytes(4) + b"BBBB"
+
+    def test_truncate_across_blocks(self, fs_client):
+        """Cut inside the second 4 KiB block, grow past the third, write
+        across the first boundary: each byte is the last write's or zero."""
+        data = bytes(range(256)) * 48  # 12 KiB, three blocks
+        fs_client.create("/f")
+        fs_client.write("/f", 0, data)
+        fs_client.truncate("/f", 4100)
+        assert fs_client.read("/f", 4090, 20) == data[4090:4100]
+        fs_client.truncate("/f", 13000)
+        fs_client.write("/f", 4094, b"xyzw")
+        got = fs_client.read("/f", 4090, 20)
+        assert got == data[4090:4094] + b"xyzw" + data[4098:4100] + bytes(10)
+        assert fs_client.read("/f", 12280, 720) == bytes(720)
+        assert fs_client.stat_file("/f").st_size == 13000
+
     def test_write_updates_mtime_and_size(self, fs_client):
         fs_client.create("/f")
         st0 = fs_client.stat_file("/f")

@@ -501,8 +501,9 @@ class TestGroupCommitScope:
         "fms1.kv.wal_commit": 1, "fms1.wal.fsync": 1,
     }
     #: the logs' bytes, group flags and reply-cache notes included (no
-    #: plain request here logs more than one record, so none is flagged)
-    DIGESTS = {"dms": "5fb75426adc410db", "fms0": "05b3906668e59579",
+    #: plain request here logs more than one record, so none is flagged;
+    #: fms0's note holds the unlink's removal reply, ``bsize`` included)
+    DIGESTS = {"dms": "5fb75426adc410db", "fms0": "9ce35664190847f1",
                "fms1": "504fce80b9007fa0"}
 
     def test_batched_flushes_match_the_generator_pair(self, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """Differential testing: every system vs a model-filesystem oracle.
 
 A pure-Python in-memory tree defines the intended semantics.  Hypothesis
-generates random operation sequences; each sequence runs against the
-oracle and against every real implementation (LocoFS cached/uncached,
-partitioned and replicated directory tiers, and the four baselines).  Outcomes (success or error *type*)
+generates random operation sequences — namespace ops mixed with writes,
+reads and truncates at offsets around block boundaries — and each runs
+against the oracle and against every real implementation (LocoFS
+cached/uncached, partitioned and replicated directory tiers, and the four
+baselines).  Outcomes (success or error *type*, and what a read returns)
 and the final namespace (paths, kinds, sizes, file contents) must match
 exactly.
 """
@@ -11,7 +13,7 @@ exactly.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common import pathutil
@@ -95,17 +97,31 @@ class ModelFS:
                  and "/" not in f[len(prefix):]]
         return kids
 
-    def write(self, path: str, offset: int, data: bytes) -> None:
+    def _file(self, path: str) -> str:
+        """The normalized path of an existing file, else the error a data
+        op on it raises."""
         path = pathutil.normalize(path)
         self._parent_dir(path)
         if path in self.dirs:
             raise IsADirectory(path)
         if path not in self.files:
             raise NoEntry(path)
+        return path
+
+    def write(self, path: str, offset: int, data: bytes) -> None:
+        path = self._file(path)
         cur = self.files[path]
         if len(cur) < offset:
             cur = cur.ljust(offset, b"\x00")
         self.files[path] = cur[:offset] + data + cur[offset + len(data):]
+
+    def truncate(self, path: str, size: int) -> None:
+        path = self._file(path)
+        self.files[path] = self.files[path][:size].ljust(size, b"\x00")
+
+    def read(self, path: str, offset: int, length: int) -> bytes:
+        path = self._file(path)
+        return self.files[path][offset:offset + length]
 
     def rename(self, old: str, new: str) -> None:
         old = pathutil.normalize(old)
@@ -188,6 +204,14 @@ SYSTEMS = {
 names = st.sampled_from(["a", "b", "c", "dd"])
 paths = st.builds(lambda parts: "/" + "/".join(parts),
                   st.lists(names, min_size=1, max_size=3))
+#: a small pool of data-op targets, so one file sees creates, writes,
+#: reads and truncates in sequence (a draw over every path rarely repeats
+#: one); writes also draw over every path, for the path-shape errors
+data_paths = st.sampled_from(["/a", "/b"])
+#: byte positions near the first block boundaries (4 KiB blocks), so
+#: writes, reads and truncates start, end and cut inside and across blocks
+offsets = st.one_of(st.integers(0, 100), st.integers(4096 - 60, 4096 + 60),
+                    st.integers(8192 - 60, 8192 + 60))
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("mkdir"), paths),
@@ -195,15 +219,22 @@ operations = st.lists(
         st.tuples(st.just("unlink"), paths),
         st.tuples(st.just("rmdir"), paths),
         st.tuples(st.just("rename"), paths, paths),
-        st.tuples(st.just("write"), paths, st.integers(0, 100),
+        st.tuples(st.just("write"), st.one_of(paths, data_paths), offsets,
                   st.binary(min_size=1, max_size=50)),
+        st.tuples(st.just("create"), data_paths),
+        st.tuples(st.just("truncate"), data_paths, offsets),
+        st.tuples(st.just("read"), data_paths, offsets, st.integers(1, 120)),
     ),
-    min_size=1,
+    # hypothesis aims a list at max(2 * min_size, min_size + 5) elements:
+    # 9 here, so the five namespace kinds still draw about 5 per sequence
+    # among the 9 op kinds, as they did among 6 at min_size 1
+    min_size=4,
     max_size=25,
 )
 
 
 def apply_to(target, op_tuple):
+    """Apply one op; a read's bytes are its result, any other op's None."""
     op = op_tuple[0]
     if op == "mkdir":
         target.mkdir(op_tuple[1])
@@ -217,6 +248,11 @@ def apply_to(target, op_tuple):
         target.rename(op_tuple[1], op_tuple[2])
     elif op == "write":
         target.write(op_tuple[1], op_tuple[2], op_tuple[3])
+    elif op == "truncate":
+        target.truncate(op_tuple[1], op_tuple[2])
+    elif op == "read":
+        return target.read(op_tuple[1], op_tuple[2], op_tuple[3])
+    return None
 
 
 # --- write-behind vs synchronous client (LocoFS-A/B differential) -----------
@@ -249,7 +285,7 @@ DEFERRED_SYSTEMS = {
         directory=_replicated())),
 }
 
-_READ_OPS = ("stat", "access", "readdir")
+_READ_OPS = ("stat", "access", "readdir", "read")
 
 mixed_operations = st.lists(
     st.one_of(
@@ -260,13 +296,17 @@ mixed_operations = st.lists(
         st.tuples(st.just("rename"), paths, paths),
         st.tuples(st.just("chmod"), paths, st.sampled_from((0o600, 0o640, 0o755))),
         st.tuples(st.just("chown"), paths, st.integers(0, 3), st.integers(0, 3)),
-        st.tuples(st.just("write"), paths, st.integers(0, 60),
+        st.tuples(st.just("write"), paths, offsets,
                   st.binary(min_size=1, max_size=30)),
+        st.tuples(st.just("truncate"), paths, offsets),
+        st.tuples(st.just("read"), paths, offsets, st.integers(1, 120)),
         st.tuples(st.just("stat"), paths),
         st.tuples(st.just("access"), paths),
         st.tuples(st.just("readdir"), paths),
     ),
-    min_size=1,
+    # aims at 7 ops (see ``operations``), about 6 of them of the 11 kinds
+    # drawn before truncate and read joined, as at min_size 1
+    min_size=2,
     max_size=30,
 )
 
@@ -280,6 +320,8 @@ def _apply_mixed(client, op_tuple):
         return ("access", client.access(op_tuple[1], 4))
     if op == "readdir":
         return ("readdir", tuple(sorted(e.name for e in client.readdir(op_tuple[1]))))
+    if op == "read":
+        return ("read", client.read(*op_tuple[1:]))
     getattr(client, op)(*op_tuple[1:])
     return ("ok",)
 
@@ -403,8 +445,15 @@ def _check_writebehind(deferred_name, ops, cred=None, setup=()):
     assert snapshot_real(deferred_client, None) == snapshot_real(sync_client, None)
 
 
+#: the hole a shrinking truncate must leave: write 8 KiB, cut to 0, write
+#: past the old end — the old bytes must not read back
+_HOLE = [("create", "/a"), ("write", "/a", 0, b"A" * 8192), ("truncate", "/a", 0),
+         ("write", "/a", 8192, b"B" * 10), ("read", "/a", 0, 16)]
+
+
 @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
 @given(ops=operations)
+@example(ops=_HOLE)
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_differential_vs_oracle(system_name, ops):
@@ -413,15 +462,17 @@ def test_differential_vs_oracle(system_name, ops):
     model = ModelFS()
     for op_tuple in ops:
         try:
-            apply_to(model, op_tuple)
+            want = apply_to(model, op_tuple)
             expected: type[BaseException] | None = None
         except FSError as e:
             expected = type(e)
         try:
-            apply_to(client, op_tuple)
+            have = apply_to(client, op_tuple)
             got: type[BaseException] | None = None
         except FSError as e:
             got = type(e)
+        if got is None and expected is None:
+            assert have == want, op_tuple
         # outcome classes must agree (allow sibling classes for path-shape
         # errors where the walk order legitimately differs)
         compatible = {

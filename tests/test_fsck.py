@@ -137,6 +137,38 @@ class TestCorruptionDetection:
         report = check(fs)
         assert any("I9" in e for e in report.errors)
 
+    def test_detects_block_past_size(self):
+        """A block planted past a live file's size is one no unlink or
+        truncate names (they compute a file's blocks from its size)."""
+        fs = make_fs()
+        c = fs.client()
+        c.create("/f")
+        c.write("/f", 0, b"z" * 100)
+        uuid = c.open("/f")["uuid"]
+        blk = 3
+        for server in fs.placement.replicas_for(uuid, blk):
+            fs.cluster[server].handler.op_put_block(uuid, blk, b"stale")
+        report = check(fs)
+        assert [e for e in report.errors if e.startswith("I11")] == [
+            f"I11: block 3 of uuid {uuid} on {fs.placement.locate(uuid, blk)} "
+            f"holds bytes 12288..12293, past the file's size 100"]
+
+    def test_detects_block_running_past_size(self):
+        """A size cut behind the object tier's back: the last kept block
+        runs past the new size, and the next lies wholly past it."""
+        fs = make_fs()
+        c = fs.client()
+        c.create("/f")
+        c.write("/f", 0, b"z" * 8192)
+        root = c.stat_dir("/").st_uuid
+        fs.cluster[c._fms_for(root, "f")].handler.op_truncate(root, "f", 100, 0.0)
+        i11 = [e for e in check(fs).errors if e.startswith("I11")]
+        assert len(i11) == 2
+        assert "block 0 " in i11[0] + i11[1] and "block 1 " in i11[0] + i11[1]
+        # an unlink names only the blocks the size covers: block 1 leaks
+        c.unlink("/f")
+        assert [e[:2] for e in check(fs).errors] == ["I9"]
+
     def test_detects_one_file_under_two_names(self):
         """What a rename leaves if its import applies but the client never
         hears so and restores the source: one uuid, two keys."""

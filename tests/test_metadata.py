@@ -84,7 +84,9 @@ class TestPrecomputedFieldCodecs:
         cred = Credentials(0, 0)
         fms.op_create(9, "f", 0o100644, cred, 1.0)
         fms.op_setattr(9, "f", cred, 2.5, mode=0o600, uid=7, gid=8)
-        fms.op_truncate(9, "f", 4096, 3.5)
+        assert fms.op_truncate(9, "f", 4096, 3.5) == {
+            "uuid": FILE_CONTENT.read(fms.store.get(b"C:" + fkey(9, "f")), "suuid"),
+            "bsize": 4096, "size": 0}
         fms.op_write_meta(9, "f", 8192, 4.5)
         fms.op_read_meta(9, "f", 5.5)
         a = fms.store.get(b"A:" + fkey(9, "f"))
@@ -94,7 +96,7 @@ class TestPrecomputedFieldCodecs:
                                           "bsize": 4096, "suuid": FILE_CONTENT.read(c, "suuid"),
                                           "sid": 1}
         assert fms.op_remove(9, "f", cred) == {"uuid": FILE_CONTENT.read(c, "suuid"),
-                                               "size": 8192}
+                                               "bsize": 4096, "size": 8192}
 
     def test_dms_in_place_writes_store_the_packed_record(self):
         dms = DirectoryMetadataServer()

@@ -138,15 +138,17 @@ def _cross_rename(system, engine_kind, over=False):
 #: fresh destination, 9 / 10 and 1361.132 / 1373.064 µs over one with two
 #: data blocks.  LocoFS-A's lookup-cache invalidate also carries the fill of
 #: the warm-up ``stat``'s miss: its store put adds 2.704 µs (447.392 /
-#: 651.088 before fills rode other requests).  Over a destination the time
-#: depends on which object servers hold its two blocks: 639.156 / 653.792
-#: µs at 128 virtual nodes per ring, 632.662 / 647.298 at 512
+#: 651.088 before fills rode other requests).  Over a destination its two
+#: blocks are dropped by one request to each server owning one (here obj0
+#: and obj1), point deletes of their computed keys: 615.864 / 630.5 µs.
+#: While every object server scanned its whole store for the file's uuid
+#: prefix it took 4 requests and 639.156 / 653.792 µs at 128 virtual nodes
+#: per ring, 632.662 / 647.298 at 512
 _PINNED = {
     ("locofs-c", False): ({}, 435.46000000000004),
     ("locofs-a", False): ({"cache0": 1}, 450.096),
-    ("locofs-c", True): ({"obj0": 1, "obj1": 1, "obj2": 1, "obj3": 1}, 632.662),
-    ("locofs-a", True): ({"obj0": 1, "obj1": 1, "obj2": 1, "obj3": 1,
-                          "cache0": 1}, 647.298),
+    ("locofs-c", True): ({"obj0": 1, "obj1": 1}, 615.864),
+    ("locofs-a", True): ({"obj0": 1, "obj1": 1, "cache0": 1}, 630.4999999999998),
 }
 
 
@@ -271,7 +273,7 @@ class TestImport:
         fms, moving, inode = self._fms(decoupled)
         replaced_uuid = fms.op_getattr(self.DIR, "dst")[8]
         got = fms.op_import(self.DIR, "dst", inode["access"], inode["content"], _USER_B)
-        assert got == {"uuid": replaced_uuid, "size": 5000}
+        assert got == {"uuid": replaced_uuid, "bsize": 4096, "size": 5000}
         assert fms.op_getattr(self.DIR, "dst")[8] == moving
         assert [(e.name, e.uuid) for e in dirent.iter_entries(fms.op_readdir(self.DIR))] \
             == [("dst", moving)]
