@@ -36,9 +36,6 @@ from .objectstore import BlockPlacement
 
 DMS = "dms"
 
-#: bound on the per-client (dir_uuid, name) -> FMS placement memo
-_PLACEMENT_CACHE_MAX = 65536
-
 
 def _write_dir_attrs(info: dict, mode: int | None, uid: int | None,
                      gid: int | None) -> None:
@@ -79,11 +76,10 @@ class LocoClient(FSClientBase):
         self.cache_enabled = cache_enabled
         self.dcache: LeaseCache[dict] = LeaseCache(lease_seconds, cache_capacity)
         self.block_size = block_size
-        #: (dir_uuid, name) -> FMS, valid for one ring version: building
-        #: the placement key and hashing it dominate the warm-cache create
-        #: path, and the answer only changes when ring membership does
-        self._placement_cache: dict[tuple[int, str], str] = {}
-        self._placement_ring_version = self.ring.version
+        #: (dir_uuid, name) -> FMS: the ring's own memoized lookup, bound
+        #: once so a placement costs one frame (the ring clears its memo
+        #: on every membership change)
+        self._fms_for = self.ring.lookup_file
         #: last parent (mode, uid, gid) that passed the write check — the
         #: create-path memo (the verdict depends only on these + cred,
         #: and cred is fixed per client)
@@ -92,21 +88,6 @@ class LocoClient(FSClientBase):
         #: and the DMS lookup) only when the subclass has not rerouted it
         #: (MultiDMSClient resolves against a different server set)
         self._dir_inline = type(self)._g_dir is LocoClient._g_dir
-
-    # -- placement ------------------------------------------------------------------
-    def _fms_for(self, dir_uuid: int, name: str) -> str:
-        cache = self._placement_cache
-        if self._placement_ring_version != self.ring.version:
-            cache.clear()
-            self._placement_ring_version = self.ring.version
-        key = (dir_uuid, name)
-        fms = cache.get(key)
-        if fms is None:
-            fms = self.ring.lookup_file(dir_uuid, name)
-            if len(cache) >= _PLACEMENT_CACHE_MAX:
-                cache.clear()
-            cache[key] = fms
-        return fms
 
     # -- directory resolution (cache or one DMS RPC) ------------------------------------
     def _g_dir(self, path: str) -> Generator:

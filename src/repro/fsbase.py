@@ -119,16 +119,18 @@ class FSClientBase:
     def op_raw(self, op: str, *args, **kwargs) -> Generator:
         """The bare ``_g_<op>`` generator, no observability bracket.
 
-        For driver loops that hoist the telemetry bracket out of the
-        per-op path (see :meth:`op_bracket`); everyone else wants
-        :meth:`op_generator`.
+        For drivers that look an op up per call and issue it with nothing
+        attached (the open-loop harness); a loop that issues one op many
+        times resolves it once with :meth:`op_function`, and everyone
+        else wants :meth:`op_generator`.
         """
         return self._op_methods[op](*args, **kwargs)
 
     def op_function(self, op: str):
         """The generator function behind :meth:`op_raw`: the bound
         ``_g_<op>``, for a harness loop that resolves its ops once and
-        issues them with nothing attached."""
+        issues them with nothing attached (or with a hoisted bracket, see
+        :meth:`op_bracket`)."""
         return self._op_methods[op]
 
     def op_bracket(self):
@@ -136,8 +138,8 @@ class FSClientBase:
 
         A tight driver loop (the throughput harness) that issues many ops
         back-to-back can skip the per-op wrapper generator entirely: when
-        this returns a sink, drive :meth:`op_raw` and surround each op with
-        ``telemetry.op_complete(name, t0, clock.now)`` directly — the same
+        this returns a sink, drive :meth:`op_function` and surround each op
+        with ``telemetry.op_complete(name, t0, clock.now)`` directly — the same
         feed :meth:`op_generator` would produce, minus a generator frame
         per op.  Returns ``(None, None)`` when a tracer or metrics registry
         is attached (spans must flow) or when nothing is attached.

@@ -12,7 +12,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.rpc import LocalCharge
 
 from .registry import make_system
-from .runner import build, resolve_sinks
+from .runner import _resolver, build, resolve_sinks
 from .workloads import _OP_CALLS, Workload, ZipfPicker
 
 #: phases in execution order; "touch" is mdtest's file-create
@@ -22,11 +22,11 @@ LATENCY_OPS = ("mkdir", "touch", "dir-stat", "file-stat", "readdir", "rm", "rmdi
 FILE_META_OPS = ("chmod", "chown", "access", "truncate")
 
 
-def _measured(overhead: LocalCharge, op, call: tuple):
+def _measured(overhead: LocalCharge, call, args: tuple):
     """One measured operation including the client-side software path:
-    the ``overhead`` charge, then ``op(*call)`` (the op's generator)."""
+    the ``overhead`` charge, then ``call(*args)`` (the op's generator)."""
     yield overhead
-    return (yield from op(*call))
+    return (yield from call(*args))
 
 
 def run_latency(
@@ -70,21 +70,21 @@ def run_latency(
         client.mkdir(path)
     wd = wl.work_dir(0)
     # resolved once for every measured op: one shared charge (commands are
-    # read-only to the engines), the bare op generator when no sink wants
-    # the op bracket, and the (possibly tapped) engine.run / rec.record
+    # read-only to the engines), the op resolver (see ``_resolver``), and
+    # the (possibly tapped) engine.run / rec.record
     overhead = LocalCharge(cost.client_overhead_us)
-    bare = (engine.tracer is None and engine.metrics is None
-            and engine.telemetry is None)
-    op = client.op_raw if bare else client.op_generator
+    resolve = _resolver(client)
     run = engine.run
     record = rec.record
 
     def phase(name: str, items) -> None:
-        """One engine.run and one rec.record per measured op."""
-        build = _OP_CALLS[name]
+        """One op resolution per phase; one engine.run and one
+        rec.record per measured op."""
+        op, args = _OP_CALLS[name]
+        call = resolve(op)
         for n in items:
             t0 = engine.now
-            run(_measured(overhead, op, build(wl, wd, n)))
+            run(_measured(overhead, call, args(wl, wd, n)))
             record(name, engine.now - t0)
 
     picker = ZipfPicker(n_items, zipf_s, seed=zipf_seed) if zipf_s else None
@@ -115,7 +115,7 @@ def run_latency(
     if "readdir" in ops:
         # the paper reads a directory holding 10 k entries; n_items stands in
         t0 = engine.now
-        run(_measured(overhead, op, ("readdir", wd)))
+        run(_measured(overhead, resolve("readdir"), (wd,)))
         record("readdir", engine.now - t0)
     if "rm" in ops:
         phase("rm", range(n_items))

@@ -142,24 +142,47 @@ _NEEDS_FILES = frozenset(("file-stat", "rm", "chmod", "chown", "access",
 _NEEDS_DIRS = frozenset(("dir-stat", "rmdir"))
 
 
+def _resolver(client):
+    """op name -> the callable a harness loop issues that op with, for
+    loops that resolve each of their ops once: the client's generator
+    function (``op_function``) when nothing is attached, else
+    ``op_generator`` with its observability bracket."""
+    eng = getattr(client, "_engine", None)
+    try:
+        bare = (eng.tracer is None and eng.metrics is None
+                and eng.telemetry is None)
+    except AttributeError:
+        bare = True
+    op_function = getattr(client, "op_function", None)
+    if bare and op_function is not None:
+        return op_function
+    op_generator = client.op_generator
+    return lambda name: partial(op_generator, name)
+
+
 def _setup_gen(client, wl: Workload, cid: int, files: int = 0, dirs: int = 0):
     """Unmeasured preparation for one client: its working-directory chain,
     then ``files`` files and ``dirs`` directories in it, made durable."""
+    resolve = _resolver(client)
+    mkdir = resolve("mkdir")
     for path in wl.dir_chain(cid):
-        yield from client.op_generator("mkdir", path)
-    for n in range(files):
-        yield from client.op_generator("create", wl.file_path(cid, n))
+        yield from mkdir(path)
+    wd = wl.work_dir(cid)
+    if files:
+        create = resolve("create")
+        for n in range(files):
+            yield from create(f"{wd}/f{n:06d}")
     for n in range(dirs):
-        yield from client.op_generator("mkdir", wl.dir_path(cid, n))
+        yield from mkdir(f"{wd}/m{n:06d}")
     yield from _drain_writebehind(client)
 
 
 def _measured_gen(client, wl: Workload, cid: int, op: str, cost: CostModel, box: dict):
     # one shared LocalCharge: commands are read-only to the engines
     overhead = LocalCharge(cost.client_overhead_us)
-    # the op's call builder and this client's work dir, resolved once: one
-    # builder frame per op on every branch below
-    build = _OP_CALLS[op]
+    # the op's callable, its args builder and this client's work dir,
+    # resolved once: one builder frame per op on every branch below
+    name, args = _OP_CALLS[op]
     wd = wl.work_dir(cid)
     bracket = getattr(client, "op_bracket", None)
     telemetry = clock = None
@@ -168,42 +191,27 @@ def _measured_gen(client, wl: Workload, cid: int, op: str, cost: CostModel, box:
     if telemetry is not None:
         # telemetry-only run: hoist the op bracket out of op_generator —
         # the same op_complete feed, without a wrapper frame per op
-        op_raw = client.op_raw
+        call = client.op_function(name)
         op_complete = telemetry.op_complete
-        name = "client." + build(wl, wd, 0)[0]
+        span = "client." + name
         for n in range(wl.items_per_client):
             yield overhead
             t0 = clock.now
             try:
-                yield from op_raw(*build(wl, wd, n))
+                yield from call(*args(wl, wd, n))
             except GeneratorExit:
                 raise
             except BaseException as exc:
-                op_complete(name, t0, clock.now, type(exc).__name__)
+                op_complete(span, t0, clock.now, type(exc).__name__)
                 raise
-            op_complete(name, t0, clock.now)
+            op_complete(span, t0, clock.now)
             box["ops"] += 1
     else:
-        eng = getattr(client, "_engine", None)
-        try:
-            bare = (eng.tracer is None and eng.metrics is None
-                    and eng.telemetry is None)
-        except AttributeError:
-            bare = True
-        op_raw = getattr(client, "op_raw", None)
-        if bare and op_raw is not None:
-            # nothing attached: op_generator would hand back the raw
-            # generator after re-checking the sinks per op — skip that
-            for n in range(wl.items_per_client):
-                yield overhead
-                yield from op_raw(*build(wl, wd, n))
-                box["ops"] += 1
-        else:
-            op_generator = client.op_generator
-            for n in range(wl.items_per_client):
-                yield overhead
-                yield from op_generator(*build(wl, wd, n))
-                box["ops"] += 1
+        call = _resolver(client)(name)
+        for n in range(wl.items_per_client):
+            yield overhead
+            yield from call(*args(wl, wd, n))
+            box["ops"] += 1
     yield from _drain_writebehind(client)
 
 
@@ -394,21 +402,12 @@ def _mixed_gen(client, wl: Workload, cid: int, mix, cost: CostModel, box: dict,
     dfresh = 0
     workdir = wl.work_dir(cid)
     overhead = LocalCharge(cost.client_overhead_us)
-    eng = getattr(client, "_engine", None)
-    try:
-        bare = (eng.tracer is None and eng.metrics is None
-                and eng.telemetry is None)
-    except AttributeError:
-        bare = True
-    # each mix op's call, resolved once: the client's generator function
-    # when nothing is attached, else ``op_generator`` with its bracket
-    op_function = getattr(client, "op_function", None)
-    if bare and op_function is not None:
-        resolve = op_function
-    else:
-        def resolve(name):
-            return partial(client.op_generator, name)
-    call = {op: resolve(_MIX_CALLS[op]) for op in (*ops, "create") if op in _MIX_CALLS}
+    # each mix op's call, resolved once
+    resolve = _resolver(client)
+    call = {}
+    for op in (*ops, "create"):
+        if op in _MIX_CALLS and op not in call:
+            call[op] = resolve(_MIX_CALLS[op])
     done = dict.fromkeys(call, 0)  # ops issued, per mix op
     errors = 0
 

@@ -119,22 +119,23 @@ class Workload:
         return f"{self.work_dir(cid)}/m{n:06d}"
 
 
-#: mdtest op name -> call-tuple builder ``(wl, work_dir, n) -> (op, path,
-#: *args)``.  A driver looks its builder up and resolves its client's
-#: ``wl.work_dir(cid)`` once, so building one call is one frame; the paths
-#: are :meth:`Workload.file_path` / :meth:`Workload.dir_path` spelled inline
+#: mdtest op name -> ``(client op, args builder)``, the builder being
+#: ``(wl, work_dir, n) -> args``.  A driver resolves the client op's
+#: callable and its client's ``wl.work_dir(cid)`` once, so building one
+#: call is one frame; the paths are :meth:`Workload.file_path` /
+#: :meth:`Workload.dir_path` spelled inline
 _OP_CALLS = {
-    "touch": lambda wl, wd, n: ("create", f"{wd}/f{n:06d}", wl.file_mode),
-    "mkdir": lambda wl, wd, n: ("mkdir", f"{wd}/m{n:06d}", 0o755),
-    "file-stat": lambda wl, wd, n: ("stat_file", f"{wd}/f{n:06d}"),
-    "dir-stat": lambda wl, wd, n: ("stat_dir", f"{wd}/m{n:06d}"),
-    "rm": lambda wl, wd, n: ("unlink", f"{wd}/f{n:06d}"),
-    "rmdir": lambda wl, wd, n: ("rmdir", f"{wd}/m{n:06d}"),
-    "chmod": lambda wl, wd, n: ("chmod", f"{wd}/f{n:06d}", 0o600),
-    "chown": lambda wl, wd, n: ("chown", f"{wd}/f{n:06d}", 1000 + n % 7, 1000),
-    "access": lambda wl, wd, n: ("access", f"{wd}/f{n:06d}", 4),
-    "truncate": lambda wl, wd, n: ("truncate", f"{wd}/f{n:06d}", 4096),
-    "open": lambda wl, wd, n: ("open", f"{wd}/f{n:06d}", 4),
-    "write": lambda wl, wd, n: ("write", f"{wd}/f{n:06d}", 0, b"x" * 4096),
-    "read": lambda wl, wd, n: ("read", f"{wd}/f{n:06d}", 0, 4096),
+    "touch": ("create", lambda wl, wd, n: (f"{wd}/f{n:06d}", wl.file_mode)),
+    "mkdir": ("mkdir", lambda wl, wd, n: (f"{wd}/m{n:06d}", 0o755)),
+    "file-stat": ("stat_file", lambda wl, wd, n: (f"{wd}/f{n:06d}",)),
+    "dir-stat": ("stat_dir", lambda wl, wd, n: (f"{wd}/m{n:06d}",)),
+    "rm": ("unlink", lambda wl, wd, n: (f"{wd}/f{n:06d}",)),
+    "rmdir": ("rmdir", lambda wl, wd, n: (f"{wd}/m{n:06d}",)),
+    "chmod": ("chmod", lambda wl, wd, n: (f"{wd}/f{n:06d}", 0o600)),
+    "chown": ("chown", lambda wl, wd, n: (f"{wd}/f{n:06d}", 1000 + n % 7, 1000)),
+    "access": ("access", lambda wl, wd, n: (f"{wd}/f{n:06d}", 4)),
+    "truncate": ("truncate", lambda wl, wd, n: (f"{wd}/f{n:06d}", 4096)),
+    "open": ("open", lambda wl, wd, n: (f"{wd}/f{n:06d}", 4)),
+    "write": ("write", lambda wl, wd, n: (f"{wd}/f{n:06d}", 0, b"x" * 4096)),
+    "read": ("read", lambda wl, wd, n: (f"{wd}/f{n:06d}", 0, 4096)),
 }

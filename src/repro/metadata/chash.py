@@ -45,9 +45,10 @@ node.
 Each ring object keeps its own membership, ``version`` and lookup cache;
 only the immutable tuples are shared, so one client's membership change
 never touches another client's ring.  The bounded per-instance lookup
-cache is keyed by the raw key bytes; the ``version`` counter bumps once
-per membership change so external placement caches (see
-``LocoClient._fms_for``) can invalidate.
+cache (:data:`_LOOKUP_CACHE_MAX` entries) is the only placement memo: a
+client binds :meth:`ConsistentHashRing.lookup_file` as its ``_fms_for``
+and keeps no cache of its own.  Every membership change clears it and
+bumps ``version``.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ class ConsistentHashRing:
         self._points: tuple[int, ...] = ()
         self._owners: tuple[str, ...] = ()
         self._nodes: set[str] = set()
-        #: bumps on every membership change; placement caches key on this
+        #: bumps on every membership change (which also clears the memo)
         self.version = 0
-        #: bytes key -> node (lookup) and (bytes key, n) -> node tuple
-        #: (lookup_n); tuple keys can't collide with bytes keys
+        #: bytes key -> node (lookup), (dir_uuid, name) -> node
+        #: (lookup_file) and (bytes key, n) -> node tuple (lookup_n); the
+        #: three key shapes can't collide
         self._lookup_cache: dict = {}
         if nodes:
             self.add_nodes(nodes)
@@ -175,26 +177,33 @@ class ConsistentHashRing:
         return name
 
     def lookup_file(self, dir_uuid: int, name: str) -> str:
-        """``lookup(file_placement_key(dir_uuid, name))`` in one frame,
-        minus the per-ring memo — for callers that memoize.
+        """``lookup(file_placement_key(dir_uuid, name))`` in one frame.
 
-        ``LocoClient._fms_for`` keeps its own (dir_uuid, name) placement
-        cache, so a key that reaches the ring is (almost) always novel:
-        reading *and writing* ``_lookup_cache`` for it is pure overhead —
-        under a unique-key storm (a namespace build) every entry is a
-        miss plus an eviction.  Same key, same hash, same bisect, same
-        answer as :meth:`lookup`; the key build and the hash are inlined.
+        Memoized in ``_lookup_cache`` under the ``(dir_uuid, name)`` key,
+        which cannot collide with :meth:`lookup`'s bytes keys or
+        :meth:`lookup_n`'s ``(bytes, n)`` keys (an int is never bytes).  A
+        miss is the same key, hash and bisect as :meth:`lookup`, with the
+        key build and the hash inlined.  ``LocoClient`` binds this method
+        as its ``_fms_for``: a hit costs one frame and one dict probe.
         """
-        owners = self._owners
-        if not owners:
-            raise RuntimeError("ring is empty")
-        point = int.from_bytes(hashlib.blake2b(
-            dir_uuid.to_bytes(8, "big") + name.encode("utf-8"), digest_size=8
-        ).digest(), "big")
-        try:
-            return owners[bisect.bisect_right(self._points, point)]
-        except IndexError:  # past the last point: wrap to the first
-            return owners[0]
+        cache = self._lookup_cache
+        key = (dir_uuid, name)
+        fms = cache.get(key)
+        if fms is None:
+            owners = self._owners
+            if not owners:
+                raise RuntimeError("ring is empty")
+            point = int.from_bytes(hashlib.blake2b(
+                dir_uuid.to_bytes(8, "big") + name.encode("utf-8"), digest_size=8
+            ).digest(), "big")
+            try:
+                fms = owners[bisect.bisect_right(self._points, point)]
+            except IndexError:  # past the last point: wrap to the first
+                fms = owners[0]
+            if len(cache) >= _LOOKUP_CACHE_MAX:
+                cache.clear()
+            cache[key] = fms
+        return fms
 
     def lookup_n(self, key: bytes | str, n: int) -> list[str]:
         """The first ``n`` distinct nodes walking clockwise from the key —

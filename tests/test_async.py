@@ -858,7 +858,7 @@ class TestReadRungWorkCount:
     reply is one joined ``Struct.unpack``."""
 
     MODULES = ("core/client", "core/asyncclient", "core/fms", "core/lookupcache",
-               "metadata/layout", "kv/hashdb", "kv/meter")
+               "metadata/chash", "metadata/layout", "kv/hashdb", "kv/meter")
 
     def test_dcache_hit_on_the_fms(self):
         """``locofs-c``: CPython 3.11.7 counts 51 calls in all, against 57
@@ -867,7 +867,7 @@ class TestReadRungWorkCount:
         keys back out."""
         stats = _warm_stat_stats("locofs-c")
         assert _calls_in(stats, *self.MODULES) == {
-            "core/client:_g_stat_file": 2, "core/client:_fms_for": 1,
+            "core/client:_g_stat_file": 2, "metadata/chash:lookup_file": 1,
             "core/fms:op_getattr": 1, "kv/hashdb:get": 2, "kv/meter:charge": 2}
         assert stats.total_calls <= 51
 
@@ -878,7 +878,7 @@ class TestReadRungWorkCount:
         stats = _warm_stat_stats("locofs-a")
         assert _calls_in(stats, *self.MODULES) == {
             "core/asyncclient:_g_stat_file": 2, "core/asyncclient:_g_locate": 1,
-            "core/client:_fms_for": 1, "core/lookupcache:op_getattr": 1,
+            "metadata/chash:lookup_file": 1, "core/lookupcache:op_getattr": 1,
             "core/lookupcache:_lookup": 1, "core/lookupcache:_file_key": 1,
             "kv/hashdb:get": 1, "kv/meter:charge": 1}
         assert stats.total_calls <= 49

@@ -77,8 +77,8 @@ class TestWorkloads:
         for cid in (0, 7, 123):
             wd = wl.work_dir(cid)
             for n in (0, 5, 999_999):
-                for op, build in _OP_CALLS.items():
-                    path = build(wl, wd, n)[1]
+                for op, (_, build) in _OP_CALLS.items():
+                    path = build(wl, wd, n)[0]
                     kind = "dir" if op in ("mkdir", "dir-stat", "rmdir") else "file"
                     want = (wl.dir_path if kind == "dir" else wl.file_path)(cid, n)
                     assert path == want, (op, cid, n)
@@ -255,6 +255,85 @@ class TestThroughputRunner:
             r = run_throughput(name, 2, op=op, num_clients=4, items_per_client=6)
             assert r.total_ops == 24, (name, op)
 
+
+
+class TestOpResolvedOnce:
+    """Every harness loop resolves the callable of each of its ops once:
+    ``op_function`` is called once per client and op (once per phase in
+    ``run_latency``), and ``op_raw``, a per-op lookup, is never called."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        from collections import Counter
+
+        from repro.fsbase import FSClientBase
+
+        seen = {"op_raw": 0, "op_function": Counter()}
+        op_raw, op_function = FSClientBase.op_raw, FSClientBase.op_function
+
+        def spy_raw(client, op, *args, **kwargs):
+            seen["op_raw"] += 1
+            return op_raw(client, op, *args, **kwargs)
+
+        def spy_function(client, op):
+            seen["op_function"][(id(client), op)] += 1
+            return op_function(client, op)
+
+        monkeypatch.setattr(FSClientBase, "op_raw", spy_raw)
+        monkeypatch.setattr(FSClientBase, "op_function", spy_function)
+        return seen
+
+    @staticmethod
+    def _per_op(resolved) -> dict:
+        """op -> how many clients resolved it, after checking that no
+        client resolved an op twice."""
+        assert set(resolved.values()) == {1}, resolved
+        out: dict = {}
+        for _, op in resolved:
+            out[op] = out.get(op, 0) + 1
+        return out
+
+    def test_bare_throughput(self, spy):
+        r = run_throughput("locofs-c", 2, op="touch", num_clients=3,
+                           items_per_client=5)
+        assert r.total_ops == 15
+        assert spy["op_raw"] == 0
+        # set-up: each client's working directory; measured: its creates
+        assert self._per_op(spy["op_function"]) == {"mkdir": 3, "create": 3}
+
+    def test_telemetry_attached_throughput(self, spy):
+        from repro.obs import TelemetrySink
+
+        r = run_throughput("locofs-c", 2, op="touch", num_clients=3,
+                           items_per_client=5, telemetry=TelemetrySink())
+        assert r.total_ops == 15
+        assert spy["op_raw"] == 0
+        # the set-up wave goes through op_generator's bracket; the measured
+        # wave hoists it and resolves its op once
+        assert self._per_op(spy["op_function"]) == {"create": 3}
+
+    def test_two_phase_latency(self, spy):
+        rec = run_latency("locofs-c", 2, n_items=4, ops=("touch", "file-stat"))
+        assert rec.count("touch") == rec.count("file-stat") == 4
+        assert spy["op_raw"] == 0
+        assert self._per_op(spy["op_function"]) == {"create": 1, "stat_file": 1}
+
+    def test_mixed_throughput_setup_wave(self, spy, monkeypatch):
+        from repro.harness import runner
+
+        at_measured = {}
+        measured_wave = runner.run_measured_wave
+
+        def snapshot(engine, gens):
+            at_measured.update(op_raw=spy["op_raw"],
+                               op_function=dict(spy["op_function"]))
+            return measured_wave(engine, gens)
+
+        monkeypatch.setattr(runner, "run_measured_wave", snapshot)
+        run_mixed_throughput("locofs-c", 2, num_clients=3, items_per_client=5,
+                             pool=4)
+        assert at_measured["op_raw"] == 0
+        assert self._per_op(at_measured["op_function"]) == {"mkdir": 3, "create": 3}
 
 
 class TestMixedThroughputBottleneck:

@@ -235,13 +235,35 @@ class TestClientPlacementCache:
         )
 
     def test_placement_cache_bounded(self):
-        from repro.core import client as client_mod
-
+        # the client's placement memo is the ring's own
         _, client = self._client()
-        n = client_mod._PLACEMENT_CACHE_MAX + 100
-        for i in range(0, n, 997):  # sparse sample is enough to check bound
+        for i in range(chash._LOOKUP_CACHE_MAX + 100):
             client._fms_for(i, "f")
-        assert len(client._placement_cache) <= client_mod._PLACEMENT_CACHE_MAX
+        assert len(client.ring._lookup_cache) <= chash._LOOKUP_CACHE_MAX
+
+    def test_placement_memory_is_bounded(self):
+        """A client that creates more files than the ring memo holds keeps
+        at most ``_LOOKUP_CACHE_MAX`` placements (a second, per-client memo
+        once held all 10 000), and every file sits on the FMS the keyed
+        ring lookup names."""
+        from repro.harness import make_system
+
+        system = make_system("locofs-c", 4, engine_kind="direct")
+        client = system.client()
+        client.mkdir("/d")
+        for i in range(10_000):
+            client.create(f"/d/f{i}")
+        uuid = client.stat_dir("/d").st_uuid
+        held = sum(
+            1 for owner in (client, client.ring) for memo in vars(owner).values()
+            if isinstance(memo, dict)
+            for key in memo if isinstance(key, tuple) and key[0] == uuid)
+        assert 0 < held <= chash._LOOKUP_CACHE_MAX
+        for i in range(10_000):
+            name = f"f{i}"
+            home = client.ring.lookup(file_placement_key(uuid, name))
+            assert [fms for fms in client.fms_names
+                    if system.cluster[fms].handler.op_exists(uuid, name)] == [home]
 
     def test_create_still_lands_on_ring_choice(self):
         # end-to-end: files created through the client land on the FMS the
