@@ -195,7 +195,7 @@ class LookupCacheServer:
             # the backing read was issued before (or racing with) the last
             # invalidation of this key: it may carry a pre-write value
             self.counters.inc("fills_rejected")
-            self.store.meter.charge("get", len(key))  # the probe still costs
+            self.store.meter.pending += (("get", len(key)),)  # the probe still costs
             return False
         self._evict_for(key)
         self.store.put(key, value)

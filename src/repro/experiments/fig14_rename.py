@@ -53,12 +53,15 @@ def _build_dms(
     # the paper pre-creates 10M directories before renaming; base_dirs is
     # the scaled stand-in — it is what the hash mode must scan through
     dms.op_mkdir("/base", 0o755, ROOT_CRED, 0.0)
+    # each mkdir is one request: settle its ledger as an engine would
     for i in range(base_dirs):
         dms.op_mkdir(f"/base/b{i:08d}", 0o755, ROOT_CRED, 0.0)
+        dms.meter.settle()
     for n in group_sizes:
         dms.op_mkdir(f"/grp{n}", 0o755, ROOT_CRED, 0.0)
         for i in range(n):
             dms.op_mkdir(f"/grp{n}/d{i:07d}", 0o755, ROOT_CRED, 0.0)
+            dms.meter.settle()
     return dms
 
 

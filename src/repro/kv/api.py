@@ -77,7 +77,7 @@ class GroupCommit:
         before = wal.commits
         wal.end_group()
         if wal.commits != before:
-            self._store._meter.charge_us(0.0, "wal_commit")
+            self._store.meter.charge_us(0.0, "wal_commit")
             if self._counters is not None:
                 self._counters.inc("wal.fsync")
 
@@ -92,19 +92,8 @@ class KVStore(abc.ABC):
     _wal = None
 
     def __init__(self, meter: Meter | None = None):
+        #: handlers swap in their node's meter after construction
         self.meter = meter if meter is not None else NullMeter()
-
-    # ``meter`` is a property so that swapping it (handlers attach their
-    # node's meter after construction) also refreshes ``self._charge``, the
-    # bound-method alias the stores use on their hot paths.
-    @property
-    def meter(self) -> Meter:
-        return self._meter
-
-    @meter.setter
-    def meter(self, meter: Meter) -> None:
-        self._meter = meter
-        self._charge = meter.charge
 
     # -- core ---------------------------------------------------------------
     @abc.abstractmethod
@@ -137,11 +126,8 @@ class KVStore(abc.ABC):
         op-kind base cost once (plus all its bytes), then ``batch_record``
         for each record beyond the first — so a batch of one costs exactly
         the same as the single-record op."""
-        if count == 0:
-            return
-        self._charge(op, nbytes)
-        if count > 1:
-            self._meter.charge_repeat("batch_record", count - 1)
+        if count:
+            self.meter.pending += ((op, nbytes),) + (("batch_record", 0),) * (count - 1)
 
     # -- in-place helpers ----------------------------------------------------
     def append(self, key: bytes, value: bytes) -> None:
@@ -156,9 +142,9 @@ class KVStore(abc.ABC):
         for other stores: it charges the native price, then runs the
         ``get`` + ``put`` under a throwaway meter.
         """
-        meter = self._meter
+        meter = self.meter
         klen = len(key)
-        meter.charge_many((("get", klen), ("put", klen + len(value))))
+        meter.pending += (("get", klen), ("put", klen + len(value)))
         self.meter = Meter()
         try:
             cur = self.get(key)
@@ -192,6 +178,19 @@ class KVStore(abc.ABC):
     @abc.abstractmethod
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate all live entries (ordered stores: in key order)."""
+
+    def move_prefix(self, old_prefix: bytes, new_prefix: bytes) -> int:
+        """Rewrite every key under ``old_prefix`` to start with ``new_prefix``
+        (d-rename support); returns the number of records moved.  It costs
+        what :meth:`prefix_scan` costs: ``O(moved)`` on an ordered store,
+        whose affected keys form one contiguous range, and a walk of the
+        whole store on the hash store."""
+        moved = list(self.prefix_scan(old_prefix))
+        for k, _ in moved:
+            self.delete(k)
+        for k, v in moved:
+            self.put(new_prefix + k[len(old_prefix) :], v)
+        return len(moved)
 
     def keys(self) -> Iterator[bytes]:
         for k, _ in self.items():

@@ -87,9 +87,9 @@ class BTreeStore(KVStore):
         return node  # type: ignore[return-value]
 
     # -- core ops ---------------------------------------------------------------
-    # ``get`` / ``put`` / ``delete`` / ``append`` charge through the store's
-    # bound ``_charge`` alias (or one ``charge_many``), as ``HashStore``
-    # does: the same charges, in the same order, as through ``self.meter``.
+    # ``get`` / ``put`` / ``delete`` / ``append`` extend the meter's ledger
+    # in place (``append``: both entries in one extend), as ``HashStore``
+    # does; the engine settles it once per request.
     def get(self, key: bytes) -> bytes | None:
         node = self._root
         while node.__class__ is _Internal:
@@ -100,13 +100,13 @@ class BTreeStore(KVStore):
             value = node.values[i]
             if value.__class__ is bytearray:
                 value = node.values[i] = bytes(value)
-            self._charge("get", len(key) + len(value))
+            self.meter.pending += (("get", len(key) + len(value)),)
             return value
-        self._charge("get", len(key))
+        self.meter.pending += (("get", len(key)),)
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._charge("put", len(key) + len(value))
+        self.meter.pending += (("put", len(key) + len(value)),)
         if self._wal is not None:
             self._wal.append_put(key, value)
         self._insert(key, value)
@@ -115,12 +115,12 @@ class BTreeStore(KVStore):
         """Kyoto Cabinet's append, priced and executed as one.
 
         Charges exactly what :meth:`HashStore.append` charges (``get`` of
-        the key, ``put`` of the key plus ``value``, in one
-        :meth:`Meter.charge_many`) and logs an append record; the value
-        grows in place in its leaf (:meth:`_grow`).
+        the key, ``put`` of the key plus ``value``, in one ledger extend)
+        and logs an append record; the value grows in place in its leaf
+        (:meth:`_grow`).
         """
         klen = len(key)
-        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
+        self.meter.pending += (("get", klen), ("put", klen + len(value)))
         if self._wal is not None:
             self._wal.append_tail(key, value)
         self._grow(key, value)
@@ -188,7 +188,7 @@ class BTreeStore(KVStore):
         self._root = new_root
 
     def delete(self, key: bytes) -> bool:
-        self._charge("delete", len(key))
+        self.meter.pending += (("delete", len(key)),)
         if self._wal is not None:
             self._wal.append_delete(key)
         return self._remove(key)
@@ -238,19 +238,23 @@ class BTreeStore(KVStore):
         self._charge_batch("multi_put", nbytes, len(pairs))
 
     # -- iteration ---------------------------------------------------------------
+    # a scan settles the ledger at each leaf it leaves (BRANCH records at most)
     def items(self) -> Iterator[tuple[bytes, bytes]]:
+        pending = self.meter.pending
         leaf: _Leaf | None = self._find_leaf(b"")
         while leaf is not None:
             for k, v in zip(list(leaf.keys), list(leaf.values)):
                 if v.__class__ is bytearray:
                     v = bytes(v)
-                self._charge("scan_record", len(k) + len(v))
+                pending += (("scan_record", len(k) + len(v)),)
                 yield k, v
+            self.meter.settle()
             leaf = leaf.next
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
-        self._charge("seek", len(start))
+        pending = self.meter.pending
+        pending += (("seek", len(start)),)
         leaf: _Leaf | None = self._find_leaf(start)
         i = bisect_left(leaf.keys, start)
         while leaf is not None:
@@ -258,33 +262,20 @@ class BTreeStore(KVStore):
             values = list(leaf.values)
             while i < len(keys):
                 if end is not None and keys[i] >= end:
+                    self.meter.settle()
                     return
                 value = values[i]
                 if value.__class__ is bytearray:
                     value = bytes(value)
-                self._charge("scan_record", len(keys[i]) + len(value))
+                pending += (("scan_record", len(keys[i]) + len(value)),)
                 yield keys[i], value
                 i += 1
+            self.meter.settle()
             leaf = leaf.next
             i = 0
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         return self.scan(prefix, prefix_upper_bound(prefix))
-
-    # -- rename support -------------------------------------------------------------
-    def move_prefix(self, old_prefix: bytes, new_prefix: bytes) -> int:
-        """Rewrite every key under ``old_prefix`` to start with ``new_prefix``.
-
-        This is the d-rename fast path: the affected keys form one contiguous
-        range, so only ``O(moved)`` records are touched.  Returns the number
-        of records moved.
-        """
-        moved = [(k, v) for k, v in self.scan(old_prefix, prefix_upper_bound(old_prefix))]
-        for k, v in moved:
-            self.delete(k)
-        for k, v in moved:
-            self.put(new_prefix + k[len(old_prefix) :], v)
-        return len(moved)
 
     def close(self) -> None:
         if self._wal is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .api import KVStore, grown
-from .meter import Meter
+from .meter import SCAN_SETTLE_EVERY, Meter
 from .wal import OP_APPEND, OP_DELETE, OP_PUT, WriteAheadLog
 
 
@@ -42,17 +42,18 @@ class HashStore(KVStore):
         value = self._data.get(key)
         if value.__class__ is bytearray:
             value = self._data[key] = bytes(value)
-        self._charge("get", len(key) + (len(value) if value is not None else 0))
+        self.meter.pending += (
+            ("get", len(key) + (len(value) if value is not None else 0)),)
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._charge("put", len(key) + len(value))
+        self.meter.pending += (("put", len(key) + len(value)),)
         if self._wal is not None:
             self._wal.append_put(key, value)
         self._data[key] = value
 
     def delete(self, key: bytes) -> bool:
-        self._charge("delete", len(key))
+        self.meter.pending += (("delete", len(key)),)
         if self._wal is not None:
             self._wal.append_delete(key)
         return self._data.pop(key, None) is not None
@@ -64,12 +65,12 @@ class HashStore(KVStore):
         """Two puts in one call (the decoupled-inode write: access+content).
 
         Metering is bit-identical to ``put(k1, v1)`` + ``put(k2, v2)``
-        (same ops, same byte counts, same order via
-        :meth:`Meter.charge_many`); the create hot path pays one store
-        frame instead of two.
+        (same ops, same byte counts, same order: both ledger entries in
+        one extend); the create hot path pays one store frame instead of
+        two.
         """
-        self._meter.charge_many((("put", len(k1) + len(v1)),
-                                 ("put", len(k2) + len(v2))))
+        self.meter.pending += (("put", len(k1) + len(v1)),
+                               ("put", len(k2) + len(v2)))
         wal = self._wal
         if wal is not None:
             wal.append_put(k1, v1)
@@ -82,14 +83,14 @@ class HashStore(KVStore):
         """Kyoto Cabinet's append, priced and executed as one.
 
         Charges ``get`` of the key and ``put`` of the key plus ``value``
-        in one :meth:`Meter.charge_many`, whatever the value already
-        holds, and logs an append record with ``value`` alone.  The stored
-        value grows in place (:func:`~repro.kv.api.grown`, inline): the
-        first append to a key stores ``value``, the next copies it into a
-        ``bytearray``, and every later one adds only its own bytes.
+        in one ledger extend, whatever the value already holds, and logs
+        an append record with ``value`` alone.  The stored value grows in
+        place (:func:`~repro.kv.api.grown`, inline): the first append to a
+        key stores ``value``, the next copies it into a ``bytearray``, and
+        every later one adds only its own bytes.
         """
         klen = len(key)
-        self._meter.charge_many((("get", klen), ("put", klen + len(value))))
+        self.meter.pending += (("get", klen), ("put", klen + len(value)))
         if self._wal is not None:
             self._wal.append_tail(key, value)
         data = self._data
@@ -107,23 +108,23 @@ class HashStore(KVStore):
         """In-place field write with the read-modify-write in one frame.
 
         Same result, stored bytes and metering as the default ``get(key)``
-        + ``put(key, new)``: a hit charges ``get`` then ``put`` through
-        :meth:`Meter.charge_many` (as :meth:`append` does), a miss or an
-        out-of-range write only the ``get`` the default charges.
+        + ``put(key, new)``: a hit charges ``get`` then ``put`` in one
+        ledger extend (as :meth:`append` does), a miss or an out-of-range
+        write only the ``get`` the default charges.
         """
         store = self._data
         cur = store.get(key)
         klen = len(key)
         if cur is None:
-            self._charge("get", klen)
+            self.meter.pending += (("get", klen),)
             return False
         n = len(cur)
         end = offset + len(data)
         if end > n:
-            self._charge("get", klen + n)
+            self.meter.pending += (("get", klen + n),)
             return False
         new = cur[:offset] + data + cur[end:]
-        self._meter.charge_many((("get", klen + n), ("put", klen + len(new))))
+        self.meter.pending += (("get", klen + n), ("put", klen + len(new)))
         if self._wal is not None:
             self._wal.append_put(key, new)
         store[key] = new
@@ -156,29 +157,20 @@ class HashStore(KVStore):
         self._charge_batch("multi_put", nbytes, len(pairs))
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        for k, v in list(self._data.items()):
-            if v.__class__ is bytearray:
-                v = bytes(v)
-            self.meter.charge("scan_record", len(k) + len(v))
-            yield k, v
+        return self.prefix_scan(b"")
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Full scan: every record is examined (and charged) regardless of match."""
-        for k, v in list(self._data.items()):
+        pending = self.meter.pending
+        for i, (k, v) in enumerate(list(self._data.items()), 1):
             if v.__class__ is bytearray:
                 v = bytes(v)
-            self.meter.charge("scan_record", len(k) + len(v))
-            if k.startswith(prefix):
+            pending += (("scan_record", len(k) + len(v)),)
+            if not i % SCAN_SETTLE_EVERY:
+                self.meter.settle()
+            if not prefix or k.startswith(prefix):
                 yield k, v
-
-    def move_prefix(self, old_prefix: bytes, new_prefix: bytes) -> int:
-        """Rename support; unlike the B+-tree this walks the whole store."""
-        moved = [(k, v) for k, v in self.prefix_scan(old_prefix)]
-        for k, _ in moved:
-            self.delete(k)
-        for k, v in moved:
-            self.put(new_prefix + k[len(old_prefix) :], v)
-        return len(moved)
+        self.meter.settle()
 
     def close(self) -> None:
         if self._wal is not None:

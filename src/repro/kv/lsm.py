@@ -21,7 +21,7 @@ from collections.abc import Iterator
 
 from .api import KVStore, prefix_upper_bound
 from .memtable import ABSENT, SkipListMemtable
-from .meter import Meter
+from .meter import SCAN_SETTLE_EVERY, Meter
 from .sstable import SSTable, SSTableBuilder
 from .wal import OP_DELETE, OP_PUT, WriteAheadLog
 
@@ -88,13 +88,13 @@ class LSMStore(KVStore):
                 self._mem.put(key, None)
 
     # -- core ops ----------------------------------------------------------------
-    # Charges go through the bound ``_charge`` alias (``append``: one
-    # ``charge_many``), as in ``HashStore`` / ``BTreeStore``: the same
-    # charges, in the same order, as through ``self.meter``.  A point read
+    # Point ops extend the meter's ledger in place (``append``: both
+    # entries in one extend), as in ``HashStore`` / ``BTreeStore``; the
+    # engine settles it once per request.  A point read
     # is one memtable ``lookup`` (a hash probe, no skip-list descent); only
     # a key the memtable does not hold falls through to the SSTables.
     def put(self, key: bytes, value: bytes) -> None:
-        self._charge("put", len(key) + len(value))
+        self.meter.pending += (("put", len(key) + len(value)),)
         if self._wal is not None:
             self._wal.append_put(key, value)
         mem = self._mem
@@ -106,7 +106,8 @@ class LSMStore(KVStore):
         value = self._mem.lookup(key)
         if value is ABSENT:
             value = self._table_get(key) if self._tables else None
-        self._charge("get", len(key) + (len(value) if value is not None else 0))
+        self.meter.pending += (
+            ("get", len(key) + (len(value) if value is not None else 0)),)
         return value
 
     def _get_impl(self, key: bytes) -> bytes | None:
@@ -128,7 +129,7 @@ class LSMStore(KVStore):
 
         Metering, stored bytes and WAL records are bit-identical to the
         ``KVStore.append`` default (``get(key)`` + ``put(key, cur +
-        value)``): both charges go through :meth:`Meter.charge_many`, as in
+        value)``): both charges go to the ledger in one extend, as in
         :meth:`HashStore.append`.
         """
         mem = self._mem
@@ -138,12 +139,11 @@ class LSMStore(KVStore):
         klen = len(key)
         if cur is None:
             new = value
-            self._meter.charge_many((("get", klen),
-                                     ("put", klen + len(value))))
+            self.meter.pending += (("get", klen), ("put", klen + len(value)))
         else:
             new = cur + value
-            self._meter.charge_many((("get", klen + len(cur)),
-                                     ("put", klen + len(new))))
+            self.meter.pending += (("get", klen + len(cur)),
+                                   ("put", klen + len(new)))
         if self._wal is not None:
             self._wal.append_put(key, new)
         mem.put(key, new)
@@ -151,7 +151,7 @@ class LSMStore(KVStore):
             self.flush()
 
     def delete(self, key: bytes) -> bool:
-        self._charge("delete", len(key))
+        self.meter.pending += (("delete", len(key)),)
         existed = self.get(key) is not None
         if self._wal is not None:
             self._wal.append_delete(key)
@@ -209,26 +209,31 @@ class LSMStore(KVStore):
             if k == last_key:
                 continue  # an older version of an already-emitted key
             last_key = k
-            yield k, v
+            if v is not None:  # a tombstone hides the older versions only
+                yield k, v
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        for k, v in self._merged(None, None):
-            if v is not None:
-                self._charge("scan_record", len(k) + len(v))
-                yield k, v
+        return self._charged(self._merged(None, None))
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
-        self._charge("seek", len(start))
+        self.meter.pending += (("seek", len(start)),)
         if end is None:
             # unbounded upper end: merge everything and fast-forward to start
             source = (kv for kv in self._merged(None, None) if kv[0] >= start)
         else:
             source = self._merged(start, end)
-        for k, v in source:
-            if v is not None:
-                self._charge("scan_record", len(k) + len(v))
-                yield k, v
+        yield from self._charged(source)
+
+    def _charged(self, records) -> Iterator[tuple[bytes, bytes]]:
+        """``records``, each charged a ``scan_record`` as it is reached."""
+        pending = self.meter.pending
+        for i, (k, v) in enumerate(records, 1):
+            pending += (("scan_record", len(k) + len(v)),)
+            if not i % SCAN_SETTLE_EVERY:
+                self.meter.settle()
+            yield k, v
+        self.meter.settle()
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         return self.scan(prefix, prefix_upper_bound(prefix))
@@ -247,7 +252,7 @@ class LSMStore(KVStore):
         self._mem = SkipListMemtable(seed=self._seed)
         if self._wal is not None:
             self._wal.truncate()
-        self._charge("flush")
+        self.meter.pending += (("flush", 0),)
         if len(self._tables) > self.max_tables:
             self.compact()
 
@@ -289,7 +294,7 @@ class LSMStore(KVStore):
             self._tables = [builder.finish()]
         for t in old:
             t.remove_file()
-        self._charge("compaction")
+        self.meter.pending += (("compaction", 0),)
 
     @property
     def num_tables(self) -> int:

@@ -4,13 +4,38 @@ The timing plane of this reproduction charges each KV operation a modeled
 number of microseconds (see ``repro/sim/costmodel.py`` for the calibrated
 constants).  The stores themselves only report *what* they did — op kind
 and byte counts — and an attached :class:`CostPolicy` translates that into
-virtual time.  With no meter attached the stores run at full speed, which
-is what the functional tests use.
+virtual time.  A store with no meter attached gets a :class:`NullMeter`,
+which counts but never prices; that is what the functional tests use.
+
+**The ledger.**  A store's point op does not call the meter: it extends
+the meter's ledger in place, ``meter.pending += (("get", nbytes),)`` — a
+list in-place add, no Python frame.  A two-charge op (``put_pair``,
+``append``, ``write_at``) adds both entries in one extend; a batched op
+adds its op entry, then one ``("batch_record", 0)`` per further record.
+:meth:`Meter.settle` is the one pricing loop: it prices the ledger in
+order — the same float additions, trace-sink calls and registry
+increments one charge per entry would make — and empties it.
+
+**Who settles.**  The engines settle once per served request, while the
+request's KV trace sink is still installed (``_EngineCore._serve``), and
+at each batch-record boundary when a tracer is attached.  A scan charges
+each record to the ledger and settles at least every
+:data:`SCAN_SETTLE_EVERY` records and when it ends; a :class:`NullMeter`'s
+ledger settles itself.  Everything else reads settled values: ``total_us``,
+``op_counts`` and ``byte_counts`` are properties that settle first, and
+:meth:`Meter.charge` and :meth:`Meter.charge_us` settle before they price,
+so every charge lands in the order it was made.  Trace spans and registry
+counts are emitted at settlement, to whatever sink is installed then:
+settle before installing or removing ``trace`` and before snapshotting a
+bound registry.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
+
+#: a scan settles the ledger at least this often, in records
+SCAN_SETTLE_EVERY = 64
 
 
 class CostPolicy(Protocol):
@@ -25,20 +50,23 @@ class Meter:
 
     When the attached policy exposes a ``_base`` table and ``_per_byte``
     rate (the :class:`~repro.sim.costmodel.KVCostPolicy` fast-path
-    contract), :meth:`charge` inlines the cost arithmetic — one dict
+    contract), :meth:`settle` inlines the cost arithmetic — one dict
     lookup plus one multiply-add, no policy call frame.  The expression is
     the same floats in the same order as
     :meth:`~repro.sim.costmodel.CostModel.kv_cost_us`, so virtual time is
     bit-identical; any other policy is called through ``cost_us``.
     """
 
-    __slots__ = ("_policy", "total_us", "op_counts", "byte_counts", "trace",
-                 "_registry", "_prefix", "_base", "_per_byte")
+    __slots__ = ("_policy", "_total_us", "_op_counts", "_byte_counts",
+                 "pending", "trace", "_registry", "_prefix", "_base",
+                 "_per_byte")
 
     def __init__(self, policy: CostPolicy | None = None):
-        self.total_us = 0.0
-        self.op_counts: dict[str, int] = {}
-        self.byte_counts: dict[str, int] = {}
+        self._total_us = 0.0
+        self._op_counts: dict[str, int] = {}
+        self._byte_counts: dict[str, int] = {}
+        #: the ledger: ``(op, nbytes)`` charges not yet priced, in order
+        self.pending: list[tuple[str, int]] = []
         #: per-dispatch KV span sink (:class:`repro.obs.tracer.KVTraceSink`);
         #: the engines install and remove it around each server dispatch
         self.trace = None
@@ -52,72 +80,57 @@ class Meter:
 
     @policy.setter
     def policy(self, policy: CostPolicy | None) -> None:
+        if self.pending:
+            self.settle()  # what was charged is priced by the old policy
         self._policy = policy
         # snapshot the fast-path table when the policy offers one
         self._base = getattr(policy, "_base", None)
         self._per_byte = getattr(policy, "_per_byte", 0.0)
+
+    @property
+    def total_us(self) -> float:
+        return self.settle() if self.pending else self._total_us
+
+    @property
+    def op_counts(self) -> dict[str, int]:
+        if self.pending:
+            self.settle()
+        return self._op_counts
+
+    @property
+    def byte_counts(self) -> dict[str, int]:
+        if self.pending:
+            self.settle()
+        return self._byte_counts
 
     def bind_registry(self, registry, prefix: str = "kv.") -> None:
         """Mirror op counts into ``registry`` as ``<prefix><op>`` counters.
 
         Existing counts are flushed first, so binding mid-run loses nothing.
         """
-        self._registry = registry
-        self._prefix = prefix
         for op, n in self.op_counts.items():
             registry.counter(prefix + op).inc(n)
+        self._registry = registry
+        self._prefix = prefix
 
-    def charge(self, op: str, nbytes: int = 0) -> None:
-        # hottest call in a metered run: keep it to plain dict ops and one
-        # multiply-add, with the rare hooks (registry, trace) behind None
-        # tests; try/except beats .get once the op key exists (always,
-        # after the first charge of each kind)
-        try:
-            self.op_counts[op] += 1
-        except KeyError:
-            self.op_counts[op] = 1
-        try:
-            self.byte_counts[op] += nbytes
-        except KeyError:
-            self.byte_counts[op] = nbytes
-        base = self._base
-        if base is not None:
-            try:
-                cost = base[op] + nbytes * self._per_byte
-            except KeyError:
-                cost = 0.0 + nbytes * self._per_byte
-            self.total_us += cost
-            if self.trace is not None:
-                self.trace.kv(op, nbytes, cost)
-        else:
-            policy = self._policy
-            if policy is not None:
-                cost = policy.cost_us(op, nbytes)
-                self.total_us += cost
-                if self.trace is not None:
-                    self.trace.kv(op, nbytes, cost)
-        if self._registry is not None:
-            self._registry.counter(self._prefix + op).inc()
+    def settle(self) -> float:
+        """Price the ledger in order and empty it; returns ``total_us``.
 
-    def charge_many(self, items) -> None:
-        """Charge a sequence of ``(op, nbytes)`` pairs in one call.
-
-        Bit-identical to calling :meth:`charge` once per pair in order
-        (the accumulation is the same sequential adds, hoisted into a
-        local), but pays the method-call overhead once per batch.  Falls
-        back to per-pair :meth:`charge` whenever a hook (trace, registry)
-        or a non-table policy is active.
+        The hottest loop of a metered run: plain dict ops and one
+        multiply-add per entry, with the rare hooks (registry, trace)
+        behind ``None`` tests; try/except beats ``.get`` once the op key
+        exists (always, after the first charge of each kind).
         """
+        pending = self.pending
+        op_counts = self._op_counts
+        byte_counts = self._byte_counts
+        trace = self.trace
+        registry = self._registry
+        total = self._total_us
         base = self._base
-        if base is None or self.trace is not None or self._registry is not None:
-            for op, nbytes in items:
-                self.charge(op, nbytes)
-            return
-        op_counts = self.op_counts
-        byte_counts = self.byte_counts
+        policy = self._policy
         per_byte = self._per_byte
-        total = self.total_us
-        for op, nbytes in items:
+        for op, nbytes in pending:
             try:
                 op_counts[op] += 1
             except KeyError:
@@ -126,58 +139,37 @@ class Meter:
                 byte_counts[op] += nbytes
             except KeyError:
                 byte_counts[op] = nbytes
-            try:
-                total = total + (base[op] + nbytes * per_byte)
-            except KeyError:
-                total = total + (0.0 + nbytes * per_byte)
-        self.total_us = total
-
-    def charge_repeat(self, op: str, n: int) -> None:
-        """Exactly ``n`` zero-byte charges of ``op`` in one call.
-
-        Bit-identical to calling :meth:`charge` ``n`` times (the cost is
-        re-added per record, in the same order), but pays the Python call
-        overhead once — the batched multi-op path charges ``batch_record``
-        per additional record through this.
-        """
-        if n <= 0:
-            return
-        try:
-            self.op_counts[op] += n
-        except KeyError:
-            self.op_counts[op] = n
-        if op not in self.byte_counts:
-            self.byte_counts[op] = 0
-        base = self._base
-        policy = self._policy
-        if base is not None:
-            cost = base.get(op, 0.0)
-            trace = self.trace
-            if trace is None:
-                total = self.total_us
-                for _ in range(n):
-                    total = total + cost
-                self.total_us = total
+            if registry is not None:
+                registry.counter(self._prefix + op).inc()
+            if base is not None:
+                try:
+                    cost = base[op] + nbytes * per_byte
+                except KeyError:
+                    cost = 0.0 + nbytes * per_byte
+            elif policy is not None:
+                cost = policy.cost_us(op, nbytes)
             else:
-                for _ in range(n):
-                    self.total_us += cost
-                    trace.kv(op, 0, cost)
-        elif policy is not None:
-            cost = policy.cost_us(op, 0)
-            trace = self.trace
-            for _ in range(n):
-                self.total_us += cost
-                if trace is not None:
-                    trace.kv(op, 0, cost)
-        if self._registry is not None:
-            self._registry.counter(self._prefix + op).inc(n)
+                continue  # no policy: counted, never priced
+            total = total + cost
+            if trace is not None:
+                trace.kv(op, nbytes, cost)
+        self._total_us = total
+        del pending[:]
+        return total
+
+    def charge(self, op: str, nbytes: int = 0) -> None:
+        """Charge one ``(op, nbytes)`` now, after whatever the ledger holds."""
+        self.pending += ((op, nbytes),)
+        self.settle()
 
     def charge_us(self, us: float, op: str = "explicit") -> None:
         """Charge an explicit amount of virtual time (e.g. serialization)."""
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
+        if self.pending:
+            self.settle()
+        self._op_counts[op] = self._op_counts.get(op, 0) + 1
         if self._registry is not None:
             self._registry.counter(self._prefix + op).inc()
-        self.total_us += us
+        self._total_us += us
         if self.trace is not None:
             self.trace.kv(op, 0, us)
 
@@ -189,9 +181,21 @@ class Meter:
         return self.op_counts.get(op, 0)
 
     def reset(self) -> None:
-        self.total_us = 0.0
-        self.op_counts.clear()
-        self.byte_counts.clear()
+        self.settle()
+        self._total_us = 0.0
+        self._op_counts.clear()
+        self._byte_counts.clear()
+
+
+class _SelfSettlingLedger(list):
+    """A :class:`NullMeter`'s ledger: no engine settles it, so it settles
+    itself past 4 096 entries and its store's memory stays bounded."""
+
+    def __iadd__(self, entries):
+        self.extend(entries)
+        if len(self) > 4096:
+            self.meter.settle()
+        return self
 
 
 class NullMeter(Meter):
@@ -199,3 +203,5 @@ class NullMeter(Meter):
 
     def __init__(self) -> None:
         super().__init__(policy=None)
+        self.pending = _SelfSettlingLedger()
+        self.pending.meter = self

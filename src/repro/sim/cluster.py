@@ -2,11 +2,11 @@
 
 A :class:`ServerNode` wraps a handler object (DMS, FMS, MDS, object
 server...) whose public ``op_<name>`` methods implement the RPC surface.
-Each node owns a :class:`~repro.kv.meter.Meter`; the engines read the
-meter before and after a dispatch to obtain the modeled service time of
-that request.  Handlers share their node's meter with their KV stores, so
-a handler's service time is precisely the modeled cost of the KV work it
-actually performed (plus explicit charges such as serialization).
+Each node owns a :class:`~repro.kv.meter.Meter`; the engines settle its
+ledger as a dispatch ends: its total after minus before is the request's
+modeled service time.  Handlers share their node's meter with their KV
+stores, so a handler's service time is precisely the modeled cost of the
+KV work it actually performed (plus explicit charges such as serialization).
 """
 
 from __future__ import annotations

@@ -62,8 +62,8 @@ stages:
 
 Hot path: both drivers dispatch on the integer ``tag`` class attribute of
 the yielded command (see :mod:`repro.sim.rpc`) instead of an
-``isinstance`` chain, read the meter's ``total_us`` attribute directly
-instead of calling ``snapshot()``, and cache cost-model constants that are
+``isinstance`` chain, settle a request's KV ledger once and read the
+meter's total from its slot, and cache cost-model constants that are
 fixed for the engine's lifetime.  None of this may change virtual-time
 arithmetic — the determinism golden test pins ``engine.now`` bit-for-bit.
 
@@ -335,7 +335,8 @@ class _EngineCore:
         recv_bytes = 0
         meter = node.meter
         # the per-dispatch KV sink the caller installed; its running meter
-        # total is the only clock inside a service period
+        # total (read settled: a record's KV spans land under its span) is
+        # the only clock inside a service period
         sink = meter.trace
         trace_records = span is not None and sink is not None
         base = meter.total_us if trace_records else 0.0
@@ -440,7 +441,8 @@ class _EngineCore:
         # FIFO service: requests hitting one server queue up
         start = arrive if arrive > node.next_free else node.next_free
         meter = node.meter
-        before = meter.total_us
+        # a charge made outside any request is not this one's
+        before = meter.settle() if meter.pending else meter._total_us
         if tracer is not None and meter.policy is not None:
             meter.trace = KVTraceSink(tracer, server, span, start)
         # one request of a WAL-backed server is one group commit: its
@@ -471,8 +473,10 @@ class _EngineCore:
         finally:
             if group is not None:
                 group.__exit__(None, None, None)
+            if meter.pending:  # priced while the request's KV sink is in
+                meter.settle()
             meter.trace = None
-        service = meter.total_us - before + cost.server_overhead_us
+        service = meter._total_us - before + cost.server_overhead_us
         finish = start + service
         node.next_free = finish
         node.requests_served += 1

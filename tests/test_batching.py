@@ -459,7 +459,7 @@ def _generator_scope(store, counters=None):
         before = wal.commits
         wal.end_group()
         if wal.commits != before:
-            store._meter.charge_us(0.0, "wal_commit")
+            store.meter.charge_us(0.0, "wal_commit")
             counters.inc("wal.fsync")
 
 

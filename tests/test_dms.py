@@ -84,6 +84,7 @@ def _outcome(walk, dms, path, cred):
         err = None
     except FSError as e:
         err = (type(e), e.args, e.path)
+    dms.meter.settle()  # KV charges reach the trace sink when priced
     return err, log[start:]
 
 

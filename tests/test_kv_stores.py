@@ -391,6 +391,7 @@ def _after_write_ats(cls, hook, tmp_path):
     store.put(b"rec", b"0123456789")
     store.put(b"short", b"abc")
     tracer, registry = Tracer(), MetricsRegistry()
+    store.meter.settle()  # spans and counts are emitted at settlement
     if hook == "trace":
         store.meter.trace = KVTraceSink(tracer, "fms0", None, 0.0)
     elif hook == "registry":
@@ -459,6 +460,7 @@ def _after_ops(cls, hook, base, ops, wal_dir):
     wal = os.path.join(wal_dir, cls.__name__ + ".wal") if hook == "wal" else None
     store = cls(meter=Meter(KVCostPolicy(CostModel())), wal_path=wal)
     tracer, registry = Tracer(), MetricsRegistry()
+    store.meter.settle()  # spans and counts are emitted at settlement
     if hook == "trace":
         store.meter.trace = KVTraceSink(tracer, "dms", None, 0.0)
     elif hook == "registry":
@@ -678,7 +680,7 @@ class _KCMetered(HashStore):
     delete also charges the ``get`` that tells whether the key existed."""
 
     def delete(self, key: bytes) -> bool:
-        self._charge("delete", len(key))
+        self.meter.charge("delete", len(key))
         existed = self.get(key) is not None
         self._data.pop(key, None)
         return existed
@@ -710,6 +712,7 @@ def _after_lsm_ops(cls, hook, ops, directory):
     else:
         store = cls(meter=meter, wal_enabled=False, **_LSM_LIMITS)
     tracer, registry = Tracer(), MetricsRegistry()
+    store.meter.settle()  # spans and counts are emitted at settlement
     if hook == "trace":
         store.meter.trace = KVTraceSink(tracer, "mds0", None, 0.0)
     elif hook == "registry":

@@ -206,6 +206,7 @@ def _after(store_kind, op, lean):
                                  overhead_write_us=9.0, has_root=True)
     server.attach_meter(Meter(KVCostPolicy(CostModel())))
     tracer = Tracer()
+    server.meter.settle()  # spans are emitted at settlement
     server.meter.trace = KVTraceSink(tracer, "mds0", None, 0.0)
     server.op_mkdir_local("/d", 0o755, ROOT_CRED, 1.0)
     results = []
