@@ -87,18 +87,18 @@ class TreePartitionServer:
     def _begin(self, mutating: bool) -> None:
         us = self.overhead_write_us if mutating else self.overhead_read_us
         if us:
-            self.meter.charge_us(us, "software_overhead")
+            self.meter.pending += (("software_overhead", None, us),)
 
     def _read_inode(self, path: str) -> dict:
         buf = self.store.get(_ikey(path))
         if buf is None:
             raise NoEntry(path)
-        self.meter.charge_us(self.cost.serialize_us(len(buf)), "deserialize")
+        self.meter.pending += (("deserialize", None, self.cost.serialize_us(len(buf))),)
         return decode_inode(buf)
 
     def _write_inode(self, path: str, fields: dict) -> None:
         buf = encode_inode(fields)
-        self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
+        self.meter.pending += (("serialize", None, self.cost.serialize_us(len(buf))),)
         self.store.put(_ikey(path), buf)
 
     # -- read ops -------------------------------------------------------------------------
@@ -254,7 +254,7 @@ class TreePartitionServer:
         store a fresh inode there."""
         us = self.overhead_write_us
         if us:  # == _begin(True)
-            self.meter.charge_us(us, "software_overhead")
+            self.meter.pending += (("software_overhead", None, us),)
         store = self.store
         if store.get(ikey) is not None:
             raise Exists(path)
@@ -268,9 +268,9 @@ class TreePartitionServer:
         buf = HEADER.pack(kind, mode, cred.uid, cred.gid, uuid, now_s, now_s, now_s,
                           0, bsize, 0)
         cost = self.cost
-        self.meter.charge_us(
-            cost.serialize_fixed_us + HEADER.size * cost.serialize_per_byte_us,
-            "serialize")  # == cost.serialize_us(len(buf))
+        self.meter.pending += ((
+            "serialize", None,  # priced as cost.serialize_us(len(buf))
+            cost.serialize_fixed_us + HEADER.size * cost.serialize_per_byte_us),)
         store.put(ikey, buf)
         return uuid
 
@@ -356,7 +356,7 @@ class TreePartitionServer:
         buf = self.store.get(_ikey(path))
         if buf is None:
             raise NoEntry(path)
-        self.meter.charge_us(self.cost.serialize_us(len(buf)), "deserialize")
+        self.meter.pending += (("deserialize", None, self.cost.serialize_us(len(buf))),)
         self.store.delete(_ikey(path))
         return buf
 
@@ -364,7 +364,7 @@ class TreePartitionServer:
         self._begin(True)
         if self.store.get(_ikey(path)) is not None:
             raise Exists(path)
-        self.meter.charge_us(self.cost.serialize_us(len(raw)), "serialize")
+        self.meter.pending += (("serialize", None, self.cost.serialize_us(len(raw))),)
         self.store.put(_ikey(path), raw)
 
     def op_export_subtree(self, root: str) -> list[tuple[str, str, bytes]]:

@@ -126,11 +126,11 @@ class FileMetadataServer(MetadataServer):
         buf = self.store.get(_F + key)
         if buf is not None:
             # whole-value deserialization on every read (§2.2.2)
-            self.meter.charge_us(self.cost.serialize_us(len(buf)), "deserialize")
+            self.meter.pending += (("deserialize", None, self.cost.serialize_us(len(buf))),)
         return buf
 
     def _put_coupled(self, key: bytes, buf: bytes) -> None:
-        self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
+        self.meter.pending += (("serialize", None, self.cost.serialize_us(len(buf))),)
         self.store.put(_F + key, buf)
 
     # -- lookup helpers ----------------------------------------------------------------
@@ -312,7 +312,7 @@ class FileMetadataServer(MetadataServer):
                 pairs += ((_A + key, a), (_C + key, c))
             else:
                 buf = _join_coupled(a, c)
-                self.meter.charge_us(self.cost.serialize_us(len(buf)), "serialize")
+                self.meter.pending += (("serialize", None, self.cost.serialize_us(len(buf))),)
                 pairs += ((_F + key, buf),)
             packed = (dirent.HEAD.pack(nlens[i]) + key[8:]
                       + dirent.TAIL.pack(uuid, _FTYPE_FILE))

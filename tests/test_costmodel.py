@@ -70,8 +70,8 @@ class TestDeviceModel:
 class TestMeter:
     def test_charges_accumulate_via_policy(self):
         m = Meter(KVCostPolicy(CostModel()))
-        m.charge("put", 100)
-        m.charge("get", 50)
+        m.pending += (("put", 100), ("get", 50))
+        m.settle()
         cm = CostModel()
         assert m.total_us == pytest.approx(
             cm.kv_cost_us("put", 100) + cm.kv_cost_us("get", 50))
@@ -85,13 +85,13 @@ class TestMeter:
 
     def test_null_meter_counts_but_never_charges(self):
         m = NullMeter()
-        m.charge("put", 1000)
+        m.pending += (("put", 1000),)
         assert m.total_us == 0.0
         assert m.count("put") == 1
 
     def test_reset(self):
         m = Meter(KVCostPolicy(CostModel()))
-        m.charge("put", 10)
+        m.pending += (("put", 10),)
         m.reset()
         assert m.total_us == 0.0
         assert m.count("put") == 0

@@ -680,7 +680,7 @@ class _KCMetered(HashStore):
     delete also charges the ``get`` that tells whether the key existed."""
 
     def delete(self, key: bytes) -> bool:
-        self.meter.charge("delete", len(key))
+        self.meter.pending += (("delete", len(key)),)
         existed = self.get(key) is not None
         self._data.pop(key, None)
         return existed

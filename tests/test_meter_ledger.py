@@ -5,9 +5,13 @@ request.  These tests hold that to the arithmetic it replaced — every
 charge priced the moment it is made, one float addition each — and bound
 how far the ledger may grow: empty after every served request, at most
 ``SCAN_SETTLE_EVERY`` entries during a scan and none after it, and bounded
-on a store no engine settles.
+on a store no engine settles.  They also bound the settle's own state
+(the tally and the price memo stay within ``FOLD_BOUND``) and its work
+(bytecodes per settle against the per-op reference).
 """
 
+import sys
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -17,7 +21,8 @@ from hypothesis import strategies as st
 from repro.experiments.fig14_rename import DeviceKVPolicy
 from repro.harness.registry import make_system
 from repro.kv import BTreeStore, HashStore, LSMStore
-from repro.kv.meter import SCAN_SETTLE_EVERY, Meter
+from repro.kv import meter as meter_mod
+from repro.kv.meter import FOLD_BOUND, SCAN_SETTLE_EVERY, Meter
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import engine as engine_mod
 from repro.sim.costmodel import SSD, CostModel, KVCostPolicy
@@ -38,10 +43,18 @@ class _PerOpMeter:
         self.trace = None
         self._registry = None
         self._prefix = ""
+        self.policy = policy
+        self.pending = _PriceNow(self)
+
+    @property
+    def policy(self):
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy):
         self._policy = policy
         self._base = getattr(policy, "_base", None)
         self._per_byte = getattr(policy, "_per_byte", 0.0)
-        self.pending = _PriceNow(self)
 
     def bind_registry(self, registry, prefix):
         self._registry = registry
@@ -78,14 +91,18 @@ class _PerOpMeter:
 
 
 class _PriceNow:
-    """``meter.pending`` of the reference: ``+=`` charges each entry."""
+    """``meter.pending`` of the reference: ``+=`` charges each entry, an
+    explicit ``(op, None, us)`` one through ``charge_us``."""
 
     def __init__(self, meter):
         self._meter = meter
 
     def __iadd__(self, entries):
-        for op, nbytes in entries:
-            self._meter.charge(op, nbytes)
+        for op, nbytes, *us in entries:
+            if nbytes is None:
+                self._meter.charge_us(us[0], op)
+            else:
+                self._meter.charge(op, nbytes)
         return self
 
 
@@ -127,12 +144,19 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.just("items")),
     st.tuples(st.just("charge_us"), st.floats(0.0, 50.0), st.sampled_from(
         ["serialize", "explicit"])),
+    # an explicit entry written as the servers write it; "get" shares its
+    # op name with priced entries
+    st.tuples(st.just("explicit"), st.sampled_from(["serialize", "get"]),
+              st.sampled_from([0.0, 0.75, 1.5, 2.25])),
+    st.tuples(st.just("policy"), st.sampled_from(["table", "device", None])),
     st.tuples(st.just("read")),
+    st.tuples(st.just("counts")),
+    st.tuples(st.just("registry")),
     st.tuples(st.just("settle")),
 ), max_size=40)
 
 
-def _run(store, meter, op, args):
+def _run(store, meter, registry, op, args):
     """One op of the interleaving; what it returns is compared too."""
     if op == "put_pair":
         if not hasattr(store, "put_pair"):
@@ -147,8 +171,20 @@ def _run(store, meter, op, args):
         return sorted(store.items())
     if op == "charge_us":
         return meter.charge_us(*args)
+    if op == "explicit":
+        name, us = args
+        meter.pending += ((name, None, us),)
+        return None
+    if op == "policy":
+        meter.policy = _POLICIES[args[0]]() if args[0] else None
+        return None
     if op == "read":
         return meter.total_us.hex()
+    if op == "counts":
+        return dict(meter.op_counts), dict(meter.byte_counts)
+    if op == "registry":  # a bound registry is exact after a settle
+        meter.settle()
+        return registry.snapshot()["counters"]
     if op == "settle":
         return meter.settle().hex()
     return getattr(store, op)(*args)
@@ -162,7 +198,7 @@ def _after(store_kind, meter, hook, ops):
         meter.trace = log
     if hook in ("registry", "both"):
         meter.bind_registry(registry, "mds0.kv.")
-    results = [_run(store, meter, op, args) for op, *args in ops]
+    results = [_run(store, meter, registry, op, args) for op, *args in ops]
     store.close()
     return {
         "results": results,
@@ -181,9 +217,13 @@ class TestLedgerPricesAsPerOpCharging:
     @settings(max_examples=25, deadline=None)
     @given(ops=_OPS)
     def test_same_bits_as_the_reference(self, store_kind, policy, hook, ops):
-        got = _after(store_kind, Meter(_POLICIES[policy]()), hook, ops)
+        """Both at the shipped fold bound and at one that folds the tally
+        after every few distinct entries."""
         want = _after(store_kind, _PerOpMeter(_POLICIES[policy]()), hook, ops)
-        assert got == want
+        assert _after(store_kind, Meter(_POLICIES[policy]()), hook, ops) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meter_mod, "FOLD_BOUND", 2)
+            assert _after(store_kind, Meter(_POLICIES[policy]()), hook, ops) == want
 
     @pytest.mark.parametrize("store_kind", sorted(_STORES))
     @pytest.mark.parametrize("policy", sorted(_POLICIES))
@@ -232,6 +272,52 @@ class TestLedgerPricesAsPerOpCharging:
         store.get(b"k")
         assert meter.total_us.hex() == ref.total_us.hex()
         assert meter.op_counts == {"put": 1, "get": 1}
+
+
+class TestSettleWork:
+    #: the shape of a LocoFS create's FMS ledger
+    CREATE = (("get", 18), ("get", 13), ("put", 21), ("put", 38), ("get", 10),
+              ("put", 29))
+
+    def test_a_create_settle_runs_at_most_six_tenths_of_per_op_pricing(self):
+        """In bytecodes executed, counted in this interpreter: a warm
+        settle of the create ledger against the reference pricing the
+        same six charges one frame each (3.10-3.12: 0.42-0.47)."""
+        policy = KVCostPolicy(CostModel())
+        meter, ref = Meter(policy), _PerOpMeter(policy)
+        for m in (meter, ref):  # every entry seen before, as in a run
+            m.pending += self.CREATE
+            m.settle()
+        for _ in range(2):  # CPython 3.12+ misses the first frame it traces
+            meter.pending += self.CREATE
+            got = _bytecodes(meter.settle)
+            want = sum(_bytecodes(partial(ref.charge, op, n))
+                       for op, n in self.CREATE)
+        assert meter.total_us.hex() == ref.total_us.hex()
+        assert 0 < got <= 0.6 * want, (got, want)
+
+
+def _bytecodes(fn) -> int:
+    """Bytecode instructions ``fn()`` executes, in every frame it enters."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    saved = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(saved)
+    return count
 
 
 # -- how far the ledger grows ------------------------------------------------------
@@ -293,6 +379,25 @@ class TestLedgerBound:
         assert not meter.pending  # a scan that ran to its end leaves nothing
         store.close()
         assert meter.op_counts["scan_record"] == 10_000
+
+    def test_distinct_sizes_keep_the_tally_and_memo_bounded(self):
+        """100 000 requests, each a put and a get of a size never seen
+        before, as IndexFS's read-modify-write produces them."""
+        meter = Meter(KVCostPolicy(CostModel()))
+        ref = _PerOpMeter(KVCostPolicy(CostModel()))
+        store = HashStore(meter=meter)
+        blob = memoryview(bytes(100_000))  # values of every size, no copies
+        most = 0
+        for i in range(100_000):
+            store.put(b"k", blob[:i])
+            store.get(b"k")
+            meter.settle()
+            most = max(most, len(meter._tally), len(meter._memo))
+            ref.pending += (("put", 1 + i), ("get", 1 + i))
+        assert most <= FOLD_BOUND
+        assert meter.total_us.hex() == ref.total_us.hex()
+        assert meter.op_counts == ref.op_counts == {"put": 100_000, "get": 100_000}
+        assert meter.byte_counts == ref.byte_counts
 
     @pytest.mark.parametrize("kind", ["hash", "btree", "lsm"])
     def test_a_store_with_no_meter_keeps_its_ledger_bounded(self, kind):

@@ -473,7 +473,7 @@ class TestSingleClientEngineIdentity:
     @pytest.mark.xfail(strict=True, reason=(
         "the client downlink is reserved in request-*delivery* order, so "
         "the slow first vote holds it until 266.7 us and both engines "
-        "resume there with all three results (ROADMAP item 3)"))
+        "resume there with all three results (ROADMAP 1(c))"))
     @pytest.mark.parametrize("kind", ["direct", "event"])
     def test_quorum_resumes_at_kth_success_when_votes_finish_out_of_order(self, kind):
         """Documented Quorum semantics: resume at the k-th *successful
