@@ -23,11 +23,10 @@ them on as it is entered, so the count would read 0.
 Run from the repository root (stdlib only; about a second per workload)::
 
     python3 scripts/workcount.py                        # all five
-    python3 scripts/workcount.py create_storm --json out.json
     python3 scripts/workcount.py --max create_storm=1234 --max ...
 
 ``--max NAME=N`` exits 1 if ``NAME`` executes more than ``N`` bytecodes
-per op.
+per op; given any ``--max``, only the workloads it names are run.
 """
 
 from __future__ import annotations
@@ -83,9 +82,6 @@ def count(name: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                        help=f"default: all of {', '.join(WORKLOADS)}")
-    parser.add_argument("--json", metavar="PATH", help="also write the counts here")
     parser.add_argument("--max", action="append", default=[], metavar="NAME=N",
                         help="fail if NAME runs more than N bytecodes per op")
     parser.add_argument("--child", help=argparse.SUPPRESS)
@@ -97,7 +93,7 @@ def main(argv=None) -> int:
     for item in args.max:
         name, _, value = item.partition("=")
         ceilings[name] = float(value)
-    names = args.workloads or list(ceilings) or list(WORKLOADS)
+    names = list(ceilings) or list(WORKLOADS)
     unknown = sorted(set(names) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
@@ -120,10 +116,6 @@ def main(argv=None) -> int:
             if c["bytecodes_per_op"] > ceiling:
                 over.append(name)
         print(line, flush=True)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"python": sys.version, "scale": "smoke", "seed": 1,
-             "workloads": counts}, indent=1, sort_keys=True) + "\n")
     for name in over:
         print(f"{name}: {counts[name]['bytecodes_per_op']:.2f} bytecodes/op "
               f"> {ceilings[name]}", file=sys.stderr)
