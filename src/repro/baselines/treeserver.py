@@ -393,9 +393,5 @@ class TreePartitionServer:
         for kind, path, raw in records:
             self.store.put((_I if kind == "I" else _D) + path.encode(), raw)
 
-    # -- introspection ---------------------------------------------------------------------------------
-    def num_inodes(self) -> int:
-        return sum(1 for k, _ in self.store.items() if k.startswith(_I))
-
     def close(self) -> None:
         self.store.close()

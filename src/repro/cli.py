@@ -100,11 +100,11 @@ def _telemetry_sink(args, force: bool = False):
     return None
 
 
-def _load_spec(name: str | None):
+def _load_spec(name: str):
     from repro.obs.slo import (SLOSpec, default_spec, openloop_spec,
                                replicated_spec)
 
-    if name is None or name == "default":
+    if name == "default":
         return default_spec()
     if name == "openloop":
         return openloop_spec()
@@ -128,24 +128,23 @@ def _emit_metrics(args, registry) -> None:
         print(f"metrics JSON written to {args.metrics_out}")
 
 
-def _emit_telemetry(args, sink, out: str | None = None) -> dict | None:
-    """Write the snapshot / print the SLO table; returns the SLO report."""
-    if sink is None:
-        return None
+def _write_telemetry(args, sink, out: str | None = None) -> None:
     out = out if out is not None else args.telemetry_out
-    if out:
+    if sink is not None and out:
         from repro.obs.export import write_telemetry
 
         write_telemetry(sink, out)
         print(f"telemetry snapshot written to {out}")
-    if args.slo:
+
+
+def _emit_telemetry(args, sink, out: str | None = None) -> None:
+    """Write the snapshot, then print the ``--slo`` verdict table."""
+    _write_telemetry(args, sink, out)
+    if sink is not None and args.slo:
         from repro.obs.slo import evaluate_slo, format_slo
 
-        report = evaluate_slo(_load_spec(args.slo), sink)
         print()
-        print(format_slo(report))
-        return report
-    return None
+        print(format_slo(evaluate_slo(args.slo, sink)))
 
 
 def _cmd_list(args) -> int:
@@ -249,9 +248,11 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_throughput(args) -> int:
-    from repro.harness import run_throughput
+    from repro.harness import SYSTEM_NAMES, run_throughput
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
+    if _refused([system], SYSTEM_NAMES):
+        return 2
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
     r = run_throughput(system, args.num_servers, op=args.op,
@@ -266,20 +267,28 @@ def _cmd_throughput(args) -> int:
     return 0
 
 
+def _crash_run(args, system, registry, sink):
+    """The fig16-style crash scenario that availability, slo and dashboard
+    share."""
+    from repro.harness import run_availability
+
+    return run_availability(
+        system, num_servers=args.num_servers, crash_server=args.crash,
+        num_clients=args.clients, items_per_client=args.items,
+        crash_at_frac=args.crash_at, down_frac=args.down,
+        torn_tail_bytes=getattr(args, "torn_tail", 0), seed=args.seed,
+        metrics=registry, telemetry=sink)
+
+
 def _cmd_availability(args) -> int:
-    from repro.harness import FS_SYSTEM_NAMES, run_availability
+    from repro.harness import FS_SYSTEM_NAMES
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     if _refused([system], FS_SYSTEM_NAMES):
         return 2
     registry = _metrics_registry(args)
     sink = _telemetry_sink(args)
-    r = run_availability(
-        system, num_servers=args.num_servers, crash_server=args.crash,
-        num_clients=args.clients, items_per_client=args.items,
-        crash_at_frac=args.crash_at, down_frac=args.down,
-        torn_tail_bytes=args.torn_tail, seed=args.seed, metrics=registry,
-        telemetry=sink)
+    r = _crash_run(args, system, registry, sink)
     print(f"{system} with {r.crash_server} crashed mid-run "
           f"({r.num_clients} clients, {r.num_servers} server(s)):")
     print(f"  goodput   {r.goodput_iops:,.0f} IOPS "
@@ -300,8 +309,9 @@ def _cmd_slo(args) -> int:
     """Run a crash or open-loop churn scenario under telemetry, judge SLOs."""
     import json
 
-    from repro.harness import FS_SYSTEM_NAMES, run_availability
-    from repro.obs.slo import evaluate_slo, format_slo
+    from repro.harness import FS_SYSTEM_NAMES
+    from repro.obs.slo import (default_spec, evaluate_slo, format_slo,
+                               openloop_spec)
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     if _refused([system], FS_SYSTEM_NAMES):
@@ -318,19 +328,15 @@ def _cmd_slo(args) -> int:
               f"goodput {r.goodput_iops:,.0f} IOPS "
               f"(offered {r.offered_iops:,.0f}), shed {r.shed}, "
               f"abandoned {r.abandoned}, errors {r.errors}")
-        if args.slo is None:
-            args.slo = "openloop"   # open-loop runs judge the floor spec
+        # open-loop runs judge the floor spec
+        spec = args.slo or openloop_spec()
     else:
-        r = run_availability(
-            system, num_servers=args.num_servers, crash_server=args.crash,
-            num_clients=args.clients, items_per_client=args.items,
-            crash_at_frac=args.crash_at, down_frac=args.down, seed=args.seed,
-            metrics=registry, telemetry=sink)
+        r = _crash_run(args, system, registry, sink)
         print(f"{system} with {r.crash_server} crashed mid-run: "
               f"goodput {r.goodput_iops:,.0f} IOPS "
               f"(baseline {r.baseline_iops:,.0f}), "
               f"retries {r.retries}, gaveups {r.gaveups}")
-    spec = _load_spec(args.slo)
+        spec = args.slo or default_spec()
     report = evaluate_slo(spec, sink)
     print(format_slo(report))
     if args.json:
@@ -338,11 +344,7 @@ def _cmd_slo(args) -> int:
             json.dump(report, f, indent=1)
         print(f"SLO report written to {args.json}")
     _emit_metrics(args, registry)
-    if args.telemetry_out:
-        from repro.obs.export import write_telemetry
-
-        write_telemetry(sink, args.telemetry_out)
-        print(f"telemetry snapshot written to {args.telemetry_out}")
+    _write_telemetry(args, sink)
     if args.check and not report["ok"]:
         print("FAIL: SLO error budget exhausted", file=sys.stderr)
         return 1
@@ -355,12 +357,11 @@ def _cmd_dashboard(args) -> int:
         FS_SYSTEM_NAMES,
         MIX_READ_MOSTLY,
         MIX_UPDATE_HEAVY,
-        run_availability,
         run_mixed_throughput,
         run_throughput,
     )
     from repro.obs.dashboard import write_dashboard
-    from repro.obs.slo import evaluate_slo
+    from repro.obs.slo import default_spec, evaluate_slo
 
     system = _SYSTEM_ALIASES.get(args.system, args.system)
     if _refused([system], FS_SYSTEM_NAMES):
@@ -385,11 +386,7 @@ def _cmd_dashboard(args) -> int:
         print(f"{system} mixed ops: {r.iops:,.0f} IOPS "
               f"({r.num_clients} clients{hr})")
     elif args.scenario == "crash":
-        r = run_availability(
-            system, num_servers=args.num_servers, crash_server=args.crash,
-            num_clients=args.clients, items_per_client=args.items,
-            crash_at_frac=args.crash_at, down_frac=args.down, seed=args.seed,
-            metrics=registry, telemetry=sink)
+        r = _crash_run(args, system, registry, sink)
         meta["crash"] = args.crash
         print(f"{system} crash scenario: goodput {r.goodput_iops:,.0f} IOPS "
               f"(baseline {r.baseline_iops:,.0f})")
@@ -401,18 +398,14 @@ def _cmd_dashboard(args) -> int:
         meta["op"] = args.op
         print(f"{system} {args.op}: {r.iops:,.0f} IOPS "
               f"({r.num_clients} clients)")
-    spec = _load_spec(args.slo)
+    spec = args.slo or default_spec()
     report = evaluate_slo(spec, sink)
     write_dashboard(args.out, sink, report, spec, meta=meta,
                     cache_stats=cache_stats)
     print(f"dashboard written to {args.out} (self-contained HTML, "
           f"open with any browser — no network needed)")
     _emit_metrics(args, registry)
-    if args.telemetry_out:
-        from repro.obs.export import write_telemetry
-
-        write_telemetry(sink, args.telemetry_out)
-        print(f"telemetry snapshot written to {args.telemetry_out}")
+    _write_telemetry(args, sink)
     return 0
 
 
@@ -800,6 +793,13 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("fsck-demo", help="build a namespace, corrupt it, detect it")
 
     args = parser.parse_args(argv)
+    if getattr(args, "slo", None):
+        # a bad spec file fails before the run, not after it
+        try:
+            args.slo = _load_spec(args.slo)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(f"cannot load SLO spec {args.slo}: {exc}", file=sys.stderr)
+            return 2
     return {
         "list": _cmd_list,
         "run": _cmd_run,

@@ -135,11 +135,6 @@ def ancestors(path: str) -> list[str]:
     return out
 
 
-def depth(path: str) -> int:
-    """Number of components below root (root has depth 0)."""
-    return len(components(path))
-
-
 def is_ancestor(maybe_ancestor: str, path: str) -> bool:
     """True if ``maybe_ancestor`` is a strict ancestor directory of ``path``."""
     a = normalize(maybe_ancestor)

@@ -84,14 +84,6 @@ class LatencyRecorder:
             maximum=vals[-1],
         )
 
-    def merge(self, other: "LatencyRecorder") -> None:
-        for op, vals in other._samples.items():
-            self._samples[op].extend(vals)
-            if self._registry is not None:
-                hist = self._registry.histogram(self._prefix + op)
-                for v in vals:
-                    hist.record(v)
-
 
 @dataclass
 class Counters:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.harness.report import format_table, normalize
+from repro.harness.report import format_table
 
 
 @dataclass
@@ -34,18 +34,3 @@ class ExperimentResult:
         for note in self.notes:
             out.append(f"   note: {note}")
         return "\n".join(out)
-
-    def normalized(self, base_label: str, fmt: str = "{:,.2f}") -> "ExperimentResult":
-        return ExperimentResult(
-            experiment=self.experiment,
-            title=f"{self.title} — normalized to {base_label}",
-            col_header=self.col_header,
-            columns=self.columns,
-            rows=normalize(self.rows, base_label),
-            unit="x",
-            fmt=fmt,
-            notes=list(self.notes),
-        )
-
-    def series(self, label: str) -> dict:
-        return self.rows[label]

@@ -4,7 +4,7 @@ from .availability import AvailabilityResult, run_availability
 from .mdtest import FILE_META_OPS, LATENCY_OPS, run_latency
 from .openloop import PACK_NAMES, PACKS, OpenLoopResult, get_pack, run_openloop
 from .registry import FS_SYSTEM_NAMES, LABELS, SYSTEM_NAMES, make_system
-from .report import format_metrics, format_table, normalize
+from .report import format_metrics, format_table
 from .runner import (
     MIX_READ_MOSTLY,
     MIX_UPDATE_HEAVY,
@@ -33,7 +33,6 @@ __all__ = [
     "make_system",
     "format_metrics",
     "format_table",
-    "normalize",
     "MIX_READ_MOSTLY",
     "MIX_UPDATE_HEAVY",
     "MixedThroughputResult",

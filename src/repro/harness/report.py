@@ -33,7 +33,6 @@ def format_table(
     return "\n".join(out)
 
 
-
 def format_metrics(registry) -> str:
     """Plain-text dump of a :class:`~repro.obs.metrics.MetricsRegistry`.
 
@@ -69,15 +68,3 @@ def format_metrics(registry) -> str:
             out.append(f"  {name:<{width}}  {t['count']:>9,} {t['mean']:>11,.3f} "
                        f"{t['max']:>11,.3f}")
     return "\n".join(out)
-
-
-def normalize(rows: Mapping[str, Mapping], base_label: str) -> dict:
-    """Divide every series by the base series (the paper's normalized plots)."""
-    base = rows[base_label]
-    out: dict = {}
-    for label, series in rows.items():
-        out[label] = {
-            c: (v / base[c]) if (c in base and base[c]) else None
-            for c, v in series.items()
-        }
-    return out

@@ -116,11 +116,11 @@ class KVStore(abc.ABC):
         return self.get(key) is not None
 
     # -- batched point ops -----------------------------------------------------
-    # Every store has ``multi_get``; the FMS's hash store and the B+-tree
-    # also have ``multi_put``.  Both meter amortized (the first record pays
-    # the op-kind base cost, every further record only the ``batch_record``
-    # marginal cost) and, where a WAL is attached, group-commit: one log
-    # write and at most one fsync for the whole batch.
+    # Only the FMS's hash store has ``multi_get`` / ``multi_put``.  Both
+    # meter amortized (the first record pays the op-kind base cost, every
+    # further record only the ``batch_record`` marginal cost) and, where a
+    # WAL is attached, group-commit: one log write and at most one fsync
+    # for the whole batch.
     def _charge_batch(self, op: str, nbytes: int, count: int) -> None:
         """Amortized metering for one batched op: the batch pays the
         op-kind base cost once (plus all its bytes), then ``batch_record``
@@ -191,10 +191,6 @@ class KVStore(abc.ABC):
         for k, v in moved:
             self.put(new_prefix + k[len(old_prefix) :], v)
         return len(moved)
-
-    def keys(self) -> Iterator[bytes]:
-        for k, _ in self.items():
-            yield k
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with start <= key < end (ordered stores only).

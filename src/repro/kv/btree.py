@@ -207,36 +207,6 @@ class BTreeStore(KVStore):
     def __len__(self) -> int:
         return self._count
 
-    # -- batched point ops --------------------------------------------------------
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        out: list[bytes | None] = []
-        nbytes = 0
-        for key in keys:
-            leaf = self._find_leaf(key)
-            i = bisect_left(leaf.keys, key)
-            if i < len(leaf.keys) and leaf.keys[i] == key:
-                value = leaf.values[i]
-                if value.__class__ is bytearray:
-                    value = leaf.values[i] = bytes(value)
-                nbytes += len(key) + len(value)
-                out.append(value)
-            else:
-                nbytes += len(key)
-                out.append(None)
-        self._charge_batch("multi_get", nbytes, len(keys))
-        return out
-
-    def multi_put(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        if not pairs:
-            return
-        if self._wal is not None:
-            self._wal.append_many((OP_PUT, k, v) for k, v in pairs)
-        nbytes = 0
-        for k, v in pairs:
-            nbytes += len(k) + len(v)
-            self._insert(k, v)
-        self._charge_batch("multi_put", nbytes, len(pairs))
-
     # -- iteration ---------------------------------------------------------------
     # a scan settles the ledger at each leaf it leaves (BRANCH records at most)
     def items(self) -> Iterator[tuple[bytes, bytes]]:

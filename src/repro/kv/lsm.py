@@ -110,11 +110,6 @@ class LSMStore(KVStore):
             ("get", len(key) + (len(value) if value is not None else 0)),)
         return value
 
-    def _get_impl(self, key: bytes) -> bytes | None:
-        """:meth:`get` without the charge."""
-        value = self._mem.lookup(key)
-        return self._table_get(key) if value is ABSENT else value
-
     def _table_get(self, key: bytes) -> bytes | None:
         """The newest SSTable version of ``key`` (``None``: absent or a
         tombstone)."""
@@ -164,17 +159,6 @@ class LSMStore(KVStore):
     def __len__(self) -> int:
         """Count of live keys.  O(n) — intended for tests and reporting."""
         return sum(1 for _ in self.items())
-
-    # -- batched point ops ---------------------------------------------------------
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        out: list[bytes | None] = []
-        nbytes = 0
-        for key in keys:
-            value = self._get_impl(key)
-            nbytes += len(key) + (len(value) if value is not None else 0)
-            out.append(value)
-        self._charge_batch("multi_get", nbytes, len(keys))
-        return out
 
     # -- iteration ------------------------------------------------------------------
     def _merged(self, start: bytes | None, end: bytes | None) -> Iterator[tuple[bytes, bytes | None]]:

@@ -231,12 +231,6 @@ class Meter:
     def count(self, op: str) -> int:
         return self.op_counts.get(op, 0)
 
-    def reset(self) -> None:
-        self.settle(read="op_counts")
-        self._total_us = 0.0
-        self._op_counts.clear()
-        self._byte_counts.clear()
-
 
 class _SelfSettlingLedger(list):
     """A :class:`NullMeter`'s ledger: no engine settles it, so it settles

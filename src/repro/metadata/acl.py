@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.common.types import Credentials, R_OK, W_OK, X_OK
 
-__all__ = ["R_OK", "W_OK", "X_OK", "may_access", "check_ancestor_exec"]
+__all__ = ["R_OK", "W_OK", "X_OK", "may_access"]
 
 
 def may_access(mode: int, uid: int, gid: int, cred: Credentials, want: int) -> bool:
@@ -24,8 +24,3 @@ def may_access(mode: int, uid: int, gid: int, cred: Credentials, want: int) -> b
     else:
         perm = mode & 7
     return (perm & want) == want
-
-
-def check_ancestor_exec(dirs: list[tuple[int, int, int]], cred: Credentials) -> bool:
-    """True if every ancestor (mode, uid, gid) grants search (X) permission."""
-    return all(may_access(mode, uid, gid, cred, X_OK) for mode, uid, gid in dirs)

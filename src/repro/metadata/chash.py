@@ -128,12 +128,6 @@ class ConsistentHashRing:
         self.version += 1
         self._lookup_cache.clear()
 
-    def add_node(self, name: str) -> None:
-        if name in self._nodes:
-            raise ValueError(f"node already on ring: {name!r}")
-        self._nodes.add(name)
-        self._rebuild()
-
     def add_nodes(self, names: Iterable[str]) -> None:
         """Add every node in ``names`` as one membership change (one
         ``version`` bump).  A name already on the ring, or repeated in
@@ -149,14 +143,6 @@ class ConsistentHashRing:
         if new:
             self._nodes |= new
             self._rebuild()
-
-    def remove_node(self, name: str) -> None:
-        if name not in self._nodes:
-            # symmetric with add_node's duplicate check: membership errors
-            # on either side surface as ValueError
-            raise ValueError(f"node not on ring: {name!r}")
-        self._nodes.discard(name)
-        self._rebuild()
 
     def lookup(self, key: bytes | str) -> str:
         if not self._owners:
@@ -241,9 +227,6 @@ class ConsistentHashRing:
     @property
     def nodes(self) -> set[str]:
         return set(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
 
 
 def file_placement_key(dir_uuid: int, file_name: str) -> bytes:

@@ -46,21 +46,13 @@ def _track_map(tracer: Tracer) -> dict[str, tuple[int, int]]:
     return out
 
 
-def chrome_trace_events(tracer: Tracer, counters: dict | None = None,
-                        offered: dict | None = None) -> list[dict]:
-    """The ``traceEvents`` list: metadata, then spans/instants by ``ts``.
-
-    ``offered`` renders per-tenant offered-rate counter tracks for
-    open-loop runs: ``{"window_us": w, "series": {"offered.<tenant>":
-    [count, ...]}}`` — the shape of
-    ``TelemetrySink.mark_series("offered.")`` — becomes one ``"C"``
-    track per tenant on the client process, in ops/s.
-    """
+def chrome_trace_events(tracer: Tracer,
+                        counters: dict | None = None) -> list[dict]:
+    """The ``traceEvents`` list: metadata, then spans/instants by ``ts``."""
     tracks = _track_map(tracer)
     events: list[dict] = []
     for pid, name in ((_CLIENT_PID, "clients"), (_SERVER_PID, "servers")):
-        if (any(p == pid for p, _ in tracks.values())
-                or (pid == _CLIENT_PID and offered)):
+        if any(p == pid for p, _ in tracks.values()):
             events.append({"ph": "M", "name": "process_name", "pid": pid,
                            "tid": 0, "args": {"name": name}})
     for track, (pid, tid) in tracks.items():
@@ -120,23 +112,14 @@ def chrome_trace_events(tracer: Tracer, counters: dict | None = None,
                     args["queue_depth"] = depth[i]
                 timed.append({"ph": "C", "name": f"{server}.heat", "pid": pid,
                               "tid": 0, "ts": i * window, "args": args})
-    if offered:
-        window = offered.get("window_us", 0.0)
-        scale = 1e6 / window if window > 0.0 else 0.0
-        for mark, series in sorted(offered.get("series", {}).items()):
-            for i, count in enumerate(series):
-                timed.append({"ph": "C", "name": f"{mark}.rate",
-                              "pid": _CLIENT_PID, "tid": 0, "ts": i * window,
-                              "args": {"ops_per_s": count * scale}})
     timed.sort(key=lambda e: (e["ts"], e["args"].get("span_id", 0)))
     return events + timed
 
 
 def write_chrome_trace(tracer: Tracer, path: str,
-                       counters: dict | None = None,
-                       offered: dict | None = None) -> int:
+                       counters: dict | None = None) -> int:
     """Write ``{"traceEvents": [...]}`` to ``path``; returns the event count."""
-    events = chrome_trace_events(tracer, counters, offered=offered)
+    events = chrome_trace_events(tracer, counters)
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=None, separators=(",", ":"))

@@ -179,18 +179,6 @@ class LogSketch:
         """``[[bucket index, count], ...]`` for the nonzero buckets."""
         return [[i, c] for i, c in enumerate(self.counts) if c]
 
-    @classmethod
-    def from_sparse(cls, sparse, minimum: float = math.inf,
-                    maximum: float = -math.inf, total: float = 0.0) -> "LogSketch":
-        sk = cls()
-        for i, c in sparse:
-            sk.counts[i] = c
-            sk.count += c
-        sk.minimum = minimum
-        sk.maximum = maximum
-        sk.total = total
-        return sk
-
     def snapshot(self) -> dict:
         return {
             "count": self.count,
@@ -288,7 +276,7 @@ class TelemetrySink:
     """
 
     __slots__ = ("window_us", "initial_window_us", "max_windows", "_windows",
-                 "_total_ops", "_total_errors", "_c_lo", "_c_hi", "_c_win",
+                 "_c_lo", "_c_hi", "_c_win",
                  "_cs_win", "_cs_key", "_cs_sk", "_buf")
 
     def __init__(self, window_us: float | None = None,
@@ -299,9 +287,6 @@ class TelemetrySink:
         self.initial_window_us = self.window_us
         self.max_windows = max_windows
         self._windows: list[_Window] = []
-        #: totals maintained run-wide (cheap; avoids a full-ring walk)
-        self._total_ops = 0
-        self._total_errors = 0
         #: pending hook events, folded in bursts (see :meth:`_drain`) —
         #: an append is ~10x cheaper than an eager fold on the hot path,
         #: and the burst fold runs with hot caches; bounded at
@@ -441,14 +426,12 @@ class TelemetrySink:
             w = self._window_at(end_us)
         if error is not None:
             w.errors[name] = w.errors.get(name, 0) + 1
-            self._total_errors += 1
             return
         ops = w.ops
         try:
             ops[name] += 1
         except KeyError:
             ops[name] = 1
-        self._total_ops += 1
         if w is self._cs_win and name == self._cs_key:
             sk = self._cs_sk
         else:
@@ -543,16 +526,6 @@ class TelemetrySink:
     # a state identical to eager folding.
 
     @property
-    def total_ops(self) -> int:
-        self._drain()
-        return self._total_ops
-
-    @property
-    def total_errors(self) -> int:
-        self._drain()
-        return self._total_errors
-
-    @property
     def n_windows(self) -> int:
         self._drain()
         return len(self._windows)
@@ -618,26 +591,6 @@ class TelemetrySink:
         for w in self._windows[i0:i1]:
             total += w.marks.get(name, 0)
         return total
-
-    def mark_series(self, prefix: str) -> dict[str, list[int]]:
-        """Per-window counts for every mark name starting with ``prefix``.
-
-        The offered-rate exporter uses this (``prefix="offered."``) to
-        build one Perfetto counter track per tenant; each series has one
-        entry per window, zeros included, so callers can align series
-        against window boundaries without re-deriving indices.
-        """
-        self._drain()
-        n = len(self._windows)
-        out: dict[str, list[int]] = {}
-        for i, w in enumerate(self._windows):
-            for name, count in w.marks.items():
-                if name.startswith(prefix):
-                    series = out.get(name)
-                    if series is None:
-                        series = out[name] = [0] * n
-                    series[i] = count
-        return dict(sorted(out.items()))
 
     def heat_timelines(self) -> dict:
         """Per-server windowed busy-fraction and queue-depth series.
@@ -727,16 +680,3 @@ class TelemetrySink:
             "latency": latency_totals,
             "heat": self.heat_timelines(),
         }
-
-    def clear(self) -> None:
-        self._buf.clear()
-        self._windows.clear()
-        self.window_us = self.initial_window_us
-        self._total_ops = 0
-        self._total_errors = 0
-        self._c_lo = math.inf
-        self._c_hi = -math.inf
-        self._c_win = None
-        self._cs_win = None
-        self._cs_key = None
-        self._cs_sk = None

@@ -43,18 +43,6 @@ class Span:
     def duration_us(self) -> float:
         return (self.end_us if self.end_us is not None else self.start_us) - self.start_us
 
-    @property
-    def parent_id(self) -> int | None:
-        return self.parent.span_id if self.parent is not None else None
-
-    def ancestor_of(self, other: "Span") -> bool:
-        node = other.parent
-        while node is not None:
-            if node is self:
-                return True
-            node = node.parent
-        return False
-
 
 @dataclass
 class Instant:

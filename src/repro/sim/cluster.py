@@ -128,11 +128,3 @@ class Cluster:
 
     def nodes(self) -> list[ServerNode]:
         return list(self._nodes.values())
-
-    def reset_load(self) -> None:
-        for n in self._nodes.values():
-            n.next_free = 0.0
-            n.requests_served = 0
-            n.busy_us = 0.0
-            n.crashes = 0
-            n.recovered_us = 0.0

@@ -20,7 +20,7 @@ its provenance.  Two kinds of constants exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -29,19 +29,15 @@ class DeviceModel:
 
     name: str
     seek_us: float  # random-access penalty per seek
-    read_mbps: float  # sequential read bandwidth, MB/s
     write_mbps: float  # sequential write bandwidth, MB/s
-
-    def read_us(self, nbytes: int, seeks: int = 0) -> float:
-        return seeks * self.seek_us + nbytes / self.read_mbps
 
     def write_us(self, nbytes: int, seeks: int = 0) -> float:
         return seeks * self.seek_us + nbytes / self.write_mbps
 
 
 # MB/s expressed in bytes-per-microsecond: 100 MB/s == 100 B/us.
-HDD = DeviceModel(name="hdd", seek_us=8000.0, read_mbps=120.0, write_mbps=110.0)
-SSD = DeviceModel(name="ssd", seek_us=90.0, read_mbps=480.0, write_mbps=400.0)
+HDD = DeviceModel(name="hdd", seek_us=8000.0, write_mbps=110.0)
+SSD = DeviceModel(name="ssd", seek_us=90.0, write_mbps=400.0)
 
 
 @dataclass

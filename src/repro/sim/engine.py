@@ -679,11 +679,6 @@ class DirectEngine(_EngineCore):
         value, exc, self.now = box[0]
         return value, exc
 
-    def reset_clock(self) -> None:
-        self.now = 0.0
-        self._client = _ClientState()
-        self.cluster.reset_load()
-
 
 #: what a DirectEngine lends its event driver for one command
 _SHARED = ("tracer", "metrics", "telemetry", "obs_detailed", "faults", "retry",

@@ -124,11 +124,6 @@ class FaultSchedule:
                       for t, kind, server, tear in self.events]
         return out
 
-    @property
-    def empty(self) -> bool:
-        return (not self.events and self.drop_prob == 0.0
-                and self.delay_prob == 0.0)
-
     def servers(self) -> set[str]:
         return {server for _, _, server, _ in self.events}
 

@@ -98,17 +98,6 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: diurnal_amplitude must be in [0, 1)")
 
-    def scaled(self, factor: float) -> "TenantSpec":
-        """The same tenant at ``factor`` times the offered rate (sweeps)."""
-        return TenantSpec(
-            name=self.name, rate=self.rate * factor, process=self.process,
-            sessions=self.sessions, queue_bound=self.queue_bound,
-            abandon_after_us=self.abandon_after_us,
-            burst_size=self.burst_size,
-            burst_spacing_us=self.burst_spacing_us,
-            diurnal_amplitude=self.diurnal_amplitude,
-            diurnal_period_us=self.diurnal_period_us)
-
 
 def _tenant_rng(spec: TenantSpec, seed: int) -> random.Random:
     """Per-tenant stream: seed folded with the tenant name, mirroring the

@@ -54,21 +54,6 @@ class Simulator:
         else:
             raise ValueError(f"cannot schedule at NaN: {time}")
 
-    def after(self, delay: float, fn: Callable, *args) -> None:
-        """Schedule ``fn(*args)`` after ``delay`` microseconds; a negative
-        or NaN delay raises ``ValueError``, as ``Sleep`` does."""
-        if not delay >= 0.0:  # negative, or NaN
-            raise ValueError(f"negative or NaN delay: {delay}")
-        # the time comparison (not the delay) decides the queue, so a delay
-        # small enough to vanish in float addition still lands in the ready
-        # queue in scheduling order
-        time = self.now + delay
-        if time <= self.now:
-            self._ready.append((fn, args))
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (time, self._seq, fn, args))
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Process events until the schedule drains, ``until`` is reached, or
         ``max_events`` have fired (a runaway guard for tests).  A NaN
@@ -83,7 +68,7 @@ class Simulator:
         if until is None and max_events is None:
             # The common full-drain loop: *batched* event application.  Two
             # invariants make the unsynchronized inner drains safe (module
-            # docstring): ``at``/``after`` route ``time <= now`` to the
+            # docstring): ``at`` routes ``time <= now`` to the
             # ready queue, so a callback can never push a heap entry at the
             # current instant; and every heap entry at a given timestamp
             # was pushed before the clock reached it, so it precedes (in
@@ -156,10 +141,6 @@ class Simulator:
         self.run(until=time)
         if self.now < time:
             self.now = time
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap) + len(self._ready)
 
     @property
     def events_processed(self) -> int:

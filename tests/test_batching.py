@@ -12,7 +12,6 @@ import pytest
 from repro.common.config import BatchConfig, ClusterConfig
 from repro.common.errors import Exists
 from repro.core.client import BatchingLocoClient
-from repro.core.dms import DirectoryMetadataServer
 from repro.core.fms import FileMetadataServer
 from repro.core.fs import LocoFS
 from repro.harness import (
@@ -25,7 +24,6 @@ from repro.harness import (
 from repro.harness.runner import _mixed_gen
 from repro.harness.workloads import Workload, ZipfPicker
 from repro.kv.api import GroupCommit
-from repro.kv.btree import BTreeStore
 from repro.kv.hashdb import HashStore
 from repro.kv.meter import Meter
 from repro.kv.wal import OP_PUT, WriteAheadLog
@@ -250,14 +248,14 @@ class TestBatchedKVMetering:
     def _metered(self, cls, **kw):
         return cls(meter=Meter(KVCostPolicy(CostModel())), **kw)
 
-    @pytest.mark.parametrize("cls", [HashStore, BTreeStore])
+    @pytest.mark.parametrize("cls", [HashStore])
     def test_multi_put_of_one_costs_like_put(self, cls):
         a, b = self._metered(cls), self._metered(cls)
         a.put(b"k", b"v" * 50)
         b.multi_put([(b"k", b"v" * 50)])
         assert b.meter.total_us == pytest.approx(a.meter.total_us)
 
-    @pytest.mark.parametrize("cls", [HashStore, BTreeStore])
+    @pytest.mark.parametrize("cls", [HashStore])
     def test_multi_put_amortizes_base_cost(self, cls):
         cost = CostModel()
         pairs = [(f"k{i}".encode(), b"v" * 50) for i in range(8)]
@@ -271,7 +269,7 @@ class TestBatchedKVMetering:
         assert batch.meter.total_us == pytest.approx(expected)
         assert batch.meter.total_us < single.meter.total_us
 
-    @pytest.mark.parametrize("cls", [HashStore, BTreeStore])
+    @pytest.mark.parametrize("cls", [HashStore])
     def test_multi_get_amortizes_and_aligns(self, cls):
         store = self._metered(cls)
         store.multi_put([(f"k{i}".encode(), f"v{i}".encode()) for i in range(4)])
@@ -524,15 +522,15 @@ class TestGroupCommitScope:
         assert fms.meter.count("wal_commit") == 1
 
     def test_nested_multi_put_group_commits_once(self, tmp_path):
-        dms = DirectoryMetadataServer(wal_path=str(tmp_path / "d.wal"))
-        wal = dms.store._wal
+        fms = FileMetadataServer(sid=1, wal_path=str(tmp_path / "f.wal"))
+        wal = fms.store._wal
         before = wal.commits
-        with GroupCommit(dms.store, dms.counters):
-            dms.store.multi_put([(b"a", b"1"), (b"b", b"2")])
-            dms.store.put(b"c", b"3")
+        with GroupCommit(fms.store, fms.counters):
+            fms.store.multi_put([(b"a", b"1"), (b"b", b"2")])
+            fms.store.put(b"c", b"3")
         assert wal.commits == before + 1
-        assert dms.counters.get("wal.fsync") == 1
-        assert dms.meter.count("wal_commit") == 1
+        assert fms.counters.get("wal.fsync") == 1
+        assert fms.meter.count("wal_commit") == 1
 
 
 #: the benchmark's ``async_mixed`` blend

@@ -76,6 +76,12 @@ def test_trace_unknown_system(capsys, tmp_path):
     assert "unknown system" in capsys.readouterr().err
 
 
+def test_throughput_unknown_system(capsys):
+    assert main(["throughput", "nope"]) == 2  # was a ValueError traceback
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown system" in err
+
+
 def test_metrics_flags(capsys, tmp_path):
     mpath = tmp_path / "metrics.json"
     assert main(["latency", "locofs", "-n", "2", "--items", "4",
@@ -331,6 +337,19 @@ def test_slo_check_fails_on_locofs_nc(capsys):
 def test_slo_unknown_system(capsys):
     assert main(["slo", "nope"]) == 2
     assert "unknown system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[]", '{"name": "x"}'],
+                         ids=["missing", "malformed", "not-an-object",
+                              "no-objectives"])
+def test_slo_bad_spec_file_is_one_line(capsys, tmp_path, content):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_text(content)
+    assert main(["slo", "locofs-c", "--slo", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the run
+    assert captured.err.count("\n") == 1 and str(spec) in captured.err
 
 
 def test_dashboard_writes_self_contained_html(capsys, tmp_path):

@@ -55,15 +55,14 @@ class TestCostModel:
 
 class TestDeviceModel:
     def test_hdd_seek_dominates_small_random(self):
-        assert HDD.read_us(4096, seeks=1) > 100 * SSD.read_us(4096, seeks=1) / 100
+        assert HDD.write_us(4096, seeks=1) > SSD.write_us(4096, seeks=1)
         assert HDD.seek_us > 50 * SSD.seek_us
 
     def test_sequential_scales_with_bytes(self):
         assert HDD.write_us(1 << 20) > HDD.write_us(1 << 10)
 
     def test_custom_device(self):
-        dev = DeviceModel(name="nvme", seek_us=10.0, read_mbps=3000.0, write_mbps=2000.0)
-        assert dev.read_us(3000) == pytest.approx(1.0)
+        dev = DeviceModel(name="nvme", seek_us=10.0, write_mbps=2000.0)
         assert dev.write_us(2000, seeks=2) == pytest.approx(21.0)
 
 
@@ -88,13 +87,6 @@ class TestMeter:
         m.pending += (("put", 1000),)
         assert m.total_us == 0.0
         assert m.count("put") == 1
-
-    def test_reset(self):
-        m = Meter(KVCostPolicy(CostModel()))
-        m.pending += (("put", 10),)
-        m.reset()
-        assert m.total_us == 0.0
-        assert m.count("put") == 0
 
     def test_store_integration(self):
         m = Meter(KVCostPolicy(CostModel()))

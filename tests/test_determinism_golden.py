@@ -121,7 +121,6 @@ def test_attached_telemetry_is_clock_invisible(golden):
     finally:
         set_default_telemetry(previous)
     # the invariance is only meaningful if the sink really was attached
-    assert sink.total_ops > 0
     assert sink.count_ops("client.create") > 0
 
 

@@ -57,7 +57,7 @@ def _metered_dms(tree) -> DirectoryMetadataServer:
                 dms.op_mkdir(p, 0o755, ROOT, 0.0)
         dms.op_setattr(path, ROOT, 1.0, mode=mode)
         dms.op_setattr(path, ROOT, 2.0, uid=uid, gid=gid)
-    dms.meter.reset()
+    dms.attach_meter(Meter(KVCostPolicy(CostModel())))
     dms.counters.clear()
     dms.meter.trace = _Charges()
     return dms

@@ -186,16 +186,3 @@ class TestEventEngineSpecifics:
 
         eng.run(g())
         assert eng.now >= 200.0
-
-    def test_reset_clock(self):
-        cluster, cost = build(n=1)
-        eng = DirectEngine(cluster, cost)
-
-        def g():
-            yield Rpc("s0", "ok", (1,))
-
-        eng.run(g())
-        assert eng.now > 0
-        eng.reset_clock()
-        assert eng.now == 0.0
-        assert cluster["s0"].next_free == 0.0

@@ -92,11 +92,9 @@ class TestFaultSchedule:
         s = FaultSchedule(seed=3).crash_restart("fms0", 100.0, 50.0, torn_tail_bytes=8)
         assert s.events == [(100.0, 0, "fms0", 8), (150.0, 1, "fms0", 0)]
         assert s.servers() == {"fms0"}
-        assert not s.empty
         shifted = s.shifted(1000.0)
         assert shifted.events[0][0] == 1100.0
         assert s.events[0][0] == 100.0  # original untouched
-        assert FaultSchedule().empty
 
     def test_empty_schedule_draws_no_randomness(self):
         state = FaultState(FaultSchedule(seed=42), engine=None)
@@ -158,7 +156,8 @@ class TestShiftedSemantics:
         assert base.events == [(10.0, 0, "dms", 0)]  # original untouched
 
     def test_shifted_empty_schedule_stays_empty(self):
-        assert FaultSchedule().shifted(5_000.0).empty
+        empty = FaultSchedule().shifted(5_000.0)
+        assert (empty.events, empty.drop_prob, empty.delay_prob) == ([], 0.0, 0.0)
 
 
 # -- engine integration: down servers, retries, determinism ------------------------

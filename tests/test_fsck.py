@@ -200,7 +200,7 @@ class TestCorruptionDetection:
         assert c.ring.vnodes == DEFAULT_VNODES
         assert len(set(placed.values())) == 4
         found = {key[2:]: name for name, fms in zip(fs.fms_names, fs.fms)
-                 for key in fms.store.keys() if key.startswith(b"A:")}
+                 for key, _ in fms.store.items() if key.startswith(b"A:")}
         assert found == placed
         report = check(fs)
         assert report.clean, report.errors

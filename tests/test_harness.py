@@ -25,7 +25,6 @@ from repro.harness import (
     clients_for,
     format_table,
     make_system,
-    normalize,
     run_latency,
     run_mixed_throughput,
     run_throughput,
@@ -412,12 +411,6 @@ class TestReport:
         out = format_table("t", "sys", [1, 2], rows)
         assert "A" in out and "B" in out
         assert "10" in out and "—" in out  # missing cell renders as em dash
-
-    def test_normalize(self):
-        rows = {"base": {1: 10.0}, "x": {1: 30.0}}
-        norm = normalize(rows, "base")
-        assert norm["x"][1] == pytest.approx(3.0)
-        assert norm["base"][1] == pytest.approx(1.0)
 
 
 class TestTrace:

@@ -100,7 +100,7 @@ class TestRingCaches:
         # insort produced: check ring contents are sorted and complete
         ring = ConsistentHashRing(vnodes=16)
         for n in ("fms0", "fms1", "fms2"):
-            ring.add_node(n)
+            ring.add_nodes([n])
         pairs = list(zip(ring._points, ring._owners))
         assert pairs == sorted(pairs)
         assert len(pairs) == 3 * 16
@@ -110,15 +110,15 @@ class TestRingCaches:
         r1 = ConsistentHashRing(vnodes=16)
         r2 = ConsistentHashRing(vnodes=16)
         for n in ("a", "b"):
-            r1.add_node(n)
+            r1.add_nodes([n])
         for n in ("b", "a"):  # different insertion order, same membership
-            r2.add_node(n)
+            r2.add_nodes([n])
         assert (r1._points, r1._owners) == (r2._points, r2._owners)
 
     def test_lookup_cache_consistent_and_bounded(self):
         ring = ConsistentHashRing(vnodes=8)
         for n in ("s0", "s1", "s2", "s3"):
-            ring.add_node(n)
+            ring.add_nodes([n])
         keys = [file_placement_key(7, f"f{i}") for i in range(200)]
         first = [ring.lookup(k) for k in keys]
         again = [ring.lookup(k) for k in keys]  # served from cache
@@ -129,14 +129,11 @@ class TestRingCaches:
     def test_version_bumps_on_membership_change(self):
         ring = ConsistentHashRing(vnodes=8)
         v0 = ring.version
-        ring.add_node("s0")
+        ring.add_nodes(["s0"])
         assert ring.version > v0
         v1 = ring.version
-        ring.add_node("s1")
+        ring.add_nodes(["s1"])
         assert ring.version > v1
-        v2 = ring.version
-        ring.remove_node("s0")
-        assert ring.version > v2
 
     @pytest.mark.parametrize("nodes", [1, 3, 8])
     def test_lookup_file_is_lookup_of_the_placement_key(self, nodes):
@@ -147,7 +144,7 @@ class TestRingCaches:
         rng = random.Random(nodes)
         ring = ConsistentHashRing()
         for i in range(nodes):
-            ring.add_node(f"fms{i}")
+            ring.add_nodes([f"fms{i}"])
         names = ["a", "f000001", "é数🙂", "x" * 255] + [
             "".join(rng.choice("abcé数_") for _ in range(rng.randint(1, 12)))
             for _ in range(150)]
@@ -167,13 +164,8 @@ class TestRingCaches:
                     if chash._hash64(file_placement_key(d, "w")) > ring._points[-1])
         assert ring.lookup_file(past, "w") == ring._owners[0]
         assert ring.lookup(file_placement_key(past, "w")) == ring._owners[0]
-        ring.add_node("fms-extra")
+        ring.add_nodes(["fms-extra"])
         check()
-        ring.remove_node("fms0")
-        check()
-        ring.remove_node("fms-extra")
-        if nodes > 1:
-            check()
 
     def test_lookup_file_on_empty_ring_raises(self):
         with pytest.raises(RuntimeError):
@@ -181,15 +173,13 @@ class TestRingCaches:
 
     def test_lookup_cache_invalidated_on_add_and_remove(self):
         ring = ConsistentHashRing(vnodes=64)
-        ring.add_node("s0")
+        ring.add_nodes(["s0"])
         keys = [file_placement_key(1, f"f{i}") for i in range(64)]
         assert all(ring.lookup(k) == "s0" for k in keys)
-        ring.add_node("s1")
+        ring.add_nodes(["s1"])
         after_add = [ring.lookup(k) for k in keys]
         assert after_add == [_uncached_lookup(ring, k) for k in keys]
         assert "s1" in set(after_add)  # some keys must move to the new node
-        ring.remove_node("s1")
-        assert all(ring.lookup(k) == "s0" for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +206,18 @@ class TestClientPlacementCache:
     def test_placement_cache_invalidated_on_ring_change(self):
         _, client = self._client()
         before = {i: client._fms_for(5, f"f{i}") for i in range(32)}
-        victim = client.fms_names[-1]
-        client.ring.remove_node(victim)
+        client.ring.add_nodes(["fms-extra"])
         after = {i: client._fms_for(5, f"f{i}") for i in range(32)}
         for i, fms in after.items():
-            assert fms != victim
             assert fms == client.ring.lookup(file_placement_key(5, f"f{i}"))
-        # keys that were on the removed node must have moved
-        moved = [i for i in before if before[i] == victim]
-        assert all(after[i] != before[i] for i in moved)
+        # a key either stays or moves to the new node, and some move
+        moved = [i for i in before if after[i] != before[i]]
+        assert moved and all(after[i] == "fms-extra" for i in moved)
 
     def test_placement_cache_repopulates_after_add(self):
         _, client = self._client()
         client._fms_for(9, "x")
-        client.ring.add_node("fms-extra")
+        client.ring.add_nodes(["fms-extra"])
         assert client._fms_for(9, "x") == client.ring.lookup(
             file_placement_key(9, "x")
         )

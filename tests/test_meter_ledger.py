@@ -164,6 +164,8 @@ def _run(store, meter, registry, op, args):
             return store.put(k1, v1), store.put(k2, v2)
     if op == "multi_put" and not hasattr(store, "multi_put"):
         return [store.put(k, v) for k, v in args[0]]
+    if op == "multi_get" and not hasattr(store, "multi_get"):
+        return [store.get(k) for k in args[0]]
     if op == "scan":
         prefix, n = args
         return list(islice(store.prefix_scan(prefix), n))

@@ -27,7 +27,7 @@ class TestRingLookupN:
     def test_returns_distinct_nodes(self):
         ring = ConsistentHashRing()
         for n in ["a", "b", "c", "d"]:
-            ring.add_node(n)
+            ring.add_nodes([n])
         got = ring.lookup_n(b"key", 3)
         assert len(got) == 3
         assert len(set(got)) == 3
@@ -35,21 +35,21 @@ class TestRingLookupN:
     def test_primary_is_lookup(self):
         ring = ConsistentHashRing()
         for n in ["a", "b", "c"]:
-            ring.add_node(n)
+            ring.add_nodes([n])
         for i in range(50):
             key = f"k{i}".encode()
             assert ring.lookup_n(key, 2)[0] == ring.lookup(key)
 
     def test_n_clamped_to_node_count(self):
         ring = ConsistentHashRing()
-        ring.add_node("only")
+        ring.add_nodes(["only"])
         assert ring.lookup_n(b"k", 5) == ["only"]
 
     def test_deterministic(self):
         r1, r2 = ConsistentHashRing(), ConsistentHashRing()
         for n in ["x", "y", "z"]:
-            r1.add_node(n)
-            r2.add_node(n)
+            r1.add_nodes([n])
+            r2.add_nodes([n])
         assert r1.lookup_n(b"q", 2) == r2.lookup_n(b"q", 2)
 
 

@@ -426,7 +426,7 @@ class TestSingleClientEngineIdentity:
             probes, issued = self._run("direct", commands, faults, tracer=tracer,
                                        metrics=metrics)
             spans = [(s.span_id, s.name, s.cat, s.start_us, s.end_us, s.track,
-                      s.parent_id, s.args) for s in tracer.spans]
+                      s.parent and s.parent.span_id, s.args) for s in tracer.spans]
             runs.append((probes, issued, spans, metrics.snapshot()))
         assert runs[0] == runs[1]
 

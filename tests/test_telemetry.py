@@ -82,17 +82,6 @@ def test_sketch_under_and_overflow_buckets():
     assert math.isfinite(sk.quantile(0.5))
 
 
-def test_sketch_sparse_roundtrip():
-    sk = LogSketch()
-    for v in (3.0, 50.0, 50.0, 8000.0):
-        sk.record(v)
-    back = LogSketch.from_sparse(sk.to_sparse(), minimum=sk.minimum,
-                                 maximum=sk.maximum, total=sk.total)
-    assert back.counts == sk.counts
-    assert back.count == sk.count
-    assert back.quantile(0.5) == sk.quantile(0.5)
-
-
 # ---------------------------------------------------------------------------
 # TelemetrySink windowing and ring bounds
 # ---------------------------------------------------------------------------
@@ -106,7 +95,7 @@ def test_ops_land_in_their_windows():
     assert sink.count_ops("client.create", 0.0, 100.0) == 1
     assert sink.count_ops("client.create", 100.0, 200.0) == 1
     assert sink.op_names() == ["client.create", "client.stat"]
-    assert sink.total_ops == 3
+    assert sink.count_ops() == 3
 
 
 def test_errors_counted_separately():
@@ -115,7 +104,7 @@ def test_errors_counted_separately():
     sink.op_complete("client.create", 0.0, 20.0, error="FSError")
     assert sink.count_ops("client.create") == 1
     assert sink.count_ops("client.create", errors=True) == 1
-    assert sink.total_ops == 1 and sink.total_errors == 1
+    assert sink.count_ops() == 1 and sink.count_ops(errors=True) == 1
     # errors do not pollute the latency sketch
     assert sink.merged_sketch("client.create").count == 1
 
@@ -241,16 +230,6 @@ def test_buffered_ingest_equals_eager_order():
     assert a.snapshot() == b.snapshot()
 
 
-def test_clear_resets_everything():
-    sink = TelemetrySink(window_us=100.0)
-    sink.op_complete("client.create", 0.0, 10.0)
-    sink.mark("m", 5.0)
-    sink.clear()
-    assert sink.total_ops == 0 and sink.total_errors == 0
-    assert sink.n_windows == 0
-    assert sink.snapshot()["windows"] == []
-
-
 # ---------------------------------------------------------------------------
 # bounded memory
 # ---------------------------------------------------------------------------
@@ -265,7 +244,7 @@ def test_snapshot_is_o_windows_not_o_ops():
         if i % 64 == 0:
             sink.rpc_complete("dms%d" % (i % 4), t, t + 1.0, 10.0,
                               depth=i % 7)
-    assert sink.total_ops == n
+    assert sink.count_ops() == n
     assert sink.n_windows <= DEFAULT_MAX_WINDOWS
     assert len(sink._buf) < INGEST_BUFFER
     blob = json.dumps(sink.snapshot())
