@@ -10,7 +10,6 @@ from .bloom import BloomFilter
 from .btree import BTreeStore
 from .hashdb import HashStore
 from .lsm import LSMStore
-from .memtable import SkipListMemtable
 from .meter import CostPolicy, Meter, NullMeter
 from .sstable import SSTable, SSTableBuilder
 from .wal import WriteAheadLog
@@ -21,7 +20,6 @@ __all__ = [
     "BTreeStore",
     "HashStore",
     "LSMStore",
-    "SkipListMemtable",
     "CostPolicy",
     "Meter",
     "NullMeter",

@@ -1,7 +1,8 @@
 """LSM-tree key-value store (LevelDB analogue).
 
-Write path: WAL append, then skip-list memtable; when the memtable exceeds
-``memtable_limit`` bytes it is flushed to an immutable SSTable.  When more
+Write path: WAL append, then the memtable, a plain ``dict`` sorted only
+where order is needed (at flush and for scans); when its byte count
+reaches ``memtable_limit`` it is flushed to an immutable SSTable.  When more
 than ``max_tables`` SSTables accumulate they are merge-compacted into one
 (size-tiered compaction — simpler than leveled, same asymptotics for the
 workloads here).  Reads consult memtable first, then SSTables newest-first
@@ -18,14 +19,22 @@ import os
 import shutil
 import tempfile
 from collections.abc import Iterator
+from operator import itemgetter
 
 from .api import KVStore, prefix_upper_bound
-from .memtable import ABSENT, SkipListMemtable
 from .meter import SCAN_SETTLE_EVERY, Meter
 from .sstable import SSTable, SSTableBuilder
 from .wal import OP_DELETE, OP_PUT, WriteAheadLog
 
 __all__ = ["LSMStore", "prefix_upper_bound"]
+
+#: what ``_mem.get`` returns for a key the memtable does not hold (a
+#: ``None`` value is a stored tombstone)
+_ABSENT = object()
+#: what a memtable entry counts against ``memtable_limit`` beyond its key
+#: and value bytes: a nominal node overhead (LevelDB's memtable is a skip
+#: list)
+_ENTRY_OVERHEAD = 32
 
 
 class LSMStore(KVStore):
@@ -40,7 +49,6 @@ class LSMStore(KVStore):
         max_tables: int = 6,
         meter: Meter | None = None,
         wal_enabled: bool = True,
-        seed: int = 0x5EED,
     ):
         super().__init__(meter)
         #: where the WAL and SSTables live.  A caller-given directory is
@@ -52,8 +60,10 @@ class LSMStore(KVStore):
         self._own_dir = directory is None
         self.memtable_limit = memtable_limit
         self.max_tables = max_tables
-        self._seed = seed
-        self._mem = SkipListMemtable(seed=seed)
+        #: key -> value, ``None`` a tombstone; ``_mem_bytes`` is what it
+        #: counts against ``memtable_limit``
+        self._mem: dict[bytes, bytes | None] = {}
+        self._mem_bytes = 0
         self._tables: list[SSTable] = []  # newest first
         self._next_seq = 1
         self._wal: WriteAheadLog | None = None
@@ -83,28 +93,39 @@ class LSMStore(KVStore):
             self._next_seq = max(seqs) + 1
         for op, key, value in WriteAheadLog.replay(self._path("wal.log")):
             if op == OP_PUT:
-                self._mem.put(key, value)
+                self._mem_put(key, value)
             elif op == OP_DELETE:
-                self._mem.put(key, None)
+                self._mem_put(key, None)
+
+    def _mem_put(self, key: bytes, value: bytes | None) -> None:
+        """Store ``value`` (``None``: a tombstone) in the memtable.  A new
+        key counts its key, value and entry overhead; an overwrite only
+        the change in value length."""
+        mem = self._mem
+        old = mem.get(key, _ABSENT)
+        if old is _ABSENT:
+            self._mem_bytes += len(key) + len(value or b"") + _ENTRY_OVERHEAD
+        else:
+            self._mem_bytes += len(value or b"") - len(old or b"")
+        mem[key] = value
 
     # -- core ops ----------------------------------------------------------------
     # Point ops extend the meter's ledger in place (``append``: both
     # entries in one extend), as in ``HashStore`` / ``BTreeStore``; the
-    # engine settles it once per request.  A point read
-    # is one memtable ``lookup`` (a hash probe, no skip-list descent); only
-    # a key the memtable does not hold falls through to the SSTables.
+    # engine settles it once per request.  A point read is one memtable
+    # probe; only a key the memtable does not hold falls through to the
+    # SSTables.
     def put(self, key: bytes, value: bytes) -> None:
         self.meter.pending += (("put", len(key) + len(value)),)
         if self._wal is not None:
             self._wal.append_put(key, value)
-        mem = self._mem
-        mem.put(key, value)
-        if mem._approx_bytes >= self.memtable_limit:
+        self._mem_put(key, value)
+        if self._mem_bytes >= self.memtable_limit:
             self.flush()
 
     def get(self, key: bytes) -> bytes | None:
-        value = self._mem.lookup(key)
-        if value is ABSENT:
+        value = self._mem.get(key, _ABSENT)
+        if value is _ABSENT:
             value = self._table_get(key) if self._tables else None
         self.meter.pending += (
             ("get", len(key) + (len(value) if value is not None else 0)),)
@@ -127,9 +148,8 @@ class LSMStore(KVStore):
         value)``): both charges go to the ledger in one extend, as in
         :meth:`HashStore.append`.
         """
-        mem = self._mem
-        cur = mem.lookup(key)
-        if cur is ABSENT:
+        cur = self._mem.get(key, _ABSENT)
+        if cur is _ABSENT:
             cur = self._table_get(key) if self._tables else None
         klen = len(key)
         if cur is None:
@@ -141,8 +161,8 @@ class LSMStore(KVStore):
                                    ("put", klen + len(new)))
         if self._wal is not None:
             self._wal.append_put(key, new)
-        mem.put(key, new)
-        if mem._approx_bytes >= self.memtable_limit:
+        self._mem_put(key, new)
+        if self._mem_bytes >= self.memtable_limit:
             self.flush()
 
     def delete(self, key: bytes) -> bool:
@@ -150,61 +170,48 @@ class LSMStore(KVStore):
         existed = self.get(key) is not None
         if self._wal is not None:
             self._wal.append_delete(key)
-        mem = self._mem
-        mem.put(key, None)
-        if mem._approx_bytes >= self.memtable_limit:
+        self._mem_put(key, None)
+        if self._mem_bytes >= self.memtable_limit:
             self.flush()
         return existed
 
     def __len__(self) -> int:
-        """Count of live keys.  O(n) — intended for tests and reporting."""
-        return sum(1 for _ in self.items())
+        """Count of live keys, uncharged.  O(n) — intended for tests and
+        reporting."""
+        return sum(1 for _ in self._merged())
 
     # -- iteration ------------------------------------------------------------------
-    def _merged(self, start: bytes | None, end: bytes | None) -> Iterator[tuple[bytes, bytes | None]]:
-        """Merge memtable + all tables, newest version wins, keys ordered."""
-        sources: list[Iterator[tuple[bytes, bytes | None]]] = []
+    def _merged(self, start: bytes | None = None, end: bytes | None = None,
+                memtable: bool = True) -> Iterator[tuple[bytes, bytes]]:
+        """Live records of the memtable (unless ``memtable`` is false) and
+        every table, keys ordered: ``start <= key < end``, or all of them
+        without ``start``.  The newest version of a key wins, and a
+        tombstone hides the older versions only.  Charges nothing."""
+        mem = self._mem.items() if memtable else ()
         if start is None:
-            sources.append(iter(list(self._mem.items())))
-            sources.extend(t.items() for t in self._tables)
+            sources = [t.items() for t in self._tables]
         else:
             assert end is not None
-            sources.append(iter(list(self._mem.scan(start, end))))
-            sources.extend(t.scan(start, end) for t in self._tables)
-        # age: 0 = memtable (newest), then tables newest-first
-        heap: list[tuple[bytes, int, bytes | None, int]] = []
-        iters = []
-        for age, src in enumerate(sources):
-            iters.append(src)
-            try:
-                k, v = next(src)
-                heap.append((k, age, v, age))
-            except StopIteration:
-                pass
-        heapq.heapify(heap)
+            mem = [kv for kv in mem if start <= kv[0] < end]
+            sources = [t.scan(start, end) for t in self._tables]
+        # newest first: heapq.merge yields equal keys in source order
+        sources.insert(0, sorted(mem))
         last_key: bytes | None = None
-        while heap:
-            k, age, v, idx = heapq.heappop(heap)
-            try:
-                nk, nv = next(iters[idx])
-                heapq.heappush(heap, (nk, idx, nv, idx))
-            except StopIteration:
-                pass
-            if k == last_key:
-                continue  # an older version of an already-emitted key
-            last_key = k
-            if v is not None:  # a tombstone hides the older versions only
-                yield k, v
+        for k, v in heapq.merge(*sources, key=itemgetter(0)):
+            if k != last_key:
+                last_key = k
+                if v is not None:
+                    yield k, v
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        return self._charged(self._merged(None, None))
+        return self._charged(self._merged())
 
     def scan(self, start: bytes, end: bytes | None) -> Iterator[tuple[bytes, bytes]]:
         """start <= key < end; ``end=None`` scans to the end of the keyspace."""
         self.meter.pending += (("seek", len(start)),)
         if end is None:
             # unbounded upper end: merge everything and fast-forward to start
-            source = (kv for kv in self._merged(None, None) if kv[0] >= start)
+            source = (kv for kv in self._merged() if kv[0] >= start)
         else:
             source = self._merged(start, end)
         yield from self._charged(source)
@@ -225,15 +232,16 @@ class LSMStore(KVStore):
     # -- flush & compaction ------------------------------------------------------------
     def flush(self) -> None:
         """Flush the memtable to a new L0 SSTable and reset the WAL."""
-        if len(self._mem) == 0:
+        if not self._mem:
             return
         path = self._path(f"{self._next_seq:08d}.sst")
         builder = SSTableBuilder(path, file_seq=self._next_seq)
         self._next_seq += 1
-        for k, v in self._mem.items():
+        for k, v in sorted(self._mem.items()):
             builder.add(k, v)
         self._tables.insert(0, builder.finish())
-        self._mem = SkipListMemtable(seed=self._seed)
+        self._mem = {}
+        self._mem_bytes = 0
         if self._wal is not None:
             self._wal.truncate()
         self.meter.pending += (("flush", 0),)
@@ -244,29 +252,7 @@ class LSMStore(KVStore):
         """Merge every SSTable into one, dropping tombstones and shadowed versions."""
         if not self._tables:
             return
-        merged = []
-        heap: list[tuple[bytes, int, bytes | None, int]] = []
-        iters = [t.items() for t in self._tables]
-        for age, src in enumerate(iters):
-            try:
-                k, v = next(src)
-                heap.append((k, age, v, age))
-            except StopIteration:
-                pass
-        heapq.heapify(heap)
-        last_key: bytes | None = None
-        while heap:
-            k, age, v, idx = heapq.heappop(heap)
-            try:
-                nk, nv = next(iters[idx])
-                heapq.heappush(heap, (nk, idx, nv, idx))
-            except StopIteration:
-                pass
-            if k == last_key:
-                continue
-            last_key = k
-            if v is not None:
-                merged.append((k, v))
+        merged = list(self._merged(memtable=False))
         old = self._tables
         self._tables = []
         if merged:

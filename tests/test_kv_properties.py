@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.kv import BTreeStore, HashStore, LSMStore
 from repro.kv.btree import prefix_upper_bound
-from repro.kv.memtable import SkipListMemtable
 
 keys = st.binary(min_size=1, max_size=24)
 values = st.binary(max_size=64)
@@ -74,17 +73,6 @@ def test_lsm_matches_dict_model(op_stream):
     finally:
         store.close()
         shutil.rmtree(directory, ignore_errors=True)
-
-
-@given(st.lists(st.tuples(keys, values), max_size=150))
-@settings(max_examples=60, deadline=None)
-def test_memtable_matches_sorted_dict(pairs):
-    mt = SkipListMemtable(seed=3)
-    model: dict[bytes, bytes] = {}
-    for k, v in pairs:
-        mt.put(k, v)
-        model[k] = v
-    assert list(mt.items()) == sorted(model.items())
 
 
 @given(st.lists(st.tuples(keys, values), max_size=80), keys, keys)

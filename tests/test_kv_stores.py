@@ -623,6 +623,24 @@ def test_small_values_run_over_10k_ops_per_second(kind, tmp_path):
     assert len(keys) / get_s > 10_000
 
 
+@pytest.mark.parametrize("kind", ["hash", "btree", "lsm"])
+def test_len_charges_nothing(kind):
+    """``len`` is introspection: it leaves the virtual time and the op
+    counts as they were, on an LSM store with flushed tables too."""
+    meter = Meter(KVCostPolicy(CostModel()))
+    store = (LSMStore(meter=meter, wal_enabled=False, memtable_limit=512)
+             if kind == "lsm" else {"hash": HashStore, "btree": BTreeStore}[kind](meter))
+    for i in range(100):
+        store.put(b"k%03d" % i, b"v" * 8)
+    store.delete(b"k000")
+    if kind == "lsm":
+        assert store.num_tables >= 1 and store._mem
+    before = meter.total_us, dict(meter.op_counts)
+    assert len(store) == 99
+    assert (meter.total_us, dict(meter.op_counts)) == before
+    store.close()
+
+
 def _host_us_per_append(cls, entries: int) -> float:
     """Host µs per append onto a key already holding ``entries`` 24-byte
     entries: the best of 7 windows of 300 appends (the least disturbed)."""
